@@ -1,7 +1,6 @@
 package kronvalid
 
 import (
-	"context"
 	"io"
 
 	"kronvalid/internal/census"
@@ -348,38 +347,14 @@ func VerifyEgonet(p *Product, t *VertexStat, v int64, maxDegree int64) (*Egonet,
 	return kron.VerifyEgonet(p, t, v, maxDegree)
 }
 
-// ---- distributed-style generation ----
-
-// GenPlan is a deterministic communication-free partition of the product
-// edge stream across workers. It implements the unified Source contract,
-// so it plugs directly into Stream, ToCSR, and WriteShards (ProductSource
-// is the Source-typed spelling of NewGenPlan).
-type GenPlan = distgen.Plan
-
-// GenArc is one directed product edge emitted by a GenPlan shard.
-type GenArc = distgen.Arc
-
-// NewGenPlan builds a plan for the given worker count (0 = GOMAXPROCS).
-func NewGenPlan(p *Product, workers int) *GenPlan { return distgen.NewPlan(p, workers) }
-
 // ---- batched edge streaming (the unified generation pipeline) ----
 
-// Arc is one directed product edge of the batched pipeline (identical to
-// GenArc).
+// Arc is one directed product edge of the batched pipeline.
 type Arc = stream.Arc
 
 // ArcSink consumes batches of product arcs; see the composable sinks
 // below and NewEdgeListSink/NewBinaryArcSink for serializers.
 type ArcSink = stream.Sink
-
-// StreamOptions tunes the batched pipeline: worker count, batch size, and
-// per-shard read-ahead. The zero value means GOMAXPROCS workers and
-// 4096-arc batches.
-//
-// Deprecated: the unified verbs (Stream, ToCSR, WriteShards) take
-// functional options — WithWorkers, WithBatchSize, WithReadAhead,
-// WithProgress — instead, so new knobs never break signatures.
-type StreamOptions = stream.Options
 
 // CountingSink counts arcs; read N after streaming.
 type CountingSink = stream.CountSink
@@ -415,46 +390,11 @@ func ReadTextArcs(r io.Reader) ([]Arc, error) { return gio.ReadArcsText(r) }
 // trailing partial record is a truncation error, never a short list.
 func ReadBinaryArcs(r io.Reader) ([]Arc, error) { return gio.ReadArcsBinary(r) }
 
-// legacyOptions maps a legacy StreamOptions struct onto the functional
-// options of the unified verbs, so every deprecated shim is exactly the
-// new call it documents.
-func legacyOptions(o StreamOptions) []Option {
-	return []Option{
-		WithWorkers(o.Workers),
-		WithBatchSize(o.BatchSize),
-		WithReadAhead(o.Buffer),
-		WithProgress(o.Progress),
-	}
-}
-
-// StreamEdges streams every arc of C = A ⊗ B into sink through the
-// parallel batched pipeline. Byte stream and arc count are identical to
-// Stream over ProductSource(p, opts.Workers).
-//
-// Deprecated: use Stream with a ProductSource.
-func StreamEdges(p *Product, opts StreamOptions, sink ArcSink) (int64, error) {
-	return Stream(context.Background(), ProductSource(p, opts.Workers), sink, legacyOptions(opts)...)
-}
-
-// ShardManifest describes a WriteSharded output directory: factor
-// digests, partition, and per-shard arc counts.
+// ShardManifest describes a WriteShards output directory: source
+// identity, partition, and per-shard arc counts.
 type ShardManifest = distgen.Manifest
 
-// WriteShardedOptions configures WriteSharded.
-type WriteShardedOptions = distgen.WriteOptions
-
-// WriteSharded writes the product's edge list into dir as one file per
-// shard plus a manifest.json, generating shards in parallel. Identical
-// output to WriteShards over ProductSource(p, workers).
-//
-// Deprecated: use WriteShards with a ProductSource.
-func WriteSharded(dir string, p *Product, workers int, opts WriteShardedOptions) (*ShardManifest, error) {
-	return WriteShards(context.Background(), dir, ProductSource(p, workers),
-		WithBinary(opts.Binary), WithWorkers(opts.Workers),
-		WithBatchSize(opts.BatchSize), WithProgress(opts.Progress))
-}
-
-// ReadShardManifest parses the manifest.json of a WriteSharded directory.
+// ReadShardManifest parses the manifest.json of a WriteShards directory.
 func ReadShardManifest(dir string) (*ShardManifest, error) { return distgen.ReadManifest(dir) }
 
 // ---- model-agnostic random-model generation ----
@@ -472,13 +412,6 @@ func ReadShardManifest(dir string) (*ShardManifest, error) { return distgen.Read
 // documents every registered kind's spec grammar and guarantees.
 type ModelGenerator = model.Generator
 
-// ModelPlan groups a model's randomness chunks into contiguous shards
-// of near-equal expected work; the plan never touches a random draw. It
-// implements the unified Source contract, so it plugs directly into
-// Stream, ToCSR, and WriteShards (ModelSource is the Source-typed
-// spelling of NewModelPlan).
-type ModelPlan = model.Plan
-
 // NewGenerator builds a model generator from a spec string, e.g.
 // "er:n=100000,p=0.001,seed=42", "rgg2d:n=100000,r=0.005" or
 // "ba:n=100000,d=4" (the KaGen-style "rgg2d(n=100000;r=0.005)" form is
@@ -488,48 +421,6 @@ func NewGenerator(spec string) (ModelGenerator, error) { return model.New(spec) 
 
 // ModelKinds lists the registered model kinds.
 func ModelKinds() []string { return model.Kinds() }
-
-// NewModelPlan builds a sharding plan for the given worker count
-// (0 = GOMAXPROCS).
-func NewModelPlan(g ModelGenerator, workers int) *ModelPlan { return model.NewPlan(g, workers) }
-
-// StreamModel streams the model's canonical arcs into sink through the
-// ordered parallel pipeline. Byte stream and arc count are identical to
-// Stream over ModelSource(g, opts.Workers).
-//
-// Deprecated: use Stream with a ModelSource.
-func StreamModel(g ModelGenerator, opts StreamOptions, sink ArcSink) (int64, error) {
-	return Stream(context.Background(), ModelSource(g, opts.Workers), sink, legacyOptions(opts)...)
-}
-
-// StreamModelToCSR materializes the model's graph through the one-pass
-// ordered CSR accumulator.
-//
-// Deprecated: use ToCSR with a ModelSource and WithTwoPass(false).
-func StreamModelToCSR(g ModelGenerator, opts StreamOptions) (*CSRGraph, error) {
-	return ToCSR(context.Background(), ModelSource(g, opts.Workers),
-		append(legacyOptions(opts), WithTwoPass(false))...)
-}
-
-// BuildModelCSR materializes the model's graph with the two-pass
-// parallel CSR builder (count → prefix → scatter over the replayable
-// shards); digest-identical to StreamModelToCSR for every worker count.
-//
-// Deprecated: use ToCSR with a ModelSource (two-pass is the default).
-func BuildModelCSR(g ModelGenerator, opts StreamOptions) (*CSRGraph, error) {
-	return ToCSR(context.Background(), ModelSource(g, opts.Workers), legacyOptions(opts)...)
-}
-
-// WriteShardedModel writes the model's edge list into dir as one file
-// per shard plus a manifest.json whose model field records the spec.
-// Identical output to WriteShards over ModelSource(g, workers).
-//
-// Deprecated: use WriteShards with a ModelSource.
-func WriteShardedModel(dir string, g ModelGenerator, workers int, opts WriteShardedOptions) (*ShardManifest, error) {
-	return WriteShards(context.Background(), dir, ModelSource(g, workers),
-		WithBinary(opts.Binary), WithWorkers(opts.Workers),
-		WithBatchSize(opts.BatchSize), WithProgress(opts.Progress))
-}
 
 // ---- CSR ingestion (the consumption side of the pipeline) ----
 
@@ -543,31 +434,13 @@ type CSRGraph = csr.Graph
 // CSRSink accumulates one canonical-order arc stream into a CSRGraph in
 // a single pass (no sort — canonical order assembles by appending). Use
 // it to ingest non-replayable streams such as files or pipes; for
-// products themselves BuildCSR is faster.
+// replayable Sources ToCSR's two-pass builder is faster.
 type CSRSink = csr.Sink
 
 // NewCSRSink returns a one-pass CSR accumulator for vertex ids in
 // [0, numVertices); arcsHint pre-sizes the arc array (0 if unknown).
 // After the stream flushes, call Graph() for the result.
 func NewCSRSink(numVertices, arcsHint int64) *CSRSink { return csr.NewSink(numVertices, arcsHint) }
-
-// BuildCSR materializes the adjacency of C = A ⊗ B as a CSRGraph using
-// the parallel two-pass builder; identical to ToCSR over
-// ProductSource(p, opts.Workers).
-//
-// Deprecated: use ToCSR with a ProductSource (two-pass is the default).
-func BuildCSR(p *Product, opts StreamOptions) (*CSRGraph, error) {
-	return ToCSR(context.Background(), ProductSource(p, opts.Workers), legacyOptions(opts)...)
-}
-
-// StreamToCSR materializes C = A ⊗ B by driving the ordered parallel
-// pipeline into a one-pass CSR accumulator.
-//
-// Deprecated: use ToCSR with a ProductSource and WithTwoPass(false).
-func StreamToCSR(p *Product, opts StreamOptions) (*CSRGraph, error) {
-	return ToCSR(context.Background(), ProductSource(p, opts.Workers),
-		append(legacyOptions(opts), WithTwoPass(false))...)
-}
 
 // WriteCSR serializes a CSRGraph in the one-block binary format
 // (KRONCSR1): header, offsets, then the flat arc array.

@@ -110,9 +110,9 @@ func TestFacadeTrussAndPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = pt.MaxK()
-	plan := NewGenPlan(p, 4)
+	plan := ProductSource(p, 4)
 	var sum int64
-	for w := 0; w < plan.Workers(); w++ {
+	for w := 0; w < plan.Shards(); w++ {
 		sum += plan.ShardSize(w)
 	}
 	if sum != p.NumArcs() {

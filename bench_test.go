@@ -20,7 +20,6 @@ import (
 	"kronvalid/internal/gen"
 	"kronvalid/internal/kron"
 	"kronvalid/internal/model"
-	"kronvalid/internal/rng"
 	"kronvalid/internal/sparse"
 	"kronvalid/internal/stats"
 	"kronvalid/internal/stream"
@@ -289,14 +288,13 @@ func BenchmarkParityProperty(b *testing.B) {
 }
 
 // BenchmarkStreamEdges compares edge-emission throughput on a ≥10^7-arc
-// product across four paths: the pre-pipeline generator (the seed's
-// nested-loop per-arc closure, reproduced inline as the true legacy
-// baseline), today's EachArc (now an adapter over batches), the batched
-// generator, and the parallel ordered pipeline. The batched generator
+// product across three paths: EachArc (an adapter over batches), the
+// batched generator, and the parallel ordered pipeline. The batched generator
 // writes into flat buffers instead of invoking a closure per arc; the
 // parallel variant additionally fans communication-free shards across
 // GOMAXPROCS while preserving canonical output order.
 func BenchmarkStreamEdges(b *testing.B) {
+	ctx := context.Background()
 	a := gen.WebGraph(1<<14, 3, 0.75, 8) // ~10^5 arcs
 	bb := gen.Clique(16)                 // 240 arcs
 	p := kron.MustProduct(a, bb)
@@ -307,45 +305,6 @@ func BenchmarkStreamEdges(b *testing.B) {
 		b.SetBytes(p.NumArcs() * 16)
 		b.ReportMetric(float64(p.NumArcs()), "arcs/op")
 	}
-	// The seed's EachArc loop, verbatim: per-arc closure call, no batching.
-	legacyEachArc := func(fn func(u, v int64) bool) {
-		nA := p.A.NumVertices()
-		nB := int64(p.B.NumVertices())
-		for i := 0; i < nA; i++ {
-			nbA := p.A.Neighbors(int32(i))
-			if len(nbA) == 0 {
-				continue
-			}
-			for k := int64(0); k < nB; k++ {
-				u := int64(i)*nB + k
-				nbB := p.B.Neighbors(int32(k))
-				if len(nbB) == 0 {
-					continue
-				}
-				for _, j := range nbA {
-					base := int64(j) * nB
-					for _, l := range nbB {
-						if !fn(u, base+int64(l)) {
-							return
-						}
-					}
-				}
-			}
-		}
-	}
-	b.Run("legacy-per-arc", func(b *testing.B) {
-		arcsPerOp(b)
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			var count int64
-			legacyEachArc(func(u, v int64) bool {
-				count++
-				return true
-			})
-			sink = count
-		}
-		_ = sink
-	})
 	b.Run("per-arc-adapter", func(b *testing.B) {
 		arcsPerOp(b)
 		var sink int64
@@ -376,7 +335,7 @@ func BenchmarkStreamEdges(b *testing.B) {
 		arcsPerOp(b)
 		for i := 0; i < b.N; i++ {
 			var count CountingSink
-			if _, err := StreamEdges(p, StreamOptions{}, &count); err != nil {
+			if _, err := Stream(ctx, ProductSource(p, 0), &count); err != nil {
 				b.Fatal(err)
 			}
 			if count.N != p.NumArcs() {
@@ -388,13 +347,10 @@ func BenchmarkStreamEdges(b *testing.B) {
 
 // BenchmarkCSRBuild compares product-adjacency ingestion on the same
 // ≥10^7-arc product as BenchmarkStreamEdges: the parallel two-pass CSR
-// builder (count → prefix-sum → scatter over communication-free shards),
-// the ordered one-pass CSR sink behind the parallel pipeline, and the
-// ad-hoc map adjacency (map[int64][]int64 filled from the stream) that
-// the analytics consumers used to rebuild per query. The map baseline is
-// what the CSR subsystem replaces — same information, hash overhead and
-// scattered allocations included.
+// builder (count → prefix-sum → scatter over communication-free shards)
+// and the ordered one-pass CSR sink behind the parallel pipeline.
 func BenchmarkCSRBuild(b *testing.B) {
+	ctx := context.Background()
 	a := gen.WebGraph(1<<14, 3, 0.75, 8)
 	bb := gen.Clique(16)
 	p := kron.MustProduct(a, bb)
@@ -408,7 +364,7 @@ func BenchmarkCSRBuild(b *testing.B) {
 	b.Run("two-pass-parallel", func(b *testing.B) {
 		arcsPerOp(b)
 		for i := 0; i < b.N; i++ {
-			g, err := BuildCSR(p, StreamOptions{})
+			g, err := ToCSR(ctx, ProductSource(p, 0))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -420,27 +376,12 @@ func BenchmarkCSRBuild(b *testing.B) {
 	b.Run("ordered-sink", func(b *testing.B) {
 		arcsPerOp(b)
 		for i := 0; i < b.N; i++ {
-			g, err := StreamToCSR(p, StreamOptions{})
+			g, err := ToCSR(ctx, ProductSource(p, 0), WithTwoPass(false))
 			if err != nil {
 				b.Fatal(err)
 			}
 			if g.NumArcs() != p.NumArcs() {
 				b.Fatalf("CSR has %d arcs, want %d", g.NumArcs(), p.NumArcs())
-			}
-		}
-	})
-	b.Run("map-baseline", func(b *testing.B) {
-		arcsPerOp(b)
-		for i := 0; i < b.N; i++ {
-			adj := make(map[int64][]int64)
-			p.EachArcBatch(0, func(batch []Arc) bool {
-				for _, arc := range batch {
-					adj[arc.U] = append(adj[arc.U], arc.V)
-				}
-				return true
-			})
-			if int64(len(adj)) > p.NumVertices() {
-				b.Fatal("impossible adjacency")
 			}
 		}
 	})
@@ -450,10 +391,11 @@ func BenchmarkCSRBuild(b *testing.B) {
 // analytics engines (full adjacency sweeps plus membership probes) on
 // the CSR representation versus the map adjacency it replaced.
 func BenchmarkCSRScan(b *testing.B) {
+	ctx := context.Background()
 	a := gen.WebGraph(1<<12, 3, 0.75, 8)
 	bb := gen.Clique(16)
 	p := kron.MustProduct(a, bb)
-	g, err := BuildCSR(p, StreamOptions{})
+	g, err := ToCSR(ctx, ProductSource(p, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -519,13 +461,17 @@ func BenchmarkEdgeStream(b *testing.B) {
 // BenchmarkShardedGeneration measures communication-free parallel
 // generation throughput across GOMAXPROCS shards.
 func BenchmarkShardedGeneration(b *testing.B) {
+	ctx := context.Background()
 	a := gen.WebGraph(1<<10, 3, 0.75, 8)
 	bb := gen.HubCycle(6)
 	p := kron.MustProduct(a, bb)
-	plan := NewGenPlan(p, 0)
+	src := ProductSource(p, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.GenerateParallel(func(w int, arcs []GenArc) {})
+		var count CountingSink
+		if _, err := Stream(ctx, src, &count); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.SetBytes(p.NumArcs() * 16)
 }
@@ -672,15 +618,15 @@ func BenchmarkSampledValidation(b *testing.B) {
 
 // BenchmarkModelStream measures the model-agnostic generator layer on
 // the acceptance workload (ER n=10^5, p=10^-3, ≈5·10^6 edges): the
-// sharded streaming core versus the seed's O(n²) Bernoulli sweep
-// (reproduced inline as the true legacy baseline), plus the streamed
-// G(n,m), R-MAT and Chung–Lu cores at a comparable edge scale, and the
+// sharded streaming core, plus the streamed G(n,m), R-MAT and
+// Chung–Lu cores at a comparable edge scale, and the
 // cross-chunk-dependent cores — rgg2d/rgg3d (neighbor-cell
 // recomputation), rhg (band/cell window regeneration) and ba (per-edge
 // retracing) — at the acceptance parameters (n=10^5, r=0.005 / d=4 /
 // d̄=8), plus the dependence-free lattices (grid2d/grid3d, ~2·10^5
 // vertices at p=0.8). Throughput is bytes of emitted arcs (16 B/arc).
 func BenchmarkModelStream(b *testing.B) {
+	ctx := context.Background()
 	const erN, erP, erSeed = 100_000, 0.001, 42
 
 	streamCount := func(b *testing.B, g ModelGenerator) {
@@ -689,7 +635,7 @@ func BenchmarkModelStream(b *testing.B) {
 		var arcs int64
 		for i := 0; i < b.N; i++ {
 			var count stream.CountSink
-			if _, err := StreamModel(g, StreamOptions{}, &count); err != nil {
+			if _, err := Stream(ctx, ModelSource(g, 0), &count); err != nil {
 				b.Fatal(err)
 			}
 			arcs = count.N
@@ -709,7 +655,6 @@ func BenchmarkModelStream(b *testing.B) {
 			b.Skip("GOMAXPROCS=1: parallel row would duplicate the serial row and mask scaling regressions")
 		}
 		b.ReportAllocs()
-		ctx := context.Background()
 		var arcs int64
 		for i := 0; i < b.N; i++ {
 			var count stream.CountSink
@@ -735,29 +680,6 @@ func BenchmarkModelStream(b *testing.B) {
 			b.Fatal(err)
 		}
 		streamParallel(b, g)
-	})
-	// The seed implementation's core, verbatim: one Bernoulli draw per
-	// vertex pair — n(n-1)/2 ≈ 5·10^9 draws regardless of how few edges
-	// come out.
-	b.Run("er-legacy-quadratic", func(b *testing.B) {
-		if testing.Short() {
-			b.Skip("quadratic baseline takes ~15s per op; skipped under -short (the bench gate)")
-		}
-		var arcs int64
-		for i := 0; i < b.N; i++ {
-			g := rng.New(erSeed)
-			var count int64
-			for u := 0; u < erN; u++ {
-				for v := u + 1; v < erN; v++ {
-					if g.Float64() < erP {
-						count++
-					}
-				}
-			}
-			arcs = count
-		}
-		b.SetBytes(arcs * 16)
-		b.ReportMetric(float64(arcs), "arcs/op")
 	})
 	b.Run("gnm-stream", func(b *testing.B) {
 		g, err := model.NewGnm(erN, 5_000_000, erSeed, 0)

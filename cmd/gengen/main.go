@@ -35,6 +35,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -51,15 +52,18 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gengen: ")
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() (err error) {
 	modelSpec := flag.String("model", "", "model specification (required; see -kinds)")
 	shards := flag.Int("shards", 1, "number of workers / shard files")
-	outDir := flag.String("out", "", "output directory for shard files (default: stdout stream)")
-	useBinary := flag.Bool("binary", false, "write 16-byte binary arcs instead of TSV (needs -out)")
 	csrPath := flag.String("csr", "", "build CSR with the two-pass parallel builder and write it here (KRONCSR1)")
 	countOnly := flag.Bool("count", false, "print sizes and exit without generating")
-	digestOnly := flag.Bool("digest", false, "print the canonical stream digest and exit")
-	progress := flag.Bool("progress", false, "report generation progress on stderr")
 	listKinds := flag.Bool("kinds", false, "list registered model kinds and exit")
+	out := cliutil.RegisterOutputFlags()
 	prof := cliutil.ProfileFlags()
 	flag.Parse()
 
@@ -70,36 +74,30 @@ func main() {
 	sort.Strings(kinds)
 	if *listKinds {
 		fmt.Println(strings.Join(kinds, "\n"))
-		return
+		return nil
 	}
 	if *modelSpec == "" {
-		log.Fatal("-model is required (one of: " + strings.Join(kinds, ", ") + ")")
+		return errors.New("-model is required (one of: " + strings.Join(kinds, ", ") + ")")
 	}
 	g, err := kronvalid.NewGenerator(*modelSpec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	src := kronvalid.ModelSource(g, *shards)
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	// Runs on every return path, so a failed run still yields complete
+	// profiles.
 	defer func() {
-		if err := stopProf(); err != nil {
-			log.Print(err)
+		if perr := stopProf(); err == nil {
+			err = perr
 		}
 	}()
-
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	var opts []kronvalid.Option
-	progressDone := func() {}
-	if *progress {
-		report, done := cliutil.ProgressReporter(os.Stderr, src.TotalArcs())
-		progressDone = done
-		opts = append(opts, kronvalid.WithProgress(report))
-	}
 
 	if *countOnly {
 		fmt.Printf("model\t%s\n", src.Name())
@@ -117,61 +115,35 @@ func main() {
 				fmt.Printf("shard-%d\tvertices [%d,%d)\n", w, lo, hi)
 			}
 		}
-		return
+		return nil
 	}
-
-	if *digestOnly {
-		d, err := kronvalid.Digest(ctx, src, opts...)
-		progressDone()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s\t%s\n", d, src.Name())
-		return
+	if *csrPath != "" && !out.Digest { // -digest takes precedence over -csr
+		return writeCSR(ctx, src, *csrPath, out)
 	}
+	return out.Emit(ctx, "gengen", src)
+}
 
-	if *csrPath != "" {
-		cg, err := kronvalid.ToCSR(ctx, src, opts...)
-		progressDone()
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Create(*csrPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := kronvalid.WriteCSR(f, cg); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gengen: wrote CSR (%d vertices, %d arcs, digest %s) to %s\n",
-			cg.NumVertices(), cg.NumArcs(), kronvalid.CSRDigest(cg), *csrPath)
-		return
-	}
-
-	if *outDir == "" {
-		// Stream to stdout through the parallel pipeline: shards generate
-		// concurrently, bytes come out in canonical order.
-		if *useBinary {
-			log.Fatal("-binary needs -out DIR")
-		}
-		sink := kronvalid.NewEdgeListSink(os.Stdout)
-		_, err := kronvalid.Stream(ctx, src, sink, opts...)
-		progressDone()
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	m, err := kronvalid.WriteShards(ctx, *outDir, src, append(opts, kronvalid.WithBinary(*useBinary))...)
-	progressDone()
+// writeCSR materializes src with the two-pass parallel builder and
+// writes it to path in the KRONCSR1 format.
+func writeCSR(ctx context.Context, src kronvalid.Source, path string, out *cliutil.OutputFlags) error {
+	opts, done := out.ProgressOption(src)
+	cg, err := kronvalid.ToCSR(ctx, src, opts...)
+	done()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "gengen: wrote %d arcs in %d shards (%s) of %s to %s\n",
-		m.TotalArcs, m.Workers, m.Format, m.Model, *outDir)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := kronvalid.WriteCSR(f, cg); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "gengen: wrote CSR (%d vertices, %d arcs, digest %s) to %s\n",
+		cg.NumVertices(), cg.NumArcs(), kronvalid.CSRDigest(cg), path)
+	return nil
 }

@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -34,53 +35,50 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("krongen: ")
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() (err error) {
 	aSpec := flag.String("a", "", "left factor specification (required)")
 	bSpec := flag.String("b", "", "right factor specification (required)")
 	shards := flag.Int("shards", 1, "number of shards")
-	outDir := flag.String("out", "", "output directory for shard files (default: stdout stream)")
-	useBinary := flag.Bool("binary", false, "write 16-byte binary arcs instead of TSV (needs -out)")
 	countOnly := flag.Bool("count", false, "print sizes and exit without generating")
-	digestOnly := flag.Bool("digest", false, "print the canonical stream digest and exit")
-	progress := flag.Bool("progress", false, "report generation progress on stderr")
+	out := cliutil.RegisterOutputFlags()
 	prof := cliutil.ProfileFlags()
 	flag.Parse()
 
 	if *aSpec == "" || *bSpec == "" {
-		log.Fatal("both -a and -b are required")
+		return errors.New("both -a and -b are required")
 	}
 	a, err := spec.Parse(*aSpec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	b, err := spec.Parse(*bSpec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	p, err := kronvalid.NewProduct(a, b)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	src := kronvalid.ProductSource(p, *shards)
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	// Runs on every return path, so a failed run still yields complete
+	// profiles.
 	defer func() {
-		if err := stopProf(); err != nil {
-			log.Print(err)
+		if perr := stopProf(); err == nil {
+			err = perr
 		}
 	}()
-
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	var opts []kronvalid.Option
-	progressDone := func() {}
-	if *progress {
-		report, done := cliutil.ProgressReporter(os.Stderr, src.TotalArcs())
-		progressDone = done
-		opts = append(opts, kronvalid.WithProgress(report))
-	}
 
 	if *countOnly {
 		fmt.Printf("source\t%s\n", src.Name())
@@ -89,39 +87,7 @@ func main() {
 		for w := 0; w < src.Shards(); w++ {
 			fmt.Printf("shard-%d\t%d\n", w, src.ShardSize(w))
 		}
-		return
+		return nil
 	}
-
-	if *digestOnly {
-		d, err := kronvalid.Digest(ctx, src, opts...)
-		progressDone()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s\t%s\n", d, src.Name())
-		return
-	}
-
-	if *outDir == "" {
-		// Stream to stdout through the parallel pipeline: shards generate
-		// concurrently, bytes come out in canonical serial order.
-		if *useBinary {
-			log.Fatal("-binary needs -out DIR")
-		}
-		sink := kronvalid.NewEdgeListSink(os.Stdout)
-		_, err := kronvalid.Stream(ctx, src, sink, opts...)
-		progressDone()
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	m, err := kronvalid.WriteShards(ctx, *outDir, src, append(opts, kronvalid.WithBinary(*useBinary))...)
-	progressDone()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "krongen: wrote %d arcs in %d shards (%s) to %s\n",
-		m.TotalArcs, m.Workers, m.Format, *outDir)
+	return out.Emit(ctx, "krongen", src)
 }

@@ -10,18 +10,20 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
-	"kronvalid/internal/distgen"
+	"kronvalid"
 	"kronvalid/internal/gio"
 	"kronvalid/internal/graph"
 	"kronvalid/internal/kron"
 	"kronvalid/internal/spec"
-	"kronvalid/internal/stream"
 	"kronvalid/internal/triangle"
 )
 
@@ -120,13 +122,15 @@ func main() {
 // runCSR materializes the product adjacency through the parallel
 // two-pass CSR builder and cross-checks every measured quantity against
 // its Kronecker closed form — the paper's validation story applied to
-// the ingestion subsystem itself.
+// the ingestion subsystem itself. SIGINT/SIGTERM cancel the build.
 func runCSR(p *kron.Product, maxArcs int64, jsonOut bool) {
 	if p.NumArcs() > maxArcs {
 		log.Fatalf("-csr: product has %d arcs, above -maxarcs %d", p.NumArcs(), maxArcs)
 	}
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	start := time.Now()
-	g, err := distgen.NewPlan(p, 0).BuildCSR(stream.Options{})
+	g, err := kronvalid.ToCSR(ctx, kronvalid.ProductSource(p, 0))
+	cancel()
 	if err != nil {
 		log.Fatal(err)
 	}

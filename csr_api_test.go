@@ -2,6 +2,7 @@ package kronvalid
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func csrTestProduct(t *testing.T) *Product {
 // materialized product.
 func TestBuildCSRMatchesMaterialize(t *testing.T) {
 	p := csrTestProduct(t)
-	g, err := BuildCSR(p, StreamOptions{})
+	g, err := ToCSR(context.Background(), ProductSource(p, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,25 +52,25 @@ func TestBuildCSRMatchesMaterialize(t *testing.T) {
 // digest must not depend on the worker count, for either build path.
 func TestCSRDeterministicAcrossWorkerCounts(t *testing.T) {
 	p := csrTestProduct(t)
-	ref, err := BuildCSR(p, StreamOptions{Workers: 1})
+	ref, err := ToCSR(context.Background(), ProductSource(p, 1), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := CSRDigest(ref)
 	for _, workers := range []int{1, 4, 8} {
-		g, err := BuildCSR(p, StreamOptions{Workers: workers})
+		g, err := ToCSR(context.Background(), ProductSource(p, workers), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := CSRDigest(g); got != want {
-			t.Fatalf("BuildCSR workers=%d: digest %s, want %s", workers, got, want)
+			t.Fatalf("two-pass ToCSR workers=%d: digest %s, want %s", workers, got, want)
 		}
-		s, err := StreamToCSR(p, StreamOptions{Workers: workers})
+		s, err := ToCSR(context.Background(), ProductSource(p, workers), WithWorkers(workers), WithTwoPass(false))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := CSRDigest(s); got != want {
-			t.Fatalf("StreamToCSR workers=%d: digest %s, want %s", workers, got, want)
+			t.Fatalf("one-pass ToCSR workers=%d: digest %s, want %s", workers, got, want)
 		}
 	}
 }
@@ -82,7 +83,7 @@ func TestCSRTransposeMatchesInDegreeFormula(t *testing.T) {
 	a := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 3, V: 0}}, false)
 	b := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 0, V: 2}}, false)
 	p := MustProduct(a, b)
-	g, err := BuildCSR(p, StreamOptions{})
+	g, err := ToCSR(context.Background(), ProductSource(p, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestCSRTransposeMatchesInDegreeFormula(t *testing.T) {
 // TestCSRSerializationRoundTrip drives the public WriteCSR/ReadCSR pair.
 func TestCSRSerializationRoundTrip(t *testing.T) {
 	p := csrTestProduct(t)
-	g, err := BuildCSR(p, StreamOptions{})
+	g, err := ToCSR(context.Background(), ProductSource(p, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +134,12 @@ func TestCSRSerializationRoundTrip(t *testing.T) {
 // identical CSR.
 func TestCSRSinkIngestsWrittenStream(t *testing.T) {
 	p := csrTestProduct(t)
-	g, err := BuildCSR(p, StreamOptions{})
+	g, err := ToCSR(context.Background(), ProductSource(p, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := StreamEdges(p, StreamOptions{}, NewBinaryArcSink(&buf)); err != nil {
+	if _, err := Stream(context.Background(), ProductSource(p, 0), NewBinaryArcSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	arcs, err := ReadBinaryArcs(&buf)

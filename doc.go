@@ -69,10 +69,8 @@
 //
 // Long generations are cancellable mid-shard: cancelling the context
 // stops the pipeline within one batch, joins every worker, and returns
-// ctx.Err(). The legacy verb pairs (StreamEdges/StreamModel,
-// BuildCSR/BuildModelCSR, StreamToCSR/StreamModelToCSR,
-// WriteSharded/WriteShardedModel) remain as deprecated digest-identical
-// shims over these verbs; see DESIGN.md §3 for the migration table.
+// ctx.Err(). These five verbs are the only generation entry points;
+// DESIGN.md §3 describes the Source contract and the drivers under them.
 //
 // See README.md for a package map, the examples directory for runnable
 // programs, and DESIGN.md / EXPERIMENTS.md for the paper-reproduction

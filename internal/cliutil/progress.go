@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// ProgressReporter returns a WithProgress-compatible callback that
+// progressReporter returns a WithProgress-compatible callback that
 // renders coarse progress on w, plus a done func that terminates the
 // progress line. Updates are throttled by time (at most one line per
 // ~150 ms), not by call count, so short runs stay silent and long runs
@@ -15,7 +15,7 @@ import (
 // prints the terminating newline only if at least one update was
 // rendered, so the caller can invoke it unconditionally before its
 // summary output.
-func ProgressReporter(w io.Writer, total int64) (report func(arcs, shards int64), done func()) {
+func progressReporter(w io.Writer, total int64) (report func(arcs, shards int64), done func()) {
 	const interval = 150 * time.Millisecond
 	last := time.Now()
 	printed := false

@@ -31,12 +31,6 @@ type Source struct {
 	Generate stream.ShardGen
 }
 
-// Build materializes the source with a background context. See
-// BuildContext.
-func Build(src Source, opts stream.Options) (*Graph, error) {
-	return BuildContext(context.Background(), src, opts)
-}
-
 // BuildContext materializes the source as a CSR graph with the parallel
 // two-pass scheme: a counting pass accumulates per-vertex out-degrees, a
 // prefix sum turns them into row offsets, and a scatter pass regenerates

@@ -80,7 +80,7 @@ func TestBuildProgressReportsScatterPass(t *testing.T) {
 	src := synthSource(4, 50, 8)
 	var lastArcs, lastShards int64
 	calls := 0
-	g, err := Build(src, stream.Options{Workers: 2, BatchSize: 32,
+	g, err := BuildContext(context.Background(), src, stream.Options{Workers: 2, BatchSize: 32,
 		Progress: func(arcs, shards int64) {
 			calls++
 			if arcs < lastArcs || shards < lastShards {

@@ -1,6 +1,7 @@
 package csr
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -74,7 +75,7 @@ func TestBuildSmall(t *testing.T) {
 	n, arcs := testArcs()
 	for _, shards := range []int{1, 2, 3, 7} {
 		for _, workers := range []int{1, 4} {
-			g, err := Build(arcsSource(n, arcs, shards),
+			g, err := BuildContext(context.Background(), arcsSource(n, arcs, shards),
 				stream.Options{Workers: workers, BatchSize: 2})
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
@@ -101,12 +102,12 @@ func TestBuildSmall(t *testing.T) {
 
 func TestBuildDeterministicAcrossShardCounts(t *testing.T) {
 	n, arcs := testArcs()
-	ref, err := Build(arcsSource(n, arcs, 1), stream.Options{Workers: 1})
+	ref, err := BuildContext(context.Background(), arcsSource(n, arcs, 1), stream.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 4, 8} {
-		g, err := Build(arcsSource(n, arcs, shards), stream.Options{})
+		g, err := BuildContext(context.Background(), arcsSource(n, arcs, shards), stream.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func TestBuildRejectsOutOfRangeShard(t *testing.T) {
 		}
 		gen(w, buf, emit)
 	}
-	if _, err := Build(src, stream.Options{Workers: 1}); err == nil {
+	if _, err := BuildContext(context.Background(), src, stream.Options{Workers: 1}); err == nil {
 		t.Fatal("Build accepted a shard emitting outside its vertex range")
 	}
 }
@@ -135,14 +136,14 @@ func TestBuildRejectsOutOfRangeShard(t *testing.T) {
 func TestBuildRejectsArcCountMismatch(t *testing.T) {
 	src := arcsSource(4, []stream.Arc{{U: 0, V: 1}, {U: 1, V: 2}}, 1)
 	src.NumArcs = 3
-	if _, err := Build(src, stream.Options{}); err == nil {
+	if _, err := BuildContext(context.Background(), src, stream.Options{}); err == nil {
 		t.Fatal("Build accepted a source whose declared arc count disagrees with the stream")
 	}
 }
 
 func TestSinkMatchesBuild(t *testing.T) {
 	n, arcs := testArcs()
-	ref, err := Build(arcsSource(n, arcs, 3), stream.Options{})
+	ref, err := BuildContext(context.Background(), arcsSource(n, arcs, 3), stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestSinkRejectsDisorderAndRange(t *testing.T) {
 
 func TestQueriesAndDegrees(t *testing.T) {
 	n, arcs := testArcs()
-	g, err := Build(arcsSource(n, arcs, 2), stream.Options{})
+	g, err := BuildContext(context.Background(), arcsSource(n, arcs, 2), stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestQueriesAndDegrees(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	n, arcs := testArcs()
-	g, err := Build(arcsSource(n, arcs, 3), stream.Options{})
+	g, err := BuildContext(context.Background(), arcsSource(n, arcs, 3), stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestNewValidates(t *testing.T) {
 
 func TestEachArcBatchRoundTrip(t *testing.T) {
 	n, arcs := testArcs()
-	g, err := Build(arcsSource(n, arcs, 2), stream.Options{})
+	g, err := BuildContext(context.Background(), arcsSource(n, arcs, 2), stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestEachArcBatchRoundTrip(t *testing.T) {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	g, err := Build(arcsSource(5, nil, 3), stream.Options{})
+	g, err := BuildContext(context.Background(), arcsSource(5, nil, 3), stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestBuildEmpty(t *testing.T) {
 	if d, v := g.MaxOutDegree(); d != 0 || v != 0 {
 		t.Fatalf("MaxOutDegree on empty rows = (%d,%d)", d, v)
 	}
-	g2, err := Build(Source{NumVertices: 0, NumArcs: 0, Shards: 0}, stream.Options{})
+	g2, err := BuildContext(context.Background(), Source{NumVertices: 0, NumArcs: 0, Shards: 0}, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

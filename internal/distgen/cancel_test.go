@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"kronvalid/internal/model"
+	"kronvalid/internal/stream"
 )
 
 // TestWriteShardedErrorCarriesShardIndex pins that a shard file that
@@ -25,7 +26,7 @@ func TestWriteShardedErrorCarriesShardIndex(t *testing.T) {
 	if err := os.MkdirAll(squat, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	_, werr := WriteShardedSource(dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, WriteOptions{})
+	_, werr := WriteShards(context.Background(), dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, false, stream.Options{})
 	if werr == nil {
 		t.Fatal("write over a squatted shard path succeeded")
 	}
@@ -49,8 +50,8 @@ func TestWriteShardedCancelLeavesNoManifest(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls int64
-	_, werr := WriteShardedSourceContext(ctx, dir, model.NewPlan(g, 4), Manifest{Model: g.Name()},
-		WriteOptions{BatchSize: 64, Progress: func(arcs, shards int64) {
+	_, werr := WriteShards(ctx, dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, false,
+		stream.Options{BatchSize: 64, Progress: func(arcs, shards int64) {
 			calls++
 			if calls == 3 {
 				cancel()
@@ -64,12 +65,52 @@ func TestWriteShardedCancelLeavesNoManifest(t *testing.T) {
 	}
 	// A rerun into the same directory must recover: full manifest, full
 	// stream, stale bytes overwritten.
-	m, err := WriteShardedSource(dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, WriteOptions{})
+	m, err := WriteShards(context.Background(), dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, false, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.TotalArcs <= 0 {
 		t.Fatalf("recovery run wrote %d arcs", m.TotalArcs)
+	}
+}
+
+// squatSource plants a directory on the manifest's final path while its
+// last shard generates — after the writer has invalidated the previous
+// manifest — so the commit rename is the step that fails.
+type squatSource struct {
+	*Plan
+	dir string
+}
+
+func (s squatSource) EachShardBatch(w int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+	if w == s.Shards()-1 {
+		os.Mkdir(filepath.Join(s.dir, ManifestName), 0o755)
+	}
+	s.Plan.EachShardBatch(w, buf, emit)
+}
+
+// TestManifestCommitIsAtomic pins the commit protocol: the manifest is
+// staged as manifest.json.tmp and renamed into place, so a successful
+// run leaves no temp file and a run whose commit step fails leaves
+// neither a manifest nor the temp file.
+func TestManifestCommitIsAtomic(t *testing.T) {
+	pl, _ := plan(t, 3)
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, ManifestName+".tmp")
+	writeKron(t, dir, pl, false)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp manifest survives a successful run (stat err: %v)", err)
+	}
+
+	_, werr := WriteShards(context.Background(), dir, squatSource{pl, dir}, Manifest{Model: "kron"}, false, stream.Options{})
+	if werr == nil {
+		t.Fatal("commit over a squatted manifest path succeeded")
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp manifest survives a failed commit (stat err: %v)", err)
+	}
+	if _, err := ReadManifest(dir); err == nil {
+		t.Fatal("a manifest is readable after a failed commit")
 	}
 }
 
@@ -82,8 +123,8 @@ func TestManifestCarriesSourceAndExtra(t *testing.T) {
 	}
 	dir := t.TempDir()
 	pl := model.NewPlan(g, 2)
-	m, err := WriteShardedSource(dir, pl,
-		Manifest{Model: g.Name(), Extra: map[string]string{"experiment": "e1"}}, WriteOptions{})
+	m, err := WriteShards(context.Background(), dir, pl,
+		Manifest{Model: g.Name(), Extra: map[string]string{"experiment": "e1"}}, false, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

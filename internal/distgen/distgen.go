@@ -18,17 +18,12 @@ package distgen
 
 import (
 	"fmt"
-	"io"
-	"sort"
 
 	"kronvalid/internal/gio"
 	"kronvalid/internal/kron"
 	"kronvalid/internal/par"
 	"kronvalid/internal/stream"
 )
-
-// Arc is one directed product edge.
-type Arc = stream.Arc
 
 // Plan describes the deterministic partition of the product edge list.
 type Plan struct {
@@ -100,12 +95,7 @@ func (pl *Plan) Name() string {
 	return fmt.Sprintf("kron(a=%s,b=%s)", gio.GraphDigest(pl.p.A), gio.GraphDigest(pl.p.B))
 }
 
-// Workers returns the number of non-empty shards.
-func (pl *Plan) Workers() int { return pl.workers }
-
-// Shards returns the number of non-empty shards — the StreamSource
-// spelling of Workers, so a Plan slots into the generator-agnostic
-// sharded writer.
+// Shards returns the number of non-empty shards.
 func (pl *Plan) Shards() int { return pl.workers }
 
 // NumVertices returns the product's vertex count.
@@ -136,93 +126,7 @@ func (pl *Plan) TotalArcs() int64 { return pl.p.NumArcs() }
 // batches (see kron.Product.EachArcBatchRange for the emit contract). Any
 // worker can regenerate any shard at any time — this is the
 // communication-free property.
-func (pl *Plan) EachShardBatch(w int, buf []Arc, emit func(full []Arc) (next []Arc)) {
+func (pl *Plan) EachShardBatch(w int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc)) {
 	r := pl.rowRanges[w]
 	pl.p.EachArcBatchRange(r[0], r[1], buf, emit)
-}
-
-// EachShardArc streams worker w's shard arc-by-arc, stopping early if fn
-// returns false. Compatibility adapter over EachShardBatch.
-func (pl *Plan) EachShardArc(w int, fn func(a Arc) bool) {
-	buf := make([]Arc, 0, stream.DefaultBatchSize)
-	pl.EachShardBatch(w, buf, func(full []Arc) []Arc {
-		for _, a := range full {
-			if !fn(a) {
-				return nil
-			}
-		}
-		return full[:0]
-	})
-}
-
-// StreamTo drives all shards through the parallel batched pipeline into a
-// single sink, preserving canonical EachArc order regardless of how many
-// shards generate concurrently. Returns the number of arcs consumed.
-func (pl *Plan) StreamTo(sink stream.Sink, opts stream.Options) (int64, error) {
-	return stream.Run(pl.workers, pl.EachShardBatch, sink, opts)
-}
-
-// GenerateParallel runs all shards concurrently, invoking sink(w, arcs)
-// once per worker with the worker's complete shard. sink must be safe for
-// concurrent calls with distinct w.
-func (pl *Plan) GenerateParallel(sink func(w int, arcs []Arc)) {
-	if pl.workers == 0 {
-		return
-	}
-	par.MapWorkers(pl.workers, func(w, _ int) {
-		arcs := make([]Arc, 0, pl.ShardSize(w))
-		pl.EachShardBatch(w, nil, func(full []Arc) []Arc {
-			arcs = append(arcs, full...)
-			return full[:0]
-		})
-		sink(w, arcs)
-	})
-}
-
-// WriteShard writes worker w's shard as "u\tv\n" lines via the batched
-// text serializer. Returns the number of arcs written.
-func (pl *Plan) WriteShard(w int, out io.Writer) (int64, error) {
-	return pl.writeShard(w, gio.NewArcTextWriter(out))
-}
-
-// WriteShardBinary writes worker w's shard as little-endian (uint64,
-// uint64) arc pairs — 16 bytes per arc, the format large-scale harnesses
-// ingest. Returns the number of arcs written.
-func (pl *Plan) WriteShardBinary(w int, out io.Writer) (int64, error) {
-	return pl.writeShard(w, gio.NewArcBinaryWriter(out))
-}
-
-func (pl *Plan) writeShard(w int, sink stream.Sink) (int64, error) {
-	return stream.Run(1, func(_ int, buf []Arc, emit func([]Arc) []Arc) {
-		pl.EachShardBatch(w, buf, emit)
-	}, sink, stream.Options{Workers: 1})
-}
-
-// ReadArcsBinary parses arcs written by WriteShardBinary. A trailing
-// partial record is a truncation error, never a silently short list.
-func ReadArcsBinary(r io.Reader) ([]Arc, error) {
-	return gio.ReadArcsBinary(r)
-}
-
-// CollectAll regenerates every shard (in parallel), concatenates them and
-// returns the full product edge list sorted canonically — used to verify
-// that sharded generation reproduces the serial stream exactly. (With the
-// row-block partition the concatenation is already in canonical order; the
-// sort is kept as a belt-and-braces guarantee for the verifier.)
-func (pl *Plan) CollectAll() []Arc {
-	shards := make([][]Arc, pl.workers)
-	pl.GenerateParallel(func(w int, arcs []Arc) {
-		shards[w] = arcs
-	})
-	var all []Arc
-	for _, s := range shards {
-		all = append(all, s...)
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].U != all[b].U {
-			return all[a].U < all[b].U
-		}
-		return all[a].V < all[b].V
-	})
-	return all
 }

@@ -2,6 +2,7 @@ package distgen
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,61 @@ import (
 	"kronvalid/internal/kron"
 	"kronvalid/internal/stream"
 )
+
+type Arc = stream.Arc
+
+// eachShardArc walks shard w arc by arc; fn returning false stops the
+// shard's generation through the emit contract (emit returns nil).
+func eachShardArc(pl *Plan, w int, fn func(a Arc) bool) {
+	pl.EachShardBatch(w, make([]Arc, 0, stream.DefaultBatchSize), func(full []Arc) []Arc {
+		for _, a := range full {
+			if !fn(a) {
+				return nil
+			}
+		}
+		return full[:0]
+	})
+}
+
+// collectAll concatenates every shard's arcs in shard index order.
+func collectAll(pl *Plan) []Arc {
+	var all []Arc
+	for w := 0; w < pl.Shards(); w++ {
+		eachShardArc(pl, w, func(a Arc) bool {
+			all = append(all, a)
+			return true
+		})
+	}
+	return all
+}
+
+// writeShard drives shard w alone through the ordered driver into sink
+// and returns the number of arcs written.
+func writeShard(t *testing.T, pl *Plan, w int, sink stream.Sink) int64 {
+	t.Helper()
+	n, err := stream.RunContext(context.Background(), 1, func(_ int, buf []Arc, emit func([]Arc) []Arc) {
+		pl.EachShardBatch(w, buf, emit)
+	}, sink, stream.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// writeKron writes pl's shards into dir with the manifest identity the
+// root package stamps on Kronecker sources.
+func writeKron(t *testing.T, dir string, pl *Plan, binary bool) *Manifest {
+	t.Helper()
+	m, err := WriteShards(context.Background(), dir, pl, Manifest{
+		Model:         "kron",
+		FactorADigest: gio.GraphDigest(pl.Product().A),
+		FactorBDigest: gio.GraphDigest(pl.Product().B),
+	}, binary, stream.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func plan(t *testing.T, workers int) (*Plan, *kron.Product) {
 	t.Helper()
@@ -26,7 +82,7 @@ func TestShardSizesSumToTotal(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 7, 16} {
 		pl, p := plan(t, w)
 		var sum int64
-		for i := 0; i < pl.Workers(); i++ {
+		for i := 0; i < pl.Shards(); i++ {
 			sum += pl.ShardSize(i)
 		}
 		if sum != pl.TotalArcs() || sum != p.NumArcs() {
@@ -39,7 +95,7 @@ func TestShardSizesSumToTotal(t *testing.T) {
 func TestShardsReproduceSerialStream(t *testing.T) {
 	for _, w := range []int{1, 2, 5, 13} {
 		pl, p := plan(t, w)
-		all := pl.CollectAll()
+		all := collectAll(pl)
 		var serial []Arc
 		p.EachArc(func(u, v int64) bool {
 			serial = append(serial, Arc{U: u, V: v})
@@ -65,8 +121,8 @@ func TestShardsReproduceSerialStream(t *testing.T) {
 func TestShardsDisjoint(t *testing.T) {
 	pl, _ := plan(t, 4)
 	seen := map[Arc]int{}
-	for w := 0; w < pl.Workers(); w++ {
-		pl.EachShardArc(w, func(a Arc) bool {
+	for w := 0; w < pl.Shards(); w++ {
+		eachShardArc(pl, w, func(a Arc) bool {
 			if prev, dup := seen[a]; dup {
 				t.Fatalf("arc %v in shards %d and %d", a, prev, w)
 			}
@@ -78,14 +134,10 @@ func TestShardsDisjoint(t *testing.T) {
 
 func TestShardDeterminism(t *testing.T) {
 	pl, _ := plan(t, 3)
-	for w := 0; w < pl.Workers(); w++ {
+	for w := 0; w < pl.Shards(); w++ {
 		var a, b bytes.Buffer
-		if _, err := pl.WriteShard(w, &a); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pl.WriteShard(w, &b); err != nil {
-			t.Fatal(err)
-		}
+		writeShard(t, pl, w, gio.NewArcTextWriter(&a))
+		writeShard(t, pl, w, gio.NewArcTextWriter(&b))
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatalf("shard %d not reproducible", w)
 		}
@@ -96,8 +148,8 @@ func TestPartitionIndependentOfWorkerCount(t *testing.T) {
 	// The union of arcs must be identical for every worker count.
 	pl2, _ := plan(t, 2)
 	pl9, _ := plan(t, 9)
-	a2 := pl2.CollectAll()
-	a9 := pl9.CollectAll()
+	a2 := collectAll(pl2)
+	a9 := collectAll(pl9)
 	if len(a2) != len(a9) {
 		t.Fatalf("arc counts differ: %d vs %d", len(a2), len(a9))
 	}
@@ -111,40 +163,42 @@ func TestPartitionIndependentOfWorkerCount(t *testing.T) {
 func TestWriteShardFormat(t *testing.T) {
 	pl, _ := plan(t, 2)
 	var buf bytes.Buffer
-	n, err := pl.WriteShard(0, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := writeShard(t, pl, 0, gio.NewArcTextWriter(&buf))
 	lines := bytes.Count(buf.Bytes(), []byte("\n"))
 	if int64(lines) != n || n != pl.ShardSize(0) {
 		t.Fatalf("wrote %d lines, reported %d, shard size %d", lines, n, pl.ShardSize(0))
 	}
 }
 
+// TestEarlyStop pins the emit contract's stop signal: once emit returns
+// nil the shard generates nothing further.
 func TestEarlyStop(t *testing.T) {
 	pl, _ := plan(t, 1)
-	count := 0
-	pl.EachShardArc(0, func(a Arc) bool {
-		count++
-		return count < 10
+	if pl.ShardSize(0) <= 12 {
+		t.Fatalf("shard 0 has only %d arcs", pl.ShardSize(0))
+	}
+	emits := 0
+	pl.EachShardBatch(0, make([]Arc, 0, 4), func(full []Arc) []Arc {
+		emits++
+		if emits == 3 {
+			return nil
+		}
+		return full[:0]
 	})
-	if count != 10 {
-		t.Fatalf("early stop visited %d arcs", count)
+	if emits != 3 {
+		t.Fatalf("emit called %d times, want generation to stop after the 3rd returned nil", emits)
 	}
 }
 
 func TestBinaryShardRoundTrip(t *testing.T) {
 	pl, _ := plan(t, 3)
-	for w := 0; w < pl.Workers(); w++ {
+	for w := 0; w < pl.Shards(); w++ {
 		var buf bytes.Buffer
-		n, err := pl.WriteShardBinary(w, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := writeShard(t, pl, w, gio.NewArcBinaryWriter(&buf))
 		if int64(buf.Len()) != n*16 {
 			t.Fatalf("shard %d: %d bytes for %d arcs", w, buf.Len(), n)
 		}
-		arcs, err := ReadArcsBinary(&buf)
+		arcs, err := gio.ReadArcsBinary(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,25 +206,13 @@ func TestBinaryShardRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d: read %d arcs, wrote %d", w, len(arcs), n)
 		}
 		i := 0
-		pl.EachShardArc(w, func(a Arc) bool {
+		eachShardArc(pl, w, func(a Arc) bool {
 			if arcs[i] != a {
 				t.Fatalf("shard %d arc %d: %v vs %v", w, i, arcs[i], a)
 			}
 			i++
 			return true
 		})
-	}
-}
-
-func TestReadArcsBinaryTruncated(t *testing.T) {
-	pl, _ := plan(t, 1)
-	var buf bytes.Buffer
-	if _, err := pl.WriteShardBinary(0, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-5] // cut mid-record
-	if _, err := ReadArcsBinary(bytes.NewReader(data)); err == nil {
-		t.Fatal("truncated binary stream accepted")
 	}
 }
 
@@ -193,12 +235,8 @@ func TestShardConcatenationBytewiseDeterministic(t *testing.T) {
 		pl := NewPlan(p, workers)
 		var got bytes.Buffer
 		var total int64
-		for w := 0; w < pl.Workers(); w++ {
-			n, err := pl.WriteShard(w, &got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += n
+		for w := 0; w < pl.Shards(); w++ {
+			total += writeShard(t, pl, w, gio.NewArcTextWriter(&got))
 		}
 		if total != p.NumArcs() {
 			t.Fatalf("workers=%d: wrote %d arcs, want %d", workers, total, p.NumArcs())
@@ -224,8 +262,8 @@ func TestShardConcatenationMatchesEachArcOrderUnsorted(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		pl := NewPlan(p, workers)
 		var got []Arc
-		for w := 0; w < pl.Workers(); w++ {
-			pl.EachShardArc(w, func(a Arc) bool {
+		for w := 0; w < pl.Shards(); w++ {
+			eachShardArc(pl, w, func(a Arc) bool {
 				got = append(got, a)
 				return true
 			})
@@ -248,13 +286,11 @@ func TestStreamToMatchesSerial(t *testing.T) {
 	b := gen.HubCycle(6)
 	p := kron.MustProduct(a, b)
 	var serial bytes.Buffer
-	if _, err := NewPlan(p, 1).WriteShard(0, &serial); err != nil {
-		t.Fatal(err)
-	}
+	writeShard(t, NewPlan(p, 1), 0, gio.NewArcTextWriter(&serial))
 	for _, workers := range []int{2, 3, 8} {
 		pl := NewPlan(p, workers)
 		var got bytes.Buffer
-		n, err := pl.StreamTo(gio.NewArcTextWriter(&got), stream.Options{Workers: workers, BatchSize: 512})
+		n, err := stream.RunSource(context.Background(), pl, gio.NewArcTextWriter(&got), stream.Options{Workers: workers, BatchSize: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,21 +311,16 @@ func TestWriteShardedManifestRoundTrip(t *testing.T) {
 	b := gen.HubCycle(5)
 	p := kron.MustProduct(a, b)
 	var serial bytes.Buffer
-	if _, err := NewPlan(p, 1).WriteShard(0, &serial); err != nil {
-		t.Fatal(err)
-	}
+	writeShard(t, NewPlan(p, 1), 0, gio.NewArcTextWriter(&serial))
 	for _, bin := range []bool{false, true} {
 		dir := t.TempDir()
 		pl := NewPlan(p, 3)
-		m, err := WriteSharded(dir, pl, WriteOptions{Binary: bin})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := writeKron(t, dir, pl, bin)
 		back, err := ReadManifest(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.TotalArcs != p.NumArcs() || back.Workers != pl.Workers() || len(back.Shards) != pl.Workers() {
+		if back.TotalArcs != p.NumArcs() || back.Workers != pl.Shards() || len(back.Shards) != pl.Shards() {
 			t.Fatalf("manifest mismatch: %+v", back)
 		}
 		if back.FactorADigest != gio.GraphDigest(p.A) || back.FactorBDigest != gio.GraphDigest(p.B) {
@@ -307,7 +338,7 @@ func TestWriteShardedManifestRoundTrip(t *testing.T) {
 			concat = append(concat, data...)
 		}
 		if bin {
-			arcs, err := ReadArcsBinary(bytes.NewReader(concat))
+			arcs, err := gio.ReadArcsBinary(bytes.NewReader(concat))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,7 +372,7 @@ func TestPlanHeavyRowImbalance(t *testing.T) {
 		pl := NewPlan(p, workers)
 		var sum int64
 		prevHi := int32(0)
-		for w := 0; w < pl.Workers(); w++ {
+		for w := 0; w < pl.Shards(); w++ {
 			lo, hi := pl.RowRange(w)
 			if lo < prevHi || hi <= lo {
 				t.Fatalf("workers=%d: bad range [%d,%d) after %d", workers, lo, hi, prevHi)
@@ -365,13 +396,8 @@ func TestWriteShardedRemovesStaleShards(t *testing.T) {
 	a := gen.WebGraph(40, 3, 0.6, 3)
 	p := kron.MustProduct(a, gen.HubCycle(5))
 	dir := t.TempDir()
-	if _, err := WriteSharded(dir, NewPlan(p, 4), WriteOptions{Binary: true}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := WriteSharded(dir, NewPlan(p, 2), WriteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeKron(t, dir, NewPlan(p, 4), true)
+	m := writeKron(t, dir, NewPlan(p, 2), false)
 	got, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
 		t.Fatal(err)

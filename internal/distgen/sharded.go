@@ -95,27 +95,6 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// StreamSource is the writer-side contract of any communication-free
-// sharded generator — now the unified stream.Source interface shared by
-// the whole pipeline. Both the Kronecker Plan and the model-layer plans
-// satisfy it, which is what makes WriteShardedSource generator-agnostic.
-type StreamSource = stream.Source
-
-// WriteOptions configures WriteSharded.
-type WriteOptions struct {
-	// Binary selects the 16-byte little-endian arc format instead of TSV.
-	Binary bool
-	// Workers bounds how many shard files are written concurrently
-	// (0 = GOMAXPROCS). It does not affect the partition, which is fixed
-	// by the source.
-	Workers int
-	// BatchSize is the arcs-per-batch of the pipeline (0 = default).
-	BatchSize int
-	// Progress, when non-nil, receives cumulative (arcs written, shards
-	// completed) updates; calls are serialized across shard writers.
-	Progress func(arcs, shardsDone int64)
-}
-
 // closableSink pairs a stream sink with the file it writes so the driver
 // closes the file after the final flush.
 type closableSink struct {
@@ -153,37 +132,23 @@ func ShardFileName(w int, binary bool) string {
 	return fmt.Sprintf("shard-%03d.tsv", w)
 }
 
-// WriteSharded writes every shard of the Kronecker plan into dir plus a
-// manifest.json identifying the factors by digest. See
-// WriteShardedSource for the generator-agnostic path this wraps.
-func WriteSharded(dir string, pl *Plan, opts WriteOptions) (*Manifest, error) {
-	return WriteShardedSource(dir, pl, Manifest{
-		Model:         "kron",
-		FactorADigest: gio.GraphDigest(pl.p.A),
-		FactorBDigest: gio.GraphDigest(pl.p.B),
-	}, opts)
-}
-
-// WriteShardedSource writes every shard of the source with a background
-// context. See WriteShardedSourceContext.
-func WriteShardedSource(dir string, src StreamSource, base Manifest, opts WriteOptions) (*Manifest, error) {
-	return WriteShardedSourceContext(context.Background(), dir, src, base, opts)
-}
-
-// WriteShardedSourceContext writes every shard of the source into dir
-// (one file per shard, written in parallel) plus a manifest.json
-// carrying the identity fields of base (Model, factor digests, Extra)
-// and the source's Name(), and returns the completed manifest. Output is
-// bitwise reproducible: the partition and each shard's byte stream
-// depend only on the source, never on scheduling — and concatenating the
-// shard files in index order reproduces the source's serial stream.
+// WriteShards writes every shard of the source into dir (one file per
+// shard, written in parallel; binary selects the 16-byte little-endian
+// arc format instead of TSV) plus a manifest.json carrying the identity
+// fields of base (Model, factor digests, Extra) and the source's
+// Name(), and returns the completed manifest. opts.Workers bounds how
+// many shard files are written concurrently; it does not affect the
+// partition, which is fixed by the source. Output is bitwise
+// reproducible: the partition and each shard's byte stream depend only
+// on the source, never on scheduling — and concatenating the shard
+// files in index order reproduces the source's serial stream.
 //
 // The manifest is the directory's commit record, written last and only
 // on full success: on any error — a sink write failure (reported with
 // the failing shard's index) or a context cancellation — the directory
 // is left without a manifest.json, so readers can never mistake partial
 // shard files for a complete stream.
-func WriteShardedSourceContext(ctx context.Context, dir string, src StreamSource, base Manifest, opts WriteOptions) (*Manifest, error) {
+func WriteShards(ctx context.Context, dir string, src stream.Source, base Manifest, binary bool, opts stream.Options) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -196,26 +161,25 @@ func WriteShardedSourceContext(ctx context.Context, dir string, src StreamSource
 	shards := src.Shards()
 	counts, err := stream.RunPerShardContext(ctx, shards, src.EachShardBatch,
 		func(w int) (stream.Sink, error) {
-			f, ferr := os.Create(filepath.Join(dir, ShardFileName(w, opts.Binary)))
+			f, ferr := os.Create(filepath.Join(dir, ShardFileName(w, binary)))
 			if ferr != nil {
 				return nil, fmt.Errorf("distgen: shard %d: %w", w, ferr)
 			}
 			var s stream.Sink
-			if opts.Binary {
+			if binary {
 				s = gio.NewArcBinaryWriter(f)
 			} else {
 				s = gio.NewArcTextWriter(f)
 			}
 			return shardSink{inner: closableSink{Sink: s, f: f}, w: w}, nil
-		},
-		stream.Options{Workers: opts.Workers, BatchSize: opts.BatchSize, Progress: opts.Progress})
+		}, opts)
 	if err != nil {
 		return nil, err
 	}
 	m := &base
 	m.Source = src.Name()
 	m.Format = "tsv"
-	if opts.Binary {
+	if binary {
 		m.Format = "binary"
 	}
 	m.Vertices = src.NumVertices()
@@ -226,7 +190,7 @@ func WriteShardedSourceContext(ctx context.Context, dir string, src StreamSource
 		if want := src.ShardSize(w); want >= 0 && n != want {
 			return nil, fmt.Errorf("distgen: shard %d wrote %d arcs, source says %d", w, n, want)
 		}
-		m.Shards = append(m.Shards, ShardInfo{Index: w, File: ShardFileName(w, opts.Binary), Arcs: n})
+		m.Shards = append(m.Shards, ShardInfo{Index: w, File: ShardFileName(w, binary), Arcs: n})
 		total += n
 	}
 	if want := src.TotalArcs(); want >= 0 && total != want {
@@ -258,20 +222,37 @@ func WriteShardedSourceContext(ctx context.Context, dir string, src StreamSource
 			}
 		}
 	}
-	f, err := os.Create(filepath.Join(dir, ManifestName))
-	if err != nil {
+	if err := commitManifest(dir, m); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
+
+// commitManifest publishes m as dir's manifest.json atomically: it is
+// encoded into manifest.json.tmp and renamed into place only once fully
+// written and closed, and the temp file is removed on any error — a
+// failed encode or close (ENOSPC) must not leave a torn commit record.
+func commitManifest(dir string, m *Manifest) (err error) {
+	tmp := filepath.Join(dir, ManifestName+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(m); err != nil {
 		f.Close()
-		return nil, err
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return nil, err
+		return err
 	}
-	return m, nil
+	return os.Rename(tmp, filepath.Join(dir, ManifestName))
 }
 
 // ReadManifest parses and validates the manifest.json inside a sharded

@@ -2,11 +2,13 @@ package distgen
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"kronvalid/internal/model"
+	"kronvalid/internal/stream"
 )
 
 // catShards concatenates a directory's shard files in manifest order.
@@ -37,7 +39,7 @@ func TestWriteShardedSourceModel(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		dir := t.TempDir()
 		pl := model.NewPlan(g, shards)
-		m, err := WriteShardedSource(dir, pl, Manifest{Model: g.Name()}, WriteOptions{Binary: true})
+		m, err := WriteShards(context.Background(), dir, pl, Manifest{Model: g.Name()}, true, stream.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +78,7 @@ func TestWriteShardedSourceExactCounts(t *testing.T) {
 	}
 	dir := t.TempDir()
 	pl := model.NewPlan(g, 4)
-	m, err := WriteShardedSource(dir, pl, Manifest{Model: g.Name()}, WriteOptions{})
+	m, err := WriteShards(context.Background(), dir, pl, Manifest{Model: g.Name()}, false, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +92,12 @@ func TestWriteShardedSourceExactCounts(t *testing.T) {
 	}
 }
 
-// TestKronManifestCarriesModel pins that the Kronecker wrapper now
-// stamps its manifests with model "kron" while keeping factor digests.
+// TestKronManifestCarriesModel pins that the writer carries a Kronecker
+// source's base identity — model "kron" plus factor digests — into the
+// manifest.
 func TestKronManifestCarriesModel(t *testing.T) {
 	pl, _ := plan(t, 3)
-	dir := t.TempDir()
-	m, err := WriteSharded(dir, pl, WriteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := writeKron(t, t.TempDir(), pl, false)
 	if m.Model != "kron" {
 		t.Errorf("kron manifest model = %q", m.Model)
 	}

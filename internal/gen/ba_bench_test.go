@@ -10,11 +10,9 @@ import (
 
 // barabasiAlbertMapDedup is the seed implementation's inner loop — a
 // freshly allocated map[int32]bool per vertex — kept verbatim as the
-// baseline for BenchmarkBADedup and as the behavior pin for the
-// small-slice rewrite: both must draw the same rng sequence and build
-// the same graph. (The public BarabasiAlbert has since moved onto the
-// communication-free retracing core; these sequential variants remain
-// as the measured history of the inner-loop optimization.)
+// behavior pin for the small-slice rewrite: both must draw the same rng
+// sequence and build the same graph. (The public BarabasiAlbert has
+// since moved onto the communication-free retracing core.)
 func barabasiAlbertMapDedup(n, m int, seed uint64) *graph.Graph {
 	g := rng.New(seed)
 	var targets []int32
@@ -86,24 +84,10 @@ func TestBarabasiAlbertMatchesMapBaseline(t *testing.T) {
 	}
 }
 
-// BenchmarkBADedup measures the sequential inner-loop satellite win
-// (reused small slice vs freshly allocated map) alongside the
-// communication-free retracing core that replaced both as the public
-// BarabasiAlbert.
+// BenchmarkBADedup measures the communication-free retracing core
+// behind the public BarabasiAlbert.
 func BenchmarkBADedup(b *testing.B) {
 	const n, m = 20000, 8
-	b.Run("map-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			barabasiAlbertMapDedup(n, m, 11)
-		}
-	})
-	b.Run("small-slice", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			barabasiAlbertSliceDedup(n, m, 11)
-		}
-	})
 	b.Run("retracing-core", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

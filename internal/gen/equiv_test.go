@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
 	"kronvalid/internal/gio"
@@ -15,7 +16,7 @@ func streamArcs(t *testing.T, g model.Generator, workers int) []stream.Arc {
 	t.Helper()
 	var out []stream.Arc
 	pl := model.NewPlan(g, workers)
-	if _, err := pl.StreamTo(stream.FuncSink(func(batch []stream.Arc) error {
+	if _, err := stream.RunSource(context.Background(), pl, stream.FuncSink(func(batch []stream.Arc) error {
 		out = append(out, batch...)
 		return nil
 	}), stream.Options{Workers: workers}); err != nil {

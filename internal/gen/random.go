@@ -74,7 +74,7 @@ func GNMErr(n int, m int64, seed uint64) (*graph.Graph, error) {
 // smallSet is the reusable membership scratch for per-vertex target
 // dedup in the preferential-attachment generators: attachment counts m
 // are tiny (single digits), where a linear scan over a reused slice
-// beats a freshly allocated map by a wide margin (see BenchmarkBADedup).
+// beats a freshly allocated map by a wide margin.
 type smallSet []int32
 
 func (s smallSet) contains(w int32) bool {

@@ -1,6 +1,7 @@
 package gio
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -74,4 +75,21 @@ func (s *ArcDigestSink) Digest() (string, error) {
 		return "", fmt.Errorf("gio: Digest() before Flush")
 	}
 	return strconv.FormatUint(s.h.Sum64(), 16), nil
+}
+
+// DigestSource fingerprints src's canonical stream with an ArcDigestSink
+// and returns the digest with the stream's arc count. Sources that do
+// not know their count ahead of generation are streamed twice (count,
+// then hash) — replayability makes the two passes identical by contract.
+func DigestSource(ctx context.Context, src stream.Source, opts stream.Options) (digest string, arcs int64, err error) {
+	arcs, err = stream.CountSource(ctx, src, opts)
+	if err != nil {
+		return "", 0, err
+	}
+	sink := NewArcDigestSink(src.NumVertices(), arcs)
+	if _, err := stream.RunSource(ctx, src, sink, opts); err != nil {
+		return "", 0, err
+	}
+	digest, err = sink.Digest()
+	return digest, arcs, err
 }

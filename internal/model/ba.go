@@ -216,18 +216,14 @@ const maxBAChainRecord = 64
 // worker terminate immediately. Resolution is pure, so memo hits return
 // exactly the value a fresh chase would: state can never move a byte.
 type baState struct {
-	s        rng.Xoshiro256
-	targets  []int64
-	memo     []int64
-	memoUsed int64
+	s       rng.Xoshiro256
+	targets []int64
+	memo    []int64
 }
 
-// ResidentPoints returns the number of settled slots held by the memo —
-// the quantity the window bounds.
-func (st *baState) ResidentPoints() int64 { return st.memoUsed }
-
-// NewWorkerState returns fresh retracing scratch for one worker.
-func (g *BarabasiAlbert) NewWorkerState() WorkerState {
+// NewWorker returns the chunk generator bound to fresh retracing
+// scratch for one worker.
+func (g *BarabasiAlbert) NewWorker() stream.ShardGen {
 	win := baMemoWindow
 	if tot := 2 * (g.seedEdges() + (g.n-g.s0)*g.d); tot < win {
 		win = tot // never allocate past the slot space
@@ -236,7 +232,10 @@ func (g *BarabasiAlbert) NewWorkerState() WorkerState {
 	for i := range memo {
 		memo[i] = -1
 	}
-	return &baState{targets: make([]int64, 0, g.d), memo: memo}
+	st := &baState{targets: make([]int64, 0, g.d), memo: memo}
+	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+		g.generateChunk(st, c, buf, emit)
+	}
 }
 
 // resolveWith retraces the dependency chain of endpoint slot p until it
@@ -281,26 +280,16 @@ func (g *BarabasiAlbert) resolveWith(st *baState, p int64) int64 {
 	}
 	// Backfill: every in-window odd slot visited resolved to v too.
 	for i := 0; i < hops; i++ {
-		if st.memo[chain[i]] < 0 {
-			st.memoUsed++
-		}
 		st.memo[chain[i]] = v
 	}
 	return v
 }
 
-// GenerateChunk streams chunk c with one-shot worker state; see
-// GenerateChunkWith.
-func (g *BarabasiAlbert) GenerateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	g.GenerateChunkWith(g.NewWorkerState(), c, buf, emit)
-}
-
-// GenerateChunkWith streams chunk c: the seed star (if owned), then
+// generateChunk streams chunk c: the seed star (if owned), then
 // each owned vertex's d retraced attachments — self loops dropped,
 // per-vertex duplicates merged, targets sorted — as canonical (v, w)
 // arcs, w < v (every retraced chain settles on an earlier vertex).
-func (g *BarabasiAlbert) GenerateChunkWith(ws WorkerState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	st := ws.(*baState)
+func (g *BarabasiAlbert) generateChunk(st *baState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	r := g.ranges[c]
 	b := newBatcher(buf, emit)
 	if r[0] == 0 {

@@ -121,7 +121,7 @@ func allocSample(st *spatialState, start int64, n, cols int) *cellSample {
 	return newCellSample(start, n, cols)
 }
 
-// spatialState is the WorkerState of the spatial models. One instance
+// spatialState is the worker state of the spatial models. One instance
 // lives for a worker goroutine's lifetime and carries its dependency
 // cells, split-tree lookups, and kernel scratch across every chunk the
 // worker executes.
@@ -246,9 +246,6 @@ func newSpatialState(t *splitTree, ct *cellTable, ptsCap int64, window int) *spa
 	return st
 }
 
-// ResidentPoints reports the cached point count (WorkerState).
-func (st *spatialState) ResidentPoints() int64 { return st.pts }
-
 // count returns cell c's occupancy through the fastest available path.
 func (st *spatialState) count(t *splitTree, c int) int64 {
 	if st.tab != nil {
@@ -321,7 +318,7 @@ func (st *spatialState) retire(s *cellSample) {
 // Wholesale (rather than LRU) eviction keeps the bound exact with no
 // bookkeeping, and is byte-safe because any evicted cell a later chunk
 // needs is simply regenerated with identical values. The invariant at
-// the end of every own-cell iteration is ResidentPoints() <= ptsCap.
+// the end of every own-cell iteration is pts <= ptsCap.
 // Wholesale clears do NOT feed the freelist: a recycled backing array
 // must never alias a sample the kernels can still read (the flattened
 // halo copies values out, but the own cell's columns are read live).

@@ -7,9 +7,9 @@ import (
 	"kronvalid/internal/stream"
 )
 
-// collectFresh concatenates every chunk generated with single-chunk
-// state — the cache-off reference: GenerateChunk builds and discards a
-// fresh WorkerState per chunk.
+// collectFresh concatenates every chunk generated by a fresh worker —
+// the cache-off reference: each chunk builds and discards its own
+// worker state.
 func collectFresh(g Generator) []stream.Arc {
 	var out []stream.Arc
 	emit := func(b []stream.Arc) []stream.Arc {
@@ -17,23 +17,23 @@ func collectFresh(g Generator) []stream.Arc {
 		return b[:0]
 	}
 	for c := 0; c < g.Chunks(); c++ {
-		g.GenerateChunk(c, nil, emit)
+		g.NewWorker()(c, nil, emit)
 	}
 	return out
 }
 
 // collectCached runs the chunks the way the ordered driver does with
 // `workers` goroutines: worker w executes chunks w, w+workers, … each
-// against ONE worker-lifetime state, and the per-chunk outputs are
+// through ONE NewWorker function, and the per-chunk outputs are
 // concatenated in global chunk order. (Sequential execution here —
 // interleaving never matters, states are per worker by contract.)
-func collectCached(g ChunkCacher, workers int) []stream.Arc {
+func collectCached(g Generator, workers int) []stream.Arc {
 	chunks := make([][]stream.Arc, g.Chunks())
 	for w := 0; w < workers; w++ {
-		ws := g.NewWorkerState()
+		gen := g.NewWorker()
 		for c := w; c < g.Chunks(); c += workers {
 			cur := c
-			g.GenerateChunkWith(ws, cur, nil, func(b []stream.Arc) []stream.Arc {
+			gen(cur, nil, func(b []stream.Arc) []stream.Arc {
 				chunks[cur] = append(chunks[cur], b...)
 				return b[:0]
 			})
@@ -49,7 +49,7 @@ func collectCached(g ChunkCacher, workers int) []stream.Arc {
 // cacheTestGens builds the three spatial generators at a given chunk
 // count: small enough to brute-check, large enough that halos cross
 // chunk boundaries everywhere.
-func cacheTestGens(t *testing.T, chunks int) map[string]ChunkCacher {
+func cacheTestGens(t *testing.T, chunks int) map[string]Generator {
 	t.Helper()
 	rgg2, err := NewRGG(2500, 0.03, 2, 9, chunks)
 	if err != nil {
@@ -63,12 +63,12 @@ func cacheTestGens(t *testing.T, chunks int) map[string]ChunkCacher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]ChunkCacher{"rgg2d": rgg2, "rgg3d": rgg3, "rhg": rhg}
+	return map[string]Generator{"rgg2d": rgg2, "rgg3d": rgg3, "rhg": rhg}
 }
 
 // TestWorkerCacheDigestEquality pins the worker-lifetime cache's core
 // contract: for rgg2d/rgg3d/rhg, the stream produced with one shared
-// WorkerState per worker at 1, 4 and 8 workers is byte-identical to the
+// worker state per worker at 1, 4 and 8 workers is byte-identical to the
 // cache-off per-chunk reference, across pathological chunk groupings
 // (one chunk, a prime count, and one cell per chunk — the worst case
 // for cross-chunk halo reuse).
@@ -103,32 +103,34 @@ func TestWorkerCacheEvictionBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type chunkFn func(st *spatialState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc)
 	cases := []struct {
 		name string
-		g    ChunkCacher
+		g    Generator
+		gen  chunkFn
 		st   *spatialState
 	}{
-		{"rgg3d", rgg3, newSpatialState(&rgg3.tree, &rgg3.ctab, ptsCap, rgg3.span()+1)},
-		{"rhg-ring", rhg, newSpatialState(&rhg.tree, &rhg.ctab, ptsCap, rhg.cells)},
-		{"rhg-map", rhg, newSpatialState(&rhg.tree, &rhg.ctab, ptsCap, 0)},
+		{"rgg3d", rgg3, rgg3.generateChunk, newSpatialState(&rgg3.tree, &rgg3.ctab, ptsCap, rgg3.span()+1)},
+		{"rhg-ring", rhg, rhg.generateCells, newSpatialState(&rhg.tree, &rhg.ctab, ptsCap, rhg.cells)},
+		{"rhg-map", rhg, rhg.generateCells, newSpatialState(&rhg.tree, &rhg.ctab, ptsCap, 0)},
 	}
 	for _, tc := range cases {
-		want := collectFresh(tc.g.(Generator))
+		want := collectFresh(tc.g)
 		var got []stream.Arc
 		emit := func(b []stream.Arc) []stream.Arc {
 			got = append(got, b...)
 			return b[:0]
 		}
 		for c := 0; c < tc.g.Chunks(); c++ {
-			tc.g.GenerateChunkWith(tc.st, c, nil, emit)
-			if r := tc.st.ResidentPoints(); r > ptsCap {
-				t.Fatalf("%s: ResidentPoints = %d after chunk %d, cap %d", tc.name, r, c, ptsCap)
+			tc.gen(tc.st, c, nil, emit)
+			if tc.st.pts > ptsCap {
+				t.Fatalf("%s: %d resident points after chunk %d, cap %d", tc.name, tc.st.pts, c, ptsCap)
 			}
 		}
 		if !sameArcs(want, got) {
 			t.Errorf("%s: capped-cache stream differs from reference", tc.name)
 		}
-		if n := tc.g.(Generator).NumVertices(); n <= ptsCap {
+		if n := tc.g.NumVertices(); n <= ptsCap {
 			t.Fatalf("%s: cap %d does not force eviction for n=%d", tc.name, ptsCap, n)
 		}
 	}
@@ -142,14 +144,14 @@ func TestRHGStripMatchesFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.NewWorkerState().(*rhgState); !ok {
+	if !g.stripMode() {
 		t.Fatalf("n=1800 under the %d-point gate should select the strip state", rhgPanelMaxPoints)
 	}
 	strip := collectCached(g, 3)
 
 	defer func(old int64) { rhgPanelMaxPoints = old }(rhgPanelMaxPoints)
 	rhgPanelMaxPoints = 0
-	if _, ok := g.NewWorkerState().(*spatialState); !ok {
+	if g.stripMode() {
 		t.Fatal("a zero panel gate should select the fallback cell cache")
 	}
 	fallback := collectCached(g, 3)

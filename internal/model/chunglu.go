@@ -286,11 +286,14 @@ type chungLuState struct {
 	cnt []int32 // bucket counters (sortPositions)
 }
 
-// ResidentPoints returns 0: the state is scratch, not a sample cache.
-func (st *chungLuState) ResidentPoints() int64 { return 0 }
-
-// NewWorkerState returns fresh blockwise-core scratch for one worker.
-func (g *ChungLu) NewWorkerState() WorkerState { return &chungLuState{} }
+// NewWorker returns the chunk generator bound to fresh blockwise-core
+// scratch for one worker.
+func (g *ChungLu) NewWorker() stream.ShardGen {
+	st := &chungLuState{}
+	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+		g.generateChunk(st, c, buf, emit)
+	}
+}
 
 // clSegmentPairs caps one binomial segment of a constant-probability
 // region. Segmenting is exact — the region's trials are independent, so
@@ -552,13 +555,7 @@ func (g *ChungLu) emitTailTriangle(st *chungLuState, b *batcher, i0, i1 int64) b
 	return true
 }
 
-// GenerateChunk streams chunk c with one-shot worker state; see
-// GenerateChunkWith.
-func (g *ChungLu) GenerateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	g.GenerateChunkWith(g.NewWorkerState(), c, buf, emit)
-}
-
-// GenerateChunkWith streams chunk c through the blockwise core: head
+// generateChunk streams chunk c through the blockwise core: head
 // rows (varying column weights) run the bucketed geometric-skip sweep
 // against the head columns only, each head row's constant-weight tail
 // columns are realized as binomial counts plus sorted distinct
@@ -566,8 +563,7 @@ func (g *ChungLu) GenerateChunk(c int, buf []stream.Arc, emit func([]stream.Arc)
 // pair region. Every path realizes the exact per-pair Bernoulli law
 // min(1, w_i·w_j/Σw) — see DESIGN.md §2 for the equivalence argument —
 // drawing from the chunk's own (seed, nsCLBlock, c) stream.
-func (g *ChungLu) GenerateChunkWith(wsI WorkerState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	st := wsI.(*chungLuState)
+func (g *ChungLu) generateChunk(st *chungLuState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	r := g.rows[c]
 	if r[0] >= r[1] || g.sum <= 0 {
 		return
@@ -648,84 +644,6 @@ func (g *ChungLu) GenerateChunkWith(wsI WorkerState, c int, buf []stream.Arc, em
 	if i0 := maxInt64(r[0], t0); i0 < r[1] && wt > 0 {
 		if !g.emitTailTriangle(st, b, i0, r[1]) {
 			return
-		}
-	}
-	b.flush()
-}
-
-// generateChunkBucketed is the pre-blockwise production core, retained
-// as the distribution-equivalence oracle (TestChungLuBlockwiseMatches
-// BucketedDistribution): the Miller–Hagberg bucketed sweep over chunk
-// c's rows — for row i, candidate columns j > i are visited with
-// geometric skips under the row's maximal probability and thinned to
-// the exact per-pair probability, O(expected edges) per row — on its
-// own (seed, nsCLChunk, c) streams.
-func (g *ChungLu) generateChunkBucketed(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	r := g.rows[c]
-	if r[0] >= r[1] || g.sum <= 0 {
-		return
-	}
-	s := rng.NewStream2(g.seed, nsCLChunk, uint64(c))
-	b := newBatcher(buf, emit)
-	ws, sum := g.w, g.sum
-	n := int64(len(ws))
-	// Both per-candidate float expressions repeat bit-for-bit whenever
-	// the column weight repeats (the whole dmin-floored tail is one
-	// constant run), so each is cached by exact float equality —
-	// identical input bits give identical output bits, so no draw and
-	// no byte changes. lastP/lastLog cache the skip parameter's log1p,
-	// the dominant flat cost; lastW/lastQ cache the candidate
-	// probability q = wu·w[j]/sum, saving the divide.
-	lastP := math.NaN()
-	var lastLog float64
-	for i := r[0]; i < r[1]; i++ {
-		wu := ws[i]
-		if wu == 0 {
-			break // weights are non-increasing: every later row is empty too
-		}
-		j := i + 1
-		if j >= n {
-			continue
-		}
-		p := wu * ws[j] / sum
-		if p > 1 {
-			p = 1
-		}
-		lastW, lastQ := ws[j], p
-		for j < n && p > 0 {
-			if p < 1 {
-				if p != lastP {
-					lastP, lastLog = p, math.Log1p(-p)
-				}
-				j += s.GeometricLog(lastLog)
-			}
-			if j >= n {
-				break
-			}
-			if w := ws[j]; w != lastW {
-				lastW = w
-				lastQ = wu * w / sum
-				if lastQ > 1 {
-					lastQ = 1
-				}
-			}
-			q := lastQ
-			if q == p {
-				// fl(q/p) = 1 exactly and Float64() < 1 always holds, so
-				// accept after consuming the thinning draw, skipping the
-				// division and float compare — the hot case whenever
-				// neighboring weights are equal.
-				s.Uint64()
-				if !b.add(i, j) {
-					return
-				}
-			} else if s.Float64() < q/p {
-				if !b.add(i, j) {
-					return
-				}
-			}
-			p = q
-			j++
 		}
 	}
 	b.flush()

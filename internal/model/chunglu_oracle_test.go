@@ -5,8 +5,92 @@ import (
 	"sync"
 	"testing"
 
+	"kronvalid/internal/rng"
 	"kronvalid/internal/stream"
 )
+
+// nsCLChunk is the stream-id namespace of the bucketed-sweep oracle
+// core's chunk streams (the production blockwise core draws under
+// nsCLBlock).
+const nsCLChunk = 0x636c_7501
+
+// generateChunkBucketed is the pre-blockwise production core, retained
+// as the distribution-equivalence oracle (TestChungLuBlockwiseMatches
+// BucketedDistribution): the Miller–Hagberg bucketed sweep over chunk
+// c's rows — for row i, candidate columns j > i are visited with
+// geometric skips under the row's maximal probability and thinned to
+// the exact per-pair probability, O(expected edges) per row — on its
+// own (seed, nsCLChunk, c) streams.
+func (g *ChungLu) generateChunkBucketed(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+	r := g.rows[c]
+	if r[0] >= r[1] || g.sum <= 0 {
+		return
+	}
+	s := rng.NewStream2(g.seed, nsCLChunk, uint64(c))
+	b := newBatcher(buf, emit)
+	ws, sum := g.w, g.sum
+	n := int64(len(ws))
+	// Both per-candidate float expressions repeat bit-for-bit whenever
+	// the column weight repeats (the whole dmin-floored tail is one
+	// constant run), so each is cached by exact float equality —
+	// identical input bits give identical output bits, so no draw and
+	// no byte changes. lastP/lastLog cache the skip parameter's log1p,
+	// the dominant flat cost; lastW/lastQ cache the candidate
+	// probability q = wu·w[j]/sum, saving the divide.
+	lastP := math.NaN()
+	var lastLog float64
+	for i := r[0]; i < r[1]; i++ {
+		wu := ws[i]
+		if wu == 0 {
+			break // weights are non-increasing: every later row is empty too
+		}
+		j := i + 1
+		if j >= n {
+			continue
+		}
+		p := wu * ws[j] / sum
+		if p > 1 {
+			p = 1
+		}
+		lastW, lastQ := ws[j], p
+		for j < n && p > 0 {
+			if p < 1 {
+				if p != lastP {
+					lastP, lastLog = p, math.Log1p(-p)
+				}
+				j += s.GeometricLog(lastLog)
+			}
+			if j >= n {
+				break
+			}
+			if w := ws[j]; w != lastW {
+				lastW = w
+				lastQ = wu * w / sum
+				if lastQ > 1 {
+					lastQ = 1
+				}
+			}
+			q := lastQ
+			if q == p {
+				// fl(q/p) = 1 exactly and Float64() < 1 always holds, so
+				// accept after consuming the thinning draw, skipping the
+				// division and float compare — the hot case whenever
+				// neighboring weights are equal.
+				s.Uint64()
+				if !b.add(i, j) {
+					return
+				}
+			} else if s.Float64() < q/p {
+				if !b.add(i, j) {
+					return
+				}
+			}
+			p = q
+			j++
+		}
+	}
+	b.flush()
+}
 
 // oracleWeights builds a small registry-shaped weight sequence spanning
 // all three regions of the blockwise core: saturated head pairs
@@ -103,11 +187,11 @@ func TestChungLuBlockwiseMatchesBucketedDistribution(t *testing.T) {
 	}
 }
 
-// TestChungLuWorkerStateReuseRace drives the scratch-reusing
-// ChunkCacher cores (chunglu, ba) from several goroutines at once, each
-// goroutine reusing one WorkerState across every chunk, and checks each
-// sees the serial stream. Run under -race in CI, it proves worker
-// states share no hidden mutable state through their generator.
+// TestChungLuWorkerStateReuseRace drives the scratch-reusing cores
+// (chunglu, ba) from several goroutines at once, each goroutine reusing
+// one NewWorker function across every chunk, and checks each sees the
+// serial stream. Run under -race in CI, it proves worker states share
+// no hidden mutable state through their generator.
 func TestChungLuWorkerStateReuseRace(t *testing.T) {
 	for _, spec := range []string{
 		"chunglu:n=3000,dmax=60,gamma=2.4,seed=5",
@@ -117,21 +201,17 @@ func TestChungLuWorkerStateReuseRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, ok := g.(ChunkCacher)
-		if !ok {
-			t.Fatalf("%s: not a ChunkCacher", spec)
-		}
 		want := Collect(g)
 		var wg sync.WaitGroup
 		for worker := 0; worker < 4; worker++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ws := cc.NewWorkerState()
+				gen := g.NewWorker()
 				var out []stream.Arc
 				buf := make([]stream.Arc, 0, 256)
 				for c := 0; c < g.Chunks(); c++ {
-					cc.GenerateChunkWith(ws, c, buf, func(full []stream.Arc) []stream.Arc {
+					gen(c, buf, func(full []stream.Arc) []stream.Arc {
 						out = append(out, full...)
 						return full[:0]
 					})

@@ -96,9 +96,13 @@ func (g *ErdosRenyi) ChunkWeight(c int) int64 {
 // ChunkArcs returns -1: per-chunk counts are random.
 func (g *ErdosRenyi) ChunkArcs(c int) int64 { return -1 }
 
-// GenerateChunk streams chunk c: geometric skips across the chunk's pair
+// NewWorker returns the chunk generator: Erdős–Rényi chunks keep no
+// worker-lifetime scratch.
+func (g *ErdosRenyi) NewWorker() stream.ShardGen { return g.generateChunk }
+
+// generateChunk streams chunk c: geometric skips across the chunk's pair
 // index range, each surviving index unpacked to its (u, v) arc.
-func (g *ErdosRenyi) GenerateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+func (g *ErdosRenyi) generateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	r := g.rows[c]
 	if r[0] >= r[1] || g.p <= 0 {
 		return

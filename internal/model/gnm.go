@@ -61,7 +61,7 @@ func NewGnm(n, m int64, seed uint64, chunks int) (*Gnm, error) {
 	}
 	// Precompute every chunk's count with one shared memo: each tree
 	// node's binomial split is drawn once instead of once per descent
-	// that passes it, and concurrent GenerateChunk calls then read the
+	// that passes it, and concurrent generateChunk calls then read the
 	// table instead of racing on a memo.
 	memo := make(splitMemo, 2*len(g.rows))
 	g.counts = make([]int64, len(g.rows))
@@ -134,11 +134,15 @@ func (g *Gnm) ChunkArcs(c int) int64 {
 	return g.counts[c]
 }
 
-// GenerateChunk streams chunk c: its exact edge count is realized as
+// NewWorker returns the chunk generator: G(n,m) chunks keep no
+// worker-lifetime scratch.
+func (g *Gnm) NewWorker() stream.ShardGen { return g.generateChunk }
+
+// generateChunk streams chunk c: its exact edge count is realized as
 // that many distinct uniform pair indices from the chunk's pair range,
 // sorted into canonical order. Dense chunks (> half the range) sample
 // the complement instead, keeping expected work O(min(m_c, R-m_c)).
-func (g *Gnm) GenerateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+func (g *Gnm) generateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	mC := g.ChunkArcs(c)
 	if mC == 0 {
 		return
@@ -205,7 +209,7 @@ func sampleDistinct(s *rng.Xoshiro256, base, size, k int64) []int64 {
 
 // radixSortInt64 sorts non-negative int64s ascending — the same result
 // as slices.Sort, in O(len·passes) instead of O(len·log len) compares,
-// which dominates GenerateChunk's profile at the acceptance workload.
+// which dominates generateChunk's profile at the acceptance workload.
 // max is an upper bound on the values; it fixes the pass count, so all
 // high digits known to be zero are skipped. Chunk budgets are capped
 // (maxGnmChunkEdges) far below the int32 counting range.

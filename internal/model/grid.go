@@ -246,13 +246,17 @@ func (g *Grid) candidates(u int64, dst []int64) []int64 {
 	return dst
 }
 
-// GenerateChunk streams chunk c by walking its flattened candidate
+// NewWorker returns the chunk generator: lattice chunks keep no
+// worker-lifetime scratch.
+func (g *Grid) NewWorker() stream.ShardGen { return g.generateChunk }
+
+// generateChunk streams chunk c by walking its flattened candidate
 // index space with geometric skips (er's sparse-sampling loop): the
 // candidates of the chunk's vertices, concatenated in vertex order,
 // form one index space of known closed-form size, and each kept index
 // is mapped back to its (u, candidate) pair. p = 1 emits every
 // candidate with zero draws.
-func (g *Grid) GenerateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+func (g *Grid) generateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	lo, hi := g.runs[c][0], g.runs[c][1]
 	if lo >= hi || g.p <= 0 {
 		return

@@ -62,8 +62,7 @@ const (
 	nsGnmSplit  = 0x676e_6d02 // G(n,m) binomial-splitting tree
 	nsRMATChunk = 0x726d_6101 // R-MAT chunk streams
 	nsRMATSplit = 0x726d_6102 // R-MAT multinomial-splitting tree
-	nsCLChunk   = 0x636c_7501 // Chung–Lu bucketed-sweep chunk streams (oracle core)
-	nsCLBlock   = 0x636c_7502 // Chung–Lu blockwise chunk streams (production core)
+	nsCLBlock   = 0x636c_7502 // Chung–Lu blockwise chunk streams (0x636c_7501 is the test oracle's)
 	nsRGGCell   = 0x7267_6701 // RGG per-cell coordinate streams
 	nsRGGSplit  = 0x7267_6702 // RGG cell-occupancy splitting tree
 	nsBAPos     = 0x6261_0001 // BA per-edge-position hash streams
@@ -87,9 +86,9 @@ const DefaultChunks = 64
 //   - Sample: every random draw a chunk consumes comes from a stream
 //     keyed only by (seed, structural id) — a cell id, a splitting-tree
 //     node, or an edge position — never by chunk or shard boundaries;
-//   - Enumerate: GenerateChunk(c) is a pure function of the generator's
-//     parameters and c — any worker can regenerate any chunk at any
-//     time, recomputing foreign cells (Dependencies) as needed;
+//   - Enumerate: generating chunk c is a pure function of the
+//     generator's parameters and c — any worker can regenerate any chunk
+//     at any time, recomputing foreign cells (Dependencies) as needed;
 //   - chunk c emits only arcs whose source vertex lies in ChunkRange(c),
 //     in strictly increasing lexicographic (U, V) order, and every arc
 //     of the model is emitted by exactly one chunk (undirected pairs by
@@ -127,51 +126,20 @@ type Generator interface {
 	// pointwise through per-element hash streams rather than whole-cell
 	// regeneration (BA retracing) also return nil.
 	Dependencies(c int) []int64
-	// GenerateChunk streams chunk c under the stream.ShardGen emit
-	// contract: fill buf, hand every full batch and the final partial one
-	// to emit, stop early when emit returns nil.
-	GenerateChunk(c int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc))
-}
-
-// WorkerState is opaque per-worker scratch a caching generator reuses
-// across the chunks one worker executes: dependency-cell samples, memo
-// tables, hit buffers. It is the *cost* side of generation only — the
-// Sample phase is pure, so regenerating a cell and reading it back from
-// a cache yield identical values, and carrying (or dropping) state can
-// never move an emitted byte. A WorkerState must only be used by one
-// goroutine at a time.
-type WorkerState interface {
-	// ResidentPoints returns the number of sample points currently held
-	// by the state's cell cache — the quantity the eviction cap bounds.
-	ResidentPoints() int64
-}
-
-// ChunkCacher is the optional worker-lifetime caching extension of
-// Generator: drivers that execute many chunks on one goroutine create
-// one WorkerState per worker and pass it to every GenerateChunkWith
-// call, so neighboring chunks stop regenerating the same halo cells and
-// re-descending the same splitting-tree prefixes. GenerateChunk(c, …)
-// must stay equivalent to GenerateChunkWith(NewWorkerState(), c, …) —
-// the cache trades CPU for memory, never bytes.
-type ChunkCacher interface {
-	Generator
-	// NewWorkerState returns fresh state for one worker goroutine.
-	NewWorkerState() WorkerState
-	// GenerateChunkWith is GenerateChunk reading and extending ws.
-	GenerateChunkWith(ws WorkerState, c int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc))
-}
-
-// boundGen returns g's chunk-generation function bound to one fresh
-// worker state when g caches, and plain GenerateChunk otherwise — the
-// single place drivers decide between the two entry points.
-func boundGen(g Generator) func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	if cc, ok := g.(ChunkCacher); ok {
-		ws := cc.NewWorkerState()
-		return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-			cc.GenerateChunkWith(ws, c, buf, emit)
-		}
-	}
-	return g.GenerateChunk
+	// NewWorker returns the chunk-generation function for one worker
+	// goroutine: called with a chunk index c, it streams chunk c under
+	// the stream.ShardGen emit contract — fill buf, hand every full
+	// batch and the final partial one to emit, stop early when emit
+	// returns nil. The function may close over worker-lifetime scratch
+	// (dependency-cell samples, memo tables, hit buffers) that it reuses
+	// across the chunks it is called for, so it must only be used by one
+	// goroutine at a time; NewWorker itself is safe for concurrent
+	// calls. Scratch is the *cost* side of generation only — the Sample
+	// phase is pure, so regenerating a cell and reading it back from a
+	// cache yield identical values, and a fresh worker per chunk emits
+	// the same bytes as one worker across all of them. Kinds without
+	// such scratch return their chunk method directly.
+	NewWorker() stream.ShardGen
 }
 
 // noDeps is embedded by models whose chunks read no foreign sample
@@ -492,7 +460,7 @@ func Collect(g Generator) []stream.Arc {
 		out = make([]stream.Arc, 0, n)
 	}
 	buf := make([]stream.Arc, 0, stream.DefaultBatchSize)
-	gen := boundGen(g) // one worker state across every chunk
+	gen := g.NewWorker() // one worker across every chunk
 	for c := 0; c < g.Chunks(); c++ {
 		gen(c, buf, func(full []stream.Arc) []stream.Arc {
 			out = append(out, full...)

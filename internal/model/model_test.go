@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -17,15 +18,15 @@ func collect(t *testing.T, g Generator, shards, workers int) []stream.Arc {
 	t.Helper()
 	var out []stream.Arc
 	pl := NewPlan(g, shards)
-	n, err := pl.StreamTo(stream.FuncSink(func(batch []stream.Arc) error {
+	n, err := stream.RunSource(context.Background(), pl, stream.FuncSink(func(batch []stream.Arc) error {
 		out = append(out, batch...)
 		return nil
 	}), stream.Options{Workers: workers})
 	if err != nil {
-		t.Fatalf("%s: StreamTo: %v", g.Name(), err)
+		t.Fatalf("%s: RunSource: %v", g.Name(), err)
 	}
 	if n != int64(len(out)) {
-		t.Fatalf("%s: StreamTo reported %d arcs, sink saw %d", g.Name(), n, len(out))
+		t.Fatalf("%s: RunSource reported %d arcs, sink saw %d", g.Name(), n, len(out))
 	}
 	return out
 }
@@ -95,14 +96,15 @@ func TestStreamsAreCanonical(t *testing.T) {
 		}
 		var dedup stream.DedupCheckSink
 		pl := NewPlan(g, 1)
-		if _, err := pl.StreamTo(&dedup, stream.Options{Workers: 1}); err != nil {
+		if _, err := stream.RunSource(context.Background(), pl, &dedup, stream.Options{Workers: 1}); err != nil {
 			t.Errorf("%s: %v", spec, err)
 		}
 		n := g.NumVertices()
 		buf := make([]stream.Arc, 0, 512)
+		gen := g.NewWorker()
 		for c := 0; c < g.Chunks(); c++ {
 			lo, hi := g.ChunkRange(c)
-			g.GenerateChunk(c, buf, func(full []stream.Arc) []stream.Arc {
+			gen(c, buf, func(full []stream.Arc) []stream.Arc {
 				for _, a := range full {
 					if a.U < lo || a.U >= hi {
 						t.Fatalf("%s: chunk %d emitted source %d outside [%d,%d)", spec, c, a.U, lo, hi)
@@ -360,7 +362,7 @@ func TestCSRPathsAgree(t *testing.T) {
 		}
 		sink := csr.NewSink(g.NumVertices(), 0)
 		pl := NewPlan(g, 4)
-		if _, err := pl.StreamTo(sink, stream.Options{Workers: 4}); err != nil {
+		if _, err := stream.RunSource(context.Background(), pl, sink, stream.Options{Workers: 4}); err != nil {
 			t.Fatalf("%s: ordered sink: %v", spec, err)
 		}
 		want, err := sink.Graph()
@@ -368,9 +370,16 @@ func TestCSRPathsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 3, 8} {
-			got, err := NewPlan(g, shards).BuildCSR(stream.Options{Workers: shards})
+			pl := NewPlan(g, shards)
+			got, err := csr.BuildContext(context.Background(), csr.Source{
+				NumVertices: pl.NumVertices(),
+				NumArcs:     pl.TotalArcs(),
+				Shards:      pl.Shards(),
+				VertexRange: pl.VertexRange,
+				Generate:    pl.EachShardBatch,
+			}, stream.Options{Workers: shards})
 			if err != nil {
-				t.Fatalf("%s: BuildCSR shards=%d: %v", spec, shards, err)
+				t.Fatalf("%s: two-pass build shards=%d: %v", spec, shards, err)
 			}
 			if !got.Equal(want) {
 				t.Errorf("%s: two-pass CSR at shards=%d differs from ordered sink", spec, shards)

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"kronvalid/internal/csr"
 	"kronvalid/internal/par"
 	"kronvalid/internal/stream"
 )
@@ -92,16 +91,16 @@ func (pl *Plan) ShardSize(w int) int64 {
 
 // EachShardBatch streams shard w — its chunks replayed in index order —
 // under the stream.ShardGen emit contract. Any worker can regenerate
-// any shard at any time. Caching generators get one fresh worker state
-// per call; drivers that execute many shards per worker should prefer
-// ShardGenFactory so the state survives across them.
+// any shard at any time. Each call runs on a fresh worker; drivers that
+// execute many shards per goroutine should prefer ShardGenFactory so the
+// worker's scratch survives across them.
 func (pl *Plan) EachShardBatch(w int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc)) {
-	pl.genShard(boundGen(pl.g), w, buf, emit)
+	pl.genShard(pl.g.NewWorker(), w, buf, emit)
 }
 
 // genShard replays shard w's chunks through gen under the emit
 // contract — the shared body of EachShardBatch and the factory path.
-func (pl *Plan) genShard(gen func(int, []stream.Arc, func([]stream.Arc) []stream.Arc), w int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc)) {
+func (pl *Plan) genShard(gen stream.ShardGen, w int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc)) {
 	r := pl.ranges[w]
 	if cap(buf) == 0 {
 		buf = make([]stream.Arc, 0, stream.DefaultBatchSize)
@@ -123,44 +122,14 @@ func (pl *Plan) genShard(gen func(int, []stream.Arc, func([]stream.Arc) []stream
 }
 
 // ShardGenFactory implements stream.FactorySource: every ShardGen it
-// returns carries ONE worker state for its whole lifetime, so when the
-// driver hands a worker goroutine many shards, the generator's cell
-// cache and splitting-tree lookups persist across all of them — the
-// worker-lifetime caching contract. For non-caching generators the
-// factory degenerates to plain GenerateChunk.
+// returns wraps ONE Generator.NewWorker for its whole lifetime, so when
+// the driver hands a worker goroutine many shards, the generator's cell
+// cache and splitting-tree lookups persist across all of them.
 func (pl *Plan) ShardGenFactory() stream.GenFactory {
 	return func() stream.ShardGen {
-		gen := boundGen(pl.g)
+		gen := pl.g.NewWorker()
 		return func(w int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc)) {
 			pl.genShard(gen, w, buf, emit)
 		}
 	}
-}
-
-// StreamTo drives every shard through the ordered parallel pipeline
-// into one sink: shards generate concurrently, the sink observes the
-// canonical stream. Returns the number of arcs consumed.
-func (pl *Plan) StreamTo(sink stream.Sink, opts stream.Options) (int64, error) {
-	return stream.RunFactory(pl.Shards(), pl.ShardGenFactory(), sink, opts)
-}
-
-// CSRSource adapts the plan to the two-pass parallel CSR builder: the
-// chunk contract (shard-owned contiguous source ranges, canonical order
-// within a shard, replayability) is exactly the builder's contract.
-func (pl *Plan) CSRSource() csr.Source {
-	return csr.Source{
-		NumVertices: pl.g.NumVertices(),
-		NumArcs:     pl.g.NumArcs(),
-		Shards:      pl.Shards(),
-		VertexRange: pl.VertexRange,
-		Generate:    pl.EachShardBatch,
-	}
-}
-
-// BuildCSR materializes the model's graph with the parallel two-pass
-// builder (count → prefix-sum → scatter), regenerating each shard twice
-// instead of buffering an edge list. The result is identical for every
-// worker count.
-func (pl *Plan) BuildCSR(opts stream.Options) (*csr.Graph, error) {
-	return csr.Build(pl.CSRSource(), opts)
 }

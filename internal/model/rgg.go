@@ -394,31 +394,27 @@ func (g *RGG) sampleHold(st *spatialState, cell int, xyz [3]int) *cellSample {
 	return e
 }
 
-// NewWorkerState returns the worker-lifetime cell cache + tree lookup
-// state (ChunkCacher). The cache is a ring of span()+1 slots: every
-// cell read while one own cell is enumerated lies in [cell, cell+span],
-// a window of consecutive indices that map to distinct slots — the ring
-// contract newSpatialState documents.
-func (g *RGG) NewWorkerState() WorkerState {
-	return newSpatialState(&g.tree, &g.ctab, maxRGGChunkPoints, g.span()+1)
+// NewWorker returns the chunk generator bound to one worker-lifetime
+// cell cache + tree lookup state. The cache is a ring of span()+1 slots:
+// every cell read while one own cell is enumerated lies in
+// [cell, cell+span], a window of consecutive indices that map to
+// distinct slots — the ring contract newSpatialState documents.
+func (g *RGG) NewWorker() stream.ShardGen {
+	st := newSpatialState(&g.tree, &g.ctab, maxRGGChunkPoints, g.span()+1)
+	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+		g.generateChunk(st, c, buf, emit)
+	}
 }
 
-// GenerateChunk streams chunk c with single-chunk state — equivalent to
-// GenerateChunkWith under a fresh worker state.
-func (g *RGG) GenerateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	g.GenerateChunkWith(g.NewWorkerState(), c, buf, emit)
-}
-
-// GenerateChunkWith streams chunk c: for each owned cell in index
+// generateChunk streams chunk c: for each owned cell in index
 // order, its points plus every forward neighbor's points (regenerated
-// through ws's cell cache) are flattened into one contiguous halo, and
+// through st's cell cache) are flattened into one contiguous halo, and
 // each own point runs one kernel call over the halo tail behind it,
 // emitting (u, v), u < v, for each pair within distance r. Neighbor
 // segments are staged in ascending id order, so the stream is canonical
 // by construction. Cell coordinates advance incrementally with the
 // row-major scan instead of a divmod per cell.
-func (g *RGG) GenerateChunkWith(ws WorkerState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	st := ws.(*spatialState)
+func (g *RGG) generateChunk(st *spatialState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	lo, hi := g.runs[c][0], g.runs[c][1]
 	if lo >= hi || g.n == 0 {
 		return

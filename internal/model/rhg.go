@@ -633,7 +633,7 @@ const maxRHGRingCells = 1 << 20
 // tests can force the fallback path.
 var rhgPanelMaxPoints = maxRHGResidentPoints
 
-// rhgState is the strip-mode WorkerState: the whole cell space
+// rhgState is the strip-mode worker state: the whole cell space
 // flattened in cell order into one worker-lifetime SoA strip, filled
 // lazily cell by cell. Vertex ids are cell-major over the whole graph,
 // so the point at strip offset p has global id exactly p — a forward
@@ -650,11 +650,7 @@ type rhgState struct {
 	filled         []bool // per cell
 	runs           []rhgRun
 	prs            [][2]int // forward point ranges of the current own cell
-	pts            int64
 }
-
-// ResidentPoints reports the points materialized in the strip.
-func (ps *rhgState) ResidentPoints() int64 { return ps.pts }
 
 // ensure fills cell's strip range [tab[cell], tab[cell+1]) if it is not
 // resident yet.
@@ -667,19 +663,24 @@ func (ps *rhgState) ensure(g *RHG, cell int) {
 	lo, hi := int(tab[cell]), int(tab[cell+1])
 	if hi > lo {
 		g.samplePointsInto(cell, ps.st, ps.xs[lo:hi], ps.ys[lo:hi], ps.zs[lo:hi], ps.ws[lo:hi])
-		ps.pts += int64(hi - lo)
 	}
 }
 
-// NewWorkerState returns the worker-lifetime state (ChunkCacher): the
-// flattened sample strip when the full prefix table exists and the
-// whole graph fits under the resident cap, else the generic bounded
-// cell cache (ring when the cell space is small enough to direct-index,
-// map beyond).
-func (g *RHG) NewWorkerState() WorkerState {
-	if tab := g.ctab.get(&g.tree); tab != nil && g.n <= rhgPanelMaxPoints {
+// stripMode reports whether workers use the flattened sample strip: the
+// full prefix table exists and the whole graph fits under the resident
+// cap.
+func (g *RHG) stripMode() bool {
+	return g.ctab.get(&g.tree) != nil && g.n <= rhgPanelMaxPoints
+}
+
+// NewWorker returns the chunk generator bound to one worker-lifetime
+// state: the flattened sample strip in strip mode, else the generic
+// bounded cell cache (ring when the cell space is small enough to
+// direct-index, map beyond).
+func (g *RHG) NewWorker() stream.ShardGen {
+	if g.stripMode() {
 		n := int(g.n)
-		return &rhgState{
+		ps := &rhgState{
 			st:     newSpatialState(&g.tree, &g.ctab, maxRHGResidentPoints, 0),
 			xs:     make([]float64, n),
 			ys:     make([]float64, n),
@@ -687,35 +688,30 @@ func (g *RHG) NewWorkerState() WorkerState {
 			ws:     make([]float64, n),
 			filled: make([]bool, g.cells),
 		}
+		return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+			g.generatePanels(ps, c, buf, emit)
+		}
 	}
 	window := g.cells
 	if window > maxRHGRingCells {
 		window = 0 // map fallback
 	}
-	return newSpatialState(&g.tree, &g.ctab, maxRHGResidentPoints, window)
+	st := newSpatialState(&g.tree, &g.ctab, maxRHGResidentPoints, window)
+	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+		g.generateCells(st, c, buf, emit)
+	}
 }
 
-// GenerateChunk streams chunk c with single-chunk state — equivalent to
-// GenerateChunkWith under a fresh worker state.
-func (g *RHG) GenerateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	g.GenerateChunkWith(g.NewWorkerState(), c, buf, emit)
-}
-
-// GenerateChunkWith streams chunk c: for each owned cell in index
-// order, its points are compared against the cell's own later points
-// and every forward partner cell's points (regenerated through ws's
-// cell cache), emitting (u, v), u < v, for each pair within hyperbolic
+// generateCells streams chunk c over the bounded cell cache: for each
+// owned cell in index order, its points are compared against the cell's
+// own later points and every forward partner cell's points (regenerated
+// through st's cell cache), emitting (u, v), u < v, for each pair within hyperbolic
 // distance R. Partner segments are visited in ascending cell order, so
 // the stream is canonical by construction. Owned cells are dropped once
 // processed (later cells only look forward); the foreign halo stays
 // until it crosses the resident cap, then is dropped wholesale —
 // regeneration is pure, so eviction never changes a byte.
-func (g *RHG) GenerateChunkWith(ws WorkerState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-	if ps, ok := ws.(*rhgState); ok {
-		g.generatePanels(ps, c, buf, emit)
-		return
-	}
-	st := ws.(*spatialState)
+func (g *RHG) generateCells(st *spatialState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	lo, hi := g.runs[c][0], g.runs[c][1]
 	if lo >= hi || g.n == 0 {
 		return
@@ -758,7 +754,7 @@ func (g *RHG) pairsCell(b *batcher, st *spatialState, own *cellSample) bool {
 	return true
 }
 
-// generatePanels is GenerateChunkWith over the strip state: per owned
+// generatePanels is generateCells over the strip state: per owned
 // cell it materializes the forward windows as contiguous strip point
 // ranges (ids are cell-major, so a range of cells — empty ones included
 // — is a range of consecutive ids), coalesces point-adjacent ranges

@@ -21,7 +21,7 @@ import (
 // fall in each subtree, from (seed, node)-derived streams any worker
 // can replay. Within a chunk the budget is realized by continuing the
 // same splitting down the remaining u-bits and then the v-bits, in
-// order (see GenerateChunk), so arcs come out canonical and
+// order (see generateChunk), so arcs come out canonical and
 // deduplicated with no per-chunk buffer or sort.
 type RMAT struct {
 	noDeps
@@ -215,7 +215,11 @@ func (g *RMAT) splitBudgets() []int64 {
 // chunk q (precomputed at construction, see splitBudgets).
 func (g *RMAT) chunkEdgeBudget(q int) int64 { return g.budgets[q] }
 
-// GenerateChunk realizes chunk q's edge budget by in-order multinomial
+// NewWorker returns the chunk generator: R-MAT chunks keep no
+// worker-lifetime scratch.
+func (g *RMAT) NewWorker() stream.ShardGen { return g.generateChunk }
+
+// generateChunk realizes chunk q's edge budget by in-order multinomial
 // descent: the budget is split down the remaining u-bits (high to low,
 // 0-branch first) with the exact conditional law P(u-bit = 1) = c+d,
 // and each fully resolved source u splits its count down the v-bits
@@ -232,7 +236,7 @@ func (g *RMAT) chunkEdgeBudget(q int) int64 { return g.budgets[q] }
 // bit-for-bit (rng.FixedThreshold). Draws come sequentially from the
 // chunk's (seed, chunk)-derived stream, so any worker replays the chunk
 // identically.
-func (g *RMAT) GenerateChunk(q int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+func (g *RMAT) generateChunk(q int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	eC := g.budgets[q]
 	if eC == 0 {
 		return

@@ -464,18 +464,15 @@ func (m *Manager) run(j *Job) {
 		m.finalizeState(j, StateFailed, err)
 		return
 	}
-	_, err = distgen.WriteShardedSourceContext(j.ctx, staged, j.src,
-		distgen.Manifest{Model: j.spec}, distgen.WriteOptions{
-			Binary:    j.format == "binary",
-			Workers:   m.cfg.GenWorkers,
-			BatchSize: m.cfg.BatchSize,
-			// The callback publishes through atomics: the per-shard driver
-			// serializes its calls, but status handlers read concurrently.
-			Progress: func(arcs, shardsDone int64) {
-				j.arcs.Store(arcs)
-				j.shardsDone.Store(shardsDone)
-			},
-		})
+	opts := m.genOptions()
+	// The callback publishes through atomics: the per-shard driver
+	// serializes its calls, but status handlers read concurrently.
+	opts.Progress = func(arcs, shardsDone int64) {
+		j.arcs.Store(arcs)
+		j.shardsDone.Store(shardsDone)
+	}
+	_, err = distgen.WriteShards(j.ctx, staged, j.src,
+		distgen.Manifest{Model: j.spec}, j.format == "binary", opts)
 	if err != nil {
 		os.RemoveAll(staged)
 		if j.ctx.Err() != nil {
@@ -578,14 +575,17 @@ func (m *Manager) Count(ctx context.Context, spec string, exact bool) (CountInfo
 		info.Source = "expectation"
 		return info, nil
 	}
-	var sink stream.CountSink
-	if _, err := stream.RunFactoryContext(ctx, pl.Shards(), pl.ShardGenFactory(), &sink,
-		stream.Options{Workers: m.cfg.GenWorkers, BatchSize: m.cfg.BatchSize}); err != nil {
+	if info.Arcs, err = stream.CountSource(ctx, pl, m.genOptions()); err != nil {
 		return CountInfo{}, err
 	}
-	info.Arcs = sink.N
 	info.Source = "generated"
 	return info, nil
+}
+
+// genOptions is the driver configuration every generation this manager
+// starts runs under.
+func (m *Manager) genOptions() stream.Options {
+	return stream.Options{Workers: m.cfg.GenWorkers, BatchSize: m.cfg.BatchSize}
 }
 
 // DigestInfo is the JSON response of the digest endpoint.
@@ -639,20 +639,7 @@ func (m *Manager) Digest(ctx context.Context, spec string) (DigestInfo, error) {
 		m.memoizeDigest(name, d, arcs)
 		return DigestInfo{Spec: name, Digest: d, Arcs: arcs, Source: "cache"}, nil
 	}
-	arcs := pl.TotalArcs()
-	opts := stream.Options{Workers: m.cfg.GenWorkers, BatchSize: m.cfg.BatchSize}
-	if arcs < 0 {
-		var sink stream.CountSink
-		if _, err := stream.RunFactoryContext(ctx, pl.Shards(), pl.ShardGenFactory(), &sink, opts); err != nil {
-			return DigestInfo{}, err
-		}
-		arcs = sink.N
-	}
-	sink := gio.NewArcDigestSink(pl.NumVertices(), arcs)
-	if _, err := stream.RunFactoryContext(ctx, pl.Shards(), pl.ShardGenFactory(), sink, opts); err != nil {
-		return DigestInfo{}, err
-	}
-	d, err := sink.Digest()
+	d, arcs, err := gio.DigestSource(ctx, pl, m.genOptions())
 	if err != nil {
 		return DigestInfo{}, err
 	}

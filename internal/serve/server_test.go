@@ -133,8 +133,8 @@ func referenceBytes(t *testing.T, spec, format string, shards int) ([]byte, *dis
 	}
 	pl := model.NewPlan(g, shards)
 	dir := t.TempDir()
-	man, err := distgen.WriteShardedSource(dir, pl, distgen.Manifest{Model: pl.Name()},
-		distgen.WriteOptions{Binary: format == "binary"})
+	man, err := distgen.WriteShards(context.Background(), dir, pl, distgen.Manifest{Model: pl.Name()},
+		format == "binary", stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestServeCountDigest(t *testing.T) {
 	}
 	pl := model.NewPlan(g, 3)
 	sink := gio.NewArcDigestSink(pl.NumVertices(), 12000)
-	if _, err := stream.RunFactoryContext(context.Background(), pl.Shards(), pl.ShardGenFactory(), sink, stream.Options{}); err != nil {
+	if _, err := stream.RunSource(context.Background(), pl, sink, stream.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := sink.Digest()

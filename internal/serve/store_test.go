@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"kronvalid/internal/distgen"
 	"kronvalid/internal/model"
+	"kronvalid/internal/stream"
 )
 
 // TestCacheKeyNormalizesSpec pins the content-address argument's
@@ -63,8 +65,8 @@ func stageEntry(t *testing.T, s *Store, spec string, shards int, binary bool) *E
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := distgen.WriteShardedSource(staged, pl, distgen.Manifest{Model: pl.Name()},
-		distgen.WriteOptions{Binary: binary}); err != nil {
+	if _, err := distgen.WriteShards(context.Background(), staged, pl, distgen.Manifest{Model: pl.Name()},
+		binary, stream.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	e, err := s.Commit(key, staged)

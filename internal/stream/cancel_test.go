@@ -143,7 +143,7 @@ func TestRunContextProgress(t *testing.T) {
 	var lastArcs, lastShards int64
 	calls := 0
 	const shards, perShard = 5, 1000
-	n, err := Run(shards, synthGen(perShard), &collectSink{}, Options{
+	n, err := RunContext(context.Background(), shards, synthGen(perShard), &collectSink{}, Options{
 		Workers:   3,
 		BatchSize: 128,
 		Progress: func(arcs, shardsDone int64) {
@@ -213,7 +213,7 @@ func TestMultiSinkFlushReachesEveryChildAfterConsumeError(t *testing.T) {
 	// driver's single Flush still reaches every child.
 	bad2 := &consumeBoom{}
 	tail2 := &flushBoom{}
-	_, err := Run(4, synthGen(100), MultiSink{bad2, tail2}, Options{Workers: 2, BatchSize: 16})
+	_, err := RunContext(context.Background(), 4, synthGen(100), MultiSink{bad2, tail2}, Options{Workers: 2, BatchSize: 16})
 	if err == nil {
 		t.Fatal("driver swallowed sink error")
 	}

@@ -9,12 +9,6 @@ import (
 	"kronvalid/internal/par"
 )
 
-// Run drives a sharded generator into a single sink with a background
-// context. See RunContext.
-func Run(shards int, gen ShardGen, sink Sink, opts Options) (int64, error) {
-	return RunContext(context.Background(), shards, gen, sink, opts)
-}
-
 // RunContext drives a sharded generator into a single sink. Shards are
 // generated concurrently (up to opts.Workers at a time, claimed in index
 // order) but their batches are delivered to the sink strictly in shard
@@ -31,23 +25,39 @@ func Run(shards int, gen ShardGen, sink Sink, opts Options) (int64, error) {
 // consistent state; the arc count reflects only the batches delivered
 // before cancellation.
 func RunContext(ctx context.Context, shards int, gen ShardGen, sink Sink, opts Options) (int64, error) {
-	return RunFactoryContext(ctx, shards, func() ShardGen { return gen }, sink, opts)
+	return runFactory(ctx, shards, func() ShardGen { return gen }, sink, opts)
 }
 
-// RunFactory drives a factory-backed sharded generator into a single
-// sink with a background context. See RunFactoryContext.
-func RunFactory(shards int, newGen GenFactory, sink Sink, opts Options) (int64, error) {
-	return RunFactoryContext(context.Background(), shards, newGen, sink, opts)
+// RunSource drives every shard of src into sink through the ordered
+// driver — RunContext over src.EachShardBatch, except that a
+// FactorySource gets one ShardGen per worker goroutine, so its
+// factory-bound state (cell caches, memo tables) persists across the
+// shards that worker claims. Delivery order, cancellation, and error
+// semantics are exactly RunContext's — worker state may only change the
+// cost of generation, never its bytes.
+func RunSource(ctx context.Context, src Source, sink Sink, opts Options) (int64, error) {
+	newGen := func() ShardGen { return src.EachShardBatch }
+	if fs, ok := src.(FactorySource); ok {
+		newGen = fs.ShardGenFactory()
+	}
+	return runFactory(ctx, src.Shards(), newGen, sink, opts)
 }
 
-// RunFactoryContext is RunContext with per-worker generator state: each
-// worker goroutine calls newGen once and executes every shard it claims
-// through that one ShardGen, so factory-bound state (cell caches, memo
-// tables) persists across a worker's shards. The serial path calls
-// newGen once for the whole stream. Delivery order, cancellation, and
-// error semantics are exactly RunContext's — worker state may only
-// change the cost of generation, never its bytes.
-func RunFactoryContext(ctx context.Context, shards int, newGen GenFactory, sink Sink, opts Options) (int64, error) {
+// CountSource returns src's exact arc count: immediately when the source
+// knows it ahead of generation, otherwise by driving it through a
+// CountSink.
+func CountSource(ctx context.Context, src Source, opts Options) (int64, error) {
+	if n := src.TotalArcs(); n >= 0 {
+		return n, nil
+	}
+	var sink CountSink
+	return RunSource(ctx, src, &sink, opts)
+}
+
+// runFactory is the ordered driver: each worker goroutine calls newGen
+// once and executes every shard it claims through that one ShardGen; the
+// serial path calls newGen once for the whole stream.
+func runFactory(ctx context.Context, shards int, newGen GenFactory, sink Sink, opts Options) (int64, error) {
 	o := opts.withDefaults()
 	if o.Workers <= 0 {
 		o.Workers = par.MaxWorkers()
@@ -210,12 +220,6 @@ func runSerial(ctx context.Context, shards int, gen ShardGen, sink Sink, o Optio
 		err = ferr
 	}
 	return n, err
-}
-
-// RunPerShard drives a sharded generator with one sink per shard under a
-// background context. See RunPerShardContext.
-func RunPerShard(shards int, gen ShardGen, sinkFor func(w int) (Sink, error), opts Options) ([]int64, error) {
-	return RunPerShardContext(context.Background(), shards, gen, sinkFor, opts)
 }
 
 // RunPerShardContext drives a sharded generator with one sink per shard,

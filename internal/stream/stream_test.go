@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -41,7 +43,7 @@ func TestRunPreservesShardOrder(t *testing.T) {
 	const shards, perShard = 7, 1000
 	for _, workers := range []int{1, 2, 3, 8} {
 		var got collectSink
-		n, err := Run(shards, synthGen(perShard), &got,
+		n, err := RunContext(context.Background(), shards, synthGen(perShard), &got,
 			Options{Workers: workers, BatchSize: 64, Buffer: 2})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -70,7 +72,7 @@ func TestRunSinkErrorStopsStream(t *testing.T) {
 		}
 		return nil
 	})
-	n, err := Run(16, synthGen(10000), sink, Options{Workers: 4, BatchSize: 64})
+	n, err := RunContext(context.Background(), 16, synthGen(10000), sink, Options{Workers: 4, BatchSize: 64})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -81,7 +83,7 @@ func TestRunSinkErrorStopsStream(t *testing.T) {
 
 func TestRunPerShardCountsAndErrors(t *testing.T) {
 	sinks := make([]*collectSink, 5)
-	counts, err := RunPerShard(5, synthGen(777),
+	counts, err := RunPerShardContext(context.Background(), 5, synthGen(777),
 		func(w int) (Sink, error) {
 			sinks[w] = &collectSink{}
 			return sinks[w], nil
@@ -98,7 +100,7 @@ func TestRunPerShardCountsAndErrors(t *testing.T) {
 		}
 	}
 	wantErr := errors.New("no sink")
-	if _, err := RunPerShard(3, synthGen(10), func(w int) (Sink, error) {
+	if _, err := RunPerShardContext(context.Background(), 3, synthGen(10), func(w int) (Sink, error) {
 		if w == 1 {
 			return nil, wantErr
 		}
@@ -108,9 +110,67 @@ func TestRunPerShardCountsAndErrors(t *testing.T) {
 	}
 }
 
+// synthSource is a minimal Source over synthGen; with factoryCalls set it
+// is also a FactorySource that counts how many workers asked for a
+// generator.
+type synthSource struct {
+	shards, perShard int
+	factoryCalls     *atomic.Int64
+}
+
+func (s synthSource) Name() string          { return "synth" }
+func (s synthSource) NumVertices() int64    { return int64(s.shards * s.perShard) }
+func (s synthSource) TotalArcs() int64      { return -1 }
+func (s synthSource) Shards() int           { return s.shards }
+func (s synthSource) ShardSize(w int) int64 { return int64(s.perShard) }
+func (s synthSource) VertexRange(w int) (lo, hi int64) {
+	return int64(w * s.perShard), int64((w + 1) * s.perShard)
+}
+func (s synthSource) EachShardBatch(w int, buf []Arc, emit func([]Arc) []Arc) {
+	synthGen(s.perShard)(w, buf, emit)
+}
+
+type synthFactorySource struct{ synthSource }
+
+func (s synthFactorySource) ShardGenFactory() GenFactory {
+	return func() ShardGen {
+		s.factoryCalls.Add(1)
+		return s.EachShardBatch
+	}
+}
+
+// TestRunSourceUsesFactoryPerWorker pins the source-level entry: a plain
+// Source streams through EachShardBatch, a FactorySource is asked for
+// exactly one generator per worker goroutine (not per shard), and
+// CountSource counts an unknown-size source by streaming it.
+func TestRunSourceUsesFactoryPerWorker(t *testing.T) {
+	const shards, perShard, workers = 8, 100, 3
+	plain := synthSource{shards: shards, perShard: perShard}
+	var calls atomic.Int64
+	factory := synthFactorySource{synthSource{shards: shards, perShard: perShard, factoryCalls: &calls}}
+	for name, src := range map[string]Source{"plain": plain, "factory": factory} {
+		var got collectSink
+		n, err := RunSource(context.Background(), src, &got, Options{Workers: workers, BatchSize: 16})
+		if err != nil || n != shards*perShard || got.flushed != 1 {
+			t.Fatalf("%s: n=%d err=%v flushed=%d", name, n, err, got.flushed)
+		}
+		for i, a := range got.arcs {
+			if a.U != int64(i) {
+				t.Fatalf("%s: arc %d has U=%d — order not preserved", name, i, a.U)
+			}
+		}
+	}
+	if c := calls.Load(); c != workers {
+		t.Fatalf("factory called %d times for %d workers over %d shards", c, workers, shards)
+	}
+	if n, err := CountSource(context.Background(), factory, Options{Workers: 1}); err != nil || n != shards*perShard {
+		t.Fatalf("CountSource = %d, %v", n, err)
+	}
+}
+
 func TestRunZeroShards(t *testing.T) {
 	var got collectSink
-	n, err := Run(0, synthGen(10), &got, Options{})
+	n, err := RunContext(context.Background(), 0, synthGen(10), &got, Options{})
 	if err != nil || n != 0 || got.flushed != 1 {
 		t.Fatalf("n=%d err=%v flushed=%d", n, err, got.flushed)
 	}
@@ -120,7 +180,7 @@ func TestCountAndMultiSink(t *testing.T) {
 	var count CountSink
 	var check DedupCheckSink
 	sink := MultiSink{&count, &check}
-	n, err := Run(3, synthGen(100), sink, Options{Workers: 2, BatchSize: 16})
+	n, err := RunContext(context.Background(), 3, synthGen(100), sink, Options{Workers: 2, BatchSize: 16})
 	if err != nil || n != 300 || count.N != 300 {
 		t.Fatalf("n=%d count=%d err=%v", n, count.N, err)
 	}

@@ -1,6 +1,7 @@
 package kronvalid
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -78,7 +79,7 @@ func TestKroneckerViaRMATCrossCheck(t *testing.T) {
 	}
 	classObs := make([]int64, k+1)
 	var arcs int64
-	_, err = StreamModel(g, StreamOptions{Workers: 4}, SinkFunc(func(batch []stream.Arc) error {
+	_, err = Stream(context.Background(), ModelSource(g, 4), SinkFunc(func(batch []stream.Arc) error {
 		for _, a := range batch {
 			if a.U&^a.V != 0 {
 				return fmt.Errorf("rmat arc (%d, %d) outside the Kronecker support", a.U, a.V)
@@ -93,7 +94,7 @@ func TestKroneckerViaRMATCrossCheck(t *testing.T) {
 			arcs++
 		}
 		return nil
-	}))
+	}), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package kronvalid
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -50,7 +51,7 @@ func TestStreamModelDeterministicAcrossWorkerCounts(t *testing.T) {
 		var want []byte
 		for _, p := range []int{1, 2, 4, 8} {
 			var buf bytes.Buffer
-			n, err := StreamModel(g, StreamOptions{Workers: p}, NewBinaryArcSink(&buf))
+			n, err := Stream(context.Background(), ModelSource(g, p), NewBinaryArcSink(&buf), WithWorkers(p))
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", spec, p, err)
 			}
@@ -78,17 +79,18 @@ func TestModelCSRPathsDigestIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := StreamModelToCSR(g, StreamOptions{Workers: 1})
+	ctx := context.Background()
+	base, err := ToCSR(ctx, ModelSource(g, 1), WithWorkers(1), WithTwoPass(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := CSRDigest(base)
 	for _, p := range []int{1, 4, 8} {
-		one, err := StreamModelToCSR(g, StreamOptions{Workers: p})
+		one, err := ToCSR(ctx, ModelSource(g, p), WithWorkers(p), WithTwoPass(false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := BuildModelCSR(g, StreamOptions{Workers: p})
+		two, err := ToCSR(ctx, ModelSource(g, p), WithWorkers(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +112,8 @@ func TestWriteShardedModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	m, err := WriteShardedModel(dir, g, 4, WriteShardedOptions{Binary: true})
+	ctx := context.Background()
+	m, err := WriteShards(ctx, dir, ModelSource(g, 4), WithBinary(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestWriteShardedModelRoundTrip(t *testing.T) {
 		cat.Write(b)
 	}
 	var want bytes.Buffer
-	if _, err := StreamModel(g, StreamOptions{Workers: 1}, NewBinaryArcSink(&want)); err != nil {
+	if _, err := Stream(ctx, ModelSource(g, 1), NewBinaryArcSink(&want), WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(cat.Bytes(), want.Bytes()) {
@@ -148,7 +151,7 @@ func TestWriteShardedModelRoundTrip(t *testing.T) {
 		t.Fatalf("NewGenerator(manifest model): %v", err)
 	}
 	var again bytes.Buffer
-	if _, err := StreamModel(g2, StreamOptions{Workers: 3}, NewBinaryArcSink(&again)); err != nil {
+	if _, err := Stream(ctx, ModelSource(g2, 3), NewBinaryArcSink(&again), WithWorkers(3)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), want.Bytes()) {

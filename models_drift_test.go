@@ -3,7 +3,10 @@ package kronvalid
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -54,6 +57,81 @@ func TestModelReferenceCoversRegistry(t *testing.T) {
 		name := strings.TrimSuffix(strings.TrimPrefix(line, "## `"), "`")
 		if !registered[name] {
 			t.Errorf("MODELS.md documents %q, which is not a registered kind", name)
+		}
+	}
+}
+
+// TestCINamedTestsExist keeps the named test selections from going
+// stale: `go test -run` passes vacuously when a pattern matches nothing,
+// so a renamed or deleted test would silently drop out of its CI job.
+// Every alternative of every -run '…' pattern in the CI workflow, and
+// every Test… identifier MODELS.md cites, must match a test function
+// declared in the repo's _test.go files.
+func TestCINamedTestsExist(t *testing.T) {
+	declared := map[string]bool{}
+	funcDecl := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcDecl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesSome := func(pattern string) bool {
+		re, err := regexp.Compile(pattern)
+		if err != nil {
+			return false
+		}
+		for name := range declared {
+			if re.MatchString(name) {
+				return true
+			}
+		}
+		return false
+	}
+
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatalf("CI workflow unreadable: %v", err)
+	}
+	patterns := regexp.MustCompile(`-run '([^']*)'`).FindAllSubmatch(ci, -1)
+	checked := 0
+	for _, m := range patterns {
+		pattern := string(m[1])
+		if pattern == "^$" {
+			continue // benchmark and fuzz steps deselect every test on purpose
+		}
+		if strings.ContainsAny(pattern, "()") {
+			t.Errorf("ci.yml -run '%s': keep patterns flat (A|B|C) so each alternative can be checked", pattern)
+			continue
+		}
+		for _, alt := range strings.Split(pattern, "|") {
+			checked++
+			if !matchesSome(alt) {
+				t.Errorf("ci.yml -run alternative %q matches no test function", alt)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run patterns in ci.yml — the gate is vacuous")
+	}
+
+	doc, err := os.ReadFile("MODELS.md")
+	if err != nil {
+		t.Fatalf("MODELS.md unreadable: %v", err)
+	}
+	for _, name := range regexp.MustCompile(`\bTest[A-Z]\w*`).FindAllString(string(doc), -1) {
+		if !declared[name] {
+			t.Errorf("MODELS.md cites %s, which no _test.go file declares", name)
 		}
 	}
 }

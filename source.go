@@ -4,8 +4,9 @@ package kronvalid
 // WriteShards, Count, Digest — over every communication-free sharded
 // generator, Kronecker products and random models alike. Each verb takes
 // a context (long generations are cancellable mid-shard) and functional
-// options (new knobs never break signatures). The legacy per-generator
-// entry points in api.go are thin deprecated shims over these verbs.
+// options (new knobs never break signatures). These verbs are the only
+// generation entry points: every generator family is reached by building
+// a Source (ProductSource, ModelSource, or an external implementation).
 
 import (
 	"context"
@@ -119,20 +120,7 @@ func WithManifestExtra(extra map[string]string) Option {
 // no goroutine outlives the call, and the sink's Flush still runs exactly
 // once so partial output is consistently finalized.
 func Stream(ctx context.Context, src Source, sink ArcSink, opts ...Option) (int64, error) {
-	c := buildConfig(opts)
-	return stream.RunFactoryContext(ctx, src.Shards(), genFactoryOf(src), sink, c.stream)
-}
-
-// genFactoryOf returns src's per-worker generator factory when it
-// offers one (spatial models reuse dependency-cell caches across the
-// shards one worker executes) and a trivial shared-ShardGen factory
-// otherwise. Worker state never changes the stream's bytes, only the
-// cost of producing them.
-func genFactoryOf(src Source) stream.GenFactory {
-	if fs, ok := src.(stream.FactorySource); ok {
-		return fs.ShardGenFactory()
-	}
-	return func() stream.ShardGen { return src.EachShardBatch }
+	return stream.RunSource(ctx, src, sink, buildConfig(opts).stream)
 }
 
 // ToCSR materializes src's graph as CSR adjacency. By default it runs
@@ -146,7 +134,7 @@ func ToCSR(ctx context.Context, src Source, opts ...Option) (*CSRGraph, error) {
 	c := buildConfig(opts)
 	if c.onePass {
 		sink := csr.NewSink(src.NumVertices(), src.TotalArcs())
-		if _, err := stream.RunFactoryContext(ctx, src.Shards(), genFactoryOf(src), sink, c.stream); err != nil {
+		if _, err := stream.RunSource(ctx, src, sink, c.stream); err != nil {
 			return nil, err
 		}
 		return sink.Graph()
@@ -182,18 +170,13 @@ func WriteShards(ctx context.Context, dir string, src Source, opts ...Option) (*
 	c := buildConfig(opts)
 	base := manifestBase(src)
 	base.Extra = c.extra
-	return distgen.WriteShardedSourceContext(ctx, dir, src, base, distgen.WriteOptions{
-		Binary:    c.binary,
-		Workers:   c.stream.Workers,
-		BatchSize: c.stream.BatchSize,
-		Progress:  c.stream.Progress,
-	})
+	return distgen.WriteShards(ctx, dir, src, base, c.binary, c.stream)
 }
 
-// manifestBase keeps the legacy manifest identity fields populated for
-// the built-in source families: kron plans stamp "kron" plus the factor
-// digests, model plans their spec string. Every source — including
-// external ones — additionally gets the uniform Source = Name() field.
+// manifestBase populates the manifest identity fields of the built-in
+// source families: kron plans stamp "kron" plus the factor digests,
+// model plans their spec string. Every source — including external
+// ones — additionally gets the uniform Source = Name() field.
 func manifestBase(src Source) distgen.Manifest {
 	switch s := src.(type) {
 	case *distgen.Plan:
@@ -213,11 +196,7 @@ func manifestBase(src Source) distgen.Manifest {
 // it ahead of generation (Kronecker products, G(n,m)), otherwise by
 // streaming the source through a counting sink under the given options.
 func Count(ctx context.Context, src Source, opts ...Option) (int64, error) {
-	if n := src.TotalArcs(); n >= 0 {
-		return n, nil
-	}
-	var sink CountingSink
-	return Stream(ctx, src, &sink, opts...)
+	return stream.CountSource(ctx, src, buildConfig(opts).stream)
 }
 
 // Digest fingerprints src's canonical stream with the CSRDigest scheme
@@ -228,15 +207,8 @@ func Count(ctx context.Context, src Source, opts ...Option) (int64, error) {
 // generation are streamed twice (count, then hash) — replayability makes
 // the two passes identical by contract.
 func Digest(ctx context.Context, src Source, opts ...Option) (string, error) {
-	arcs, err := Count(ctx, src, opts...)
-	if err != nil {
-		return "", err
-	}
-	sink := gio.NewArcDigestSink(src.NumVertices(), arcs)
-	if _, err := Stream(ctx, src, sink, opts...); err != nil {
-		return "", err
-	}
-	return sink.Digest()
+	d, _, err := gio.DigestSource(ctx, src, buildConfig(opts).stream)
+	return d, err
 }
 
 // GraphDigest fingerprints a factor graph with the pipeline's FNV-1a

@@ -58,115 +58,23 @@ func TestStreamByteIdentityAcrossBatchingAndWorkers(t *testing.T) {
 	}
 }
 
-// TestUnifiedVerbsDigestIdenticalToLegacy is the acceptance pin of the
-// API redesign: ToCSR — in both its two-pass and one-pass modes — must
-// produce CSR digests identical to the legacy BuildCSR/StreamToCSR
-// (kron) and BuildModelCSR/StreamModelToCSR (model) entry points for
-// worker counts {1, 4, 8}.
-func TestUnifiedVerbsDigestIdenticalToLegacy(t *testing.T) {
-	ctx := context.Background()
+// TestWriteShardsStampsIdentity pins the manifest identity WriteShards
+// stamps on a Kronecker source: the uniform Source name, model "kron"
+// with both factor digests, and the caller's Extra annotations.
+func TestWriteShardsStampsIdentity(t *testing.T) {
 	p := pipelineProduct()
-	g := rggGenerator(t)
-	for _, workers := range []int{1, 4, 8} {
-		opts := StreamOptions{Workers: workers}
-
-		legacyKron, err := BuildCSR(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacyKronOnePass, err := StreamToCSR(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kronSrc := ProductSource(p, workers)
-		newKron, err := ToCSR(ctx, kronSrc, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		newKronOnePass, err := ToCSR(ctx, kronSrc, WithWorkers(workers), WithTwoPass(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := CSRDigest(legacyKron)
-		for which, got := range map[string]string{
-			"legacy one-pass": CSRDigest(legacyKronOnePass),
-			"ToCSR two-pass":  CSRDigest(newKron),
-			"ToCSR one-pass":  CSRDigest(newKronOnePass),
-		} {
-			if got != want {
-				t.Errorf("workers=%d kron %s digest %s != legacy BuildCSR %s", workers, which, got, want)
-			}
-		}
-
-		legacyModel, err := BuildModelCSR(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacyModelOnePass, err := StreamModelToCSR(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modelSrc := ModelSource(g, workers)
-		newModel, err := ToCSR(ctx, modelSrc, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		newModelOnePass, err := ToCSR(ctx, modelSrc, WithWorkers(workers), WithTwoPass(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantM := CSRDigest(legacyModel)
-		for which, got := range map[string]string{
-			"legacy one-pass": CSRDigest(legacyModelOnePass),
-			"ToCSR two-pass":  CSRDigest(newModel),
-			"ToCSR one-pass":  CSRDigest(newModelOnePass),
-		} {
-			if got != wantM {
-				t.Errorf("workers=%d model %s digest %s != legacy BuildModelCSR %s", workers, which, got, wantM)
-			}
-		}
-	}
-}
-
-// TestWriteShardsMatchesLegacyAndStampsIdentity pins that WriteShards
-// reproduces the legacy WriteSharded bytes exactly and additionally
-// stamps the uniform Source identity and Extra annotations.
-func TestWriteShardsMatchesLegacyAndStampsIdentity(t *testing.T) {
-	ctx := context.Background()
-	p := pipelineProduct()
-	legacyDir, newDir := t.TempDir(), t.TempDir()
-	lm, err := WriteSharded(legacyDir, p, 4, WriteShardedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := ProductSource(p, 4)
-	nm, err := WriteShards(ctx, newDir, src,
+	m, err := WriteShards(context.Background(), t.TempDir(), src,
 		WithManifestExtra(map[string]string{"pr": "5"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nm.TotalArcs != lm.TotalArcs || len(nm.Shards) != len(lm.Shards) {
-		t.Fatalf("manifests disagree: legacy %d arcs/%d shards, new %d/%d",
-			lm.TotalArcs, len(lm.Shards), nm.TotalArcs, len(nm.Shards))
+	if m.Source != src.Name() || m.Model != "kron" ||
+		m.FactorADigest != GraphDigest(p.A) || m.FactorBDigest != GraphDigest(p.B) {
+		t.Errorf("manifest identity incomplete: %+v", m)
 	}
-	if nm.Source != src.Name() || nm.Model != "kron" || nm.FactorADigest == "" {
-		t.Errorf("new manifest identity incomplete: %+v", nm)
-	}
-	if nm.Extra["pr"] != "5" {
-		t.Errorf("manifest extra lost: %v", nm.Extra)
-	}
-	for _, s := range lm.Shards {
-		lb, err := os.ReadFile(filepath.Join(legacyDir, s.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, err := os.ReadFile(filepath.Join(newDir, s.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(lb, nb) {
-			t.Fatalf("shard %s differs between legacy and unified writers", s.File)
-		}
+	if m.Extra["pr"] != "5" {
+		t.Errorf("manifest extra lost: %v", m.Extra)
 	}
 }
 

@@ -2,6 +2,7 @@ package kronvalid
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,8 +34,8 @@ func TestStreamEdgesBytewiseStableAcrossWorkerCounts(t *testing.T) {
 		var got bytes.Buffer
 		var count CountingSink
 		var check DedupCheckSink
-		n, err := StreamEdges(p, StreamOptions{Workers: workers, BatchSize: 512},
-			MultiSink{NewEdgeListSink(&got), &count, &check})
+		n, err := Stream(context.Background(), ProductSource(p, workers),
+			MultiSink{NewEdgeListSink(&got), &count, &check}, WithWorkers(workers), WithBatchSize(512))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -52,7 +53,7 @@ func TestWriteShardedReproducesSerialStream(t *testing.T) {
 	want := serialEdgeBytes(p)
 	for _, workers := range []int{1, 2, 3, 8} {
 		dir := t.TempDir()
-		m, err := WriteSharded(dir, p, workers, WriteShardedOptions{})
+		m, err := WriteShards(context.Background(), dir, ProductSource(p, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -86,7 +87,7 @@ func TestDegreeHistogramSinkMatchesProductDegrees(t *testing.T) {
 	a := WebGraph(40, 3, 0.6, 4)
 	p := MustProduct(a, HubCycle(5))
 	var h DegreeHistogramSink
-	if _, err := StreamEdges(p, StreamOptions{Workers: 4, BatchSize: 128}, &h); err != nil {
+	if _, err := Stream(context.Background(), ProductSource(p, 4), &h, WithWorkers(4), WithBatchSize(128)); err != nil {
 		t.Fatal(err)
 	}
 	want := map[int64]int64{}
