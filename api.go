@@ -80,10 +80,14 @@ func BarabasiAlbert(n, m int, seed uint64) *Graph { return gen.BarabasiAlbert(n,
 // points, an edge for every pair within Euclidean distance r. The
 // explicit-graph adapter of the streamed cell-grid generator (model kind
 // "rgg2d").
-func RGG2D(n int64, r float64, seed uint64) (*Graph, error) { return gen.RGG2D(n, r, seed) }
+func RGG2D(n int64, r float64, seed uint64) (*Graph, error) {
+	return gen.FromModel(model.NewRGG(n, r, 2, seed, 0))
+}
 
 // RGG3D is RGG2D on the unit cube (model kind "rgg3d").
-func RGG3D(n int64, r float64, seed uint64) (*Graph, error) { return gen.RGG3D(n, r, seed) }
+func RGG3D(n int64, r float64, seed uint64) (*Graph, error) {
+	return gen.FromModel(model.NewRGG(n, r, 3, seed, 0))
+}
 
 // RHG returns the random hyperbolic graph: n points in a hyperbolic
 // disk whose radius is solved for target average degree deg, with
@@ -91,7 +95,7 @@ func RGG3D(n int64, r float64, seed uint64) (*Graph, error) { return gen.RGG3D(n
 // edge for every pair within hyperbolic distance R. The explicit-graph
 // adapter of the streamed band/cell generator (model kind "rhg").
 func RHG(n int64, deg, gamma float64, seed uint64) (*Graph, error) {
-	return gen.RHG(n, deg, gamma, seed)
+	return gen.FromModel(model.NewRHG(n, deg, gamma, seed, 0))
 }
 
 // Grid2D returns the x×y lattice with each lattice edge kept
@@ -99,12 +103,12 @@ func RHG(n int64, deg, gamma float64, seed uint64) (*Graph, error) {
 // (torus) edges. The explicit-graph adapter of the streamed
 // geometric-skip generator (model kind "grid2d").
 func Grid2D(x, y int64, p float64, wrap bool, seed uint64) (*Graph, error) {
-	return gen.Grid2D(x, y, p, wrap, seed)
+	return gen.FromModel(model.NewGrid(x, y, 1, p, wrap, 2, seed, 0))
 }
 
 // Grid3D is Grid2D for the x×y×z lattice (model kind "grid3d").
 func Grid3D(x, y, z int64, p float64, wrap bool, seed uint64) (*Graph, error) {
-	return gen.Grid3D(x, y, z, p, wrap, seed)
+	return gen.FromModel(model.NewGrid(x, y, z, p, wrap, 3, seed, 0))
 }
 
 // WebGraph returns a scale-free graph with triad closure (probability pt

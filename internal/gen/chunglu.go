@@ -14,7 +14,7 @@ import (
 // independence, so ChungLu with the *product's own degree sequence* is
 // the paper's implied null.
 //
-// The sampler is a thin adapter over the sharded Miller–Hagberg core in
+// The sampler materializes the sharded Miller–Hagberg core in
 // internal/model: vertices are sorted by weight, the streamed core emits
 // canonical arcs in the weight-sorted index space, and the arcs are
 // mapped back through the sort order — O(n + m) in expectation, and
@@ -30,12 +30,11 @@ func ChungLu(degrees []int64, seed uint64) *graph.Graph {
 	if err != nil {
 		panic("gen: " + err.Error())
 	}
-	arcs := model.Collect(mg)
-	edges := make([]graph.Edge, len(arcs))
-	for i, a := range arcs {
-		edges[i] = graph.Edge{U: order[a.U], V: order[a.V]}
+	g, err := materialize(mg, maxExplicitArcs, order)
+	if err != nil {
+		panic("gen: " + err.Error())
 	}
-	return graph.FromEdges(n, edges, true)
+	return g
 }
 
 // chungLuOrder returns vertex indices sorted by decreasing weight

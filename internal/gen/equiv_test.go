@@ -128,67 +128,103 @@ func TestBarabasiAlbertLegacyStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestRGGByteIdentityAcrossWorkers is the spatial-model counterpart of
-// the legacy-equivalence tests: there is no legacy RGG, so the pin is
-// the serial chunk-by-chunk stream itself — the parallel pipeline must
-// reproduce it arc for arc at P ∈ {1, 2, 8}, neighbor-cell
-// recomputation included.
-func TestRGGByteIdentityAcrossWorkers(t *testing.T) {
-	for _, spec := range []string{
-		"rgg2d:n=2000,r=0.04,seed=3",
-		"rgg3d:n=900,r=0.12,seed=6",
-	} {
-		mg, err := model.New(spec)
-		if err != nil {
-			t.Fatal(err)
+// sameAsStream checks the contract of FromModel for one spec: the
+// explicit graph is digest-identical to the symmetrized parallel stream
+// at P ∈ {1, 2, 8}, and that stream is arc for arc the serial
+// chunk-by-chunk one.
+func sameAsStream(t *testing.T, spec string) {
+	t.Helper()
+	mg, err := model.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := model.Collect(mg)
+	if len(serial) == 0 {
+		t.Fatalf("%s: empty stream, test is vacuous", spec)
+	}
+	explicit, err := FromModel(mg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gio.GraphDigest(explicit)
+	for _, workers := range []int{1, 2, 8} {
+		got := streamArcs(t, mg, workers)
+		if len(got) != len(serial) {
+			t.Fatalf("%s P=%d: %d arcs, want %d", spec, workers, len(got), len(serial))
 		}
-		want := model.Collect(mg)
-		if len(want) == 0 {
-			t.Fatalf("%s: empty stream, test is vacuous", spec)
+		for i := range serial {
+			if got[i] != serial[i] {
+				t.Fatalf("%s P=%d: arc %d = %v, want %v", spec, workers, i, got[i], serial[i])
+			}
 		}
-		for _, workers := range []int{1, 2, 8} {
-			got := streamArcs(t, mg, workers)
-			if len(got) != len(want) {
-				t.Fatalf("%s P=%d: %d arcs, want %d", spec, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s P=%d: arc %d = %v, want %v", spec, workers, i, got[i], want[i])
-				}
-			}
+		if d := gio.GraphDigest(graphFromArcs(int(mg.NumVertices()), got, nil)); d != want {
+			t.Errorf("%s P=%d: streamed digest %s != FromModel %s", spec, workers, d, want)
 		}
 	}
 }
 
+// TestRGGByteIdentityAcrossWorkers is the spatial-model counterpart of
+// the legacy-equivalence tests: the kinds with no Go constructor of
+// their own in this package are pinned through FromModel, neighbor-cell
+// recomputation included.
+func TestRGGByteIdentityAcrossWorkers(t *testing.T) {
+	sameAsStream(t, "rgg2d:n=2000,r=0.04,seed=3")
+	sameAsStream(t, "rgg3d:n=900,r=0.12,seed=6")
+}
+
 // TestRHGGridByteIdentityAcrossWorkers extends the spatial pin to the
-// hyperbolic and lattice kinds: the parallel pipeline must reproduce
-// the serial chunk-by-chunk stream arc for arc, foreign-cell
-// regeneration (rhg) and per-chunk skip walks (grid) included.
+// hyperbolic and lattice kinds: foreign-cell regeneration (rhg) and
+// per-chunk skip walks (grid) included.
 func TestRHGGridByteIdentityAcrossWorkers(t *testing.T) {
+	sameAsStream(t, "rhg:n=1500,d=8,gamma=2.7,seed=5")
+	sameAsStream(t, "grid2d:x=40,y=30,p=0.5,wrap=true,seed=6")
+	sameAsStream(t, "grid3d:x=10,y=9,z=8,p=0.6,wrap=true,seed=7")
+}
+
+// TestFromModelSizeGuard covers both halves of the explicit-graph cap:
+// a size the generator declares is refused before generation, and a
+// random count aborts collection as soon as it passes the limit.
+func TestFromModelSizeGuard(t *testing.T) {
 	for _, spec := range []string{
-		"rhg:n=1500,d=8,gamma=2.7,seed=5",
-		"grid2d:x=40,y=30,p=0.5,wrap=true,seed=6",
-		"grid3d:x=10,y=9,z=8,p=0.6,wrap=true,seed=7",
+		"gnm:n=300000,m=4000000000", // exact count over the cap
+		"rmat:scale=26",             // edge budget over the cap
+		"rmat:scale=31,edges=10",    // vertex ids past int32
 	} {
-		mg, err := model.New(spec)
-		if err != nil {
-			t.Fatal(err)
+		if g, err := FromModel(model.New(spec)); err == nil {
+			t.Errorf("%s: materialized a %d-vertex graph", spec, g.NumVertices())
 		}
-		want := model.Collect(mg)
-		if len(want) == 0 {
-			t.Fatalf("%s: empty stream, test is vacuous", spec)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got := streamArcs(t, mg, workers)
-			if len(got) != len(want) {
-				t.Fatalf("%s P=%d: %d arcs, want %d", spec, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s P=%d: arc %d = %v, want %v", spec, workers, i, got[i], want[i])
-				}
-			}
-		}
+	}
+	mg, err := model.New("er:n=2000,p=0.5,seed=1") // ~10^6 arcs, count random
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	counting := countingGenerator{Generator: mg, emitted: &emitted}
+	if _, err := materialize(counting, 5000, nil); err == nil {
+		t.Error("running count past the limit accepted")
+	}
+	if emitted > 5000+2*stream.DefaultBatchSize {
+		t.Errorf("collection ran on for %d arcs past a 5000-arc limit", emitted)
+	}
+	if _, err := materialize(mg, 1<<21, nil); err != nil {
+		t.Errorf("under the limit: %v", err)
+	}
+}
+
+// countingGenerator counts the arcs its worker hands to emit, to show
+// that materialize stops the generator rather than discarding output.
+type countingGenerator struct {
+	model.Generator
+	emitted *int
+}
+
+func (c countingGenerator) NewWorker() stream.ShardGen {
+	w := c.Generator.NewWorker()
+	return func(chunk int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+		w(chunk, buf, func(full []stream.Arc) []stream.Arc {
+			*c.emitted += len(full)
+			return emit(full)
+		})
 	}
 }
 

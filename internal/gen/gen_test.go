@@ -97,6 +97,14 @@ func TestErdosRenyi(t *testing.T) {
 	if g.Equal(ErdosRenyi(100, 0.1, 8)) {
 		t.Error("different-seed ER graphs identical")
 	}
+	// The Go function clamps an out-of-range probability into [0, 1];
+	// only the spec surfaces reject it.
+	if got, want := ErdosRenyi(20, 1.5, 1).NumEdgesUndirected(), int64(20*19/2); got != want {
+		t.Errorf("p>1 edges = %d, want complete %d", got, want)
+	}
+	if got := ErdosRenyi(20, -1, 1).NumEdgesUndirected(); got != 0 {
+		t.Errorf("p<0 edges = %d, want 0", got)
+	}
 }
 
 func TestBarabasiAlbert(t *testing.T) {

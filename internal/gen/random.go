@@ -7,34 +7,81 @@ import (
 	"kronvalid/internal/graph"
 	"kronvalid/internal/model"
 	"kronvalid/internal/rng"
+	"kronvalid/internal/stream"
 )
 
-// collectModel materializes a streamed model as an explicit undirected
-// factor graph: the legacy constructors below are thin adapters over the
-// communication-free sharded cores in internal/model, so the explicit
-// and streamed paths can never drift apart.
-func collectModel(g model.Generator, err error) (*graph.Graph, error) {
+// maxExplicitArcs bounds the arcs of an explicit factor graph built from
+// a streamed model. The models hold O(chunk) state however large the
+// spec, but a factor is collected into an in-memory adjacency, so a
+// size reachable from a spec string must be an error, not an allocation
+// blow-up.
+const maxExplicitArcs = int64(1) << 28
+
+// FromModel materializes a streamed model as an explicit undirected
+// factor graph. It is the only model→graph path: the Go constructors
+// below, the root package's RGG/RHG/grid functions and every registry
+// kind named by a factor spec go through it, so the explicit and
+// streamed paths cannot drift apart and one size guard covers them all.
+// It takes a constructor's (generator, error) pair so calls chain.
+func FromModel(g model.Generator, err error) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	return materialize(g, maxExplicitArcs, nil)
+}
+
+// materialize collects g's canonical stream into a graph of at most
+// limit arcs before symmetrization, relabeling vertices through relabel
+// when it is non-nil. A size the generator declares (NumArcs, or the
+// MaxArcs budget of a kind whose realized count is random) is refused
+// before anything is allocated; otherwise collection stops as soon as
+// the running count passes limit.
+func materialize(g model.Generator, limit int64, relabel []int32) (*graph.Graph, error) {
 	n := g.NumVertices()
-	if n > int64(^uint32(0)>>1) {
-		return nil, fmt.Errorf("gen: model with %d vertices too large for an explicit int32 graph", n)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("gen: %s has %d vertices, too many for an explicit int32 graph", g.Name(), n)
 	}
-	arcs := model.Collect(g)
-	edges := make([]graph.Edge, len(arcs))
-	for i, a := range arcs {
-		edges[i] = graph.Edge{U: int32(a.U), V: int32(a.V)}
+	tooLarge := func(arcs string) error {
+		return fmt.Errorf("gen: %s has %s arcs, over the %d-arc cap of an explicit graph; shrink it (rmat: pass edges=) or stream it with gengen",
+			g.Name(), arcs, limit)
+	}
+	exact := g.NumArcs() // -1 when the count is random
+	if exact > limit {
+		return nil, tooLarge(fmt.Sprint(exact))
+	}
+	if b, ok := g.(interface{ MaxArcs() int64 }); ok && b.MaxArcs() > limit {
+		return nil, tooLarge(fmt.Sprint("up to ", b.MaxArcs()))
+	}
+	edges := make([]graph.Edge, 0, max(exact, 0))
+	buf := make([]stream.Arc, 0, stream.DefaultBatchSize)
+	worker := g.NewWorker() // one worker across every chunk
+	over := false
+	for c := 0; c < g.Chunks() && !over; c++ {
+		worker(c, buf, func(full []stream.Arc) []stream.Arc {
+			if int64(len(edges)+len(full)) > limit {
+				over = true
+				return nil
+			}
+			for _, a := range full {
+				u, v := int32(a.U), int32(a.V)
+				if relabel != nil {
+					u, v = relabel[u], relabel[v]
+				}
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+			return full[:0]
+		})
+	}
+	if over {
+		return nil, tooLarge(fmt.Sprintf("more than %d", limit))
 	}
 	return graph.FromEdges(int(n), edges, true), nil
 }
 
-// fromModel is collectModel for the panicking legacy constructors,
-// whose contract (like BarabasiAlbert's) is to panic on invalid
-// arguments. Error-returning callers — the spec boundary — use the
-// *Err variants instead.
-func fromModel(g model.Generator, err error) *graph.Graph {
-	out, err := collectModel(g, err)
+// mustFromModel is FromModel for the Go constructors below, whose
+// documented contract is to panic on invalid arguments.
+func mustFromModel(g model.Generator, err error) *graph.Graph {
+	out, err := FromModel(g, err)
 	if err != nil {
 		panic("gen: " + err.Error())
 	}
@@ -54,21 +101,14 @@ func ErdosRenyi(n int, p float64, seed uint64) *graph.Graph {
 	if p > 1 {
 		p = 1
 	}
-	return fromModel(model.NewErdosRenyi(int64(n), p, seed, 0))
+	return mustFromModel(model.NewErdosRenyi(int64(n), p, seed, 0))
 }
 
 // GNM returns G(n, m): exactly m distinct unordered pairs, uniform up
 // to the deterministic binomial edge-count splitting of the streamed
-// core. It panics on invalid arguments; spec-boundary callers use
-// GNMErr.
+// core. It panics on invalid arguments.
 func GNM(n int, m int64, seed uint64) *graph.Graph {
-	return fromModel(model.NewGnm(int64(n), m, seed, 0))
-}
-
-// GNMErr is GNM with an error return, for callers handling
-// user-supplied parameters (the spec grammar).
-func GNMErr(n int, m int64, seed uint64) (*graph.Graph, error) {
-	return collectModel(model.NewGnm(int64(n), m, seed, 0))
+	return mustFromModel(model.NewGnm(int64(n), m, seed, 0))
 }
 
 // smallSet is the reusable membership scratch for per-vertex target
@@ -95,55 +135,7 @@ func (s smallSet) contains(w int32) bool {
 // loop-free with a power-law degree tail. Duplicate draws are merged
 // (not redrawn), so a vertex can carry slightly fewer than m edges.
 func BarabasiAlbert(n, m int, seed uint64) *graph.Graph {
-	if m < 1 || n < m+1 {
-		panic("gen: BarabasiAlbert needs n > m >= 1")
-	}
-	return fromModel(model.NewBarabasiAlbert(int64(n), int64(m), 0, seed, 0))
-}
-
-// BarabasiAlbertErr is BarabasiAlbert with an error return, for callers
-// handling user-supplied parameters (the spec grammar): the streamed
-// core's range caps surface as errors, never panics.
-func BarabasiAlbertErr(n, m int, seed uint64) (*graph.Graph, error) {
-	if m < 1 || n < m+1 {
-		return nil, fmt.Errorf("gen: BarabasiAlbert needs n > m >= 1 (have n=%d, m=%d)", n, m)
-	}
-	return collectModel(model.NewBarabasiAlbert(int64(n), int64(m), 0, seed, 0))
-}
-
-// RGG2D returns the random geometric graph on the unit square: n
-// uniform points, an edge for every pair at distance <= r. It adapts
-// the streamed cell-grid core; spec-boundary callers get errors, not
-// panics.
-func RGG2D(n int64, r float64, seed uint64) (*graph.Graph, error) {
-	return collectModel(model.NewRGG(n, r, 2, seed, 0))
-}
-
-// RGG3D is RGG2D on the unit cube.
-func RGG3D(n int64, r float64, seed uint64) (*graph.Graph, error) {
-	return collectModel(model.NewRGG(n, r, 3, seed, 0))
-}
-
-// RHG returns the random hyperbolic graph: n points in a hyperbolic
-// disk whose radius is solved for target average degree deg, radial
-// density set by the power-law exponent gamma (> 2), an edge for every
-// pair at hyperbolic distance within the disk radius. It adapts the
-// streamed band/cell core; spec-boundary callers get errors, not
-// panics.
-func RHG(n int64, deg, gamma float64, seed uint64) (*graph.Graph, error) {
-	return collectModel(model.NewRHG(n, deg, gamma, seed, 0))
-}
-
-// Grid2D returns the x×y lattice with each lattice edge kept
-// independently with probability p; wrap adds the per-axis wraparound
-// (torus) edges. It adapts the streamed geometric-skip core.
-func Grid2D(x, y int64, p float64, wrap bool, seed uint64) (*graph.Graph, error) {
-	return collectModel(model.NewGrid(x, y, 1, p, wrap, 2, seed, 0))
-}
-
-// Grid3D is Grid2D for the x×y×z lattice.
-func Grid3D(x, y, z int64, p float64, wrap bool, seed uint64) (*graph.Graph, error) {
-	return collectModel(model.NewGrid(x, y, z, p, wrap, 3, seed, 0))
+	return mustFromModel(model.NewBarabasiAlbert(int64(n), int64(m), 0, seed, 0))
 }
 
 // WebGraph is the offline stand-in for the paper's web-NotreDame input: a
@@ -204,33 +196,7 @@ func WebGraph(n, m int, pt float64, seed uint64) *graph.Graph {
 // adapts the sharded streaming core (per-u-subtree multinomial edge
 // splitting).
 func RMAT(scale int, edges int64, a, b, c, d float64, seed uint64) *graph.Graph {
-	if scale < 1 || scale > 30 {
-		panic("gen: RMAT scale out of range [1,30]")
-	}
-	if a+b+c+d <= 0 {
-		panic("gen: RMAT probabilities must be positive")
-	}
-	return fromModel(model.NewRMAT(scale, edges, a, b, c, d, seed, 0))
-}
-
-// MaxExplicitRMATEdges bounds the edge budget of an *explicit* R-MAT
-// factor graph: the streamed model itself holds only O(scale) state per
-// chunk, but this path collects every arc into an in-memory adjacency,
-// so an unbounded budget reachable from a spec string must be a spec
-// error, not an allocation blow-up.
-const MaxExplicitRMATEdges = int64(1) << 28
-
-// RMATErr is RMAT with an error return, for callers handling
-// user-supplied parameters (the spec grammar).
-func RMATErr(scale int, edges int64, a, b, c, d float64, seed uint64) (*graph.Graph, error) {
-	if scale < 1 || scale > 30 {
-		return nil, fmt.Errorf("gen: RMAT scale %d out of range [1,30] for an explicit graph", scale)
-	}
-	if edges > MaxExplicitRMATEdges {
-		return nil, fmt.Errorf("gen: RMAT edge budget %d exceeds the explicit-graph cap %d; use the streamed model layer for larger budgets",
-			edges, MaxExplicitRMATEdges)
-	}
-	return collectModel(model.NewRMAT(scale, edges, a, b, c, d, seed, 0))
+	return mustFromModel(model.NewRMAT(scale, edges, a, b, c, d, seed, 0))
 }
 
 // Graph500RMAT returns an R-MAT graph with the Graph500 benchmark

@@ -103,14 +103,14 @@ func NewBarabasiAlbert(n, d, s0 int64, seed uint64, chunks int) (*BarabasiAlbert
 	return g, nil
 }
 
-func buildBA(p *Params) (Generator, error) {
+func buildBA(p *Params, seed uint64, chunks int) (Generator, error) {
 	n, err := p.Int64("n", -1)
 	if err != nil {
 		return nil, err
 	}
-	// The attachment degree is "d" (the paper's notation); "m" (the
-	// factor-spec grammar's legacy key for the same quantity) is an
-	// accepted alias, so the two ba surfaces parse each other's specs.
+	// The attachment degree is "d" (the paper's notation); "m" (the key
+	// the Go function BarabasiAlbert(n, m, seed) names it by) is an
+	// accepted alias.
 	_, hasD := p.String("d")
 	_, hasM := p.String("m")
 	if !hasD && !hasM {
@@ -131,14 +131,6 @@ func buildBA(p *Params) (Generator, error) {
 		return nil, fmt.Errorf("parameters \"d\" and \"m\" are aliases and disagree (%d vs %d)", d, m)
 	}
 	s0, err := p.Int64("s0", 0)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := p.Seed()
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := p.Int("chunks", 0)
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,7 @@ func weightDigest(w []float64) uint64 {
 // caller-owned weights.
 const maxChungLuVertices = int64(1) << 28
 
-func buildChungLu(p *Params) (Generator, error) {
+func buildChungLu(p *Params, seed uint64, chunks int) (Generator, error) {
 	n, err := p.Int64("n", -1)
 	if err != nil {
 		return nil, err
@@ -184,14 +184,6 @@ func buildChungLu(p *Params) (Generator, error) {
 	}
 	if !(dmax >= dmin) || dmin < 0 {
 		return nil, fmt.Errorf("model: chunglu needs dmax >= dmin >= 0 (have dmax=%v, dmin=%v)", dmax, dmin)
-	}
-	seed, err := p.Seed()
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := p.Int("chunks", 0)
-	if err != nil {
-		return nil, err
 	}
 	// Deterministic power-law-ish expected degrees, already
 	// non-increasing: w_i = dmax·(i+1)^(-1/(gamma-1)), floored at dmin.

@@ -42,20 +42,12 @@ func NewErdosRenyi(n int64, p float64, seed uint64, chunks int) (*ErdosRenyi, er
 	return &ErdosRenyi{n: n, p: p, seed: seed, ps: ps, rows: ps.chunkRows(chunks)}, nil
 }
 
-func buildER(p *Params) (Generator, error) {
+func buildER(p *Params, seed uint64, chunks int) (Generator, error) {
 	n, err := p.Int64("n", -1)
 	if err != nil {
 		return nil, err
 	}
 	prob, err := p.Float("p", 0.1)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := p.Seed()
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := p.Int("chunks", 0)
 	if err != nil {
 		return nil, err
 	}

@@ -71,20 +71,12 @@ func NewGnm(n, m int64, seed uint64, chunks int) (*Gnm, error) {
 	return g, nil
 }
 
-func buildGnm(p *Params) (Generator, error) {
+func buildGnm(p *Params, seed uint64, chunks int) (Generator, error) {
 	n, err := p.Int64("n", -1)
 	if err != nil {
 		return nil, err
 	}
 	m, err := p.Int64("m", -1)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := p.Seed()
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := p.Int("chunks", 0)
 	if err != nil {
 		return nil, err
 	}

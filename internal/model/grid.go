@@ -76,7 +76,7 @@ func NewGrid(x, y, z int64, p float64, wrap bool, dim int, seed uint64, chunks i
 	return g, nil
 }
 
-func buildGrid(p *Params, dim int) (Generator, error) {
+func buildGrid(p *Params, seed uint64, chunks int, dim int) (Generator, error) {
 	x, err := p.Int64("x", -1)
 	if err != nil {
 		return nil, err
@@ -99,20 +99,12 @@ func buildGrid(p *Params, dim int) (Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed, err := p.Seed()
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := p.Int("chunks", 0)
-	if err != nil {
-		return nil, err
-	}
 	return NewGrid(x, y, z, prob, wrap, dim, seed, chunks)
 }
 
 func init() {
-	Register("grid2d", func(p *Params) (Generator, error) { return buildGrid(p, 2) })
-	Register("grid3d", func(p *Params) (Generator, error) { return buildGrid(p, 3) })
+	Register("grid2d", func(p *Params, seed uint64, chunks int) (Generator, error) { return buildGrid(p, seed, chunks, 2) })
+	Register("grid3d", func(p *Params, seed uint64, chunks int) (Generator, error) { return buildGrid(p, seed, chunks, 3) })
 }
 
 // Name returns the canonical spec of this generator.

@@ -39,9 +39,10 @@
 // the stream; changing the worker count never does.
 //
 // Models register themselves in a registry keyed by a spec string
-// (`er:n=100000,p=0.001,seed=42`), mirroring the factor-spec grammar of
-// internal/spec, so CLIs and the public API construct generators
-// model-agnostically.
+// (`er:n=100000,p=0.001,seed=42`), so CLIs and the public API construct
+// generators model-agnostically. The registry is the only place a model
+// kind's parameters are read: the factor surface (internal/spec) hands
+// every kind it does not own to FromParams.
 package model
 
 import (
@@ -452,8 +453,9 @@ func prefixRuns(prefix []float64, parts int, keepEmpty bool) [][2]int {
 }
 
 // Collect regenerates the model's full canonical stream serially and
-// returns it as one arc slice — the materialization path the legacy
-// gen.* constructors adapt over.
+// returns it as one arc slice, unbounded: the reference the tests
+// compare the drivers against. Building a graph from outside input goes
+// through gen.FromModel, which caps the size.
 func Collect(g Generator) []stream.Arc {
 	var out []stream.Arc
 	if n := g.NumArcs(); n > 0 {

@@ -398,6 +398,14 @@ func TestRegistrySpecs(t *testing.T) {
 	if _, err := New("er:n=10,junk"); err == nil {
 		t.Error("malformed parameter accepted")
 	}
+	if _, err := New("er:n=10,n=20,p=0.5"); err == nil || !strings.Contains(err.Error(), "duplicate parameter") {
+		t.Errorf("duplicate key error = %v", err)
+	}
+	for _, bad := range []string{"er:n=10,seed=-1", "er:n=10,chunks=x"} {
+		if _, err := New(bad); err == nil || !strings.HasPrefix(err.Error(), "model: parameter") {
+			t.Errorf("%s: error = %v", bad, err)
+		}
+	}
 	if _, err := New("gnm:n=10"); err == nil {
 		t.Error("gnm without m accepted")
 	}
@@ -462,11 +470,14 @@ func TestDependenciesContract(t *testing.T) {
 // the identical stream — names are the manifest's reproducibility
 // contract.
 func TestNameRoundTrips(t *testing.T) {
+	covered := map[string]bool{}
 	for _, spec := range testSpecs {
 		g, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		kind, _, _ := strings.Cut(g.Name(), ":")
+		covered[kind] = true
 		g2, err := New(g.Name())
 		if err != nil {
 			t.Fatalf("New(%q): %v", g.Name(), err)
@@ -476,6 +487,11 @@ func TestNameRoundTrips(t *testing.T) {
 		}
 		if !sameArcs(Collect(g), Collect(g2)) {
 			t.Errorf("%s: round-tripped generator streams different arcs", g.Name())
+		}
+	}
+	for _, kind := range Kinds() {
+		if !covered[kind] {
+			t.Errorf("registered kind %q has no entry in testSpecs", kind)
 		}
 	}
 }

@@ -15,8 +15,10 @@ import (
 // generation spec would otherwise silently change the generated graph.
 type Params = params.Params
 
-// Builder constructs a generator from parsed parameters.
-type Builder func(p *Params) (Generator, error)
+// Builder constructs a generator from a kind's own parameters; the two
+// every kind shares ("seed", default 1, and "chunks", default 0 =
+// DefaultChunks) are read once, by FromParams, and passed in.
+type Builder func(p *Params, seed uint64, chunks int) (Generator, error)
 
 var registry = map[string]Builder{}
 
@@ -47,11 +49,26 @@ func New(spec string) (Generator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("model: %v", err)
 	}
+	return FromParams(kind, p)
+}
+
+// FromParams is New for a spec that is already parsed — the entry the
+// factor surface (internal/spec) uses for every kind it does not own,
+// so a factor spec and a model spec are read by the same code.
+func FromParams(kind string, p *Params) (Generator, error) {
 	b, ok := registry[kind]
 	if !ok {
 		return nil, fmt.Errorf("model: unknown model kind %q (have %s)", kind, strings.Join(Kinds(), ", "))
 	}
-	g, err := b(p)
+	seed, err := p.Seed()
+	if err != nil {
+		return nil, modelErr(err)
+	}
+	chunks, err := p.Int("chunks", 0)
+	if err != nil {
+		return nil, modelErr(err)
+	}
+	g, err := b(p, seed, chunks)
 	if err != nil {
 		return nil, modelErr(err)
 	}

@@ -181,7 +181,7 @@ func NewRGG(n int64, r float64, dim int, seed uint64, chunks int) (*RGG, error) 
 	return g, nil
 }
 
-func buildRGG(p *Params, dim int) (Generator, error) {
+func buildRGG(p *Params, seed uint64, chunks int, dim int) (Generator, error) {
 	n, err := p.Int64("n", -1)
 	if err != nil {
 		return nil, err
@@ -190,20 +190,12 @@ func buildRGG(p *Params, dim int) (Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed, err := p.Seed()
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := p.Int("chunks", 0)
-	if err != nil {
-		return nil, err
-	}
 	return NewRGG(n, r, dim, seed, chunks)
 }
 
 func init() {
-	Register("rgg2d", func(p *Params) (Generator, error) { return buildRGG(p, 2) })
-	Register("rgg3d", func(p *Params) (Generator, error) { return buildRGG(p, 3) })
+	Register("rgg2d", func(p *Params, seed uint64, chunks int) (Generator, error) { return buildRGG(p, seed, chunks, 2) })
+	Register("rgg3d", func(p *Params, seed uint64, chunks int) (Generator, error) { return buildRGG(p, seed, chunks, 3) })
 }
 
 // Name returns the canonical spec of this generator.

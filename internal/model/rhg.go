@@ -259,7 +259,7 @@ func NewRHG(n int64, deg, gamma float64, seed uint64, chunks int) (*RHG, error) 
 	return g, nil
 }
 
-func buildRHG(p *Params) (Generator, error) {
+func buildRHG(p *Params, seed uint64, chunks int) (Generator, error) {
 	n, err := p.Int64("n", -1)
 	if err != nil {
 		return nil, err
@@ -269,14 +269,6 @@ func buildRHG(p *Params) (Generator, error) {
 		return nil, err
 	}
 	gamma, err := p.Float("gamma", 3)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := p.Seed()
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := p.Int("chunks", 0)
 	if err != nil {
 		return nil, err
 	}

@@ -88,11 +88,11 @@ func rmatChunkBits(scale, chunks int) uint {
 	return k
 }
 
-// DefaultRMATEdges returns the default edge budget of an R-MAT spec —
+// defaultRMATEdges returns the default edge budget of an R-MAT spec —
 // the Graph500 edge factor 16, clamped to the model's total budget
 // bound. Returns -1 (treated as required by the parameter readers) when
 // scale or the probabilities are unusable.
-func DefaultRMATEdges(scale int, a, b, c, d float64) int64 {
+func defaultRMATEdges(scale int, a, b, c, d float64) int64 {
 	sum := a + b + c + d
 	if scale < 1 || scale > maxRMATScale || !(sum > 0) || math.IsNaN(sum) || math.IsInf(sum, 0) {
 		return -1
@@ -104,7 +104,7 @@ func DefaultRMATEdges(scale int, a, b, c, d float64) int64 {
 	return edges
 }
 
-func buildRMAT(p *Params) (Generator, error) {
+func buildRMAT(p *Params, seed uint64, chunks int) (Generator, error) {
 	scale, err := p.Int("scale", -1)
 	if err != nil {
 		return nil, err
@@ -125,15 +125,7 @@ func buildRMAT(p *Params) (Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed, err := p.Seed()
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := p.Int("chunks", 0)
-	if err != nil {
-		return nil, err
-	}
-	edges, err := p.Int64("edges", DefaultRMATEdges(scale, a, b, c, d))
+	edges, err := p.Int64("edges", defaultRMATEdges(scale, a, b, c, d))
 	if err != nil {
 		return nil, err
 	}
@@ -154,6 +146,11 @@ func (g *RMAT) NumVertices() int64 { return int64(1) << uint(g.scale) }
 
 // NumArcs returns -1: deduplication makes the realized count random.
 func (g *RMAT) NumArcs() int64 { return -1 }
+
+// MaxArcs returns the edge budget: deduplication only lowers the
+// realized count, so a consumer that must hold every arc can refuse an
+// oversized spec before generating any.
+func (g *RMAT) MaxArcs() int64 { return g.edges }
 
 // Chunks returns the fixed chunk count 2^k.
 func (g *RMAT) Chunks() int { return 1 << g.k }

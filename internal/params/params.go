@@ -1,9 +1,11 @@
-// Package params is the shared "kind:key=value,key=value,…" grammar of
-// the generator specification strings: factor specs (internal/spec) and
-// random-model specs (internal/model) parse through one implementation,
-// so the two surfaces cannot drift. Accessors record every key they
-// consume; callers reject the leftovers via Unused, so a typo'd
-// parameter is an error instead of a silently applied default.
+// Package params is the "kind:key=value,key=value,…" grammar of the
+// generator specification strings. Every surface parses through it: the
+// model registry (internal/model) owns the random-model kinds, and the
+// factor surface (internal/spec) adds its factor-only kinds and hands
+// every other kind to the registry, so a spec string has one meaning.
+// Accessors record every key they consume; callers reject the leftovers
+// via Unused, so a typo'd parameter is an error instead of a silently
+// applied default — as is an empty or repeated key.
 //
 // Error messages carry no package prefix — callers wrap them with their
 // own ("spec: …", "model: …") so CLI output names the surface the user
@@ -28,7 +30,9 @@ type Params struct {
 // spec with no colon at all ("hubcycle") is a kind with no parameters —
 // valid whenever the kind's parameters all have defaults. The
 // KaGen-style surface form "kind(key=value;key=value)" is accepted as
-// an alias and normalized to the colon/comma form before parsing.
+// an alias and normalized to the colon/comma form before parsing. An
+// empty or repeated key is an error: which of two values the user meant
+// is not this package's guess to make.
 func Parse(spec string) (kind string, p *Params, err error) {
 	if i := strings.IndexByte(spec, '('); i >= 0 &&
 		strings.HasSuffix(spec, ")") && !strings.Contains(spec[:i], ":") {
@@ -39,8 +43,11 @@ func Parse(spec string) (kind string, p *Params, err error) {
 	if rest != "" {
 		for _, kv := range strings.Split(rest, ",") {
 			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
+			if !ok || k == "" {
 				return "", nil, fmt.Errorf("malformed parameter %q", kv)
+			}
+			if _, dup := p.kv[k]; dup {
+				return "", nil, fmt.Errorf("duplicate parameter %q", k)
 			}
 			p.kv[k] = v
 		}

@@ -51,6 +51,13 @@ func TestParseErrors(t *testing.T) {
 	if _, _, err := Parse("er:n=1,junk"); err == nil {
 		t.Error("malformed pair accepted")
 	}
+	// A repeated or empty key is never resolved by guessing which value
+	// was meant, in either surface form.
+	for _, bad := range []string{"er:n=10,n=20", "er(n=10;p=0.5;n=20)", "er:=5", "er:n=10,=5", "er:n=10,"} {
+		if _, _, err := Parse(bad); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
 	_, p, err := Parse("er:n=notanumber")
 	if err != nil {
 		t.Fatal(err)

@@ -1,33 +1,31 @@
-// Package spec parses compact factor-graph specifications used by the
-// command-line tools, e.g.
+// Package spec parses the factor-graph specifications of the
+// command-line tools. It owns the kinds that exist only as explicit
+// factors:
 //
 //	web:n=4096,m=4,pt=0.7,seed=42      scale-free with triad closure
 //	clique:n=5                          K_5
 //	jclique:n=5                         J_5 (clique + all self loops)
 //	hubcycle:c=4                        Ex. 2 graph
 //	cycle:n=9 | path:n=9 | star:n=9
-//	er:n=200,p=0.1,seed=1               Erdős–Rényi G(n, p)
-//	gnm:n=200,m=1000,seed=1             uniform G(n, m) (exact edge count)
-//	ba:n=1000,m=3,seed=1                Barabási–Albert (streamed retracing core)
 //	pa1:n=500,seed=1                    §III.D(b) Δ≤1 generator
-//	rmat:scale=10,edges=16384,seed=1    R-MAT (defaults to Graph500 parameters)
-//	rgg2d:n=1000,r=0.05,seed=1          random geometric graph, unit square
-//	rgg3d:n=1000,r=0.1,seed=1           random geometric graph, unit cube
-//	rhg:n=1000,d=8,gamma=2.9,seed=1     random hyperbolic graph
-//	grid2d:x=30,y=20,wrap=true          lattice / torus (p= keeps edges)
-//	grid3d:x=10,y=10,z=10,p=0.5         3D lattice with Bernoulli edges
 //	file:path=edges.tsv,n=100           TSV edge list (symmetrized)
+//
+// Every other kind is a random-model kind and is resolved by the model
+// registry (MODELS.md, `gengen -kinds`): the same string means the same
+// graph here, in gengen and in genserve, and registering a kind is all
+// it takes to make it a factor. Such a factor is collected in memory,
+// so it is refused once it exceeds the explicit-graph arc cap
+// (gen.FromModel).
 //
 // A trailing "+loops" adds a self loop at every vertex (B = A + I).
 // Unknown parameter keys are rejected — before any generation work is
-// spent — so a typo cannot silently fall back to a default; the grammar
-// itself is shared with the random-model registry via internal/params.
+// spent — so a typo cannot silently fall back to a default.
 package spec
 
 import (
 	"fmt"
-	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"kronvalid/internal/gen"
@@ -41,25 +39,29 @@ import (
 // are read and validated in full (including unknown-key rejection)
 // before the generator runs, so malformed specs fail fast.
 func Parse(s string) (*graph.Graph, error) {
-	addLoops := false
-	if strings.HasSuffix(s, "+loops") {
-		addLoops = true
-		s = strings.TrimSuffix(s, "+loops")
-	}
-	kind, p, err := params.Parse(s)
+	g, err := parse(s)
 	if err != nil {
 		return nil, fmt.Errorf("spec: %v", err)
+	}
+	return g, nil
+}
+
+func parse(s string) (*graph.Graph, error) {
+	s, addLoops := strings.CutSuffix(s, "+loops")
+	kind, p, err := params.Parse(s)
+	if err != nil {
+		return nil, err
 	}
 	mk, err := builder(kind, p)
 	if err != nil {
-		return nil, specErr(err)
+		return nil, err
 	}
 	if err := p.CheckUnused(kind); err != nil {
-		return nil, fmt.Errorf("spec: %v", err)
+		return nil, err
 	}
 	g, err := mk()
 	if err != nil {
-		return nil, specErr(err)
+		return nil, err
 	}
 	if addLoops {
 		g = g.WithAllLoops()
@@ -67,124 +69,49 @@ func Parse(s string) (*graph.Graph, error) {
 	return g, nil
 }
 
-// specErr prefixes parameter-layer errors with the package the user
-// typed at, without double-prefixing errors that already carry it.
-func specErr(err error) error {
-	if strings.HasPrefix(err.Error(), "spec: ") {
-		return err
-	}
-	return fmt.Errorf("spec: %v", err)
-}
-
-// boundedVertexCount reads a required "n" destined for an explicit
-// int32 factor graph, turning out-of-range values into spec errors at
-// the CLI boundary (the gen constructors panic, per their contract).
-func boundedVertexCount(p *params.Params) (int, error) {
-	n, err := p.Int64("n", -1)
-	if err != nil {
-		return 0, err
-	}
-	if n < 0 || n > math.MaxInt32 {
-		return 0, fmt.Errorf("spec: vertex count %d out of [0, %d]", n, math.MaxInt32)
-	}
-	return int(n), nil
-}
-
 // maker defers the (possibly expensive) generation until every
 // parameter of the spec has been validated.
 type maker func() (*graph.Graph, error)
 
+// oneInt lists the deterministic families fixed by a single integer
+// (def < 0 marks it required).
+var oneInt = map[string]struct {
+	key   string
+	def   int
+	build func(int) *graph.Graph
+}{
+	"clique":   {"n", -1, gen.Clique},
+	"jclique":  {"n", -1, gen.CliqueWithLoops},
+	"hubcycle": {"c", 4, gen.HubCycle},
+	"cycle":    {"n", -1, gen.Cycle},
+	"path":     {"n", -1, gen.Path},
+	"star":     {"n", -1, gen.Star},
+}
+
+// factorOnly names the kinds this package builds itself, for the
+// unknown-kind message.
+const factorOnly = "clique, cycle, file, hubcycle, jclique, pa1, path, star, web"
+
 func builder(kind string, p *params.Params) (maker, error) {
+	if slices.Contains(model.Kinds(), kind) {
+		mg, err := model.FromParams(kind, p)
+		if err != nil {
+			return nil, err
+		}
+		return func() (*graph.Graph, error) { return gen.FromModel(mg, nil) }, nil
+	}
 	seed, err := p.Seed()
 	if err != nil {
 		return nil, err
 	}
+	if f, ok := oneInt[kind]; ok {
+		v, err := p.Int(f.key, f.def)
+		if err != nil {
+			return nil, err
+		}
+		return func() (*graph.Graph, error) { return f.build(v), nil }, nil
+	}
 	switch kind {
-	case "clique":
-		n, err := p.Int("n", -1)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.Clique(n), nil }, nil
-	case "jclique":
-		n, err := p.Int("n", -1)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.CliqueWithLoops(n), nil }, nil
-	case "hubcycle":
-		c, err := p.Int("c", 4)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.HubCycle(c), nil }, nil
-	case "cycle":
-		n, err := p.Int("n", -1)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.Cycle(n), nil }, nil
-	case "path":
-		n, err := p.Int("n", -1)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.Path(n), nil }, nil
-	case "star":
-		n, err := p.Int("n", -1)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.Star(n), nil }, nil
-	case "er":
-		n, err := boundedVertexCount(p)
-		if err != nil {
-			return nil, err
-		}
-		prob, err := p.Float("p", 0.1)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.ErdosRenyi(n, prob, seed), nil }, nil
-	case "gnm":
-		n, err := boundedVertexCount(p)
-		if err != nil {
-			return nil, err
-		}
-		m, err := p.Int64("m", -1)
-		if err != nil {
-			return nil, err
-		}
-		// n is bounded by MaxInt32, so the pair count cannot overflow.
-		maxPairs := int64(n) * int64(n-1) / 2
-		if m < 0 || m > maxPairs {
-			return nil, fmt.Errorf("spec: gnm edge count %d out of [0, %d]", m, maxPairs)
-		}
-		return func() (*graph.Graph, error) { return gen.GNMErr(n, m, seed) }, nil
-	case "ba":
-		n, err := p.Int("n", -1)
-		if err != nil {
-			return nil, err
-		}
-		// "m" is this grammar's historical key; "d" (the model
-		// registry's name for the same quantity) is an accepted alias.
-		_, hasM := p.String("m")
-		_, hasD := p.String("d")
-		m, err := p.Int("m", 3)
-		if err != nil {
-			return nil, err
-		}
-		d, err := p.Int("d", 0)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case !hasM && hasD:
-			m = d
-		case hasM && hasD && d != m:
-			return nil, fmt.Errorf("spec: ba parameters \"m\" and \"d\" are aliases and disagree (%d vs %d)", m, d)
-		}
-		return func() (*graph.Graph, error) { return gen.BarabasiAlbertErr(n, m, seed) }, nil
 	case "web":
 		n, err := p.Int("n", -1)
 		if err != nil {
@@ -205,106 +132,10 @@ func builder(kind string, p *params.Params) (maker, error) {
 			return nil, err
 		}
 		return func() (*graph.Graph, error) { return gen.TriangleLimitedPA(n, seed), nil }, nil
-	case "rmat":
-		scale, err := p.Int("scale", -1)
-		if err != nil {
-			return nil, err
-		}
-		a, err := p.Float("a", 0.57)
-		if err != nil {
-			return nil, err
-		}
-		b, err := p.Float("b", 0.19)
-		if err != nil {
-			return nil, err
-		}
-		c, err := p.Float("c", 0.19)
-		if err != nil {
-			return nil, err
-		}
-		d, err := p.Float("d", 0.05)
-		if err != nil {
-			return nil, err
-		}
-		// The default edge budget matches the model registry's default,
-		// clamped to the explicit-graph cap — omitting edges= must never
-		// fail, even at scales whose edge-factor default exceeds what an
-		// in-memory factor graph can hold.
-		def := min(model.DefaultRMATEdges(scale, a, b, c, d), gen.MaxExplicitRMATEdges)
-		edges, err := p.Int64("edges", def)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.RMATErr(scale, edges, a, b, c, d, seed) }, nil
-	case "rgg2d", "rgg3d":
-		n, err := boundedVertexCount(p)
-		if err != nil {
-			return nil, err
-		}
-		r, err := p.FloatReq("r")
-		if err != nil {
-			return nil, err
-		}
-		dim := 2
-		if kind == "rgg3d" {
-			dim = 3
-		}
-		return func() (*graph.Graph, error) {
-			if dim == 3 {
-				return gen.RGG3D(int64(n), r, seed)
-			}
-			return gen.RGG2D(int64(n), r, seed)
-		}, nil
-	case "rhg":
-		n, err := boundedVertexCount(p)
-		if err != nil {
-			return nil, err
-		}
-		d, err := p.FloatReq("d")
-		if err != nil {
-			return nil, err
-		}
-		gamma, err := p.Float("gamma", 3)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.RHG(int64(n), d, gamma, seed) }, nil
-	case "grid2d", "grid3d":
-		x, err := p.Int64("x", -1)
-		if err != nil {
-			return nil, err
-		}
-		y, err := p.Int64("y", -1)
-		if err != nil {
-			return nil, err
-		}
-		z := int64(1)
-		if kind == "grid3d" {
-			if z, err = p.Int64("z", -1); err != nil {
-				return nil, err
-			}
-		}
-		prob, err := p.Float("p", 1)
-		if err != nil {
-			return nil, err
-		}
-		wrap, err := p.Bool("wrap", false)
-		if err != nil {
-			return nil, err
-		}
-		if n := x * y * z; x > 0 && y > 0 && z > 0 && n > math.MaxInt32 {
-			return nil, fmt.Errorf("spec: grid with %d vertices too large for an explicit factor", n)
-		}
-		return func() (*graph.Graph, error) {
-			if kind == "grid3d" {
-				return gen.Grid3D(x, y, z, prob, wrap, seed)
-			}
-			return gen.Grid2D(x, y, prob, wrap, seed)
-		}, nil
 	case "file":
 		path, ok := p.String("path")
 		if !ok {
-			return nil, fmt.Errorf("spec: file requires path=")
+			return nil, fmt.Errorf("file requires path=")
 		}
 		n, err := p.Int("n", -1)
 		if err != nil {
@@ -319,6 +150,7 @@ func builder(kind string, p *params.Params) (maker, error) {
 			return gio.ReadEdgeList(f, n, true)
 		}, nil
 	default:
-		return nil, fmt.Errorf("spec: unknown generator kind %q", kind)
+		return nil, fmt.Errorf("unknown generator kind %q (factor-only kinds: %s; model kinds: %s)",
+			kind, factorOnly, strings.Join(model.Kinds(), ", "))
 	}
 }

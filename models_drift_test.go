@@ -66,10 +66,12 @@ func TestModelReferenceCoversRegistry(t *testing.T) {
 // so a renamed or deleted test would silently drop out of its CI job.
 // Every alternative of every -run '…' pattern in the CI workflow, and
 // every Test… identifier MODELS.md cites, must match a test function
-// declared in the repo's _test.go files.
+// declared in the repo's _test.go files. The same holds for fuzz
+// targets: `go test -fuzz` with a stale name exits 0 having fuzzed
+// nothing, so every Fuzz… identifier in the workflow must be declared.
 func TestCINamedTestsExist(t *testing.T) {
 	declared := map[string]bool{}
-	funcDecl := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return err
@@ -123,6 +125,15 @@ func TestCINamedTestsExist(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("found no -run patterns in ci.yml — the gate is vacuous")
+	}
+	fuzzed := regexp.MustCompile(`\bFuzz[A-Z]\w*`).FindAllString(string(ci), -1)
+	if len(fuzzed) == 0 {
+		t.Fatal("found no fuzz targets in ci.yml — the gate is vacuous")
+	}
+	for _, name := range fuzzed {
+		if !declared[name] {
+			t.Errorf("ci.yml fuzzes %s, which no _test.go file declares", name)
+		}
 	}
 
 	doc, err := os.ReadFile("MODELS.md")
