@@ -191,11 +191,14 @@ type VertexStat = kron.KronVecSum
 // EdgeStat is a per-edge product statistic in Kronecker-sum form.
 type EdgeStat = kron.KronMatSum
 
-// FactorStats bundles t, Δ, diag(B³) and B∘B² for one factor.
+// FactorStats holds one factor's t, Δ, diag(B³), B∘B² and loop terms. A
+// Product computes its factors' statistics itself, once each, on the first
+// formula that needs them; they are shared and must not be modified.
 type FactorStats = kron.FactorTriangleStats
 
-// ComputeFactorStats runs the triangle engine and sparse kernels on one
-// factor; reuse the result across formulas.
+// ComputeFactorStats runs the triangle engine once on an undirected factor
+// and reads every other quantity off its result and the factor's arcs; B²
+// is never formed. Needed only for a factor that is not in a Product.
 func ComputeFactorStats(g *Graph) *FactorStats { return kron.ComputeFactorStats(g) }
 
 // VertexParticipation returns the exact t_C for any undirected factors

@@ -3,7 +3,7 @@
 // product is materialized and every statistic recomputed directly; in
 // sampled mode (-sample) arbitrary-scale products are spot-checked by
 // egonet extraction and per-edge recounts. Exit status is nonzero on any
-// mismatch.
+// mismatch, and when no check could run at all.
 //
 // Usage:
 //
@@ -63,7 +63,16 @@ func main() {
 
 	fmt.Printf("validating C = (%s) ⊗ (%s): %d vertices, %d arcs [%s mode]\n\n",
 		*aSpec, *bSpec, p.NumVertices(), p.NumArcs(), mode)
+	if p.IsSymmetric() {
+		tau, err := kron.TriangleTotal(p)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  closed-form τ(C) = %d\n\n", tau)
+	}
+	ran := false
 	for _, c := range report.Checks {
+		ran = ran || c.Ran
 		switch {
 		case !c.Ran:
 			fmt.Printf("  %-46s skipped: %s\n", c.Name, c.Skipped)
@@ -72,6 +81,10 @@ func main() {
 		default:
 			fmt.Printf("  %-46s FAIL\n", c.Name)
 		}
+	}
+	if !ran {
+		fmt.Println("\nFAILED: no check ran")
+		os.Exit(1)
 	}
 	if !report.AllPassed() {
 		fmt.Printf("\nFAILED: %v\n", report.Failures())

@@ -30,6 +30,10 @@
 //	t, _ := kronvalid.VertexParticipation(p)          // exact t_C, lazily evaluated
 //	total, _ := kronvalid.TriangleTotal(p)            // exact τ(C)
 //
+// The product counts triangles once on each factor, on the first formula
+// that needs it; every closed form after that is a lookup into the same
+// per-factor statistics (DESIGN.md §1, "Factor statistics").
+//
 // # The unified Source pipeline
 //
 // Every generator — Kronecker products and the classical random models

@@ -302,7 +302,7 @@ func FromCSR(offsets []int64, nbrs []int32) *Graph {
 }
 
 // FromSparse converts a square 0/1 sparse matrix to a Graph. Values must
-// be exactly 1 (use Binarize first otherwise).
+// be exactly 1.
 func FromSparse(m *sparse.Matrix) *Graph {
 	if !m.IsSquare() {
 		panic("graph: FromSparse needs a square matrix")

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"kronvalid/internal/census"
-	"kronvalid/internal/sparse"
 )
 
 // DirectedStats holds the Kronecker-derived directed triangle census of
@@ -30,10 +29,8 @@ func DirectedCensus(p *Product) (*DirectedStats, error) {
 	censusA := census.DirectedVertexCensus(p.A)
 	edgeA := census.DirectedEdgeCensus(p.A)
 
-	b := p.B.ToSparse()
-	b2 := b.Mul(b)
-	diagB3 := sparse.DiagOfProduct(b2, b)
-	hadB := b.Hadamard(b2)
+	sb := p.sb.get()
+	diagB3, hadB := sb.DiagCube, sb.HadSquare
 
 	out := &DirectedStats{
 		Vertex: make(map[census.VertexType]*KronVecSum, census.NumVertexTypes),

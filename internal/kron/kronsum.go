@@ -64,17 +64,8 @@ func (s *KronVecSum) Total() (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		term, err := sparse.CheckedMul(abs64(t.Coef), prod)
-		if err != nil {
+		if acc, err = addTerm(acc, t.Coef, prod); err != nil {
 			return 0, err
-		}
-		if t.Coef < 0 {
-			term = -term
-		}
-		prev := acc
-		acc += term
-		if (term > 0 && acc < prev) || (term < 0 && acc > prev) {
-			return 0, sparse.ErrOverflow
 		}
 	}
 	if acc%s.Den != 0 {
@@ -155,19 +146,30 @@ func (s *KronMatSum) Total() (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		term := t.Coef * prod
-		prev := acc
-		acc += term
-		if (term > 0 && acc < prev) || (term < 0 && acc > prev) {
-			return 0, sparse.ErrOverflow
+		if acc, err = addTerm(acc, t.Coef, prod); err != nil {
+			return 0, err
 		}
 	}
 	return acc, nil
 }
 
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
+// addTerm returns acc + coef·prod for a nonnegative count prod, or
+// ErrOverflow if the multiply or the add leaves int64.
+func addTerm(acc, coef, prod int64) (int64, error) {
+	mag := coef
+	if mag < 0 {
+		mag = -mag
 	}
-	return x
+	term, err := sparse.CheckedMul(mag, prod)
+	if err != nil {
+		return 0, err
+	}
+	if coef < 0 {
+		term = -term
+	}
+	sum := acc + term
+	if (term > 0 && sum < acc) || (term < 0 && sum > acc) {
+		return 0, sparse.ErrOverflow
+	}
+	return sum, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"kronvalid/internal/census"
-	"kronvalid/internal/sparse"
 )
 
 // LabeledStats holds the Kronecker-derived labeled triangle census of
@@ -31,10 +30,8 @@ func LabeledCensus(p *Product) (*LabeledStats, error) {
 	vertexA := census.LabeledVertexCensus(p.A)
 	edgeA := census.LabeledEdgeCensus(p.A)
 
-	b := p.B.ToSparse()
-	b2 := b.Mul(b)
-	diagB3 := sparse.DiagOfProduct(b2, b)
-	hadB := b.Hadamard(b2)
+	sb := p.sb.get()
+	diagB3, hadB := sb.DiagCube, sb.HadSquare
 
 	out := &LabeledStats{
 		Vertex: make(map[census.LabelVertexType]*KronVecSum, len(vertexA)),

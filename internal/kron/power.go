@@ -19,9 +19,13 @@ import (
 // Vertex indexing is mixed-radix: p = ((i_1·n_2 + i_2)·n_3 + i_3)… with
 // factor 1 as the most significant digit, consistent with the binary
 // Product when k = 2.
+//
+// Like Product, it computes each distinct factor's statistics once, on
+// first use; Factors must not be reassigned after NewMultiProduct.
 type MultiProduct struct {
 	Factors []*graph.Graph
 	radix   []int64 // radix[i] = Π_{j>i} n_j
+	memos   []*factorMemo
 }
 
 // NewMultiProduct validates the factors (at least one; sizes multiply
@@ -51,7 +55,7 @@ func NewMultiProduct(factors ...*graph.Graph) (*MultiProduct, error) {
 		radix[i] = acc
 		acc *= int64(factors[i].NumVertices())
 	}
-	return &MultiProduct{Factors: factors, radix: radix}, nil
+	return &MultiProduct{Factors: factors, radix: radix, memos: newFactorMemos(factors...)}, nil
 }
 
 // MustMultiProduct panics on invalid factors.
@@ -248,35 +252,18 @@ func (s *MultiVecSum) Total() (int64, error) {
 		prod := int64(1)
 		var err error
 		for _, u := range t.us {
-			prod, err = sparse.CheckedMul(prod, nonNegOrZero(sparse.SumVec(u)))
-			if err != nil {
+			if prod, err = sparse.CheckedMul(prod, sparse.SumVec(u)); err != nil {
 				return 0, err
 			}
 		}
-		term, err := sparse.CheckedMul(abs64(t.coef), prod)
-		if err != nil {
+		if acc, err = addTerm(acc, t.coef, prod); err != nil {
 			return 0, err
-		}
-		if t.coef < 0 {
-			term = -term
-		}
-		prev := acc
-		acc += term
-		if (term > 0 && acc < prev) || (term < 0 && acc > prev) {
-			return 0, sparse.ErrOverflow
 		}
 	}
 	if acc%s.den != 0 {
 		return 0, fmt.Errorf("kron: non-integral multi total %d/%d", acc, s.den)
 	}
 	return acc / s.den, nil
-}
-
-func nonNegOrZero(x int64) int64 {
-	if x < 0 {
-		panic("kron: negative factor sum in multi statistic")
-	}
-	return x
 }
 
 // Vector materializes the statistic (validation scale).
@@ -297,31 +284,21 @@ func (s *MultiVecSum) Vector() []int64 {
 //
 // All factors must be undirected.
 func MultiVertexParticipation(p *MultiProduct) (*MultiVecSum, error) {
-	if !p.IsSymmetric() {
-		return nil, errors.New("kron: formula requires undirected factors")
+	stats, allLoops, err := p.factorStats()
+	if err != nil {
+		return nil, err
 	}
-	k := len(p.Factors)
+	k := len(stats)
 	cube := make([][]int64, k)
 	sqD := make([][]int64, k)
 	bdb := make([][]int64, k)
 	dd := make([][]int64, k)
-	anyNoLoops := false
-	for i, f := range p.Factors {
-		b := f.ToSparse()
-		d := b.DiagPart()
-		b2 := b.Mul(b)
-		cube[i] = sparse.DiagOfProduct(b2, b)
-		sqD[i] = sparse.DiagOfProduct(b2, d)
-		bdb[i] = sparse.Diag3(b, d, b)
-		dd[i] = d.Diag()
-		if d.NNZ() == 0 {
-			anyNoLoops = true
-		}
+	for i, st := range stats {
+		cube[i], sqD[i], bdb[i], dd[i] = st.DiagCube, st.diagSqD, st.diagGDG, st.loopDiag
 	}
 	s := &MultiVecSum{den: 2, p: p}
 	s.terms = append(s.terms, multiVecTerm{coef: 1, us: cube})
-	if !anyNoLoops {
-		// D_C = ⊗D_i is nonzero only when every factor has loops.
+	if allLoops {
 		s.terms = append(s.terms,
 			multiVecTerm{coef: -2, us: sqD},
 			multiVecTerm{coef: -1, us: bdb},
@@ -329,6 +306,22 @@ func MultiVertexParticipation(p *MultiProduct) (*MultiVecSum, error) {
 		)
 	}
 	return s, nil
+}
+
+// factorStats returns the statistics of every factor, and whether all of
+// them have loops: D_C = ⊗D_i is nonzero, and the loop terms of the
+// expansions present, only then. All factors must be undirected.
+func (p *MultiProduct) factorStats() (stats []*FactorTriangleStats, allLoops bool, err error) {
+	if !p.IsSymmetric() {
+		return nil, false, errors.New("kron: formula requires undirected factors")
+	}
+	stats = make([]*FactorTriangleStats, len(p.memos))
+	allLoops = true
+	for i, m := range p.memos {
+		stats[i] = m.get()
+		allLoops = allLoops && stats[i].hasLoops()
+	}
+	return stats, allLoops, nil
 }
 
 // MultiTriangleTotal returns exact τ(C) for the k-fold product; for
@@ -355,49 +348,26 @@ func MultiTriangleTotal(p *MultiProduct) (int64, error) {
 //
 // Returned as a closure over precomputed factor matrices.
 func MultiEdgeDelta(p *MultiProduct) (func(u, v int64) int64, error) {
-	if !p.IsSymmetric() {
-		return nil, errors.New("kron: formula requires undirected factors")
-	}
-	k := len(p.Factors)
-	had := make([]*sparse.Matrix, k)
-	db := make([]*sparse.Matrix, k)
-	bd := make([]*sparse.Matrix, k)
-	dOnly := make([]*sparse.Matrix, k)
-	dHad := make([]*sparse.Matrix, k)
-	anyNoLoops := false
-	for i, f := range p.Factors {
-		b := f.ToSparse()
-		d := b.DiagPart()
-		b2 := b.Mul(b)
-		had[i] = b.Hadamard(b2)
-		db[i] = d.Mul(b)
-		bd[i] = b.Mul(d)
-		dOnly[i] = d
-		dHad[i] = d.Hadamard(b2)
-		if d.NNZ() == 0 {
-			anyNoLoops = true
-		}
-	}
-	evalTerm := func(ms []*sparse.Matrix, u, v int64) int64 {
-		fu := p.FactorsOf(u)
-		fv := p.FactorsOf(v)
-		prod := int64(1)
-		for i, m := range ms {
-			prod *= m.At(int(fu[i]), int(fv[i]))
-			if prod == 0 {
-				return 0
-			}
-		}
-		return prod
+	stats, allLoops, err := p.factorStats()
+	if err != nil {
+		return nil, err
 	}
 	return func(u, v int64) int64 {
-		acc := evalTerm(had, u, v)
-		if !anyNoLoops {
-			acc -= evalTerm(db, u, v)
-			acc -= evalTerm(bd, u, v)
-			acc += 2 * evalTerm(dOnly, u, v)
-			acc -= evalTerm(dHad, u, v)
+		fu, fv := p.FactorsOf(u), p.FactorsOf(v)
+		had, db, bd, d, dHad := int64(1), int64(1), int64(1), int64(1), int64(1)
+		for i, st := range stats {
+			r, c := int(fu[i]), int(fv[i])
+			had *= st.HadSquare.At(r, c)
+			if allLoops {
+				db *= st.loopRows.At(r, c)
+				bd *= st.loopCols.At(r, c)
+				d *= st.loopPart.At(r, c)
+				dHad *= st.loopHadSq.At(r, c)
+			}
 		}
-		return acc
+		if !allLoops {
+			return had
+		}
+		return had - db - bd + 2*d - dHad
 	}, nil
 }

@@ -11,6 +11,7 @@ package kron
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"kronvalid/internal/graph"
 	"kronvalid/internal/sparse"
@@ -22,9 +23,43 @@ import (
 var ErrTooLarge = errors.New("kron: product too large to materialize")
 
 // Product is the implicit Kronecker product graph C = A ⊗ B.
+//
+// Its factor statistics are computed once per factor, on first use, and
+// read by every closed form. That memo cannot go stale: graph.Graph has no
+// mutating method, and A and B must not be reassigned after NewProduct.
 type Product struct {
-	A, B *graph.Graph
-	nB   int64
+	A, B   *graph.Graph
+	nB     int64
+	sa, sb *factorMemo
+}
+
+// factorMemo computes one factor's statistics on first use. It is per
+// factor, not per product, because a formula may need only one side
+// (DirectedCensus reads B's while A is directed and has none).
+type factorMemo struct {
+	g     *graph.Graph
+	once  sync.Once
+	stats *FactorTriangleStats
+}
+
+// newFactorMemos returns one memo per factor; factors that are the same
+// *graph.Graph (A ⊗ A, Kronecker powers) share one.
+func newFactorMemos(factors ...*graph.Graph) []*factorMemo {
+	byGraph := map[*graph.Graph]*factorMemo{}
+	memos := make([]*factorMemo, len(factors))
+	for i, f := range factors {
+		if byGraph[f] == nil {
+			byGraph[f] = &factorMemo{g: f}
+		}
+		memos[i] = byGraph[f]
+	}
+	return memos
+}
+
+// get returns the factor's statistics. The factor must be undirected.
+func (m *factorMemo) get() *FactorTriangleStats {
+	m.once.Do(func() { m.stats = ComputeFactorStats(m.g) })
+	return m.stats
 }
 
 // NewProduct validates the factors (sizes must multiply within int64) and
@@ -39,7 +74,18 @@ func NewProduct(a, b *graph.Graph) (*Product, error) {
 	if _, err := sparse.CheckedMul(a.NumArcs(), b.NumArcs()); err != nil {
 		return nil, fmt.Errorf("kron: arc count overflow: %w", err)
 	}
-	return &Product{A: a, B: b, nB: int64(b.NumVertices())}, nil
+	memos := newFactorMemos(a, b)
+	return &Product{A: a, B: b, nB: int64(b.NumVertices()), sa: memos[0], sb: memos[1]}, nil
+}
+
+// FactorStats returns the statistics of A and of B that every closed form
+// of p reads, computing each on its first use. Both factors must be
+// undirected.
+func (p *Product) FactorStats() (sa, sb *FactorTriangleStats, err error) {
+	if err := requireUndirected(p); err != nil {
+		return nil, nil, err
+	}
+	return p.sa.get(), p.sb.get(), nil
 }
 
 // MustProduct is NewProduct that panics on error, for tests and examples

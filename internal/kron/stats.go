@@ -8,9 +8,14 @@ import (
 	"kronvalid/internal/triangle"
 )
 
-// FactorTriangleStats bundles the per-factor quantities every Kronecker
-// formula consumes. Computing it once per factor and reusing it across
-// formulas is the "inline with generation" workflow of the paper.
+// FactorTriangleStats holds every per-factor quantity the Kronecker
+// formulas consume. ComputeFactorStats is the only place they are derived;
+// a Product computes one per factor on first use and every closed form
+// reads it, which is the "inline with generation" workflow of the paper:
+// ground truth for C costs one triangle count on each factor.
+//
+// The vectors and matrices are shared by every statistic built from them
+// and must not be modified.
 type FactorTriangleStats struct {
 	G *graph.Graph
 	// T is t_G: triangle participation per vertex of the loop-free
@@ -25,26 +30,87 @@ type FactorTriangleStats struct {
 	HadSquare *sparse.Matrix
 	// Total is τ(G) of the loop-free version.
 	Total int64
-	// WedgeChecks records the cost of the combinatorial triangle pass.
+	// WedgeChecks records the cost of the combinatorial triangle pass,
+	// which is the whole superlinear cost of these statistics.
 	WedgeChecks int64
+
+	// The loop terms of the general §III.B and §III.C expansions, all
+	// zero for a loop-free factor. D = I∘G is the self-loop part of G.
+	loopDiag  []int64        // diag(D), the loop indicator s
+	diagSqD   []int64        // diag(G²D)
+	diagGDG   []int64        // diag(G D G)
+	loopPart  *sparse.Matrix // D
+	loopRows  *sparse.Matrix // D G
+	loopCols  *sparse.Matrix // G D
+	loopHadSq *sparse.Matrix // D ∘ G²
 }
 
-// ComputeFactorStats runs the triangle engine on the loop-free part of g
-// and the sparse kernels on the full g.
+// ComputeFactorStats runs the triangle engine once on g and reads every
+// other quantity off its result and g's loop indicator s in three passes
+// over the arcs. G² is never formed: for symmetric 0/1 G with raw degree r
+// (row sum, loop included),
+//
+//	(G∘G²)_ij  = Δ_ij + s_i + s_j  (i ≠ j),   (G∘G²)_ii = s_i·r_i,
+//	diag(G³)   = rowsums(G∘G²),
+//	diag(G²D)_i = s_i·r_i,   diag(GDG)_i = Σ_{j∈N(i)} s_j,
+//	D∘G² = diag(s_i·r_i),    DG, GD = the looped rows, columns of G,
+//
+// because a length-two walk i→k→j along an arc (i,j) either passes a
+// common neighbor k ∉ {i,j} (counted by Δ) or waits on a loop at i or j.
+// It panics if g is not symmetric.
 func ComputeFactorStats(g *graph.Graph) *FactorTriangleStats {
 	res := triangle.Count(g)
-	a := g.ToSparse()
-	a2 := a.Mul(a)
-	return &FactorTriangleStats{
+	n := g.NumVertices()
+	s, sr := make([]int64, n), make([]int64, n) // s_i and s_i·r_i
+	for v := range s {
+		if g.LoopAt(int32(v)) {
+			s[v], sr[v] = 1, g.OutDegreeRaw(int32(v))
+		}
+	}
+	st := &FactorTriangleStats{
 		G:           g,
 		T:           res.PerVertex,
 		Delta:       res.EdgeDelta,
-		DiagCube:    sparse.DiagOfProduct(a2, a),
-		HadSquare:   a.Hadamard(a2),
 		Total:       res.Total,
 		WedgeChecks: res.WedgeChecks,
+		loopDiag:    s,
+		diagSqD:     sr,
+		loopPart:    sparse.DiagMatrix(s),
+		loopHadSq:   sparse.DiagMatrix(sr),
 	}
+	st.HadSquare = arcMatrix(g, func(i, j int32) int64 {
+		if i == j {
+			return sr[i]
+		}
+		return res.EdgeDelta.At(int(i), int(j)) + s[i] + s[j]
+	})
+	st.DiagCube = st.HadSquare.RowSums()
+	st.loopRows = arcMatrix(g, func(i, _ int32) int64 { return s[i] })
+	st.loopCols = arcMatrix(g, func(_, j int32) int64 { return s[j] })
+	st.diagGDG = st.loopCols.RowSums()
+	return st
 }
+
+// arcMatrix returns the matrix holding val(i, j) at every arc (i, j) of g,
+// zeros dropped.
+func arcMatrix(g *graph.Graph, val func(i, j int32) int64) *sparse.Matrix {
+	n := g.NumVertices()
+	rowPtr := make([]int64, n+1)
+	var colIdx []int32
+	var vals []int64
+	for i := int32(0); int(i) < n; i++ {
+		for _, j := range g.Neighbors(i) {
+			if v := val(i, j); v != 0 {
+				colIdx = append(colIdx, j)
+				vals = append(vals, v)
+			}
+		}
+		rowPtr[i+1] = int64(len(colIdx))
+	}
+	return sparse.NewCSR(n, n, rowPtr, colIdx, vals)
+}
+
+func (s *FactorTriangleStats) hasLoops() bool { return s.loopPart.NNZ() != 0 }
 
 func requireUndirected(p *Product) error {
 	if !p.A.IsSymmetric() || !p.B.IsSymmetric() {
@@ -64,36 +130,16 @@ func requireUndirected(p *Product) error {
 // loops and to Cor. 1 (t_C = t_A ⊗ diag(B³)) when only B does. Both
 // factors must be undirected.
 func VertexParticipation(p *Product) (*KronVecSum, error) {
-	if err := requireUndirected(p); err != nil {
+	sa, sb, err := p.FactorStats()
+	if err != nil {
 		return nil, err
 	}
-	a, b := p.A.ToSparse(), p.B.ToSparse()
-	da, db := a.DiagPart(), b.DiagPart()
-	a2, b2 := a.Mul(a), b.Mul(b)
-
-	sum := &KronVecSum{Den: 2, nB: p.nB}
-	sum.Terms = append(sum.Terms, VecTerm{
-		Coef: 1,
-		U:    sparse.DiagOfProduct(a2, a),
-		V:    sparse.DiagOfProduct(b2, b),
-	})
-	if da.NNZ() != 0 && db.NNZ() != 0 {
+	sum := &KronVecSum{Den: 2, nB: p.nB, Terms: []VecTerm{{Coef: 1, U: sa.DiagCube, V: sb.DiagCube}}}
+	if sa.hasLoops() && sb.hasLoops() {
 		sum.Terms = append(sum.Terms,
-			VecTerm{
-				Coef: -2,
-				U:    sparse.DiagOfProduct(a2, da),
-				V:    sparse.DiagOfProduct(b2, db),
-			},
-			VecTerm{
-				Coef: -1,
-				U:    sparse.Diag3(a, da, a),
-				V:    sparse.Diag3(b, db, b),
-			},
-			VecTerm{
-				Coef: 2,
-				U:    da.Diag(),
-				V:    db.Diag(),
-			},
+			VecTerm{Coef: -2, U: sa.diagSqD, V: sb.diagSqD},
+			VecTerm{Coef: -1, U: sa.diagGDG, V: sb.diagGDG},
+			VecTerm{Coef: 2, U: sa.loopDiag, V: sb.loopDiag},
 		)
 	}
 	return sum, nil
@@ -140,21 +186,17 @@ func VertexParticipationLoopsInB(p *Product, sa, sb *FactorTriangleStats) (*Kron
 // which reduces to Thm. 2 (Δ_C = Δ_A ⊗ Δ_B) with loop-free factors and to
 // Cor. 2 (Δ_C = Δ_A ⊗ (B∘B²)) when only B has loops.
 func EdgeParticipation(p *Product) (*KronMatSum, error) {
-	if err := requireUndirected(p); err != nil {
+	sa, sb, err := p.FactorStats()
+	if err != nil {
 		return nil, err
 	}
-	a, b := p.A.ToSparse(), p.B.ToSparse()
-	da, db := a.DiagPart(), b.DiagPart()
-	a2, b2 := a.Mul(a), b.Mul(b)
-
-	sum := &KronMatSum{nB: p.nB, mB: p.nB}
-	sum.Terms = append(sum.Terms, MatTerm{Coef: 1, M: a.Hadamard(a2), N: b.Hadamard(b2)})
-	if da.NNZ() != 0 && db.NNZ() != 0 {
+	sum := &KronMatSum{nB: p.nB, mB: p.nB, Terms: []MatTerm{{Coef: 1, M: sa.HadSquare, N: sb.HadSquare}}}
+	if sa.hasLoops() && sb.hasLoops() {
 		sum.Terms = append(sum.Terms,
-			MatTerm{Coef: -1, M: da.Mul(a), N: db.Mul(b)},
-			MatTerm{Coef: -1, M: a.Mul(da), N: b.Mul(db)},
-			MatTerm{Coef: 2, M: da, N: db},
-			MatTerm{Coef: -1, M: da.Hadamard(a2), N: db.Hadamard(b2)},
+			MatTerm{Coef: -1, M: sa.loopRows, N: sb.loopRows},
+			MatTerm{Coef: -1, M: sa.loopCols, N: sb.loopCols},
+			MatTerm{Coef: 2, M: sa.loopPart, N: sb.loopPart},
+			MatTerm{Coef: -1, M: sa.loopHadSq, N: sb.loopHadSq},
 		)
 	}
 	return sum, nil

@@ -30,7 +30,7 @@ func TrussDecomposition(p *Product) (*ProductTruss, error) {
 	if p.A.HasAnyLoop() || p.B.HasAnyLoop() {
 		return nil, errors.New("kron: Thm. 3 requires loop-free factors")
 	}
-	sb := ComputeFactorStats(p.B)
+	sb := p.sb.get()
 	if sb.Delta.MaxVal() > 1 {
 		return nil, errors.New("kron: Thm. 3 requires Δ_B ≤ 1 (every edge of B in at most one triangle)")
 	}

@@ -1,6 +1,6 @@
 // Package par provides the small set of shared-memory parallelism
-// primitives used by the library: blocked parallel loops, reductions, and
-// range chunking. All functions degrade gracefully to serial execution
+// primitives used by the library: blocked and dynamically scheduled
+// parallel loops, per-worker fan-out, and range chunking. All functions degrade gracefully to serial execution
 // when the work is small or only one processor is available.
 package par
 
@@ -50,17 +50,6 @@ func Chunks(n, parts int64) [][2]int64 {
 // serialCutoff is the range size below which parallel dispatch is not
 // worth the goroutine overhead.
 const serialCutoff = 2048
-
-// For runs body(i) for every i in [0, n), in parallel across up to
-// MaxWorkers goroutines using contiguous blocks. body must be safe to call
-// concurrently for distinct i.
-func For(n int64, body func(i int64)) {
-	ForBlocked(n, func(lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
 
 // ForBlocked runs body(lo, hi) over a partition of [0, n) into contiguous
 // blocks, one block per worker. This is the preferred form when the body
@@ -126,42 +115,6 @@ func ForDynamic(n, grain int64, body func(i int64)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// SumInt64 computes sum_{i in [0,n)} f(i) in parallel with per-worker
-// partial sums (no atomics on the hot path).
-func SumInt64(n int64, f func(i int64) int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	workers := MaxWorkers()
-	if n < serialCutoff || workers == 1 {
-		var s int64
-		for i := int64(0); i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	chunks := Chunks(n, int64(workers))
-	partial := make([]int64, len(chunks))
-	var wg sync.WaitGroup
-	wg.Add(len(chunks))
-	for ci, c := range chunks {
-		go func(ci int, lo, hi int64) {
-			defer wg.Done()
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += f(i)
-			}
-			partial[ci] = s
-		}(ci, c[0], c[1])
-	}
-	wg.Wait()
-	var total int64
-	for _, s := range partial {
-		total += s
-	}
-	return total
 }
 
 // MapWorkers runs fn(worker, nWorkers) once per worker in parallel and

@@ -66,20 +66,6 @@ func TestQuickChunksPartition(t *testing.T) {
 	}
 }
 
-func TestForVisitsEachIndexOnce(t *testing.T) {
-	for _, n := range []int64{0, 1, 100, 5000, 100000} {
-		counts := make([]int32, n)
-		For(n, func(i int64) {
-			atomic.AddInt32(&counts[i], 1)
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
 func TestForBlockedCoversRange(t *testing.T) {
 	const n = 100000
 	counts := make([]int32, n)
@@ -108,34 +94,6 @@ func TestForDynamicVisitsEachIndexOnce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSumInt64(t *testing.T) {
-	for _, n := range []int64{0, 1, 10, 4096, 123457} {
-		got := SumInt64(n, func(i int64) int64 { return i })
-		want := n * (n - 1) / 2
-		if n <= 0 {
-			want = 0
-		}
-		if got != want {
-			t.Errorf("SumInt64(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestQuickSumMatchesSerial(t *testing.T) {
-	f := func(nRaw uint16, mult int8) bool {
-		n := int64(nRaw)
-		m := int64(mult)
-		var serial int64
-		for i := int64(0); i < n; i++ {
-			serial += i*m + 3
-		}
-		return SumInt64(n, func(i int64) int64 { return i*m + 3 }) == serial
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -179,10 +137,4 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-func BenchmarkForOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		SumInt64(100000, func(i int64) int64 { return i & 7 })
-	}
 }

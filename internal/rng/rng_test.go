@@ -220,3 +220,41 @@ func BenchmarkInt64n(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestReseedMatchesNew checks Reseed reproduces New's state exactly —
+// the property that lets retracing loops drop the per-step allocation
+// without moving a draw.
+func TestReseedMatchesNew(t *testing.T) {
+	var g Xoshiro256
+	for _, seed := range []uint64{0, 1, 42, 1<<63 + 12345, ^uint64(0)} {
+		g.Reseed(seed)
+		if want := New(seed); g.s != want.s {
+			t.Fatalf("Reseed(%d) state %v, New gives %v", seed, g.s, want.s)
+		}
+	}
+	// Interleave with draws: Reseed must fully overwrite prior state.
+	g.Reseed(5)
+	g.Uint64()
+	g.Reseed(5)
+	if want := New(5); g.s != want.s {
+		t.Fatal("Reseed after draws does not reset to the New state")
+	}
+}
+
+// TestReseedStream2MatchesNewStream2 checks the in-place two-level
+// stream derivation is bit-identical to NewStream2.
+func TestReseedStream2MatchesNewStream2(t *testing.T) {
+	var g Xoshiro256
+	cases := [][3]uint64{
+		{0, 0, 0},
+		{42, 0x636c_7501, 7},
+		{^uint64(0), 0x6261_0001, 1 << 40},
+		{12345, 99, ^uint64(0)},
+	}
+	for _, c := range cases {
+		g.ReseedStream2(c[0], c[1], c[2])
+		if want := NewStream2(c[0], c[1], c[2]); g.s != want.s {
+			t.Fatalf("ReseedStream2(%v) state %v, NewStream2 gives %v", c, g.s, want.s)
+		}
+	}
+}

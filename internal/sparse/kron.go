@@ -41,10 +41,3 @@ func Kron(m, n *Matrix) *Matrix {
 	}
 	return &Matrix{rows: outRows, cols: outCols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
-
-// KronAt returns entry (p, q) of m ⊗ n without materializing it:
-// (m ⊗ n)[p][q] = m[p/nRows][q/nCols] * n[p%nRows][q%nCols].
-func KronAt(m, n *Matrix, p, q int64) int64 {
-	nr, nc := int64(n.rows), int64(n.cols)
-	return m.At(int(p/nr), int(q/nc)) * n.At(int(p%nr), int(q%nc))
-}

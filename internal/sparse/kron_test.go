@@ -19,20 +19,6 @@ func TestKronAgainstDense(t *testing.T) {
 	}
 }
 
-func TestKronAt(t *testing.T) {
-	g := rng.New(32)
-	a := randomMatrix(g, 6, 7, 0.4, 4)
-	b := randomMatrix(g, 5, 4, 0.4, 4)
-	full := Kron(a, b)
-	for p := int64(0); p < int64(full.Rows()); p++ {
-		for q := int64(0); q < int64(full.Cols()); q++ {
-			if got, want := KronAt(a, b, p, q), full.At(int(p), int(q)); got != want {
-				t.Fatalf("KronAt(%d,%d) = %d, want %d", p, q, got, want)
-			}
-		}
-	}
-}
-
 // Prop. 1(c): (A1 ⊗ A2)^t = A1^t ⊗ A2^t.
 func TestKronTransposition(t *testing.T) {
 	g := rng.New(33)

@@ -75,24 +75,6 @@ func (m *Matrix) Mul(n *Matrix) *Matrix {
 	return &Matrix{rows: outRows, cols: outCols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
-// MulVec returns m·v for a dense vector v.
-func (m *Matrix) MulVec(v []int64) []int64 {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("sparse: MulVec length %d, want %d", len(v), m.cols))
-	}
-	out := make([]int64, m.rows)
-	par.ForBlocked(int64(m.rows), func(lo, hi int64) {
-		for r := lo; r < hi; r++ {
-			var s int64
-			for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-				s += m.val[k] * v[m.colIdx[k]]
-			}
-			out[r] = s
-		}
-	})
-	return out
-}
-
 // DiagOfProduct returns diag(m·n) without forming the product: entry r is
 // the dot product of row r of m with column r of n, computed as a
 // merge-join of row r of m against rows of n (via n's transpose would be

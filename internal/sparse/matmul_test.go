@@ -40,36 +40,26 @@ func TestMulLargeParallelPath(t *testing.T) {
 	}
 }
 
-func TestMulVecAgainstMul(t *testing.T) {
-	g := rng.New(23)
-	for trial := 0; trial < 20; trial++ {
-		r, c := 1+g.Intn(30), 1+g.Intn(30)
-		a := randomMatrix(g, r, c, 0.3, 5)
-		v := make([]int64, c)
-		for i := range v {
-			v[i] = g.Int64n(10) - 5
-		}
-		// Compare to a·v via dense.
-		d := DenseFrom(a)
-		want := make([]int64, r)
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				want[i] += d.At(i, j) * v[j]
-			}
-		}
-		if got := a.MulVec(v); !EqualVec(got, want) {
-			t.Fatalf("MulVec = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRowSumsEqualsMulOnes(t *testing.T) {
 	g := rng.New(24)
 	m := randomMatrix(g, 40, 25, 0.2, 7)
-	if !EqualVec(m.RowSums(), m.MulVec(Ones(25))) {
+	// mulOnes is A·1 as a sparse product with the all-ones column.
+	mulOnes := func(a *Matrix) []int64 {
+		ones := make([][]int64, a.Cols())
+		for i := range ones {
+			ones[i] = []int64{1}
+		}
+		out := make([]int64, a.Rows())
+		a.Mul(FromDense(ones)).Each(func(r, _ int, v int64) bool {
+			out[r] = v
+			return true
+		})
+		return out
+	}
+	if !EqualVec(m.RowSums(), mulOnes(m)) {
 		t.Error("RowSums != A·1")
 	}
-	if !EqualVec(m.ColSums(), m.T().MulVec(Ones(40))) {
+	if !EqualVec(m.ColSums(), mulOnes(m.T())) {
 		t.Error("ColSums != A^t·1")
 	}
 }

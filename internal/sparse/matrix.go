@@ -7,7 +7,7 @@
 // path counts, triangle counts) is a nonnegative integer, and triangle
 // counts of Kronecker product graphs reach the hundreds of trillions: exact
 // integer arithmetic is the point of the whole exercise. Arithmetic that
-// could overflow int64 is guarded (see CheckedMul / CheckedAdd in value.go).
+// could overflow int64 is guarded (see CheckedMul in value.go).
 //
 // The zero value of Matrix is not useful; construct with New, FromTriplets,
 // FromDense, Identity, or the graph package's conversions.
@@ -109,9 +109,6 @@ func (m *Matrix) Row(r int) (cols []int32, vals []int64) {
 	return m.colIdx[lo:hi], m.val[lo:hi]
 }
 
-// RowNNZ returns the number of stored entries in row r.
-func (m *Matrix) RowNNZ(r int) int64 { return m.rowPtr[r+1] - m.rowPtr[r] }
-
 // Each calls fn(r, c, v) for every stored entry in row-major order,
 // stopping early if fn returns false.
 func (m *Matrix) Each(fn func(r, c int, v int64) bool) {
@@ -176,20 +173,6 @@ func (m *Matrix) IsBinary() bool {
 		}
 	}
 	return true
-}
-
-// HasDiagonal reports whether any diagonal entry is nonzero (the graph has
-// a self loop).
-func (m *Matrix) HasDiagonal() bool {
-	if !m.IsSquare() {
-		return false
-	}
-	for r := 0; r < m.rows; r++ {
-		if m.At(r, r) != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders small matrices densely for debugging; large matrices are
@@ -302,13 +285,4 @@ func Identity(n int) *Matrix {
 		val[i] = 1
 	}
 	return &Matrix{rows: n, cols: n, rowPtr: rowPtr, colIdx: colIdx, val: val}
-}
-
-// Ones returns the vector of n ones (the paper's 1_A).
-func Ones(n int) []int64 {
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
 }

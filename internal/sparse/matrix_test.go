@@ -21,20 +21,26 @@ func randomMatrix(g *rng.Xoshiro256, rows, cols int, density float64, maxVal int
 // self loops.
 func randomSymmetric(g *rng.Xoshiro256, n int, density float64, loops bool) *Matrix {
 	var ts []Triplet
+	seen := map[[2]int]bool{} // FromTriplets sums duplicates; keep it 0/1
+	add := func(r, c int) {
+		if !seen[[2]int{r, c}] {
+			seen[[2]int{r, c}] = true
+			ts = append(ts, Triplet{r, c, 1})
+		}
+	}
 	target := int(density * float64(n) * float64(n) / 2)
 	for i := 0; i < target; i++ {
 		a, b := g.Intn(n), g.Intn(n)
 		if a == b {
-			if !loops {
-				continue
+			if loops {
+				add(a, a)
 			}
-			ts = append(ts, Triplet{a, a, 1})
 			continue
 		}
-		ts = append(ts, Triplet{a, b, 1}, Triplet{b, a, 1})
+		add(a, b)
+		add(b, a)
 	}
-	m := FromTriplets(n, n, ts)
-	return m.Binarize() // duplicate triplets summed; reduce back to 0/1
+	return FromTriplets(n, n, ts)
 }
 
 func TestFromTripletsBasics(t *testing.T) {
@@ -130,15 +136,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestHasDiagonal(t *testing.T) {
-	if FromTriplets(3, 3, []Triplet{{0, 1, 1}}).HasDiagonal() {
-		t.Error("loop-free matrix reports a diagonal")
-	}
-	if !FromTriplets(3, 3, []Triplet{{1, 1, 1}}).HasDiagonal() {
-		t.Error("matrix with self loop reports no diagonal")
-	}
-}
-
 func TestRowAccessors(t *testing.T) {
 	m := FromTriplets(3, 5, []Triplet{{1, 0, 4}, {1, 3, 6}, {1, 4, 1}})
 	cols, vals := m.Row(1)
@@ -147,9 +144,6 @@ func TestRowAccessors(t *testing.T) {
 	}
 	if vals[0] != 4 || vals[1] != 6 || vals[2] != 1 {
 		t.Fatalf("Row vals = %v", vals)
-	}
-	if m.RowNNZ(0) != 0 || m.RowNNZ(1) != 3 {
-		t.Errorf("RowNNZ wrong: %d %d", m.RowNNZ(0), m.RowNNZ(1))
 	}
 }
 
@@ -188,12 +182,6 @@ func TestCheckedArithmetic(t *testing.T) {
 	if _, err := CheckedMul(1<<32, 1<<32); err == nil {
 		t.Error("CheckedMul(2^32,2^32) should overflow")
 	}
-	if _, err := CheckedAdd(1<<62, 1<<62); err == nil {
-		t.Error("CheckedAdd(2^62,2^62) should overflow")
-	}
-	if v, err := CheckedAdd(5, 7); err != nil || v != 12 {
-		t.Errorf("CheckedAdd(5,7) = %d, %v", v, err)
-	}
 	if _, err := CheckedMul(-1, 2); err == nil {
 		t.Error("CheckedMul should reject negative counts")
 	}
@@ -204,12 +192,6 @@ func TestVecHelpers(t *testing.T) {
 	v := []int64{4, 5, 6}
 	if SumVec(u) != 6 {
 		t.Error("SumVec")
-	}
-	if !EqualVec(AddVec(u, v), []int64{5, 7, 9}) {
-		t.Error("AddVec")
-	}
-	if !EqualVec(ScaleVec(2, u), []int64{2, 4, 6}) {
-		t.Error("ScaleVec")
 	}
 	if EqualVec(u, v) || EqualVec(u, v[:2]) {
 		t.Error("EqualVec false positives")

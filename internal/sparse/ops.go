@@ -127,15 +127,6 @@ func (m *Matrix) Scale(a int64) *Matrix {
 	return out
 }
 
-// Binarize returns the 0/1 pattern of m: entry 1 wherever m is nonzero.
-func (m *Matrix) Binarize() *Matrix {
-	out := m.Clone()
-	for i := range out.val {
-		out.val[i] = 1
-	}
-	return out
-}
-
 // Diag returns the main diagonal as a vector (the paper's diag(A) =
 // (I ∘ A)·1). Panics if the matrix is not square.
 func (m *Matrix) Diag() []int64 {
@@ -164,26 +155,6 @@ func DiagMatrix(d []int64) *Matrix {
 // (Def. 4, used throughout the self-loop derivations).
 func (m *Matrix) DiagPart() *Matrix {
 	return DiagMatrix(m.Diag())
-}
-
-// OffDiag returns A - I ∘ A: the matrix with self loops removed (Rem. 3).
-func (m *Matrix) OffDiag() *Matrix {
-	if !m.IsSquare() {
-		panic("sparse: OffDiag of non-square matrix")
-	}
-	rowPtr := make([]int64, m.rows+1)
-	colIdx := make([]int32, 0, len(m.colIdx))
-	val := make([]int64, 0, len(m.val))
-	for r := 0; r < m.rows; r++ {
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			if int(m.colIdx[k]) != r {
-				colIdx = append(colIdx, m.colIdx[k])
-				val = append(val, m.val[k])
-			}
-		}
-		rowPtr[r+1] = int64(len(colIdx))
-	}
-	return &Matrix{rows: m.rows, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
 // RowSums returns the vector of row sums (A·1). For an adjacency matrix
@@ -230,23 +201,6 @@ func (m *Matrix) Trace() int64 {
 		s += m.At(r, r)
 	}
 	return s
-}
-
-// Filter returns a copy of m keeping only entries where keep returns true.
-func (m *Matrix) Filter(keep func(r, c int, v int64) bool) *Matrix {
-	rowPtr := make([]int64, m.rows+1)
-	var colIdx []int32
-	var val []int64
-	for r := 0; r < m.rows; r++ {
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			if keep(r, int(m.colIdx[k]), m.val[k]) {
-				colIdx = append(colIdx, m.colIdx[k])
-				val = append(val, m.val[k])
-			}
-		}
-		rowPtr[r+1] = int64(len(colIdx))
-	}
-	return &Matrix{rows: m.rows, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
 // MaxVal returns the maximum stored value, or 0 for an empty matrix.

@@ -65,27 +65,14 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestBinarize(t *testing.T) {
-	m := FromTriplets(2, 2, []Triplet{{0, 0, 3}, {1, 0, 7}})
-	b := m.Binarize()
-	if !b.IsBinary() || b.NNZ() != 2 || b.At(0, 0) != 1 || b.At(1, 0) != 1 {
-		t.Errorf("Binarize wrong: %v", b)
-	}
-}
-
 func TestDiagOperators(t *testing.T) {
 	m := FromTriplets(3, 3, []Triplet{{0, 0, 2}, {0, 1, 5}, {1, 1, 3}, {2, 0, 4}})
 	d := m.Diag()
 	if !EqualVec(d, []int64{2, 3, 0}) {
 		t.Errorf("Diag = %v", d)
 	}
-	dp := m.DiagPart()
-	od := m.OffDiag()
-	if !dp.Add(od).Equal(m) {
-		t.Error("DiagPart + OffDiag != M")
-	}
-	if od.HasDiagonal() {
-		t.Error("OffDiag retains diagonal")
+	if dp := m.DiagPart(); !dp.Equal(DiagMatrix(d)) {
+		t.Errorf("DiagPart = %v", dp)
 	}
 	dm := DiagMatrix([]int64{1, 0, 7})
 	if dm.NNZ() != 2 || dm.At(0, 0) != 1 || dm.At(2, 2) != 7 {
@@ -110,14 +97,6 @@ func TestTrace(t *testing.T) {
 	m := FromTriplets(3, 3, []Triplet{{0, 0, 2}, {1, 1, 3}, {0, 1, 100}})
 	if m.Trace() != 5 {
 		t.Errorf("Trace = %d, want 5", m.Trace())
-	}
-}
-
-func TestFilter(t *testing.T) {
-	m := FromTriplets(2, 2, []Triplet{{0, 0, 1}, {0, 1, 5}, {1, 1, 2}})
-	f := m.Filter(func(r, c int, v int64) bool { return v >= 2 })
-	if f.NNZ() != 2 || f.At(0, 0) != 0 || f.At(0, 1) != 5 || f.At(1, 1) != 2 {
-		t.Errorf("Filter wrong: %v", f)
 	}
 }
 

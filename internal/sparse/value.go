@@ -24,19 +24,6 @@ func CheckedMul(a, b int64) (int64, error) {
 	return int64(lo), nil
 }
 
-// CheckedAdd returns a+b, or ErrOverflow on overflow. Inputs are expected
-// to be nonnegative counts.
-func CheckedAdd(a, b int64) (int64, error) {
-	if a < 0 || b < 0 {
-		return 0, errors.New("sparse: negative count")
-	}
-	s := a + b
-	if s < 0 {
-		return 0, ErrOverflow
-	}
-	return s, nil
-}
-
 // MustMul is CheckedMul that panics on overflow; for call sites where the
 // result is known to be representable (validated factor sizes).
 func MustMul(a, b int64) int64 {
@@ -54,27 +41,6 @@ func SumVec(v []int64) int64 {
 		s += x
 	}
 	return s
-}
-
-// AddVec returns u + v elementwise. Panics if lengths differ.
-func AddVec(u, v []int64) []int64 {
-	if len(u) != len(v) {
-		panic("sparse: AddVec length mismatch")
-	}
-	out := make([]int64, len(u))
-	for i := range u {
-		out[i] = u[i] + v[i]
-	}
-	return out
-}
-
-// ScaleVec returns a*v elementwise.
-func ScaleVec(a int64, v []int64) []int64 {
-	out := make([]int64, len(v))
-	for i := range v {
-		out[i] = a * v[i]
-	}
-	return out
 }
 
 // EqualVec reports elementwise equality.

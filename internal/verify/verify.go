@@ -43,6 +43,17 @@ func (r *Report) skip(name, reason string) {
 	r.Checks = append(r.Checks, Check{Name: name, Skipped: reason})
 }
 
+// addSampled records a spot check that drew asked samples and could
+// execute ran of them. Samples were asked for and none ran: the check
+// validated nothing and is recorded as skipped, not as passed.
+func (r *Report) addSampled(name string, asked, ran int, passed bool) {
+	if asked > 0 && ran == 0 {
+		r.skip(name, "no sampled vertex within max-degree")
+		return
+	}
+	r.add(name, passed)
+}
+
 // AllPassed reports whether every executed check passed.
 func (r *Report) AllPassed() bool {
 	for _, c := range r.Checks {
@@ -186,8 +197,9 @@ func Full(p *kron.Product, maxVertices, maxArcs int64) (*Report, error) {
 // Sampled validates a product too large to materialize by spot checks:
 // vertexSamples egonet verifications and edgeSamples per-edge wedge
 // recounts, at uniformly random positions (deterministic in seed). Only
-// vertices whose degree is at most maxDegree are egonet-expanded; heavier
-// samples are replaced by degree-only checks.
+// vertices whose degree is at most maxDegree are egonet-expanded or used
+// as edge endpoints; heavier samples are passed over, and a check none of
+// whose samples could run is reported as skipped.
 func Sampled(p *kron.Product, vertexSamples, edgeSamples int, maxDegree int64, seed uint64) (*Report, error) {
 	if !p.IsSymmetric() {
 		return nil, fmt.Errorf("verify: Sampled requires an undirected product")
@@ -217,7 +229,7 @@ func Sampled(p *kron.Product, vertexSamples, edgeSamples int, maxDegree int64, s
 			break
 		}
 	}
-	r.add(fmt.Sprintf("egonet spot checks (%d expanded)", expanded), vOK)
+	r.addSampled(fmt.Sprintf("egonet spot checks (%d expanded)", expanded), vertexSamples, expanded, vOK)
 
 	// Edge checks: walk to a random neighbor of a random vertex and
 	// recount Δ locally as |N(u) ∩ N(v)| via factor probes.
@@ -248,7 +260,7 @@ func Sampled(p *kron.Product, vertexSamples, edgeSamples int, maxDegree int64, s
 			break
 		}
 	}
-	r.add(fmt.Sprintf("edge Δ spot checks (%d checked)", checked), eOK)
+	r.addSampled(fmt.Sprintf("edge Δ spot checks (%d checked)", checked), edgeSamples, checked, eOK)
 	return r, nil
 }
 

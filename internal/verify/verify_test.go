@@ -214,3 +214,27 @@ func TestReportAccessors(t *testing.T) {
 		t.Errorf("Failures = %v", f)
 	}
 }
+
+// TestSampledReportsNothingValidatedAsSkipped: with a degree cap no
+// sampled vertex meets, neither check executes a sample, and neither may
+// be reported as run and passed.
+func TestSampledReportsNothingValidatedAsSkipped(t *testing.T) {
+	p := kron.MustProduct(gen.WebGraph(2000, 4, 0.7, 1), gen.WebGraph(2000, 4, 0.7, 2))
+	r, err := Sampled(p, 64, 64, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"egonet spot checks (0 expanded)", "edge Δ spot checks (0 checked)"}
+	if len(r.Checks) != len(want) {
+		t.Fatalf("checks = %+v", r.Checks)
+	}
+	for i, c := range r.Checks {
+		if c.Name != want[i] || c.Ran || c.Passed || c.Skipped == "" {
+			t.Errorf("check %d = %+v, want %q skipped", i, c, want[i])
+		}
+	}
+	// No samples asked for is not a skipped check.
+	if r, err = Sampled(p, 0, 0, 3, 1); err != nil || !r.Checks[0].Ran || !r.Checks[1].Ran {
+		t.Errorf("no samples asked: %+v, %v", r, err)
+	}
+}
