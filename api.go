@@ -382,7 +382,7 @@ type MultiSink = stream.MultiSink
 type SinkFunc = stream.FuncSink
 
 // NewEdgeListSink returns an ArcSink serializing arcs as "u\tv\n" lines
-// via batched strconv encoding (no per-arc formatting).
+// via batched table-driven encoding (no per-arc formatting).
 func NewEdgeListSink(w io.Writer) ArcSink { return gio.NewArcTextWriter(w) }
 
 // NewBinaryArcSink returns an ArcSink serializing arcs as little-endian

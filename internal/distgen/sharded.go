@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"kronvalid/internal/gio"
 	"kronvalid/internal/stream"
@@ -147,21 +148,41 @@ func ShardFileName(w int, binary bool) string {
 // on full success: on any error — a sink write failure (reported with
 // the failing shard's index) or a context cancellation — the directory
 // is left without a manifest.json, so readers can never mistake partial
-// shard files for a complete stream.
+// shard files for a complete stream. Shard files of an earlier run into
+// dir are unlinked before generation and this run's are created
+// exclusively, so a failed run leaves nothing of its predecessor behind.
 func WriteShards(ctx context.Context, dir string, src stream.Source, base Manifest, binary bool, opts stream.Options) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	// Invalidate any previous run's manifest before touching shard files:
 	// if this run fails partway, a reader must find no manifest rather
-	// than a stale one describing bytes we may have overwritten.
+	// than a stale one describing bytes we may have replaced.
 	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil && !os.IsNotExist(err) {
 		return nil, err
+	}
+	// Unlink every shard file of an earlier run, whatever its worker count
+	// or format: `cat shard-*` must reproduce exactly this manifest's
+	// stream, and on ext4 truncating in place waits for the writeback that
+	// closing the rewritten file started (DESIGN.md §3). A directory on a
+	// shard name stays, and fails that shard's exclusive create below.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasPrefix(e.Name(), "shard-") {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return nil, err
+		}
 	}
 	shards := src.Shards()
 	counts, err := stream.RunPerShardContext(ctx, shards, src.EachShardBatch,
 		func(w int) (stream.Sink, error) {
-			f, ferr := os.Create(filepath.Join(dir, ShardFileName(w, binary)))
+			// O_EXCL: a file that appeared since the sweep is another writer's.
+			f, ferr := os.OpenFile(filepath.Join(dir, ShardFileName(w, binary)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 			if ferr != nil {
 				return nil, fmt.Errorf("distgen: shard %d: %w", w, ferr)
 			}
@@ -199,28 +220,6 @@ func WriteShards(ctx context.Context, dir string, src stream.Source, base Manife
 	m.TotalArcs = total
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	// Remove canonical shard files left over from an earlier run with a
-	// different worker count or format, so `cat shard-*` over the
-	// directory always reproduces exactly this manifest's stream.
-	stale, err := filepath.Glob(filepath.Join(dir, "shard-*"))
-	if err != nil {
-		return nil, err
-	}
-	for _, path := range stale {
-		name := filepath.Base(path)
-		live := false
-		for _, s := range m.Shards {
-			if name == s.File {
-				live = true
-				break
-			}
-		}
-		if !live {
-			if err := os.Remove(path); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if err := commitManifest(dir, m); err != nil {
 		return nil, err

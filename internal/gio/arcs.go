@@ -14,19 +14,20 @@ import (
 )
 
 // ArcTextWriter is a stream.Sink that serializes arc batches as "u\tv\n"
-// lines. Each batch is rendered with strconv.AppendInt into one reused
-// byte buffer and written with a single Write call — no per-arc Fprintf,
-// no per-arc syscalls. A write error stops the stream (Consume keeps
+// lines. Each batch is rendered by appendArcsTSV into one reused byte
+// buffer and written with a single Write call — no per-arc Fprintf, no
+// per-arc syscalls. A write error stops the stream (Consume keeps
 // returning it) and is never masked by a later Flush.
 type ArcTextWriter struct {
 	w   io.Writer
 	buf []byte
+	run tsvRun
 	err error
 }
 
 // NewArcTextWriter returns a text sink writing to w.
 func NewArcTextWriter(w io.Writer) *ArcTextWriter {
-	return &ArcTextWriter{w: w, buf: make([]byte, 0, 1<<16)}
+	return &ArcTextWriter{w: w}
 }
 
 // Consume renders and writes one batch.
@@ -34,15 +35,8 @@ func (t *ArcTextWriter) Consume(batch []stream.Arc) error {
 	if t.err != nil {
 		return t.err
 	}
-	buf := t.buf[:0]
-	for _, a := range batch {
-		buf = strconv.AppendInt(buf, a.U, 10)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, a.V, 10)
-		buf = append(buf, '\n')
-	}
-	t.buf = buf[:0]
-	if _, err := t.w.Write(buf); err != nil {
+	t.buf = appendArcsTSV(t.buf[:0], batch, &t.run)
+	if _, err := t.w.Write(t.buf); err != nil {
 		t.err = err
 		return err
 	}

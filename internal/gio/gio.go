@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"kronvalid/internal/graph"
+	"kronvalid/internal/stream"
 )
 
 // WriteEdgeList writes every arc as "u\tv\n". For undirected graphs each
@@ -27,33 +28,30 @@ func WriteEdgeListUndirected(w io.Writer, g *graph.Graph) error {
 	return writePairs(w, g.EachEdgeUndirected)
 }
 
-// writePairs renders "u\tv\n" lines with strconv.AppendInt into a reused
-// buffer, flushing in 64 KiB chunks. Iteration stops on the first write
-// error, which is returned as-is: the final flush of buffered lines only
-// happens on the error-free path, so it can never mask a mid-stream error.
+// pairBatch is how many lines writePairs renders per Write: the most
+// whose worst case (two non-negative int32 ids, 22 bytes) fits 64 KiB.
+const pairBatch = 1 << 16 / 22
+
+// writePairs writes "u\tv\n" lines through an ArcTextWriter in chunks of
+// at most 64 KiB. Iteration stops on the first write error, which is
+// returned as-is: the final flush of buffered lines only happens on the
+// error-free path, so it can never mask a mid-stream error.
 func writePairs(w io.Writer, each func(fn func(u, v int32) bool)) error {
-	buf := make([]byte, 0, 1<<16)
+	t := NewArcTextWriter(w)
+	batch := make([]stream.Arc, 0, pairBatch)
 	var err error
 	each(func(u, v int32) bool {
-		buf = strconv.AppendInt(buf, int64(u), 10)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, int64(v), 10)
-		buf = append(buf, '\n')
-		if len(buf) >= 1<<16-64 {
-			_, err = w.Write(buf)
-			buf = buf[:0]
+		batch = append(batch, stream.Arc{U: int64(u), V: int64(v)})
+		if len(batch) == pairBatch {
+			err = t.Consume(batch)
+			batch = batch[:0]
 		}
 		return err == nil
 	})
-	if err != nil {
+	if err != nil || len(batch) == 0 {
 		return err
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.Consume(batch)
 }
 
 // ReadEdgeList parses "u<sep>v" lines (tab or spaces), ignoring blank

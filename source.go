@@ -165,7 +165,8 @@ func csrSourceOf(src Source) csr.Source {
 // on full success: a sink write failure (reported with the failing
 // shard's index in the error) or a context cancellation leaves the
 // directory without a manifest.json, so partial output can never be
-// mistaken for a complete stream.
+// mistaken for a complete stream. Shard files of an earlier run into dir
+// are unlinked before generation starts, never rewritten in place.
 func WriteShards(ctx context.Context, dir string, src Source, opts ...Option) (*ShardManifest, error) {
 	c := buildConfig(opts)
 	base := manifestBase(src)
