@@ -14,6 +14,7 @@ package kronvalid
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 
 	"kronvalid/internal/census"
@@ -807,6 +808,44 @@ func BenchmarkModelStream(b *testing.B) {
 		}
 		streamParallel(b, g)
 	})
+}
+
+// BenchmarkKernels is the one-line before/after for a model kernel
+// change: each spec of the benchmark's hash-bin and geo-bin workloads
+// (bench/names.go, seeds as -seed 1 derives them) streamed at one worker
+// into a CountSink, so nothing but chunk generation is on the clock. Read ns/arc; compare two trees with -benchtime 3x -count 5.
+func BenchmarkKernels(b *testing.B) {
+	specs := []string{
+		"rmat:scale=19,seed=1000",
+		"gnm:n=1000000,m=8000000,seed=1001",
+		"er:n=250000,p=0.0004,seed=1002",
+		"chunglu:n=4000000,dmin=8,dmax=2000,gamma=2.1,seed=1003",
+		"grid2d:x=2000,y=2000,wrap=true,p=0.8,seed=1004",
+		"grid3d:x=128,y=128,z=128,wrap=true,p=0.8,seed=1005",
+		"ba:n=2000000,d=4,seed=1000",
+		"rgg2d:n=3000000,r=0.001,seed=1001",
+		"rgg3d:n=1000000,r=0.0097,seed=1002",
+		"rhg:n=700000,d=16,gamma=2.9,seed=1003",
+	}
+	ctx := context.Background()
+	for _, spec := range specs {
+		b.Run(spec[:strings.IndexByte(spec, ':')], func(b *testing.B) {
+			g, err := NewGenerator(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var arcs int64
+			for i := 0; i < b.N; i++ {
+				var count stream.CountSink
+				if _, err := Stream(ctx, ModelSource(g, 1), &count, WithWorkers(1)); err != nil {
+					b.Fatal(err)
+				}
+				arcs = count.N
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(arcs), "ns/arc")
+		})
+	}
 }
 
 var _ = sparse.SumVec // keep import for metric helpers extended later

@@ -47,7 +47,7 @@
 //	ctx := context.Background()
 //	src := kronvalid.ProductSource(p, 16)             // or: kronvalid.ModelSource(g, 16)
 //
-//	// Stream the edges through the ordered parallel pipeline:
+//	// Stream the edges through the parallel pipeline:
 //	var n kronvalid.CountingSink
 //	kronvalid.Stream(ctx, src, &n)
 //

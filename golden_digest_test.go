@@ -50,3 +50,67 @@ func TestGoldenModelDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenGridDigests pins the lattice kernel's map from kept
+// candidate index back to source vertex, recorded before that map became
+// a forward walk with a binary-search fallback: p=0.001 lives in the
+// fallback, p=0.5 and 0.8 in the walk, 0.05 crosses between them, p=1
+// draws nothing; wrap=false leaves candidate-free vertices to step over,
+// and seven chunks start the cursor mid-lattice.
+func TestGoldenGridDigests(t *testing.T) {
+	golden := map[string]string{
+		"grid2d:x=300,y=200,p=0.001,wrap=false,seed=31,chunks=1":    "1737e22430ca817e",
+		"grid2d:x=300,y=200,p=0.001,wrap=false,seed=31,chunks=7":    "1b59492c1c29b242",
+		"grid2d:x=300,y=200,p=0.001,wrap=true,seed=31,chunks=1":     "133b8acd0a8519dc",
+		"grid2d:x=300,y=200,p=0.001,wrap=true,seed=31,chunks=7":     "137453cd71644c4",
+		"grid2d:x=300,y=200,p=0.05,wrap=false,seed=31,chunks=1":     "98350fc5761b06a7",
+		"grid2d:x=300,y=200,p=0.05,wrap=false,seed=31,chunks=7":     "a4cf0619e0f97b07",
+		"grid2d:x=300,y=200,p=0.05,wrap=true,seed=31,chunks=1":      "eeabeb3cd800b910",
+		"grid2d:x=300,y=200,p=0.05,wrap=true,seed=31,chunks=7":      "ab941c7336aebba8",
+		"grid2d:x=300,y=200,p=0.5,wrap=false,seed=31,chunks=1":      "b4973de7b0fad161",
+		"grid2d:x=300,y=200,p=0.5,wrap=false,seed=31,chunks=7":      "a6ca22a0a00dc732",
+		"grid2d:x=300,y=200,p=0.5,wrap=true,seed=31,chunks=1":       "b77d8ff723695f0f",
+		"grid2d:x=300,y=200,p=0.5,wrap=true,seed=31,chunks=7":       "20adff626f27161a",
+		"grid2d:x=300,y=200,p=0.8,wrap=false,seed=31,chunks=1":      "9135792f0e12c621",
+		"grid2d:x=300,y=200,p=0.8,wrap=false,seed=31,chunks=7":      "ab81b79d3a8e03c5",
+		"grid2d:x=300,y=200,p=0.8,wrap=true,seed=31,chunks=1":       "393725b316380a3a",
+		"grid2d:x=300,y=200,p=0.8,wrap=true,seed=31,chunks=7":       "570dc9e5d9b9afda",
+		"grid2d:x=300,y=200,p=1,wrap=false,seed=31,chunks=1":        "e97b71916d53c92f",
+		"grid2d:x=300,y=200,p=1,wrap=false,seed=31,chunks=7":        "e97b71916d53c92f",
+		"grid2d:x=300,y=200,p=1,wrap=true,seed=31,chunks=1":         "4a08329c7e347422",
+		"grid2d:x=300,y=200,p=1,wrap=true,seed=31,chunks=7":         "4a08329c7e347422",
+		"grid3d:x=40,y=30,z=25,p=0.001,wrap=false,seed=31,chunks=1": "465e5df360bfdd5e",
+		"grid3d:x=40,y=30,z=25,p=0.001,wrap=false,seed=31,chunks=7": "e1771248debd4724",
+		"grid3d:x=40,y=30,z=25,p=0.001,wrap=true,seed=31,chunks=1":  "bf0934594059044a",
+		"grid3d:x=40,y=30,z=25,p=0.001,wrap=true,seed=31,chunks=7":  "aae4fd5f3ac4b33f",
+		"grid3d:x=40,y=30,z=25,p=0.05,wrap=false,seed=31,chunks=1":  "320e78bf60374c55",
+		"grid3d:x=40,y=30,z=25,p=0.05,wrap=false,seed=31,chunks=7":  "4ad003edc8b10656",
+		"grid3d:x=40,y=30,z=25,p=0.05,wrap=true,seed=31,chunks=1":   "a0a14f1e82d508ad",
+		"grid3d:x=40,y=30,z=25,p=0.05,wrap=true,seed=31,chunks=7":   "fdb70d99d24ed10f",
+		"grid3d:x=40,y=30,z=25,p=0.5,wrap=false,seed=31,chunks=1":   "2c2df961e24aa610",
+		"grid3d:x=40,y=30,z=25,p=0.5,wrap=false,seed=31,chunks=7":   "eb8259d8297e2227",
+		"grid3d:x=40,y=30,z=25,p=0.5,wrap=true,seed=31,chunks=1":    "19d18d4a50466eee",
+		"grid3d:x=40,y=30,z=25,p=0.5,wrap=true,seed=31,chunks=7":    "1a2734be34f02e85",
+		"grid3d:x=40,y=30,z=25,p=0.8,wrap=false,seed=31,chunks=1":   "a1d9eba098e3ff4b",
+		"grid3d:x=40,y=30,z=25,p=0.8,wrap=false,seed=31,chunks=7":   "c8f1019cdb111442",
+		"grid3d:x=40,y=30,z=25,p=0.8,wrap=true,seed=31,chunks=1":    "2a9231d02333fa12",
+		"grid3d:x=40,y=30,z=25,p=0.8,wrap=true,seed=31,chunks=7":    "dc92b55faa89dda0",
+		"grid3d:x=40,y=30,z=25,p=1,wrap=false,seed=31,chunks=1":     "4214ea74741294a7",
+		"grid3d:x=40,y=30,z=25,p=1,wrap=false,seed=31,chunks=7":     "4214ea74741294a7",
+		"grid3d:x=40,y=30,z=25,p=1,wrap=true,seed=31,chunks=1":      "7a03a33c6b1b4a82",
+		"grid3d:x=40,y=30,z=25,p=1,wrap=true,seed=31,chunks=7":      "7a03a33c6b1b4a82",
+	}
+	for spec, want := range golden {
+		g, err := NewGenerator(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		got, err := Digest(context.Background(), ModelSource(g, 3))
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if got != want {
+			t.Errorf("%s: digest %q, want pinned %q — the canonical stream moved", spec, got, want)
+		}
+	}
+}

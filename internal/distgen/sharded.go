@@ -179,7 +179,7 @@ func WriteShards(ctx context.Context, dir string, src stream.Source, base Manife
 		}
 	}
 	shards := src.Shards()
-	counts, err := stream.RunPerShardContext(ctx, shards, src.EachShardBatch,
+	counts, err := stream.RunSourcePerShard(ctx, src,
 		func(w int) (stream.Sink, error) {
 			// O_EXCL: a file that appeared since the sweep is another writer's.
 			f, ferr := os.OpenFile(filepath.Join(dir, ShardFileName(w, binary)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)

@@ -17,6 +17,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"kronvalid/internal/sparse"
 )
@@ -29,7 +30,19 @@ type Graph struct {
 	nbrs    []int32 // sorted within each vertex's slice, no duplicates
 	labels  []int32 // nil if unlabeled; else len n, values in [0, numLabels)
 	nLabels int
+
+	// sym memoizes IsSymmetric: symUnknown until the first call, then the
+	// verdict. The adjacency never changes, so it cannot go stale; every
+	// constructor and transform builds a new Graph, which starts unknown
+	// and answers for its own arcs.
+	sym atomic.Int32
 }
+
+const (
+	symUnknown int32 = iota
+	symYes
+	symNo
+)
 
 // Edge is a directed arc (or one direction of an undirected edge).
 type Edge struct {
@@ -133,16 +146,25 @@ func (g *Graph) HasAnyLoop() bool {
 }
 
 // IsSymmetric reports whether every arc (u,v) has a reverse arc (v,u),
-// i.e. the graph is undirected.
+// i.e. the graph is undirected. The arcs are scanned on the first call
+// only (concurrent first calls may each scan; they store the same
+// verdict), so guarding every closed form with it costs a load.
 func (g *Graph) IsSymmetric() bool {
+	if s := g.sym.Load(); s != symUnknown {
+		return s == symYes
+	}
+	verdict := symYes
+scan:
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.Neighbors(int32(u)) {
 			if !g.HasEdge(v, int32(u)) {
-				return false
+				verdict = symNo
+				break scan
 			}
 		}
 	}
-	return true
+	g.sym.Store(verdict)
+	return verdict == symYes
 }
 
 // EachArc calls fn for every stored arc (u, v) in sorted order, stopping

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sync"
 	"testing"
 
 	"kronvalid/internal/rng"
@@ -297,5 +298,67 @@ func TestWithLoopAt(t *testing.T) {
 	lab := g.WithLabels([]int32{0, 1, 2}, 3).WithLoopAt(0)
 	if !lab.IsLabeled() || lab.Label(2) != 2 {
 		t.Error("labels lost")
+	}
+}
+
+// scanSymmetric is IsSymmetric without the memo: the reference the memo
+// is checked against.
+func scanSymmetric(g *Graph) bool {
+	sym := true
+	g.EachArc(func(u, v int32) bool {
+		sym = g.HasEdge(v, u)
+		return sym
+	})
+	return sym
+}
+
+// TestIsSymmetricMemo: the verdict is decided once per graph — concurrent
+// first calls agree with a fresh scan and with each other — and a graph
+// derived from a decided one answers for its own arcs, not its parent's.
+func TestIsSymmetricMemo(t *testing.T) {
+	directed := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 2}}, false)
+	undirected := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}}, true)
+	for name, g := range map[string]*Graph{"directed": directed, "undirected": undirected} {
+		want := scanSymmetric(g)
+		var wg sync.WaitGroup
+		got := make([]bool, 8)
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = g.IsSymmetric()
+			}(i)
+		}
+		wg.Wait()
+		for i, sym := range got {
+			if sym != want {
+				t.Errorf("%s: concurrent call %d said %v, a scan says %v", name, i, sym, want)
+			}
+		}
+		if g.IsSymmetric() != want {
+			t.Errorf("%s: memoized answer differs from the scan", name)
+		}
+	}
+	// Both parents are decided now. Each transform is checked from both,
+	// so a verdict copied from the parent is wrong for one of them.
+	labels := []int32{0, 1, 0, 1}
+	derived := map[string]func(g *Graph) *Graph{
+		"Transpose":    (*Graph).Transpose,
+		"Undirected":   (*Graph).Undirected,
+		"WithLoopAt":   func(g *Graph) *Graph { return g.WithLoopAt(1) },
+		"WithLabels":   func(g *Graph) *Graph { return g.WithLabels(labels, 2) },
+		"DirectedPart": (*Graph).DirectedPart,
+		"Clone":        (*Graph).Clone,
+	}
+	for name, f := range derived {
+		for pname, parent := range map[string]*Graph{"directed": directed, "undirected": undirected} {
+			child := f(parent)
+			if got, want := child.IsSymmetric(), scanSymmetric(child); got != want {
+				t.Errorf("%s of the %s graph: IsSymmetric = %v, a scan says %v", name, pname, got, want)
+			}
+		}
+	}
+	if !directed.Undirected().IsSymmetric() || directed.IsSymmetric() {
+		t.Error("Undirected() of a directed graph must be symmetric and leave its parent directed")
 	}
 }

@@ -238,6 +238,12 @@ func (g *Grid) candidates(u int64, dst []int64) []int64 {
 	return dst
 }
 
+// gridWalkSpan is how far past the cursor vertex, in candidate indices,
+// generateChunk still walks to the next kept candidate instead of
+// searching for it: a step costs about a tenth of a search, and a vertex
+// holds two or three candidates.
+const gridWalkSpan = 24
+
 // NewWorker returns the chunk generator: lattice chunks keep no
 // worker-lifetime scratch.
 func (g *Grid) NewWorker() stream.ShardGen { return g.generateChunk }
@@ -288,25 +294,37 @@ func (g *Grid) generateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []
 		return
 	}
 	base := g.candPrefix(lo)
-	u := lo
+	// u is the cursor vertex, cs its candidates and uBase the index of the
+	// first of them, so u owns the indices [uBase, uBase+len(cs)).
+	u, uBase := lo, int64(0)
+	cs := g.candidates(u, cand[:0])
 	for {
-		// Map the kept index t back to its source vertex: the largest u
-		// with candPrefix(u) − base <= t (skipping any candidate-free
-		// vertices), found by binary search from the current cursor — the
-		// walk never revisits a vertex, so the work is O(edges·log n),
-		// independent of how sparse p makes the chunk.
-		l, h := u, hi-1
-		for l < h {
-			mid := l + (h-l+1)/2
-			if g.candPrefix(mid)-base <= t {
-				l = mid
-			} else {
-				h = mid - 1
+		// Map the kept index t back to its source vertex, the one whose
+		// index range holds t. At dense p that is the cursor or a vertex
+		// or two past it, so walk forward (all but the last vertex or two
+		// of the lattice have a candidate, so the walk is no longer than
+		// the distance); at gridWalkSpan indices or more past the cursor,
+		// binary-search the closed-form prefix for the largest u with
+		// candPrefix(u) − base <= t instead — the cursor never moves
+		// back, so sparse p stays O(edges·log n).
+		if t-uBase-int64(len(cs)) >= gridWalkSpan {
+			l, h := u, hi-1
+			for l < h {
+				mid := l + (h-l+1)/2
+				if g.candPrefix(mid)-base <= t {
+					l = mid
+				} else {
+					h = mid - 1
+				}
 			}
+			u, uBase = l, g.candPrefix(l)-base
+			cs = g.candidates(u, cand[:0])
 		}
-		u = l
-		uBase := g.candPrefix(u) - base
-		cs := g.candidates(u, cand[:0])
+		for t-uBase >= int64(len(cs)) {
+			uBase += int64(len(cs))
+			u++
+			cs = g.candidates(u, cand[:0])
+		}
 		for t-uBase < int64(len(cs)) {
 			if !b.add(u, cs[t-uBase]) {
 				return

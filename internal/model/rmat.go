@@ -271,12 +271,13 @@ func (d *rmatDescent) uDescend(bit int, u, n int64) bool {
 			// A single edge consumes exactly one draw per remaining level
 			// no matter the outcomes, so the whole tail is one batched
 			// Fill (draw-identical to per-level Below calls).
+			// The outcomes are coin flips, so the bit is computed, not
+			// branched on: both operands are below 2^54, and the sign
+			// of their difference is r>>11 < thr.
 			raw := d.raw[:bit+1]
 			d.s.Fill(raw)
 			for i, r := range raw {
-				if r>>11 < g.thrU1 {
-					u |= int64(1) << uint(bit-i)
-				}
+				u |= int64((r>>11-g.thrU1)>>63) << uint(bit-i)
 			}
 			break
 		}
@@ -305,14 +306,10 @@ func (d *rmatDescent) vDescend(bit int, u, v, n int64) bool {
 		if n == 1 {
 			raw := d.raw[:bit+1]
 			d.s.Fill(raw)
+			thr := [2]uint64{g.thrV0, g.thrV1}
 			for i, r := range raw {
-				thr := g.thrV0
-				if u>>uint(bit-i)&1 == 1 {
-					thr = g.thrV1
-				}
-				if r>>11 < thr {
-					v |= int64(1) << uint(bit-i)
-				}
+				sh := uint(bit - i)
+				v |= int64((r>>11-thr[u>>sh&1])>>63) << sh
 			}
 			break
 		}

@@ -59,9 +59,11 @@ func (g *Xoshiro256) Fill(dst []uint64) {
 }
 
 // CountBelow consumes n draws and counts those below the fixed-point
-// threshold t — draw-for-draw identical to n Below calls (or a Fill
-// plus a threshold sweep), but with the state in registers and no
-// buffer to zero-initialize.
+// threshold t (a FixedThreshold, so at most 2^53) — draw-for-draw
+// identical to n Below calls (or a Fill plus a threshold sweep), but
+// with the state in registers, no buffer to zero-initialize, and no
+// branch on the outcome: the draws are coin flips a predictor cannot
+// learn.
 func (g *Xoshiro256) CountBelow(n int64, t uint64) int64 {
 	s0, s1, s2, s3 := g.s[0], g.s[1], g.s[2], g.s[3]
 	var k int64
@@ -74,9 +76,7 @@ func (g *Xoshiro256) CountBelow(n int64, t uint64) int64 {
 		s0 ^= s3
 		s2 ^= x
 		s3 = bits.RotateLeft64(s3, 45)
-		if r>>11 < t {
-			k++
-		}
+		k += int64((r>>11 - t) >> 63) // the sign of the difference is r>>11 < t
 	}
 	g.s[0], g.s[1], g.s[2], g.s[3] = s0, s1, s2, s3
 	return k

@@ -16,6 +16,17 @@ func (c *CountSink) Consume(batch []Arc) error {
 // Flush is a no-op.
 func (c *CountSink) Flush() error { return nil }
 
+// Fork returns an empty counter for one shard.
+func (c *CountSink) Fork() Sink { return &CountSink{} }
+
+// Join adds the parts' counts.
+func (c *CountSink) Join(parts []Sink) error {
+	for _, p := range parts {
+		c.N += p.(*CountSink).N
+	}
+	return nil
+}
+
 // FuncSink adapts a plain function to a Sink with a no-op Flush.
 type FuncSink func(batch []Arc) error
 
@@ -56,31 +67,107 @@ func (m MultiSink) Flush() error {
 	return first
 }
 
+// Fork returns a MultiSink of the children's forks, or nil when a child
+// is not a ForkSink or declines: one order-bound child (a writer, a
+// digest) keeps the whole fan-out on the ordered path.
+func (m MultiSink) Fork() Sink {
+	part := make(MultiSink, len(m))
+	for i, s := range m {
+		f, ok := s.(ForkSink)
+		if !ok {
+			return nil
+		}
+		if part[i] = f.Fork(); part[i] == nil {
+			return nil
+		}
+	}
+	return part
+}
+
+// Join joins every child with its column of the parts — an error from
+// one child never skips the rest — and returns the first error.
+func (m MultiSink) Join(parts []Sink) error {
+	var first error
+	col := make([]Sink, len(parts))
+	for i, s := range m {
+		for j, p := range parts {
+			col[j] = p.(MultiSink)[i]
+		}
+		if err := s.(ForkSink).Join(col); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // DedupCheckSink verifies that the stream is strictly increasing in
 // lexicographic (U, V) order — the canonical EachArc order — which implies
 // the stream is duplicate-free. It errors on the first violation.
 type DedupCheckSink struct {
-	prev    Arc
-	started bool
+	first, prev Arc // first and latest arc seen, valid once started
+	started     bool
 }
 
-// Consume checks each arc against its predecessor.
+// inOrder reports whether a may directly follow prev in the canonical
+// stream.
+func inOrder(prev, a Arc) bool {
+	return a.U > prev.U || (a.U == prev.U && a.V > prev.V)
+}
+
+func orderViolation(prev, a Arc) error {
+	return fmt.Errorf("stream: order violation: (%d,%d) after (%d,%d)", a.U, a.V, prev.U, prev.V)
+}
+
+// Consume checks each arc against its predecessor. The predecessor
+// lives in a local for the length of the batch: stored through d, every
+// arc of the 10⁸-arc streams this sink rides along would pay a store
+// and a reload.
 func (d *DedupCheckSink) Consume(batch []Arc) error {
-	for _, a := range batch {
-		if d.started {
-			if a.U < d.prev.U || (a.U == d.prev.U && a.V <= d.prev.V) {
-				return fmt.Errorf("stream: order violation: (%d,%d) after (%d,%d)",
-					a.U, a.V, d.prev.U, d.prev.V)
-			}
-		}
-		d.prev = a
-		d.started = true
+	if len(batch) == 0 {
+		return nil
 	}
+	prev := d.prev
+	if !d.started {
+		d.first, prev, d.started = batch[0], batch[0], true
+		batch = batch[1:]
+	}
+	for _, a := range batch {
+		if !inOrder(prev, a) {
+			d.prev = prev
+			return orderViolation(prev, a)
+		}
+		prev = a
+	}
+	d.prev = prev
 	return nil
 }
 
 // Flush is a no-op.
 func (d *DedupCheckSink) Flush() error { return nil }
+
+// Fork returns an empty checker for one shard; its first and last arcs
+// are what Join needs of it.
+func (d *DedupCheckSink) Fork() Sink { return &DedupCheckSink{} }
+
+// Join re-checks every boundary the parts were split at: each part's
+// first arc must follow the last arc before it (parts that saw no arc
+// have no boundary), exactly the comparison Consume would have made
+// there. A violation is reported in Consume's words.
+func (d *DedupCheckSink) Join(parts []Sink) error {
+	for _, p := range parts {
+		q := p.(*DedupCheckSink)
+		if !q.started {
+			continue
+		}
+		if !d.started {
+			d.first, d.started = q.first, true
+		} else if !inOrder(d.prev, q.first) {
+			return orderViolation(d.prev, q.first)
+		}
+		d.prev = q.prev
+	}
+	return nil
+}
 
 // DegreeHistogramSink accumulates the out-degree histogram of the stream's
 // source vertices. It relies on the canonical stream order, in which all
@@ -95,20 +182,27 @@ type DegreeHistogramSink struct {
 	cur     int64 // current source vertex
 	run     int64 // arcs seen for cur
 	started bool
+
+	// A fork sees one shard, and a vertex's run may begin in the shard
+	// before it and continue into the one after: the fork keeps its first
+	// run apart (headU, headRun; headRun is 0 until a second run starts)
+	// and leaves its last run (cur, run) open through Flush, for Join to
+	// merge with the neighbours'.
+	fork           bool
+	headU, headRun int64
 }
 
 // Consume extends the current run or closes it and starts a new one.
 func (h *DegreeHistogramSink) Consume(batch []Arc) error {
-	if h.Counts == nil {
-		h.Counts = make(map[int64]int64)
-	}
 	for _, a := range batch {
 		if h.started && a.U == h.cur {
 			h.run++
 			continue
 		}
-		if h.started {
-			h.Counts[h.run]++
+		if h.fork && h.started && h.headRun == 0 {
+			h.headU, h.headRun = h.cur, h.run
+		} else {
+			h.closeRun()
 		}
 		h.cur = a.U
 		h.run = 1
@@ -117,15 +211,58 @@ func (h *DegreeHistogramSink) Consume(batch []Arc) error {
 	return nil
 }
 
-// Flush closes the final run.
+// closeRun counts the open run, if there is one.
+func (h *DegreeHistogramSink) closeRun() {
+	if !h.started {
+		return
+	}
+	if h.Counts == nil {
+		h.Counts = make(map[int64]int64)
+	}
+	h.Counts[h.run]++
+}
+
+// Flush closes the final run; a fork's stays open for Join.
 func (h *DegreeHistogramSink) Flush() error {
-	if h.started {
-		if h.Counts == nil {
-			h.Counts = make(map[int64]int64)
-		}
-		h.Counts[h.run]++
+	if !h.fork {
+		h.closeRun()
 		h.started = false
 		h.run = 0
+	}
+	return nil
+}
+
+// Fork returns an empty histogram for one shard.
+func (h *DegreeHistogramSink) Fork() Sink { return &DegreeHistogramSink{fork: true} }
+
+// Join replays the parts onto h's open run in shard order: a part's
+// first run extends h's when both are the same vertex, its inner runs
+// are already counted, and its last run becomes h's open one — closed
+// by the next part or by Flush.
+func (h *DegreeHistogramSink) Join(parts []Sink) error {
+	for _, p := range parts {
+		q := p.(*DegreeHistogramSink)
+		if !q.started {
+			continue
+		}
+		firstU, firstRun := q.cur, q.run
+		if q.headRun > 0 {
+			firstU, firstRun = q.headU, q.headRun
+		}
+		if h.started && h.cur == firstU {
+			h.run += firstRun
+		} else {
+			h.closeRun()
+			h.cur, h.run, h.started = firstU, firstRun, true
+		}
+		if q.headRun == 0 {
+			continue // one run in the whole part: it stays open
+		}
+		h.closeRun()
+		for d, c := range q.Counts {
+			h.Counts[d] += c
+		}
+		h.cur, h.run = q.cur, q.run
 	}
 	return nil
 }

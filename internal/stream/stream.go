@@ -12,6 +12,8 @@
 // (counting, writing, checking) iterate flat buffers.
 package stream
 
+import "kronvalid/internal/par"
+
 // Arc is one directed product edge (u, v). The memory layout is two
 // int64s, so a batch is a flat 16·len buffer that serializers can walk
 // without per-arc indirection.
@@ -32,6 +34,28 @@ const DefaultBatchSize = 4096
 type Sink interface {
 	Consume(batch []Arc) error
 	Flush() error
+}
+
+// ForkSink is the optional Sink extension for sinks whose result does
+// not depend on seeing the stream as one sequence — a count, an order
+// check, a histogram of runs. The driver gives such a sink one fork per
+// shard, feeds each fork its shard on the goroutine that generates it,
+// and joins the forks in shard order, so no batch crosses goroutines;
+// every other sink gets the ordered delivery its bytes need. The result
+// must be what Consume-ing the concatenated shards would have left.
+type ForkSink interface {
+	Sink
+	// Fork returns a fresh sink of the same kind for one shard's arcs,
+	// or nil when this sink cannot split (the driver then delivers in
+	// order). The fork is consumed and flushed by one goroutine.
+	Fork() Sink
+	// Join folds forks into the receiver. parts are consecutive shards
+	// from shard 0 on, in shard order, each one returned by Fork and
+	// flushed; when the stream failed they end at the failing shard, so
+	// that a fault Join alone can see (one on a shard boundary) is still
+	// reported if it comes first. Join is called at most once, before
+	// the receiver's Flush, and not at all after a cancellation.
+	Join(parts []Sink) error
 }
 
 // Source is the unified contract of every communication-free sharded
@@ -111,15 +135,18 @@ type Options struct {
 	// of the consumer; 0 means 4.
 	Buffer int
 	// Progress, when non-nil, is invoked by the driver with the
-	// cumulative number of arcs delivered and shards completed. The
-	// ordered driver calls it from the consuming goroutine after each
-	// batch and each shard completion; the per-shard driver serializes
-	// calls across its workers. It must be cheap — it runs once per
-	// batch, not per arc.
+	// cumulative number of arcs delivered and shards completed, after
+	// each batch and each shard completion: from the consuming goroutine
+	// on the ordered path, serialized across the workers on the
+	// order-free one. It must be cheap — it runs once per batch, not per
+	// arc.
 	Progress func(arcs, shardsDone int64)
 }
 
 func (o Options) withDefaults() Options {
+	if o.Workers <= 0 {
+		o.Workers = par.MaxWorkers()
+	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = DefaultBatchSize
 	}

@@ -111,10 +111,15 @@ func WithManifestExtra(extra map[string]string) Option {
 	}
 }
 
-// Stream drives every shard of src through the ordered parallel pipeline
-// into sink: shards generate concurrently (bounded by WithWorkers), the
-// sink observes the canonical stream — byte-identical for every worker
-// count and batch size. Returns the number of arcs delivered.
+// Stream drives every shard of src through the parallel pipeline into
+// sink: shards generate concurrently (bounded by WithWorkers), and the
+// sink ends up as the canonical stream would have left it, for every
+// worker count and batch size. A sink that needs the byte sequence
+// (writers, digests, closures) observes exactly that sequence; the
+// order-free ones — CountingSink, DedupCheckSink, DegreeHistogramSink,
+// and a MultiSink of only those — are split per shard on the generating
+// workers and merged in shard order. Returns the number of arcs
+// delivered.
 //
 // Cancelling ctx stops the stream within one batch and returns ctx.Err();
 // no goroutine outlives the call, and the sink's Flush still runs exactly

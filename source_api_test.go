@@ -101,9 +101,17 @@ func TestCountAndDigestConveniences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var count CountingSink
-	if _, err := Stream(ctx, erSrc, &count); err != nil || count.N != n {
-		t.Fatalf("Count = %d but stream delivered %d (err %v)", n, count.N, err)
+	// The count forks per shard at several workers; one worker, and a
+	// closure at any worker count, see the stream in order.
+	for _, workers := range []int{1, 3, 8} {
+		if m, err := Count(ctx, erSrc, WithWorkers(workers)); err != nil || m != n {
+			t.Fatalf("Count at %d workers = %d, %v; want %d", workers, m, err, n)
+		}
+	}
+	var streamed int64
+	ordered := SinkFunc(func(batch []Arc) error { streamed += int64(len(batch)); return nil })
+	if _, err := Stream(ctx, erSrc, ordered, WithWorkers(3)); err != nil || streamed != n {
+		t.Fatalf("Count = %d but stream delivered %d (err %v)", n, streamed, err)
 	}
 	for name, src := range map[string]Source{"kron": kronSrc, "er": erSrc} {
 		cg, err := ToCSR(ctx, src)
