@@ -814,6 +814,11 @@ func BenchmarkModelStream(b *testing.B) {
 // change: each spec of the benchmark's hash-bin and geo-bin workloads
 // (bench/names.go, seeds as -seed 1 derives them) streamed at one worker
 // into a CountSink, so nothing but chunk generation is on the clock. Read ns/arc; compare two trees with -benchtime 3x -count 5.
+// The generator is built outside the loop, so the spatial rows exclude
+// per-generator set-up — the cell table behind a sync.Once is paid in
+// the first iteration and amortised over b.N — which is how ROADMAP
+// 1(d)'s ns/arc table missed a third of geo-bin; that part is
+// internal/model's BenchmarkCellTable.
 func BenchmarkKernels(b *testing.B) {
 	specs := []string{
 		"rmat:scale=19,seed=1000",

@@ -2,15 +2,17 @@ package model
 
 import "sync"
 
-// This file holds the worker-lifetime state shared by the spatial
-// models (rgg2d/rgg3d/rhg): a bounded dependency-cell cache, the
-// splitting-tree acceleration (full prefix table or capped memo), and
-// the reusable kernel scratch. Everything here affects only the cost of
-// generation, never its bytes — every cached value is a pure function
-// of (seed, structural id) and is recomputed verbatim on a miss. See
-// DESIGN.md §2e for the byte-safety argument.
+// This file holds the state the spatial models (rgg2d/rgg3d/rhg) keep
+// beyond one chunk. Per generator: the splitting tree's full prefix
+// table, built once by every core (cellTable). Per worker: a bounded
+// dependency-cell cache, the capped descent memo that stands in for the
+// table when the tree is too large to tabulate, and the reusable kernel
+// scratch. Everything here affects only the cost of generation, never
+// its bytes — every cached value is a pure function of (seed,
+// structural id) and is recomputed verbatim on a miss. See DESIGN.md
+// §2e for the byte-safety argument.
 
-// maxCellTableSlots gates the one-shot DFS expansion of a splitting
+// maxCellTableSlots gates the one-shot expansion of a splitting
 // tree into a flat prefix table (8 bytes/slot, ≤ 8 MiB at the cap).
 // Beyond it, worker states fall back to a memoized per-descent map.
 var maxCellTableSlots = 1 << 20
@@ -25,12 +27,16 @@ const maxWorkerMemoNodes = 1 << 22
 // typical occupancy) alive for reuse.
 const maxFreeSamples = 256
 
-// cellTable lazily materializes a splitTree's full prefix table, once
-// per generator, shared read-only by every worker state. get returns
-// nil when the tree is too large to tabulate. Alongside the table it
-// builds an occupancy bitmap (bit c set iff slot c is nonempty): the
-// sweep's emptiness checks touch one bit in a table 64× smaller than
-// the prefix array, so they stay L1-resident across neighbor strides.
+// cellTable materializes a splitTree's full prefix table once per
+// generator, on the first NewWorker call, shared read-only by every
+// worker state. The build runs on par.MaxWorkers() goroutines whatever
+// the caller's worker count — a one-worker run on a multi-core host
+// also builds its table in parallel — and workers that arrive while it
+// runs wait on the Once. get returns nil when the tree is too large to
+// tabulate. Alongside the table comes an occupancy bitmap (bit c set
+// iff slot c is nonempty): the sweep's emptiness checks touch one bit
+// in a table 64× smaller than the prefix array, so they stay
+// L1-resident across neighbor strides.
 type cellTable struct {
 	once sync.Once
 	tab  []int64
@@ -40,13 +46,7 @@ type cellTable struct {
 func (ct *cellTable) get(t *splitTree) []int64 {
 	ct.once.Do(func() {
 		if t.slots <= maxCellTableSlots {
-			ct.tab = t.expandPrefix()
-			ct.occ = make([]uint64, (t.slots+63)/64)
-			for c := 0; c < t.slots; c++ {
-				if ct.tab[c+1] != ct.tab[c] {
-					ct.occ[c>>6] |= 1 << (uint(c) & 63)
-				}
-			}
+			ct.tab, ct.occ = t.expandPrefix()
 		}
 	})
 	return ct.tab

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"kronvalid/internal/stream"
@@ -178,6 +179,109 @@ func TestRHGForwardRunsMatchPartners(t *testing.T) {
 		}
 		if fmt.Sprint(want) != fmt.Sprint(got) {
 			t.Errorf("cell %d: runs flatten to %v, partners are %v", c, got, want)
+		}
+	}
+}
+
+// tableTestGens builds fresh spatial generators whose cell counts
+// (10000, 8000, 4999) are past expandMinGrain, so with more than one
+// processor their tables are expanded in parallel; a fresh set per call
+// because a generator tabulates at most once.
+func tableTestGens(t *testing.T) map[string]Generator {
+	t.Helper()
+	gens := map[string]Generator{}
+	for _, spec := range []string{
+		"rgg2d:n=20000,r=0.01,seed=42",
+		"rgg3d:n=20000,r=0.05,seed=42",
+		"rhg:n=20000,d=8,gamma=2.9,seed=42",
+	} {
+		g, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree, _ := spatialTable(g); tree.slots <= expandMinGrain {
+			t.Fatalf("%s: %d cells expand serially", spec, tree.slots)
+		}
+		gens[spec] = g
+	}
+	return gens
+}
+
+// spatialTable returns a spatial generator's splitting tree and the
+// cell table built from it.
+func spatialTable(g Generator) (*splitTree, *cellTable) {
+	switch g := g.(type) {
+	case *RGG:
+		return &g.tree, &g.ctab
+	case *RHG:
+		return &g.tree, &g.ctab
+	}
+	panic("model: " + g.Name() + " has no cell table")
+}
+
+// TestSpatialMemoFallbackMatchesTable covers the path every spatial
+// spec above maxCellTableSlots takes in production (e.g.
+// rgg2d:n=3000000,r=0.0005): with the table gate forced to 0 the worker
+// states answer count/prefix from the capped descent memo, rgg loses
+// its occupancy bitmap and rhg its sample strip, and the stream must
+// still be arc for arc the tabulated one.
+func TestSpatialMemoFallbackMatchesTable(t *testing.T) {
+	tabled := map[string][]stream.Arc{}
+	for spec, g := range tableTestGens(t) {
+		tabled[spec] = collectCached(g, 3)
+	}
+
+	defer func(old int) { maxCellTableSlots = old }(maxCellTableSlots)
+	maxCellTableSlots = 0
+	for spec, g := range tableTestGens(t) {
+		got := collectCached(g, 3)
+		if _, ctab := spatialTable(g); ctab.tab != nil || ctab.occ != nil {
+			t.Fatalf("%s: a zero table gate still tabulated", spec)
+		}
+		if !sameArcs(tabled[spec], got) {
+			t.Errorf("%s: memo-fallback stream (%d arcs) differs from the tabulated stream (%d arcs)",
+				spec, len(got), len(tabled[spec]))
+		}
+	}
+}
+
+// TestCellTableConcurrentWorkers drives the cellTable's sync.Once the
+// way the drivers do: W goroutines call NewWorker on one fresh
+// generator at the same moment — one builds the table (itself on
+// several goroutines), the rest wait — and then generate disjoint
+// chunks. Run under -race, it is the check that late arrivals see a
+// finished table and bitmap.
+func TestCellTableConcurrentWorkers(t *testing.T) {
+	for _, workers := range []int{2, 8} {
+		for spec, g := range tableTestGens(t) {
+			chunks := make([][]stream.Arc, g.Chunks())
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(workers)
+			for w := 0; w < workers; w++ {
+				go func(w int) {
+					defer wg.Done()
+					<-start
+					gen := g.NewWorker()
+					for c := w; c < len(chunks); c += workers {
+						cur := c
+						gen(cur, nil, func(b []stream.Arc) []stream.Arc {
+							chunks[cur] = append(chunks[cur], b...)
+							return b[:0]
+						})
+					}
+				}(w)
+			}
+			close(start)
+			wg.Wait()
+			var got []stream.Arc
+			for _, cs := range chunks {
+				got = append(got, cs...)
+			}
+			if want := collectFresh(g); !sameArcs(want, got) {
+				t.Errorf("%s: %d concurrent workers produced %d arcs, fresh-state reference has %d",
+					spec, workers, len(got), len(want))
+			}
 		}
 	}
 }

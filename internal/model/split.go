@@ -1,6 +1,9 @@
 package model
 
-import "kronvalid/internal/rng"
+import (
+	"kronvalid/internal/par"
+	"kronvalid/internal/rng"
+)
 
 // splitTree divides an integer total across a fixed sequence of slots
 // by recursive binomial splitting — the Sample-phase primitive behind
@@ -94,45 +97,104 @@ func (t *splitTree) countMemo(c int, memo splitMemo) int64 {
 // it passes: O(log slots) draws, identical across callers.
 func (t *splitTree) prefix(c int) int64 { return t.prefixMemo(c, nil) }
 
-// expandPrefix materializes the whole tree in one depth-first pass and
-// returns the prefix-sum table P of length slots+1: P[c] is the item
-// count of slots [0, c), so slot c holds P[c+1]-P[c] items. Each tree
-// node's left share is a pure function of the node id alone, so drawing
-// every node exactly once yields the same values as any sequence of
-// count/prefix descents — only the evaluation order differs — at O(1)
-// amortized draws per slot instead of O(log slots) per query, with no
-// memo map in the hot path. Callers gate on slots (8 bytes per slot).
-func (t *splitTree) expandPrefix() []int64 {
-	p := make([]int64, t.slots+1)
+// expandPrefix materializes the whole tree and returns the prefix-sum
+// table P of length slots+1 — P[c] is the item count of slots [0, c),
+// so slot c holds P[c+1]-P[c] items — and the occupancy bitmap paired
+// with it (bit c set iff slot c is nonempty). Each tree node's left
+// share is a pure function of the node id alone, so drawing every node
+// exactly once yields the same values as any sequence of count/prefix
+// descents — only the evaluation order differs — at O(1) amortized
+// draws per slot instead of O(log slots) per query, with no memo map in
+// the hot path. Callers gate on slots (8 bytes per slot).
+//
+// The expansion runs on par.MaxWorkers() goroutines: a serial descent
+// draws the nodes above the grain and records the subtrees at it, which
+// are then expanded depth-first in any order, each writing only its own
+// p[lo:hi). Order cannot move a value because no node reads another's
+// stream; see DESIGN.md §2e.
+func (t *splitTree) expandPrefix() (p []int64, occ []uint64) {
+	p = make([]int64, t.slots+1)
+	occ = make([]uint64, (t.slots+63)/64)
 	if t.slots == 0 {
-		return p
+		return p, occ
 	}
-	var rec func(lo, hi int, m int64)
-	rec = func(lo, hi int, m int64) {
-		if m == 0 {
-			// Every slot under this node is empty and p is already
-			// zero-initialized; the skipped per-node draws are all
-			// Binomial(0, ·) = 0 from independent streams, so pruning
-			// the subtree changes no value.
-			return
-		}
-		if hi-lo == 1 {
-			p[lo] = m
-			return
-		}
-		mid := (lo + hi) / 2
-		mLeft := t.leftShare(lo, mid, hi, m, nil)
-		rec(lo, mid, mLeft)
-		rec(mid, hi, m-mLeft)
-	}
-	rec(0, t.slots, t.total)
+	var subs []subtree
+	t.expand(p, 0, t.slots, t.total, expandGrain(t.slots), &subs)
+	par.ForDynamic(int64(len(subs)), 1, func(i int64) {
+		s := subs[i]
+		t.expand(p, s.lo, s.hi, s.m, 0, nil)
+	})
 	// In place: per-slot counts become the running prefix.
 	var acc int64
 	for c := 0; c < t.slots; c++ {
-		acc, p[c] = acc+p[c], acc
+		n := p[c]
+		if n != 0 {
+			occ[c>>6] |= 1 << (uint(c) & 63)
+		}
+		p[c] = acc
+		acc += n
 	}
 	p[t.slots] = acc
-	return p
+	return p, occ
+}
+
+// subtree is one deferred unit of expandPrefix's work: the node
+// covering slots [lo, hi) and the m > 0 items it was dealt.
+type subtree struct {
+	lo, hi int
+	m      int64
+}
+
+// expandTasksPerWorker is how many subtrees expandPrefix cuts per
+// worker. A subtree's cost follows the items it was dealt, which vary
+// with the tree's weights and with every uneven halving above it, so
+// the cut is much finer than the worker count and the subtrees are
+// claimed dynamically. Measured flat from 4 to 256 on the geo-bin
+// tables at two workers.
+const expandTasksPerWorker = 64
+
+// expandMinGrain is the slot count below which a subtree is not worth
+// a task of its own; trees no larger than it expand serially.
+const expandMinGrain = 1 << 10
+
+// expandGrain returns the subtree size (in slots) at which expandPrefix
+// stops descending serially. With one worker it is the whole tree, so
+// the root is the only task.
+func expandGrain(slots int) int {
+	workers := par.MaxWorkers()
+	if workers == 1 {
+		return slots
+	}
+	if g := slots / (expandTasksPerWorker * workers); g > expandMinGrain {
+		return g
+	}
+	return expandMinGrain
+}
+
+// expand writes the per-slot counts of the subtree covering [lo, hi),
+// which holds m items, into p[lo:hi) depth-first. A subtree of at most
+// grain slots is appended to subs instead of being descended (grain 0
+// descends everything).
+func (t *splitTree) expand(p []int64, lo, hi int, m int64, grain int, subs *[]subtree) {
+	if m == 0 {
+		// Every slot under this node is empty and p is already
+		// zero-initialized; the skipped per-node draws are all
+		// Binomial(0, ·) = 0 from independent streams, so pruning
+		// the subtree changes no value.
+		return
+	}
+	if hi-lo <= grain {
+		*subs = append(*subs, subtree{lo, hi, m})
+		return
+	}
+	if hi-lo == 1 {
+		p[lo] = m
+		return
+	}
+	mid := (lo + hi) / 2
+	mLeft := t.leftShare(lo, mid, hi, m, nil)
+	t.expand(p, lo, mid, mLeft, grain, subs)
+	t.expand(p, mid, hi, m-mLeft, grain, subs)
 }
 
 func (t *splitTree) prefixMemo(c int, memo splitMemo) int64 {
