@@ -201,14 +201,12 @@ const baMemoWindow = int64(1) << 20
 const maxBAChainRecord = 64
 
 // baState is the per-worker scratch of the retracing Enumerate phase:
-// a value generator reseeded in place per odd slot (replacing one heap
-// allocation per retracing step), the per-vertex target buffer, and the
-// settled-slot memo — memo[k] resolves odd slot 2k+1, -1 unset — so
-// chains crossing slots already resolved by earlier chunks of the same
-// worker terminate immediately. Resolution is pure, so memo hits return
-// exactly the value a fresh chase would: state can never move a byte.
+// the per-vertex target buffer and the settled-slot memo — memo[k]
+// resolves odd slot 2k+1, -1 unset — so chains crossing slots already
+// resolved by earlier chunks of the same worker terminate immediately.
+// Resolution is pure, so memo hits return exactly the value a fresh
+// chase would: state can never move a byte.
 type baState struct {
-	s       rng.Xoshiro256
 	targets []int64
 	memo    []int64
 }
@@ -267,8 +265,8 @@ func (g *BarabasiAlbert) resolveWith(st *baState, p int64) int64 {
 				hops++
 			}
 		}
-		st.s.ReseedStream2(g.seed, nsBAPos, uint64(p))
-		p = st.s.Int64n(p)
+		// posDraw(p), deriving only the state word the draw reads.
+		p = rng.Stream2Int64n(g.seed, nsBAPos, uint64(p), p)
 	}
 	// Backfill: every in-window odd slot visited resolved to v too.
 	for i := 0; i < hops; i++ {

@@ -9,10 +9,12 @@ import (
 // by recursive binomial splitting — the Sample-phase primitive behind
 // every exact-count partition in this package (G(n,m) edge budgets, RGG
 // cell occupancies). The node covering slots [lo, hi) assigns its left
-// half Binomial(total_node, w_left/w_node) items from a stream derived
-// purely from (seed, ns, lo<<32|hi), so every worker recomputes any
-// slot's exact share — in O(log slots) draws — with no communication,
-// the shares follow the exact multinomial law conditioned on the total,
+// half Binomial(total_node, w_left/w_node) items, drawn by
+// rng.BinomialFixed from a stream derived purely from (seed, ns,
+// lo<<32|hi), so every worker recomputes any slot's exact share — in
+// O(log slots) draws — with no communication, the shares follow the
+// multinomial law conditioned on the total (each trial at the 2^-53
+// grid probability the fixed-point threshold encodes; DESIGN.md §2e),
 // and they sum to the total exactly.
 //
 // When capacitated is set, slot weights are also capacities (G(n,m):
@@ -52,7 +54,8 @@ func (t *splitTree) leftShare(lo, mid, hi int, m int64, memo splitMemo) int64 {
 	if total := t.weight(lo, hi); total > 0 && m > 0 {
 		left := t.weight(lo, mid)
 		s := rng.NewStream2(t.seed, t.ns, node)
-		mLeft = s.Binomial(m, float64(left)/float64(total))
+		p := float64(left) / float64(total)
+		mLeft = s.BinomialFixed(m, p, rng.FixedThreshold(p))
 		if t.capacitated {
 			// Clamp to the feasible range [m - w_right, w_left]: the binomial
 			// approximation of the hypergeometric split can otherwise assign a

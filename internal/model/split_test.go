@@ -2,9 +2,12 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+
+	"kronvalid/internal/rng"
 )
 
 // TestExpandPrefixMatchesDescents is the machine-checked form of the
@@ -74,6 +77,154 @@ func TestExpandPrefixMatchesDescents(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSplitDrawLaw is the re-pin evidence for leftShare's draw
+// (DESIGN.md §2e): rng.BinomialFixed, which every split-tree node now
+// draws with, and rng.Binomial, the draw it superseded, follow the same
+// Binomial(m, p) law. First per node: a chi-square of both samplers
+// against the exact pmf at trial counts and probabilities straddling
+// both samplers' regime edges (64 | 65 trials, m·min(p, 1−p) = 256),
+// 0.012 being the skew of rhg's band boundaries. Then per tree: over
+// 2400 seeds, every slot's occupancy has the multinomial mean
+// total·w_c/W and variance total·π_c(1−π_c) under both draws, for a
+// uniform (rgg-shaped) tree and a real rhg tree. The seeds are fixed,
+// so the test is deterministic.
+func TestSplitDrawLaw(t *testing.T) {
+	const samples = 20000
+	for _, m := range []int64{2, 17, 64, 65, 300, 4096} {
+		for _, p := range []float64{1.0 / 2, 1.0 / 3, 0.012, 0.97} {
+			thr := rng.FixedThreshold(p)
+			draws := map[string]func(*rng.Xoshiro256) int64{
+				"BinomialFixed": func(s *rng.Xoshiro256) int64 { return s.BinomialFixed(m, p, thr) },
+				"Binomial":      func(s *rng.Xoshiro256) int64 { return s.Binomial(m, p) },
+			}
+			for name, draw := range draws {
+				s := rng.New(uint64(m)*7919 + uint64(p*1e6))
+				hist := make([]float64, m+1)
+				for i := 0; i < samples; i++ {
+					hist[draw(s)]++
+				}
+				chi2, df := binomialChiSquare(hist, m, p)
+				if crit := chiSquareCritical(df); chi2 > crit {
+					t.Errorf("%s(%d, %.4g): chi-square %.1f over %d df, critical %.1f", name, m, p, chi2, df, crit)
+				}
+			}
+		}
+	}
+
+	rhg, err := NewRHG(600, 8, 2.6, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := []struct {
+		name string
+		tree splitTree
+	}{
+		{"uniform", splitTree{ns: nsRGGSplit, slots: 37, total: 1000,
+			weight: func(lo, hi int) int64 { return int64(hi - lo) }}},
+		{"rhg", rhg.tree},
+	}
+	const seeds = 2400
+	for _, sh := range trees {
+		tr := sh.tree
+		w := float64(tr.weight(0, tr.slots))
+		for _, draw := range []string{"BinomialFixed", "Binomial"} {
+			sum := make([]float64, tr.slots)
+			sumSq := make([]float64, tr.slots)
+			counts := make([]int64, tr.slots)
+			for seed := uint64(0); seed < seeds; seed++ {
+				tr.seed = seed
+				if draw == "BinomialFixed" {
+					p, _ := tr.expandPrefix()
+					for c := range counts {
+						counts[c] = p[c+1] - p[c]
+					}
+				} else {
+					oracleCounts(&tr, 0, tr.slots, tr.total, counts)
+				}
+				for c, n := range counts {
+					sum[c] += float64(n)
+					sumSq[c] += float64(n) * float64(n)
+				}
+			}
+			for c := 0; c < tr.slots; c++ {
+				// Slot c's marginal is Binomial(total, π_c): mean, variance
+				// and fourth central moment μ4, which sets the standard
+				// error of the sample variance, sqrt((μ4 − σ⁴)/seeds).
+				n, pi := float64(tr.total), float64(tr.weight(c, c+1))/w
+				mean, variance := n*pi, n*pi*(1-pi)
+				mu4 := variance * (1 + 3*(n-2)*pi*(1-pi))
+				gotMean := sum[c] / seeds
+				gotVar := sumSq[c]/seeds - gotMean*gotMean
+				if tol := 5.5 * math.Sqrt(variance/seeds); math.Abs(gotMean-mean) > tol {
+					t.Errorf("%s tree (%d slots), %s: slot %d mean %.3f, want %.3f ± %.3f",
+						sh.name, tr.slots, draw, c, gotMean, mean, tol)
+				}
+				if tol := 5.5 * math.Sqrt((mu4-variance*variance)/seeds); math.Abs(gotVar-variance) > tol {
+					t.Errorf("%s tree (%d slots), %s: slot %d variance %.3f, want %.3f ± %.3f",
+						sh.name, tr.slots, draw, c, gotVar, variance, tol)
+				}
+			}
+		}
+	}
+}
+
+// oracleCounts expands the uncapacitated tree t below the node [lo, hi)
+// holding m items into per-slot counts, drawing each node with the
+// superseded rng.Binomial on the node's own stream.
+func oracleCounts(t *splitTree, lo, hi int, m int64, counts []int64) {
+	if hi-lo == 1 {
+		counts[lo] = m
+		return
+	}
+	mid := (lo + hi) / 2
+	var mLeft int64
+	if total := t.weight(lo, hi); total > 0 && m > 0 {
+		s := rng.NewStream2(t.seed, t.ns, uint64(lo)<<32|uint64(hi))
+		mLeft = s.Binomial(m, float64(t.weight(lo, mid))/float64(total))
+	}
+	oracleCounts(t, lo, mid, mLeft, counts)
+	oracleCounts(t, mid, hi, m-mLeft, counts)
+}
+
+// binomialChiSquare returns Pearson's statistic of hist against n·pmf of
+// Binomial(m, p), pooling outcomes left to right until each pooled
+// class expects at least 5, and its degrees of freedom.
+func binomialChiSquare(hist []float64, m int64, p float64) (chi2 float64, df int) {
+	var n float64
+	for _, h := range hist {
+		n += h
+	}
+	lgM, _ := math.Lgamma(float64(m + 1))
+	var expAcc, obsAcc, expDone float64
+	classes := 0
+	for k := int64(0); k <= m; k++ {
+		lgK, _ := math.Lgamma(float64(k + 1))
+		lgMK, _ := math.Lgamma(float64(m - k + 1))
+		expAcc += n * math.Exp(lgM-lgK-lgMK+float64(k)*math.Log(p)+float64(m-k)*math.Log1p(-p))
+		obsAcc += hist[k]
+		// Close the class once it expects 5 and what is left does too.
+		if k == m || expAcc >= 5 && n-expDone-expAcc >= 5 {
+			chi2 += (obsAcc - expAcc) * (obsAcc - expAcc) / expAcc
+			classes++
+			expDone += expAcc
+			expAcc, obsAcc = 0, 0
+		}
+	}
+	return chi2, classes - 1
+}
+
+// chiSquareCritical is the Wilson–Hilferty upper 1e-6 point of the
+// chi-square law with df degrees of freedom.
+func chiSquareCritical(df int) float64 {
+	if df < 1 {
+		df = 1
+	}
+	const z = 4.753 // standard normal upper 1e-6 point
+	d := float64(df)
+	c := 1 - 2/(9*d) + z*math.Sqrt(2/(9*d))
+	return d * c * c * c
 }
 
 // BenchmarkCellTable times what a spatial generator pays once per

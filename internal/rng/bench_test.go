@@ -68,15 +68,6 @@ func BenchmarkFixedThreshold(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkGeometric(b *testing.B) {
-	g := New(1)
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += g.Geometric(0.001)
-	}
-	_ = sink
-}
-
 func BenchmarkGeometricLog(b *testing.B) {
 	g := New(1)
 	l := math.Log1p(-0.001)

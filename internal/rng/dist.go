@@ -5,28 +5,10 @@ import (
 	"math/bits"
 )
 
-// maxGeometric caps Geometric's return value so that extreme (u, p)
+// maxGeometric caps GeometricLog's return value so that extreme (u, p)
 // combinations cannot overflow downstream index arithmetic; any caller
 // range is exhausted long before this bound.
 const maxGeometric = int64(1) << 62
-
-// Geometric returns the number of failures before the first success in a
-// Bernoulli(p) sequence, i.e. a sample of the geometric distribution on
-// {0, 1, 2, …} with success probability p. It is the skip length of the
-// standard O(expected-successes) sparse-sampling loop: instead of testing
-// every candidate with probability p, jump Geometric(p)+1 candidates
-// ahead. p >= 1 always returns 0; p must be positive.
-func (g *Xoshiro256) Geometric(p float64) int64 {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with non-positive p")
-	}
-	// Inversion: floor(log(1-U) / log(1-p)), with log1p for precision at
-	// small p. 1-U is never zero because Float64 is in [0, 1).
-	return g.GeometricLog(math.Log1p(-p))
-}
 
 // smallBinomialCutoff separates the two Binomial regimes: below it the
 // geometric-skip counter (O(n·min(p,1-p)) expected) is cheaper than the
@@ -95,8 +77,7 @@ func (g *Xoshiro256) binomialNormal(n int64, p float64) int64 {
 
 // binomialCount counts successes in n trials via geometric skips:
 // O(expected successes) draws. Requires 0 < p <= 0.5. The skip
-// denominator log1p(-p) is hoisted out of the loop — GeometricLog is
-// draw-for-draw identical to Geometric, so the samples are unchanged.
+// denominator log1p(-p) is computed once, outside the loop.
 func (g *Xoshiro256) binomialCount(n int64, p float64) int64 {
 	log1mP := math.Log1p(-p)
 	var k, t int64
@@ -286,6 +267,36 @@ func NewStream2(seed, namespace, id uint64) *Xoshiro256 {
 // every step. Bit-identical state derivation, so callers on byte-pinned
 // streams can adopt it without moving a draw.
 func (g *Xoshiro256) ReseedStream2(seed, namespace, id uint64) {
+	g.Reseed(stream2Seed(seed, namespace, id))
+}
+
+// stream2Seed is the Reseed argument of the two-level stream id.
+func stream2Seed(seed, namespace, id uint64) uint64 {
 	h := Mix64(seed ^ (namespace * 0x9e3779b97f4a7c15) + 0x2545f4914f6cdd1d)
-	g.Reseed(Mix64(h ^ (id * 0x9e3779b97f4a7c15) + 0x2545f4914f6cdd1d))
+	return Mix64(h ^ (id * 0x9e3779b97f4a7c15) + 0x2545f4914f6cdd1d)
+}
+
+// Stream2Int64n returns NewStream2(seed, namespace, id).Int64n(n), the
+// one-draw form for hash chases that open a stream only to read one
+// bounded index. Xoshiro's first output reads only state word s[1], the
+// second SplitMix64 output of the stream's seed, so that one word is
+// derived instead of all four. When Lemire's rejection test asks for a
+// second draw (probability below n/2^64) the whole stream is rebuilt
+// and Int64n runs on it, so every result is the reference's. It panics
+// if n <= 0.
+func Stream2Int64n(seed, namespace, id uint64, n int64) int64 {
+	if n > 0 {
+		const gamma = 0x9e3779b97f4a7c15 // SplitMix64's increment
+		s1 := Mix64(stream2Seed(seed, namespace, id) + gamma + gamma)
+		un := uint64(n)
+		hi, lo := bits.Mul64(bits.RotateLeft64(s1*5, 7)*9, un)
+		// Int64n keeps its first draw iff lo >= -un%un; lo >= un
+		// decides that without the division.
+		if lo >= un || lo >= -un%un {
+			return int64(hi)
+		}
+	}
+	var g Xoshiro256
+	g.ReseedStream2(seed, namespace, id)
+	return g.Int64n(n)
 }

@@ -7,42 +7,63 @@ import (
 
 func TestGeometricBasics(t *testing.T) {
 	g := New(3)
-	if got := g.Geometric(1); got != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", got)
+	// p = 1: log1p(-1) = -Inf, and every finite log over -Inf is 0.
+	for i := 0; i < 1000; i++ {
+		if got := g.GeometricLog(math.Log1p(-1)); got != 0 {
+			t.Fatalf("GeometricLog(-Inf) = %d, want 0", got)
+		}
 	}
-	if got := g.Geometric(1.5); got != 0 {
-		t.Fatalf("Geometric(1.5) = %d, want 0", got)
-	}
+	l := math.Log1p(-0.3)
 	for i := 0; i < 10000; i++ {
-		if v := g.Geometric(0.3); v < 0 {
-			t.Fatalf("Geometric(0.3) = %d < 0", v)
+		if v := g.GeometricLog(l); v < 0 {
+			t.Fatalf("GeometricLog(log1p(-0.3)) = %d < 0", v)
 		}
 	}
-	// A vanishing p with an unlucky uniform must cap, not overflow.
+	// A vanishing p must cap, not overflow: at p = 1e-300 every draw
+	// but u = 0 is past the cap.
+	l = math.Log1p(-1e-300)
+	capped := 0
 	for i := 0; i < 100; i++ {
-		if v := g.Geometric(1e-300); v < 0 || v > maxGeometric {
-			t.Fatalf("Geometric(1e-300) = %d out of [0, cap]", v)
+		v := g.GeometricLog(l)
+		if v < 0 || v > maxGeometric {
+			t.Fatalf("GeometricLog(log1p(-1e-300)) = %d out of [0, cap]", v)
 		}
+		if v == maxGeometric {
+			capped++
+		}
+	}
+	if capped != 100 {
+		t.Fatalf("GeometricLog(log1p(-1e-300)) hit the cap %d/100 times", capped)
 	}
 }
 
-func TestGeometricPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
+// TestGeometricLogOneDrawInversion pins GeometricLog's draw layout: one
+// Float64 per call, inverted as floor(log1p(-u) / log1mP) below the cap.
+func TestGeometricLogOneDrawInversion(t *testing.T) {
+	for _, p := range []float64{1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 0x1p-53} {
+		l := math.Log1p(-p)
+		ga, gb := New(5), New(5)
+		for i := 0; i < 5000; i++ {
+			want := math.Floor(math.Log1p(-gb.Float64()) / l)
+			if got := ga.GeometricLog(l); float64(got) != math.Min(want, float64(maxGeometric)) {
+				t.Fatalf("p=%v draw %d: GeometricLog %d, inversion %v", p, i, got, want)
+			}
 		}
-	}()
-	New(1).Geometric(0)
+		if ga.s != gb.s {
+			t.Fatalf("p=%v: generator states diverged", p)
+		}
+	}
 }
 
 func TestGeometricMean(t *testing.T) {
-	// E[Geometric(p)] = (1-p)/p.
+	// E[GeometricLog(log1p(-p))] = (1-p)/p.
 	g := New(11)
 	for _, p := range []float64{0.5, 0.1, 0.01} {
 		const trials = 20000
+		l := math.Log1p(-p)
 		var sum float64
 		for i := 0; i < trials; i++ {
-			sum += float64(g.Geometric(p))
+			sum += float64(g.GeometricLog(l))
 		}
 		mean := sum / trials
 		want := (1 - p) / p

@@ -82,12 +82,15 @@ func (g *Xoshiro256) CountBelow(n int64, t uint64) int64 {
 	return k
 }
 
-// GeometricLog is Geometric with the denominator precomputed:
-// GeometricLog(math.Log1p(-p)) is draw-for-draw identical to
-// Geometric(p) for p in (0, 1), hoisting one of the two log1p calls out
-// of hot loops whose p is fixed (the G(n,p) skip sweep) or repeats
-// across candidates (the Chung–Lu flat tail). log1mP must be
-// math.Log1p(-p) for some p in (0, 1), i.e. finite and negative.
+// GeometricLog returns the number of failures before the first success
+// in a Bernoulli(p) sequence — a geometric sample on {0, 1, 2, …}, the
+// skip length of the O(expected-successes) sparse-sampling loop — by
+// inversion, floor(log1p(-U) / log1mP), capped at maxGeometric. The
+// denominator log1mP = math.Log1p(-p) is the caller's, so hot loops
+// whose p is fixed (the G(n,p) skip sweep) or repeats across candidates
+// (the Chung–Lu flat tail) compute it once. log1mP must be
+// math.Log1p(-p) for some p in (0, 1], i.e. negative (-Inf at p = 1,
+// which always returns 0).
 func (g *Xoshiro256) GeometricLog(log1mP float64) int64 {
 	k := math.Log1p(-g.Float64()) / log1mP
 	if k >= float64(maxGeometric) {

@@ -106,21 +106,6 @@ func TestUnitUniformMatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestGeometricLogMatchesGeometric checks the hoisted-log variant is
-// draw-for-draw identical to Geometric for p across the usable range.
-func TestGeometricLogMatchesGeometric(t *testing.T) {
-	for _, p := range []float64{1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 0x1p-53} {
-		l := math.Log1p(-p)
-		ga, gb := New(5), New(5)
-		for i := 0; i < 5000; i++ {
-			a, b := ga.Geometric(p), gb.GeometricLog(l)
-			if a != b {
-				t.Fatalf("p=%v draw %d: Geometric %d, GeometricLog %d", p, i, a, b)
-			}
-		}
-	}
-}
-
 // TestBinomialFixedLaw sanity-checks BinomialFixed across its three
 // regimes: exact edge cases, and sample mean/variance within generous
 // bounds of the binomial law.

@@ -258,3 +258,46 @@ func TestReseedStream2MatchesNewStream2(t *testing.T) {
 		}
 	}
 }
+
+// TestStream2Int64nMatchesStream checks the one-word helper against
+// ReseedStream2 followed by Int64n for random stream ids and bounds
+// over [1, 2^63−1]: log-uniform bounds, where Lemire's first draw is
+// almost always kept, and bounds in (2^62, 2^63), where the rejection
+// test asks for another draw up to a third of the time and the helper
+// must replay the stream. The draws the reference consumed are counted
+// by stepping a copy of the fresh stream until the states agree, so the
+// replay path is known to have been taken, with two and more draws.
+func TestStream2Int64nMatchesStream(t *testing.T) {
+	r := New(2025)
+	bounds := []int64{1, 2, 3, 1<<62 + 1, 1<<63 - 1, 1<<63 - 2, 3 << 61}
+	for i := 0; i < 20000; i++ {
+		bounds = append(bounds, max(1, int64(r.Uint64()>>(1+r.Uint64()%63))))
+		bounds = append(bounds, 1<<62+1+r.Int64n(1<<62-1))
+	}
+	consumed := map[int]int{}
+	var g Xoshiro256
+	for _, n := range bounds {
+		seed, ns, id := r.Uint64(), r.Uint64()>>(r.Uint64()%64), r.Uint64()
+		g.ReseedStream2(seed, ns, id)
+		fresh := g
+		want := g.Int64n(n)
+		if got := Stream2Int64n(seed, ns, id, n); got != want {
+			t.Fatalf("Stream2Int64n(%d, %d, %d, n=%d) = %d, stream gives %d", seed, ns, id, n, got, want)
+		}
+		draws := 0
+		for fresh.s != g.s {
+			fresh.Uint64()
+			draws++
+		}
+		consumed[draws]++
+	}
+	if consumed[1] < len(bounds)/2 || consumed[2] < 1000 || consumed[3] < 100 {
+		t.Fatalf("draws consumed per call %v: the replay path was not exercised enough", consumed)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Stream2Int64n(n=0) did not panic")
+		}
+	}()
+	Stream2Int64n(1, 2, 3, 0)
+}
