@@ -1,18 +1,20 @@
-// Gengen streams or shards the edge list of any registered random graph
-// model (Erdős–Rényi, G(n,m), R-MAT, Chung–Lu, random geometric 2D/3D,
-// Barabási–Albert, random hyperbolic, 2D/3D lattices with optional
-// wraparound) through the unified Source pipeline: randomness lives
-// in cells derived from (seed, cell id) — pair-range chunks, geometric
-// grid cells, or per-edge hash positions — so output is bitwise
-// identical for any worker count, even for the models with cross-chunk
-// dependence (rgg regenerates neighbor cells, ba retraces per-edge
-// dependency chains). The model-agnostic counterpart of krongen.
+// Gengen streams or shards the edge list of a Kronecker product
+// C = A ⊗ B or of any registered random graph model (Erdős–Rényi,
+// G(n,m), R-MAT, Chung–Lu, random geometric 2D/3D, Barabási–Albert,
+// random hyperbolic, 2D/3D lattices with optional wraparound) through
+// the unified Source pipeline: model randomness lives in cells derived
+// from (seed, cell id) — pair-range chunks, geometric grid cells, or
+// per-edge hash positions — so output is bitwise identical for any
+// worker count, even for the models with cross-chunk dependence (rgg
+// regenerates neighbor cells, ba retraces per-edge dependency chains).
 // Interrupting a long generation (SIGINT/SIGTERM) cancels it cleanly:
 // sharded output directories are left without a manifest.json, the
 // marker readers require.
 //
 // Usage:
 //
+//	gengen -model 'kron(a=web:n=4096,m=4,seed=42;b=clique:n=5)' > edges.tsv
+//	gengen -model 'kron(a=ba(n=500;d=2);b=clique:n=5+loops)' -shards 8 -out dir/
 //	gengen -model 'er:n=100000,p=0.001,seed=42' > edges.tsv
 //	gengen -model 'rmat:scale=16,seed=7' -shards 8 -out dir/       # shard files + manifest.json
 //	gengen -model 'gnm:n=100000,m=1000000' -shards 8 -out dir/ -binary
@@ -25,12 +27,13 @@
 //	gengen -model 'er:n=100000,p=0.001' -digest                    # stream digest only
 //	gengen -kinds                                                  # list registered models (sorted)
 //
-// Spec grammar: kind:key=value,key=value,… (or kind(key=value;…)).
+// Spec grammar (kronvalid.ParseSource): kind:key=value,… (or
+// kind(key=value;…)), or kron(a=<factor>;b=<factor>) whose factors add
+// the factor-only kinds (web, clique, file, …) and a "+loops" suffix.
 // Every model takes seed (default 1) and chunks (the enumeration
 // granularity, default 64; part of the stream identity for er/gnm/
 // rmat/chunglu/grid2d/grid3d, grouping-only for rgg2d/rgg3d/ba/rhg).
-// See MODELS.md and the package documentation of internal/model for
-// per-model parameters and sharding schemes.
+// See MODELS.md and internal/model for per-model parameters.
 package main
 
 import (
@@ -46,7 +49,6 @@ import (
 	"syscall"
 
 	"kronvalid"
-	"kronvalid/internal/cliutil"
 )
 
 func main() {
@@ -58,13 +60,13 @@ func main() {
 }
 
 func run() (err error) {
-	modelSpec := flag.String("model", "", "model specification (required; see -kinds)")
-	shards := flag.Int("shards", 1, "number of workers / shard files")
+	srcSpec := flag.String("model", "", "source spec: a model (see -kinds) or kron(a=<factor>;b=<factor>) (required)")
+	shards := flag.Int("shards", 1, "number of workers / shard files (0 = GOMAXPROCS)")
 	csrPath := flag.String("csr", "", "build CSR with the two-pass parallel builder and write it here (KRONCSR1)")
 	countOnly := flag.Bool("count", false, "print sizes and exit without generating")
 	listKinds := flag.Bool("kinds", false, "list registered model kinds and exit")
-	out := cliutil.RegisterOutputFlags()
-	prof := cliutil.ProfileFlags()
+	out := registerOutputFlags()
+	prof := profileFlags()
 	flag.Parse()
 
 	// ModelKinds is sorted, so new kinds surface deterministically in
@@ -76,16 +78,21 @@ func run() (err error) {
 		fmt.Println(strings.Join(kinds, "\n"))
 		return nil
 	}
-	if *modelSpec == "" {
-		return errors.New("-model is required (one of: " + strings.Join(kinds, ", ") + ")")
+	if *srcSpec == "" {
+		return errors.New("-model is required (kron(a=…;b=…) or one of: " + strings.Join(kinds, ", ") + ")")
 	}
-	g, err := kronvalid.NewGenerator(*modelSpec)
+	if *shards < 0 {
+		return fmt.Errorf("-shards %d: must be >= 0 (0 = GOMAXPROCS)", *shards)
+	}
+	if out.Binary && out.Out == "" {
+		return errors.New("-binary needs -out DIR")
+	}
+	src, err := kronvalid.ParseSource(*srcSpec, *shards)
 	if err != nil {
 		return err
 	}
-	src := kronvalid.ModelSource(g, *shards)
 
-	stopProf, err := prof.Start()
+	stopProf, err := prof.start()
 	if err != nil {
 		return err
 	}
@@ -100,7 +107,7 @@ func run() (err error) {
 	defer cancel()
 
 	if *countOnly {
-		fmt.Printf("model\t%s\n", src.Name())
+		fmt.Printf("source\t%s\n", src.Name())
 		fmt.Printf("vertices\t%d\n", src.NumVertices())
 		if arcs := src.TotalArcs(); arcs >= 0 {
 			fmt.Printf("arcs\t%d\n", arcs)
@@ -120,13 +127,13 @@ func run() (err error) {
 	if *csrPath != "" && !out.Digest { // -digest takes precedence over -csr
 		return writeCSR(ctx, src, *csrPath, out)
 	}
-	return out.Emit(ctx, "gengen", src)
+	return out.emit(ctx, src)
 }
 
 // writeCSR materializes src with the two-pass parallel builder and
 // writes it to path in the KRONCSR1 format.
-func writeCSR(ctx context.Context, src kronvalid.Source, path string, out *cliutil.OutputFlags) error {
-	opts, done := out.ProgressOption(src)
+func writeCSR(ctx context.Context, src kronvalid.Source, path string, out *outputFlags) error {
+	opts, done := out.progressOption(src)
 	cg, err := kronvalid.ToCSR(ctx, src, opts...)
 	done()
 	if err != nil {

@@ -1,4 +1,4 @@
-package cliutil
+package main
 
 import (
 	"flag"
@@ -8,28 +8,26 @@ import (
 	"runtime/pprof"
 )
 
-// Profiles holds the pprof output paths shared by every binary in
-// cmd/: the same two flags, the same file formats, so `go tool pprof`
-// invocations from EXPERIMENTS.md work against any of them.
-type Profiles struct {
+// profiles holds the pprof output paths of -cpuprofile and -memprofile.
+type profiles struct {
 	cpu, mem *string
 	cpuFile  *os.File
 }
 
-// ProfileFlags registers -cpuprofile and -memprofile on the default
+// profileFlags registers -cpuprofile and -memprofile on the default
 // flag set. Call before flag.Parse.
-func ProfileFlags() *Profiles {
-	return &Profiles{
+func profileFlags() *profiles {
+	return &profiles{
 		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
 		mem: flag.String("memprofile", "", "write a heap profile to this file on exit"),
 	}
 }
 
-// Start begins CPU profiling if requested. The returned stop must run
+// start begins CPU profiling if requested. The returned stop must run
 // on every exit path that should yield profiles: it finishes the CPU
 // profile and writes the heap profile (after a final GC, so the
 // snapshot shows live bytes rather than collectable garbage).
-func (p *Profiles) Start() (stop func() error, err error) {
+func (p *profiles) start() (stop func() error, err error) {
 	if *p.cpu != "" {
 		f, err := os.Create(*p.cpu)
 		if err != nil {
@@ -44,7 +42,7 @@ func (p *Profiles) Start() (stop func() error, err error) {
 	return p.stop, nil
 }
 
-func (p *Profiles) stop() error {
+func (p *profiles) stop() error {
 	if p.cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := p.cpuFile.Close(); err != nil {

@@ -26,7 +26,7 @@ func TestWriteShardedErrorCarriesShardIndex(t *testing.T) {
 	if err := os.MkdirAll(squat, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	_, werr := WriteShards(context.Background(), dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, false, stream.Options{})
+	_, werr := WriteShards(context.Background(), dir, model.NewPlan(g, 4), nil, false, stream.Options{})
 	if werr == nil {
 		t.Fatal("write over a squatted shard path succeeded")
 	}
@@ -50,7 +50,7 @@ func TestWriteShardedCancelLeavesNoManifest(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls int64
-	_, werr := WriteShards(ctx, dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, false,
+	_, werr := WriteShards(ctx, dir, model.NewPlan(g, 4), nil, false,
 		stream.Options{BatchSize: 64, Progress: func(arcs, shards int64) {
 			calls++
 			if calls == 3 {
@@ -65,7 +65,7 @@ func TestWriteShardedCancelLeavesNoManifest(t *testing.T) {
 	}
 	// A rerun into the same directory must recover: full manifest, full
 	// stream, stale bytes overwritten.
-	m, err := WriteShards(context.Background(), dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, false, stream.Options{})
+	m, err := WriteShards(context.Background(), dir, model.NewPlan(g, 4), nil, false, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestManifestCommitIsAtomic(t *testing.T) {
 		t.Fatalf("temp manifest survives a successful run (stat err: %v)", err)
 	}
 
-	_, werr := WriteShards(context.Background(), dir, squatSource{pl, dir}, Manifest{Model: "kron"}, false, stream.Options{})
+	_, werr := WriteShards(context.Background(), dir, squatSource{pl, dir}, nil, false, stream.Options{})
 	if werr == nil {
 		t.Fatal("commit over a squatted manifest path succeeded")
 	}
@@ -124,7 +124,7 @@ func TestManifestCarriesSourceAndExtra(t *testing.T) {
 	dir := t.TempDir()
 	pl := model.NewPlan(g, 2)
 	m, err := WriteShards(context.Background(), dir, pl,
-		Manifest{Model: g.Name(), Extra: map[string]string{"experiment": "e1"}}, false, stream.Options{})
+		map[string]string{"experiment": "e1"}, false, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

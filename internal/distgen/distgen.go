@@ -31,6 +31,7 @@ type Plan struct {
 	workers   int
 	rowRanges [][2]int32 // per-worker [lo, hi) over A rows
 	sizes     []int64    // exact product arcs per shard
+	name      string     // spec the factors were parsed from; "" = digests
 }
 
 // NewPlan builds a generation plan for the given worker count (0 means
@@ -84,14 +85,21 @@ func NewPlan(p *kron.Product, workers int) *Plan {
 	}
 }
 
-// Product returns the implicit product this plan partitions.
-func (pl *Plan) Product() *kron.Product { return pl.p }
+// Named sets the plan's Name() to the spec its factors were parsed
+// from, kron(a=<A>;b=<B>), and returns the plan.
+func (pl *Plan) Named(spec string) *Plan {
+	pl.name = spec
+	return pl
+}
 
-// Name returns the stable identity of the product stream: the factors,
-// identified by digest, pin every byte of the canonical stream, so equal
-// names imply equal streams. This is the stream.Source identity recorded
-// in shard manifests.
+// Name returns the stable identity of the product stream, the one
+// recorded in shard manifests: the spec set by Named, or else the
+// factors identified by digest, which pin every byte of the canonical
+// stream, so equal names imply equal streams.
 func (pl *Plan) Name() string {
+	if pl.name != "" {
+		return pl.name
+	}
 	return fmt.Sprintf("kron(a=%s,b=%s)", gio.GraphDigest(pl.p.A), gio.GraphDigest(pl.p.B))
 }
 

@@ -55,15 +55,10 @@ func writeShard(t *testing.T, pl *Plan, w int, sink stream.Sink) int64 {
 	return n
 }
 
-// writeKron writes pl's shards into dir with the manifest identity the
-// root package stamps on Kronecker sources.
+// writeKron writes pl's shards into dir.
 func writeKron(t *testing.T, dir string, pl *Plan, binary bool) *Manifest {
 	t.Helper()
-	m, err := WriteShards(context.Background(), dir, pl, Manifest{
-		Model:         "kron",
-		FactorADigest: gio.GraphDigest(pl.Product().A),
-		FactorBDigest: gio.GraphDigest(pl.Product().B),
-	}, binary, stream.Options{})
+	m, err := WriteShards(context.Background(), dir, pl, nil, binary, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +318,8 @@ func TestWriteShardedManifestRoundTrip(t *testing.T) {
 		if back.TotalArcs != p.NumArcs() || back.Workers != pl.Shards() || len(back.Shards) != pl.Shards() {
 			t.Fatalf("manifest mismatch: %+v", back)
 		}
-		if back.FactorADigest != gio.GraphDigest(p.A) || back.FactorBDigest != gio.GraphDigest(p.B) {
-			t.Fatal("manifest factor digests differ")
-		}
-		if back.FactorADigest == back.FactorBDigest {
-			t.Fatal("distinct factors share a digest")
+		if back.Source != pl.Name() {
+			t.Fatalf("manifest source %q, plan name %q", back.Source, pl.Name())
 		}
 		var concat []byte
 		for _, s := range m.Shards {

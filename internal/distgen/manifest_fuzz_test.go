@@ -35,8 +35,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
-		if back.Format != m.Format || back.Model != m.Model ||
-			back.FactorADigest != m.FactorADigest || back.FactorBDigest != m.FactorBDigest ||
+		if back.Format != m.Format || back.Source != m.Source ||
 			back.Vertices != m.Vertices || back.TotalArcs != m.TotalArcs ||
 			back.Workers != m.Workers || len(back.Shards) != len(m.Shards) {
 			t.Fatal("round trip changed manifest fields")
@@ -49,11 +48,26 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
+// TestDecodeManifestIgnoresRetiredFields loads a manifest written
+// before "source" became the one identity field: its retired "model"
+// key is ignored, not rejected.
+func TestDecodeManifestIgnoresRetiredFields(t *testing.T) {
+	old := `{"format":"tsv","model":"kron","source":"kron(a=f189ebb693d34252,b=14a296fd1ff1904d)",` +
+		`"vertices":12,"total_arcs":1,"workers":1,"shards":[{"index":0,"file":"shard-000.tsv","arcs":1}]}`
+	m, err := DecodeManifest(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Source != "kron(a=f189ebb693d34252,b=14a296fd1ff1904d)" || m.TotalArcs != 1 {
+		t.Errorf("decoded %+v", m)
+	}
+}
+
 func TestManifestValidateRejects(t *testing.T) {
 	valid := func() *Manifest {
 		return &Manifest{
 			Format:    "tsv",
-			Model:     "kron",
+			Source:    "kron",
 			Vertices:  10,
 			TotalArcs: 5,
 			Workers:   2,

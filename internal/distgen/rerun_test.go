@@ -80,7 +80,7 @@ func TestWriteShardsCancelledRerunLeavesNoPredecessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := WriteShards(context.Background(), dir, model.NewPlan(g, 8), Manifest{Model: g.Name()}, true, stream.Options{}); err != nil {
+	if _, err := WriteShards(context.Background(), dir, model.NewPlan(g, 8), nil, true, stream.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(shardFiles(t, dir)); n != 8 {
@@ -88,7 +88,7 @@ func TestWriteShardsCancelledRerunLeavesNoPredecessor(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls int
-	_, werr := WriteShards(ctx, dir, model.NewPlan(g, 4), Manifest{Model: g.Name()}, false,
+	_, werr := WriteShards(ctx, dir, model.NewPlan(g, 4), nil, false,
 		stream.Options{BatchSize: 64, Progress: func(arcs, shards int64) {
 			if calls++; calls == 3 {
 				cancel()
@@ -132,7 +132,7 @@ func TestWriteShardsRefusesShardFileOfAnotherWriter(t *testing.T) {
 	p := kron.MustProduct(gen.WebGraph(40, 3, 0.6, 3), gen.HubCycle(5))
 	dir := t.TempDir()
 	src := &intruderSource{Plan: NewPlan(p, 2), dir: dir}
-	_, err := WriteShards(context.Background(), dir, src, Manifest{Model: "kron"}, false, stream.Options{Workers: 1})
+	_, err := WriteShards(context.Background(), dir, src, nil, false, stream.Options{Workers: 1})
 	if !errors.Is(err, fs.ErrExist) {
 		t.Fatalf("err = %v, want a file-exists error for the planted shard", err)
 	}
@@ -144,7 +144,7 @@ func TestWriteShardsRefusesShardFileOfAnotherWriter(t *testing.T) {
 	}
 }
 
-// BenchmarkWriteShardsRerun is the traffic `krongen|gengen -out DIR`
+// BenchmarkWriteShardsRerun is the traffic `gengen -out DIR`
 // produces when re-run: one directory, filled before the clock starts,
 // so every iteration replaces a predecessor's shard files.
 func BenchmarkWriteShardsRerun(b *testing.B) {
@@ -157,7 +157,7 @@ func BenchmarkWriteShardsRerun(b *testing.B) {
 		b.Run(format.name, func(b *testing.B) {
 			dir := b.TempDir()
 			write := func() *Manifest {
-				m, err := WriteShards(context.Background(), dir, pl, Manifest{Model: "kron"}, format.binary, stream.Options{})
+				m, err := WriteShards(context.Background(), dir, pl, nil, format.binary, stream.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -24,32 +24,25 @@ type ShardInfo struct {
 	Arcs  int64  `json:"arcs"`
 }
 
-// Manifest describes a sharded edge-list directory: which generator
-// produced it (a Kronecker product identified by factor digests, or any
-// registered random model identified by its spec string), how it was
-// partitioned, and exactly what each shard file contains. Because
-// generation is deterministic, the manifest plus the generator identity
-// fully reproduce every byte of every shard — and concatenating the
-// shard files in index order reproduces the serial stream for any
-// worker count.
+// Manifest describes a sharded edge-list directory: which source
+// produced it, how it was partitioned, and exactly what each shard file
+// contains. Because generation is deterministic, the manifest plus the
+// source identity fully reproduce every byte of every shard — and
+// concatenating the shard files in index order reproduces the serial
+// stream for any worker count.
 type Manifest struct {
 	Format string `json:"format"` // "tsv" or "binary"
-	// Model identifies the generator: "kron" for Kronecker products
-	// (with the factor digests below), else a model spec string such as
-	// "er:n=100000,p=0.001,seed=42,chunks=64". Empty in manifests
-	// written before the model-agnostic layer, which were always kron.
-	Model string `json:"model,omitempty"`
 	// Source is the stream.Source Name() of the generator that wrote the
-	// directory — the uniform identity every source carries (kron plans
-	// spell their factor digests, model plans their spec string). Empty
-	// in manifests written before the unified Source API.
-	Source        string      `json:"source,omitempty"`
-	FactorADigest string      `json:"factor_a_digest,omitempty"`
-	FactorBDigest string      `json:"factor_b_digest,omitempty"`
-	Vertices      int64       `json:"vertices"`
-	TotalArcs     int64       `json:"total_arcs"`
-	Workers       int         `json:"workers"`
-	Shards        []ShardInfo `json:"shards"`
+	// directory, its one identity field: a spec string such as
+	// "er:n=100000,p=0.001,seed=42,chunks=64" or
+	// "kron(a=web:n=2048,m=3,seed=42;b=clique:n=6)", or the factor
+	// digests of a product built from bare graphs. Empty in manifests
+	// written before the unified Source API.
+	Source    string      `json:"source,omitempty"`
+	Vertices  int64       `json:"vertices"`
+	TotalArcs int64       `json:"total_arcs"`
+	Workers   int         `json:"workers"`
+	Shards    []ShardInfo `json:"shards"`
 	// Extra carries caller-supplied annotation key/values (provenance,
 	// experiment tags); the writer records them verbatim and readers
 	// ignore unknown keys.
@@ -135,11 +128,10 @@ func ShardFileName(w int, binary bool) string {
 
 // WriteShards writes every shard of the source into dir (one file per
 // shard, written in parallel; binary selects the 16-byte little-endian
-// arc format instead of TSV) plus a manifest.json carrying the identity
-// fields of base (Model, factor digests, Extra) and the source's
-// Name(), and returns the completed manifest. opts.Workers bounds how
-// many shard files are written concurrently; it does not affect the
-// partition, which is fixed by the source. Output is bitwise
+// arc format instead of TSV) plus a manifest.json carrying the source's
+// Name() and the extra annotations, and returns the completed manifest.
+// opts.Workers bounds how many shard files are written concurrently; it
+// does not affect the partition, which is fixed by the source. Output is bitwise
 // reproducible: the partition and each shard's byte stream depend only
 // on the source, never on scheduling — and concatenating the shard
 // files in index order reproduces the source's serial stream.
@@ -151,7 +143,7 @@ func ShardFileName(w int, binary bool) string {
 // shard files for a complete stream. Shard files of an earlier run into
 // dir are unlinked before generation and this run's are created
 // exclusively, so a failed run leaves nothing of its predecessor behind.
-func WriteShards(ctx context.Context, dir string, src stream.Source, base Manifest, binary bool, opts stream.Options) (*Manifest, error) {
+func WriteShards(ctx context.Context, dir string, src stream.Source, extra map[string]string, binary bool, opts stream.Options) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -197,15 +189,10 @@ func WriteShards(ctx context.Context, dir string, src stream.Source, base Manife
 	if err != nil {
 		return nil, err
 	}
-	m := &base
-	m.Source = src.Name()
-	m.Format = "tsv"
+	m := &Manifest{Format: "tsv", Source: src.Name(), Vertices: src.NumVertices(), Workers: shards, Extra: extra}
 	if binary {
 		m.Format = "binary"
 	}
-	m.Vertices = src.NumVertices()
-	m.Workers = shards
-	m.Shards = nil
 	var total int64
 	for w, n := range counts {
 		if want := src.ShardSize(w); want >= 0 && n != want {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"kronvalid/internal/gio"
 	"kronvalid/internal/model"
 	"kronvalid/internal/stream"
 )
@@ -39,12 +40,12 @@ func TestWriteShardedSourceModel(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		dir := t.TempDir()
 		pl := model.NewPlan(g, shards)
-		m, err := WriteShards(context.Background(), dir, pl, Manifest{Model: g.Name()}, true, stream.Options{})
+		m, err := WriteShards(context.Background(), dir, pl, nil, true, stream.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Model != g.Name() {
-			t.Errorf("manifest model = %q, want %q", m.Model, g.Name())
+		if m.Source != g.Name() {
+			t.Errorf("manifest source = %q, want %q", m.Source, g.Name())
 		}
 		if m.Workers != pl.Shards() || len(m.Shards) != pl.Shards() {
 			t.Errorf("manifest has %d shards, plan has %d", len(m.Shards), pl.Shards())
@@ -53,7 +54,7 @@ func TestWriteShardedSourceModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Model != g.Name() || back.TotalArcs != m.TotalArcs {
+		if back.Source != g.Name() || back.TotalArcs != m.TotalArcs {
 			t.Error("re-read manifest differs")
 		}
 		got := catShards(t, dir, m)
@@ -78,7 +79,7 @@ func TestWriteShardedSourceExactCounts(t *testing.T) {
 	}
 	dir := t.TempDir()
 	pl := model.NewPlan(g, 4)
-	m, err := WriteShards(context.Background(), dir, pl, Manifest{Model: g.Name()}, false, stream.Options{})
+	m, err := WriteShards(context.Background(), dir, pl, nil, false, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +93,18 @@ func TestWriteShardedSourceExactCounts(t *testing.T) {
 	}
 }
 
-// TestKronManifestCarriesModel pins that the writer carries a Kronecker
-// source's base identity — model "kron" plus factor digests — into the
-// manifest.
-func TestKronManifestCarriesModel(t *testing.T) {
-	pl, _ := plan(t, 3)
+// TestKronManifestCarriesSource pins that the writer records a
+// Kronecker source's name, the spec set by Named or else the factor
+// digests, as the manifest's one identity field.
+func TestKronManifestCarriesSource(t *testing.T) {
+	pl, p := plan(t, 3)
 	m := writeKron(t, t.TempDir(), pl, false)
-	if m.Model != "kron" {
-		t.Errorf("kron manifest model = %q", m.Model)
+	want := "kron(a=" + gio.GraphDigest(p.A) + ",b=" + gio.GraphDigest(p.B) + ")"
+	if m.Source != want {
+		t.Errorf("kron manifest source = %q, want %q", m.Source, want)
 	}
-	if m.FactorADigest == "" || m.FactorBDigest == "" {
-		t.Error("kron manifest lost factor digests")
+	const spec = "kron(a=web:n=40,m=3,pt=0.6,seed=3;b=hubcycle:c=5)"
+	if m := writeKron(t, t.TempDir(), pl.Named(spec), false); m.Source != spec {
+		t.Errorf("named kron manifest source = %q, want %q", m.Source, spec)
 	}
 }

@@ -43,9 +43,6 @@ func NewPlan(g Generator, shards int) *Plan {
 	return &Plan{g: g, ranges: ranges}
 }
 
-// Generator returns the planned generator.
-func (pl *Plan) Generator() Generator { return pl.g }
-
 // Name returns the generator's canonical spec string — the stable
 // stream.Source identity: feeding it back through New reproduces the
 // identical stream, independent of how this plan groups chunks.

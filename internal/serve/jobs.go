@@ -471,8 +471,7 @@ func (m *Manager) run(j *Job) {
 		j.arcs.Store(arcs)
 		j.shardsDone.Store(shardsDone)
 	}
-	_, err = distgen.WriteShards(j.ctx, staged, j.src,
-		distgen.Manifest{Model: j.spec}, j.format == "binary", opts)
+	_, err = distgen.WriteShards(j.ctx, staged, j.src, nil, j.format == "binary", opts)
 	if err != nil {
 		os.RemoveAll(staged)
 		if j.ctx.Err() != nil {

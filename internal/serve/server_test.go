@@ -133,7 +133,7 @@ func referenceBytes(t *testing.T, spec, format string, shards int) ([]byte, *dis
 	}
 	pl := model.NewPlan(g, shards)
 	dir := t.TempDir()
-	man, err := distgen.WriteShards(context.Background(), dir, pl, distgen.Manifest{Model: pl.Name()},
+	man, err := distgen.WriteShards(context.Background(), dir, pl, nil,
 		format == "binary", stream.Options{})
 	if err != nil {
 		t.Fatal(err)

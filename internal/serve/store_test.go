@@ -65,7 +65,7 @@ func stageEntry(t *testing.T, s *Store, spec string, shards int, binary bool) *E
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := distgen.WriteShards(context.Background(), staged, pl, distgen.Manifest{Model: pl.Name()},
+	if _, err := distgen.WriteShards(context.Background(), staged, pl, nil,
 		binary, stream.Options{}); err != nil {
 		t.Fatal(err)
 	}

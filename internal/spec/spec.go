@@ -20,6 +20,8 @@
 // A trailing "+loops" adds a self loop at every vertex (B = A + I).
 // Unknown parameter keys are rejected — before any generation work is
 // spent — so a typo cannot silently fall back to a default.
+//
+// A whole product is spelled kron(a=<factor>;b=<factor>) (SplitKron).
 package spec
 
 import (
@@ -39,35 +41,103 @@ import (
 // are read and validated in full (including unknown-key rejection)
 // before the generator runs, so malformed specs fail fast.
 func Parse(s string) (*graph.Graph, error) {
-	g, err := parse(s)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %v", err)
-	}
-	return g, nil
+	g, _, err := ParseNamed(s)
+	return g, err
 }
 
-func parse(s string) (*graph.Graph, error) {
-	s, addLoops := strings.CutSuffix(s, "+loops")
-	kind, p, err := params.Parse(s)
+// ParseNamed is Parse that also returns the factor's canonical
+// spelling: a model-registry kind is spelled by its generator's Name(),
+// any other kind as written, either with its "+loops" suffix kept.
+// Parsing the spelling again builds the same graph under the same
+// spelling.
+func ParseNamed(s string) (*graph.Graph, string, error) {
+	g, name, err := parse(s)
 	if err != nil {
-		return nil, err
+		return nil, "", fmt.Errorf("spec: %v", err)
 	}
-	mk, err := builder(kind, p)
+	return g, name, nil
+}
+
+func parse(s string) (*graph.Graph, string, error) {
+	base, addLoops := strings.CutSuffix(s, "+loops")
+	kind, p, err := params.Parse(base)
 	if err != nil {
-		return nil, err
+		return nil, "", err
+	}
+	var mk maker
+	name := base
+	if slices.Contains(model.Kinds(), kind) {
+		mg, err := model.FromParams(kind, p)
+		if err != nil {
+			return nil, "", err
+		}
+		mk = func() (*graph.Graph, error) { return gen.FromModel(mg, nil) }
+		name = mg.Name()
+	} else if mk, err = builder(kind, p); err != nil {
+		return nil, "", err
 	}
 	if err := p.CheckUnused(kind); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	g, err := mk()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if addLoops {
-		g = g.WithAllLoops()
+		g, name = g.WithAllLoops(), name+"+loops"
 	}
-	return g, nil
+	return g, name, nil
 }
+
+// SplitKron reads the product form kron(a=<factor>;b=<factor>). ok
+// reports whether s starts with "kron(", and then a and b are the two
+// factor spellings. The split is at the one ';' outside every
+// parenthesis, so KaGen-form factors such as ba(n=50;d=2) and "+loops"
+// suffixes nest unchanged; it must run before params.Parse, whose alias
+// rewrite would turn that ';' into ','. Unbalanced parentheses, a
+// missing or extra key, an empty factor and a product inside a factor
+// are errors. SplitKron builds nothing.
+func SplitKron(s string) (a, b string, ok bool, err error) {
+	inner, ok := strings.CutPrefix(s, "kron(")
+	if !ok {
+		return "", "", false, nil
+	}
+	inner, closed := strings.CutSuffix(inner, ")")
+	var parts []string
+	depth, start := 0, 0
+	for i := 0; i < len(inner) && depth >= 0; i++ {
+		switch inner[i] {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ';':
+			if depth == 0 {
+				parts = append(parts, inner[start:i])
+				start = i + 1
+			}
+		}
+	}
+	if !closed || depth != 0 {
+		return "", "", true, fmt.Errorf("spec: %q: unbalanced parentheses", s)
+	}
+	parts = append(parts, inner[start:])
+	if len(parts) == 2 {
+		a, aok := strings.CutPrefix(parts[0], "a=")
+		b, bok := strings.CutPrefix(parts[1], "b=")
+		if aok && bok && a != "" && b != "" {
+			if strings.HasPrefix(a, "kron") || strings.HasPrefix(b, "kron") {
+				return "", "", true, fmt.Errorf("spec: %q: a kron product cannot be a factor", s)
+			}
+			return a, b, true, nil
+		}
+	}
+	return "", "", true, fmt.Errorf("spec: %q: want kron(a=<factor>;b=<factor>)", s)
+}
+
+// KronSpec spells the product of two factor spellings in the form
+// SplitKron reads.
+func KronSpec(a, b string) string { return "kron(a=" + a + ";b=" + b + ")" }
 
 // maker defers the (possibly expensive) generation until every
 // parameter of the spec has been validated.
@@ -92,14 +162,8 @@ var oneInt = map[string]struct {
 // unknown-kind message.
 const factorOnly = "clique, cycle, file, hubcycle, jclique, pa1, path, star, web"
 
+// builder returns the maker of a factor-only kind.
 func builder(kind string, p *params.Params) (maker, error) {
-	if slices.Contains(model.Kinds(), kind) {
-		mg, err := model.FromParams(kind, p)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*graph.Graph, error) { return gen.FromModel(mg, nil) }, nil
-	}
 	seed, err := p.Seed()
 	if err != nil {
 		return nil, err

@@ -117,8 +117,8 @@ func TestWriteShardedModelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Model != g.Name() {
-		t.Errorf("manifest model %q != generator name %q", m.Model, g.Name())
+	if m.Source != g.Name() {
+		t.Errorf("manifest source %q != generator name %q", m.Source, g.Name())
 	}
 	if m.TotalArcs != 9000 {
 		t.Errorf("manifest total arcs = %d, want 9000", m.TotalArcs)
@@ -127,7 +127,7 @@ func TestWriteShardedModelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Model != m.Model || back.TotalArcs != m.TotalArcs {
+	if back.Source != m.Source || back.TotalArcs != m.TotalArcs {
 		t.Error("re-read manifest differs")
 	}
 	var cat bytes.Buffer
@@ -146,9 +146,9 @@ func TestWriteShardedModelRoundTrip(t *testing.T) {
 		t.Error("concatenated shard files differ from the canonical stream")
 	}
 	// The regenerated spec must reproduce the same stream.
-	g2, err := NewGenerator(back.Model)
+	g2, err := NewGenerator(back.Source)
 	if err != nil {
-		t.Fatalf("NewGenerator(manifest model): %v", err)
+		t.Fatalf("NewGenerator(manifest source): %v", err)
 	}
 	var again bytes.Buffer
 	if _, err := Stream(ctx, ModelSource(g2, 3), NewBinaryArcSink(&again), WithWorkers(3)); err != nil {

@@ -69,6 +69,10 @@ func TestModelReferenceCoversRegistry(t *testing.T) {
 // declared in the repo's _test.go files. The same holds for fuzz
 // targets: `go test -fuzz` with a stale name exits 0 having fuzzed
 // nothing, so every Fuzz… identifier in the workflow must be declared.
+// Commands are held to the same rule: every cmd/<x> and examples/<x>
+// path in the workflow, the README and the verify notes must exist, and
+// a removed command may not be mentioned there at all, so a deleted
+// command leaves no dangling CI step or doc line.
 func TestCINamedTestsExist(t *testing.T) {
 	declared := map[string]bool{}
 	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
@@ -133,6 +137,23 @@ func TestCINamedTestsExist(t *testing.T) {
 	for _, name := range fuzzed {
 		if !declared[name] {
 			t.Errorf("ci.yml fuzzes %s, which no _test.go file declares", name)
+		}
+	}
+
+	cmdPath := regexp.MustCompile(`\b(?:cmd|examples)/\w+`)
+	removed := regexp.MustCompile(`\bkrongen\b`) // folded into gengen
+	for _, name := range []string{".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"} {
+		doc, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("%s unreadable: %v", name, err)
+		}
+		for _, path := range cmdPath.FindAllString(string(doc), -1) {
+			if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which does not exist", name, path)
+			}
+		}
+		if cmd := removed.Find(doc); cmd != nil {
+			t.Errorf("%s mentions the removed command %s", name, cmd)
 		}
 	}
 

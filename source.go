@@ -6,7 +6,8 @@ package kronvalid
 // a context (long generations are cancellable mid-shard) and functional
 // options (new knobs never break signatures). These verbs are the only
 // generation entry points: every generator family is reached by building
-// a Source (ProductSource, ModelSource, or an external implementation).
+// a Source (ParseSource from a spec string, ProductSource, ModelSource,
+// or an external implementation).
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 	"kronvalid/internal/distgen"
 	"kronvalid/internal/gio"
 	"kronvalid/internal/model"
+	"kronvalid/internal/spec"
 	"kronvalid/internal/stream"
 )
 
@@ -43,6 +45,42 @@ func ProductSource(p *Product, shards int) Source { return distgen.NewPlan(p, sh
 // Source. Grouping never touches a random draw: the concatenated stream
 // is identical for every shard count.
 func ModelSource(g ModelGenerator, shards int) Source { return model.NewPlan(g, shards) }
+
+// ParseSource builds the Source one spec string names, with at most
+// `shards` shards (0 = GOMAXPROCS). A registered model spec
+// ("er:n=100000,p=0.001,seed=42", "ba(n=50;d=2)") is the ModelSource of
+// NewGenerator(spec). kron(a=<factor>;b=<factor>) is the ProductSource
+// of two factors in the factor grammar (web, clique, file, any model
+// kind, "+loops"; see MODELS.md). Every Source built here is named by a
+// spec: ParseSource(src.Name(), n) rebuilds the same stream under the
+// same Name(). A product's name keeps each factor as written, except
+// that a model-kind factor is spelled by its generator's Name().
+func ParseSource(s string, shards int) (Source, error) {
+	as, bs, isKron, err := spec.SplitKron(s)
+	if err != nil {
+		return nil, err
+	}
+	if !isKron {
+		g, err := NewGenerator(s)
+		if err != nil {
+			return nil, err
+		}
+		return ModelSource(g, shards), nil
+	}
+	a, an, err := spec.ParseNamed(as)
+	if err != nil {
+		return nil, err
+	}
+	b, bn, err := spec.ParseNamed(bs)
+	if err != nil {
+		return nil, err
+	}
+	p, err := NewProduct(a, b)
+	if err != nil {
+		return nil, err
+	}
+	return distgen.NewPlan(p, shards).Named(spec.KronSpec(an, bn)), nil
+}
 
 // Option tunes a pipeline verb. The zero configuration (no options)
 // means: GOMAXPROCS workers, 4096-arc batches, 4 batches of read-ahead,
@@ -174,28 +212,7 @@ func csrSourceOf(src Source) csr.Source {
 // are unlinked before generation starts, never rewritten in place.
 func WriteShards(ctx context.Context, dir string, src Source, opts ...Option) (*ShardManifest, error) {
 	c := buildConfig(opts)
-	base := manifestBase(src)
-	base.Extra = c.extra
-	return distgen.WriteShards(ctx, dir, src, base, c.binary, c.stream)
-}
-
-// manifestBase populates the manifest identity fields of the built-in
-// source families: kron plans stamp "kron" plus the factor digests,
-// model plans their spec string. Every source — including external
-// ones — additionally gets the uniform Source = Name() field.
-func manifestBase(src Source) distgen.Manifest {
-	switch s := src.(type) {
-	case *distgen.Plan:
-		return distgen.Manifest{
-			Model:         "kron",
-			FactorADigest: GraphDigest(s.Product().A),
-			FactorBDigest: GraphDigest(s.Product().B),
-		}
-	case *model.Plan:
-		return distgen.Manifest{Model: s.Generator().Name()}
-	default:
-		return distgen.Manifest{Model: src.Name()}
-	}
+	return distgen.WriteShards(ctx, dir, src, c.extra, c.binary, c.stream)
 }
 
 // Count returns src's exact arc count: immediately when the source knows
@@ -218,6 +235,5 @@ func Digest(ctx context.Context, src Source, opts ...Option) (string, error) {
 }
 
 // GraphDigest fingerprints a factor graph with the pipeline's FNV-1a
-// scheme — the digest recorded for kron factors in shard manifests and
-// the Name() identity of product sources.
+// scheme — the Name() identity of a ProductSource over bare graphs.
 func GraphDigest(g *Graph) string { return gio.GraphDigest(g) }

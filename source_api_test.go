@@ -59,8 +59,8 @@ func TestStreamByteIdentityAcrossBatchingAndWorkers(t *testing.T) {
 }
 
 // TestWriteShardsStampsIdentity pins the manifest identity WriteShards
-// stamps on a Kronecker source: the uniform Source name, model "kron"
-// with both factor digests, and the caller's Extra annotations.
+// stamps on a Kronecker source: the Source name and the caller's Extra
+// annotations.
 func TestWriteShardsStampsIdentity(t *testing.T) {
 	p := pipelineProduct()
 	src := ProductSource(p, 4)
@@ -69,8 +69,7 @@ func TestWriteShardsStampsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Source != src.Name() || m.Model != "kron" ||
-		m.FactorADigest != GraphDigest(p.A) || m.FactorBDigest != GraphDigest(p.B) {
+	if m.Source != src.Name() {
 		t.Errorf("manifest identity incomplete: %+v", m)
 	}
 	if m.Extra["pr"] != "5" {
