@@ -12,9 +12,17 @@ import (
 // re-pinned — any other mismatch is a silent format break that would
 // invalidate every digest users have recorded.
 //
-// History: the rmat digest was re-pinned once, when sample-sort-dedup
-// within a chunk was replaced by the in-order multinomial descent (same
-// distribution, same per-chunk budgets, different realization). The
+// History: the rmat digest was re-pinned twice. First when
+// sample-sort-dedup within a chunk was replaced by the in-order
+// multinomial descent (same distribution, same per-chunk budgets,
+// different realization). Then when that descent went from one binary
+// split per level to aligned four-level blocks — nodes of at most 256
+// edges draw each edge's block pattern from an alias table whose
+// outcome law is the product of the per-level laws, larger nodes keep
+// per-level BinomialFixed splits — and the chunk budgets moved from
+// rng.Binomial to rng.BinomialFixed (same multinomial leaf law up to the
+// 2^-53 quantisation of the thresholds; the level-by-level descent is
+// the oracle of TestRMATBlockedMatchesDescentLaw). The
 // chunglu digest was re-pinned once, when the bucketed per-candidate
 // sweep was replaced by the blockwise core (same per-pair Bernoulli
 // law, realized as binomial counts over constant-probability regions;
@@ -26,13 +34,13 @@ import (
 // Float64() < p, larger m the zig-zag sampler Binomial itself uses once
 // m·min(p, 1−p) > 256; so gnm moves only at nodes under that bound,
 // where Binomial counted geometric skips; Binomial stays in the tree as
-// the oracle of TestSplitDrawLaw). All three
-// followed the re-pin policy in DESIGN.md ("Digest re-pin policy").
+// the oracle of TestSplitDrawLaw). Every re-pin followed the re-pin
+// policy in DESIGN.md ("Digest re-pin policy").
 func TestGoldenModelDigests(t *testing.T) {
 	golden := map[string]string{
 		"er:n=2000,p=0.004,seed=42":                    "514a7a0afaa5dd2a",
 		"gnm:n=1500,m=9000,seed=11":                    "45528680323d7cda",
-		"rmat:scale=11,edges=16384,seed=13":            "75155a3008305e94",
+		"rmat:scale=11,edges=16384,seed=13":            "ec4673c0fee126b6",
 		"chunglu:n=3000,dmax=60,gamma=2.4,seed=5":      "bf2940fc9febf01a",
 		"rgg2d:n=2500,r=0.03,seed=9":                   "5c111d23ee43a94a",
 		"rgg3d:n=1200,r=0.09,seed=4":                   "89ce731464bf5a37",

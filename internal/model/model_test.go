@@ -119,6 +119,37 @@ func TestStreamsAreCanonical(t *testing.T) {
 	}
 }
 
+// TestGeneratorsStopWhenEmitRefuses checks the stop half of the
+// ShardGen emit contract for every registered kind: with a one-arc
+// batch, emit is first called from wherever the first arc is made —
+// inside a kernel loop or deep in a recursive descent — and once it has
+// returned nil the chunk generator must return without calling it
+// again.
+func TestGeneratorsStopWhenEmitRefuses(t *testing.T) {
+	for _, spec := range testSpecs {
+		g, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := g.NewWorker()
+		refused := 0
+		for c := 0; c < g.Chunks(); c++ {
+			calls := 0
+			gen(c, make([]stream.Arc, 0, 1), func([]stream.Arc) []stream.Arc {
+				calls++
+				return nil
+			})
+			if calls > 1 {
+				t.Fatalf("%s: chunk %d called emit %d times after it returned nil", spec, c, calls)
+			}
+			refused += calls
+		}
+		if refused == 0 {
+			t.Fatalf("%s: no chunk called emit, the test is vacuous", spec)
+		}
+	}
+}
+
 // TestChunkRangesPartition checks that chunk vertex ranges are
 // non-decreasing and disjoint, and that plans preserve them per shard.
 func TestChunkRangesPartition(t *testing.T) {

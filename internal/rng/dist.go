@@ -32,6 +32,11 @@ const largeBinomialCutoff = int64(1) << 36
 // billions of edges cheap. The regime choice depends only on (n, p) and
 // every path consumes draws as a pure function of the generator state,
 // so equal states yield equal samples on every machine.
+//
+// No generator draws it any more: every split draws BinomialFixed.
+// Binomial stays only as the law oracle the generators' draws are
+// compared against — internal/model's TestSplitDrawLaw (split trees)
+// and TestRMATBlockedMatchesDescentLaw (rmat's budgets and descent).
 func (g *Xoshiro256) Binomial(n int64, p float64) int64 {
 	if n <= 0 || p <= 0 {
 		return 0

@@ -113,7 +113,8 @@ const smallFixedTrials = 64
 // geometric-counting regime, whose two log1p calls per success dominate
 // splitting workloads), and n beyond the zig-zag's numeric range uses
 // the clamped normal approximation. The draw pattern differs from
-// Binomial, so it is for new streams, not byte-pinned ones.
+// Binomial's, and every pinned split stream (split trees, rmat, chunglu)
+// draws it, so its cutoffs and regime bodies are part of those pins.
 func (g *Xoshiro256) BinomialFixed(n int64, p float64, t uint64) int64 {
 	if n <= 0 || t == 0 {
 		return 0
