@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -256,42 +257,47 @@ func (g *Graph) String() string {
 
 // FromEdges builds a graph on n vertices from directed arcs, removing
 // duplicates. If symmetrize is true each arc is mirrored, yielding an
-// undirected graph.
+// undirected graph. Arcs are placed by a counting sort on their source;
+// each row is then sorted and deduplicated on its own.
 func FromEdges(n int, edges []Edge, symmetrize bool) *Graph {
+	offsets := make([]int64, n+1)
 	for _, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", e.U, e.V, n))
 		}
-	}
-	all := append([]Edge(nil), edges...)
-	if symmetrize {
-		for _, e := range edges {
-			if e.U != e.V {
-				all = append(all, Edge{e.V, e.U})
-			}
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].U != all[b].U {
-			return all[a].U < all[b].U
-		}
-		return all[a].V < all[b].V
-	})
-	offsets := make([]int64, n+1)
-	nbrs := make([]int32, 0, len(all))
-	var prev Edge = Edge{-1, -1}
-	for _, e := range all {
-		if e == prev {
-			continue
-		}
-		prev = e
-		nbrs = append(nbrs, e.V)
 		offsets[e.U+1]++
+		if symmetrize && e.U != e.V {
+			offsets[e.V+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
-	return &Graph{n: n, offsets: offsets, nbrs: nbrs}
+	nbrs := make([]int32, offsets[n])
+	next := append([]int64(nil), offsets[:n]...)
+	for _, e := range edges {
+		nbrs[next[e.U]] = e.V
+		next[e.U]++
+		if symmetrize && e.U != e.V {
+			nbrs[next[e.V]] = e.U
+			next[e.V]++
+		}
+	}
+	// Each row, sorted and without repeats, moves down to the write
+	// position w, which never passes its start.
+	w := int64(0)
+	for v := 0; v < n; v++ {
+		row := nbrs[offsets[v]:offsets[v+1]]
+		slices.Sort(row)
+		offsets[v] = w
+		w += int64(copy(nbrs[w:], slices.Compact(row)))
+	}
+	offsets[n] = w
+	g := &Graph{n: n, offsets: offsets, nbrs: nbrs[:w:w]}
+	if symmetrize {
+		g.sym.Store(symYes)
+	}
+	return g
 }
 
 // FromCSR builds a graph directly from compressed-sparse-row arrays,

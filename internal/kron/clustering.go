@@ -1,61 +1,98 @@
 package kron
 
-import "kronvalid/internal/graph"
+import (
+	"fmt"
+	"math/bits"
+
+	"kronvalid/internal/graph"
+	"kronvalid/internal/sparse"
+)
 
 // WedgeCount returns the exact number of wedges (paths of length two
 // through a center) of C: Σ_p d_C(p)·(d_C(p)-1)/2, computed in
 // O(n_A + n_B) from the factors. The degree formula
 // d_C = (d_A+s_A)(d_B+s_B) - s_A·s_B factorizes over the four self-loop
 // class combinations, so Σ d_C and Σ d_C² reduce to per-class factor
-// sums. Both factors must be undirected.
+// sums. Both sums are accumulated in 128 bits; a count that does not fit
+// int64 is an error wrapping sparse.ErrOverflow. Both factors must be
+// undirected.
 func WedgeCount(p *Product) (int64, error) {
 	if err := requireUndirected(p); err != nil {
 		return 0, err
 	}
-	// Per-class power sums: for class s (loop indicator), over vertices v
-	// in that class, sums of (d+s)^k for k = 0, 1, 2.
-	type powers struct{ s0, s1, s2 int64 }
-	classSums := func(g *graph.Graph, wantLoop bool) powers {
-		var ps powers
-		var shift int64
-		if wantLoop {
-			shift = 1
-		}
-		for v := 0; v < g.NumVertices(); v++ {
-			if g.LoopAt(int32(v)) != wantLoop {
-				continue
-			}
-			x := g.Degree(int32(v)) + shift
-			ps.s0++
-			ps.s1 += x
-			ps.s2 += x * x
-		}
-		return ps
+	pa, okA := classSums(p.A)
+	pb, okB := classSums(p.B)
+	if !okA || !okB {
+		return 0, fmt.Errorf("kron: factor degree sums exceed 64 bits: %w", sparse.ErrOverflow)
 	}
-	var sumD, sumD2 int64
-	for _, sa := range []bool{false, true} {
-		pa := classSums(p.A, sa)
-		if pa.s0 == 0 {
-			continue
-		}
-		for _, sb := range []bool{false, true} {
-			pb := classSums(p.B, sb)
-			if pb.s0 == 0 {
-				continue
-			}
-			if sa && sb {
+	var sumD, sumD2 u128
+	for sa := range pa {
+		for sb := range pb {
+			x, y := pa[sa], pb[sb]
+			// d = x·y: product form.
+			sumD = sumD.add(mul128(x.s1, y.s1))
+			sumD2 = sumD2.add(mul128(x.s2, y.s2))
+			if sa == 1 && sb == 1 {
 				// d = x·y - 1: Σd = Σx·Σy - n; Σd² = Σx²Σy² - 2ΣxΣy + n.
-				sumD += pa.s1*pb.s1 - pa.s0*pb.s0
-				sumD2 += pa.s2*pb.s2 - 2*pa.s1*pb.s1 + pa.s0*pb.s0
-			} else {
-				// d = x·y: product form.
-				sumD += pa.s1 * pb.s1
-				sumD2 += pa.s2 * pb.s2
+				n, xy := mul128(x.s0, y.s0), mul128(x.s1, y.s1)
+				sumD = sumD.sub(n)
+				sumD2 = sumD2.sub(xy).sub(xy).add(n)
 			}
 		}
 	}
-	// Σ d(d-1)/2 = (Σd² - Σd)/2.
-	return (sumD2 - sumD) / 2, nil
+	// Σ d(d-1) = Σd² - Σd. It is below Σ_A(d+s)²·Σ_B(d+s)² < 2^128, so
+	// the modular 128-bit arithmetic above is exact.
+	twice := sumD2.sub(sumD)
+	if twice.hi != 0 {
+		return 0, fmt.Errorf("kron: wedge count exceeds int64: %w", sparse.ErrOverflow)
+	}
+	return int64(twice.lo / 2), nil
+}
+
+// powers holds the power sums Σ x^k, k = 0, 1, 2, of x = d+s over one
+// loop class of a factor's vertices.
+type powers struct{ s0, s1, s2 uint64 }
+
+// classSums returns g's power sums indexed by the loop indicator s. ok is
+// false when Σ(d+s)² over all of g leaves 64 bits, which takes more than
+// 2^33 arcs (it is at most n·(arcs+n)); while it fits, every sum does.
+func classSums(g *graph.Graph) (ps [2]powers, ok bool) {
+	var all uint64
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		s := 0
+		if g.LoopAt(v) {
+			s = 1
+		}
+		x := uint64(g.Degree(v)) + uint64(s)
+		var carry uint64
+		if all, carry = bits.Add64(all, x*x, 0); carry != 0 {
+			return ps, false
+		}
+		ps[s].s0++
+		ps[s].s1 += x
+		ps[s].s2 += x * x
+	}
+	return ps, true
+}
+
+// u128 is an unsigned 128-bit integer, wrapping modulo 2^128.
+type u128 struct{ hi, lo uint64 }
+
+func mul128(a, b uint64) u128 {
+	hi, lo := bits.Mul64(a, b)
+	return u128{hi, lo}
+}
+
+func (x u128) add(y u128) u128 {
+	lo, c := bits.Add64(x.lo, y.lo, 0)
+	hi, _ := bits.Add64(x.hi, y.hi, c)
+	return u128{hi, lo}
+}
+
+func (x u128) sub(y u128) u128 {
+	lo, b := bits.Sub64(x.lo, y.lo, 0)
+	hi, _ := bits.Sub64(x.hi, y.hi, b)
+	return u128{hi, lo}
 }
 
 // LocalClustering returns a per-vertex local clustering coefficient

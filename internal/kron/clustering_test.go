@@ -1,11 +1,15 @@
 package kron
 
 import (
+	"errors"
 	"math"
+	"math/big"
 	"testing"
 
 	"kronvalid/internal/gen"
+	"kronvalid/internal/graph"
 	"kronvalid/internal/rng"
+	"kronvalid/internal/sparse"
 	"kronvalid/internal/triangle"
 )
 
@@ -90,5 +94,63 @@ func TestLocalClusteringAgainstDirect(t *testing.T) {
 		if math.Abs(cc(v)-want[v]) > 1e-12 {
 			t.Fatalf("cc(%d) = %v, direct %v", v, cc(v), want[v])
 		}
+	}
+}
+
+// bigWedges is Σ_p C(d_C(p), 2) in arbitrary precision for loop-free
+// factors (d_C = d_A·d_B), grouped by distinct factor degrees.
+func bigWedges(a, b *graph.Graph) *big.Int {
+	count := func(g *graph.Graph) map[int64]int64 {
+		m := map[int64]int64{}
+		for _, d := range g.Degrees() {
+			m[d]++
+		}
+		return m
+	}
+	total := new(big.Int)
+	for da, ca := range count(a) {
+		for db, cb := range count(b) {
+			d := new(big.Int).Mul(big.NewInt(da), big.NewInt(db))
+			pairs := new(big.Int).Mul(d, new(big.Int).Sub(d, big.NewInt(1)))
+			pairs.Rsh(pairs, 1)
+			pairs.Mul(pairs, new(big.Int).Mul(big.NewInt(ca), big.NewInt(cb)))
+			total.Add(total, pairs)
+		}
+	}
+	return total
+}
+
+// TestWedgeCountNearInt64Max: Star(2^16) ⊗ Star(2^16) has 9.2231e18
+// wedges, below 2^63 although Σd² is not; one more leaf per star passes
+// 2^63. Both agree with the arbitrary-precision count.
+func TestWedgeCountNearInt64Max(t *testing.T) {
+	fits := MustProduct(gen.Star(1<<16), gen.Star(1<<16))
+	got, err := WedgeCount(fits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bigWedges(fits.A, fits.B); !want.IsInt64() || got != want.Int64() {
+		t.Fatalf("wedges = %d, want %v", got, want)
+	}
+	over := MustProduct(gen.Star(1<<16+1), gen.Star(1<<16+1))
+	if want := bigWedges(over.A, over.B); want.IsInt64() {
+		t.Fatalf("%v wedges fit int64; the case no longer tests overflow", want)
+	}
+	if _, err := WedgeCount(over); !errors.Is(err, sparse.ErrOverflow) {
+		t.Fatalf("past 2^63: err = %v, want sparse.ErrOverflow", err)
+	}
+}
+
+// TestWedgeCountOverflowIsAnError: Star(2^20) ⊗ Star(2^20) has ≈ 6·10^23
+// wedges; the count and the transitivity built on it report overflow
+// instead of a wrapped number.
+func TestWedgeCountOverflowIsAnError(t *testing.T) {
+	star := gen.Star(1 << 20)
+	p := MustProduct(star, star)
+	if w, err := WedgeCount(p); !errors.Is(err, sparse.ErrOverflow) {
+		t.Fatalf("WedgeCount = %d, %v; want sparse.ErrOverflow", w, err)
+	}
+	if c, err := GlobalClustering(p); !errors.Is(err, sparse.ErrOverflow) {
+		t.Fatalf("GlobalClustering = %v, %v; want sparse.ErrOverflow", c, err)
 	}
 }

@@ -78,29 +78,40 @@ func ComputeFactorStats(g *graph.Graph) *FactorTriangleStats {
 		loopPart:    sparse.DiagMatrix(s),
 		loopHadSq:   sparse.DiagMatrix(sr),
 	}
-	st.HadSquare = arcMatrix(g, func(i, j int32) int64 {
+	st.HadSquare = arcMatrix(g, res.EdgeDelta, func(i, j int32, dij int64) int64 {
 		if i == j {
 			return sr[i]
 		}
-		return res.EdgeDelta.At(int(i), int(j)) + s[i] + s[j]
+		return dij + s[i] + s[j]
 	})
 	st.DiagCube = st.HadSquare.RowSums()
-	st.loopRows = arcMatrix(g, func(i, _ int32) int64 { return s[i] })
-	st.loopCols = arcMatrix(g, func(_, j int32) int64 { return s[j] })
+	st.loopRows, st.loopCols = sparse.New(n, n), sparse.New(n, n)
+	if st.hasLoops() {
+		st.loopRows = arcMatrix(g, res.EdgeDelta, func(i, _ int32, _ int64) int64 { return s[i] })
+		st.loopCols = arcMatrix(g, res.EdgeDelta, func(_, j int32, _ int64) int64 { return s[j] })
+	}
 	st.diagGDG = st.loopCols.RowSums()
 	return st
 }
 
-// arcMatrix returns the matrix holding val(i, j) at every arc (i, j) of g,
-// zeros dropped.
-func arcMatrix(g *graph.Graph, val func(i, j int32) int64) *sparse.Matrix {
+// arcMatrix returns the matrix holding val(i, j, Δ_ij) at every arc (i, j)
+// of g, zeros dropped. Δ_ij is read by position, not searched: each row of
+// g is walked against the same row of delta, whose columns are a subset
+// of g's.
+func arcMatrix(g *graph.Graph, delta *sparse.Matrix, val func(i, j int32, dij int64) int64) *sparse.Matrix {
 	n := g.NumVertices()
 	rowPtr := make([]int64, n+1)
-	var colIdx []int32
-	var vals []int64
+	colIdx, vals := make([]int32, 0, g.NumArcs()), make([]int64, 0, g.NumArcs())
 	for i := int32(0); int(i) < n; i++ {
+		dc, dv := delta.Row(int(i))
+		k := 0
 		for _, j := range g.Neighbors(i) {
-			if v := val(i, j); v != 0 {
+			var dij int64
+			if k < len(dc) && dc[k] == j {
+				dij = dv[k]
+				k++
+			}
+			if v := val(i, j, dij); v != 0 {
 				colIdx = append(colIdx, j)
 				vals = append(vals, v)
 			}

@@ -22,7 +22,7 @@ func CountNodeIterator(g *graph.Graph) *Result {
 	perVertex := make([]int64, n)
 	deltaVals := make([]int64, work.NumArcs())
 	var wedges, total atomic.Int64
-	arcIndex := arcIndexer(work)
+	arcIndex := work.ArcIndex
 
 	par.ForDynamic(int64(n), 32, func(vi int64) {
 		v := int32(vi)

@@ -18,7 +18,6 @@
 package triangle
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"kronvalid/internal/graph"
@@ -42,186 +41,187 @@ type Result struct {
 }
 
 // Count computes exact triangle statistics for an undirected graph
-// (self loops are ignored). It panics if g is not symmetric.
+// (self loops are ignored). It panics if g is not symmetric. The merge
+// counts each triangle at its three edge slots; Δ, t and τ are read off
+// those counts afterwards, so no arc is ever looked up by search.
 func Count(g *graph.Graph) *Result {
 	if !g.IsSymmetric() {
 		panic("triangle: Count requires an undirected (symmetric) graph")
 	}
-	n := g.NumVertices()
-	work := g.WithoutLoops()
+	// arcVal holds, per arc of g, first the slot of its edge (set by
+	// newForward at the arc leaving the higher-ranked end), then its Δ.
+	arcVal := make([]int64, g.NumArcs())
+	f := newForward(g, arcVal)
+	n := len(f.order)
+	cnt := make([]atomic.Int32, len(f.adj)) // Δ per slot, at most n-2
+	var wedges atomic.Int64
+	par.ForDynamic(int64(n), 64, func(r int64) {
+		wedges.Add(f.triangles(r, func(uv, uw, vw int64) {
+			cnt[uv].Add(1)
+			cnt[uw].Add(1)
+			cnt[vw].Add(1)
+		}))
+	})
 
-	rank := degreeRank(work)
-
-	// Forward adjacency: fwd[u] lists neighbors v with rank(v) > rank(u),
-	// sorted by rank. Stored flat.
-	fwdOff := make([]int64, n+1)
-	for u := 0; u < n; u++ {
-		cnt := 0
-		for _, v := range work.Neighbors(int32(u)) {
-			if rank[v] > rank[u] {
-				cnt++
-			}
-		}
-		fwdOff[u+1] = fwdOff[u] + int64(cnt)
+	// A reverse-arc cursor per vertex pairs each arc u→v (u < v) with
+	// v→u: the rows are sorted, so visiting u in increasing order meets
+	// the entries of v's row below v in order. One arc of each pair
+	// carries the slot; both receive its count.
+	rev := make([]int64, n)
+	for v := range rev {
+		rev[v] = g.ArcOffset(int32(v))
 	}
-	fwd := make([]int32, fwdOff[n])
-	par.ForBlocked(int64(n), func(lo, hi int64) {
-		for u := lo; u < hi; u++ {
-			pos := fwdOff[u]
-			for _, v := range work.Neighbors(int32(u)) {
-				if rank[v] > rank[u] {
-					fwd[pos] = v
-					pos++
-				}
+	for u := int32(0); int(u) < n; u++ {
+		base := g.ArcOffset(u)
+		for k, v := range g.Neighbors(u) {
+			if v <= u {
+				continue
 			}
-			seg := fwd[fwdOff[u]:pos]
-			sort.Slice(seg, func(a, b int) bool { return rank[seg[a]] < rank[seg[b]] })
-		}
-	})
-
-	perVertex := make([]int64, n)
-	deltaVals := make([]int64, work.NumArcs()) // aligned to work's arc order
-	var wedges, total atomic.Int64
-
-	arcIndex := arcIndexer(work)
-
-	par.ForDynamic(int64(n), 64, func(ui int64) {
-		u := int32(ui)
-		fu := fwd[fwdOff[u]:fwdOff[u+1]]
-		var localWedges, localTri int64
-		for _, v := range fu {
-			fv := fwd[fwdOff[v]:fwdOff[v+1]]
-			// Intersect fu and fv by rank order.
-			i, j := 0, 0
-			for i < len(fu) && j < len(fv) {
-				localWedges++
-				ru, rv := rank[fu[i]], rank[fv[j]]
-				switch {
-				case ru < rv:
-					i++
-				case rv < ru:
-					j++
-				default:
-					w := fu[i]
-					localTri++
-					atomic.AddInt64(&perVertex[u], 1)
-					atomic.AddInt64(&perVertex[v], 1)
-					atomic.AddInt64(&perVertex[w], 1)
-					atomic.AddInt64(&deltaVals[arcIndex(u, v)], 1)
-					atomic.AddInt64(&deltaVals[arcIndex(v, u)], 1)
-					atomic.AddInt64(&deltaVals[arcIndex(u, w)], 1)
-					atomic.AddInt64(&deltaVals[arcIndex(w, u)], 1)
-					atomic.AddInt64(&deltaVals[arcIndex(v, w)], 1)
-					atomic.AddInt64(&deltaVals[arcIndex(w, v)], 1)
-					i++
-					j++
-				}
+			a, b := base+int64(k), rev[v]
+			rev[v]++
+			s := arcVal[b]
+			if f.rank[u] > f.rank[v] {
+				s = arcVal[a]
 			}
+			c := int64(cnt[s].Load())
+			arcVal[a], arcVal[b] = c, c
 		}
-		wedges.Add(localWedges)
-		total.Add(localTri)
-	})
-
+	}
+	delta := deltaMatrix(g, arcVal)
+	perVertex := delta.RowSums() // Δ·1 = 2t
+	for v := range perVertex {
+		perVertex[v] /= 2
+	}
 	return &Result{
 		PerVertex:   perVertex,
-		EdgeDelta:   deltaMatrix(work, deltaVals),
-		Total:       total.Load(),
+		EdgeDelta:   delta,
+		Total:       TotalFromEdgeDelta(delta),
 		WedgeChecks: wedges.Load(),
 	}
 }
 
-// degreeRank returns a permutation rank where rank[v] orders vertices by
-// (degree, id) increasing. Ties broken by id keep the order deterministic.
-func degreeRank(g *graph.Graph) []int32 {
-	n := g.NumVertices()
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := g.OutDegreeRaw(order[a]), g.OutDegreeRaw(order[b])
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
-	rank := make([]int32, n)
-	for r, v := range order {
-		rank[v] = int32(r)
-	}
-	return rank
+// forward holds an undirected graph's forward lists in rank space.
+// Vertices are ranked by (degree, id), self loops ignored; row r lists,
+// increasing, the ranks above r of its vertex's neighbors. Each entry is
+// a slot: one per undirected edge, kept by its lower-ranked end.
+type forward struct {
+	rank  []int32 // rank[v] of vertex v
+	order []int32 // order[r] is the vertex of rank r
+	off   []int64 // row r is adj[off[r]:off[r+1]]
+	adj   []int32
 }
 
-// arcIndexer returns a function mapping arc (u,v) to its position in g's
-// flattened adjacency, by binary search within u's neighbor slice.
-func arcIndexer(g *graph.Graph) func(u, v int32) int64 {
-	return func(u, v int32) int64 {
-		nb := g.Neighbors(u)
-		k := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-		if k == len(nb) || nb[k] != v {
-			panic("triangle: arc not found")
-		}
-		return g.ArcOffset(u) + int64(k)
+// newForward builds the forward lists of symmetric g. If slotOf is not
+// nil, it records at every arc w→u with rank(u) < rank(w) the slot of
+// edge {u, w}.
+func newForward(g *graph.Graph, slotOf []int64) *forward {
+	n := g.NumVertices()
+	f := &forward{rank: make([]int32, n), order: make([]int32, n), off: make([]int64, n+1)}
+	// A counting sort by degree, stable in id, is the (degree, id) order;
+	// rank holds each degree until the sort replaces it.
+	start := make([]int32, n+1)
+	for v := range f.rank {
+		f.rank[v] = int32(g.Degree(int32(v)))
+		start[f.rank[v]+1]++
 	}
+	for d := 1; d <= n; d++ {
+		start[d] += start[d-1]
+	}
+	for v, d := range f.rank {
+		f.rank[v], f.order[start[d]] = start[d], int32(v)
+		start[d]++
+	}
+
+	for u := int32(0); int(u) < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			if f.rank[v] > f.rank[u] {
+				f.off[f.rank[u]+1]++
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		f.off[r+1] += f.off[r]
+	}
+	// Visiting the higher end of each edge in rank order appends to every
+	// row in increasing order: no row needs a sort.
+	f.adj = make([]int32, f.off[n])
+	next := append([]int64(nil), f.off[:n]...)
+	for rw, w := range f.order {
+		base := g.ArcOffset(w)
+		for k, u := range g.Neighbors(w) {
+			if ru := f.rank[u]; ru < int32(rw) {
+				f.adj[next[ru]] = int32(rw)
+				if slotOf != nil {
+					slotOf[base+int64(k)] = next[ru]
+				}
+				next[ru]++
+			}
+		}
+	}
+	return f
+}
+
+// triangles intersects row r with the row of each of its entries v and
+// calls hit with the slots of edges (r,v), (r,w) and (v,w) for every
+// triangle {r, v, w} found, so each triangle is met once, at its
+// lowest-ranked vertex. It returns the comparisons made: the wedge checks.
+func (f *forward) triangles(r int64, hit func(uv, uw, vw int64)) int64 {
+	lo := f.off[r]
+	fu := f.adj[lo:f.off[r+1]]
+	var checks int64
+	for a, rv := range fu {
+		vlo := f.off[rv]
+		fv := f.adj[vlo:f.off[rv+1]]
+		i, j := 0, 0
+		for i < len(fu) && j < len(fv) {
+			checks++
+			switch x, y := fu[i], fv[j]; {
+			case x < y:
+				i++
+			case y < x:
+				j++
+			default:
+				hit(lo+int64(a), lo+int64(i), vlo+int64(j))
+				i++
+				j++
+			}
+		}
+	}
+	return checks
 }
 
 // deltaMatrix assembles the Δ matrix from per-arc counts aligned with g's
-// adjacency order.
+// adjacency order, zeros dropped, row by row.
 func deltaMatrix(g *graph.Graph, vals []int64) *sparse.Matrix {
 	n := g.NumVertices()
-	var ts []sparse.Triplet
-	idx := 0
-	g.EachArc(func(u, v int32) bool {
-		if vals[idx] != 0 {
-			ts = append(ts, sparse.Triplet{Row: int(u), Col: int(v), Val: vals[idx]})
+	rowPtr := make([]int64, n+1)
+	colIdx, nz := make([]int32, 0, len(vals)), make([]int64, 0, len(vals))
+	for u := int32(0); int(u) < n; u++ {
+		base := g.ArcOffset(u)
+		for k, v := range g.Neighbors(u) {
+			if x := vals[base+int64(k)]; x != 0 {
+				colIdx, nz = append(colIdx, v), append(nz, x)
+			}
 		}
-		idx++
-		return true
-	})
-	return sparse.FromTriplets(n, n, ts)
+		rowPtr[u+1] = int64(len(colIdx))
+	}
+	return sparse.NewCSR(n, n, rowPtr, colIdx, nz)
 }
 
 // EachTriangle enumerates every triangle of the undirected version of g
 // exactly once, calling fn(u, v, w) with three distinct vertices (order
 // unspecified but deterministic). Self loops are ignored. Enumeration is
-// serial; it is the reference used by the census packages.
+// serial over Count's forward lists; it is the reference used by the
+// census packages.
 func EachTriangle(g *graph.Graph, fn func(u, v, w int32)) {
-	work := g
 	if !g.IsSymmetric() {
-		work = g.Undirected()
+		g = g.Undirected()
 	}
-	work = work.WithoutLoops()
-	n := work.NumVertices()
-	rank := degreeRank(work)
-	fwd := make([][]int32, n)
-	for u := 0; u < n; u++ {
-		for _, v := range work.Neighbors(int32(u)) {
-			if rank[v] > rank[u] {
-				fwd[u] = append(fwd[u], v)
-			}
-		}
-		seg := fwd[u]
-		sort.Slice(seg, func(a, b int) bool { return rank[seg[a]] < rank[seg[b]] })
-	}
-	for u := 0; u < n; u++ {
-		fu := fwd[u]
-		for _, v := range fu {
-			fv := fwd[v]
-			i, j := 0, 0
-			for i < len(fu) && j < len(fv) {
-				ru, rv := rank[fu[i]], rank[fv[j]]
-				switch {
-				case ru < rv:
-					i++
-				case rv < ru:
-					j++
-				default:
-					fn(int32(u), v, fu[i])
-					i++
-					j++
-				}
-			}
-		}
+	f := newForward(g, nil)
+	for r, u := range f.order {
+		f.triangles(int64(r), func(uv, uw, _ int64) {
+			fn(u, f.order[f.adj[uv]], f.order[f.adj[uw]])
+		})
 	}
 }
 
