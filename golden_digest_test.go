@@ -40,6 +40,7 @@ func TestGoldenModelDigests(t *testing.T) {
 	golden := map[string]string{
 		"er:n=2000,p=0.004,seed=42":                    "514a7a0afaa5dd2a",
 		"gnm:n=1500,m=9000,seed=11":                    "45528680323d7cda",
+		"gnm:n=600,m=150000,seed=5":                    "83a6c35b5acf9beb", // dense: every chunk samples its complement
 		"rmat:scale=11,edges=16384,seed=13":            "ec4673c0fee126b6",
 		"chunglu:n=3000,dmax=60,gamma=2.4,seed=5":      "bf2940fc9febf01a",
 		"rgg2d:n=2500,r=0.03,seed=9":                   "5c111d23ee43a94a",

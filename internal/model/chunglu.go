@@ -88,45 +88,79 @@ func newChungLuTrusted(weights []float64, sum float64, tail0 int64, seed uint64,
 	return g
 }
 
+// clPartitionBlock is the row stride at which partition keeps the
+// running sums it replays.
+const clPartitionBlock = 64
+
 // partition groups rows [0, n-1) into chunks of near-equal expected
 // work, where row i's work is one sweep start plus its expected edge
-// count w_i·(Σ_{j>i} w_j)/Σw (saturation ignored — it only affects
-// balance, never correctness).
+// count w_i·S_i/Σw, S_i = Σ_{j>i} w_j accumulated from the end
+// (saturation ignored — it only affects balance, never correctness).
+// Chunk s ends where the forward prefix sum P of the row works first
+// reaches total·(s+1)/chunks.
+//
+// Only every clPartitionBlock-th value of S and of P is stored. A cut
+// search replays the block it probes from them with the same float
+// operations in the same order, so every cut and every chunk's work is
+// bit-identical to a full prefix array's while the scratch is n/32
+// floats instead of n.
 func (g *ChungLu) partition(chunks int) {
+	const B = clPartitionBlock
 	n := int64(len(g.w))
-	nRows := n - 1
-	if nRows < 0 {
-		nRows = 0
-	}
-	chunks = normalizeChunks(chunks, maxInt64(nRows, 1))
-	// One backward pass stashes each row's work — one sweep start plus
-	// the expected edge count — then a forward pass folds it into a
-	// prefix-sum array, the only O(n) state the run split needs.
-	prefix := make([]float64, nRows+1)
-	suffix := 0.0
+	nRows := max(n-1, 0)
+	chunks = normalizeChunks(chunks, max(nRows, 1))
 	invSum := 0.0
 	if g.sum > 0 {
 		invSum = 1 / g.sum
 	}
+	nb := (nRows + B - 1) / B
+	sufEnd := make([]float64, nb) // S at each block's last row
+	suffix := 0.0
 	for i := n - 1; i >= 0; i-- {
-		if i < nRows {
-			// One multiply by the reciprocal instead of a divide per
-			// row; the rounding difference only moves shard balancing.
-			prefix[i+1] = 1 + g.w[i]*suffix*invSum
+		if i < nRows && (i%B == B-1 || i == nRows-1) {
+			sufEnd[i/B] = suffix
 		}
 		suffix += g.w[i]
 	}
-	for i := int64(0); i < nRows; i++ {
-		prefix[i+1] += prefix[i]
+	var buf [B]float64
+	works := func(b int64) []float64 { // block b's row works
+		lo, hi := b*B, min((b+1)*B, nRows)
+		s := sufEnd[b]
+		for i := hi - 1; i >= lo; i-- {
+			// One multiply by the reciprocal instead of a divide per
+			// row; the rounding difference only moves shard balancing.
+			buf[i-lo] = 1 + g.w[i]*s*invSum
+			s += g.w[i]
+		}
+		return buf[:hi-lo]
+	}
+	pStart := make([]float64, nb+1) // P at each block's first row, then the total
+	p := 0.0
+	for b := int64(0); b < nb; b++ {
+		pStart[b] = p
+		for _, x := range works(b) {
+			p += x
+		}
+	}
+	pStart[nb] = p
+	prefix := func(i int) float64 { // P_i, the works of rows [0, i)
+		b := int64(i) / B
+		p := pStart[b]
+		if k := int64(i) - b*B; k > 0 {
+			for _, x := range works(b)[:k] {
+				p += x
+			}
+		}
+		return p
 	}
 	// Empty slots are kept so chunk ids stay a pure function of
 	// (weights, chunks), never of balancing.
-	runs := prefixRuns(prefix, chunks, true)
+	runs := prefixRuns(int(nRows), prefix, chunks, true)
 	g.rows = make([][2]int64, 0, len(runs))
 	g.work = make([]int64, 0, len(runs))
 	for _, r := range runs {
 		g.rows = append(g.rows, [2]int64{int64(r[0]), int64(r[1])})
-		g.work = append(g.work, 1+int64(prefix[r[1]]-prefix[r[0]]))
+		g.work = append(g.work, 1+int64(prefix(r[1])-prefix(r[0])))
 	}
 }
 
@@ -265,17 +299,14 @@ func (g *ChungLu) ChunkWeight(c int) int64 { return g.work[c] }
 // ChunkArcs returns -1: per-chunk counts are random.
 func (g *ChungLu) ChunkArcs(c int) int64 { return -1 }
 
-// chungLuState is the per-worker scratch of the blockwise core: a value
-// generator reseeded per chunk, the sampled-position buffers, and the
-// distinct-sampling set. It holds no sample cache — Chung–Lu chunks own
-// all their randomness — so reuse saves allocations only and can never
+// chungLuState is the per-worker scratch of the blockwise core: the
+// distinct sampler, whose generator is reseeded per chunk, and the
+// complement-inversion buffer of dense segments. Chung–Lu chunks own
+// all their randomness, so reuse saves allocations only and can never
 // move a byte.
 type chungLuState struct {
-	s   rng.Xoshiro256
-	pos []int64 // sorted success positions of one segment
+	distinctSampler
 	inv []int64 // complement-inversion scratch (dense segments)
-	tmp []int64 // bucket-scatter scratch (sortPositions)
-	cnt []int32 // bucket counters (sortPositions)
 }
 
 // NewWorker returns the chunk generator bound to fresh blockwise-core
@@ -301,90 +332,6 @@ const clSegmentPairs = int64(1) << 23
 // the cutoff only picks the cheaper one.
 const clGeomCutoff = 32.0
 
-// sampleDistinctInto draws k distinct values from [0, size) into the
-// worker's position buffer and returns them sorted ascending. Each
-// round draws the missing count, sorts, and drops duplicates — in the
-// common regime k ≪ size, the first round already has no collisions,
-// so no duplicate-filter set is touched at all; callers guarantee
-// 2k <= size, so even the dense case keeps a coin-flip-or-better
-// acceptance rate per round and the rounds shrink geometrically. Like
-// sequential rejection, every accepted value is uniform over the
-// not-yet-chosen ones, so the result is a uniform k-subset.
-func (st *chungLuState) sampleDistinctInto(size, k int64) []int64 {
-	pos := st.pos[:0]
-	for {
-		for int64(len(pos)) < k {
-			pos = append(pos, st.s.Int64n(size))
-		}
-		st.sortPositions(pos, size-1)
-		w := 1
-		for i := 1; i < len(pos); i++ {
-			if pos[i] != pos[i-1] {
-				pos[w] = pos[i]
-				w++
-			}
-		}
-		pos = pos[:w]
-		if int64(w) == k {
-			break
-		}
-	}
-	st.pos = pos
-	return pos
-}
-
-// sortPositions sorts pos ascending. The values are uniform draws from
-// [0, max], so one counting-sort pass over ~2·len power-of-two buckets
-// (keyed by the value's top bits) leaves only intra-bucket inversions —
-// expected bucket occupancy is below one — and a single insertion pass
-// finishes in near-linear time. This beats the general comparison sort,
-// whose random-data branch misses dominated the segment loop.
-func (st *chungLuState) sortPositions(pos []int64, max int64) {
-	n := len(pos)
-	if n >= 16 && max > 0 {
-		nb := 16
-		for nb < 2*n && nb < 1<<16 {
-			nb <<= 1
-		}
-		shift := uint(0)
-		for max>>shift >= int64(nb) {
-			shift++
-		}
-		if cap(st.cnt) < nb {
-			st.cnt = make([]int32, nb)
-		}
-		cnt := st.cnt[:nb]
-		clear(cnt)
-		for _, v := range pos {
-			cnt[v>>shift]++
-		}
-		sum := int32(0)
-		for i, c := range cnt {
-			cnt[i] = sum
-			sum += c
-		}
-		if cap(st.tmp) < n {
-			st.tmp = make([]int64, n, 2*n)
-		}
-		tmp := st.tmp[:n]
-		for _, v := range pos {
-			b := v >> shift
-			tmp[cnt[b]] = v
-			cnt[b]++
-		}
-		copy(pos, tmp)
-	}
-	for i := 1; i < n; i++ {
-		v := pos[i]
-		j := i - 1
-		for j >= 0 && pos[j] > v {
-			pos[j+1] = pos[j]
-			j--
-		}
-		pos[j+1] = v
-	}
-}
-
 // drawSegment realizes the success set of L iid Bernoulli(t/2^53)
 // trials: one binomial count, then that many distinct uniform sorted
 // positions — dense counts (> L/2) sample the complement instead, which
@@ -398,9 +345,9 @@ func (st *chungLuState) drawSegment(L int64, p float64, t uint64) (pos []int64, 
 	case k >= L:
 		return nil, true
 	case 2*k <= L:
-		return st.sampleDistinctInto(L, k), false
+		return st.sample(L, k), false
 	default:
-		ex := st.sampleDistinctInto(L, L-k)
+		ex := st.sample(L, L-k)
 		inv := st.inv[:0]
 		next := int64(0)
 		for _, x := range ex {

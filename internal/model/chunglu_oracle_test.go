@@ -1,7 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -222,5 +225,74 @@ func TestChungLuWorkerStateReuseRace(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// partitionArray is the former ChungLu.partition, retained as the oracle
+// of TestChungLuPartitionMatchesPrefixArray: the same row works and the
+// same forward prefix sum, held as one full array and cut with
+// sort.SearchFloat64s.
+func (g *ChungLu) partitionArray(chunks int) (rows [][2]int64, work []int64) {
+	n := int64(len(g.w))
+	nRows := max(n-1, 0)
+	chunks = normalizeChunks(chunks, max(nRows, 1))
+	prefix := make([]float64, nRows+1)
+	suffix := 0.0
+	invSum := 0.0
+	if g.sum > 0 {
+		invSum = 1 / g.sum
+	}
+	for i := n - 1; i >= 0; i-- {
+		if i < nRows {
+			prefix[i+1] = 1 + g.w[i]*suffix*invSum
+		}
+		suffix += g.w[i]
+	}
+	for i := int64(0); i < nRows; i++ {
+		prefix[i+1] += prefix[i]
+	}
+	total := prefix[nRows]
+	prev := 0
+	for s := 0; s < chunks; s++ {
+		hi := int(nRows)
+		if s < chunks-1 {
+			target := total * float64(s+1) / float64(chunks)
+			hi = min(prev+sort.SearchFloat64s(prefix[prev:], target), int(nRows))
+		}
+		rows = append(rows, [2]int64{int64(prev), int64(hi)})
+		work = append(work, 1+int64(prefix[hi]-prefix[prev]))
+		prev = hi
+	}
+	return rows, work
+}
+
+// TestChungLuPartitionMatchesPrefixArray checks that replaying blocks
+// from every 64th running sum cuts exactly where the full prefix array
+// did, with the same per-chunk work: across vertex counts around the
+// block stride, chunk counts past the row count, a heavy head over a
+// flat tail, all-zero and single-value weights, and the benchmark's
+// four million vertices.
+func TestChungLuPartitionMatchesPrefixArray(t *testing.T) {
+	specs := []string{
+		"chunglu:n=4000000,dmin=8,dmax=2000,gamma=2.1,seed=1",
+		"chunglu:n=20000,dmax=120,gamma=2.5,seed=1",
+		"chunglu:n=3000,dmax=2000,dmin=300,gamma=2.1,seed=1",
+		"chunglu:n=5000,dmin=0,dmax=0,seed=1",
+	}
+	for _, n := range []int{0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 1000} {
+		specs = append(specs, fmt.Sprintf("chunglu:n=%d,dmax=40,gamma=2.2,seed=1", n))
+	}
+	for _, spec := range specs {
+		for _, chunks := range []int{1, 7, 64, 1500} {
+			gen, err := New(fmt.Sprintf("%s,chunks=%d", spec, chunks))
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			g := gen.(*ChungLu)
+			rows, work := g.partitionArray(chunks)
+			if !slices.Equal(g.rows, rows) || !slices.Equal(g.work, work) {
+				t.Fatalf("%s, chunks=%d: partition differs from the prefix-array cuts", spec, chunks)
+			}
+		}
 	}
 }

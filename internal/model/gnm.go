@@ -2,9 +2,7 @@ package model
 
 import (
 	"fmt"
-	"slices"
 
-	"kronvalid/internal/rng"
 	"kronvalid/internal/stream"
 )
 
@@ -126,15 +124,21 @@ func (g *Gnm) ChunkArcs(c int) int64 {
 	return g.counts[c]
 }
 
-// NewWorker returns the chunk generator: G(n,m) chunks keep no
-// worker-lifetime scratch.
-func (g *Gnm) NewWorker() stream.ShardGen { return g.generateChunk }
+// NewWorker returns the chunk generator bound to one worker's distinct
+// sampler.
+func (g *Gnm) NewWorker() stream.ShardGen {
+	d := &distinctSampler{}
+	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+		g.generateChunk(d, c, buf, emit)
+	}
+}
 
 // generateChunk streams chunk c: its exact edge count is realized as
 // that many distinct uniform pair indices from the chunk's pair range,
 // sorted into canonical order. Dense chunks (> half the range) sample
-// the complement instead, keeping expected work O(min(m_c, R-m_c)).
-func (g *Gnm) generateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+// the excluded complement instead and walk the range past it, keeping
+// expected work O(min(m_c, R-m_c)) draws.
+func (g *Gnm) generateChunk(d *distinctSampler, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	mC := g.ChunkArcs(c)
 	if mC == 0 {
 		return
@@ -144,93 +148,25 @@ func (g *Gnm) generateChunk(c int, buf []stream.Arc, emit func([]stream.Arc) []s
 	size := i1 - i0
 	b := newBatcher(buf, emit)
 	w := g.ps.walkerAt(r[0])
-	place := func(t int64) bool {
-		u, v := w.step(t)
-		return b.add(u, v)
-	}
-	s := rng.NewStream2(g.seed, nsGnmChunk, uint64(c))
-	switch {
-	case mC == size:
-		for t := i0; t < i1; t++ {
-			if !place(t) {
+	d.s.ReseedStream2(g.seed, nsGnmChunk, uint64(c))
+	if 2*mC <= size {
+		for _, x := range d.sample(size, mC) {
+			if u, v := w.step(i0 + x); !b.add(u, v) {
 				return
 			}
 		}
-	case 2*mC <= size:
-		idxs := sampleDistinct(s, i0, size, mC)
-		for _, t := range idxs {
-			if !place(t) {
-				return
-			}
-		}
-	default:
-		excluded := newInt64Set(size - mC)
-		for excluded.len() < size-mC {
-			excluded.insert(i0 + s.Int64n(size))
-		}
-		for t := i0; t < i1; t++ {
-			if excluded.contains(t) {
+	} else {
+		ex := d.sample(size, size-mC) // empty, with no draw, for a full chunk
+		next := 0
+		for x := int64(0); x < size; x++ {
+			if next < len(ex) && ex[next] == x {
+				next++
 				continue
 			}
-			if !place(t) {
+			if u, v := w.step(i0 + x); !b.add(u, v) {
 				return
 			}
 		}
 	}
 	b.flush()
-}
-
-// sampleDistinct draws k distinct values from [base, base+size) by
-// rejection and returns them sorted. Callers guarantee 2k <= size, so
-// the expected number of draws is below 2k. The duplicate test only
-// asks "seen before?" and sorting touches no draw, so the fixed-size
-// set and the radix sort change no draw and no output.
-func sampleDistinct(s *rng.Xoshiro256, base, size, k int64) []int64 {
-	seen := newInt64Set(k)
-	out := make([]int64, 0, k)
-	for int64(len(out)) < k {
-		v := base + s.Int64n(size)
-		if !seen.insert(v) {
-			continue
-		}
-		out = append(out, v)
-	}
-	radixSortInt64(out, base+size-1)
-	return out
-}
-
-// radixSortInt64 sorts non-negative int64s ascending — the same result
-// as slices.Sort, in O(len·passes) instead of O(len·log len) compares,
-// which dominates generateChunk's profile at the acceptance workload.
-// max is an upper bound on the values; it fixes the pass count, so all
-// high digits known to be zero are skipped. Chunk budgets are capped
-// (maxGnmChunkEdges) far below the int32 counting range.
-func radixSortInt64(a []int64, max int64) {
-	if len(a) < 128 {
-		slices.Sort(a) // comparison sort wins below digit-pass overhead
-		return
-	}
-	const digitBits = 11
-	const buckets = 1 << digitBits
-	src, dst := a, make([]int64, len(a))
-	var count [buckets]int32
-	for shift := uint(0); max>>shift != 0; shift += digitBits {
-		clear(count[:])
-		for _, v := range src {
-			count[uint64(v)>>shift&(buckets-1)]++
-		}
-		var sum int32
-		for i := range count {
-			sum, count[i] = sum+count[i], sum
-		}
-		for _, v := range src {
-			d := uint64(v) >> shift & (buckets - 1)
-			dst[count[d]] = v
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
 }

@@ -414,29 +414,28 @@ func weightedRuns(n, parts int, weight func(int) float64, keepEmpty bool) [][2]i
 	return runs
 }
 
-// prefixRuns is weightedRuns over a precomputed prefix-sum array, where
-// prefix[i] is the cumulative weight of items [0, i). The generic loop
-// ends part s at the first index whose running total reaches
+// prefixRuns is weightedRuns over the n+1 values of a prefix sum,
+// where prefix(i) is the cumulative weight of items [0, i). The generic
+// loop ends part s at the first index whose running total reaches
 // total·(s+1)/parts, and the running total at index i is exactly
-// prefix[i], so each boundary is an upper-bound binary search — the
-// same cuts, bit for bit, in O(parts·log n) instead of a second O(n)
-// accumulation pass.
-func prefixRuns(prefix []float64, parts int, keepEmpty bool) [][2]int {
-	n := len(prefix) - 1
+// prefix(i), so each boundary is an upper-bound binary search — the
+// same cuts, bit for bit, in O(parts·log n) probes instead of a second
+// O(n) accumulation pass.
+func prefixRuns(n int, prefix func(int) float64, parts int, keepEmpty bool) [][2]int {
 	if parts <= 0 {
 		parts = 1
 	}
 	if !keepEmpty && parts > n {
 		parts = n
 	}
-	total := prefix[n]
+	total := prefix(n)
 	runs := make([][2]int, 0, parts)
 	prev := 0
 	for s := 0; s < parts; s++ {
 		hi := n
 		if s < parts-1 {
 			target := total * float64(s+1) / float64(parts)
-			hi = prev + sort.SearchFloat64s(prefix[prev:], target)
+			hi = prev + sort.Search(n+1-prev, func(k int) bool { return prefix(prev+k) >= target })
 			if hi > n {
 				hi = n
 			}
