@@ -175,14 +175,19 @@ func DecomposeTruss(g *Graph) *TrussDecomposition { return truss.Decompose(g) }
 
 // ---- the Kronecker product and its ground-truth formulas ----
 
-// Product is the implicit Kronecker product C = A ⊗ B.
+// Product is the implicit Kronecker product C = F₀ ⊗ … ⊗ F_{k−1} of one
+// or more factors; the paper's C = A ⊗ B is k = 2.
 type Product = kron.Product
 
 // NewProduct validates factors and returns the implicit product.
-func NewProduct(a, b *Graph) (*Product, error) { return kron.NewProduct(a, b) }
+func NewProduct(factors ...*Graph) (*Product, error) { return kron.NewProduct(factors...) }
 
 // MustProduct is NewProduct that panics on invalid factors.
-func MustProduct(a, b *Graph) *Product { return kron.MustProduct(a, b) }
+func MustProduct(factors ...*Graph) *Product { return kron.MustProduct(factors...) }
+
+// KroneckerPower returns B ⊗ B ⊗ … ⊗ B (k copies), the repeated-power
+// construction of [3]; loop-free B gives τ = 6^{k-1}·τ(B)^k.
+func KroneckerPower(b *Graph, k int) (*Product, error) { return kron.KroneckerPower(b, k) }
 
 // VertexStat is a per-vertex product statistic in Kronecker-sum form,
 // evaluated lazily: At(p) is O(#terms) regardless of product size.
@@ -229,37 +234,6 @@ func OutDegrees(p *Product) *VertexStat { return kron.OutDegrees(p) }
 
 // InDegrees returns d^in_C = d^in_A ⊗ d^in_B.
 func InDegrees(p *Product) *VertexStat { return kron.InDegrees(p) }
-
-// ---- k-fold products (the repeated-power construction of [3]) ----
-
-// MultiProduct is the k-fold implicit product B_1 ⊗ … ⊗ B_k.
-type MultiProduct = kron.MultiProduct
-
-// NewMultiProduct validates factors and returns the k-fold product.
-func NewMultiProduct(factors ...*Graph) (*MultiProduct, error) {
-	return kron.NewMultiProduct(factors...)
-}
-
-// KroneckerPower returns B ⊗ B ⊗ … ⊗ B (k copies).
-func KroneckerPower(b *Graph, k int) (*MultiProduct, error) { return kron.KroneckerPower(b, k) }
-
-// MultiVertexStat is a per-vertex statistic of a k-fold product.
-type MultiVertexStat = kron.MultiVecSum
-
-// MultiVertexParticipation returns t_C for a k-fold product (all
-// self-loop regimes).
-func MultiVertexParticipation(p *MultiProduct) (*MultiVertexStat, error) {
-	return kron.MultiVertexParticipation(p)
-}
-
-// MultiTriangleTotal returns exact τ of a k-fold product; loop-free
-// factors give 6^{k-1}·Π τ(B_i).
-func MultiTriangleTotal(p *MultiProduct) (int64, error) { return kron.MultiTriangleTotal(p) }
-
-// MultiEdgeDelta returns a per-arc Δ_C evaluator for a k-fold product.
-func MultiEdgeDelta(p *MultiProduct) (func(u, v int64) int64, error) {
-	return kron.MultiEdgeDelta(p)
-}
 
 // ---- validation (the paper's §VI workflow as a library) ----
 

@@ -15,7 +15,7 @@ func TestFacadeMultiProduct(t *testing.T) {
 	if p.K() != 3 {
 		t.Errorf("K = %d", p.K())
 	}
-	tau, err := MultiTriangleTotal(p)
+	tau, err := TriangleTotal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestFacadeMultiProduct(t *testing.T) {
 	if tau != 36*tb*tb*tb {
 		t.Fatalf("τ(B^⊗3) = %d, want 36·%d³", tau, tb)
 	}
-	ts, err := MultiVertexParticipation(p)
+	ts, err := VertexParticipation(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,17 +34,17 @@ func TestFacadeMultiProduct(t *testing.T) {
 	if total != 3*tau {
 		t.Error("participation total != 3τ")
 	}
-	deltaAt, err := MultiEdgeDelta(p)
+	delta, err := EdgeParticipation(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var eu, ev int64 = -1, -1
 	p.EachArc(func(u, v int64) bool { eu, ev = u, v; return false })
-	if deltaAt(eu, ev) < 0 {
+	if delta.At(eu, ev) < 0 {
 		t.Error("negative edge delta")
 	}
 	// Three-distinct-factor construction.
-	mp, err := NewMultiProduct(Clique(3), Cycle(4), Path(5))
+	mp, err := NewProduct(Clique(3), Cycle(4), Path(5))
 	if err != nil {
 		t.Fatal(err)
 	}

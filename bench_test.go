@@ -553,7 +553,7 @@ func BenchmarkKroneckerPower(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tau, err = kron.MultiTriangleTotal(p)
+		tau, err = kron.TriangleTotal(p)
 		if err != nil {
 			b.Fatal(err)
 		}

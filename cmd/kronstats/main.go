@@ -63,10 +63,11 @@ func main() {
 	}
 
 	start := time.Now()
-	sa, sb, err := p.FactorStats()
+	stats, err := p.FactorStats()
 	if err != nil {
 		log.Fatal(err)
 	}
+	sa, sb := stats[0], stats[1]
 	tc, err := kron.VertexParticipation(p)
 	if err != nil {
 		log.Fatal(err)
@@ -107,7 +108,8 @@ func main() {
 		if *vertex >= p.NumVertices() {
 			log.Fatalf("vertex %d out of range [0,%d)", *vertex, p.NumVertices())
 		}
-		i, k := p.Factors(*vertex)
+		f := p.FactorsOf(*vertex)
+		i, k := f[0], f[1]
 		fmt.Printf("vertex %d = (A:%d, B:%d): degree %d, triangles %d\n",
 			*vertex, i, k, p.Degree(*vertex), tc.At(*vertex))
 	}
@@ -138,14 +140,14 @@ func runCSR(p *kron.Product, maxArcs int64, jsonOut bool) {
 		log.Fatalf("-csr: CSR has %d arcs, formula says %d", g.NumArcs(), p.NumArcs())
 	}
 	maxOut, atOut := g.MaxOutDegree()
-	if want := maxRaw(p.A) * maxRaw(p.B); maxOut != want {
+	if want := factorProduct(p, maxRaw); maxOut != want {
 		log.Fatalf("-csr: measured max out-degree %d, formula says %d", maxOut, want)
 	}
 	start = time.Now()
 	tr := g.Transpose()
 	transposeTime := time.Since(start)
 	maxIn, atIn := tr.MaxOutDegree()
-	if want := maxRawIn(p.A) * maxRawIn(p.B); maxIn != want {
+	if want := factorProduct(p, maxRawIn); maxIn != want {
 		log.Fatalf("-csr: measured max in-degree %d, formula says %d", maxIn, want)
 	}
 
@@ -163,6 +165,15 @@ func runCSR(p *kron.Product, maxArcs int64, jsonOut bool) {
 	fmt.Fprintf(out, "  max in-degree  %d at vertex %d (matches formula, transpose in %v)\n",
 		maxIn, atIn, transposeTime)
 	fmt.Fprintf(out, "  digest         %s\n", gio.CSRDigest(g))
+}
+
+// factorProduct returns Π f(F_i) over p's factors.
+func factorProduct(p *kron.Product, f func(*graph.Graph) int64) int64 {
+	prod := int64(1)
+	for _, g := range p.Factors {
+		prod *= f(g)
+	}
+	return prod
 }
 
 // maxRaw returns the largest raw out-degree of a factor.
@@ -203,7 +214,7 @@ func runPower(aSpec string, k int) {
 		if err != nil {
 			log.Fatalf("power %d: %v", j, err)
 		}
-		tau, err := kron.MultiTriangleTotal(p)
+		tau, err := kron.TriangleTotal(p)
 		if err != nil {
 			log.Fatalf("power %d: %v", j, err)
 		}

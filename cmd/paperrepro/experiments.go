@@ -39,10 +39,11 @@ func expTable1(n int, seed uint64) {
 		log.Fatal(err)
 	}
 	truthDur := time.Since(start)
-	sa, sb, err := pAB.FactorStats()
+	stats, err := pAB.FactorStats()
 	if err != nil {
 		log.Fatal(err)
 	}
+	sa, sb := stats[0], stats[1]
 
 	fmt.Println("§VI statistics table (web-NotreDame replaced by WebGraph stand-in; see DESIGN.md):")
 	fmt.Printf("%-8s %14s %16s %20s\n", "Matrix", "Vertices", "Edges", "Triangles")
@@ -64,10 +65,11 @@ func expTable1(n int, seed uint64) {
 func expFig7(n int, seed uint64) {
 	a := gen.WebGraph(n, 3, 0.75, seed)
 	pAA := kron.MustProduct(a, a)
-	statsA, _, err := pAA.FactorStats()
+	stats, err := pAA.FactorStats()
 	if err != nil {
 		log.Fatal(err)
 	}
+	statsA := stats[0]
 	picks := map[int64]int32{}
 	for v := 0; v < a.NumVertices(); v++ {
 		if a.Degree(int32(v)) == 3 {
@@ -401,7 +403,7 @@ func expPower(n int, seed uint64) {
 			fmt.Printf("%-3d overflow: %v\n", k, err)
 			return
 		}
-		tau, err := kron.MultiTriangleTotal(p)
+		tau, err := kron.TriangleTotal(p)
 		if err != nil {
 			fmt.Printf("%-3d triangles exceed int64: %v\n", k, err)
 			return

@@ -95,8 +95,8 @@ func TestCSRTransposeMatchesInDegreeFormula(t *testing.T) {
 	indeg := g.InDegrees()
 	tr := g.Transpose()
 	for v := int64(0); v < p.NumVertices(); v++ {
-		j, l := p.Factors(v)
-		want := inA[j] * inB[l]
+		f := p.FactorsOf(v)
+		want := inA[f[0]] * inB[f[1]]
 		if indeg[v] != want {
 			t.Fatalf("InDegrees[%d] = %d, formula %d", v, indeg[v], want)
 		}

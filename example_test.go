@@ -61,7 +61,7 @@ func ExampleKroneckerPower() {
 	b := kronvalid.Clique(3) // one triangle
 	for k := 1; k <= 3; k++ {
 		p, _ := kronvalid.KroneckerPower(b, k)
-		tau, _ := kronvalid.MultiTriangleTotal(p)
+		tau, _ := kronvalid.TriangleTotal(p)
 		fmt.Println(k, tau) // 6^{k-1}
 	}
 	// Output:

@@ -31,7 +31,7 @@ func main() {
 			fmt.Printf("%-4d stopped: %v\n", k, err)
 			break
 		}
-		tau, err := kronvalid.MultiTriangleTotal(p)
+		tau, err := kronvalid.TriangleTotal(p)
 		if err != nil {
 			fmt.Printf("%-4d triangles overflow int64: %v\n", k, err)
 			break
@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	t, err := kronvalid.MultiVertexParticipation(p)
+	t, err := kronvalid.VertexParticipation(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,12 +57,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	deltaAt, err := kronvalid.MultiEdgeDelta(p2)
+	delta, err := kronvalid.EdgeParticipation(p2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var eu, ev int64 = -1, -1
 	p2.EachArc(func(u, v int64) bool { eu, ev = u, v; return false })
 	fmt.Printf("first arc of B⊗B: (%d,%d) participates in %d triangles (exact)\n",
-		eu, ev, deltaAt(eu, ev))
+		eu, ev, delta.At(eu, ev))
 }

@@ -363,7 +363,7 @@ func TestPlanHeavyRowImbalance(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 16} {
 		pl := NewPlan(p, workers)
 		var sum int64
-		prevHi := int32(0)
+		prevHi := int64(0)
 		for w := 0; w < pl.Shards(); w++ {
 			lo, hi := pl.RowRange(w)
 			if lo < prevHi || hi <= lo {
@@ -401,5 +401,57 @@ func TestWriteShardedRemovesStaleShards(t *testing.T) {
 		if filepath.Ext(path) != ".tsv" {
 			t.Fatalf("stale file survived: %s", path)
 		}
+	}
+}
+
+// TestThreeFactorPlan: a plan over F₀ ⊗ F₁ ⊗ F₂ cuts rows of L = F₀ ⊗ F₁.
+// Its shards are exact, own contiguous source ranges, concatenate to the
+// serial stream for every worker count, and the unnamed Name() folds
+// from the left.
+func TestThreeFactorPlan(t *testing.T) {
+	a, b, c := gen.WebGraph(30, 3, 0.6, 3), gen.Star(6), gen.HubCycle(4).WithAllLoops()
+	p := kron.MustProduct(a, b, c)
+	var serial []Arc
+	p.EachArc(func(u, v int64) bool {
+		serial = append(serial, Arc{U: u, V: v})
+		return true
+	})
+	for _, workers := range []int{1, 2, 3, 8, 64} {
+		pl := NewPlan(p, workers)
+		var prevHi int64
+		for w := 0; w < pl.Shards(); w++ {
+			lo, hi := pl.VertexRange(w)
+			if lo != prevHi || hi <= lo {
+				t.Fatalf("workers=%d: shard %d owns [%d,%d) after %d", workers, w, lo, hi, prevHi)
+			}
+			prevHi = hi
+			var n int64
+			eachShardArc(pl, w, func(a Arc) bool {
+				if a.U < lo || a.U >= hi {
+					t.Fatalf("workers=%d: shard %d emitted source %d outside [%d,%d)", workers, w, a.U, lo, hi)
+				}
+				n++
+				return true
+			})
+			if n != pl.ShardSize(w) {
+				t.Fatalf("workers=%d: shard %d emitted %d arcs, plan says %d", workers, w, n, pl.ShardSize(w))
+			}
+		}
+		if prevHi != p.NumVertices() {
+			t.Fatalf("workers=%d: shards end at %d, want %d", workers, prevHi, p.NumVertices())
+		}
+		got := collectAll(pl)
+		if len(got) != len(serial) {
+			t.Fatalf("workers=%d: %d arcs, serial %d", workers, len(got), len(serial))
+		}
+		for i := range got {
+			if got[i] != serial[i] {
+				t.Fatalf("workers=%d: arc %d = %v, serial %v", workers, i, got[i], serial[i])
+			}
+		}
+	}
+	want := "kron(a=kron(a=" + gio.GraphDigest(a) + ",b=" + gio.GraphDigest(b) + "),b=" + gio.GraphDigest(c) + ")"
+	if got := NewPlan(p, 2).Name(); got != want {
+		t.Errorf("Name() = %q, want %q", got, want)
 	}
 }

@@ -99,7 +99,7 @@ func TestWriteShardedSourceExactCounts(t *testing.T) {
 func TestKronManifestCarriesSource(t *testing.T) {
 	pl, p := plan(t, 3)
 	m := writeKron(t, t.TempDir(), pl, false)
-	want := "kron(a=" + gio.GraphDigest(p.A) + ",b=" + gio.GraphDigest(p.B) + ")"
+	want := "kron(a=" + gio.GraphDigest(p.Factors[0]) + ",b=" + gio.GraphDigest(p.Factors[1]) + ")"
 	if m.Source != want {
 		t.Errorf("kron manifest source = %q, want %q", m.Source, want)
 	}

@@ -1,6 +1,7 @@
 package kron
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -8,79 +9,92 @@ import (
 	"kronvalid/internal/sparse"
 )
 
+var errWedgeOverflow = fmt.Errorf("kron: wedge count exceeds int64: %w", sparse.ErrOverflow)
+
 // WedgeCount returns the exact number of wedges (paths of length two
-// through a center) of C: Σ_p d_C(p)·(d_C(p)-1)/2, computed in
-// O(n_A + n_B) from the factors. The degree formula
-// d_C = (d_A+s_A)(d_B+s_B) - s_A·s_B factorizes over the four self-loop
-// class combinations, so Σ d_C and Σ d_C² reduce to per-class factor
-// sums. Both sums are accumulated in 128 bits; a count that does not fit
-// int64 is an error wrapping sparse.ErrOverflow. Both factors must be
+// through a center) of C: Σ_p d_C(p)·(d_C(p)-1)/2, computed in O(Σ n_i)
+// from the factors. With x = d + s per factor vertex, the degree
+// d_C = Π x_i − Π s_i gives
+//
+//	Σ d_C  = Π Σx_i − Π n_i^loop,
+//	Σ d_C² = Π Σx_i² − 2·Π Σ_loop x_i + Π n_i^loop,
+//
+// where n_i^loop counts factor i's looped vertices and Σ_loop sums over
+// them. Each product is checked in 128 bits; a count that does not fit
+// int64 is an error wrapping sparse.ErrOverflow. All factors must be
 // undirected.
 func WedgeCount(p *Product) (int64, error) {
-	if err := requireUndirected(p); err != nil {
-		return 0, err
+	if !p.IsSymmetric() {
+		return 0, errors.New("kron: formula requires undirected factors")
 	}
-	pa, okA := classSums(p.A)
-	pb, okB := classSums(p.B)
-	if !okA || !okB {
-		return 0, fmt.Errorf("kron: factor degree sums exceed 64 bits: %w", sparse.ErrOverflow)
+	var sums [][4]uint64
+	for _, f := range p.Factors {
+		s, ok := degreeSums(f)
+		if !ok {
+			return 0, fmt.Errorf("kron: factor degree sums exceed 64 bits: %w", sparse.ErrOverflow)
+		}
+		sums = append(sums, s)
 	}
-	var sumD, sumD2 u128
-	for sa := range pa {
-		for sb := range pb {
-			x, y := pa[sa], pb[sb]
-			// d = x·y: product form.
-			sumD = sumD.add(mul128(x.s1, y.s1))
-			sumD2 = sumD2.add(mul128(x.s2, y.s2))
-			if sa == 1 && sb == 1 {
-				// d = x·y - 1: Σd = Σx·Σy - n; Σd² = Σx²Σy² - 2ΣxΣy + n.
-				n, xy := mul128(x.s0, y.s0), mul128(x.s1, y.s1)
-				sumD = sumD.sub(n)
-				sumD2 = sumD2.sub(xy).sub(xy).add(n)
-			}
+	var prods [4]u128
+	for j := range prods {
+		var ok bool
+		if prods[j], ok = product128(sums, j); !ok {
+			return 0, errWedgeOverflow
 		}
 	}
-	// Σ d(d-1) = Σd² - Σd. It is below Σ_A(d+s)²·Σ_B(d+s)² < 2^128, so
-	// the modular 128-bit arithmetic above is exact.
+	x, x2, xLoop, nLoop := prods[0], prods[1], prods[2], prods[3]
+	// Σ d(d−1) = Σd² − Σd lies in [0, Σx²], so with every product exact,
+	// the modular 128-bit arithmetic below is exact too.
+	sumD := x.sub(nLoop)
+	sumD2 := x2.sub(xLoop).sub(xLoop).add(nLoop)
 	twice := sumD2.sub(sumD)
 	if twice.hi != 0 {
-		return 0, fmt.Errorf("kron: wedge count exceeds int64: %w", sparse.ErrOverflow)
+		return 0, errWedgeOverflow
 	}
 	return int64(twice.lo / 2), nil
 }
 
-// powers holds the power sums Σ x^k, k = 0, 1, 2, of x = d+s over one
-// loop class of a factor's vertices.
-type powers struct{ s0, s1, s2 uint64 }
-
-// classSums returns g's power sums indexed by the loop indicator s. ok is
-// false when Σ(d+s)² over all of g leaves 64 bits, which takes more than
+// degreeSums returns g's sums Σx, Σx², Σ_loop x and n^loop, over
+// x = d+s. ok is false when Σx² leaves 64 bits, which takes more than
 // 2^33 arcs (it is at most n·(arcs+n)); while it fits, every sum does.
-func classSums(g *graph.Graph) (ps [2]powers, ok bool) {
-	var all uint64
+func degreeSums(g *graph.Graph) (sums [4]uint64, ok bool) {
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		s := 0
+		x := uint64(g.Degree(v))
 		if g.LoopAt(v) {
-			s = 1
+			x++
+			sums[2] += x
+			sums[3]++
 		}
-		x := uint64(g.Degree(v)) + uint64(s)
 		var carry uint64
-		if all, carry = bits.Add64(all, x*x, 0); carry != 0 {
-			return ps, false
+		if sums[1], carry = bits.Add64(sums[1], x*x, 0); carry != 0 {
+			return sums, false
 		}
-		ps[s].s0++
-		ps[s].s1 += x
-		ps[s].s2 += x * x
+		sums[0] += x
 	}
-	return ps, true
+	return sums, true
 }
 
-// u128 is an unsigned 128-bit integer, wrapping modulo 2^128.
+// u128 is an unsigned 128-bit integer; add and sub wrap modulo 2^128.
 type u128 struct{ hi, lo uint64 }
 
-func mul128(a, b uint64) u128 {
-	hi, lo := bits.Mul64(a, b)
-	return u128{hi, lo}
+// product128 returns Π_f sums[f][j], and false when it leaves 128 bits.
+func product128(sums [][4]uint64, j int) (u128, bool) {
+	for _, s := range sums {
+		if s[j] == 0 {
+			return u128{}, true
+		}
+	}
+	acc := u128{0, 1}
+	for _, s := range sums {
+		hi, lo := bits.Mul64(acc.lo, s[j])
+		over, mid := bits.Mul64(acc.hi, s[j])
+		hi, carry := bits.Add64(hi, mid, 0)
+		if over != 0 || carry != 0 {
+			return u128{}, false
+		}
+		acc = u128{hi, lo}
+	}
+	return acc, true
 }
 
 func (x u128) add(y u128) u128 {

@@ -97,47 +97,77 @@ func TestLocalClusteringAgainstDirect(t *testing.T) {
 	}
 }
 
-// bigWedges is Σ_p C(d_C(p), 2) in arbitrary precision for loop-free
-// factors (d_C = d_A·d_B), grouped by distinct factor degrees.
-func bigWedges(a, b *graph.Graph) *big.Int {
-	count := func(g *graph.Graph) map[int64]int64 {
-		m := map[int64]int64{}
-		for _, d := range g.Degrees() {
-			m[d]++
+// bigWedges is Σ_p C(d_C(p), 2) in arbitrary precision, where
+// d_C = Π x_i − Π s_i with x = d + s, grouped by each factor's distinct
+// (x, s) classes.
+func bigWedges(factors ...*graph.Graph) *big.Int {
+	type class struct{ x, s int64 }
+	counts := make([]map[class]int64, len(factors))
+	for i, g := range factors {
+		counts[i] = map[class]int64{}
+		for v := int32(0); int(v) < g.NumVertices(); v++ {
+			var s int64
+			if g.LoopAt(v) {
+				s = 1
+			}
+			counts[i][class{g.Degree(v) + s, s}]++
 		}
-		return m
 	}
+	one := big.NewInt(1)
 	total := new(big.Int)
-	for da, ca := range count(a) {
-		for db, cb := range count(b) {
-			d := new(big.Int).Mul(big.NewInt(da), big.NewInt(db))
-			pairs := new(big.Int).Mul(d, new(big.Int).Sub(d, big.NewInt(1)))
+	var walk func(i int, x, n *big.Int, loop bool)
+	walk = func(i int, x, n *big.Int, loop bool) {
+		if i == len(factors) {
+			d := new(big.Int).Set(x)
+			if loop {
+				d.Sub(d, one)
+			}
+			pairs := new(big.Int).Mul(d, new(big.Int).Sub(d, one))
 			pairs.Rsh(pairs, 1)
-			pairs.Mul(pairs, new(big.Int).Mul(big.NewInt(ca), big.NewInt(cb)))
-			total.Add(total, pairs)
+			total.Add(total, pairs.Mul(pairs, n))
+			return
+		}
+		for c, m := range counts[i] {
+			walk(i+1, new(big.Int).Mul(x, big.NewInt(c.x)), new(big.Int).Mul(n, big.NewInt(m)), loop && c.s == 1)
 		}
 	}
+	walk(0, one, one, true)
 	return total
 }
 
 // TestWedgeCountNearInt64Max: Star(2^16) ⊗ Star(2^16) has 9.2231e18
 // wedges, below 2^63 although Σd² is not; one more leaf per star passes
-// 2^63. Both agree with the arbitrary-precision count.
+// 2^63. Likewise Star(1625)^⊗3 fits and Star(1626)^⊗3, whose sums carry
+// into the high word of the 128-bit products, does not. All agree with
+// the arbitrary-precision count, as do small looped products of up to
+// three factors.
 func TestWedgeCountNearInt64Max(t *testing.T) {
-	fits := MustProduct(gen.Star(1<<16), gen.Star(1<<16))
-	got, err := WedgeCount(fits)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		fits, over []*graph.Graph
+	}{
+		{[]*graph.Graph{gen.Star(1 << 16), gen.Star(1 << 16)}, []*graph.Graph{gen.Star(1<<16 + 1), gen.Star(1<<16 + 1)}},
+		{[]*graph.Graph{gen.Star(1625), gen.Star(1625), gen.Star(1625)}, []*graph.Graph{gen.Star(1626), gen.Star(1626), gen.Star(1626)}},
+	} {
+		got, err := WedgeCount(MustProduct(c.fits...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bigWedges(c.fits...); !want.IsInt64() || got != want.Int64() {
+			t.Fatalf("k=%d: wedges = %d, want %v", len(c.fits), got, want)
+		}
+		if want := bigWedges(c.over...); want.IsInt64() {
+			t.Fatalf("k=%d: %v wedges fit int64; the case no longer tests overflow", len(c.over), want)
+		}
+		if _, err := WedgeCount(MustProduct(c.over...)); !errors.Is(err, sparse.ErrOverflow) {
+			t.Fatalf("k=%d past 2^63: err = %v, want sparse.ErrOverflow", len(c.over), err)
+		}
 	}
-	if want := bigWedges(fits.A, fits.B); !want.IsInt64() || got != want.Int64() {
-		t.Fatalf("wedges = %d, want %v", got, want)
-	}
-	over := MustProduct(gen.Star(1<<16+1), gen.Star(1<<16+1))
-	if want := bigWedges(over.A, over.B); want.IsInt64() {
-		t.Fatalf("%v wedges fit int64; the case no longer tests overflow", want)
-	}
-	if _, err := WedgeCount(over); !errors.Is(err, sparse.ErrOverflow) {
-		t.Fatalf("past 2^63: err = %v, want sparse.ErrOverflow", err)
+	looped := []*graph.Graph{gen.Star(40).WithLoopAt(0), gen.CliqueWithLoops(5), gen.HubCycle(6).WithLoopAt(2).WithLoopAt(0)}
+	for k := 1; k <= len(looped); k++ {
+		got, err := WedgeCount(MustProduct(looped[:k]...))
+		if want := bigWedges(looped[:k]...); err != nil || got != want.Int64() {
+			t.Fatalf("looped k=%d: wedges = %d, %v; want %v", k, got, err, want)
+		}
 	}
 }
 

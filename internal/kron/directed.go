@@ -4,6 +4,8 @@ import (
 	"errors"
 
 	"kronvalid/internal/census"
+	"kronvalid/internal/graph"
+	"kronvalid/internal/sparse"
 )
 
 // DirectedStats holds the Kronecker-derived directed triangle census of
@@ -18,18 +20,22 @@ type DirectedStats struct {
 
 // DirectedCensus computes the full directed census of the product from
 // factor censuses (Thm. 4, Thm. 5). It validates the theorems'
-// hypotheses: diag(A) = 0 and B undirected.
+// hypotheses: two factors, diag(A) = 0 and B undirected.
 func DirectedCensus(p *Product) (*DirectedStats, error) {
-	if p.A.HasAnyLoop() {
+	a, b, err := p.pair("Thm. 4/5")
+	if err != nil {
+		return nil, err
+	}
+	if a.HasAnyLoop() {
 		return nil, errors.New("kron: Thm. 4/5 require a loop-free left factor")
 	}
-	if !p.B.IsSymmetric() {
+	if !b.IsSymmetric() {
 		return nil, errors.New("kron: Thm. 4/5 require an undirected right factor (B_d = O)")
 	}
-	censusA := census.DirectedVertexCensus(p.A)
-	edgeA := census.DirectedEdgeCensus(p.A)
+	censusA := census.DirectedVertexCensus(a)
+	edgeA := census.DirectedEdgeCensus(a)
 
-	sb := p.sb.get()
+	sb := p.memos[1].get()
 	diagB3, hadB := sb.DiagCube, sb.HadSquare
 
 	out := &DirectedStats{
@@ -37,54 +43,49 @@ func DirectedCensus(p *Product) (*DirectedStats, error) {
 		Edge:   make(map[census.EdgeType]*KronMatSum, census.NumEdgeTypes),
 	}
 	for _, ty := range census.AllVertexTypes() {
-		out.Vertex[ty] = &KronVecSum{
-			Terms: []VecTerm{{Coef: 1, U: censusA.Counts[ty], V: diagB3}},
-			Den:   1,
-			nB:    p.nB,
-		}
+		out.Vertex[ty] = pairVec(censusA.Counts[ty], diagB3)
 	}
 	for _, ty := range census.AllEdgeTypes() {
-		out.Edge[ty] = &KronMatSum{
-			Terms: []MatTerm{{Coef: 1, M: edgeA.Delta[ty], N: hadB}},
-			nB:    p.nB, mB: p.nB,
-		}
+		out.Edge[ty] = pairMat(edgeA.Delta[ty], hadB)
 	}
 	return out, nil
+}
+
+// pairVec is the one-term statistic u ⊗ v.
+func pairVec(u, v []int64) *KronVecSum {
+	return &KronVecSum{Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{u, v}}}, Den: 1}
+}
+
+// pairMat is the one-term statistic M ⊗ N.
+func pairMat(m, n *sparse.Matrix) *KronMatSum {
+	return &KronMatSum{Terms: []MatTerm{{Coef: 1, Mats: []*sparse.Matrix{m, n}}}}
+}
+
+// directedDegree returns part(A)'s raw row sums ⊗ d_B, the §IV.B
+// directed degree formulas, which assume B undirected.
+func directedDegree(p *Product, part func(a *graph.Graph) *graph.Graph) (*KronVecSum, error) {
+	a, b, err := p.pair("§IV.B")
+	if err != nil {
+		return nil, err
+	}
+	if !b.IsSymmetric() {
+		return nil, errors.New("kron: directed degree formula requires undirected B")
+	}
+	return pairVec(rawRowSums(part(a)), rawRowSums(b)), nil
 }
 
 // ReciprocalDegree returns d_{C_r} = d_{A_r} ⊗ d_B (§IV.B): the number of
 // reciprocal edges at each product vertex, assuming B undirected.
 func ReciprocalDegree(p *Product) (*KronVecSum, error) {
-	if !p.B.IsSymmetric() {
-		return nil, errors.New("kron: reciprocal degree formula requires undirected B")
-	}
-	return &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: rawRowSums(p.A.ReciprocalPart()), V: rawRowSums(p.B)}},
-		Den:   1,
-		nB:    p.nB,
-	}, nil
+	return directedDegree(p, (*graph.Graph).ReciprocalPart)
 }
 
 // DirectedOutDegree returns d^out_{C_d} = d^out_{A_d} ⊗ d_B (§IV.B).
 func DirectedOutDegree(p *Product) (*KronVecSum, error) {
-	if !p.B.IsSymmetric() {
-		return nil, errors.New("kron: directed degree formula requires undirected B")
-	}
-	return &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: rawRowSums(p.A.DirectedPart()), V: rawRowSums(p.B)}},
-		Den:   1,
-		nB:    p.nB,
-	}, nil
+	return directedDegree(p, (*graph.Graph).DirectedPart)
 }
 
 // DirectedInDegree returns d^in_{C_d} = d^in_{A_d} ⊗ d_B (§IV.B).
 func DirectedInDegree(p *Product) (*KronVecSum, error) {
-	if !p.B.IsSymmetric() {
-		return nil, errors.New("kron: directed degree formula requires undirected B")
-	}
-	return &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: rawRowSums(p.A.DirectedPart().Transpose()), V: rawRowSums(p.B)}},
-		Den:   1,
-		nB:    p.nB,
-	}, nil
+	return directedDegree(p, func(a *graph.Graph) *graph.Graph { return a.DirectedPart().Transpose() })
 }

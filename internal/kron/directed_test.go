@@ -179,7 +179,7 @@ func TestProductLabelInheritance(t *testing.T) {
 	b := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}, true)
 	p := MustProduct(lab, b)
 	for v := int64(0); v < p.NumVertices(); v++ {
-		i, _ := p.Factors(v)
+		i := p.FactorsOf(v)[0]
 		if p.Label(v) != lab.Label(i) {
 			t.Fatalf("label(%d) = %d, want %d", v, p.Label(v), lab.Label(i))
 		}

@@ -1,6 +1,7 @@
 package kron
 
 import (
+	"errors"
 	"testing"
 
 	"kronvalid/internal/graph"
@@ -50,9 +51,8 @@ func TestProductIndexMaps(t *testing.T) {
 	for i := int32(0); i < 7; i++ {
 		for k := int32(0); k < 5; k++ {
 			v := p.Vertex(i, k)
-			gi, gk := p.Factors(v)
-			if gi != i || gk != k {
-				t.Fatalf("Factors(Vertex(%d,%d)) = (%d,%d)", i, k, gi, gk)
+			if got := p.FactorsOf(v); got[0] != i || got[1] != k {
+				t.Fatalf("FactorsOf(Vertex(%d,%d)) = %v", i, k, got)
 			}
 		}
 	}
@@ -191,10 +191,13 @@ func TestOutInDegreesKron(t *testing.T) {
 
 func TestMaxDegree(t *testing.T) {
 	g := rng.New(8)
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		a := randomUndirected(g, 5+g.Intn(8), 3, g.Float64())
 		b := randomUndirected(g, 5+g.Intn(8), 3, g.Float64())
 		p := MustProduct(a, b)
+		if trial%2 == 1 {
+			p = MustProduct(a, b, randomUndirected(g, 2+g.Intn(5), 2, g.Float64()))
+		}
 		d, v := p.MaxDegree()
 		if got := p.Degree(v); got != d {
 			t.Fatalf("MaxDegree witness %d has degree %d, claimed %d", v, got, d)
@@ -240,6 +243,70 @@ func TestVertexParticipationAllRegimes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The specialized two-factor theorems, kept as oracles for the general
+// expansions that VertexParticipation and EdgeParticipation implement.
+
+func requireTwoUndirected(p *Product) (a, b *graph.Graph, err error) {
+	if a, b, err = p.pair("the specialization"); err != nil {
+		return nil, nil, err
+	}
+	if !p.IsSymmetric() {
+		return nil, nil, errors.New("kron: formula requires undirected factors")
+	}
+	return a, b, nil
+}
+
+// VertexParticipationNoLoops is Thm. 1 specialized: t_C = 2·t_A ⊗ t_B.
+// Errors unless both factors are loop-free and undirected.
+func VertexParticipationNoLoops(p *Product, sa, sb *FactorTriangleStats) (*KronVecSum, error) {
+	a, b, err := requireTwoUndirected(p)
+	if err != nil {
+		return nil, err
+	}
+	if a.HasAnyLoop() || b.HasAnyLoop() {
+		return nil, errors.New("kron: Thm. 1 requires loop-free factors")
+	}
+	return &KronVecSum{Terms: []VecTerm{{Coef: 2, Vecs: [][]int64{sa.T, sb.T}}}, Den: 1}, nil
+}
+
+// VertexParticipationLoopsInB is Cor. 1 specialized:
+// t_C = t_A ⊗ diag(B³), for loop-free A and arbitrary undirected B.
+func VertexParticipationLoopsInB(p *Product, sa, sb *FactorTriangleStats) (*KronVecSum, error) {
+	a, _, err := requireTwoUndirected(p)
+	if err != nil {
+		return nil, err
+	}
+	if a.HasAnyLoop() {
+		return nil, errors.New("kron: Cor. 1 requires a loop-free left factor")
+	}
+	return pairVec(sa.T, sb.DiagCube), nil
+}
+
+// EdgeParticipationNoLoops is Thm. 2 specialized: Δ_C = Δ_A ⊗ Δ_B.
+func EdgeParticipationNoLoops(p *Product, sa, sb *FactorTriangleStats) (*KronMatSum, error) {
+	a, b, err := requireTwoUndirected(p)
+	if err != nil {
+		return nil, err
+	}
+	if a.HasAnyLoop() || b.HasAnyLoop() {
+		return nil, errors.New("kron: Thm. 2 requires loop-free factors")
+	}
+	return pairMat(sa.Delta, sb.Delta), nil
+}
+
+// EdgeParticipationLoopsInB is Cor. 2 specialized:
+// Δ_C = Δ_A ⊗ (B ∘ B²), for loop-free A.
+func EdgeParticipationLoopsInB(p *Product, sa, sb *FactorTriangleStats) (*KronMatSum, error) {
+	a, _, err := requireTwoUndirected(p)
+	if err != nil {
+		return nil, err
+	}
+	if a.HasAnyLoop() {
+		return nil, errors.New("kron: Cor. 2 requires a loop-free left factor")
+	}
+	return pairMat(sa.Delta, sb.HadSquare), nil
 }
 
 func TestVertexParticipationSpecializations(t *testing.T) {
@@ -472,7 +539,7 @@ func TestLoopTuningBoost(t *testing.T) {
 		if boosted.At(v) != direct[v] {
 			t.Fatalf("boosted formula wrong at %d", v)
 		}
-		_, kk := p.Factors(v)
+		kk := p.FactorsOf(v)[1]
 		diff := boosted.At(v) - base.At(v)
 		if diff < 0 {
 			t.Fatalf("loop removed triangles at %d", v)

@@ -6,29 +6,28 @@ import (
 	"kronvalid/internal/sparse"
 )
 
-// VecTerm is one signed Kronecker term coef·(u ⊗ v) of a vertex-statistic
-// expansion.
+// VecTerm is one signed Kronecker term coef·(u₀ ⊗ u₁ ⊗ … ⊗ u_{k−1}) of a
+// vertex-statistic expansion, one vector per factor.
 type VecTerm struct {
 	Coef int64
-	U, V []int64
+	Vecs [][]int64
 }
 
 // KronVecSum represents a vertex statistic of the product graph as
-// (1/Den)·Σ_m coef_m (u_m ⊗ v_m), evaluated lazily per product vertex.
+// (1/Den)·Σ_m coef_m (⊗_i u_{m,i}), evaluated lazily per product vertex.
 // This is the shape every per-vertex Kronecker formula in the paper takes
 // (Thm. 1, Cor. 1, the general self-loop expansion, Thm. 4, Thm. 6).
+// Vector i has factor i's vertex count as its length.
 type KronVecSum struct {
 	Terms []VecTerm
 	Den   int64 // divisor applied after summation (1 or 2)
-	nB    int64
 }
 
 // At evaluates the statistic at product vertex p.
 func (s *KronVecSum) At(p int64) int64 {
-	i, k := p/s.nB, p%s.nB
 	var acc int64
 	for _, t := range s.Terms {
-		acc += t.Coef * t.U[i] * t.V[k]
+		acc += t.Coef * vecAt(t.Vecs, p)
 	}
 	if acc%s.Den != 0 {
 		panic(fmt.Sprintf("kron: non-integral statistic %d/%d at vertex %d", acc, s.Den, p))
@@ -36,12 +35,30 @@ func (s *KronVecSum) At(p int64) int64 {
 	return acc / s.Den
 }
 
+// vecAt returns (⊗_i u_i)[p], the product of u_i at p's mixed-radix
+// digits, the last vector's the least significant.
+func vecAt(us [][]int64, p int64) int64 {
+	prod := int64(1)
+	for i := len(us) - 1; i > 0; i-- {
+		n := int64(len(us[i]))
+		if prod *= us[i][p%n]; prod == 0 {
+			return 0
+		}
+		p /= n
+	}
+	return prod * us[0][p]
+}
+
 // Len returns the number of product vertices.
 func (s *KronVecSum) Len() int64 {
 	if len(s.Terms) == 0 {
 		return 0
 	}
-	return int64(len(s.Terms[0].U)) * s.nB
+	n := int64(1)
+	for _, u := range s.Terms[0].Vecs {
+		n *= int64(len(u))
+	}
+	return n
 }
 
 // Vector materializes the full statistic vector; only for
@@ -55,14 +72,16 @@ func (s *KronVecSum) Vector() []int64 {
 }
 
 // Total returns Σ_p At(p) with overflow checking, computed from factor
-// sums: Σ (u ⊗ v) = (Σu)·(Σv).
+// sums: Σ (⊗_i u_i) = Π_i Σu_i.
 func (s *KronVecSum) Total() (int64, error) {
 	var acc int64
 	for _, t := range s.Terms {
-		su, sv := sparse.SumVec(t.U), sparse.SumVec(t.V)
-		prod, err := sparse.CheckedMul(su, sv)
-		if err != nil {
-			return 0, err
+		prod := int64(1)
+		var err error
+		for _, u := range t.Vecs {
+			if prod, err = sparse.CheckedMul(prod, sparse.SumVec(u)); err != nil {
+				return 0, err
+			}
 		}
 		if acc, err = addTerm(acc, t.Coef, prod); err != nil {
 			return 0, err
@@ -83,40 +102,45 @@ func (s *KronVecSum) MustTotal() int64 {
 	return v
 }
 
-// MatTerm is one signed Kronecker term coef·(M ⊗ N) of an edge-statistic
-// expansion.
+// MatTerm is one signed Kronecker term coef·(M₀ ⊗ M₁ ⊗ … ⊗ M_{k−1}) of an
+// edge-statistic expansion, one matrix per factor.
 type MatTerm struct {
 	Coef int64
-	M, N *sparse.Matrix
+	Mats []*sparse.Matrix
 }
 
 // KronMatSum represents an edge statistic of the product graph as
-// Σ_m coef_m (M_m ⊗ N_m), evaluated lazily per product arc. This is the
+// Σ_m coef_m (⊗_i M_{m,i}), evaluated lazily per product arc. This is the
 // shape of every per-edge Kronecker formula (Thm. 2, Cor. 2, the general
 // self-loop expansion, Thm. 5, Thm. 7).
 type KronMatSum struct {
 	Terms []MatTerm
-	nB    int64 // rows of N (product row block size)
-	mB    int64 // cols of N (product col block size)
 }
 
 // At evaluates the statistic at product arc (p, q).
 func (s *KronMatSum) At(p, q int64) int64 {
-	i, k := p/s.nB, p%s.nB
-	j, l := q/s.mB, q%s.mB
 	var acc int64
 	for _, t := range s.Terms {
-		mv := t.M.At(int(i), int(j))
-		if mv == 0 {
-			continue
-		}
-		nv := t.N.At(int(k), int(l))
-		if nv == 0 {
-			continue
-		}
-		acc += t.Coef * mv * nv
+		acc += t.Coef * matAt(t.Mats, p, q)
 	}
 	return acc
+}
+
+// matAt returns (⊗_i M_i)[p][q], the product of M_i at the mixed-radix
+// digits of p (over row counts) and q (over column counts).
+func matAt(ms []*sparse.Matrix, p, q int64) int64 {
+	prod := int64(1)
+	for i := len(ms) - 1; i >= 0 && prod != 0; i-- {
+		m := ms[i]
+		r, c := p, q
+		if i > 0 {
+			rows, cols := int64(m.Rows()), int64(m.Cols())
+			r, c = p%rows, q%cols
+			p, q = p/rows, q/cols
+		}
+		prod *= m.At(int(r), int(c))
+	}
+	return prod
 }
 
 // Materialize builds the explicit statistic matrix via explicit Kronecker
@@ -127,7 +151,11 @@ func (s *KronMatSum) Materialize() *sparse.Matrix {
 	}
 	var acc *sparse.Matrix
 	for _, t := range s.Terms {
-		m := sparse.Kron(t.M, t.N).Scale(t.Coef)
+		m := t.Mats[0]
+		for _, n := range t.Mats[1:] {
+			m = sparse.Kron(m, n)
+		}
+		m = m.Scale(t.Coef)
 		if acc == nil {
 			acc = m
 		} else {
@@ -142,9 +170,12 @@ func (s *KronMatSum) Materialize() *sparse.Matrix {
 func (s *KronMatSum) Total() (int64, error) {
 	var acc int64
 	for _, t := range s.Terms {
-		prod, err := sparse.CheckedMul(t.M.Total(), t.N.Total())
-		if err != nil {
-			return 0, err
+		prod := int64(1)
+		var err error
+		for _, m := range t.Mats {
+			if prod, err = sparse.CheckedMul(prod, m.Total()); err != nil {
+				return 0, err
+			}
 		}
 		if acc, err = addTerm(acc, t.Coef, prod); err != nil {
 			return 0, err

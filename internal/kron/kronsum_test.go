@@ -10,11 +10,10 @@ import (
 func TestKronVecSumAt(t *testing.T) {
 	s := &KronVecSum{
 		Terms: []VecTerm{
-			{Coef: 2, U: []int64{1, 2}, V: []int64{3, 4, 5}},
-			{Coef: -1, U: []int64{0, 1}, V: []int64{2, 2, 2}},
+			{Coef: 2, Vecs: [][]int64{{1, 2}, {3, 4, 5}}},
+			{Coef: -1, Vecs: [][]int64{{0, 1}, {2, 2, 2}}},
 		},
 		Den: 1,
-		nB:  3,
 	}
 	// p = i*3 + k. At p=4: i=1,k=1: 2*2*4 - 1*1*2 = 14.
 	if got := s.At(4); got != 14 {
@@ -36,9 +35,8 @@ func TestKronVecSumAt(t *testing.T) {
 
 func TestKronVecSumNonIntegralPanics(t *testing.T) {
 	s := &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: []int64{3}, V: []int64{1}}},
+		Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{{3}, {1}}}},
 		Den:   2,
-		nB:    1,
 	}
 	defer func() {
 		if recover() == nil {
@@ -51,9 +49,8 @@ func TestKronVecSumNonIntegralPanics(t *testing.T) {
 func TestKronVecSumTotalOverflow(t *testing.T) {
 	huge := int64(1) << 62
 	s := &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: []int64{huge}, V: []int64{4}}},
+		Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{{huge}, {4}}}},
 		Den:   1,
-		nB:    1,
 	}
 	if _, err := s.Total(); !errors.Is(err, sparse.ErrOverflow) {
 		t.Fatalf("expected overflow, got %v", err)
@@ -61,11 +58,10 @@ func TestKronVecSumTotalOverflow(t *testing.T) {
 	// Accumulation overflow across terms.
 	s2 := &KronVecSum{
 		Terms: []VecTerm{
-			{Coef: 1, U: []int64{huge}, V: []int64{1}},
-			{Coef: 1, U: []int64{huge}, V: []int64{1}},
+			{Coef: 1, Vecs: [][]int64{{huge}, {1}}},
+			{Coef: 1, Vecs: [][]int64{{huge}, {1}}},
 		},
 		Den: 1,
-		nB:  1,
 	}
 	if _, err := s2.Total(); !errors.Is(err, sparse.ErrOverflow) {
 		t.Fatalf("expected accumulation overflow, got %v", err)
@@ -75,11 +71,10 @@ func TestKronVecSumTotalOverflow(t *testing.T) {
 func TestKronVecSumTotalNegativeTerms(t *testing.T) {
 	s := &KronVecSum{
 		Terms: []VecTerm{
-			{Coef: 1, U: []int64{10}, V: []int64{6}},
-			{Coef: -2, U: []int64{5}, V: []int64{2}},
+			{Coef: 1, Vecs: [][]int64{{10}, {6}}},
+			{Coef: -2, Vecs: [][]int64{{5}, {2}}},
 		},
 		Den: 2,
-		nB:  1,
 	}
 	total, err := s.Total()
 	if err != nil {
@@ -93,9 +88,8 @@ func TestKronVecSumTotalNegativeTerms(t *testing.T) {
 func TestKronVecSumMustTotalPanics(t *testing.T) {
 	huge := int64(1) << 62
 	s := &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: []int64{huge}, V: []int64{4}}},
+		Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{{huge}, {4}}}},
 		Den:   1,
-		nB:    1,
 	}
 	defer func() {
 		if recover() == nil {
@@ -108,7 +102,7 @@ func TestKronVecSumMustTotalPanics(t *testing.T) {
 func TestKronMatSumAtAndTotal(t *testing.T) {
 	m1 := sparse.FromTriplets(2, 2, []sparse.Triplet{{Row: 0, Col: 1, Val: 3}})
 	n1 := sparse.FromTriplets(2, 2, []sparse.Triplet{{Row: 1, Col: 0, Val: 4}})
-	s := &KronMatSum{Terms: []MatTerm{{Coef: 2, M: m1, N: n1}}, nB: 2, mB: 2}
+	s := &KronMatSum{Terms: []MatTerm{{Coef: 2, Mats: []*sparse.Matrix{m1, n1}}}}
 	// (p,q) = (0*2+1, 1*2+0) = (1, 2): 2*3*4 = 24.
 	if got := s.At(1, 2); got != 24 {
 		t.Errorf("At = %d, want 24", got)
@@ -135,7 +129,7 @@ func TestKronMatSumAtAndTotal(t *testing.T) {
 }
 
 func TestKronMatSumEmptyPanics(t *testing.T) {
-	s := &KronMatSum{nB: 1, mB: 1}
+	s := &KronMatSum{}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on empty Materialize")

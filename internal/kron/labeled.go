@@ -18,19 +18,23 @@ type LabeledStats struct {
 // LabeledCensus computes the full labeled census of the product from the
 // factor census (Thm. 6, Thm. 7).
 func LabeledCensus(p *Product) (*LabeledStats, error) {
-	if !p.A.IsLabeled() {
+	a, b, err := p.pair("Thm. 6/7")
+	if err != nil {
+		return nil, err
+	}
+	if !a.IsLabeled() {
 		return nil, errors.New("kron: Thm. 6/7 require a labeled left factor")
 	}
-	if p.A.HasAnyLoop() {
+	if a.HasAnyLoop() {
 		return nil, errors.New("kron: Thm. 6/7 require a loop-free left factor")
 	}
-	if !p.A.IsSymmetric() || !p.B.IsSymmetric() {
+	if !a.IsSymmetric() || !b.IsSymmetric() {
 		return nil, errors.New("kron: Thm. 6/7 require undirected factors")
 	}
-	vertexA := census.LabeledVertexCensus(p.A)
-	edgeA := census.LabeledEdgeCensus(p.A)
+	vertexA := census.LabeledVertexCensus(a)
+	edgeA := census.LabeledEdgeCensus(a)
 
-	sb := p.sb.get()
+	sb := p.memos[1].get()
 	diagB3, hadB := sb.DiagCube, sb.HadSquare
 
 	out := &LabeledStats{
@@ -38,17 +42,10 @@ func LabeledCensus(p *Product) (*LabeledStats, error) {
 		Edge:   make(map[census.LabelEdgeType]*KronMatSum, len(edgeA)),
 	}
 	for ty, vec := range vertexA {
-		out.Vertex[ty] = &KronVecSum{
-			Terms: []VecTerm{{Coef: 1, U: vec, V: diagB3}},
-			Den:   1,
-			nB:    p.nB,
-		}
+		out.Vertex[ty] = pairVec(vec, diagB3)
 	}
 	for ty, mat := range edgeA {
-		out.Edge[ty] = &KronMatSum{
-			Terms: []MatTerm{{Coef: 1, M: mat, N: hadB}},
-			nB:    p.nB, mB: p.nB,
-		}
+		out.Edge[ty] = pairMat(mat, hadB)
 	}
 	return out, nil
 }

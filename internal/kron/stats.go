@@ -123,73 +123,68 @@ func arcMatrix(g *graph.Graph, delta *sparse.Matrix, val func(i, j int32, dij in
 
 func (s *FactorTriangleStats) hasLoops() bool { return s.loopPart.NNZ() != 0 }
 
-func requireUndirected(p *Product) error {
-	if !p.A.IsSymmetric() || !p.B.IsSymmetric() {
-		return errors.New("kron: formula requires undirected factors")
+// allLoops reports whether every factor has a loop: D_C = ⊗D_i is
+// nonzero, and the loop terms of the expansions present, only then.
+func allLoops(stats []*FactorTriangleStats) bool {
+	for _, st := range stats {
+		if !st.hasLoops() {
+			return false
+		}
 	}
-	return nil
+	return true
+}
+
+// vecTerm is the term coef·⊗_i pick(stats_i).
+func vecTerm(coef int64, stats []*FactorTriangleStats, pick func(*FactorTriangleStats) []int64) VecTerm {
+	t := VecTerm{Coef: coef, Vecs: make([][]int64, len(stats))}
+	for i, st := range stats {
+		t.Vecs[i] = pick(st)
+	}
+	return t
+}
+
+// matTerm is the term coef·⊗_i pick(stats_i).
+func matTerm(coef int64, stats []*FactorTriangleStats, pick func(*FactorTriangleStats) *sparse.Matrix) MatTerm {
+	t := MatTerm{Coef: coef, Mats: make([]*sparse.Matrix, len(stats))}
+	for i, st := range stats {
+		t.Mats[i] = pick(st)
+	}
+	return t
 }
 
 // VertexParticipation returns t_C, the triangle participation of every
-// vertex of C = A ⊗ B, as a lazy Kronecker expansion. It handles all
-// three self-loop regimes with the general §III.B expansion
+// vertex of C, as a lazy Kronecker expansion. It handles every self-loop
+// regime with the general §III.B expansion, each term a k-fold product of
+// per-factor diagonals (written here for A ⊗ B)
 //
 //	t_C = ½[ diag(A³)⊗diag(B³) - 2·diag(A²D_A)⊗diag(B²D_B)
 //	        - diag(A D_A A)⊗diag(B D_B B) + 2·diag(D_A)⊗diag(D_B) ],
 //
-// which reduces to Thm. 1 (t_C = 2 t_A ⊗ t_B) when neither factor has
-// loops and to Cor. 1 (t_C = t_A ⊗ diag(B³)) when only B does. Both
-// factors must be undirected.
+// whose loop terms vanish unless every factor has a loop. For A ⊗ B it
+// reduces to Thm. 1 (t_C = 2 t_A ⊗ t_B) when neither factor has loops
+// and to Cor. 1 (t_C = t_A ⊗ diag(B³)) when only B does. All factors
+// must be undirected.
 func VertexParticipation(p *Product) (*KronVecSum, error) {
-	sa, sb, err := p.FactorStats()
+	stats, err := p.FactorStats()
 	if err != nil {
 		return nil, err
 	}
-	sum := &KronVecSum{Den: 2, nB: p.nB, Terms: []VecTerm{{Coef: 1, U: sa.DiagCube, V: sb.DiagCube}}}
-	if sa.hasLoops() && sb.hasLoops() {
+	sum := &KronVecSum{Den: 2, Terms: []VecTerm{
+		vecTerm(1, stats, func(s *FactorTriangleStats) []int64 { return s.DiagCube }),
+	}}
+	if allLoops(stats) {
 		sum.Terms = append(sum.Terms,
-			VecTerm{Coef: -2, U: sa.diagSqD, V: sb.diagSqD},
-			VecTerm{Coef: -1, U: sa.diagGDG, V: sb.diagGDG},
-			VecTerm{Coef: 2, U: sa.loopDiag, V: sb.loopDiag},
+			vecTerm(-2, stats, func(s *FactorTriangleStats) []int64 { return s.diagSqD }),
+			vecTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.diagGDG }),
+			vecTerm(2, stats, func(s *FactorTriangleStats) []int64 { return s.loopDiag }),
 		)
 	}
 	return sum, nil
 }
 
-// VertexParticipationNoLoops is Thm. 1 specialized: t_C = 2·t_A ⊗ t_B.
-// Errors unless both factors are loop-free and undirected.
-func VertexParticipationNoLoops(p *Product, sa, sb *FactorTriangleStats) (*KronVecSum, error) {
-	if err := requireUndirected(p); err != nil {
-		return nil, err
-	}
-	if p.A.HasAnyLoop() || p.B.HasAnyLoop() {
-		return nil, errors.New("kron: Thm. 1 requires loop-free factors")
-	}
-	return &KronVecSum{
-		Terms: []VecTerm{{Coef: 2, U: sa.T, V: sb.T}},
-		Den:   1,
-		nB:    p.nB,
-	}, nil
-}
-
-// VertexParticipationLoopsInB is Cor. 1 specialized:
-// t_C = t_A ⊗ diag(B³), for loop-free A and arbitrary undirected B.
-func VertexParticipationLoopsInB(p *Product, sa, sb *FactorTriangleStats) (*KronVecSum, error) {
-	if err := requireUndirected(p); err != nil {
-		return nil, err
-	}
-	if p.A.HasAnyLoop() {
-		return nil, errors.New("kron: Cor. 1 requires a loop-free left factor")
-	}
-	return &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: sa.T, V: sb.DiagCube}},
-		Den:   1,
-		nB:    p.nB,
-	}, nil
-}
-
 // EdgeParticipation returns Δ_C, the triangle participation of every edge
 // of C, as a lazy Kronecker expansion, using the general §III.C expansion
+// (each term a k-fold product; written here for A ⊗ B)
 //
 //	Δ_C = (A∘A²)⊗(B∘B²) - (D_A A)⊗(D_B B) - (A D_A)⊗(B D_B)
 //	      + 2·D_A⊗D_B - (D_A∘A²)⊗(D_B∘B²),
@@ -197,54 +192,27 @@ func VertexParticipationLoopsInB(p *Product, sa, sb *FactorTriangleStats) (*Kron
 // which reduces to Thm. 2 (Δ_C = Δ_A ⊗ Δ_B) with loop-free factors and to
 // Cor. 2 (Δ_C = Δ_A ⊗ (B∘B²)) when only B has loops.
 func EdgeParticipation(p *Product) (*KronMatSum, error) {
-	sa, sb, err := p.FactorStats()
+	stats, err := p.FactorStats()
 	if err != nil {
 		return nil, err
 	}
-	sum := &KronMatSum{nB: p.nB, mB: p.nB, Terms: []MatTerm{{Coef: 1, M: sa.HadSquare, N: sb.HadSquare}}}
-	if sa.hasLoops() && sb.hasLoops() {
+	sum := &KronMatSum{Terms: []MatTerm{
+		matTerm(1, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.HadSquare }),
+	}}
+	if allLoops(stats) {
 		sum.Terms = append(sum.Terms,
-			MatTerm{Coef: -1, M: sa.loopRows, N: sb.loopRows},
-			MatTerm{Coef: -1, M: sa.loopCols, N: sb.loopCols},
-			MatTerm{Coef: 2, M: sa.loopPart, N: sb.loopPart},
-			MatTerm{Coef: -1, M: sa.loopHadSq, N: sb.loopHadSq},
+			matTerm(-1, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.loopRows }),
+			matTerm(-1, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.loopCols }),
+			matTerm(2, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.loopPart }),
+			matTerm(-1, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.loopHadSq }),
 		)
 	}
 	return sum, nil
 }
 
-// EdgeParticipationNoLoops is Thm. 2 specialized: Δ_C = Δ_A ⊗ Δ_B.
-func EdgeParticipationNoLoops(p *Product, sa, sb *FactorTriangleStats) (*KronMatSum, error) {
-	if err := requireUndirected(p); err != nil {
-		return nil, err
-	}
-	if p.A.HasAnyLoop() || p.B.HasAnyLoop() {
-		return nil, errors.New("kron: Thm. 2 requires loop-free factors")
-	}
-	return &KronMatSum{
-		Terms: []MatTerm{{Coef: 1, M: sa.Delta, N: sb.Delta}},
-		nB:    p.nB, mB: p.nB,
-	}, nil
-}
-
-// EdgeParticipationLoopsInB is Cor. 2 specialized:
-// Δ_C = Δ_A ⊗ (B ∘ B²), for loop-free A.
-func EdgeParticipationLoopsInB(p *Product, sa, sb *FactorTriangleStats) (*KronMatSum, error) {
-	if err := requireUndirected(p); err != nil {
-		return nil, err
-	}
-	if p.A.HasAnyLoop() {
-		return nil, errors.New("kron: Cor. 2 requires a loop-free left factor")
-	}
-	return &KronMatSum{
-		Terms: []MatTerm{{Coef: 1, M: sa.Delta, N: sb.HadSquare}},
-		nB:    p.nB, mB: p.nB,
-	}, nil
-}
-
 // TriangleTotal returns τ(C) = Σ_p t_C(p) / 3, exactly, with overflow
 // checking. With loop-free factors this specializes to the paper's
-// τ(C) = 6·τ(A)·τ(B).
+// τ(C) = 6^{k−1}·Π τ(F_i), 6·τ(A)·τ(B) for A ⊗ B.
 func TriangleTotal(p *Product) (int64, error) {
 	tc, err := VertexParticipation(p)
 	if err != nil {
@@ -260,24 +228,23 @@ func TriangleTotal(p *Product) (int64, error) {
 	return total / 3, nil
 }
 
-// OutDegrees returns d^out_C = d^out_A ⊗ d^out_B as a lazy Kronecker
-// vector (row sums including self loops, §IV.B).
+// OutDegrees returns d^out_C = ⊗ d^out_i as a lazy Kronecker vector (row
+// sums including self loops, §IV.B).
 func OutDegrees(p *Product) *KronVecSum {
-	return &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: rawRowSums(p.A), V: rawRowSums(p.B)}},
-		Den:   1,
-		nB:    p.nB,
+	t := VecTerm{Coef: 1}
+	for _, f := range p.Factors {
+		t.Vecs = append(t.Vecs, rawRowSums(f))
 	}
+	return &KronVecSum{Terms: []VecTerm{t}, Den: 1}
 }
 
-// InDegrees returns d^in_C = d^in_A ⊗ d^in_B (column sums including self
-// loops).
+// InDegrees returns d^in_C = ⊗ d^in_i (column sums including self loops).
 func InDegrees(p *Product) *KronVecSum {
-	return &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, U: p.A.ToSparse().ColSums(), V: p.B.ToSparse().ColSums()}},
-		Den:   1,
-		nB:    p.nB,
+	t := VecTerm{Coef: 1}
+	for _, f := range p.Factors {
+		t.Vecs = append(t.Vecs, f.ToSparse().ColSums())
 	}
+	return &KronVecSum{Terms: []VecTerm{t}, Den: 1}
 }
 
 func rawRowSums(g *graph.Graph) []int64 {

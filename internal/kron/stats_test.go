@@ -116,11 +116,11 @@ func TestDirectedCensusNeverCountsDirectedFactor(t *testing.T) {
 	bm := b.ToSparse()
 	want := sparse.DiagOfProduct(bm.Mul(bm), bm)
 	for ty, vs := range ds.Vertex {
-		if !sparse.EqualVec(vs.Terms[0].V, want) {
-			t.Fatalf("type %v: V = %v, want diag(B³) = %v", ty, vs.Terms[0].V, want)
+		if v := vs.Terms[0].Vecs[1]; !sparse.EqualVec(v, want) {
+			t.Fatalf("type %v: B's vector = %v, want diag(B³) = %v", ty, v, want)
 		}
 	}
-	if _, _, err := p.FactorStats(); err == nil {
+	if _, err := p.FactorStats(); err == nil {
 		t.Error("FactorStats of a directed product: want an error")
 	}
 }
@@ -171,11 +171,11 @@ func TestProductStatsConcurrent(t *testing.T) {
 			return want, nil
 		},
 		func() (int64, error) {
-			sa, sb, err := p.FactorStats()
+			stats, err := p.FactorStats()
 			if err != nil {
 				return 0, err
 			}
-			if sa.G != a || sb.G != b {
+			if stats[0].G != a || stats[1].G != b {
 				return 0, fmt.Errorf("FactorStats returned another factor's statistics")
 			}
 			return want, nil
@@ -202,10 +202,9 @@ func TestKronMatSumTotalChecksCoefficient(t *testing.T) {
 	one := sparse.Identity(1)
 	s := &KronMatSum{
 		Terms: []MatTerm{
-			{Coef: 2, M: big, N: big},
-			{Coef: 1, M: one, N: one},
+			{Coef: 2, Mats: []*sparse.Matrix{big, big}},
+			{Coef: 1, Mats: []*sparse.Matrix{one, one}},
 		},
-		nB: 1, mB: 1,
 	}
 	if total, err := s.Total(); !errors.Is(err, sparse.ErrOverflow) {
 		t.Fatalf("Total = %d, %v; want ErrOverflow", total, err)

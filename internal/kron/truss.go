@@ -24,19 +24,23 @@ type ProductTruss struct {
 // TrussDecomposition validates Thm. 3's hypotheses and returns the
 // implicit truss decomposition of C.
 func TrussDecomposition(p *Product) (*ProductTruss, error) {
-	if !p.A.IsSymmetric() || !p.B.IsSymmetric() {
+	a, b, err := p.pair("Thm. 3")
+	if err != nil {
+		return nil, err
+	}
+	if !a.IsSymmetric() || !b.IsSymmetric() {
 		return nil, errors.New("kron: Thm. 3 requires undirected factors")
 	}
-	if p.A.HasAnyLoop() || p.B.HasAnyLoop() {
+	if a.HasAnyLoop() || b.HasAnyLoop() {
 		return nil, errors.New("kron: Thm. 3 requires loop-free factors")
 	}
-	sb := p.sb.get()
+	sb := p.memos[1].get()
 	if sb.Delta.MaxVal() > 1 {
 		return nil, errors.New("kron: Thm. 3 requires Δ_B ≤ 1 (every edge of B in at most one triangle)")
 	}
 	return &ProductTruss{
 		p:      p,
-		trussA: truss.Decompose(p.A),
+		trussA: truss.Decompose(a),
 		deltaB: sb.Delta,
 	}, nil
 }
@@ -48,8 +52,8 @@ func (t *ProductTruss) EdgeTruss(u, v int64) int {
 	if !t.p.HasEdge(u, v) {
 		return 0
 	}
-	i, k := t.p.Factors(u)
-	j, l := t.p.Factors(v)
+	i, k := t.p.digit(u, 0), t.p.digit(u, 1)
+	j, l := t.p.digit(v, 0), t.p.digit(v, 1)
 	if t.deltaB.At(int(k), int(l)) == 0 {
 		return 2 // the product edge closes no triangle
 	}

@@ -27,10 +27,10 @@ func TestTrussThm3AgainstDirectPeeling(t *testing.T) {
 			got := pt.EdgeTruss(int64(u), int64(v))
 			want := direct.EdgeTruss(u, v)
 			if got != want {
-				i, k := p.Factors(int64(u))
-				j, l := p.Factors(int64(v))
+				fu := p.FactorsOf(int64(u))
+				fv := p.FactorsOf(int64(v))
 				t.Fatalf("trial %d: edge (%d,%d) [A:(%d,%d) B:(%d,%d)]: Kronecker truss %d, direct %d",
-					trial, u, v, i, j, k, l, got, want)
+					trial, u, v, fu[0], fv[0], fu[1], fv[1], got, want)
 			}
 			return true
 		})

@@ -167,7 +167,9 @@ func Full(p *kron.Product, maxVertices, maxArcs int64) (*Report, error) {
 		r.skip("directed census (Thm. 4/5)", err.Error())
 	}
 
-	if p.A.IsLabeled() {
+	// Thm. 6/7 apply only with a labeled left factor; a product of other
+	// than two factors is reported as skipped whatever its labels.
+	if p.K() != 2 || p.Factors[0].IsLabeled() {
 		if ls, err := kron.LabeledCensus(p); err == nil {
 			directV := census.LabeledVertexCensus(c)
 			vOK := true

@@ -33,8 +33,9 @@ import (
 // plugs into the same verbs.
 type Source = stream.Source
 
-// ProductSource partitions the Kronecker product C = A ⊗ B into at most
-// `shards` communication-free shards (0 = GOMAXPROCS) by A-row blocks
+// ProductSource partitions a Kronecker product of any number of factors
+// into at most `shards` communication-free shards (0 = GOMAXPROCS) by
+// row blocks of all factors but the last (A-row blocks for C = A ⊗ B)
 // and returns it as a pipeline Source. The shard count fixes the
 // partition granularity only — the concatenated stream is identical for
 // every value.
