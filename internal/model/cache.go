@@ -4,13 +4,13 @@ import "sync"
 
 // This file holds the state the spatial models (rgg2d/rgg3d/rhg) keep
 // beyond one chunk. Per generator: the splitting tree's full prefix
-// table, built once by every core (cellTable). Per worker: a bounded
-// dependency-cell cache, the capped descent memo that stands in for the
-// table when the tree is too large to tabulate, and the reusable kernel
-// scratch. Everything here affects only the cost of generation, never
-// its bytes — every cached value is a pure function of (seed,
-// structural id) and is recomputed verbatim on a miss. See DESIGN.md
-// §2e for the byte-safety argument.
+// table, built once by every core (cellTable). Per worker: the table
+// or, when the tree is too large to tabulate, a capped descent memo
+// (treeLookup); and for rhg's non-strip path a bounded dependency-cell
+// cache with its kernel scratch. Everything here affects only the cost
+// of generation, never its bytes — every cached value is a pure
+// function of (seed, structural id) and is recomputed verbatim on a
+// miss. See DESIGN.md §2e for the byte-safety argument.
 
 // maxCellTableSlots gates the one-shot expansion of a splitting
 // tree into a flat prefix table (8 bytes/slot, ≤ 8 MiB at the cap).
@@ -33,32 +33,72 @@ const maxFreeSamples = 256
 // the caller's worker count — a one-worker run on a multi-core host
 // also builds its table in parallel — and workers that arrive while it
 // runs wait on the Once. get returns nil when the tree is too large to
-// tabulate. Alongside the table comes an occupancy bitmap (bit c set
-// iff slot c is nonempty): the sweep's emptiness checks touch one bit
-// in a table 64× smaller than the prefix array, so they stay
-// L1-resident across neighbor strides.
+// tabulate.
 type cellTable struct {
 	once sync.Once
 	tab  []int64
-	occ  []uint64
 }
 
 func (ct *cellTable) get(t *splitTree) []int64 {
 	ct.once.Do(func() {
 		if t.slots <= maxCellTableSlots {
-			ct.tab, ct.occ = t.expandPrefix()
+			ct.tab = t.expandPrefix()
 		}
 	})
 	return ct.tab
+}
+
+// treeLookup answers a splitting tree's count and prefix queries
+// through the fastest available path: the generator's shared prefix
+// table, or a per-worker descent memo when the tree is too large to
+// tabulate.
+type treeLookup struct {
+	tab  []int64   // shared prefix table; nil when the tree is too large
+	memo splitMemo // per-worker descent memo, used only when tab == nil
+}
+
+func newTreeLookup(t *splitTree, ct *cellTable) treeLookup {
+	lk := treeLookup{tab: ct.get(t)}
+	if lk.tab == nil {
+		lk.memo = splitMemo{}
+	}
+	return lk
+}
+
+// count returns cell c's occupancy.
+func (lk *treeLookup) count(t *splitTree, c int) int64 {
+	if lk.tab != nil {
+		return lk.tab[c+1] - lk.tab[c]
+	}
+	lk.checkMemo()
+	return t.countMemo(c, lk.memo)
+}
+
+// prefix returns the vertex-id offset of cell c.
+func (lk *treeLookup) prefix(t *splitTree, c int) int64 {
+	if lk.tab != nil {
+		return lk.tab[c]
+	}
+	lk.checkMemo()
+	return t.prefixMemo(c, lk.memo)
+}
+
+// checkMemo bounds the fallback memo over a worker's lifetime. Memo
+// values are pure functions of their node ids, so dropping the map only
+// costs re-draws — the stream is unchanged.
+func (lk *treeLookup) checkMemo() {
+	if len(lk.memo) > maxWorkerMemoNodes {
+		lk.memo = splitMemo{}
+	}
 }
 
 // cellSample is one cell's regenerated Sample-phase output in
 // structure-of-arrays layout: column d of point i lives at cols[d][i],
 // so the pair kernels stream each coordinate contiguously. start is the
 // global vertex id of point 0 and cell the sample's cell index (the
-// ring cache's identity check). The spatial models use 2 (rgg2d),
-// 3 (rgg3d) or 4 (rhg: cos θ, sin θ, cosh r, sinh r) columns carved
-// from one backing allocation, which the freelist recycles.
+// ring cache's identity check). rhg uses 4 columns (cos θ, sin θ,
+// cosh r, sinh r), rgg's oracles 2 or 3, carved from one backing
+// allocation, which the freelist recycles.
 type cellSample struct {
 	start   int64
 	cell    int
@@ -121,30 +161,28 @@ func allocSample(st *spatialState, start int64, n, cols int) *cellSample {
 	return newCellSample(start, n, cols)
 }
 
-// spatialState is the worker state of the spatial models. One instance
-// lives for a worker goroutine's lifetime and carries its dependency
-// cells, split-tree lookups, and kernel scratch across every chunk the
+// spatialState is rhg's worker state: its split-tree lookups and
+// kernel scratch, and off the strip path (graphs too large for one
+// strip) a bounded dependency-cell cache. One instance lives for a
+// worker goroutine's lifetime and carries them across every chunk the
 // worker executes.
 //
-// The cache has two storage shapes. When the generator's forward reach
-// is a bounded index window (rgg: cell+1..cell+span) or the cell space
-// is small (rhg), `ring` holds samples in a direct-indexed slot array —
-// slot cell % len(ring) — whose identity check is one compare, no
-// hashing. All cells touched while enumerating one own cell fit in
-// distinct slots by construction, so a slot collision only ever evicts
-// a stale earlier cell. Otherwise `cache` is a plain map.
+// The cache has two storage shapes. When the cell space is small
+// enough to direct-index, `ring` holds samples in a slot array — slot
+// cell % len(ring) — whose identity check is one compare, no hashing.
+// All cells touched while enumerating one own cell fit in distinct
+// slots by construction, so a slot collision only ever evicts a stale
+// earlier cell. Otherwise `cache` is a plain map.
 type spatialState struct {
+	treeLookup
 	ring     []*cellSample
 	ringMask int // len(ring)-1; ring length is a power of two
 	cache    map[int]*cellSample
 	pts      int64         // resident points across the cache
 	ptsCap   int64         // eviction bound (wholesale reset past it)
-	tab      []int64       // shared prefix table; nil when the tree is too large
-	occ      []uint64      // shared occupancy bitmap paired with tab
-	memo     splitMemo     // per-worker descent memo, used only when tab == nil
 	free     []*cellSample // retired samples whose backing arrays get reused
 	hits     []int32       // pair-kernel hit indices, reused per segment
-	cand     []int         // forward-partner index scratch (rhg windows)
+	runs     []rhgRun      // forward-partner ranges of the current own cell
 	unif     []float64     // raw-uniform scratch (rhg sampling)
 
 	// Flattened halo of the own cell currently enumerated: the own
@@ -223,10 +261,9 @@ func (st *spatialState) ensureFlat(n int) {
 // distinct slot); window <= 0 selects the map cache.
 func newSpatialState(t *splitTree, ct *cellTable, ptsCap int64, window int) *spatialState {
 	st := &spatialState{
-		ptsCap: ptsCap,
-		tab:    ct.get(t),
+		treeLookup: newTreeLookup(t, ct),
+		ptsCap:     ptsCap,
 	}
-	st.occ = ct.occ
 	if window > 0 {
 		// Round the slot count up to a power of two so the hot-path
 		// slot computation is a mask, not an integer division. A larger
@@ -240,37 +277,7 @@ func newSpatialState(t *splitTree, ct *cellTable, ptsCap int64, window int) *spa
 	} else {
 		st.cache = map[int]*cellSample{}
 	}
-	if st.tab == nil {
-		st.memo = splitMemo{}
-	}
 	return st
-}
-
-// count returns cell c's occupancy through the fastest available path.
-func (st *spatialState) count(t *splitTree, c int) int64 {
-	if st.tab != nil {
-		return st.tab[c+1] - st.tab[c]
-	}
-	st.checkMemo()
-	return t.countMemo(c, st.memo)
-}
-
-// prefix returns the vertex-id offset of cell c.
-func (st *spatialState) prefix(t *splitTree, c int) int64 {
-	if st.tab != nil {
-		return st.tab[c]
-	}
-	st.checkMemo()
-	return t.prefixMemo(c, st.memo)
-}
-
-// checkMemo bounds the fallback memo over a worker's lifetime. Memo
-// values are pure functions of their node ids, so dropping the map only
-// costs re-draws — the stream is unchanged.
-func (st *spatialState) checkMemo() {
-	if len(st.memo) > maxWorkerMemoNodes {
-		st.memo = splitMemo{}
-	}
 }
 
 // lookup returns the cached sample of cell, or nil on a miss.

@@ -2,6 +2,9 @@ package model
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -89,17 +92,14 @@ func TestWorkerCacheDigestEquality(t *testing.T) {
 	}
 }
 
-// TestWorkerCacheEvictionBound proves the resident-point cap: driving
-// every chunk through one worker state whose cap is far below the total
-// point count, the cache never ends a chunk holding more than the cap,
-// and the emitted stream still matches the reference — eviction is a
-// cost, not a value.
+// TestWorkerCacheEvictionBound proves the resident-point cap of rhg's
+// cell cache: driving every chunk through one worker state whose cap is
+// far below the total point count, the cache never ends a chunk holding
+// more than the cap, and the emitted stream still matches the reference
+// — eviction is a cost, not a value. (rgg keeps no evicting cache; its
+// strip's bound is TestRGGStripResidencyBound's.)
 func TestWorkerCacheEvictionBound(t *testing.T) {
 	const ptsCap = 128
-	rgg3, err := NewRGG(1200, 0.09, 3, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rhg, err := NewRHG(1800, 8, 2.6, 21, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,6 @@ func TestWorkerCacheEvictionBound(t *testing.T) {
 		gen  chunkFn
 		st   *spatialState
 	}{
-		{"rgg3d", rgg3, rgg3.generateChunk, newSpatialState(&rgg3.tree, &rgg3.ctab, ptsCap, rgg3.span()+1)},
 		{"rhg-ring", rhg, rhg.generateCells, newSpatialState(&rhg.tree, &rhg.ctab, ptsCap, rhg.cells)},
 		{"rhg-map", rhg, rhg.generateCells, newSpatialState(&rhg.tree, &rhg.ctab, ptsCap, 0)},
 	}
@@ -134,6 +133,116 @@ func TestWorkerCacheEvictionBound(t *testing.T) {
 		if n := tc.g.NumVertices(); n <= ptsCap {
 			t.Fatalf("%s: cap %d does not force eviction for n=%d", tc.name, ptsCap, n)
 		}
+	}
+}
+
+// chunkArcs runs one chunk through gen and returns its arcs.
+func chunkArcs(gen stream.ShardGen, c int) []stream.Arc {
+	var out []stream.Arc
+	gen(c, nil, func(b []stream.Arc) []stream.Arc {
+		out = append(out, b...)
+		return b[:0]
+	})
+	return out
+}
+
+// rggStripOrders returns two chunk orders for n chunks: ascending, and
+// runs of three consecutive chunks in scrambled run order — so one
+// strip both carries its halo over (inside a run) and restarts (between
+// runs, including backwards).
+func rggStripOrders(n int) [][]int {
+	asc := make([]int, n)
+	for c := range asc {
+		asc[c] = c
+	}
+	var runs [][]int
+	for c := 0; c < n; c += 3 {
+		runs = append(runs, asc[c:min(c+3, n)])
+	}
+	rand.New(rand.NewPCG(uint64(n), 7)).Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+	var scr []int
+	for _, r := range runs {
+		scr = append(scr, r...)
+	}
+	return [][]int{asc, scr}
+}
+
+// rggStripGens builds fresh rgg2d/rgg3d generators (a generator
+// tabulates at most once, so a lowered table gate needs fresh ones).
+func rggStripGens(t *testing.T, chunks int) []*RGG {
+	gens := cacheTestGens(t, chunks)
+	return []*RGG{gens["rgg2d"].(*RGG), gens["rgg3d"].(*RGG)}
+}
+
+// TestRGGStripCarryOver guards the strip's carry-over: one worker state
+// driven over every chunk of rgg2d/rgg3d, ascending and scrambled, at
+// chunks ∈ {1, 7, cells}, with the prefix table and with the memo
+// window (table gate lowered to 0), must give each chunk exactly the
+// arcs a fresh worker gives it — concatenated in chunk order, the
+// collectFresh stream.
+func TestRGGStripCarryOver(t *testing.T) {
+	for _, slots := range []int{maxCellTableSlots, 0} {
+		func() {
+			defer func(old int) { maxCellTableSlots = old }(maxCellTableSlots)
+			maxCellTableSlots = slots
+			for _, chunks := range []int{1, 7, 1 << 20} {
+				for _, g := range rggStripGens(t, chunks) {
+					want := collectFresh(g)
+					for _, order := range rggStripOrders(g.Chunks()) {
+						gen := g.NewWorker()
+						got := make([][]stream.Arc, g.Chunks())
+						for _, c := range order {
+							got[c] = chunkArcs(gen, c)
+						}
+						if flat := slices.Concat(got...); !sameArcs(want, flat) {
+							t.Fatalf("%s table=%v: one strip over chunks %v gave %d arcs, fresh workers %d",
+								g.Name(), g.ctab.tab != nil, order, len(flat), len(want))
+						}
+					}
+				}
+			}
+		}()
+	}
+}
+
+// TestRGGStripResidencyBound bounds the strip by the halo span, not by
+// the chunk's width: driven over every chunk in ascending and scrambled
+// order, at chunk widths from the whole grid down to one cell, one
+// worker's strip never holds more than twice the points of any 2·span()
+// consecutive cells, and its capacity never more than four times, with
+// the table and with the memo window.
+func TestRGGStripResidencyBound(t *testing.T) {
+	for _, slots := range []int{maxCellTableSlots, 0} {
+		func() {
+			defer func(old int) { maxCellTableSlots = old }(maxCellTableSlots)
+			maxCellTableSlots = slots
+			for _, chunks := range []int{1, 7, 64, 1 << 20} {
+				for _, g := range rggStripGens(t, chunks) {
+					if chunks == 1 && g.cells < 4*g.span() {
+						t.Fatalf("%s: one chunk of %d cells is not wider than 4·span() = %d", g.Name(), g.cells, 4*g.span())
+					}
+					var most int64
+					for a := 0; a < g.cells; a++ {
+						most = max(most, g.tree.prefix(min(a+2*g.span(), g.cells))-g.tree.prefix(a))
+					}
+					for _, order := range rggStripOrders(g.Chunks()) {
+						s := &rggState{lk: newTreeLookup(&g.tree, &g.ctab)}
+						for _, c := range order {
+							g.generateChunk(s, c, nil, func(b []stream.Arc) []stream.Arc { return b[:0] })
+							if held := int64(len(s.xs)); held > 2*most {
+								t.Fatalf("%s: strip holds %d points after chunk %d, 2·span() cells hold at most %d", g.Name(), held, c, most)
+							}
+							if held := int64(cap(s.xs)); held > 4*most {
+								t.Fatalf("%s: strip capacity %d points after chunk %d, 2·span() cells hold at most %d", g.Name(), held, c, most)
+							}
+							if held := s.at(s.end) - s.base; held != int64(len(s.xs)) {
+								t.Fatalf("%s: strip length %d, resident cells hold %d points", g.Name(), len(s.xs), held)
+							}
+						}
+					}
+				}
+			}
+		}()
 	}
 }
 
@@ -161,16 +270,68 @@ func TestRHGStripMatchesFallback(t *testing.T) {
 	}
 }
 
+// forwardPartnersOracle is the former per-index forward-partner
+// enumeration, retained as the oracle of appendForwardRuns: cell by
+// cell, each band's wrapped window {j mod cells : jLo <= j <= jHi}
+// (all of the band when it covers every cell) with the indices > c,
+// ascending.
+func forwardPartnersOracle(g *RHG, c int) []int {
+	var out []int
+	b1 := g.cellBand(c)
+	own := &g.bands[b1]
+	j1 := c - own.cellStart
+	th0 := float64(j1) * own.width
+	th1 := th0 + own.width
+	nb := len(g.bands)
+	for b2 := b1; b2 < nb; b2++ {
+		bd := &g.bands[b2]
+		ang := g.maxAng[b1*nb+b2]
+		jLo := int(math.Floor((th0-ang)/bd.width)) - 1
+		jHi := int(math.Floor((th1+ang)/bd.width)) + 1
+		if jHi-jLo+1 >= bd.cells {
+			start := bd.cellStart
+			if b2 == b1 {
+				start = c + 1
+			}
+			for idx := start; idx < bd.cellStart+bd.cells; idx++ {
+				out = append(out, idx)
+			}
+			continue
+		}
+		a := ((jLo % bd.cells) + bd.cells) % bd.cells
+		z := ((jHi % bd.cells) + bd.cells) % bd.cells
+		if a <= z {
+			for j := a; j <= z; j++ {
+				if idx := bd.cellStart + j; idx > c {
+					out = append(out, idx)
+				}
+			}
+			continue
+		}
+		for j := 0; j <= z; j++ {
+			if idx := bd.cellStart + j; idx > c {
+				out = append(out, idx)
+			}
+		}
+		for j := a; j < bd.cells; j++ {
+			if idx := bd.cellStart + j; idx > c {
+				out = append(out, idx)
+			}
+		}
+	}
+	return out
+}
+
 // TestRHGForwardRunsMatchPartners pins that the range form of the
-// forward-partner enumeration flattens to exactly the per-cell list —
-// the strip path's window order equals the staged path's.
+// forward-partner enumeration flattens, for every cell, to exactly the
+// per-index list of the oracle — the windows both rhg paths scan.
 func TestRHGForwardRunsMatchPartners(t *testing.T) {
 	g, err := NewRHG(5000, 12, 2.4, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []int{0, 1, g.cells / 3, g.cells / 2, g.cells - 2, g.cells - 1} {
-		want := g.forwardPartners(c)
+	for c := 0; c < g.cells; c++ {
+		want := forwardPartnersOracle(g, c)
 		var got []int
 		for _, r := range g.appendForwardRuns(c, nil) {
 			for cc := r.lo; cc < r.hi; cc++ {
@@ -222,8 +383,9 @@ func spatialTable(g Generator) (*splitTree, *cellTable) {
 // TestSpatialMemoFallbackMatchesTable covers the path every spatial
 // spec above maxCellTableSlots takes in production (e.g.
 // rgg2d:n=3000000,r=0.0005): with the table gate forced to 0 the worker
-// states answer count/prefix from the capped descent memo, rgg loses
-// its occupancy bitmap and rhg its sample strip, and the stream must
+// states answer count/prefix from the capped descent memo, rgg takes
+// its strip's prefix window from that memo and rhg loses its sample
+// strip, and the stream must
 // still be arc for arc the tabulated one.
 func TestSpatialMemoFallbackMatchesTable(t *testing.T) {
 	tabled := map[string][]stream.Arc{}
@@ -235,7 +397,7 @@ func TestSpatialMemoFallbackMatchesTable(t *testing.T) {
 	maxCellTableSlots = 0
 	for spec, g := range tableTestGens(t) {
 		got := collectCached(g, 3)
-		if _, ctab := spatialTable(g); ctab.tab != nil || ctab.occ != nil {
+		if _, ctab := spatialTable(g); ctab.tab != nil {
 			t.Fatalf("%s: a zero table gate still tabulated", spec)
 		}
 		if !sameArcs(tabled[spec], got) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"kronvalid/internal/par"
 	"kronvalid/internal/rng"
@@ -42,38 +41,27 @@ import (
 // coordinates are fixed by (n, r, dim, seed) alone — so the stream is
 // byte-identical for every chunk AND worker count.
 //
-// Hot-path layout: cell samples are SoA (one array per coordinate),
-// occupancies and prefixes come from a lazily tabulated splitting tree
-// (cellTable), and pair enumeration runs dim-specialized kernels
-// (within2/within3) that collect hit indices into a scratch buffer
-// emitted as runs. All of it is value-identical to the scalar AoS
+// Hot-path layout: each worker regenerates points into one SoA strip
+// indexed by global id (rggState), occupancies and prefixes come from
+// a lazily tabulated splitting tree (cellTable), and a cell's forward
+// neighbours are a few contiguous id ranges (forwardRanges) that
+// dim-specialized kernels (within2/within3) scan in place, emitting
+// hit indices as runs. All of it is value-identical to the scalar AoS
 // path — identical draws, identical float expressions, identical
 // emission order — so the canonical stream cannot move.
 type RGG struct {
-	n        int64
-	r        float64
-	dim      int
-	seed     uint64
-	grid     int // cells per axis
-	cells    int // grid^dim
-	r2       float64
-	inv      float64 // 1/grid, the cell side
-	tree     splitTree
-	ctab     cellTable   // lazy full prefix table of tree
-	nbDeltas []gridDelta // forward neighbor offsets, ascending
-	runs     [][2]int    // cell range per chunk
-	starts   []int64     // vertex-id offset at each chunk boundary (len runs+1)
-}
-
-// gridDelta is one candidate forward grid-neighbor: the coordinate
-// deltas (for the bounds check) and the row-major index offset they
-// induce. For in-bounds neighbors idx == cell + off exactly, and
-// distinct in-bounds deltas always produce distinct offsets, so a
-// delta table sorted by off enumerates neighbors in ascending index
-// order with no per-cell sort.
-type gridDelta struct {
-	dx, dy, dz int
-	off        int
+	n      int64
+	r      float64
+	dim    int
+	seed   uint64
+	grid   int // cells per axis
+	cells  int // grid^dim
+	r2     float64
+	inv    float64 // 1/grid, the cell side
+	tree   splitTree
+	ctab   cellTable // lazy full prefix table of tree
+	runs   [][2]int  // cell range per chunk
+	starts []int64   // vertex-id offset at each chunk boundary (len runs+1)
 }
 
 // maxRGGVertices bounds n so id and occupancy arithmetic stays well
@@ -85,11 +73,11 @@ const maxRGGVertices = int64(1) << 40
 // query.
 const maxRGGCells = 1 << 24
 
-// maxRGGChunkPoints bounds the *expected* number of points a chunk owns
-// (its own cells plus the regenerated neighbor halo are held in memory
-// while the chunk generates); denser placements are construction errors
-// ("raise chunks") rather than mid-stream memory exhaustion. It doubles
-// as the worker-lifetime cache's resident-point cap.
+// maxRGGChunkPoints bounds the *expected* number of points a chunk
+// covers (its own cells plus the regenerated neighbor halo); denser
+// placements are construction errors ("raise chunks"). The worker's
+// strip holds at most about 2·span() cells of them at a time
+// (generateChunk).
 const maxRGGChunkPoints = int64(1) << 25
 
 // NewRGG returns the sharded random geometric graph generator for
@@ -138,22 +126,6 @@ func NewRGG(n int64, r float64, dim int, seed uint64, chunks int) (*RGG, error) 
 		// Cells have equal volume, so occupancy weights are cell counts.
 		weight: func(lo, hi int) int64 { return int64(hi - lo) },
 	}
-	zs := []int{0}
-	if dim == 3 {
-		zs = []int{-1, 0, 1}
-	}
-	for _, dz := range zs {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				// Forward neighbors only: off > 0 ⟺ idx > cell for every
-				// in-bounds candidate (idx == cell + off there).
-				if off := (dz*g.grid+dy)*g.grid + dx; off > 0 {
-					g.nbDeltas = append(g.nbDeltas, gridDelta{dx, dy, dz, off})
-				}
-			}
-		}
-	}
-	sort.Slice(g.nbDeltas, func(i, j int) bool { return g.nbDeltas[i].off < g.nbDeltas[j].off })
 	k := normalizeChunks(chunks, int64(g.cells))
 	for _, run := range par.Chunks(int64(g.cells), int64(k)) {
 		g.runs = append(g.runs, [2]int{int(run[0]), int(run[1])})
@@ -161,9 +133,8 @@ func NewRGG(n int64, r float64, dim int, seed uint64, chunks int) (*RGG, error) 
 	if len(g.runs) == 0 {
 		g.runs = [][2]int{{0, g.cells}}
 	}
-	// A generating chunk holds its own cells' points plus the foreign
-	// halo it regenerates (at most span() cells), so the resident bound
-	// must count both.
+	// A chunk covers its own cells' points plus the foreign halo it
+	// regenerates (at most span() cells), so the bound counts both.
 	maxOwned := (g.cells + len(g.runs) - 1) / len(g.runs)
 	if resident := int64(float64(n) * float64(maxOwned+g.span()) / float64(g.cells)); resident > maxRGGChunkPoints {
 		return nil, fmt.Errorf("model: rgg holds ~%d of %d points resident per chunk (own cells + regenerated halo; cap %d); raise chunks",
@@ -277,20 +248,46 @@ func (g *RGG) cellCoords(cell int) [3]int {
 	return xyz
 }
 
+// forwardRanges writes to rs the grid neighbours of cell (at grid
+// coordinates xyz) with a larger index, as ascending runs of
+// consecutive cells [lo, hi), and returns the number of runs. Ids are
+// cell-major with x fastest, so there are at most two runs in 2D and
+// five in 3D: rs[0] is cell x+1 (empty at x = G−1); then row y+1 over
+// cells x−1..x+1; and in 3D plane z+1, rows y−1..y+1, each over cells
+// x−1..x+1 — every run clipped at the grid's faces.
+func (g *RGG) forwardRanges(cell int, xyz [3]int, rs *[5][2]int) int {
+	G := g.grid
+	x, y, z := xyz[0], xyz[1], xyz[2]
+	rs[0] = [2]int{cell + 1, cell + 1}
+	if x+1 < G {
+		rs[0][1]++
+	}
+	x0, x1 := max(x-1, 0)-x, min(x+1, G-1)+1-x
+	nr := 1
+	if y+1 < G {
+		rs[nr] = [2]int{cell + G + x0, cell + G + x1}
+		nr++
+	}
+	if g.dim == 3 && z+1 < G {
+		for dy := max(-y, -1); dy <= min(1, G-1-y); dy++ {
+			r := cell + G*G + dy*G
+			rs[nr] = [2]int{r + x0, r + x1}
+			nr++
+		}
+	}
+	return nr
+}
+
 // forwardNeighbors returns the grid neighbors of cell with a larger
 // row-major index, ascending — the cells whose points this cell is
-// responsible for pairing with its own. The delta table is sorted by
-// offset and in-bounds neighbors satisfy idx == cell + off, so the
-// output is ascending by construction.
+// responsible for pairing with its own.
 func (g *RGG) forwardNeighbors(cell int) []int {
-	xyz := g.cellCoords(cell)
+	var rs [5][2]int
 	var out []int
-	for _, d := range g.nbDeltas {
-		x, y, z := xyz[0]+d.dx, xyz[1]+d.dy, xyz[2]+d.dz
-		if x < 0 || x >= g.grid || y < 0 || y >= g.grid || z < 0 || z >= g.grid {
-			continue
+	for _, r := range rs[:g.forwardRanges(cell, g.cellCoords(cell), &rs)] {
+		for c := r[0]; c < r[1]; c++ {
+			out = append(out, c)
 		}
-		out = append(out, cell+d.off)
 	}
 	return out
 }
@@ -300,251 +297,224 @@ func (g *RGG) forwardNeighbors(cell int) []int {
 // cells within span() of the run's end can reach past it.
 func (g *RGG) Dependencies(c int) []int64 {
 	lo, hi := g.runs[c][0], g.runs[c][1]
-	from := hi - g.span()
-	if from < lo {
-		from = lo
-	}
-	seen := map[int]bool{}
-	for cell := from; cell < hi; cell++ {
+	read := make([]bool, g.span())
+	for cell := max(lo, hi-g.span()); cell < hi; cell++ {
 		for _, nb := range g.forwardNeighbors(cell) {
 			if nb >= hi {
-				seen[nb] = true
+				read[nb-hi] = true
 			}
 		}
 	}
-	out := make([]int64, 0, len(seen))
-	for nb := range seen {
-		out = append(out, int64(nb))
+	var out []int64
+	for i, r := range read {
+		if r {
+			out = append(out, int64(hi+i))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// samplePoints regenerates cell c's sample — the Sample phase's pure
-// function of (seed, cell): occupancy and id offset from the splitting
-// tree, coordinates from the cell's own stream in SoA layout, each
-// scaled into the cell's box. st routes tree queries through the
-// worker's prefix table or memo (nil falls back to plain descents,
-// for oracles and tests); neither changes a value, only its cost.
-func (g *RGG) samplePoints(cell int, st *spatialState) *cellSample {
-	return g.samplePointsAt(cell, g.cellCoords(cell), st)
-}
-
-// samplePointsAt is samplePoints for a caller that already knows the
-// cell's grid coordinates (the sweep tracks them incrementally), saving
-// the divmod decomposition per regenerated cell. xyz must equal
-// cellCoords(cell).
-func (g *RGG) samplePointsAt(cell int, xyz [3]int, st *spatialState) *cellSample {
-	var cnt, start int64
-	if st != nil {
-		cnt = st.count(&g.tree, cell)
-		start = st.prefix(&g.tree, cell)
-	} else {
-		cnt = g.tree.count(cell)
-		start = g.tree.prefix(cell)
-	}
-	if cnt > math.MaxInt32 {
-		// Unreachable under the construction-time resident bound; guards
-		// the int32 hit indices all the same.
-		panic(fmt.Sprintf("model: rgg cell %d occupancy %d overflows kernel index", cell, cnt))
-	}
-	s := allocSample(st, start, int(cnt), g.dim)
-	if cnt == 0 {
-		return s
+// samplePointsInto writes cell's points, one SoA column per coordinate
+// (zs is ignored in 2D; every column has the cell's occupancy as its
+// length): coordinates from the cell's own stream, each scaled into
+// the cell's box. xyz must equal cellCoords(cell). The destination
+// never influences a value.
+func (g *RGG) samplePointsInto(cell int, xyz [3]int, xs, ys, zs []float64) {
+	if len(xs) == 0 {
+		return
 	}
 	rs := rng.NewStream2(g.seed, nsRGGCell, uint64(cell))
 	// SoA batched fill: per-point draw order x, y(, z) — draw-for-draw
 	// identical to the per-point UnitUniform loop it replaced.
 	if g.dim == 2 {
-		rs.UnitUniform2(s.xs, s.ys)
+		rs.UnitUniform2(xs, ys)
 	} else {
-		rs.UnitUniform3(s.xs, s.ys, s.zs)
+		rs.UnitUniform3(xs, ys, zs)
 	}
 	fx := float64(xyz[0])
-	for i, u := range s.xs {
-		s.xs[i] = (fx + u) * g.inv
+	for i, u := range xs {
+		xs[i] = (fx + u) * g.inv
 	}
 	fy := float64(xyz[1])
-	for i, u := range s.ys {
-		s.ys[i] = (fy + u) * g.inv
+	for i, u := range ys {
+		ys[i] = (fy + u) * g.inv
 	}
 	if g.dim == 3 {
 		fz := float64(xyz[2])
-		for i, u := range s.zs {
-			s.zs[i] = (fz + u) * g.inv
+		for i, u := range zs {
+			zs[i] = (fz + u) * g.inv
 		}
 	}
-	return s
 }
 
-// sampleHold regenerates cell (with known coordinates) on a cache miss
-// and caches it. The hot-path cache hit check is inlined at the call
-// sites; this is the slow path only.
-func (g *RGG) sampleHold(st *spatialState, cell int, xyz [3]int) *cellSample {
-	e := g.samplePointsAt(cell, xyz, st)
-	st.hold(cell, e)
-	return e
+// rggState is rgg's worker state: one SoA strip of regenerated points,
+// the point with global id v at strip offset v − base, where base is
+// the id of cell org's first point, and pfx[c−org] = prefix(c). It
+// holds every cell of [org, end) — a window [lo, hi+span()) of at most
+// span() own cells and the forward halo behind them — each filled once.
+// Ids are cell-major, so any run of consecutive cells is one contiguous
+// strip range, and the kernels scan strip slices with no staging copy
+// and no id column.
+//
+// When a window starts where the last one's own cells ended, the
+// resident halo is its first cells and is kept: only the cells past it
+// are filled. The dead head [org, lo) is dropped (the live tail moved
+// to the front) once it outweighs the live part in points or cells, so
+// each point moves O(1) times amortized and the strip never holds more
+// than twice the points of 2·span() consecutive cells. Any other window
+// starts a fresh strip.
+type rggState struct {
+	lk         treeLookup
+	org, end   int
+	next       int // the last window's hi: where a carried-over window starts
+	base       int64
+	pfx        []int64
+	xs, ys, zs []float64
+	hits       []int32
+}
+
+// at returns prefix(c) for a resident c in [org, end].
+func (s *rggState) at(c int) int64 { return s.pfx[c-s.org] }
+
+// window makes cells [lo, hi) and their forward halo resident.
+func (s *rggState) window(g *RGG, lo, hi int) {
+	wHi := min(hi+g.span(), g.cells)
+	if s.pfx == nil || lo != s.next {
+		s.org, s.end = lo, lo
+		s.base = s.lk.prefix(&g.tree, lo)
+		s.pfx = append(s.pfx[:0], s.base)
+	} else if dead, live := int(s.at(lo)-s.base), int(s.at(s.end)-s.at(lo)); dead >= live || lo-s.org >= s.end-lo {
+		copy(s.xs, s.xs[dead:dead+live])
+		copy(s.ys, s.ys[dead:dead+live])
+		if g.dim == 3 {
+			copy(s.zs, s.zs[dead:dead+live])
+		}
+		s.base += int64(dead)
+		s.pfx = s.pfx[:copy(s.pfx, s.pfx[lo-s.org:])]
+		s.org = lo
+	}
+	s.next = hi
+	// The carried halo [lo, end) lies inside [lo, wHi), so only cells
+	// [end, wHi) are new.
+	for c := s.end; c < wHi; c++ {
+		s.pfx = append(s.pfx, s.at(c)+s.lk.count(&g.tree, c))
+	}
+	from := int(s.at(s.end) - s.base)
+	n := int(s.at(wHi) - s.base)
+	s.xs, s.ys = growColumn(s.xs, n), growColumn(s.ys, n)
+	if g.dim == 3 {
+		s.zs = growColumn(s.zs, n)
+	}
+	xyz := g.cellCoords(s.end)
+	for c := s.end; c < wHi; c++ {
+		to := int(s.at(c+1) - s.base)
+		if to > from {
+			var zs []float64
+			if g.dim == 3 {
+				zs = s.zs[from:to]
+			}
+			g.samplePointsInto(c, xyz, s.xs[from:to], s.ys[from:to], zs)
+		}
+		from = to
+		g.step(&xyz)
+	}
+	s.end = wHi
+}
+
+// growColumn returns col resized to length n, keeping its contents and
+// doubling the capacity when it must grow.
+func growColumn(col []float64, n int) []float64 {
+	if n <= cap(col) {
+		return col[:n]
+	}
+	out := make([]float64, n, 2*n)
+	copy(out, col)
+	return out
+}
+
+// step advances grid coordinates to the next cell in row-major order.
+func (g *RGG) step(xyz *[3]int) {
+	if xyz[0]++; xyz[0] == g.grid {
+		xyz[0] = 0
+		if xyz[1]++; xyz[1] == g.grid {
+			xyz[1] = 0
+			xyz[2]++
+		}
+	}
 }
 
 // NewWorker returns the chunk generator bound to one worker-lifetime
-// cell cache + tree lookup state. The cache is a ring of span()+1 slots:
-// every cell read while one own cell is enumerated lies in
-// [cell, cell+span], a window of consecutive indices that map to
-// distinct slots — the ring contract newSpatialState documents.
+// strip.
 func (g *RGG) NewWorker() stream.ShardGen {
-	st := newSpatialState(&g.tree, &g.ctab, maxRGGChunkPoints, g.span()+1)
+	s := &rggState{lk: newTreeLookup(&g.tree, &g.ctab)}
 	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-		g.generateChunk(st, c, buf, emit)
+		g.generateChunk(s, c, buf, emit)
 	}
 }
 
-// generateChunk streams chunk c: for each owned cell in index
-// order, its points plus every forward neighbor's points (regenerated
-// through st's cell cache) are flattened into one contiguous halo, and
-// each own point runs one kernel call over the halo tail behind it,
-// emitting (u, v), u < v, for each pair within distance r. Neighbor
-// segments are staged in ascending id order, so the stream is canonical
-// by construction. Cell coordinates advance incrementally with the
-// row-major scan instead of a divmod per cell.
-func (g *RGG) generateChunk(st *spatialState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+// generateChunk streams chunk c over the strip, windowing it in
+// sub-runs of at most span() cells so the strip stays O(span()) however
+// wide the chunk is; consecutive sub-runs carry over. For each owned
+// cell in index order, its forward neighbours' runs (forwardRanges)
+// become strip slices — the first joined to the cell's own later
+// points — and each own point runs one kernel call per slice, emitting
+// (u, v), u < v, through addRun. The slices visit the same cells in
+// the same order as a per-neighbour walk, so the stream is canonical
+// by construction and arc for arc the same.
+func (g *RGG) generateChunk(s *rggState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	lo, hi := g.runs[c][0], g.runs[c][1]
 	if lo >= hi || g.n == 0 {
 		return
 	}
 	b := newBatcher(buf, emit)
 	xyz := g.cellCoords(lo)
-	dim3 := g.dim == 3
-	// With the shared occupancy bitmap available, a cell's emptiness is
-	// one L1-resident bit test — far cheaper than a ring probe plus a
-	// pointer chase into a cached empty sample. Empty cells contribute
-	// nothing to any halo, so skipping them (as own cell or neighbor)
-	// changes no emitted arc; they are simply never cached.
-	occ := st.occ
-	// The halo columns live in locals so the per-neighbor staging is a
-	// plain append loop — no call, no slice-header writeback per cell.
-	// Capacities persist in st across chunks via the write-back below.
-	fxs, fys, fzs, fvids := st.fxs[:0], st.fys[:0], st.fzs[:0], st.fvids[:0]
-	for cell := lo; cell < hi; cell++ {
-		if occ != nil && occ[uint(cell)>>6]&(1<<(uint(cell)&63)) == 0 {
-			if xyz[0]++; xyz[0] == g.grid {
-				xyz[0] = 0
-				if xyz[1]++; xyz[1] == g.grid {
-					xyz[1] = 0
-					xyz[2]++
-				}
-			}
+	var rs [5][2]int
+	for cell, subHi := lo, lo; cell < hi; cell++ {
+		if cell == subHi {
+			subHi = min(cell+g.span(), hi)
+			s.window(g, cell, subHi)
+		}
+		at := xyz
+		g.step(&xyz)
+		a, e := int(s.at(cell)-s.base), int(s.at(cell+1)-s.base)
+		if a == e {
 			continue
 		}
-		own := st.ring[cell&st.ringMask]
-		if own == nil || own.cell != cell {
-			own = g.sampleHold(st, cell, xyz)
+		nr := g.forwardRanges(cell, at, &rs)
+		tail := int(s.at(rs[0][1]) - s.base)
+		for k := 1; k < nr; k++ {
+			rs[k] = [2]int{int(s.at(rs[k][0]) - s.base), int(s.at(rs[k][1]) - s.base)}
 		}
-		if own.n > 0 {
-			fxs, fys, fzs, fvids = fxs[:0], fys[:0], fzs[:0], fvids[:0]
-			for j := 0; j < own.n; j++ {
-				fxs = append(fxs, own.xs[j])
-				fys = append(fys, own.ys[j])
-				fvids = append(fvids, own.start+int64(j))
-			}
-			if dim3 {
-				fzs = append(fzs, own.zs...)
-			}
-			// Interior cells (no face contact) pass every per-delta bounds
-			// check by construction, so skip the checks wholesale.
-			interior := xyz[0] >= 1 && xyz[0] < g.grid-1 && xyz[1] >= 1 && xyz[1] < g.grid-1 &&
-				(g.dim == 2 || (xyz[2] >= 1 && xyz[2] < g.grid-1))
-			if interior {
-				for _, d := range g.nbDeltas {
-					nb := cell + d.off
-					if occ != nil && occ[uint(nb)>>6]&(1<<(uint(nb)&63)) == 0 {
-						continue
-					}
-					e := st.ring[nb&st.ringMask]
-					if e == nil || e.cell != nb {
-						e = g.sampleHold(st, nb, [3]int{xyz[0] + d.dx, xyz[1] + d.dy, xyz[2] + d.dz})
-					}
-					for j := 0; j < e.n; j++ {
-						fxs = append(fxs, e.xs[j])
-						fys = append(fys, e.ys[j])
-						fvids = append(fvids, e.start+int64(j))
-					}
-					if dim3 {
-						fzs = append(fzs, e.zs...)
+		for i := a; i < e; i++ {
+			u := s.base + int64(i)
+			if g.dim == 3 {
+				x, y, z := s.xs[i], s.ys[i], s.zs[i]
+				s.hits = within3(x, y, z, g.r2, s.xs[i+1:tail], s.ys[i+1:tail], s.zs[i+1:tail], s.hits[:0])
+				if !b.addRun(u, u+1, s.hits) {
+					return
+				}
+				for _, r := range rs[1:nr] {
+					s.hits = within3(x, y, z, g.r2, s.xs[r[0]:r[1]], s.ys[r[0]:r[1]], s.zs[r[0]:r[1]], s.hits[:0])
+					if !b.addRun(u, s.base+int64(r[0]), s.hits) {
+						return
 					}
 				}
-			} else {
-				for _, d := range g.nbDeltas {
-					x, y, z := xyz[0]+d.dx, xyz[1]+d.dy, xyz[2]+d.dz
-					if x < 0 || x >= g.grid || y < 0 || y >= g.grid || z < 0 || z >= g.grid {
-						continue
-					}
-					nb := cell + d.off
-					if occ != nil && occ[uint(nb)>>6]&(1<<(uint(nb)&63)) == 0 {
-						continue
-					}
-					e := st.ring[nb&st.ringMask]
-					if e == nil || e.cell != nb {
-						e = g.sampleHold(st, nb, [3]int{x, y, z})
-					}
-					for j := 0; j < e.n; j++ {
-						fxs = append(fxs, e.xs[j])
-						fys = append(fys, e.ys[j])
-						fvids = append(fvids, e.start+int64(j))
-					}
-					if dim3 {
-						fzs = append(fzs, e.zs...)
-					}
-				}
+				continue
 			}
-			ok := false
-			if dim3 {
-				ok = g.pairsCell3(b, st, own, fxs, fys, fzs, fvids)
-			} else {
-				ok = g.pairsCell2(b, st, own, fxs, fys, fvids)
-			}
-			if !ok {
+			x, y := s.xs[i], s.ys[i]
+			s.hits = within2(x, y, g.r2, s.xs[i+1:tail], s.ys[i+1:tail], s.hits[:0])
+			if !b.addRun(u, u+1, s.hits) {
 				return
 			}
-		}
-		st.dropOwn(cell)
-		if xyz[0]++; xyz[0] == g.grid {
-			xyz[0] = 0
-			if xyz[1]++; xyz[1] == g.grid {
-				xyz[1] = 0
-				xyz[2]++
+			for _, r := range rs[1:nr] {
+				s.hits = within2(x, y, g.r2, s.xs[r[0]:r[1]], s.ys[r[0]:r[1]], s.hits[:0])
+				if !b.addRun(u, s.base+int64(r[0]), s.hits) {
+					return
+				}
 			}
 		}
 	}
-	st.fxs, st.fys, st.fzs, st.fvids = fxs[:0], fys[:0], fzs[:0], fvids[:0]
 	b.flush()
-}
-
-// pairsCell2 emits every within-r pair of own point i against the
-// flattened halo tail flat[i+1:] — the own cell's later points followed
-// by every staged neighbor cell's, in ascending id order. One kernel
-// call per own point covers what used to be one call per neighbor cell;
-// the flattened values and scan order are bit-identical to the
-// per-cell segment walk, so the emitted arcs are too.
-func (g *RGG) pairsCell2(b *batcher, st *spatialState, own *cellSample, fxs, fys []float64, fvids []int64) bool {
-	for i := 0; i < own.n; i++ {
-		st.hits = within2(own.xs[i], own.ys[i], g.r2, fxs[i+1:], fys[i+1:], st.hits[:0])
-		if !b.addIdx(own.start+int64(i), fvids[i+1:], st.hits) {
-			return false
-		}
-	}
-	return true
-}
-
-// pairsCell3 is pairsCell2 with the 3D kernel.
-func (g *RGG) pairsCell3(b *batcher, st *spatialState, own *cellSample, fxs, fys, fzs []float64, fvids []int64) bool {
-	for i := 0; i < own.n; i++ {
-		st.hits = within3(own.xs[i], own.ys[i], own.zs[i], g.r2,
-			fxs[i+1:], fys[i+1:], fzs[i+1:], st.hits[:0])
-		if !b.addIdx(own.start+int64(i), fvids[i+1:], st.hits) {
-			return false
-		}
-	}
-	return true
 }
 
 // kernelLanes is the fixed block width of the distance kernels: the
@@ -639,16 +609,4 @@ func within3(x, y, z, r2 float64, xs, ys, zs []float64, hits []int32) []int32 {
 		}
 	}
 	return hits
-}
-
-// within reports whether two AoS points lie at Euclidean distance <= r —
-// the scalar reference predicate the SoA kernels mirror, kept for the
-// brute-force oracles.
-func (g *RGG) within(p, q []float64) bool {
-	var d2 float64
-	for d := 0; d < g.dim; d++ {
-		diff := p[d] - q[d]
-		d2 += diff * diff
-	}
-	return d2 <= g.r2
 }

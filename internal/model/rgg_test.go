@@ -1,11 +1,34 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"kronvalid/internal/stream"
 )
+
+// samplePoints regenerates cell c's sample into a fresh cellSample —
+// the Sample phase's pure function of (seed, cell) that the strip
+// fills from.
+func (g *RGG) samplePoints(cell int) *cellSample {
+	cnt, start := g.tree.count(cell), g.tree.prefix(cell)
+	s := newCellSample(start, int(cnt), g.dim)
+	g.samplePointsInto(cell, g.cellCoords(cell), s.xs, s.ys, s.zs)
+	return s
+}
+
+// within reports whether two AoS points lie at Euclidean distance <= r —
+// the scalar reference predicate the SoA kernels mirror.
+func (g *RGG) within(p, q []float64) bool {
+	var d2 float64
+	for d := 0; d < g.dim; d++ {
+		diff := p[d] - q[d]
+		d2 += diff * diff
+	}
+	return d2 <= g.r2
+}
 
 // bruteForceRGG regenerates every cell's points through the Sample
 // phase and compares all pairs directly — the structure-oblivious
@@ -13,7 +36,7 @@ import (
 func bruteForceRGG(g *RGG) []stream.Arc {
 	var pts []float64
 	for c := 0; c < g.CellCount(); c++ {
-		s := g.samplePoints(c, nil)
+		s := g.samplePoints(c)
 		for i := 0; i < s.n; i++ {
 			pts = append(pts, s.xs[i], s.ys[i])
 			if g.dim == 3 {
@@ -39,7 +62,11 @@ func bruteForceRGG(g *RGG) []stream.Arc {
 // undirected pair emitted once by the smaller endpoint's cell) must
 // equal the all-pairs sweep over the regenerated point set exactly —
 // any missed cross-cell pair, duplicate emission, or id misalignment
-// shows up here.
+// shows up here. Grids of one to three cells per axis put every cell on
+// a face, so each forward range is clipped at x = 0 or x = G−1, at the
+// last row or at the last plane; for every grid, forwardNeighbors must
+// also list exactly the in-bounds cells of the 3^dim block with a
+// larger index.
 func TestRGGMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		dim    int
@@ -50,12 +77,22 @@ func TestRGGMatchesBruteForce(t *testing.T) {
 		{2, 600, 0.07, 0},
 		{2, 400, 0.25, 5}, // coarse grid, heavy cross-cell traffic
 		{3, 400, 0.15, 7},
-		{3, 250, 0.6, 3}, // near-complete, grid collapses to few cells
+		{3, 250, 0.6, 3},  // near-complete, grid collapses to few cells
+		{2, 200, 0.6, 1},  // G = 1
+		{2, 300, 0.45, 3}, // G = 2
+		{2, 300, 0.3, 4},  // G = 3
+		{3, 200, 0.45, 2}, // G = 2
+		{3, 300, 0.3, 5},  // G = 3
+		{3, 500, 0.3, 27}, // G = 3, one cell per chunk
 	} {
 		g, err := NewRGG(tc.n, tc.r, tc.dim, 77, tc.chunks)
 		if err != nil {
 			t.Fatalf("NewRGG(%v): %v", tc, err)
 		}
+		if want := int(1 / tc.r); want <= 3 && g.grid != want {
+			t.Fatalf("%s: grid %d, want %d", g.Name(), g.grid, want)
+		}
+		checkForwardNeighbors(t, g)
 		want := bruteForceRGG(g)
 		got := Collect(g)
 		if len(want) == 0 {
@@ -63,6 +100,39 @@ func TestRGGMatchesBruteForce(t *testing.T) {
 		}
 		if !sameArcs(want, got) {
 			t.Errorf("%s: streamed %d arcs != brute force %d arcs", g.Name(), len(got), len(want))
+		}
+	}
+}
+
+// checkForwardNeighbors compares g.forwardNeighbors, cell by cell, with
+// the in-bounds cells of the 3^dim block around it that have a larger
+// index, ascending.
+func checkForwardNeighbors(t *testing.T, g *RGG) {
+	t.Helper()
+	G := g.grid
+	dz := []int{0}
+	if g.dim == 3 {
+		dz = []int{-1, 0, 1}
+	}
+	for cell := 0; cell < g.cells; cell++ {
+		xyz := g.cellCoords(cell)
+		var want []int
+		for _, z := range dz {
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					x, y, z := xyz[0]+dx, xyz[1]+dy, xyz[2]+z
+					if x < 0 || x >= G || y < 0 || y >= G || z < 0 || z >= G {
+						continue
+					}
+					if nb := (z*G+y)*G + x; nb > cell {
+						want = append(want, nb)
+					}
+				}
+			}
+		}
+		sort.Ints(want)
+		if got := g.forwardNeighbors(cell); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: forward neighbours of cell %d %v are %v, want %v", g.Name(), cell, xyz, got, want)
 		}
 	}
 }

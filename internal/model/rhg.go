@@ -357,80 +357,20 @@ func (g *RHG) ChunkWeight(c int) int64 {
 // ChunkArcs returns -1: per-chunk counts are random.
 func (g *RHG) ChunkArcs(c int) int64 { return -1 }
 
-// forwardPartners returns the cells with index > c whose angular window
-// can hold a neighbor of a point in cell c, ascending: the same-band
-// window plus a window into each inner band (bands are outermost
-// first, so inner bands have larger indices). Windows are widened by
-// one cell per side for floating-point safety; the exact distance
-// predicate decides every pair, so over-wide windows cost comparisons,
-// not correctness.
-func (g *RHG) forwardPartners(c int) []int { return g.appendForwardPartners(c, nil) }
+// rhgRun is one contiguous forward-partner cell range [lo, hi).
+type rhgRun struct{ lo, hi int }
 
-// appendForwardPartners is forwardPartners appending into a caller
-// scratch slice. A band's wrapped window {j mod cells : jLo <= j <= jHi}
-// covers fewer than cells indices (the full-range branch catches the
-// rest), so it is one contiguous index range — or two when it straddles
-// the wrap, in which case the low range is appended before the high
-// one. Bands are visited in ascending cellStart order, so the output is
-// ascending with no per-cell sort, index for index what the sorted
-// enumeration produced.
-func (g *RHG) appendForwardPartners(c int, out []int) []int {
-	b1 := g.cellBand(c)
-	own := &g.bands[b1]
-	j1 := c - own.cellStart
-	th0 := float64(j1) * own.width
-	th1 := th0 + own.width
-	nb := len(g.bands)
-	for b2 := b1; b2 < nb; b2++ {
-		bd := &g.bands[b2]
-		ang := g.maxAng[b1*nb+b2]
-		jLo := int(math.Floor((th0-ang)/bd.width)) - 1
-		jHi := int(math.Floor((th1+ang)/bd.width)) + 1
-		if jHi-jLo+1 >= bd.cells {
-			start := bd.cellStart
-			if b2 == b1 {
-				start = c + 1
-			}
-			for idx := start; idx < bd.cellStart+bd.cells; idx++ {
-				out = append(out, idx)
-			}
-			continue
-		}
-		a := ((jLo % bd.cells) + bd.cells) % bd.cells
-		z := ((jHi % bd.cells) + bd.cells) % bd.cells
-		if a <= z {
-			for j := a; j <= z; j++ {
-				if idx := bd.cellStart + j; idx > c {
-					out = append(out, idx)
-				}
-			}
-			continue
-		}
-		for j := 0; j <= z; j++ {
-			if idx := bd.cellStart + j; idx > c {
-				out = append(out, idx)
-			}
-		}
-		for j := a; j < bd.cells; j++ {
-			if idx := bd.cellStart + j; idx > c {
-				out = append(out, idx)
-			}
-		}
-	}
-	return out
-}
-
-// rhgRun is one contiguous forward-partner cell range [lo, hi) inside
-// band `band` — the range form of appendForwardPartners' output.
-type rhgRun struct {
-	band   int
-	lo, hi int
-}
-
-// appendForwardRuns is appendForwardPartners emitting maximal
-// contiguous cell ranges instead of individual indices: flattening each
-// run in order yields index for index the same cell sequence. O(bands)
-// per call instead of O(window cells).
+// appendForwardRuns appends cell c's forward partners — the cells with
+// index > c whose angular window can hold a neighbor of a point in c —
+// as ascending contiguous cell ranges: the same-band window plus a
+// window into each inner band (bands are outermost first, so inner
+// bands have larger indices). Windows are widened by one cell per side
+// for floating-point safety; the exact distance predicate decides every
+// pair, so over-wide windows cost comparisons, not correctness. A
+// band's wrapped window {j mod cells : jLo <= j <= jHi} covers fewer
+// than cells indices (the full-range branch catches the rest), so it is
+// one range — or two when it straddles the wrap, the low one first.
+// O(bands) per call.
 func (g *RHG) appendForwardRuns(c int, out []rhgRun) []rhgRun {
 	b1 := g.cellBand(c)
 	own := &g.bands[b1]
@@ -438,12 +378,12 @@ func (g *RHG) appendForwardRuns(c int, out []rhgRun) []rhgRun {
 	th0 := float64(j1) * own.width
 	th1 := th0 + own.width
 	nb := len(g.bands)
-	push := func(band, lo, hi int) {
+	push := func(lo, hi int) {
 		if lo <= c {
 			lo = c + 1
 		}
 		if hi > lo {
-			out = append(out, rhgRun{band: band, lo: lo, hi: hi})
+			out = append(out, rhgRun{lo, hi})
 		}
 	}
 	for b2 := b1; b2 < nb; b2++ {
@@ -453,17 +393,17 @@ func (g *RHG) appendForwardRuns(c int, out []rhgRun) []rhgRun {
 		jHi := int(math.Floor((th1+ang)/bd.width)) + 1
 		end := bd.cellStart + bd.cells
 		if jHi-jLo+1 >= bd.cells {
-			push(b2, bd.cellStart, end)
+			push(bd.cellStart, end)
 			continue
 		}
 		a := ((jLo % bd.cells) + bd.cells) % bd.cells
 		z := ((jHi % bd.cells) + bd.cells) % bd.cells
 		if a <= z {
-			push(b2, bd.cellStart+a, bd.cellStart+z+1)
+			push(bd.cellStart+a, bd.cellStart+z+1)
 			continue
 		}
-		push(b2, bd.cellStart, bd.cellStart+z+1)
-		push(b2, bd.cellStart+a, end)
+		push(bd.cellStart, bd.cellStart+z+1)
+		push(bd.cellStart+a, end)
 	}
 	return out
 }
@@ -472,19 +412,22 @@ func (g *RHG) appendForwardRuns(c int, out []rhgRun) []rhgRun {
 // partners of its owned cells that fall outside its own cell run.
 func (g *RHG) Dependencies(c int) []int64 {
 	lo, hi := g.runs[c][0], g.runs[c][1]
-	seen := map[int]bool{}
+	read := make([]bool, g.cells-hi)
+	var runs []rhgRun
 	for cell := lo; cell < hi; cell++ {
-		for _, nb := range g.forwardPartners(cell) {
-			if nb >= hi {
-				seen[nb] = true
+		runs = g.appendForwardRuns(cell, runs[:0])
+		for _, r := range runs {
+			for nb := max(r.lo, hi); nb < r.hi; nb++ {
+				read[nb-hi] = true
 			}
 		}
 	}
-	out := make([]int64, 0, len(seen))
-	for nb := range seen {
-		out = append(out, int64(nb))
+	var out []int64
+	for i, r := range read {
+		if r {
+			out = append(out, int64(hi+i))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -641,7 +584,8 @@ type rhgState struct {
 	xs, ys, zs, ws []float64
 	filled         []bool // per cell
 	runs           []rhgRun
-	prs            [][2]int // forward point ranges of the current own cell
+	prs            [][2]int              // forward point ranges of the current own cell
+	lane           [rhgTileLanes][]int32 // per-lane forward hits, strip offsets
 }
 
 // ensure fills cell's strip range [tab[cell], tab[cell+1]) if it is not
@@ -712,12 +656,14 @@ func (g *RHG) generateCells(st *spatialState, c int, buf []stream.Arc, emit func
 	for cell := lo; cell < hi; cell++ {
 		own := g.getCell(st, cell)
 		if own.n > 0 {
-			st.cand = g.appendForwardPartners(cell, st.cand[:0])
+			st.runs = g.appendForwardRuns(cell, st.runs[:0])
 			st.resetFlat()
 			st.appendFlat(own, 4)
-			for _, nb := range st.cand {
-				if e := g.getCell(st, nb); e.n > 0 {
-					st.appendFlat(e, 4)
+			for _, r := range st.runs {
+				for nb := r.lo; nb < r.hi; nb++ {
+					if e := g.getCell(st, nb); e.n > 0 {
+						st.appendFlat(e, 4)
+					}
 				}
 			}
 			if !g.pairsCell(b, st, own) {
@@ -746,16 +692,84 @@ func (g *RHG) pairsCell(b *batcher, st *spatialState, own *cellSample) bool {
 	return true
 }
 
+// rhgTileLanes is the number of own points rhgTile tests per pass over
+// a range.
+const rhgTileLanes = 4
+
+// rhgLanes holds up to rhgTileLanes own points, pre-transformed like
+// the strip (cos θ, sin θ, cosh r, sinh r).
+type rhgLanes struct {
+	c0, s0, ch, sh [rhgTileLanes]float64
+}
+
+// rhgTile appends to hits[k], for every lane k < lanes, the strip
+// offset base+j of each point j of the SoA range within hyperbolic
+// distance R of own point k, ascending. Each range point is loaded once
+// for all lanes; groups of one or two lanes run a two-lane loop, so
+// short groups test fewer spare lanes. Spare lanes (k >= lanes) must
+// hold finite values; they are evaluated and their hits discarded.
+// Every lane evaluates exactly rhgHits' expression tree,
+// ch·z − sh·w·(c0·x + s0·y) <= coshR, so a platform's rounding and
+// fused multiply-add decisions are the same in every lane as in
+// rhgHits and within, pair for pair: that equality is what keeps the
+// tile's verdicts equal to the reference's on targets that fuse.
+func rhgTile(p *rhgLanes, lanes int, coshR float64, xs, ys, zs, ws []float64, base int, hits *[rhgTileLanes][]int32) {
+	ys = ys[:len(xs)]
+	zs = zs[:len(xs)]
+	ws = ws[:len(xs)]
+	live := uint32(1)<<lanes - 1
+	if lanes <= 2 {
+		c0, s0, ch, sh := p.c0[0], p.s0[0], p.ch[0], p.sh[0]
+		c1, s1, ch1, sh1 := p.c0[1], p.s0[1], p.ch[1], p.sh[1]
+		for j, x := range xs {
+			y, z, w := ys[j], zs[j], ws[j]
+			m := b2u(ch*z-sh*w*(c0*x+s0*y) <= coshR) |
+				b2u(ch1*z-sh1*w*(c1*x+s1*y) <= coshR)<<1
+			if m &= live; m != 0 {
+				laneHits(m, int32(base+j), hits)
+			}
+		}
+		return
+	}
+	for j, x := range xs {
+		y, z, w := ys[j], zs[j], ws[j]
+		m := b2u(p.ch[0]*z-p.sh[0]*w*(p.c0[0]*x+p.s0[0]*y) <= coshR) |
+			b2u(p.ch[1]*z-p.sh[1]*w*(p.c0[1]*x+p.s0[1]*y) <= coshR)<<1 |
+			b2u(p.ch[2]*z-p.sh[2]*w*(p.c0[2]*x+p.s0[2]*y) <= coshR)<<2 |
+			b2u(p.ch[3]*z-p.sh[3]*w*(p.c0[3]*x+p.s0[3]*y) <= coshR)<<3
+		if m &= live; m != 0 {
+			laneHits(m, int32(base+j), hits)
+		}
+	}
+}
+
+// laneHits appends v to hits[k] for every bit k set in m.
+func laneHits(m uint32, v int32, hits *[rhgTileLanes][]int32) {
+	for ; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		hits[k] = append(hits[k], v)
+	}
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // generatePanels is generateCells over the strip state: per owned
 // cell it materializes the forward windows as contiguous strip point
 // ranges (ids are cell-major, so a range of cells — empty ones included
-// — is a range of consecutive ids), coalesces point-adjacent ranges
-// (scanning across an empty gap cell adds zero points), folds the own
-// tail into the first range when they touch (the common non-wrapped
-// same-band window), and runs one kernel call per range per own point,
-// emitting through addRun exactly as the per-cell walk does. Same
-// cells, same draw values, same scan order ⇒ the same bytes; only the
-// staging cost is gone.
+// — is a range of consecutive ids) and coalesces point-adjacent ranges
+// (scanning across an empty gap cell adds zero points). The cell's
+// points are then taken in groups of up to rhgTileLanes: one rhgTile
+// pass per range collects each lane's forward hits, and each point
+// emits its own-cell tail (rhgHits over its later own points) followed
+// by its forward hits, in id order — exactly the per-cell walk's
+// emission. Same cells, same draw values, same predicate per pair ⇒
+// the same bytes; only the staging and per-point call cost is gone.
 func (g *RHG) generatePanels(ps *rhgState, c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 	st := ps.st
 	lo, hi := g.runs[c][0], g.runs[c][1]
@@ -764,6 +778,7 @@ func (g *RHG) generatePanels(ps *rhgState, c int, buf []stream.Arc, emit func([]
 	}
 	b := newBatcher(buf, emit)
 	tab := st.tab
+	var p rhgLanes
 	for cell := lo; cell < hi; cell++ {
 		ownLo, ownHi := int(tab[cell]), int(tab[cell+1])
 		if ownHi == ownLo {
@@ -787,23 +802,23 @@ func (g *RHG) generatePanels(ps *rhgState, c int, buf []stream.Arc, emit func([]
 			}
 		}
 		ps.prs = prs
-		head := ownHi
-		if len(prs) > 0 && prs[0][0] == ownHi {
-			head = prs[0][1]
-			prs = prs[1:]
-		}
-		for pi := ownLo; pi < ownHi; pi++ {
-			c0, s0, ch, sh := ps.xs[pi], ps.ys[pi], ps.zs[pi], ps.ws[pi]
-			u := int64(pi)
-			st.hits = rhgHits(c0, s0, ch, sh, g.coshR,
-				ps.xs[pi+1:head], ps.ys[pi+1:head], ps.zs[pi+1:head], ps.ws[pi+1:head], st.hits[:0])
-			if !b.addRun(u, u+1, st.hits) {
-				return
+		for g0 := ownLo; g0 < ownHi; g0 += rhgTileLanes {
+			lanes := min(rhgTileLanes, ownHi-g0)
+			for k := 0; k < rhgTileLanes; k++ {
+				// Spare lanes repeat the group's last point.
+				pi := g0 + min(k, lanes-1)
+				p.c0[k], p.s0[k], p.ch[k], p.sh[k] = ps.xs[pi], ps.ys[pi], ps.zs[pi], ps.ws[pi]
+				ps.lane[k] = ps.lane[k][:0]
 			}
 			for _, pr := range prs {
-				st.hits = rhgHits(c0, s0, ch, sh, g.coshR,
-					ps.xs[pr[0]:pr[1]], ps.ys[pr[0]:pr[1]], ps.zs[pr[0]:pr[1]], ps.ws[pr[0]:pr[1]], st.hits[:0])
-				if !b.addRun(u, int64(pr[0]), st.hits) {
+				rhgTile(&p, lanes, g.coshR, ps.xs[pr[0]:pr[1]], ps.ys[pr[0]:pr[1]], ps.zs[pr[0]:pr[1]], ps.ws[pr[0]:pr[1]], pr[0], &ps.lane)
+			}
+			for k := 0; k < lanes; k++ {
+				pi := g0 + k
+				u := int64(pi)
+				st.hits = rhgHits(p.c0[k], p.s0[k], p.ch[k], p.sh[k], g.coshR,
+					ps.xs[pi+1:ownHi], ps.ys[pi+1:ownHi], ps.zs[pi+1:ownHi], ps.ws[pi+1:ownHi], st.hits[:0])
+				if !b.addRun(u, u+1, st.hits) || !b.addRun(u, 0, ps.lane[k]) {
 					return
 				}
 			}

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"kronvalid/internal/stream"
@@ -135,7 +137,7 @@ func TestRHGDependenciesDeclared(t *testing.T) {
 		}
 		forward := map[int64]bool{}
 		for cell := lo; cell < hi; cell++ {
-			for _, nb := range g.forwardPartners(cell) {
+			for _, nb := range forwardPartnersOracle(g, cell) {
 				forward[int64(nb)] = true
 			}
 		}
@@ -244,5 +246,66 @@ func TestRHGEvictionDoesNotChangeStream(t *testing.T) {
 	}
 	if !sameArcs(Collect(a), Collect(b)) {
 		t.Error("per-cell chunking (regenerate everything) differs from whole-disk chunking (cache everything)")
+	}
+}
+
+// TestRHGTileMatchesWithin checks the multi-lane tile kernel against
+// the scalar reference predicate (*RHG).within, pair by pair: lane
+// counts 1–4 (spare lanes holding real points whose hits must be
+// dropped) over range lengths 0–17, at the model's threshold and at
+// thresholds placed exactly on a pair's own value and one ulp below it,
+// where any difference in the evaluated expression would flip the
+// verdict.
+func TestRHGTileMatchesWithin(t *testing.T) {
+	g, err := NewRHG(5000, 12, 2.4, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewPCG(11, 12))
+	point := func() []float64 {
+		r := rnd.Float64() * g.R
+		sin, cos := math.Sincos(rnd.Float64() * 2 * math.Pi)
+		return []float64{cos, sin, math.Cosh(r), math.Sinh(r)}
+	}
+	const base = 1000
+	for lanes := 1; lanes <= rhgTileLanes; lanes++ {
+		for n := 0; n <= 17; n++ {
+			own := make([][]float64, rhgTileLanes)
+			var p rhgLanes
+			for k := range own {
+				own[k] = point()
+				p.c0[k], p.s0[k], p.ch[k], p.sh[k] = own[k][0], own[k][1], own[k][2], own[k][3]
+			}
+			pts := make([][]float64, n)
+			cols := make([][]float64, 4)
+			for j := range pts {
+				pts[j] = point()
+				for d := range cols {
+					cols[d] = append(cols[d], pts[j][d])
+				}
+			}
+			thresholds := []float64{g.coshR}
+			if n > 0 {
+				o, q := own[lanes-1], pts[n/2]
+				v := o[2]*q[2] - o[3]*q[3]*(o[0]*q[0]+o[1]*q[1])
+				thresholds = append(thresholds, v, math.Nextafter(v, math.Inf(-1)))
+			}
+			for _, coshR := range thresholds {
+				var hits [rhgTileLanes][]int32
+				rhgTile(&p, lanes, coshR, cols[0], cols[1], cols[2], cols[3], base, &hits)
+				ref := &RHG{coshR: coshR}
+				for k := range own {
+					var want []int32
+					for j := range pts {
+						if k < lanes && ref.within(own[k], pts[j]) {
+							want = append(want, int32(base+j))
+						}
+					}
+					if fmt.Sprint(hits[k]) != fmt.Sprint(want) {
+						t.Fatalf("lanes=%d n=%d coshR=%v lane %d: tile hits %v, within %v", lanes, n, coshR, k, hits[k], want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -102,8 +102,7 @@ func (t *splitTree) prefix(c int) int64 { return t.prefixMemo(c, nil) }
 
 // expandPrefix materializes the whole tree and returns the prefix-sum
 // table P of length slots+1 — P[c] is the item count of slots [0, c),
-// so slot c holds P[c+1]-P[c] items — and the occupancy bitmap paired
-// with it (bit c set iff slot c is nonempty). Each tree node's left
+// so slot c holds P[c+1]-P[c] items. Each tree node's left
 // share is a pure function of the node id alone, so drawing every node
 // exactly once yields the same values as any sequence of count/prefix
 // descents — only the evaluation order differs — at O(1) amortized
@@ -115,11 +114,10 @@ func (t *splitTree) prefix(c int) int64 { return t.prefixMemo(c, nil) }
 // are then expanded depth-first in any order, each writing only its own
 // p[lo:hi). Order cannot move a value because no node reads another's
 // stream; see DESIGN.md §2e.
-func (t *splitTree) expandPrefix() (p []int64, occ []uint64) {
-	p = make([]int64, t.slots+1)
-	occ = make([]uint64, (t.slots+63)/64)
+func (t *splitTree) expandPrefix() []int64 {
+	p := make([]int64, t.slots+1)
 	if t.slots == 0 {
-		return p, occ
+		return p
 	}
 	var subs []subtree
 	t.expand(p, 0, t.slots, t.total, expandGrain(t.slots), &subs)
@@ -131,14 +129,11 @@ func (t *splitTree) expandPrefix() (p []int64, occ []uint64) {
 	var acc int64
 	for c := 0; c < t.slots; c++ {
 		n := p[c]
-		if n != 0 {
-			occ[c>>6] |= 1 << (uint(c) & 63)
-		}
 		p[c] = acc
 		acc += n
 	}
 	p[t.slots] = acc
-	return p, occ
+	return p
 }
 
 // subtree is one deferred unit of expandPrefix's work: the node

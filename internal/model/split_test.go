@@ -13,7 +13,7 @@ import (
 // TestExpandPrefixMatchesDescents is the machine-checked form of the
 // order-freedom argument behind expandPrefix (DESIGN.md §2e): whatever
 // order the subtrees are expanded in, and on however many goroutines,
-// the table and its occupancy bitmap equal what plain root descents —
+// the table equals what plain root descents —
 // one independent prefix(c) / count(c) per slot — compute. The three
 // tree shapes are the three ways the package weights a tree; the slot
 // and total edge cases are where a cut at the grain, a pruned subtree
@@ -59,18 +59,13 @@ func TestExpandPrefixMatchesDescents(t *testing.T) {
 				}
 				for _, procs := range []int{1, 8} {
 					runtime.GOMAXPROCS(procs)
-					got, occ := tr.expandPrefix()
-					if len(got) != slots+1 || len(occ) != (slots+63)/64 {
-						t.Fatalf("%s procs=%d: table %d, bitmap %d words", name, procs, len(got), len(occ))
+					got := tr.expandPrefix()
+					if len(got) != slots+1 {
+						t.Fatalf("%s procs=%d: table %d", name, procs, len(got))
 					}
 					for c := 0; c <= slots; c++ {
 						if got[c] != want[c] {
 							t.Fatalf("%s procs=%d: table[%d] = %d, prefix(%d) = %d", name, procs, c, got[c], c, want[c])
-						}
-					}
-					for c := 0; c < slots; c++ {
-						if bit := occ[c>>6]>>(uint(c)&63)&1 == 1; bit != (want[c+1] != want[c]) {
-							t.Fatalf("%s procs=%d: occupancy bit %d is %v, slot holds %d", name, procs, c, bit, want[c+1]-want[c])
 						}
 					}
 				}
@@ -136,7 +131,7 @@ func TestSplitDrawLaw(t *testing.T) {
 			for seed := uint64(0); seed < seeds; seed++ {
 				tr.seed = seed
 				if draw == "BinomialFixed" {
-					p, _ := tr.expandPrefix()
+					p := tr.expandPrefix()
 					for c := range counts {
 						counts[c] = p[c+1] - p[c]
 					}
