@@ -151,6 +151,8 @@ func MaxEdgeTriangles(g *Graph) int64 { return gen.MaxEdgeTriangles(g) }
 // ---- direct (explicit-graph) statistics ----
 
 // TriangleResult is the exact triangle statistics of an explicit graph.
+// Its EdgeDelta is aligned with the graph's arcs: one entry per arc, at
+// the position Graph.ArcIndex returns, 0 on loop arcs.
 type TriangleResult = triangle.Result
 
 // CountTriangles computes t_A, Δ_A, τ(A) and the wedge-check cost for an
@@ -193,12 +195,16 @@ func KroneckerPower(b *Graph, k int) (*Product, error) { return kron.KroneckerPo
 // evaluated lazily: At(p) is O(#terms) regardless of product size.
 type VertexStat = kron.KronVecSum
 
-// EdgeStat is a per-edge product statistic in Kronecker-sum form.
+// EdgeStat is a per-edge product statistic in Kronecker-sum form. Each
+// factor matrix is held aligned with its factor's arcs; At(p, q) reads one
+// arc per factor and is 0 when (p, q) is not an arc of the product.
 type EdgeStat = kron.KronMatSum
 
-// FactorStats holds one factor's t, Δ, diag(B³), B∘B² and loop terms. A
-// Product computes its factors' statistics itself, once each, on the first
-// formula that needs them; they are shared and must not be modified.
+// FactorStats holds one factor's t, Δ, diag(B³), B∘B² and loop terms; Δ
+// and B∘B² are aligned with the factor's arcs, one entry per arc at the
+// position Graph.ArcIndex returns. A Product computes its factors'
+// statistics itself, once each, on the first formula that needs them;
+// they are shared and must not be modified.
 type FactorStats = kron.FactorTriangleStats
 
 // ComputeFactorStats runs the triangle engine once on an undirected factor
@@ -287,8 +293,9 @@ func DirectedVertexCensusOf(g *Graph) *census.VertexCensus {
 	return census.DirectedVertexCensus(g)
 }
 
-// DirectedEdgeCensusOf computes the 15 per-edge type count matrices of an
-// explicit directed graph.
+// DirectedEdgeCensusOf computes the 15 per-edge type counts of an
+// explicit directed graph, each aligned with g's arcs: one entry per arc,
+// at the position Graph.ArcIndex returns, 0 on loop arcs.
 func DirectedEdgeCensusOf(g *Graph) *census.EdgeCensus {
 	return census.DirectedEdgeCensus(g)
 }

@@ -7,6 +7,10 @@
 //	kronstats -a 'web:n=4096,m=4,seed=42' -b 'web:n=4096,m=4,seed=42+loops'
 //	kronstats -a ... -b ... -vertex 12345        # stats of one vertex
 //	kronstats -a ... -b ... -json                # machine-readable summary
+//
+// With -json, stdout holds only the JSON record, whose name is the
+// product's spec (kron(a=…;b=…)) and rebuilds it; every other line goes
+// to stderr.
 package main
 
 import (
@@ -49,11 +53,11 @@ func main() {
 	if *aSpec == "" || *bSpec == "" {
 		log.Fatal("both -a and -b are required")
 	}
-	a, err := spec.Parse(*aSpec)
+	a, aName, err := spec.ParseNamed(*aSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := spec.Parse(*bSpec)
+	b, bName, err := spec.ParseNamed(*bSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,9 +83,13 @@ func main() {
 	maxDeg, argmax := p.MaxDegree()
 	elapsed := time.Since(start)
 
+	// With -json the stats record owns stdout; every human-readable line
+	// goes to stderr.
+	out := os.Stdout
 	if *jsonOut {
+		out = os.Stderr
 		if err := gio.WriteStats(os.Stdout, gio.GraphStats{
-			Name:      fmt.Sprintf("(%s) ⊗ (%s)", *aSpec, *bSpec),
+			Name:      spec.KronSpec(aName, bName),
 			Vertices:  p.NumVertices(),
 			Edges:     p.NumArcs(),
 			Loops:     p.NumLoops(),
@@ -110,20 +118,21 @@ func main() {
 		}
 		f := p.FactorsOf(*vertex)
 		i, k := f[0], f[1]
-		fmt.Printf("vertex %d = (A:%d, B:%d): degree %d, triangles %d\n",
+		fmt.Fprintf(out, "vertex %d = (A:%d, B:%d): degree %d, triangles %d\n",
 			*vertex, i, k, p.Degree(*vertex), tc.At(*vertex))
 	}
 
 	if *useCSR {
-		runCSR(p, *maxArcs, *jsonOut)
+		runCSR(p, *maxArcs, out)
 	}
 }
 
 // runCSR materializes the product adjacency through the parallel
 // two-pass CSR builder and cross-checks every measured quantity against
 // its Kronecker closed form — the paper's validation story applied to
-// the ingestion subsystem itself. SIGINT/SIGTERM cancel the build.
-func runCSR(p *kron.Product, maxArcs int64, jsonOut bool) {
+// the ingestion subsystem itself, writing its report to out.
+// SIGINT/SIGTERM cancel the build.
+func runCSR(p *kron.Product, maxArcs int64, out *os.File) {
 	if p.NumArcs() > maxArcs {
 		log.Fatalf("-csr: product has %d arcs, above -maxarcs %d", p.NumArcs(), maxArcs)
 	}
@@ -151,12 +160,6 @@ func runCSR(p *kron.Product, maxArcs int64, jsonOut bool) {
 		log.Fatalf("-csr: measured max in-degree %d, formula says %d", maxIn, want)
 	}
 
-	// With -json the stats record owns stdout; keep it parseable by
-	// sending the human-readable CSR block to stderr.
-	out := os.Stdout
-	if jsonOut {
-		out = os.Stderr
-	}
 	arcsPerSec := float64(g.NumArcs()) / buildTime.Seconds()
 	fmt.Fprintf(out, "CSR adjacency (two-pass parallel build):\n")
 	fmt.Fprintf(out, "  built in       %v (%.1f M arcs/s)\n", buildTime, arcsPerSec/1e6)

@@ -1,0 +1,56 @@
+package main
+
+import (
+	"encoding/json"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"kronvalid"
+)
+
+// TestJSONOutput builds the command and checks that with -json stdout is
+// one JSON record, whatever else is asked for, and that its name is a
+// spec that rebuilds the product.
+func TestJSONOutput(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "kronstats")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	cmd := exec.Command(bin, "-json", "-vertex", "5", "-csr", "-a", "clique:n=5", "-b", "clique:n=4+loops")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	stdout, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	var rec struct {
+		Name  string `json:"name"`
+		Edges int64  `json:"edges"`
+	}
+	dec := json.NewDecoder(strings.NewReader(string(stdout)))
+	if err := dec.Decode(&rec); err != nil {
+		t.Fatalf("stdout is not JSON: %v\n%s", err, stdout)
+	}
+	if dec.More() {
+		t.Errorf("stdout holds more than the JSON record:\n%s", stdout)
+	}
+	for _, want := range []string{"vertex 5 = (A:1, B:1)", "CSR adjacency"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
+	}
+
+	if rec.Name != "kron(a=clique:n=5;b=clique:n=4+loops)" {
+		t.Errorf("name = %q", rec.Name)
+	}
+	src, err := kronvalid.ParseSource(rec.Name, 0)
+	if err != nil {
+		t.Fatalf("ParseSource(%q): %v", rec.Name, err)
+	}
+	if src.Name() != rec.Name || src.TotalArcs() != rec.Edges {
+		t.Errorf("%s rebuilds %s with %d arcs, record says %d", rec.Name, src.Name(), src.TotalArcs(), rec.Edges)
+	}
+}

@@ -176,10 +176,14 @@ func expEx2(_ int, _ uint64) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	c, err := p.Materialize(1000, 100000)
+	if err != nil {
+		log.Fatal(err)
+	}
 	hist := map[int64]int64{}
-	dc.Materialize().Each(func(r, c int, v int64) bool {
-		if r < c {
-			hist[v]++
+	c.EachArc(func(u, v int32) bool {
+		if d := dc.At(int64(u), int64(v)); u < v && d != 0 {
+			hist[d]++
 		}
 		return true
 	})
@@ -193,10 +197,6 @@ func expEx2(_ int, _ uint64) {
 		fmt.Printf("  Δ=%d: %d edges\n", k, hist[k])
 	}
 
-	c, err := p.Materialize(1000, 100000)
-	if err != nil {
-		log.Fatal(err)
-	}
 	d := truss.Decompose(c)
 	fmt.Println("truss decomposition by direct peeling (paper: 128 in 3-truss, 80 in 4-truss, 0 in 5-truss):")
 	for k := 3; k <= 5; k++ {
@@ -282,11 +282,14 @@ func expCensus(_ int, seed uint64) {
 		kv := ds.Vertex[vts[idx]].Vector()
 		dv := directV.Counts[vts[idx]]
 		vTotal := sparse.SumVec(kv)
-		ke := ds.Edge[ets[idx]].Materialize()
-		eMatch := ke.Equal(directE.Delta[ets[idx]])
+		ke := ds.Edge[ets[idx]]
+		eTotal, err := ke.Total()
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-6s %14d %14d %8v      %-6s %14d %8v\n",
 			vts[idx], vTotal, sparse.SumVec(dv), sparse.EqualVec(kv, dv),
-			ets[idx], ke.Total(), eMatch)
+			ets[idx], eTotal, ke.EqualOnArcs(c, directE.Delta[ets[idx]]))
 	}
 
 	// Labeled: 3 colors on an undirected factor.

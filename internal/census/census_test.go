@@ -1,6 +1,7 @@
 package census
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,14 +123,31 @@ func TestVertexCensusMixedTriangle(t *testing.T) {
 	}
 }
 
+// arcAligned reports whether d is a per-edge statistic of g: one value
+// per arc, 0 at every loop arc.
+func arcAligned(g *graph.Graph, d []int64) bool {
+	if int64(len(d)) != g.NumArcs() {
+		return false
+	}
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		if a := g.ArcIndex(v, v); a >= 0 && d[a] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEdgeCensusAlgebraMatchesEnum(t *testing.T) {
 	g := rng.New(73)
 	for trial := 0; trial < 20; trial++ {
 		gr := randomDirected(g, 5+g.Intn(25), 4, 0.4)
+		if trial%2 == 1 {
+			gr = gr.WithAllLoops()
+		}
 		alg := DirectedEdgeCensus(gr)
 		enum := DirectedEdgeCensusEnum(gr)
 		for _, ty := range AllEdgeTypes() {
-			if !alg.Delta[ty].Equal(enum.Delta[ty]) {
+			if !arcAligned(gr, alg.Delta[ty]) || !slices.Equal(alg.Delta[ty], enum.Delta[ty]) {
 				t.Fatalf("trial %d type %v:\nalgebra\n%v\nenum\n%v",
 					trial, ty, alg.Delta[ty], enum.Delta[ty])
 			}
@@ -143,11 +161,11 @@ func TestEdgeCensusUndirectedReducesToDelta(t *testing.T) {
 		gr := randomUndirected(g, 5+g.Intn(30), 5)
 		c := DirectedEdgeCensus(gr)
 		want := triangle.Count(gr).EdgeDelta
-		if !c.Delta[Ooo].Equal(want) {
+		if !slices.Equal(c.Delta[Ooo], want) {
 			t.Fatalf("trial %d: Δ(ooo) != Δ_A", trial)
 		}
 		for _, ty := range AllEdgeTypes() {
-			if ty != Ooo && c.Delta[ty].NNZ() != 0 {
+			if ty != Ooo && sparse.SumVec(c.Delta[ty]) != 0 {
 				t.Fatalf("trial %d: undirected graph has nonzero %v census", trial, ty)
 			}
 		}
@@ -162,7 +180,7 @@ func TestEdgeCensusDirectedThreeCycle(t *testing.T) {
 		if ty == Pmm {
 			want = 3 // each arc reads the cycle as +--
 		}
-		if got := c.Delta[ty].Total(); got != want {
+		if got := sparse.SumVec(c.Delta[ty]); got != want {
 			t.Errorf("type %v total = %d, want %d", ty, got, want)
 		}
 	}
@@ -182,13 +200,11 @@ func TestEdgeCensusSupportsLieInCorrectParts(t *testing.T) {
 			mask = ad
 		}
 		// Every nonzero of the census must sit on a mask arc.
-		ok := true
-		c.Delta[ty].Each(func(r, cc int, v int64) bool {
-			if mask.At(r, cc) == 0 {
-				ok = false
-				return false
-			}
-			return true
+		ok, a := true, 0
+		gr.EachArc(func(r, cc int32) bool {
+			ok = c.Delta[ty][a] == 0 || mask.At(int(r), int(cc)) != 0
+			a++
+			return ok
 		})
 		if !ok {
 			t.Errorf("type %v has counts off its central part", ty)
@@ -323,10 +339,13 @@ func TestLabeledEdgeCensusMatchesEnum(t *testing.T) {
 	g := rng.New(83)
 	for trial := 0; trial < 15; trial++ {
 		gr := randomLabeled(g, 5+g.Intn(20), 1+g.Intn(3), 4)
+		if trial%2 == 1 {
+			gr = gr.WithAllLoops()
+		}
 		alg := LabeledEdgeCensus(gr)
 		enum := LabeledEdgeCensusEnum(gr)
 		for _, ty := range AllLabelEdgeTypes(gr.NumLabels()) {
-			if !alg[ty].Equal(enum[ty]) {
+			if !arcAligned(gr, alg[ty]) || !slices.Equal(alg[ty], enum[ty]) {
 				t.Fatalf("trial %d type %v:\n%v\nvs\n%v", trial, ty, alg[ty], enum[ty])
 			}
 		}
@@ -337,12 +356,14 @@ func TestLabeledEdgeCensusSumsToDelta(t *testing.T) {
 	g := rng.New(84)
 	gr := randomLabeled(g, 25, 3, 5)
 	alg := LabeledEdgeCensus(gr)
-	sum := sparse.New(gr.NumVertices(), gr.NumVertices())
-	for _, m := range alg {
-		sum = sum.Add(m)
+	sum := make([]int64, gr.NumArcs())
+	for _, d := range alg {
+		for a, x := range d {
+			sum[a] += x
+		}
 	}
 	want := triangle.Count(gr).EdgeDelta
-	if !sum.Equal(want) {
+	if !slices.Equal(sum, want) {
 		t.Fatal("labeled edge census does not sum to Δ_A")
 	}
 }

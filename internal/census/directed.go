@@ -29,15 +29,11 @@ func (c *VertexCensus) TotalPerVertex() []int64 {
 
 // EdgeCensus holds per-edge counts of every directed triangle type.
 type EdgeCensus struct {
-	// Delta[t] is the sparse count matrix for type t: for central-'+'
-	// types the support lies in A_d; for central-'o' types in A_r, with
-	// mirror readings accounted at the opposite arc.
-	Delta [NumEdgeTypes]*sparse.Matrix
-}
-
-// At returns the count of type t at arc (i, j).
-func (c *EdgeCensus) At(t EdgeType, i, j int32) int64 {
-	return c.Delta[t].At(int(i), int(j))
+	// Delta[t] is the count of type t on the arcs of the graph the census
+	// was computed for, 0 on loop arcs: for central-'+' types the support
+	// lies in A_d; for central-'o' types in A_r, with mirror readings
+	// accounted at the opposite arc.
+	Delta [NumEdgeTypes][]int64
 }
 
 // dirParts returns A_d, A_r and transposes for the loop-free version of g.
@@ -126,9 +122,10 @@ func DirectedVertexCensusEnum(g *graph.Graph) *VertexCensus {
 	return &c
 }
 
-// DirectedEdgeCensus computes the 15 per-edge type count matrices using
-// the Def. 11 formulas: Δ(c,d1,d2) = M_c ∘ (X_{d1} · Y_{d2}) with
-// M_+ = A_d, M_o = A_r, X/Y ∈ {A_d, A_d^t, A_r}. Self loops are ignored.
+// DirectedEdgeCensus computes the 15 per-edge type counts using the
+// Def. 11 formulas: Δ(c,d1,d2) = M_c ∘ (X_{d1} · Y_{d2}) with M_+ = A_d,
+// M_o = A_r, X/Y ∈ {A_d, A_d^t, A_r}, each read onto the arcs of g. Self
+// loops are ignored.
 func DirectedEdgeCensus(g *graph.Graph) *EdgeCensus {
 	ad, ar, adt := dirParts(g)
 	x := func(d Dir) *sparse.Matrix {
@@ -151,9 +148,19 @@ func DirectedEdgeCensus(g *graph.Graph) *EdgeCensus {
 		if central {
 			m = ad
 		}
-		c.Delta[t] = m.Hadamard(x(d1).Mul(y(d2)))
+		c.Delta[t] = onArcs(g, m.Hadamard(x(d1).Mul(y(d2))))
 	}
 	return &c
+}
+
+// onArcs reads m, whose support lies on g's arcs, at every arc of g.
+func onArcs(g *graph.Graph, m *sparse.Matrix) []int64 {
+	out := make([]int64, g.NumArcs())
+	m.Each(func(r, c int, v int64) bool {
+		out[g.ArcIndex(int32(r), int32(c))] = v
+		return true
+	})
+	return out
 }
 
 // edgeTypeParts decomposes a canonical edge type into (centralDirected,
@@ -173,50 +180,16 @@ func edgeTypeParts(t EdgeType) (centralDirected bool, d1, d2 Dir) {
 	return name[0] == '+', dirAt(name[1]), dirAt(name[2])
 }
 
-// arcCounts accumulates per-arc tallies in a slice aligned with a
-// graph's CSR arc order — the flat-array replacement for the
-// map[[2]int32]int64 the enumeration censuses used to rebuild per call.
-// Memory is 4·NumArcs bytes per instantiated type (int32 suffices for
-// per-arc triangle counts at the validation scales these reference
-// implementations run at), traded against hash lookups on every record.
-type arcCounts struct {
-	g      *graph.Graph
-	counts []int32
-}
-
-func newArcCounts(g *graph.Graph) *arcCounts {
-	return &arcCounts{g: g, counts: make([]int32, g.NumArcs())}
-}
-
-// inc bumps the count of arc (i, j), which must exist in g.
-func (c *arcCounts) inc(i, j int32) { c.counts[c.g.ArcIndex(i, j)]++ }
-
-// matrix renders the nonzero counts as a sparse matrix, visiting arcs in
-// canonical CSR order.
-func (c *arcCounts) matrix() *sparse.Matrix {
-	n := c.g.NumVertices()
-	var ts []sparse.Triplet
-	idx := 0
-	c.g.EachArc(func(u, v int32) bool {
-		if x := c.counts[idx]; x != 0 {
-			ts = append(ts, sparse.Triplet{Row: int(u), Col: int(v), Val: int64(x)})
-		}
-		idx++
-		return true
-	})
-	return sparse.FromTriplets(n, n, ts)
-}
-
 // DirectedEdgeCensusEnum computes the edge census by triangle enumeration
-// and per-arc classification, the combinatorial reference.
+// and per-arc classification, the combinatorial reference. Self loops are
+// ignored.
 func DirectedEdgeCensusEnum(g *graph.Graph) *EdgeCensus {
-	work := g.WithoutLoops()
-	counts := make([]*arcCounts, NumEdgeTypes)
-	for t := range counts {
-		counts[t] = newArcCounts(work)
+	var c EdgeCensus
+	for t := range c.Delta {
+		c.Delta[t] = make([]int64, g.NumArcs())
 	}
 	dirOf := func(x, y int32) Dir {
-		fwd, bwd := work.HasEdge(x, y), work.HasEdge(y, x)
+		fwd, bwd := g.HasEdge(x, y), g.HasEdge(y, x)
 		switch {
 		case fwd && bwd:
 			return DirUndirected
@@ -236,10 +209,10 @@ func DirectedEdgeCensusEnum(g *graph.Graph) *EdgeCensus {
 		d2 := dirOf(w, j)
 		t, here := CanonicalEdgeReading(central == DirForward, d1, d2)
 		if here {
-			counts[t].inc(i, j)
+			c.Delta[t][g.ArcIndex(i, j)]++
 		}
 	}
-	triangle.EachTriangle(work, func(u, v, w int32) {
+	triangle.EachTriangle(g, func(u, v, w int32) {
 		// Each unordered edge of the triangle, read from both arcs.
 		record(u, v, w)
 		record(v, u, w)
@@ -248,9 +221,5 @@ func DirectedEdgeCensusEnum(g *graph.Graph) *EdgeCensus {
 		record(v, w, u)
 		record(w, v, u)
 	})
-	var c EdgeCensus
-	for t := range counts {
-		c.Delta[t] = counts[t].matrix()
-	}
 	return &c
 }

@@ -142,8 +142,9 @@ func LabeledVertexCensusEnum(g *graph.Graph) map[LabelVertexType][]int64 {
 }
 
 // LabeledEdgeCensus computes per-edge counts of every labeled triangle
-// type via Def. 14: Δ^(q1,q2,q3) = (Π_q2 A Π_q1) ∘ (A Π_q3 A).
-func LabeledEdgeCensus(g *graph.Graph) map[LabelEdgeType]*sparse.Matrix {
+// type via Def. 14: Δ^(q1,q2,q3) = (Π_q2 A Π_q1) ∘ (A Π_q3 A), each read
+// onto the arcs of g. Self loops are ignored.
+func LabeledEdgeCensus(g *graph.Graph) map[LabelEdgeType][]int64 {
 	if !g.IsLabeled() {
 		panic("census: LabeledEdgeCensus requires a labeled graph")
 	}
@@ -157,36 +158,32 @@ func LabeledEdgeCensus(g *graph.Graph) map[LabelEdgeType]*sparse.Matrix {
 	for q := 0; q < L; q++ {
 		pi[q] = g.LabelFilter(int32(q))
 	}
-	out := map[LabelEdgeType]*sparse.Matrix{}
+	out := map[LabelEdgeType][]int64{}
 	for _, t := range AllLabelEdgeTypes(L) {
 		edgePart := pi[t.Q2].Mul(a).Mul(pi[t.Q1])
 		wedgePart := a.Mul(pi[t.Q3]).Mul(a)
-		out[t] = edgePart.Hadamard(wedgePart)
+		out[t] = onArcs(g, edgePart.Hadamard(wedgePart))
 	}
 	return out
 }
 
 // LabeledEdgeCensusEnum is the enumeration-based reference for
 // LabeledEdgeCensus.
-func LabeledEdgeCensusEnum(g *graph.Graph) map[LabelEdgeType]*sparse.Matrix {
+func LabeledEdgeCensusEnum(g *graph.Graph) map[LabelEdgeType][]int64 {
 	if !g.IsLabeled() {
 		panic("census: LabeledEdgeCensusEnum requires a labeled graph")
 	}
-	work := g.WithoutLoops()
-	n := work.NumVertices()
-	counts := map[LabelEdgeType]*arcCounts{}
+	out := map[LabelEdgeType][]int64{}
+	for _, t := range AllLabelEdgeTypes(g.NumLabels()) {
+		out[t] = make([]int64, g.NumArcs())
+	}
 	record := func(i, j, w int32) {
 		// Arc (i,j): Q2 = f(i) (row end), Q1 = f(j) (column end),
 		// Q3 = f(w).
 		t := LabelEdgeType{Q1: g.Label(j), Q2: g.Label(i), Q3: g.Label(w)}
-		c := counts[t]
-		if c == nil {
-			c = newArcCounts(work)
-			counts[t] = c
-		}
-		c.inc(i, j)
+		out[t][g.ArcIndex(i, j)]++
 	}
-	triangle.EachTriangle(work, func(u, v, w int32) {
+	triangle.EachTriangle(g, func(u, v, w int32) {
 		record(u, v, w)
 		record(v, u, w)
 		record(u, w, v)
@@ -194,13 +191,5 @@ func LabeledEdgeCensusEnum(g *graph.Graph) map[LabelEdgeType]*sparse.Matrix {
 		record(v, w, u)
 		record(w, v, u)
 	})
-	out := map[LabelEdgeType]*sparse.Matrix{}
-	for _, t := range AllLabelEdgeTypes(g.NumLabels()) {
-		if c := counts[t]; c != nil {
-			out[t] = c.matrix()
-		} else {
-			out[t] = sparse.FromTriplets(n, n, nil)
-		}
-	}
 	return out
 }

@@ -107,10 +107,12 @@ func ThinToDeltaOne(in *graph.Graph, seed uint64) *graph.Graph {
 			load int64
 		}
 		var cands []cand
-		res.EdgeDelta.Each(func(r, c int, v int64) bool {
-			if r < c && v > 1 {
-				cands = append(cands, cand{int32(r), int32(c), v})
+		a := 0
+		current.EachArc(func(r, c int32) bool {
+			if v := res.EdgeDelta[a]; r < c && v > 1 {
+				cands = append(cands, cand{r, c, v})
 			}
+			a++
 			return true
 		})
 		if len(cands) == 0 {
@@ -170,5 +172,9 @@ func minInt(a, b int) int {
 // the undirected graph participates in (0 for triangle-free graphs) — a
 // quick checker for the Δ ≤ 1 hypothesis.
 func MaxEdgeTriangles(g *graph.Graph) int64 {
-	return triangle.Count(g).EdgeDelta.MaxVal()
+	var most int64
+	for _, d := range triangle.Count(g).EdgeDelta {
+		most = max(most, d)
+	}
+	return most
 }

@@ -68,13 +68,13 @@ func TestHubCycleIsEx2(t *testing.T) {
 	}
 	// Hub edges (0,v) participate in 2 triangles; cycle edges in 1.
 	for v := int32(1); v <= 4; v++ {
-		if got := res.EdgeDelta.At(0, int(v)); got != 2 {
+		if got := res.EdgeDelta[h.ArcIndex(0, v)]; got != 2 {
 			t.Errorf("hub edge (0,%d) Δ = %d, want 2", v, got)
 		}
 	}
-	for v := 1; v <= 4; v++ {
+	for v := int32(1); v <= 4; v++ {
 		next := v%4 + 1
-		if got := res.EdgeDelta.At(v, next); got != 1 {
+		if got := res.EdgeDelta[h.ArcIndex(v, next)]; got != 1 {
 			t.Errorf("cycle edge (%d,%d) Δ = %d, want 1", v, next, got)
 		}
 	}

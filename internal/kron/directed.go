@@ -5,7 +5,6 @@ import (
 
 	"kronvalid/internal/census"
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 )
 
 // DirectedStats holds the Kronecker-derived directed triangle census of
@@ -46,7 +45,7 @@ func DirectedCensus(p *Product) (*DirectedStats, error) {
 		out.Vertex[ty] = pairVec(censusA.Counts[ty], diagB3)
 	}
 	for _, ty := range census.AllEdgeTypes() {
-		out.Edge[ty] = pairMat(edgeA.Delta[ty], hadB)
+		out.Edge[ty] = pairMat(p, edgeA.Delta[ty], hadB)
 	}
 	return out, nil
 }
@@ -56,9 +55,10 @@ func pairVec(u, v []int64) *KronVecSum {
 	return &KronVecSum{Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{u, v}}}, Den: 1}
 }
 
-// pairMat is the one-term statistic M ⊗ N.
-func pairMat(m, n *sparse.Matrix) *KronMatSum {
-	return &KronMatSum{Terms: []MatTerm{{Coef: 1, Mats: []*sparse.Matrix{m, n}}}}
+// pairMat is the one-term statistic M ⊗ N of the two-factor product p, M
+// and N on the arcs of its factors.
+func pairMat(p *Product, m, n []int64) *KronMatSum {
+	return &KronMatSum{Factors: p.Factors, Terms: []MatTerm{{Coef: 1, Arcs: [][]int64{m, n}}}}
 }
 
 // directedDegree returns part(A)'s raw row sums ⊗ d_B, the §IV.B

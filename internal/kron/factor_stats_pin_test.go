@@ -48,7 +48,7 @@ func fnvVec(v []int64) uint64 {
 func TestBenchFactorStatsPinned(t *testing.T) {
 	for _, f := range benchFactors {
 		st := ComputeFactorStats(mustFactor(t, f.spec))
-		got := [4]int64{st.Total, st.WedgeChecks, st.Delta.NNZ(), st.HadSquare.NNZ()}
+		got := [4]int64{st.Total, st.WedgeChecks, nnz(st.Delta), nnz(st.HadSquare)}
 		if want := [4]int64{f.tau, f.wedgeChecks, f.nnzD, f.nnzHad}; got != want {
 			t.Errorf("%s: (τ, wedge checks, nnz Δ, nnz G∘G²) = %v, pinned %v", f.spec, got, want)
 		}

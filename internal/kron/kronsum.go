@@ -3,6 +3,7 @@ package kron
 import (
 	"fmt"
 
+	"kronvalid/internal/graph"
 	"kronvalid/internal/sparse"
 )
 
@@ -103,66 +104,65 @@ func (s *KronVecSum) MustTotal() int64 {
 }
 
 // MatTerm is one signed Kronecker term coef·(M₀ ⊗ M₁ ⊗ … ⊗ M_{k−1}) of an
-// edge-statistic expansion, one matrix per factor.
+// edge-statistic expansion, one matrix per factor, each held as a
+// per-edge statistic of its factor: Arcs[i] has one value per arc of
+// factor i, at the arc's position.
 type MatTerm struct {
 	Coef int64
-	Mats []*sparse.Matrix
+	Arcs [][]int64
 }
 
 // KronMatSum represents an edge statistic of the product graph as
 // Σ_m coef_m (⊗_i M_{m,i}), evaluated lazily per product arc. This is the
 // shape of every per-edge Kronecker formula (Thm. 2, Cor. 2, the general
-// self-loop expansion, Thm. 5, Thm. 7).
+// self-loop expansion, Thm. 5, Thm. 7). Every matrix is supported on its
+// factor's arcs, so the statistic is supported on the product's.
 type KronMatSum struct {
-	Terms []MatTerm
+	Factors []*graph.Graph
+	Terms   []MatTerm
 }
 
-// At evaluates the statistic at product arc (p, q).
+// At evaluates the statistic at product arc (p, q), 0 if (p, q) is not
+// an arc of the product.
 func (s *KronMatSum) At(p, q int64) int64 {
 	var acc int64
 	for _, t := range s.Terms {
-		acc += t.Coef * matAt(t.Mats, p, q)
+		acc += t.Coef * s.termAt(t.Arcs, p, q)
 	}
 	return acc
 }
 
-// matAt returns (⊗_i M_i)[p][q], the product of M_i at the mixed-radix
-// digits of p (over row counts) and q (over column counts).
-func matAt(ms []*sparse.Matrix, p, q int64) int64 {
+// termAt returns (⊗_i M_i)[p][q]: the product of M_i at the arc of factor
+// i joining the mixed-radix digits of p and q, or 0 if a digit pair is no
+// arc.
+func (s *KronMatSum) termAt(ms [][]int64, p, q int64) int64 {
 	prod := int64(1)
 	for i := len(ms) - 1; i >= 0 && prod != 0; i-- {
-		m := ms[i]
-		r, c := p, q
-		if i > 0 {
-			rows, cols := int64(m.Rows()), int64(m.Cols())
-			r, c = p%rows, q%cols
-			p, q = p/rows, q/cols
+		g := s.Factors[i]
+		n := int64(g.NumVertices())
+		a := g.ArcIndex(int32(p%n), int32(q%n))
+		if a < 0 {
+			return 0
 		}
-		prod *= m.At(int(r), int(c))
+		prod *= ms[i][a]
+		p, q = p/n, q/n
 	}
 	return prod
 }
 
-// Materialize builds the explicit statistic matrix via explicit Kronecker
-// products; only for validation-scale products.
-func (s *KronMatSum) Materialize() *sparse.Matrix {
-	if len(s.Terms) == 0 {
-		panic("kron: empty KronMatSum")
-	}
-	var acc *sparse.Matrix
-	for _, t := range s.Terms {
-		m := t.Mats[0]
-		for _, n := range t.Mats[1:] {
-			m = sparse.Kron(m, n)
-		}
-		m = m.Scale(t.Coef)
-		if acc == nil {
-			acc = m
-		} else {
-			acc = acc.Add(m)
+// EqualOnArcs reports whether the statistic equals want at every arc of
+// c, the explicit product (Product.Materialize), where want is a per-edge
+// statistic of c.
+func (s *KronMatSum) EqualOnArcs(c *graph.Graph, want []int64) bool {
+	for u := int32(0); int(u) < c.NumVertices(); u++ {
+		base := c.ArcOffset(u)
+		for k, v := range c.Neighbors(u) {
+			if s.At(int64(u), int64(v)) != want[base+int64(k)] {
+				return false
+			}
 		}
 	}
-	return acc
+	return true
 }
 
 // Total returns the sum of all entries, from factor totals, with overflow
@@ -172,8 +172,8 @@ func (s *KronMatSum) Total() (int64, error) {
 	for _, t := range s.Terms {
 		prod := int64(1)
 		var err error
-		for _, m := range t.Mats {
-			if prod, err = sparse.CheckedMul(prod, m.Total()); err != nil {
+		for _, m := range t.Arcs {
+			if prod, err = sparse.CheckedMul(prod, sparse.SumVec(m)); err != nil {
 				return 0, err
 			}
 		}

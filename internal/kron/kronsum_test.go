@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"kronvalid/internal/graph"
 	"kronvalid/internal/sparse"
 )
 
@@ -100,9 +101,14 @@ func TestKronVecSumMustTotalPanics(t *testing.T) {
 }
 
 func TestKronMatSumAtAndTotal(t *testing.T) {
-	m1 := sparse.FromTriplets(2, 2, []sparse.Triplet{{Row: 0, Col: 1, Val: 3}})
-	n1 := sparse.FromTriplets(2, 2, []sparse.Triplet{{Row: 1, Col: 0, Val: 4}})
-	s := &KronMatSum{Terms: []MatTerm{{Coef: 2, Mats: []*sparse.Matrix{m1, n1}}}}
+	// M = 3 at arc (0,1) of its factor, N = 4 at arc (1,0) of its.
+	s := &KronMatSum{
+		Factors: []*graph.Graph{
+			graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}}, false),
+			graph.FromEdges(2, []graph.Edge{{U: 1, V: 0}}, false),
+		},
+		Terms: []MatTerm{{Coef: 2, Arcs: [][]int64{{3}, {4}}}},
+	}
 	// (p,q) = (0*2+1, 1*2+0) = (1, 2): 2*3*4 = 24.
 	if got := s.At(1, 2); got != 24 {
 		t.Errorf("At = %d, want 24", got)
@@ -117,23 +123,12 @@ func TestKronMatSumAtAndTotal(t *testing.T) {
 	if total != 24 {
 		t.Errorf("Total = %d, want 24", total)
 	}
-	// Materialize equals lazy everywhere.
-	mm := s.Materialize()
-	for p := 0; p < 4; p++ {
-		for q := 0; q < 4; q++ {
-			if mm.At(p, q) != s.At(int64(p), int64(q)) {
-				t.Fatalf("Materialize(%d,%d) != At", p, q)
+	// (1, 2) is the product's one arc: At is 0 at every other pair.
+	for p := int64(0); p < 4; p++ {
+		for q := int64(0); q < 4; q++ {
+			if got := s.At(p, q); got != 0 && (p != 1 || q != 2) {
+				t.Fatalf("At(%d,%d) = %d off the arcs", p, q, got)
 			}
 		}
 	}
-}
-
-func TestKronMatSumEmptyPanics(t *testing.T) {
-	s := &KronMatSum{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty Materialize")
-		}
-	}()
-	s.Materialize()
 }

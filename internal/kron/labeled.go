@@ -44,8 +44,8 @@ func LabeledCensus(p *Product) (*LabeledStats, error) {
 	for ty, vec := range vertexA {
 		out.Vertex[ty] = pairVec(vec, diagB3)
 	}
-	for ty, mat := range edgeA {
-		out.Edge[ty] = pairMat(mat, hadB)
+	for ty, d := range edgeA {
+		out.Edge[ty] = pairMat(p, d, hadB)
 	}
 	return out, nil
 }

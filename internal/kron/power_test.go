@@ -1,6 +1,7 @@
 package kron
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,30 +167,36 @@ func TestMultiTriangleTotalPowerLaw(t *testing.T) {
 	}
 }
 
+// TestMultiEdgeDeltaAgainstDirect: for k = 1, 2 and 3 factors, At is the
+// direct Δ at every arc of the materialized product and 0 at every other
+// vertex pair.
 func TestMultiEdgeDeltaAgainstDirect(t *testing.T) {
 	g := rng.New(73)
 	for trial := 0; trial < 5; trial++ {
 		a := randomUndirected(g, 3+g.Intn(4), 2.5, g.Float64()*0.6)
 		b := randomUndirected(g, 3+g.Intn(4), 2.5, g.Float64()*0.6)
 		c := randomUndirected(g, 3+g.Intn(3), 2.5, g.Float64()*0.6)
-		p := MustProduct(a, b, c)
-		dc, err := EdgeParticipation(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cg, err := p.Materialize(100000, 10_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := triangle.Count(cg).EdgeDelta
-		if !dc.Materialize().Equal(want) {
-			t.Fatalf("trial %d: materialized k-fold Δ_C disagrees with direct count", trial)
-		}
-		n := p.NumVertices()
-		for s := 0; s < 200; s++ {
-			u, v := g.Int64n(n), g.Int64n(n)
-			if dc.At(u, v) != want.At(int(u), int(v)) {
-				t.Fatalf("trial %d: Δ(%d,%d) = %d, direct %d", trial, u, v, dc.At(u, v), want.At(int(u), int(v)))
+		for _, p := range []*Product{MustProduct(a), MustProduct(a, b), MustProduct(a, b, c)} {
+			dc, err := EdgeParticipation(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cg, err := p.Materialize(100000, 10_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := triangle.Count(cg).EdgeDelta
+			n := p.NumVertices()
+			for u := int64(0); u < n; u++ {
+				for v := int64(0); v < n; v++ {
+					var w int64
+					if a := cg.ArcIndex(int32(u), int32(v)); a >= 0 {
+						w = want[a]
+					}
+					if got := dc.At(u, v); got != w {
+						t.Fatalf("trial %d, k=%d: Δ(%d,%d) = %d, direct %d", trial, p.K(), u, v, got, w)
+					}
+				}
 			}
 		}
 	}
@@ -262,7 +269,11 @@ func TestQuickMultiMatchesBinaryParticipation(t *testing.T) {
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return false
 		}
-		return sparse.EqualVec(tm.Vector(), tb.Vector()) && dm.Materialize().Equal(db.Materialize())
+		cg, err := multi.Materialize(1<<20, 1<<24)
+		if err != nil {
+			return false
+		}
+		return sparse.EqualVec(tm.Vector(), tb.Vector()) && slices.Equal(arcValues(dm, cg), arcValues(db, cg))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/triangle"
 )
 
@@ -14,40 +13,44 @@ import (
 // reads it, which is the "inline with generation" workflow of the paper:
 // ground truth for C costs one triangle count on each factor.
 //
-// The vectors and matrices are shared by every statistic built from them
-// and must not be modified.
+// Each per-edge quantity is a per-edge statistic of G (package triangle):
+// one value per arc of G, at the arc's position. The vectors are shared by
+// every statistic built from them and must not be modified.
 type FactorTriangleStats struct {
 	G *graph.Graph
 	// T is t_G: triangle participation per vertex of the loop-free
 	// version (Def. 5).
 	T []int64
-	// Delta is Δ_G = (G-I∘G) ∘ (G-I∘G)² (Def. 6).
-	Delta *sparse.Matrix
+	// Delta is Δ_G = (G-I∘G) ∘ (G-I∘G)² (Def. 6) on G's arcs.
+	Delta []int64
 	// DiagCube is diag(G³) including self-loop walks, the quantity
-	// appearing in Cor. 1, Thm. 4, and Thm. 6.
+	// appearing in Cor. 1, Thm. 4, and Thm. 6: the row sums of HadSquare.
 	DiagCube []int64
-	// HadSquare is G ∘ G², the edge-side analog (Cor. 2, Thm. 5, Thm. 7).
-	HadSquare *sparse.Matrix
+	// HadSquare is G ∘ G² on G's arcs, the edge-side analog (Cor. 2,
+	// Thm. 5, Thm. 7).
+	HadSquare []int64
 	// Total is τ(G) of the loop-free version.
 	Total int64
 	// WedgeChecks records the cost of the combinatorial triangle pass,
 	// which is the whole superlinear cost of these statistics.
 	WedgeChecks int64
 
-	// The loop terms of the general §III.B and §III.C expansions, all
-	// zero for a loop-free factor. D = I∘G is the self-loop part of G.
-	loopDiag  []int64        // diag(D), the loop indicator s
-	diagSqD   []int64        // diag(G²D)
-	diagGDG   []int64        // diag(G D G)
-	loopPart  *sparse.Matrix // D
-	loopRows  *sparse.Matrix // D G
-	loopCols  *sparse.Matrix // G D
-	loopHadSq *sparse.Matrix // D ∘ G²
+	// The loop terms of the general §III.B and §III.C expansions. D = I∘G
+	// is the self-loop part of G. The vertex terms are zero and the
+	// per-edge terms nil for a loop-free factor, whose loop terms enter
+	// no expansion.
+	loopDiag  []int64 // diag(D), the loop indicator s
+	diagSqD   []int64 // diag(G²D)
+	diagGDG   []int64 // diag(G D G)
+	loopPart  []int64 // D
+	loopRows  []int64 // D G
+	loopCols  []int64 // G D
+	loopHadSq []int64 // D ∘ G²
 }
 
 // ComputeFactorStats runs the triangle engine once on g and reads every
-// other quantity off its result and g's loop indicator s in three passes
-// over the arcs. G² is never formed: for symmetric 0/1 G with raw degree r
+// other quantity off its result and g's loop indicator s in one pass over
+// the arcs. G² is never formed: for symmetric 0/1 G with raw degree r
 // (row sum, loop included),
 //
 //	(G∘G²)_ij  = Δ_ij + s_i + s_j  (i ≠ j),   (G∘G²)_ii = s_i·r_i,
@@ -60,68 +63,53 @@ type FactorTriangleStats struct {
 // It panics if g is not symmetric.
 func ComputeFactorStats(g *graph.Graph) *FactorTriangleStats {
 	res := triangle.Count(g)
-	n := g.NumVertices()
+	n, m := g.NumVertices(), g.NumArcs()
 	s, sr := make([]int64, n), make([]int64, n) // s_i and s_i·r_i
+	loops := false
 	for v := range s {
 		if g.LoopAt(int32(v)) {
-			s[v], sr[v] = 1, g.OutDegreeRaw(int32(v))
+			s[v], sr[v], loops = 1, g.OutDegreeRaw(int32(v)), true
 		}
 	}
 	st := &FactorTriangleStats{
 		G:           g,
 		T:           res.PerVertex,
 		Delta:       res.EdgeDelta,
+		DiagCube:    make([]int64, n),
+		HadSquare:   make([]int64, m),
 		Total:       res.Total,
 		WedgeChecks: res.WedgeChecks,
 		loopDiag:    s,
 		diagSqD:     sr,
-		loopPart:    sparse.DiagMatrix(s),
-		loopHadSq:   sparse.DiagMatrix(sr),
+		diagGDG:     make([]int64, n),
 	}
-	st.HadSquare = arcMatrix(g, res.EdgeDelta, func(i, j int32, dij int64) int64 {
-		if i == j {
-			return sr[i]
+	if loops {
+		st.loopPart, st.loopRows, st.loopCols, st.loopHadSq =
+			make([]int64, m), make([]int64, m), make([]int64, m), make([]int64, m)
+	}
+	for i := int32(0); int(i) < n; i++ {
+		base := g.ArcOffset(i)
+		for k, j := range g.Neighbors(i) {
+			a := base + int64(k)
+			h := res.EdgeDelta[a] + s[i] + s[j]
+			if i == j {
+				h = sr[i]
+			}
+			st.HadSquare[a] = h
+			st.DiagCube[i] += h
+			if loops {
+				st.loopRows[a], st.loopCols[a] = s[i], s[j]
+				st.diagGDG[i] += s[j]
+				if i == j {
+					st.loopPart[a], st.loopHadSq[a] = 1, sr[i]
+				}
+			}
 		}
-		return dij + s[i] + s[j]
-	})
-	st.DiagCube = st.HadSquare.RowSums()
-	st.loopRows, st.loopCols = sparse.New(n, n), sparse.New(n, n)
-	if st.hasLoops() {
-		st.loopRows = arcMatrix(g, res.EdgeDelta, func(i, _ int32, _ int64) int64 { return s[i] })
-		st.loopCols = arcMatrix(g, res.EdgeDelta, func(_, j int32, _ int64) int64 { return s[j] })
 	}
-	st.diagGDG = st.loopCols.RowSums()
 	return st
 }
 
-// arcMatrix returns the matrix holding val(i, j, Δ_ij) at every arc (i, j)
-// of g, zeros dropped. Δ_ij is read by position, not searched: each row of
-// g is walked against the same row of delta, whose columns are a subset
-// of g's.
-func arcMatrix(g *graph.Graph, delta *sparse.Matrix, val func(i, j int32, dij int64) int64) *sparse.Matrix {
-	n := g.NumVertices()
-	rowPtr := make([]int64, n+1)
-	colIdx, vals := make([]int32, 0, g.NumArcs()), make([]int64, 0, g.NumArcs())
-	for i := int32(0); int(i) < n; i++ {
-		dc, dv := delta.Row(int(i))
-		k := 0
-		for _, j := range g.Neighbors(i) {
-			var dij int64
-			if k < len(dc) && dc[k] == j {
-				dij = dv[k]
-				k++
-			}
-			if v := val(i, j, dij); v != 0 {
-				colIdx = append(colIdx, j)
-				vals = append(vals, v)
-			}
-		}
-		rowPtr[i+1] = int64(len(colIdx))
-	}
-	return sparse.NewCSR(n, n, rowPtr, colIdx, vals)
-}
-
-func (s *FactorTriangleStats) hasLoops() bool { return s.loopPart.NNZ() != 0 }
+func (s *FactorTriangleStats) hasLoops() bool { return s.loopPart != nil }
 
 // allLoops reports whether every factor has a loop: D_C = ⊗D_i is
 // nonzero, and the loop terms of the expansions present, only then.
@@ -143,11 +131,11 @@ func vecTerm(coef int64, stats []*FactorTriangleStats, pick func(*FactorTriangle
 	return t
 }
 
-// matTerm is the term coef·⊗_i pick(stats_i).
-func matTerm(coef int64, stats []*FactorTriangleStats, pick func(*FactorTriangleStats) *sparse.Matrix) MatTerm {
-	t := MatTerm{Coef: coef, Mats: make([]*sparse.Matrix, len(stats))}
+// matTerm is the term coef·⊗_i pick(stats_i) over the factors' arcs.
+func matTerm(coef int64, stats []*FactorTriangleStats, pick func(*FactorTriangleStats) []int64) MatTerm {
+	t := MatTerm{Coef: coef, Arcs: make([][]int64, len(stats))}
 	for i, st := range stats {
-		t.Mats[i] = pick(st)
+		t.Arcs[i] = pick(st)
 	}
 	return t
 }
@@ -196,15 +184,15 @@ func EdgeParticipation(p *Product) (*KronMatSum, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := &KronMatSum{Terms: []MatTerm{
-		matTerm(1, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.HadSquare }),
+	sum := &KronMatSum{Factors: p.Factors, Terms: []MatTerm{
+		matTerm(1, stats, func(s *FactorTriangleStats) []int64 { return s.HadSquare }),
 	}}
 	if allLoops(stats) {
 		sum.Terms = append(sum.Terms,
-			matTerm(-1, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.loopRows }),
-			matTerm(-1, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.loopCols }),
-			matTerm(2, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.loopPart }),
-			matTerm(-1, stats, func(s *FactorTriangleStats) *sparse.Matrix { return s.loopHadSq }),
+			matTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopRows }),
+			matTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopCols }),
+			matTerm(2, stats, func(s *FactorTriangleStats) []int64 { return s.loopPart }),
+			matTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopHadSq }),
 		)
 	}
 	return sum, nil

@@ -3,7 +3,6 @@ package kron
 import (
 	"errors"
 
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/truss"
 )
 
@@ -14,11 +13,12 @@ import (
 //	(p,q) ∈ T^(κ)_C  ⇔  (i,j) ∈ T^(κ)_A and (k,l) ∈ T^(3)_B,
 //
 // so the trussness of every edge of C is read off the decomposition of A
-// and the 0/1 matrix Δ_B.
+// and the 0/1 statistic Δ_B on B's arcs.
 type ProductTruss struct {
 	p      *Product
 	trussA *truss.Decomposition
-	deltaB *sparse.Matrix
+	deltaB []int64
+	b3     int64 // undirected edges of B in a triangle: Σ Δ_B / 2
 }
 
 // TrussDecomposition validates Thm. 3's hypotheses and returns the
@@ -35,13 +35,18 @@ func TrussDecomposition(p *Product) (*ProductTruss, error) {
 		return nil, errors.New("kron: Thm. 3 requires loop-free factors")
 	}
 	sb := p.memos[1].get()
-	if sb.Delta.MaxVal() > 1 {
-		return nil, errors.New("kron: Thm. 3 requires Δ_B ≤ 1 (every edge of B in at most one triangle)")
+	var arcs3 int64
+	for _, d := range sb.Delta {
+		if d > 1 {
+			return nil, errors.New("kron: Thm. 3 requires Δ_B ≤ 1 (every edge of B in at most one triangle)")
+		}
+		arcs3 += d
 	}
 	return &ProductTruss{
 		p:      p,
 		trussA: truss.Decompose(a),
 		deltaB: sb.Delta,
+		b3:     arcs3 / 2,
 	}, nil
 }
 
@@ -54,7 +59,7 @@ func (t *ProductTruss) EdgeTruss(u, v int64) int {
 	}
 	i, k := t.p.digit(u, 0), t.p.digit(u, 1)
 	j, l := t.p.digit(v, 0), t.p.digit(v, 1)
-	if t.deltaB.At(int(k), int(l)) == 0 {
+	if t.deltaB[t.p.Factors[1].ArcIndex(k, l)] == 0 {
 		return 2 // the product edge closes no triangle
 	}
 	// Δ_C(u,v) = Δ_A(i,j)·1; peeling proceeds in lockstep with A.
@@ -68,7 +73,7 @@ func (t *ProductTruss) EdgeTruss(u, v int64) int {
 // MaxK returns the largest κ with a non-empty κ-truss in C: MaxK(A) when
 // B has any triangle, else 2.
 func (t *ProductTruss) MaxK() int {
-	if t.deltaB.NNZ() == 0 {
+	if t.b3 == 0 {
 		return 2
 	}
 	return t.trussA.MaxK
@@ -82,11 +87,8 @@ func (t *ProductTruss) MaxK() int {
 // undirected product edge arises from exactly two (arcA, arcB) pairings).
 func (t *ProductTruss) TrussSizes() map[int]int64 {
 	out := map[int]int64{}
-	// Undirected triangle-edge count of B: nnz(Δ_B)/2 since Δ_B is
-	// symmetric with zero diagonal and entries exactly 1 here.
-	b3 := t.deltaB.NNZ() / 2
 	for k := 3; k <= t.trussA.MaxK; k++ {
-		out[k] = int64(len(t.trussA.KTrussEdges(k))) * 2 * b3
+		out[k] = int64(len(t.trussA.KTrussEdges(k))) * 2 * t.b3
 	}
 	return out
 }

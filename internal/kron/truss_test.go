@@ -102,11 +102,11 @@ func TestEx2HubCycleStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := materialize(t, p)
 	hist := map[int64]int64{}
-	m := dc.Materialize()
-	m.Each(func(r, c int, v int64) bool {
-		if r < c {
-			hist[v]++
+	c.EachArc(func(u, v int32) bool {
+		if u < v {
+			hist[dc.At(int64(u), int64(v))]++
 		}
 		return true
 	})
@@ -115,7 +115,6 @@ func TestEx2HubCycleStructure(t *testing.T) {
 	}
 	// Truss structure of C is richer than any Kronecker formula (the
 	// paper's point): direct peeling gives 128 / 80 / 0.
-	c := materialize(t, p)
 	d := truss.Decompose(c)
 	if got := len(d.KTrussEdges(3)); got != 128 {
 		t.Errorf("|T^(3)| = %d, want 128", got)

@@ -15,7 +15,7 @@ func NewDense(r, c int) *Dense {
 
 // DenseFrom converts a sparse matrix to dense.
 func DenseFrom(m *Matrix) *Dense {
-	d := NewDense(m.Rows(), m.Cols())
+	d := NewDense(m.Rows(), m.cols)
 	m.Each(func(r, c int, v int64) bool {
 		d.V[r*d.C+c] = v
 		return true

@@ -45,7 +45,7 @@ func TestRowSumsEqualsMulOnes(t *testing.T) {
 	m := randomMatrix(g, 40, 25, 0.2, 7)
 	// mulOnes is A·1 as a sparse product with the all-ones column.
 	mulOnes := func(a *Matrix) []int64 {
-		ones := make([][]int64, a.Cols())
+		ones := make([][]int64, a.cols)
 		for i := range ones {
 			ones[i] = []int64{1}
 		}
@@ -114,7 +114,7 @@ func TestMulDimensionPanic(t *testing.T) {
 			t.Fatal("expected dimension panic")
 		}
 	}()
-	New(2, 3).Mul(New(2, 3))
+	FromTriplets(2, 3, nil).Mul(FromTriplets(2, 3, nil))
 }
 
 func BenchmarkSpGEMM(b *testing.B) {

@@ -9,7 +9,7 @@
 // integer arithmetic is the point of the whole exercise. Arithmetic that
 // could overflow int64 is guarded (see CheckedMul in value.go).
 //
-// The zero value of Matrix is not useful; construct with New, FromTriplets,
+// The zero value of Matrix is not useful; construct with FromTriplets,
 // FromDense, Identity, or the graph package's conversions.
 package sparse
 
@@ -28,14 +28,6 @@ type Matrix struct {
 	rowPtr     []int64 // len rows+1; rowPtr[r]..rowPtr[r+1] index colIdx/val
 	colIdx     []int32
 	val        []int64
-}
-
-// New returns an empty rows x cols matrix (all zeros).
-func New(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic("sparse: negative dimension")
-	}
-	return &Matrix{rows: rows, cols: cols, rowPtr: make([]int64, rows+1)}
 }
 
 // NewCSR wraps raw CSR arrays. It validates structure and panics on
@@ -81,9 +73,6 @@ func (m *Matrix) check() error {
 
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // NNZ returns the number of stored (nonzero) entries.
 func (m *Matrix) NNZ() int64 { return m.rowPtr[m.rows] }

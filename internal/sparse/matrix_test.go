@@ -47,8 +47,8 @@ func TestFromTripletsBasics(t *testing.T) {
 	m := FromTriplets(3, 4, []Triplet{
 		{0, 1, 5}, {2, 3, -2}, {0, 1, 3}, {1, 0, 7}, {2, 2, 4}, {2, 2, -4},
 	})
-	if m.Rows() != 3 || m.Cols() != 4 {
-		t.Fatalf("dims = %dx%d", m.Rows(), m.Cols())
+	if m.Rows() != 3 || m.cols != 4 {
+		t.Fatalf("dims = %dx%d", m.Rows(), m.cols)
 	}
 	if m.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3 (duplicates summed, zeros dropped)", m.NNZ())

@@ -115,18 +115,6 @@ func (m *Matrix) Hadamard(n *Matrix) *Matrix {
 	return &Matrix{rows: m.rows, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
-// Scale returns a*m. Scaling by 0 returns the zero matrix.
-func (m *Matrix) Scale(a int64) *Matrix {
-	if a == 0 {
-		return New(m.rows, m.cols)
-	}
-	out := m.Clone()
-	for i := range out.val {
-		out.val[i] *= a
-	}
-	return out
-}
-
 // Diag returns the main diagonal as a vector (the paper's diag(A) =
 // (I ∘ A)·1). Panics if the matrix is not square.
 func (m *Matrix) Diag() []int64 {
@@ -201,15 +189,4 @@ func (m *Matrix) Trace() int64 {
 		s += m.At(r, r)
 	}
 	return s
-}
-
-// MaxVal returns the maximum stored value, or 0 for an empty matrix.
-func (m *Matrix) MaxVal() int64 {
-	var mx int64
-	for _, v := range m.val {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
 }

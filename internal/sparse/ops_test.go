@@ -54,17 +54,6 @@ func TestSubSelfIsZero(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	m := FromTriplets(2, 2, []Triplet{{0, 0, 3}, {1, 1, -2}})
-	s := m.Scale(4)
-	if s.At(0, 0) != 12 || s.At(1, 1) != -8 {
-		t.Errorf("Scale wrong: %v", s)
-	}
-	if !m.Scale(0).IsZero() {
-		t.Error("Scale(0) not zero")
-	}
-}
-
 func TestDiagOperators(t *testing.T) {
 	m := FromTriplets(3, 3, []Triplet{{0, 0, 2}, {0, 1, 5}, {1, 1, 3}, {2, 0, 4}})
 	d := m.Diag()
@@ -97,16 +86,6 @@ func TestTrace(t *testing.T) {
 	m := FromTriplets(3, 3, []Triplet{{0, 0, 2}, {1, 1, 3}, {0, 1, 100}})
 	if m.Trace() != 5 {
 		t.Errorf("Trace = %d, want 5", m.Trace())
-	}
-}
-
-func TestMaxVal(t *testing.T) {
-	if New(3, 3).MaxVal() != 0 {
-		t.Error("MaxVal of zero matrix")
-	}
-	m := FromTriplets(2, 2, []Triplet{{0, 0, 3}, {1, 0, 9}})
-	if m.MaxVal() != 9 {
-		t.Errorf("MaxVal = %d", m.MaxVal())
 	}
 }
 

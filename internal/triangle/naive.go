@@ -17,24 +17,23 @@ func CountNodeIterator(g *graph.Graph) *Result {
 	if !g.IsSymmetric() {
 		panic("triangle: CountNodeIterator requires an undirected graph")
 	}
-	work := g.WithoutLoops()
-	n := work.NumVertices()
+	n := g.NumVertices()
 	perVertex := make([]int64, n)
-	deltaVals := make([]int64, work.NumArcs())
+	deltaVals := make([]int64, g.NumArcs())
 	var wedges, total atomic.Int64
-	arcIndex := work.ArcIndex
+	arcIndex := g.ArcIndex
 
 	par.ForDynamic(int64(n), 32, func(vi int64) {
 		v := int32(vi)
-		nb := work.Neighbors(v)
+		nb := g.Neighbors(v)
 		var localWedges, localTri int64
 		for i := 0; i < len(nb); i++ {
 			if nb[i] <= v {
-				continue // count each triangle at its smallest-id vertex
+				continue // count each triangle at its smallest-id vertex; skips the loop
 			}
 			for j := i + 1; j < len(nb); j++ {
 				localWedges++
-				if work.HasEdge(nb[i], nb[j]) {
+				if g.HasEdge(nb[i], nb[j]) {
 					localTri++
 					u, w := nb[i], nb[j]
 					atomic.AddInt64(&perVertex[v], 1)
@@ -54,7 +53,7 @@ func CountNodeIterator(g *graph.Graph) *Result {
 	})
 	return &Result{
 		PerVertex:   perVertex,
-		EdgeDelta:   deltaMatrix(work, deltaVals),
+		EdgeDelta:   deltaVals,
 		Total:       total.Load(),
 		WedgeChecks: wedges.Load(),
 	}

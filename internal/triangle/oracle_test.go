@@ -9,11 +9,19 @@ import (
 	"kronvalid/internal/sparse"
 )
 
+// oracleResult is the retained engine's result: Result with Δ as a
+// matrix.
+type oracleResult struct {
+	PerVertex          []int64
+	EdgeDelta          *sparse.Matrix
+	Total, WedgeChecks int64
+}
+
 // countOracle is the pre-slot forward engine, retained as the oracle of
 // TestCountMatchesOracle: vertex-id forward lists sorted by rank, nine
 // atomic increments and six arc searches per triangle, Δ assembled from
 // triplets.
-func countOracle(g *graph.Graph) *Result {
+func countOracle(g *graph.Graph) *oracleResult {
 	if !g.IsSymmetric() {
 		panic("triangle: Count requires an undirected (symmetric) graph")
 	}
@@ -92,7 +100,7 @@ func countOracle(g *graph.Graph) *Result {
 		total.Add(localTri)
 	})
 
-	return &Result{
+	return &oracleResult{
 		PerVertex:   perVertex,
 		EdgeDelta:   oracleDeltaMatrix(work, deltaVals),
 		Total:       total.Load(),

@@ -15,6 +15,10 @@
 //
 // Self loops never participate in triangles (Def. 5 and Def. 6 strip the
 // diagonal); the package ignores them.
+//
+// A per-edge statistic of a graph g, here and in every package that
+// consumes one, is a []int64 of length g.NumArcs() indexed by arc
+// position (the index g.ArcIndex returns), zeros stored.
 package triangle
 
 import (
@@ -30,9 +34,9 @@ type Result struct {
 	// PerVertex is t_A: the number of triangles each vertex participates
 	// in.
 	PerVertex []int64
-	// EdgeDelta is Δ_A: a symmetric matrix whose (i,j) entry is the
-	// number of triangles containing edge (i,j). The diagonal is zero.
-	EdgeDelta *sparse.Matrix
+	// EdgeDelta is Δ_A on the arcs of the input graph: EdgeDelta[a] is
+	// the number of triangles containing arc a, 0 on loop arcs.
+	EdgeDelta []int64
 	// Total is τ(A), the number of distinct triangles.
 	Total int64
 	// WedgeChecks counts sorted-intersection comparisons performed, the
@@ -49,7 +53,8 @@ func Count(g *graph.Graph) *Result {
 		panic("triangle: Count requires an undirected (symmetric) graph")
 	}
 	// arcVal holds, per arc of g, first the slot of its edge (set by
-	// newForward at the arc leaving the higher-ranked end), then its Δ.
+	// newForward at the arc leaving the higher-ranked end), then its Δ:
+	// it is EdgeDelta.
 	arcVal := make([]int64, g.NumArcs())
 	f := newForward(g, arcVal)
 	n := len(f.order)
@@ -66,7 +71,9 @@ func Count(g *graph.Graph) *Result {
 	// A reverse-arc cursor per vertex pairs each arc u→v (u < v) with
 	// v→u: the rows are sorted, so visiting u in increasing order meets
 	// the entries of v's row below v in order. One arc of each pair
-	// carries the slot; both receive its count.
+	// carries the slot; both receive its count, and both ends half of
+	// t_v = ½ Σ_w Δ_vw.
+	perVertex := make([]int64, n)
 	rev := make([]int64, n)
 	for v := range rev {
 		rev[v] = g.ArcOffset(int32(v))
@@ -85,17 +92,17 @@ func Count(g *graph.Graph) *Result {
 			}
 			c := int64(cnt[s].Load())
 			arcVal[a], arcVal[b] = c, c
+			perVertex[u] += c
+			perVertex[v] += c
 		}
 	}
-	delta := deltaMatrix(g, arcVal)
-	perVertex := delta.RowSums() // Δ·1 = 2t
 	for v := range perVertex {
 		perVertex[v] /= 2
 	}
 	return &Result{
 		PerVertex:   perVertex,
-		EdgeDelta:   delta,
-		Total:       TotalFromEdgeDelta(delta),
+		EdgeDelta:   arcVal,
+		Total:       TotalFromEdgeDelta(arcVal),
 		WedgeChecks: wedges.Load(),
 	}
 }
@@ -190,24 +197,6 @@ func (f *forward) triangles(r int64, hit func(uv, uw, vw int64)) int64 {
 	return checks
 }
 
-// deltaMatrix assembles the Δ matrix from per-arc counts aligned with g's
-// adjacency order, zeros dropped, row by row.
-func deltaMatrix(g *graph.Graph, vals []int64) *sparse.Matrix {
-	n := g.NumVertices()
-	rowPtr := make([]int64, n+1)
-	colIdx, nz := make([]int32, 0, len(vals)), make([]int64, 0, len(vals))
-	for u := int32(0); int(u) < n; u++ {
-		base := g.ArcOffset(u)
-		for k, v := range g.Neighbors(u) {
-			if x := vals[base+int64(k)]; x != 0 {
-				colIdx, nz = append(colIdx, v), append(nz, x)
-			}
-		}
-		rowPtr[u+1] = int64(len(colIdx))
-	}
-	return sparse.NewCSR(n, n, rowPtr, colIdx, nz)
-}
-
 // EachTriangle enumerates every triangle of the undirected version of g
 // exactly once, calling fn(u, v, w) with three distinct vertices (order
 // unspecified but deterministic). Self loops are ignored. Enumeration is
@@ -234,9 +223,10 @@ func TotalFromPerVertex(t []int64) int64 {
 	return s / 3
 }
 
-// TotalFromEdgeDelta recovers τ = (1/6)·Σ_{ij} Δ_ij for a symmetric Δ.
-func TotalFromEdgeDelta(d *sparse.Matrix) int64 {
-	s := d.Total()
+// TotalFromEdgeDelta recovers τ = (1/6)·Σ_{ij} Δ_ij from Δ on the arcs
+// of an undirected graph.
+func TotalFromEdgeDelta(d []int64) int64 {
+	s := sparse.SumVec(d)
 	if s%6 != 0 {
 		panic("triangle: edge-delta sum not divisible by 6")
 	}
@@ -244,14 +234,13 @@ func TotalFromEdgeDelta(d *sparse.Matrix) int64 {
 }
 
 // LocalClusteringCoefficients returns the per-vertex local clustering
-// coefficient 2·t_v / (d_v·(d_v-1)) of the undirected loop-free graph,
-// one of the paper's motivating downstream statistics.
+// coefficient 2·t_v / (d_v·(d_v-1)) of the undirected graph, self loops
+// ignored, one of the paper's motivating downstream statistics.
 func LocalClusteringCoefficients(g *graph.Graph) []float64 {
 	res := Count(g)
-	work := g.WithoutLoops()
 	out := make([]float64, g.NumVertices())
 	for v := range out {
-		d := work.OutDegreeRaw(int32(v))
+		d := g.Degree(int32(v))
 		if d >= 2 {
 			out[v] = 2 * float64(res.PerVertex[v]) / float64(d*(d-1))
 		}
@@ -262,10 +251,9 @@ func LocalClusteringCoefficients(g *graph.Graph) []float64 {
 // GlobalClusteringCoefficient returns 3τ / #wedges (transitivity).
 func GlobalClusteringCoefficient(g *graph.Graph) float64 {
 	res := Count(g)
-	work := g.WithoutLoops()
 	var wedges int64
-	for v := 0; v < work.NumVertices(); v++ {
-		d := work.OutDegreeRaw(int32(v))
+	for v := 0; v < g.NumVertices(); v++ {
+		d := g.Degree(int32(v))
 		wedges += d * (d - 1) / 2
 	}
 	if wedges == 0 {

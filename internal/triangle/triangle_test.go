@@ -2,6 +2,7 @@ package triangle
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +59,22 @@ func bruteForce(gr *graph.Graph) (t []int64, delta *sparse.Matrix, total int64) 
 	return t, delta, total
 }
 
+// onArcs reports whether d is a per-edge statistic of g equal to m: one
+// value per arc, m's entry at every arc, 0 at every loop arc, and no mass
+// of the nonnegative m off the arcs.
+func onArcs(g *graph.Graph, d []int64, m *sparse.Matrix) bool {
+	if int64(len(d)) != g.NumArcs() || sparse.SumVec(d) != m.Total() {
+		return false
+	}
+	a, ok := 0, true
+	g.EachArc(func(u, v int32) bool {
+		ok = d[a] == m.At(int(u), int(v)) && (u != v || d[a] == 0)
+		a++
+		return ok
+	})
+	return ok
+}
+
 // algebraic computes t_A = ½ diag(A'^3) and Δ_A = A' ∘ A'^2 with A' the
 // loop-free adjacency — the paper's Def. 5 / Def. 6 written in matrices.
 func algebraic(gr *graph.Graph) (t []int64, delta *sparse.Matrix) {
@@ -84,7 +101,7 @@ func TestCountAgainstBruteForce(t *testing.T) {
 		if !sparse.EqualVec(res.PerVertex, wantT) {
 			t.Fatalf("trial %d: PerVertex = %v, want %v", trial, res.PerVertex, wantT)
 		}
-		if !res.EdgeDelta.Equal(wantD) {
+		if !onArcs(gr, res.EdgeDelta, wantD) {
 			t.Fatalf("trial %d: EdgeDelta mismatch:\n%v\nvs\n%v", trial, res.EdgeDelta, wantD)
 		}
 		if res.Total != wantTotal {
@@ -103,7 +120,7 @@ func TestCountAgainstAlgebraic(t *testing.T) {
 		if !sparse.EqualVec(res.PerVertex, wantT) {
 			t.Fatalf("trial %d: per-vertex disagrees with ½diag(A³)", trial)
 		}
-		if !res.EdgeDelta.Equal(wantD) {
+		if !onArcs(gr, res.EdgeDelta, wantD) {
 			t.Fatalf("trial %d: edge delta disagrees with A∘A²", trial)
 		}
 	}
@@ -131,15 +148,14 @@ func TestCountClique(t *testing.T) {
 		if res.Total != wantTotal {
 			t.Errorf("K_%d: total = %d, want %d", n, res.Total, wantTotal)
 		}
-		res.EdgeDelta.Each(func(r, c int, v int64) bool {
+		for a, v := range res.EdgeDelta {
 			if v != nn-2 {
-				t.Errorf("K_%d: Δ(%d,%d) = %d, want %d", n, r, c, v, nn-2)
-				return false
+				t.Errorf("K_%d: Δ at arc %d = %d, want %d", n, a, v, nn-2)
+				break
 			}
-			return true
-		})
-		if res.EdgeDelta.NNZ() != nn*(nn-1) {
-			t.Errorf("K_%d: Δ nnz = %d", n, res.EdgeDelta.NNZ())
+		}
+		if int64(len(res.EdgeDelta)) != nn*(nn-1) {
+			t.Errorf("K_%d: Δ has %d arcs", n, len(res.EdgeDelta))
 		}
 	}
 }
@@ -148,7 +164,7 @@ func TestCountTriangleFree(t *testing.T) {
 	// Even cycle C_6 has no triangles.
 	gr := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 0}}, true)
 	res := Count(gr)
-	if res.Total != 0 || sparse.SumVec(res.PerVertex) != 0 || res.EdgeDelta.NNZ() != 0 {
+	if res.Total != 0 || sparse.SumVec(res.PerVertex) != 0 || sparse.SumVec(res.EdgeDelta) != 0 {
 		t.Fatal("C_6 should be triangle-free")
 	}
 }
@@ -159,9 +175,16 @@ func TestSelfLoopsDoNotCreateTriangles(t *testing.T) {
 		gr := randomUndirected(g, 20, 4, false)
 		withLoops := gr.WithAllLoops()
 		a, b := Count(gr), Count(withLoops)
-		if a.Total != b.Total || !sparse.EqualVec(a.PerVertex, b.PerVertex) || !a.EdgeDelta.Equal(b.EdgeDelta) {
+		if a.Total != b.Total || !sparse.EqualVec(a.PerVertex, b.PerVertex) {
 			t.Fatal("self loops changed triangle statistics")
 		}
+		// Δ at each arc of gr is Δ at the same arc of withLoops.
+		gr.EachArc(func(u, v int32) bool {
+			if a.EdgeDelta[gr.ArcIndex(u, v)] != b.EdgeDelta[withLoops.ArcIndex(u, v)] {
+				t.Fatalf("self loops changed Δ(%d,%d)", u, v)
+			}
+			return true
+		})
 	}
 }
 
@@ -185,9 +208,9 @@ func TestTotalsConsistency(t *testing.T) {
 		t.Error("ΣΔ/6 != τ")
 	}
 	// t_A = ½ Δ_A·1 (stated under Def. 6).
-	half := res.EdgeDelta.RowSums()
-	for i := range half {
-		if half[i] != 2*res.PerVertex[i] {
+	for i := int32(0); int(i) < gr.NumVertices(); i++ {
+		lo := gr.ArcOffset(i)
+		if sparse.SumVec(res.EdgeDelta[lo:lo+gr.OutDegreeRaw(i)]) != 2*res.PerVertex[i] {
 			t.Fatalf("Δ·1 != 2t at %d", i)
 		}
 	}
@@ -273,6 +296,17 @@ func TestClusteringCoefficients(t *testing.T) {
 	if GlobalClusteringCoefficient(path) != 0 {
 		t.Error("path transitivity nonzero")
 	}
+	// Triangle 0-1-2 with pendant 2-3 and loops at 0 and 2: loops add no
+	// degree, so cc = (1, 1, 1/3, 0) and transitivity 3·1 / 5 wedges.
+	looped := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}, {U: 0, V: 0}, {U: 2, V: 2}}, true)
+	for v, cc := range LocalClusteringCoefficients(looped) {
+		if want := []float64{1, 1, 1.0 / 3, 0}[v]; math.Abs(cc-want) > 1e-12 {
+			t.Errorf("looped cc[%d] = %v, want %v", v, cc, want)
+		}
+	}
+	if gcc := GlobalClusteringCoefficient(looped); math.Abs(gcc-0.6) > 1e-12 {
+		t.Errorf("looped transitivity = %v, want 0.6", gcc)
+	}
 }
 
 func TestQuickParityOfDiagCube(t *testing.T) {
@@ -318,13 +352,17 @@ func TestNodeIteratorMatchesForward(t *testing.T) {
 		gr := randomUndirected(g, 5+g.Intn(40), 5, trial%2 == 0)
 		fwd := Count(gr)
 		naive := CountNodeIterator(gr)
+		_, wantD, _ := bruteForce(gr)
+		if !onArcs(gr, naive.EdgeDelta, wantD) {
+			t.Fatalf("trial %d: node-iterator Δ is not the brute force's on the arcs", trial)
+		}
 		if fwd.Total != naive.Total {
 			t.Fatalf("trial %d: totals %d vs %d", trial, fwd.Total, naive.Total)
 		}
 		if !sparse.EqualVec(fwd.PerVertex, naive.PerVertex) {
 			t.Fatalf("trial %d: per-vertex disagreement", trial)
 		}
-		if !fwd.EdgeDelta.Equal(naive.EdgeDelta) {
+		if !slices.Equal(fwd.EdgeDelta, naive.EdgeDelta) {
 			t.Fatalf("trial %d: edge-delta disagreement", trial)
 		}
 	}

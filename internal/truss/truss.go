@@ -15,13 +15,11 @@ import (
 	"sort"
 
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/triangle"
 )
 
 // Decomposition is the result of a truss decomposition.
 type Decomposition struct {
-	n     int
 	us    []int32 // edge endpoints, u < v
 	vs    []int32
 	truss []int32 // trussness per edge, >= 2
@@ -55,17 +53,6 @@ func (d *Decomposition) EdgeTruss(u, v int32) int {
 	return 0
 }
 
-// Matrix returns the symmetric trussness matrix: entry (u,v) is the
-// trussness of edge (u,v).
-func (d *Decomposition) Matrix() *sparse.Matrix {
-	ts := make([]sparse.Triplet, 0, 2*len(d.us))
-	for i := range d.us {
-		u, v, k := int(d.us[i]), int(d.vs[i]), int64(d.truss[i])
-		ts = append(ts, sparse.Triplet{Row: u, Col: v, Val: k}, sparse.Triplet{Row: v, Col: u, Val: k})
-	}
-	return sparse.FromTriplets(d.n, d.n, ts)
-}
-
 // KTrussEdges returns the edges (u < v) with trussness >= k, i.e. the
 // paper's T^(k) edge set.
 func (d *Decomposition) KTrussEdges(k int) []graph.Edge {
@@ -95,7 +82,6 @@ func Decompose(g *graph.Graph) *Decomposition {
 		work = work.Undirected()
 	}
 	work = work.WithoutLoops()
-	n := work.NumVertices()
 
 	// Edge ids for u < v, held in an array aligned with the CSR arc
 	// order instead of a hash map: arcEdge[arcIndex(u,v)] is the edge id
@@ -120,20 +106,16 @@ func Decompose(g *graph.Graph) *Decomposition {
 		return arcEdge[work.ArcIndex(u, v)]
 	}
 	m := len(us)
-	d := &Decomposition{n: n, us: us, vs: vs, truss: make([]int32, m)}
+	d := &Decomposition{us: us, vs: vs, truss: make([]int32, m)}
 	if m == 0 {
 		return d
 	}
 
 	// Initial supports from the triangle engine.
 	support := make([]int32, m)
-	tri := triangle.Count(work)
-	tri.EdgeDelta.Each(func(r, c int, v int64) bool {
-		if r < c {
-			support[edgeOf(int32(r), int32(c))] = int32(v)
-		}
-		return true
-	})
+	for a, delta := range triangle.Count(work).EdgeDelta {
+		support[arcEdge[a]] = int32(delta)
+	}
 
 	// Bucket queue over supports.
 	maxSup := int32(0)
@@ -250,7 +232,7 @@ func NaiveDecompose(g *graph.Graph) *Decomposition {
 	work = work.WithoutLoops()
 	n := work.NumVertices()
 
-	d := &Decomposition{n: n}
+	d := &Decomposition{}
 	current := work
 	type key = int64
 	mkKey := func(u, v int32) key { return int64(u)<<32 | int64(v) }
@@ -266,7 +248,7 @@ func NaiveDecompose(g *graph.Graph) *Decomposition {
 			var keep []graph.Edge
 			removedAny := false
 			current.EachEdgeUndirected(func(u, v int32) bool {
-				if delta.At(int(u), int(v)) >= int64(k-2) {
+				if delta[current.ArcIndex(u, v)] >= int64(k-2) {
 					keep = append(keep, graph.Edge{U: u, V: v})
 				} else {
 					removedAny = true
