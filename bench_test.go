@@ -13,15 +13,12 @@ package kronvalid
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 
 	"kronvalid/internal/census"
 	"kronvalid/internal/gen"
 	"kronvalid/internal/kron"
-	"kronvalid/internal/model"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/stats"
 	"kronvalid/internal/stream"
 	"kronvalid/internal/triangle"
@@ -288,106 +285,6 @@ func BenchmarkParityProperty(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamEdges compares edge-emission throughput on a ≥10^7-arc
-// product across three paths: EachArc (an adapter over batches), the
-// batched generator, and the parallel ordered pipeline. The batched generator
-// writes into flat buffers instead of invoking a closure per arc; the
-// parallel variant additionally fans communication-free shards across
-// GOMAXPROCS while preserving canonical output order.
-func BenchmarkStreamEdges(b *testing.B) {
-	ctx := context.Background()
-	a := gen.WebGraph(1<<14, 3, 0.75, 8) // ~10^5 arcs
-	bb := gen.Clique(16)                 // 240 arcs
-	p := kron.MustProduct(a, bb)
-	if p.NumArcs() < 10_000_000 {
-		b.Fatalf("product too small for the throughput comparison: %d arcs", p.NumArcs())
-	}
-	arcsPerOp := func(b *testing.B) {
-		b.SetBytes(p.NumArcs() * 16)
-		b.ReportMetric(float64(p.NumArcs()), "arcs/op")
-	}
-	b.Run("per-arc-adapter", func(b *testing.B) {
-		arcsPerOp(b)
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			var count int64
-			p.EachArc(func(u, v int64) bool {
-				count++
-				return true
-			})
-			sink = count
-		}
-		_ = sink
-	})
-	b.Run("batched", func(b *testing.B) {
-		arcsPerOp(b)
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			var count int64
-			p.EachArcBatch(0, func(batch []Arc) bool {
-				count += int64(len(batch))
-				return true
-			})
-			sink = count
-		}
-		_ = sink
-	})
-	b.Run("parallel", func(b *testing.B) {
-		arcsPerOp(b)
-		for i := 0; i < b.N; i++ {
-			var count CountingSink
-			if _, err := Stream(ctx, ProductSource(p, 0), &count); err != nil {
-				b.Fatal(err)
-			}
-			if count.N != p.NumArcs() {
-				b.Fatalf("streamed %d arcs, want %d", count.N, p.NumArcs())
-			}
-		}
-	})
-}
-
-// BenchmarkCSRBuild compares product-adjacency ingestion on the same
-// ≥10^7-arc product as BenchmarkStreamEdges: the parallel two-pass CSR
-// builder (count → prefix-sum → scatter over communication-free shards)
-// and the ordered one-pass CSR sink behind the parallel pipeline.
-func BenchmarkCSRBuild(b *testing.B) {
-	ctx := context.Background()
-	a := gen.WebGraph(1<<14, 3, 0.75, 8)
-	bb := gen.Clique(16)
-	p := kron.MustProduct(a, bb)
-	if p.NumArcs() < 10_000_000 {
-		b.Fatalf("product too small for the ingestion comparison: %d arcs", p.NumArcs())
-	}
-	arcsPerOp := func(b *testing.B) {
-		b.SetBytes(p.NumArcs() * 16)
-		b.ReportMetric(float64(p.NumArcs()), "arcs/op")
-	}
-	b.Run("two-pass-parallel", func(b *testing.B) {
-		arcsPerOp(b)
-		for i := 0; i < b.N; i++ {
-			g, err := ToCSR(ctx, ProductSource(p, 0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if g.NumArcs() != p.NumArcs() {
-				b.Fatalf("CSR has %d arcs, want %d", g.NumArcs(), p.NumArcs())
-			}
-		}
-	})
-	b.Run("ordered-sink", func(b *testing.B) {
-		arcsPerOp(b)
-		for i := 0; i < b.N; i++ {
-			g, err := ToCSR(ctx, ProductSource(p, 0), WithTwoPass(false))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if g.NumArcs() != p.NumArcs() {
-				b.Fatalf("CSR has %d arcs, want %d", g.NumArcs(), p.NumArcs())
-			}
-		}
-	})
-}
-
 // BenchmarkCSRScan compares the consumer-side access pattern of the
 // analytics engines (full adjacency sweeps plus membership probes) on
 // the CSR representation versus the map adjacency it replaced.
@@ -436,45 +333,6 @@ func BenchmarkCSRScan(b *testing.B) {
 		}
 		_ = sink
 	})
-}
-
-// BenchmarkEdgeStream measures the raw edge-generation throughput of the
-// implicit product (the generator side of the paper's pipeline).
-func BenchmarkEdgeStream(b *testing.B) {
-	a := gen.WebGraph(1<<10, 3, 0.75, 8)
-	bb := gen.HubCycle(6)
-	p := kron.MustProduct(a, bb)
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		var count int64
-		p.EachArc(func(u, v int64) bool {
-			count++
-			return true
-		})
-		sink = count
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(sink)/b.Elapsed().Seconds()*float64(b.N)/float64(b.N), "arcs_total")
-	b.SetBytes(sink * 16)
-}
-
-// BenchmarkShardedGeneration measures communication-free parallel
-// generation throughput across GOMAXPROCS shards.
-func BenchmarkShardedGeneration(b *testing.B) {
-	ctx := context.Background()
-	a := gen.WebGraph(1<<10, 3, 0.75, 8)
-	bb := gen.HubCycle(6)
-	p := kron.MustProduct(a, bb)
-	src := ProductSource(p, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var count CountingSink
-		if _, err := Stream(ctx, src, &count); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(p.NumArcs() * 16)
 }
 
 // BenchmarkFactorTrianglePass measures the combinatorial triangle engine
@@ -617,199 +475,6 @@ func BenchmarkSampledValidation(b *testing.B) {
 	b.ReportMetric(float64(p.NumArcs()), "product_arcs")
 }
 
-// BenchmarkModelStream measures the model-agnostic generator layer on
-// the acceptance workload (ER n=10^5, p=10^-3, ≈5·10^6 edges): the
-// sharded streaming core, plus the streamed G(n,m), R-MAT and
-// Chung–Lu cores at a comparable edge scale, and the
-// cross-chunk-dependent cores — rgg2d/rgg3d (neighbor-cell
-// recomputation), rhg (band/cell window regeneration) and ba (per-edge
-// retracing) — at the acceptance parameters (n=10^5, r=0.005 / d=4 /
-// d̄=8), plus the dependence-free lattices (grid2d/grid3d, ~2·10^5
-// vertices at p=0.8). Throughput is bytes of emitted arcs (16 B/arc).
-func BenchmarkModelStream(b *testing.B) {
-	ctx := context.Background()
-	const erN, erP, erSeed = 100_000, 0.001, 42
-
-	streamCount := func(b *testing.B, g ModelGenerator) {
-		b.Helper()
-		b.ReportAllocs()
-		var arcs int64
-		for i := 0; i < b.N; i++ {
-			var count stream.CountSink
-			if _, err := Stream(ctx, ModelSource(g, 0), &count); err != nil {
-				b.Fatal(err)
-			}
-			arcs = count.N
-		}
-		b.SetBytes(arcs * 16)
-		b.ReportMetric(float64(arcs), "arcs/op")
-	}
-	// The -parallel rows run the same workload through the unified
-	// pipeline with GOMAXPROCS workers: on a multi-core runner they
-	// demonstrate (and the bench gate protects) the communication-free
-	// scaling claim. On a single core they would silently equal the
-	// serial rows and mask scaling regressions, so they skip instead.
-	workers := runtime.GOMAXPROCS(0)
-	streamParallel := func(b *testing.B, g ModelGenerator) {
-		b.Helper()
-		if workers == 1 {
-			b.Skip("GOMAXPROCS=1: parallel row would duplicate the serial row and mask scaling regressions")
-		}
-		b.ReportAllocs()
-		var arcs int64
-		for i := 0; i < b.N; i++ {
-			var count stream.CountSink
-			if _, err := Stream(ctx, ModelSource(g, workers), &count, WithWorkers(workers)); err != nil {
-				b.Fatal(err)
-			}
-			arcs = count.N
-		}
-		b.SetBytes(arcs * 16)
-		b.ReportMetric(float64(arcs), "arcs/op")
-	}
-
-	b.Run("er-stream", func(b *testing.B) {
-		g, err := model.NewErdosRenyi(erN, erP, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("er-parallel", func(b *testing.B) {
-		g, err := model.NewErdosRenyi(erN, erP, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("gnm-stream", func(b *testing.B) {
-		g, err := model.NewGnm(erN, 5_000_000, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("gnm-parallel", func(b *testing.B) {
-		g, err := model.NewGnm(erN, 5_000_000, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("rmat-stream", func(b *testing.B) {
-		g, err := model.NewRMAT(17, 5_000_000, 0.57, 0.19, 0.19, 0.05, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("rmat-parallel", func(b *testing.B) {
-		g, err := model.NewRMAT(17, 5_000_000, 0.57, 0.19, 0.19, 0.05, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("chunglu-stream", func(b *testing.B) {
-		g, err := NewGenerator("chunglu:n=100000,dmax=1000,gamma=2.1,seed=42")
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("chunglu-parallel", func(b *testing.B) {
-		g, err := NewGenerator("chunglu:n=100000,dmax=1000,gamma=2.1,seed=42")
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("rgg2d-stream", func(b *testing.B) {
-		g, err := model.NewRGG(100_000, 0.005, 2, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("rgg2d-parallel", func(b *testing.B) {
-		g, err := model.NewRGG(100_000, 0.005, 2, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("ba-stream", func(b *testing.B) {
-		g, err := model.NewBarabasiAlbert(100_000, 4, 0, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("ba-parallel", func(b *testing.B) {
-		g, err := model.NewBarabasiAlbert(100_000, 4, 0, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("rgg3d-stream", func(b *testing.B) {
-		g, err := model.NewRGG(100_000, 0.02, 3, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("rgg3d-parallel", func(b *testing.B) {
-		g, err := model.NewRGG(100_000, 0.02, 3, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("rhg-stream", func(b *testing.B) {
-		g, err := model.NewRHG(100_000, 8, 2.9, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("rhg-parallel", func(b *testing.B) {
-		g, err := model.NewRHG(100_000, 8, 2.9, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("grid2d-stream", func(b *testing.B) {
-		g, err := model.NewGrid(500, 400, 1, 0.8, true, 2, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("grid2d-parallel", func(b *testing.B) {
-		g, err := model.NewGrid(500, 400, 1, 0.8, true, 2, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-	b.Run("grid3d-stream", func(b *testing.B) {
-		g, err := model.NewGrid(60, 60, 56, 0.8, true, 3, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamCount(b, g)
-	})
-	b.Run("grid3d-parallel", func(b *testing.B) {
-		g, err := model.NewGrid(60, 60, 56, 0.8, true, 3, erSeed, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streamParallel(b, g)
-	})
-}
-
 // BenchmarkKernels is the one-line before/after for a model kernel
 // change: each spec of the benchmark's hash-bin and geo-bin workloads
 // (bench/names.go, seeds as -seed 1 derives them) streamed at one worker
@@ -852,5 +517,3 @@ func BenchmarkKernels(b *testing.B) {
 		})
 	}
 }
-
-var _ = sparse.SumVec // keep import for metric helpers extended later

@@ -74,18 +74,6 @@ func (d *Dense) Add(e *Dense) *Dense {
 	return out
 }
 
-// Sub returns d - e.
-func (d *Dense) Sub(e *Dense) *Dense {
-	if d.R != e.R || d.C != e.C {
-		panic("sparse: dense Sub dimension mismatch")
-	}
-	out := NewDense(d.R, d.C)
-	for i := range d.V {
-		out.V[i] = d.V[i] - e.V[i]
-	}
-	return out
-}
-
 // Hadamard returns the elementwise product.
 func (d *Dense) Hadamard(e *Dense) *Dense {
 	if d.R != e.R || d.C != e.C {

@@ -104,11 +104,11 @@ func TestKronScalar(t *testing.T) {
 	a := randomMatrix(g, 4, 4, 0.5, 3)
 	b := randomMatrix(g, 3, 3, 0.5, 3)
 	scale := func(m *Matrix, s int64) *Matrix {
-		out := m.Clone()
-		for i := range out.val {
-			out.val[i] *= s
+		d := DenseFrom(m)
+		for i := range d.V {
+			d.V[i] *= s
 		}
-		return out
+		return d.Sparse()
 	}
 	if !scale(Kron(a, b), 6).Equal(Kron(scale(a, 2), scale(b, 3))) {
 		t.Fatal("(6)(A⊗B) != (2A)⊗(3B)")
@@ -128,8 +128,8 @@ func TestQuickKronVecMatchesMatrixKron(t *testing.T) {
 			v[i] = g.Int64n(9) - 4
 		}
 		// u ⊗ v as column vectors == Kron of n x 1 matrices.
-		um := FromDense(colVec(u))
-		vm := FromDense(colVec(v))
+		um := (&Dense{R: n1, C: 1, V: u}).Sparse()
+		vm := (&Dense{R: n2, C: 1, V: v}).Sparse()
 		k := Kron(um, vm)
 		got := make([]int64, n1*n2)
 		for i := range got {
@@ -140,14 +140,6 @@ func TestQuickKronVecMatchesMatrixKron(t *testing.T) {
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
 	}
-}
-
-func colVec(v []int64) [][]int64 {
-	d := make([][]int64, len(v))
-	for i := range v {
-		d[i] = []int64{v[i]}
-	}
-	return d
 }
 
 func quickCfg() *quick.Config {

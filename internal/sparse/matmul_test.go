@@ -45,12 +45,12 @@ func TestRowSumsEqualsMulOnes(t *testing.T) {
 	m := randomMatrix(g, 40, 25, 0.2, 7)
 	// mulOnes is A·1 as a sparse product with the all-ones column.
 	mulOnes := func(a *Matrix) []int64 {
-		ones := make([][]int64, a.cols)
-		for i := range ones {
-			ones[i] = []int64{1}
+		ones := NewDense(a.cols, 1)
+		for i := range ones.V {
+			ones.V[i] = 1
 		}
 		out := make([]int64, a.Rows())
-		a.Mul(FromDense(ones)).Each(func(r, _ int, v int64) bool {
+		a.Mul(ones.Sparse()).Each(func(r, _ int, v int64) bool {
 			out[r] = v
 			return true
 		})

@@ -10,7 +10,7 @@
 // could overflow int64 is guarded (see CheckedMul in value.go).
 //
 // The zero value of Matrix is not useful; construct with FromTriplets,
-// FromDense, Identity, or the graph package's conversions.
+// NewCSR, Identity, or the graph package's conversions.
 package sparse
 
 import (
@@ -110,17 +110,6 @@ func (m *Matrix) Each(fn func(r, c int, v int64) bool) {
 	}
 }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int64(nil), m.rowPtr...),
-		colIdx: append([]int32(nil), m.colIdx...),
-		val:    append([]int64(nil), m.val...),
-	}
-}
-
 // Equal reports whether m and n have identical dimensions and entries.
 func (m *Matrix) Equal(n *Matrix) bool {
 	if m.rows != n.rows || m.cols != n.cols || m.NNZ() != n.NNZ() {
@@ -144,14 +133,6 @@ func (m *Matrix) IsZero() bool { return m.NNZ() == 0 }
 
 // IsSquare reports whether rows == cols.
 func (m *Matrix) IsSquare() bool { return m.rows == m.cols }
-
-// IsSymmetric reports whether the matrix equals its transpose.
-func (m *Matrix) IsSymmetric() bool {
-	if !m.IsSquare() {
-		return false
-	}
-	return m.Equal(m.T())
-}
 
 // IsBinary reports whether all stored values are 1, i.e. the matrix is a
 // plain adjacency matrix.
@@ -226,41 +207,6 @@ func FromTriplets(rows, cols int, ts []Triplet) *Matrix {
 		rowPtr[r+1] += rowPtr[r]
 	}
 	return &Matrix{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
-}
-
-// FromDense builds a sparse matrix from a dense row-major slice of slices.
-func FromDense(d [][]int64) *Matrix {
-	rows := len(d)
-	cols := 0
-	if rows > 0 {
-		cols = len(d[0])
-	}
-	var ts []Triplet
-	for r, row := range d {
-		if len(row) != cols {
-			panic("sparse: ragged dense input")
-		}
-		for c, v := range row {
-			if v != 0 {
-				ts = append(ts, Triplet{r, c, v})
-			}
-		}
-	}
-	return FromTriplets(rows, cols, ts)
-}
-
-// ToDense returns the dense [][]int64 form (for tests and small examples).
-func (m *Matrix) ToDense() [][]int64 {
-	d := make([][]int64, m.rows)
-	buf := make([]int64, m.rows*m.cols)
-	for r := range d {
-		d[r], buf = buf[:m.cols], buf[m.cols:]
-	}
-	m.Each(func(r, c int, v int64) bool {
-		d[r][c] = v
-		return true
-	})
-	return d
 }
 
 // Identity returns the n x n identity matrix.

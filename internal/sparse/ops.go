@@ -74,12 +74,6 @@ func (m *Matrix) Add(n *Matrix) *Matrix {
 	return combine(m, n, func(a, b int64) int64 { return a + b })
 }
 
-// Sub returns m - n.
-func (m *Matrix) Sub(n *Matrix) *Matrix {
-	dimCheck("Sub", m, n)
-	return combine(m, n, func(a, b int64) int64 { return a - b })
-}
-
 // Hadamard returns the elementwise product m ∘ n (Def. 2 in the paper).
 func (m *Matrix) Hadamard(n *Matrix) *Matrix {
 	dimCheck("Hadamard", m, n)
@@ -175,18 +169,6 @@ func (m *Matrix) Total() int64 {
 	var s int64
 	for _, v := range m.val {
 		s += v
-	}
-	return s
-}
-
-// Trace returns the sum of diagonal entries.
-func (m *Matrix) Trace() int64 {
-	if !m.IsSquare() {
-		panic("sparse: Trace of non-square matrix")
-	}
-	var s int64
-	for r := 0; r < m.rows; r++ {
-		s += m.At(r, r)
 	}
 	return s
 }

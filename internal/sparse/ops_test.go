@@ -37,20 +37,9 @@ func TestAddSubHadamardAgainstDense(t *testing.T) {
 		if !a.Add(b).Equal(da.Add(db).Sparse()) {
 			t.Fatal("Add mismatch")
 		}
-		if !a.Sub(b).Equal(da.Sub(db).Sparse()) {
-			t.Fatal("Sub mismatch")
-		}
 		if !a.Hadamard(b).Equal(da.Hadamard(db).Sparse()) {
 			t.Fatal("Hadamard mismatch")
 		}
-	}
-}
-
-func TestSubSelfIsZero(t *testing.T) {
-	g := rng.New(10)
-	m := randomMatrix(g, 15, 15, 0.3, 9)
-	if !m.Sub(m).IsZero() {
-		t.Error("M - M is not zero")
 	}
 }
 
@@ -82,18 +71,11 @@ func TestRowColSums(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	m := FromTriplets(3, 3, []Triplet{{0, 0, 2}, {1, 1, 3}, {0, 1, 100}})
-	if m.Trace() != 5 {
-		t.Errorf("Trace = %d, want 5", m.Trace())
-	}
-}
-
 func TestRandomSymmetricIsSymmetric(t *testing.T) {
 	g := rng.New(11)
 	for trial := 0; trial < 10; trial++ {
 		m := randomSymmetric(g, 2+g.Intn(20), 0.3, trial%2 == 0)
-		if !m.IsSymmetric() {
+		if !m.T().Equal(m) {
 			t.Fatal("randomSymmetric produced asymmetric matrix")
 		}
 		if !m.IsBinary() {

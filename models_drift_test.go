@@ -13,24 +13,34 @@ import (
 
 // TestModelReferenceCoversRegistry is the registry/doc drift gate (run
 // as a named CI job): every kind returned by ModelKinds must have a
-// "## `kind`" section in MODELS.md and a BenchmarkModelStream/
-// <kind>-stream row in BENCH_baseline.json. Registering a model
-// without documenting and benchmarking it fails the build, so the
-// model reference can never silently fall behind the registry.
+// "## `kind`" section in MODELS.md, appear among the specs of some
+// workload in bench/baseline.json, and have a modelAllocRows entry for
+// TestModelStreamAllocs. Registering a model without documenting,
+// benchmarking and allocation-gating it fails the build, so the model
+// reference can never silently fall behind the registry.
 func TestModelReferenceCoversRegistry(t *testing.T) {
 	doc, err := os.ReadFile("MODELS.md")
 	if err != nil {
 		t.Fatalf("MODELS.md unreadable: %v", err)
 	}
-	raw, err := os.ReadFile("BENCH_baseline.json")
+	raw, err := os.ReadFile("bench/baseline.json")
 	if err != nil {
-		t.Fatalf("BENCH_baseline.json unreadable: %v", err)
+		t.Fatalf("bench/baseline.json unreadable: %v", err)
 	}
 	var baseline struct {
-		Benchmarks map[string]json.RawMessage `json:"benchmarks"`
+		Workloads map[string]struct {
+			Specs []string `json:"specs"`
+		} `json:"workloads"`
 	}
 	if err := json.Unmarshal(raw, &baseline); err != nil {
-		t.Fatalf("BENCH_baseline.json: %v", err)
+		t.Fatalf("bench/baseline.json: %v", err)
+	}
+	benched := map[string]bool{}
+	for _, w := range baseline.Workloads {
+		for _, spec := range w.Specs {
+			kind, _, _ := strings.Cut(spec, ":")
+			benched[kind] = true
+		}
 	}
 	kinds := ModelKinds()
 	if len(kinds) == 0 {
@@ -40,8 +50,11 @@ func TestModelReferenceCoversRegistry(t *testing.T) {
 		if heading := fmt.Sprintf("## `%s`", kind); !strings.Contains(string(doc), heading) {
 			t.Errorf("MODELS.md has no %q section for registered kind %q", heading, kind)
 		}
-		if row := fmt.Sprintf("BenchmarkModelStream/%s-stream", kind); baseline.Benchmarks[row] == nil {
-			t.Errorf("BENCH_baseline.json has no %q row for registered kind %q", row, kind)
+		if !benched[kind] {
+			t.Errorf("no workload in bench/baseline.json has a %s spec", kind)
+		}
+		if _, ok := modelAllocRows[kind]; !ok {
+			t.Errorf("registered kind %q has no TestModelStreamAllocs row", kind)
 		}
 	}
 	// The reference must not document ghosts either: every "## `x`"
@@ -71,8 +84,8 @@ func TestModelReferenceCoversRegistry(t *testing.T) {
 // nothing, so every Fuzz… identifier in the workflow must be declared.
 // Commands are held to the same rule: every cmd/<x> and examples/<x>
 // path in the workflow, the README and the verify notes must exist, and
-// a removed command may not be mentioned there at all, so a deleted
-// command leaves no dangling CI step or doc line.
+// a removed command or file may not be mentioned there at all, so a
+// deleted one leaves no dangling CI step or doc line.
 func TestCINamedTestsExist(t *testing.T) {
 	declared := map[string]bool{}
 	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
@@ -141,7 +154,9 @@ func TestCINamedTestsExist(t *testing.T) {
 	}
 
 	cmdPath := regexp.MustCompile(`\b(?:cmd|examples)/\w+`)
-	removed := regexp.MustCompile(`\bkrongen\b`) // folded into gengen
+	// krongen was folded into gengen; benchdiff and its baseline gave
+	// way to bench -compare.
+	removed := regexp.MustCompile(`\b(?:krongen|benchdiff|BENCH_baseline)\b`)
 	for _, name := range []string{".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"} {
 		doc, err := os.ReadFile(name)
 		if err != nil {
@@ -152,8 +167,8 @@ func TestCINamedTestsExist(t *testing.T) {
 				t.Errorf("%s names %s, which does not exist", name, path)
 			}
 		}
-		if cmd := removed.Find(doc); cmd != nil {
-			t.Errorf("%s mentions the removed command %s", name, cmd)
+		for _, gone := range removed.FindAll(doc, -1) {
+			t.Errorf("%s mentions the removed %s", name, gone)
 		}
 	}
 
