@@ -363,7 +363,9 @@ type MultiSink = stream.MultiSink
 type SinkFunc = stream.FuncSink
 
 // NewEdgeListSink returns an ArcSink serializing arcs as "u\tv\n" lines
-// via batched table-driven encoding (no per-arc formatting).
+// via batched table-driven encoding (no per-arc formatting). Output is
+// buffered until Flush: w receives writes of at least 256 KiB, and the
+// rest when the sink is flushed, as Stream and WriteShards do at the end.
 func NewEdgeListSink(w io.Writer) ArcSink { return gio.NewArcTextWriter(w) }
 
 // NewBinaryArcSink returns an ArcSink serializing arcs as little-endian

@@ -132,6 +132,9 @@ func FuzzReadArcsText(f *testing.F) {
 		if err := w.Consume(arcs); err != nil {
 			t.Fatal(err)
 		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		again, err := ReadArcsText(&out)
 		if err != nil {
 			t.Fatalf("canonical form failed to re-parse: %v", err)

@@ -28,14 +28,14 @@ func WriteEdgeListUndirected(w io.Writer, g *graph.Graph) error {
 	return writePairs(w, g.EachEdgeUndirected)
 }
 
-// pairBatch is how many lines writePairs renders per Write: the most
-// whose worst case (two non-negative int32 ids, 22 bytes) fits 64 KiB.
-const pairBatch = 1 << 16 / 22
+// pairBatch is how many lines writePairs hands the ArcTextWriter per
+// Consume. The writer, not this, sets the size of each Write.
+const pairBatch = 2048
 
-// writePairs writes "u\tv\n" lines through an ArcTextWriter in chunks of
-// at most 64 KiB. Iteration stops on the first write error, which is
-// returned as-is: the final flush of buffered lines only happens on the
-// error-free path, so it can never mask a mid-stream error.
+// writePairs writes "u\tv\n" lines through an ArcTextWriter and flushes
+// it. Iteration stops on the first write error, which is returned as-is:
+// the final Consume and Flush only run on the error-free path, so they
+// can never mask a mid-stream error.
 func writePairs(w io.Writer, each func(fn func(u, v int32) bool)) error {
 	t := NewArcTextWriter(w)
 	batch := make([]stream.Arc, 0, pairBatch)
@@ -48,10 +48,13 @@ func writePairs(w io.Writer, each func(fn func(u, v int32) bool)) error {
 		}
 		return err == nil
 	})
-	if err != nil || len(batch) == 0 {
+	if err != nil {
 		return err
 	}
-	return t.Consume(batch)
+	if err := t.Consume(batch); err != nil {
+		return err
+	}
+	return t.Flush()
 }
 
 // ReadEdgeList parses "u<sep>v" lines (tab or spaces), ignoring blank

@@ -218,25 +218,39 @@ func TestArcTextWriterMatchesFprintf(t *testing.T) {
 	}
 }
 
+// TestArcWritersStickyError: a write error comes back no later than
+// Flush (the text writer buffers, so its first Write may be Flush's),
+// every later Consume and Flush returns it, and nothing is written after
+// it.
 func TestArcWritersStickyError(t *testing.T) {
-	batch := make([]stream.Arc, 100)
-	for _, mk := range []func(w *failAfterWriter) stream.Sink{
-		func(w *failAfterWriter) stream.Sink { return NewArcTextWriter(w) },
-		func(w *failAfterWriter) stream.Sink { return NewArcBinaryWriter(w) },
+	// 100 arcs stay in the text writer's buffer until Flush; 1<<17 arcs
+	// of "0\t0\n" are 512 KiB, so Consume itself writes and fails.
+	for _, tc := range []struct {
+		arcs int
+		mk   func(w *failAfterWriter) stream.Sink
+	}{
+		{100, func(w *failAfterWriter) stream.Sink { return NewArcTextWriter(w) }},
+		{1 << 17, func(w *failAfterWriter) stream.Sink { return NewArcTextWriter(w) }},
+		{100, func(w *failAfterWriter) stream.Sink { return NewArcBinaryWriter(w) }},
 	} {
+		batch, mk := make([]stream.Arc, tc.arcs), tc.mk
 		fw := &failAfterWriter{n: 0}
 		s := mk(fw)
-		if err := s.Consume(batch); !errors.Is(err, errFull) {
-			t.Fatalf("first consume: %v", err)
+		err := s.Consume(batch)
+		if err == nil {
+			err = s.Flush()
+		}
+		if !errors.Is(err, errFull) {
+			t.Fatalf("consume then flush: %v", err)
 		}
 		if err := s.Consume(batch); !errors.Is(err, errFull) {
 			t.Fatal("error not sticky")
 		}
-		if fw.calls != 1 {
-			t.Fatalf("writer called %d times after error", fw.calls)
-		}
 		if err := s.Flush(); !errors.Is(err, errFull) {
 			t.Fatal("flush masked the write error")
+		}
+		if fw.calls != 1 {
+			t.Fatalf("writer called %d times, want 1: a write followed the error", fw.calls)
 		}
 	}
 }

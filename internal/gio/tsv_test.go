@@ -2,9 +2,11 @@ package gio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -44,9 +46,11 @@ func encodeInBatches(t testing.TB, arcs []stream.Arc, size int) []byte {
 }
 
 // TestArcTextMatchesStrconv compares the kernel with the strconv loop
-// over every digit-count boundary of int64, negative ids, and runs of
-// equal U placed so that they straddle Consume calls and so that U
-// changes on the first arc of a batch.
+// over every digit-count boundary of int64 — among them 0, 9 999, 10⁴,
+// 99 999 999 and 10⁸, where the inline path's branches split — negative
+// ids, runs of equal U placed so that they straddle Consume calls and so
+// that U changes on the first arc of a batch, and a run longer than one
+// 256 KiB write.
 func TestArcTextMatchesStrconv(t *testing.T) {
 	ids := []int64{0, math.MaxInt64, math.MaxInt64 - 1, -1, -9, -10, -99999999, -100000000, math.MinInt64, math.MinInt64 + 1}
 	for p := int64(10); ; p *= 10 {
@@ -75,6 +79,12 @@ func TestArcTextMatchesStrconv(t *testing.T) {
 			arcs = append(arcs, stream.Arc{U: u, V: v * 7919})
 		}
 	}
+	// One source run of 30 000 lines, 390 KB: it crosses batch
+	// boundaries and the writer's 256 KiB write boundary, with targets
+	// crossing 10⁴ → 10⁵ inside it.
+	for v := int64(9000); v < 39000; v++ {
+		arcs = append(arcs, stream.Arc{U: 123456, V: v})
+	}
 	want := strconvArcs(nil, arcs)
 	for _, size := range []int{1, 7, 4096} {
 		if got := encodeInBatches(t, arcs, size); !bytes.Equal(got, want) {
@@ -91,6 +101,48 @@ func TestArcTextMatchesStrconv(t *testing.T) {
 	var run tsvRun
 	if got := appendArcsTSV([]byte("# head\n"), zero, &run); string(got) != "# head\n0\t0\n0\t5\n" {
 		t.Errorf("append after existing bytes gave %q", got)
+	}
+}
+
+// writeSizes records the length of every Write it is given.
+type writeSizes struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestArcTextWriterWriteSize: every Write but the last one, Flush's,
+// carries at least 256 KiB, and the bytes are the strconv loop's.
+func TestArcTextWriterWriteSize(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	arcs := make([]stream.Arc, 200000)
+	for i := range arcs {
+		arcs[i] = stream.Arc{U: int64(i / 64), V: r.Int63n(1 << 19)}
+	}
+	var w writeSizes
+	tw := NewArcTextWriter(&w)
+	for lo := 0; lo < len(arcs); lo += stream.DefaultBatchSize {
+		if err := tw.Consume(arcs[lo:min(lo+stream.DefaultBatchSize, len(arcs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.sizes) < 3 {
+		t.Fatalf("%d writes for %d bytes, want at least 3", len(w.sizes), w.Len())
+	}
+	for i, n := range w.sizes[:len(w.sizes)-1] {
+		if n < textWriteSize {
+			t.Errorf("write %d of %d carries %d bytes, want at least %d", i, len(w.sizes), n, textWriteSize)
+		}
+	}
+	if want := strconvArcs(nil, arcs); !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("written bytes differ from strconv at offset %d", firstDiff(w.Bytes(), want))
 	}
 }
 
@@ -133,6 +185,12 @@ func FuzzArcTextEncode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, 48), uint8(2))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), uint8(3))
 	f.Add(bytes.Repeat([]byte{0x00, 0xe1, 0xf5, 0x05, 0, 0, 0, 0}, 8), uint8(1)) // 10⁸ in both columns
+	// Targets 9 999, 10⁴ and 99 999 999 under one source.
+	var edges []byte
+	for _, v := range []uint64{9999, 1e4, 99999999} {
+		edges = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(edges, 7), v)
+	}
+	f.Add(edges, uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, size uint8) {
 		arcs := arcsFromData(data)
 		// Halve the distinct sources so equal-U runs occur.
@@ -161,24 +219,62 @@ func FuzzArcTextEncode(f *testing.F) {
 }
 
 // BenchmarkArcTextWriter is the encode layer alone, into io.Discard, on
-// the two shapes that bracket the run cache: kron-shaped (sorted, 64
-// arcs per source — what kron-tsv writes) and uniformly random ids (a
-// new prefix on every arc).
+// four shapes, each reported in ns/arc:
+//
+//   - kron: sorted sources, 64 arcs per source, V uniform in [0, 2¹⁹);
+//   - kron-sorted: what Product.EachArcBatchRange emits for a
+//     1024 × 512-vertex product (kron-tsv's): per source, 8 sorted
+//     neighbour blocks a'·512 of 8 sorted offsets b' each, so V climbs
+//     in clusters and most targets share their predecessor's v / 10⁴;
+//   - uniform8: sorted sources, V uniform in [0, 10⁸), no locality;
+//   - random: U and V uniform in [0, 2⁴⁰), a new prefix on every arc.
 func BenchmarkArcTextWriter(b *testing.B) {
 	const arcs = 1 << 18
+	sortedRun := func(r *rand.Rand, n, k int) []int {
+		ids := r.Perm(n)[:k]
+		sort.Ints(ids)
+		return ids
+	}
 	for _, shape := range []struct {
 		name string
-		arc  func(i int, r *rand.Rand) stream.Arc
+		gen  func(r *rand.Rand) []stream.Arc
 	}{
-		{"kron", func(i int, r *rand.Rand) stream.Arc { return stream.Arc{U: int64(i / 64), V: int64(r.Intn(1 << 19))} }},
-		{"random", func(i int, r *rand.Rand) stream.Arc { return stream.Arc{U: r.Int63n(1 << 40), V: r.Int63n(1 << 40)} }},
-	} {
-		b.Run(shape.name, func(b *testing.B) {
-			r := rand.New(rand.NewSource(1))
+		{"kron", func(r *rand.Rand) []stream.Arc {
 			in := make([]stream.Arc, arcs)
 			for i := range in {
-				in[i] = shape.arc(i, r)
+				in[i] = stream.Arc{U: int64(i / 64), V: int64(r.Intn(1 << 19))}
 			}
+			return in
+		}},
+		{"kron-sorted", func(r *rand.Rand) []stream.Arc {
+			in := make([]stream.Arc, 0, arcs)
+			for u := int64(0); len(in) < arcs; u++ {
+				offsets := sortedRun(r, 512, 8)
+				for _, a := range sortedRun(r, 1024, 8) {
+					for _, o := range offsets {
+						in = append(in, stream.Arc{U: u, V: int64(a*512 + o)})
+					}
+				}
+			}
+			return in
+		}},
+		{"uniform8", func(r *rand.Rand) []stream.Arc {
+			in := make([]stream.Arc, arcs)
+			for i := range in {
+				in[i] = stream.Arc{U: int64(i / 64), V: r.Int63n(1e8)}
+			}
+			return in
+		}},
+		{"random", func(r *rand.Rand) []stream.Arc {
+			in := make([]stream.Arc, arcs)
+			for i := range in {
+				in[i] = stream.Arc{U: r.Int63n(1 << 40), V: r.Int63n(1 << 40)}
+			}
+			return in
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			in := shape.gen(rand.New(rand.NewSource(1)))
 			b.SetBytes(int64(len(strconvArcs(nil, in))))
 			w := NewArcTextWriter(io.Discard)
 			b.ResetTimer()
@@ -189,6 +285,10 @@ func BenchmarkArcTextWriter(b *testing.B) {
 					}
 				}
 			}
+			if err := w.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/arcs, "ns/arc")
 		})
 	}
 }

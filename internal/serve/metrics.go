@@ -24,6 +24,9 @@ type Metrics struct {
 	ArcsServed    atomic.Int64 // arcs streamed out of result downloads
 	BytesServed   atomic.Int64 // bytes streamed out of result downloads
 	Downloads     atomic.Int64 // completed result downloads
+	// DownloadErrors counts result downloads cut short after the headers
+	// went out: a shard file failed to open or to copy to the client.
+	DownloadErrors atomic.Int64
 }
 
 // HitRatio returns hits / (hits + misses), counting dedup attaches as
@@ -60,6 +63,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, store *Store, queueDepth int) {
 	counter("genserve_arcs_served_total", "Arcs streamed out of result downloads.", m.ArcsServed.Load())
 	counter("genserve_bytes_served_total", "Bytes streamed out of result downloads.", m.BytesServed.Load())
 	counter("genserve_downloads_total", "Completed result downloads.", m.Downloads.Load())
+	counter("genserve_download_errors_total", "Result downloads cut short by a shard open or copy failure.", m.DownloadErrors.Load())
 	counter("genserve_evictions_total", "Cache entries evicted by the byte budget.", evictions)
 	gauge("genserve_jobs_running", "Jobs generating right now.", m.Running.Load())
 	gauge("genserve_queue_depth", "Queued jobs awaiting a worker.", int64(queueDepth))

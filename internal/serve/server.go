@@ -214,13 +214,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		f, err := os.Open(path)
 		if err != nil {
 			// Headers are gone; the short body (Content-Length mismatch)
-			// surfaces the failure to the client.
+			// surfaces the failure to the client, the counter to /metrics.
+			s.m.met.DownloadErrors.Add(1)
 			return
 		}
 		n, err := io.Copy(w, f)
 		f.Close()
 		sent += n
 		if err != nil {
+			s.m.met.DownloadErrors.Add(1)
 			return
 		}
 	}

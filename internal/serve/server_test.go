@@ -595,6 +595,50 @@ func TestServeMetricsHealthz(t *testing.T) {
 	}
 }
 
+// TestServeDownloadErrorCounted: a committed entry that lost a shard
+// file serves a body shorter than its Content-Length, and /metrics
+// counts the failed download instead of a completed one.
+func TestServeDownloadErrorCounted(t *testing.T) {
+	s, base := newTestService(t, Config{ShardsPerJob: 4})
+	v, _ := submit(t, base, "gnm:n=2000,m=6000,seed=1", "binary")
+	waitDone(t, base, v.ID, StateDone)
+	j, err := s.m.Job(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.m.store.Acquire(j.key)
+	if !ok {
+		t.Fatal("done job has no cache entry")
+	}
+	paths := e.ShardPaths()
+	s.m.store.Release(e)
+	if err := os.Remove(paths[len(paths)-1]); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(base + "/v1/jobs/" + v.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil || int64(len(body)) >= resp.ContentLength {
+		t.Fatalf("read %d of %d bytes (err %v), want a short body", len(body), resp.ContentLength, err)
+	}
+
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, metric := range []string{"genserve_download_errors_total 1", "genserve_downloads_total 0"} {
+		if !strings.Contains(string(metrics), metric) {
+			t.Errorf("/metrics missing %q", metric)
+		}
+	}
+}
+
 // TestServeConcurrentChaos is the race-detector suite: concurrent
 // submits (hot and cold), cancels, status polls, downloads, and metric
 // scrapes against a store small enough to evict constantly. It asserts
