@@ -369,7 +369,9 @@ type SinkFunc = stream.FuncSink
 func NewEdgeListSink(w io.Writer) ArcSink { return gio.NewArcTextWriter(w) }
 
 // NewBinaryArcSink returns an ArcSink serializing arcs as little-endian
-// (uint64, uint64) pairs, 16 bytes per arc.
+// (uint64, uint64) pairs, 16 bytes per arc. Output is buffered until
+// Flush: w receives writes of at least 256 KiB, and the rest when the
+// sink is flushed, as Stream and WriteShards do at the end.
 func NewBinaryArcSink(w io.Writer) ArcSink { return gio.NewArcBinaryWriter(w) }
 
 // ReadTextArcs parses an arc stream written by an edge-list sink back

@@ -38,17 +38,20 @@ import (
 // policy in DESIGN.md ("Digest re-pin policy").
 func TestGoldenModelDigests(t *testing.T) {
 	golden := map[string]string{
-		"er:n=2000,p=0.004,seed=42":                    "514a7a0afaa5dd2a",
-		"gnm:n=1500,m=9000,seed=11":                    "45528680323d7cda",
-		"gnm:n=600,m=150000,seed=5":                    "83a6c35b5acf9beb", // dense: every chunk samples its complement
-		"rmat:scale=11,edges=16384,seed=13":            "ec4673c0fee126b6",
-		"chunglu:n=3000,dmax=60,gamma=2.4,seed=5":      "bf2940fc9febf01a",
-		"rgg2d:n=2500,r=0.03,seed=9":                   "5c111d23ee43a94a",
-		"rgg3d:n=1200,r=0.09,seed=4":                   "89ce731464bf5a37",
-		"ba:n=2000,d=3,seed=15":                        "a1da37efe7efb116",
-		"rhg:n=1800,d=8,gamma=2.6,seed=21":             "65ab630e7c70ed2",
-		"grid2d:x=45,y=40,p=0.55,wrap=true,seed=22":    "9643aa456dd24c0d",
-		"grid3d:x=11,y=10,z=9,p=0.5,wrap=true,seed=23": "cf0457c98460db27",
+		"er:n=2000,p=0.004,seed=42":               "514a7a0afaa5dd2a",
+		"gnm:n=1500,m=9000,seed=11":               "45528680323d7cda",
+		"gnm:n=600,m=150000,seed=5":               "83a6c35b5acf9beb", // dense: every chunk samples its complement
+		"rmat:scale=11,edges=16384,seed=13":       "ec4673c0fee126b6",
+		"chunglu:n=3000,dmax=60,gamma=2.4,seed=5": "bf2940fc9febf01a",
+		// Tail triangle past 2^23 pairs: full segments, whose counts
+		// share one prepared zig-zag set-up.
+		"chunglu:n=200000,dmin=30,dmax=3000,gamma=2.1,seed=9": "4786bfeded01e0f7",
+		"rgg2d:n=2500,r=0.03,seed=9":                          "5c111d23ee43a94a",
+		"rgg3d:n=1200,r=0.09,seed=4":                          "89ce731464bf5a37",
+		"ba:n=2000,d=3,seed=15":                               "a1da37efe7efb116",
+		"rhg:n=1800,d=8,gamma=2.6,seed=21":                    "65ab630e7c70ed2",
+		"grid2d:x=45,y=40,p=0.55,wrap=true,seed=22":           "9643aa456dd24c0d",
+		"grid3d:x=11,y=10,z=9,p=0.5,wrap=true,seed=23":        "cf0457c98460db27",
 	}
 	ctx := context.Background()
 	for spec, want := range golden {

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -177,5 +178,141 @@ func BenchmarkWriteShardsRerun(b *testing.B) {
 				write()
 			}
 		})
+	}
+}
+
+// staleDirs returns the names of dir's .stale-* entries.
+func staleDirs(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, staleDirPrefix+"*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// TestWriteShardsRemovesStaleDirOfKilledRun plays a run killed after
+// its sweep moved the shard files aside but before they were removed:
+// the next run removes that .stale-* directory along with its own.
+func TestWriteShardsRemovesStaleDirOfKilledRun(t *testing.T) {
+	pl, _ := plan(t, 3)
+	dir := t.TempDir()
+	writeKron(t, dir, pl, true)
+	left := filepath.Join(dir, staleDirPrefix+"killed")
+	if err := os.MkdirAll(filepath.Join(left, "nested"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range shardFiles(t, dir) {
+		if err := os.Rename(filepath.Join(dir, name), filepath.Join(left, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeKron(t, dir, pl, false)
+	if got := staleDirs(t, dir); len(got) != 0 {
+		t.Fatalf("%v remain after the next run", got)
+	}
+}
+
+// TestWriteShardsLeavesNoStaleDir re-runs into a directory that holds a
+// complete earlier run and ends the re-run three ways — success, a
+// shard that cannot be created, a cancel: whichever way, WriteShards
+// has removed the earlier run's files before it returns, and no
+// .stale-* directory remains.
+func TestWriteShardsLeavesNoStaleDir(t *testing.T) {
+	g, err := model.New("er:n=3000,p=0.02,seed=7,chunks=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(dir string) error
+		want error
+	}{
+		{"success", func(dir string) error {
+			_, err := WriteShards(context.Background(), dir, model.NewPlan(g, 4), nil, false, stream.Options{})
+			return err
+		}, nil},
+		{"failed shard", func(dir string) error {
+			// A directory squatting on a shard name survives the sweep
+			// and fails that shard's exclusive create.
+			if err := os.Mkdir(filepath.Join(dir, ShardFileName(2, false)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			_, err := WriteShards(context.Background(), dir, model.NewPlan(g, 4), nil, false, stream.Options{})
+			return err
+		}, fs.ErrExist},
+		{"cancel", func(dir string) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls int
+			_, err := WriteShards(ctx, dir, model.NewPlan(g, 4), nil, false,
+				stream.Options{BatchSize: 64, Progress: func(arcs, shards int64) {
+					if calls++; calls == 3 {
+						cancel()
+					}
+				}})
+			return err
+		}, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := WriteShards(context.Background(), dir, model.NewPlan(g, 8), nil, true, stream.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			err := tc.run(dir)
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if got := staleDirs(t, dir); len(got) != 0 {
+				t.Fatalf("%v remain after WriteShards returned", got)
+			}
+			for _, name := range shardFiles(t, dir) {
+				if filepath.Ext(name) != ".tsv" {
+					t.Errorf("%s of the earlier run survived", name)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteShardsEmptySweepCreatesNothing: into a directory without
+// shard files — a first run, or genserve's fresh staging directory —
+// the sweep creates no .stale-* directory, and after the run the
+// directory holds only what was there, the shard files and the
+// manifest.
+func TestWriteShardsEmptySweepCreatesNothing(t *testing.T) {
+	pl, _ := plan(t, 3)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	swept, err := sweep(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Looked at before swept joins: a directory created and removed at
+	// once would not show afterwards.
+	if got := staleDirs(t, dir); len(got) != 0 {
+		t.Fatalf("an empty sweep created %v", got)
+	}
+	if err := swept(); err != nil {
+		t.Fatal(err)
+	}
+	m := writeKron(t, dir, pl, false)
+	want := []string{"notes.txt", ManifestName}
+	for _, s := range m.Shards {
+		want = append(want, s.File)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("directory holds %v, want %v", got, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -13,30 +14,64 @@ import (
 	"kronvalid/internal/stream"
 )
 
-// textWriteSize is the least ArcTextWriter hands to one Write. On ext4,
-// writes of one batch's ≈ 46 KB cost the kernel ≈ 1.5× as much per byte
-// as writes of 256 KiB and leave a file ≈ 2× as slow to unlink; larger
-// writes gain nothing more (DESIGN.md §2, "Writes of at least 256 KiB").
-const textWriteSize = 256 << 10
+// writeSize is the least either arc writer hands to one Write. On ext4,
+// writes of one TSV batch's ≈ 46 KB cost the kernel ≈ 1.5× as much per
+// byte as writes of 256 KiB and leave a file ≈ 2× as slow to unlink;
+// larger writes gain nothing more (DESIGN.md §2, "Writes of at least
+// 256 KiB").
+const writeSize = 256 << 10
+
+// arcWriter is the write policy both arc writers share: encoded batches
+// accumulate in buf, which goes to w in one Write once it holds at least
+// writeSize bytes, and Flush writes the rest. A write error stops the
+// stream (Consume and Flush keep returning it, and nothing more is
+// written) and is never masked by a later Flush.
+type arcWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// filled writes the buffer out once it holds at least writeSize bytes
+// and reports the sticky error: every Consume ends with it.
+func (a *arcWriter) filled() error {
+	if len(a.buf) >= writeSize {
+		a.write()
+	}
+	return a.err
+}
+
+// Flush writes whatever is buffered and reports any write error.
+func (a *arcWriter) Flush() error {
+	if len(a.buf) > 0 {
+		a.write()
+	}
+	return a.err
+}
+
+// write hands the buffer to w and empties it, whether or not w fails:
+// after an error Consume appends nothing, so nothing is written again.
+func (a *arcWriter) write() {
+	if _, err := a.w.Write(a.buf); err != nil {
+		a.err = err
+	}
+	a.buf = a.buf[:0]
+}
 
 // ArcTextWriter is a stream.Sink that serializes arc batches as "u\tv\n"
 // lines. Batches are rendered by appendArcsTSV into one reused byte
 // buffer — no per-arc Fprintf, no per-arc syscalls — and the buffer goes
-// to the underlying writer in one Write once it holds at least 256 KiB.
-// Output is buffered until Flush: the last part of a stream reaches the
-// writer only when Flush is called. A write error stops the stream
-// (Consume and Flush keep returning it, and nothing more is written)
-// and is never masked by a later Flush.
+// to the underlying writer in writes of at least 256 KiB. Output is
+// buffered until Flush: the last part of a stream reaches the writer
+// only when Flush is called. A write error is sticky (arcWriter).
 type ArcTextWriter struct {
-	w   io.Writer
-	buf []byte
+	arcWriter
 	run tsvRun
-	err error
 }
 
 // NewArcTextWriter returns a text sink writing to w.
 func NewArcTextWriter(w io.Writer) *ArcTextWriter {
-	return &ArcTextWriter{w: w}
+	return &ArcTextWriter{arcWriter: arcWriter{w: w}}
 }
 
 // Consume renders one batch, writing the buffer out once it holds at
@@ -48,69 +83,46 @@ func (t *ArcTextWriter) Consume(batch []stream.Arc) error {
 	if t.buf == nil {
 		// One allocation for what accumulates before a write plus one
 		// more batch, instead of growing into it.
-		t.buf = make([]byte, 0, textWriteSize+len(batch)*maxArcLine+lineWindow)
+		t.buf = make([]byte, 0, writeSize+len(batch)*maxArcLine+lineWindow)
 	}
 	t.buf = appendArcsTSV(t.buf, batch, &t.run)
-	if len(t.buf) >= textWriteSize {
-		t.write()
-	}
-	return t.err
-}
-
-// Flush writes whatever is buffered and reports any write error.
-func (t *ArcTextWriter) Flush() error {
-	if len(t.buf) > 0 {
-		t.write()
-	}
-	return t.err
-}
-
-// write hands the buffer to w and empties it, whether or not w fails:
-// after an error Consume appends nothing, so nothing is written again.
-func (t *ArcTextWriter) write() {
-	if _, err := t.w.Write(t.buf); err != nil {
-		t.err = err
-	}
-	t.buf = t.buf[:0]
+	return t.filled()
 }
 
 // ArcBinaryWriter is a stream.Sink that serializes arc batches as
 // little-endian (uint64, uint64) pairs, 16 bytes per arc — the compact
-// format large-scale harnesses ingest. One Write call per batch.
+// format large-scale harnesses ingest. Like ArcTextWriter it reaches the
+// underlying writer in writes of at least 256 KiB, and output is
+// buffered until Flush.
 type ArcBinaryWriter struct {
-	w   io.Writer
-	buf []byte
-	err error
+	arcWriter
 }
 
 // NewArcBinaryWriter returns a binary sink writing to w.
 func NewArcBinaryWriter(w io.Writer) *ArcBinaryWriter {
-	return &ArcBinaryWriter{w: w}
+	return &ArcBinaryWriter{arcWriter{w: w}}
 }
 
-// Consume encodes and writes one batch.
+// Consume encodes one batch, writing the buffer out once it holds at
+// least 256 KiB.
 func (b *ArcBinaryWriter) Consume(batch []stream.Arc) error {
 	if b.err != nil {
 		return b.err
 	}
 	need := len(batch) * 16
-	if cap(b.buf) < need {
-		b.buf = make([]byte, need)
+	if b.buf == nil {
+		b.buf = make([]byte, 0, writeSize+need)
 	}
-	buf := b.buf[:need]
-	for i, a := range batch {
-		binary.LittleEndian.PutUint64(buf[i*16:], uint64(a.U))
-		binary.LittleEndian.PutUint64(buf[i*16+8:], uint64(a.V))
+	n := len(b.buf)
+	b.buf = slices.Grow(b.buf, need)[:n+need]
+	out := b.buf[n:]
+	for _, a := range batch {
+		binary.LittleEndian.PutUint64(out, uint64(a.U))
+		binary.LittleEndian.PutUint64(out[8:], uint64(a.V))
+		out = out[16:]
 	}
-	if _, err := b.w.Write(buf); err != nil {
-		b.err = err
-		return err
-	}
-	return nil
+	return b.filled()
 }
-
-// Flush reports any earlier write error; all data is written eagerly.
-func (b *ArcBinaryWriter) Flush() error { return b.err }
 
 // ReadArcsText parses "u<sep>v" lines (tab or spaces) written by
 // ArcTextWriter back into arcs, ignoring blank lines and lines starting

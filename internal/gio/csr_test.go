@@ -213,6 +213,9 @@ func TestArcsBinaryRoundTripAndTruncation(t *testing.T) {
 	if err := w.Consume(arcs); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	data := buf.Bytes()
 	back, err := ReadArcsBinary(bytes.NewReader(data))
 	if err != nil {

@@ -108,6 +108,9 @@ func FuzzReadArcsBinary(f *testing.F) {
 		if err := w.Consume(arcs); err != nil {
 			t.Fatal(err)
 		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(out.Bytes(), data) {
 			t.Fatal("re-serialization differs from input")
 		}

@@ -219,24 +219,30 @@ func TestArcTextWriterMatchesFprintf(t *testing.T) {
 }
 
 // TestArcWritersStickyError: a write error comes back no later than
-// Flush (the text writer buffers, so its first Write may be Flush's),
+// Flush (both writers buffer, so their first Write may be Flush's),
 // every later Consume and Flush returns it, and nothing is written after
 // it.
 func TestArcWritersStickyError(t *testing.T) {
-	// 100 arcs stay in the text writer's buffer until Flush; 1<<17 arcs
-	// of "0\t0\n" are 512 KiB, so Consume itself writes and fails.
+	// 100 arcs stay in either writer's buffer until Flush; 1<<17 arcs
+	// of "0\t0\n" are 512 KiB of text and 1<<15 arcs 512 KiB of binary,
+	// so Consume itself writes and fails.
 	for _, tc := range []struct {
-		arcs int
-		mk   func(w *failAfterWriter) stream.Sink
+		arcs    int
+		atFlush bool // the error surfaces at Flush, not at Consume
+		mk      func(w *failAfterWriter) stream.Sink
 	}{
-		{100, func(w *failAfterWriter) stream.Sink { return NewArcTextWriter(w) }},
-		{1 << 17, func(w *failAfterWriter) stream.Sink { return NewArcTextWriter(w) }},
-		{100, func(w *failAfterWriter) stream.Sink { return NewArcBinaryWriter(w) }},
+		{100, true, func(w *failAfterWriter) stream.Sink { return NewArcTextWriter(w) }},
+		{1 << 17, false, func(w *failAfterWriter) stream.Sink { return NewArcTextWriter(w) }},
+		{100, true, func(w *failAfterWriter) stream.Sink { return NewArcBinaryWriter(w) }},
+		{1 << 15, false, func(w *failAfterWriter) stream.Sink { return NewArcBinaryWriter(w) }},
 	} {
 		batch, mk := make([]stream.Arc, tc.arcs), tc.mk
 		fw := &failAfterWriter{n: 0}
 		s := mk(fw)
 		err := s.Consume(batch)
+		if got := err == nil; got != tc.atFlush {
+			t.Fatalf("%d arcs: Consume returned %v, want the error at Flush = %v", tc.arcs, err, tc.atFlush)
+		}
 		if err == nil {
 			err = s.Flush()
 		}
@@ -262,11 +268,56 @@ func TestArcBinaryWriterRoundTripBytes(t *testing.T) {
 	if err := s.Consume(arcs); err != nil {
 		t.Fatal(err)
 	}
+	if buf.Len() != 0 {
+		t.Fatalf("wrote %d bytes before Flush, want them buffered", buf.Len())
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if buf.Len() != len(arcs)*16 {
 		t.Fatalf("wrote %d bytes, want %d", buf.Len(), len(arcs)*16)
 	}
 	if got := binary.LittleEndian.Uint64(buf.Bytes()[16:24]); got != 1<<50 {
 		t.Fatalf("second arc U = %d", got)
+	}
+}
+
+// TestArcBinaryWriterWriteSize: every Write but the last one, Flush's,
+// carries at least 256 KiB, and the bytes are each arc's two
+// little-endian words in order — for full batches and for a batch size
+// that does not divide the write size.
+func TestArcBinaryWriterWriteSize(t *testing.T) {
+	arcs := make([]stream.Arc, 100000)
+	for i := range arcs {
+		arcs[i] = stream.Arc{U: int64(i / 7), V: int64(i)*2654435761 - 1<<40}
+	}
+	var want []byte
+	for _, a := range arcs {
+		want = binary.LittleEndian.AppendUint64(want, uint64(a.U))
+		want = binary.LittleEndian.AppendUint64(want, uint64(a.V))
+	}
+	for _, size := range []int{stream.DefaultBatchSize, 1000} {
+		var w writeSizes
+		bw := NewArcBinaryWriter(&w)
+		for lo := 0; lo < len(arcs); lo += size {
+			if err := bw.Consume(arcs[lo:min(lo+size, len(arcs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.sizes) < 3 {
+			t.Fatalf("batch %d: %d writes for %d bytes, want at least 3", size, len(w.sizes), w.Len())
+		}
+		for i, n := range w.sizes[:len(w.sizes)-1] {
+			if n < writeSize {
+				t.Errorf("batch %d: write %d of %d carries %d bytes, want at least %d", size, i, len(w.sizes), n, writeSize)
+			}
+		}
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("batch %d: written bytes differ at offset %d", size, firstDiff(w.Bytes(), want))
+		}
 	}
 }
 

@@ -137,8 +137,8 @@ func TestArcTextWriterWriteSize(t *testing.T) {
 		t.Fatalf("%d writes for %d bytes, want at least 3", len(w.sizes), w.Len())
 	}
 	for i, n := range w.sizes[:len(w.sizes)-1] {
-		if n < textWriteSize {
-			t.Errorf("write %d of %d carries %d bytes, want at least %d", i, len(w.sizes), n, textWriteSize)
+		if n < writeSize {
+			t.Errorf("write %d of %d carries %d bytes, want at least %d", i, len(w.sizes), n, writeSize)
 		}
 	}
 	if want := strconvArcs(nil, arcs); !bytes.Equal(w.Bytes(), want) {

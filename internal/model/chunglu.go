@@ -333,12 +333,11 @@ const clSegmentPairs = int64(1) << 23
 const clGeomCutoff = 32.0
 
 // drawSegment realizes the success set of L iid Bernoulli(t/2^53)
-// trials: one binomial count, then that many distinct uniform sorted
-// positions — dense counts (> L/2) sample the complement instead, which
-// selects the same uniform k-subset law. all reports every trial
-// succeeded (positions are implicit).
-func (st *chungLuState) drawSegment(L int64, p float64, t uint64) (pos []int64, all bool) {
-	k := st.s.BinomialFixed(L, p, t)
+// trials given their binomial count k, BinomialFixed(L, p, t): k
+// distinct uniform sorted positions — dense counts (> L/2) sample the
+// complement instead, which selects the same uniform k-subset law. all
+// reports every trial succeeded (positions are implicit).
+func (st *chungLuState) drawSegment(L, k int64) (pos []int64, all bool) {
 	switch {
 	case k <= 0:
 		return nil, false
@@ -398,7 +397,7 @@ func (g *ChungLu) emitConstRect(st *chungLuState, b *batcher, u, colBase, size i
 		if L > clSegmentPairs {
 			L = clSegmentPairs
 		}
-		pos, all := st.drawSegment(L, p, t)
+		pos, all := st.drawSegment(L, st.s.BinomialFixed(L, p, t))
 		if all {
 			for q := int64(0); q < L; q++ {
 				if !b.add(u, colBase+a+q) {
@@ -463,12 +462,22 @@ func (g *ChungLu) emitTailTriangle(st *chungLuState, b *batcher, i0, i1 int64) b
 		}
 		return true
 	}
+	// Every segment but the last is clSegmentPairs long, so their counts
+	// share one zig-zag set-up.
+	var full rng.PreparedBinomial
+	if T >= clSegmentPairs {
+		full = rng.PrepareBinomialFixed(clSegmentPairs, p, t)
+	}
 	for a := int64(0); a < T; a += clSegmentPairs {
 		L := T - a
-		if L > clSegmentPairs {
+		var k int64
+		if L >= clSegmentPairs {
 			L = clSegmentPairs
+			k = full.Draw(&st.s)
+		} else {
+			k = st.s.BinomialFixed(L, p, t)
 		}
-		pos, all := st.drawSegment(L, p, t)
+		pos, all := st.drawSegment(L, k)
 		if all {
 			for q := int64(0); q < L; q++ {
 				if !place(a + q) {

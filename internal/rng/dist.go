@@ -57,7 +57,7 @@ func (g *Xoshiro256) Binomial(n int64, p float64) int64 {
 	if n > largeBinomialCutoff {
 		return g.binomialNormal(n, p)
 	}
-	return g.binomialZigzag(n, p)
+	return newZigzag(n, p).walk(g)
 }
 
 // binomialNormal approximates Binomial(n, p) for trial counts beyond
@@ -96,13 +96,17 @@ func (g *Xoshiro256) binomialCount(n int64, p float64) int64 {
 	}
 }
 
-// binomialZigzag samples Binomial(n, p) exactly with one uniform: the
-// pmf is accumulated outward from the mode (mode, mode+1, mode-1, …),
-// each term obtained from its neighbor by the pmf ratio recurrence, and
-// the first prefix sum exceeding U selects the sample. Reordering the
-// pmf does not change the sampled law, and the expected number of terms
-// visited is O(σ) = O(√(np(1-p))).
-func (g *Xoshiro256) binomialZigzag(n int64, p float64) int64 {
+// zigzag is the set-up of the exact mode-centered Binomial(n, p)
+// sampler: the mode, its pmf and the pmf ratio step. Setting up costs
+// three Lgamma calls, an Exp, a Log and a Log1p; walk then costs O(σ).
+// The one walk serves Binomial, BinomialFixed and PreparedBinomial.
+type zigzag struct {
+	n, mode        int64
+	pMode, ratioUp float64
+}
+
+// newZigzag sets up the sampler for Binomial(n, p).
+func newZigzag(n int64, p float64) zigzag {
 	mode := int64(float64(n+1) * p)
 	if mode > n {
 		mode = n
@@ -112,14 +116,24 @@ func (g *Xoshiro256) binomialZigzag(n int64, p float64) int64 {
 	lgNK1, _ := math.Lgamma(float64(n - mode + 1))
 	pMode := math.Exp(lgN1 - lgK1 - lgNK1 +
 		float64(mode)*math.Log(p) + float64(n-mode)*math.Log1p(-p))
+	return zigzag{n: n, mode: mode, pMode: pMode, ratioUp: p / (1 - p)}
+}
+
+// walk samples Binomial(n, p) exactly with one uniform: the pmf is
+// accumulated outward from the mode (mode, mode+1, mode-1, …), each
+// term obtained from its neighbor by the pmf ratio recurrence, and the
+// first prefix sum exceeding U selects the sample. Reordering the pmf
+// does not change the sampled law, and the expected number of terms
+// visited is O(σ) = O(√(np(1-p))).
+func (z zigzag) walk(g *Xoshiro256) int64 {
+	n, mode, ratioUp := z.n, z.mode, z.ratioUp
 	u := g.Float64()
-	acc := pMode
+	acc := z.pMode
 	if u < acc {
 		return mode
 	}
-	ratioUp := p / (1 - p)
 	down, up := mode, mode
-	pDown, pUp := pMode, pMode
+	pDown, pUp := z.pMode, z.pMode
 	for down > 0 || up < n {
 		if up < n {
 			pUp *= float64(n-up) / float64(up+1) * ratioUp

@@ -111,5 +111,36 @@ func (g *Xoshiro256) BinomialFixed(n int64, p float64, t uint64) int64 {
 	if n > largeBinomialCutoff {
 		return g.binomialNormal(n, p)
 	}
-	return g.binomialZigzag(n, p)
+	return newZigzag(n, p).walk(g)
+}
+
+// PreparedBinomial is BinomialFixed(n, p, t) for one (n, p, t) drawn
+// many times: PrepareBinomialFixed does the zig-zag sampler's set-up
+// once, where BinomialFixed repeats it on every call, and each Draw
+// consumes exactly the draws and returns exactly the value
+// BinomialFixed(n, p, t) would from the same generator state. Chung–Lu
+// draws one count per full segment of its tail triangle, all with the
+// same (n, p, t).
+type PreparedBinomial struct {
+	n int64
+	p float64
+	t uint64
+	z zigzag // set up (z.n > 0) only in BinomialFixed's zig-zag regime
+}
+
+// PrepareBinomialFixed sets up repeated BinomialFixed(n, p, t) draws.
+func PrepareBinomialFixed(n int64, p float64, t uint64) PreparedBinomial {
+	b := PreparedBinomial{n: n, p: p, t: t}
+	if t != 0 && t < 1<<53 && n > smallFixedTrials && n <= largeBinomialCutoff {
+		b.z = newZigzag(n, p)
+	}
+	return b
+}
+
+// Draw returns g.BinomialFixed(n, p, t) for the prepared (n, p, t).
+func (b *PreparedBinomial) Draw(g *Xoshiro256) int64 {
+	if b.z.n > 0 {
+		return b.z.walk(g)
+	}
+	return g.BinomialFixed(b.n, b.p, b.t)
 }

@@ -172,3 +172,40 @@ func TestBinomialFixedSmallRegimeExact(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedBinomialMatchesBinomialFixed: a prepared sampler draws
+// exactly what BinomialFixed draws, value for value and state for
+// state, in every regime — counted trials (n ≤ 64), the zig-zag, the
+// normal approximation (n > 2^36), t = 0 and t = 2^53 — over many draws
+// from one preparation.
+func TestPreparedBinomialMatchesBinomialFixed(t *testing.T) {
+	cases := []struct {
+		n int64
+		p float64
+	}{
+		{0, 0.3},
+		{1, 0.3},
+		{smallFixedTrials, 0.76},     // counted trials, at the boundary
+		{smallFixedTrials + 1, 0.76}, // zig-zag, just past it
+		{5000, 0.19},
+		{1 << 23, 3e-4}, // a full Chung–Lu tail segment
+		{1 << 23, 0.93},
+		{largeBinomialCutoff, 0.5},     // the zig-zag's last n
+		{largeBinomialCutoff + 1, 0.5}, // normal approximation
+		{1 << 40, 1e-6},
+		{1000, 0},    // t = 0
+		{1000, 1},    // t = 2^53
+		{1 << 37, 1}, // t = 2^53, beyond the zig-zag
+	}
+	for _, tc := range cases {
+		thr := FixedThreshold(tc.p)
+		pb := PrepareBinomialFixed(tc.n, tc.p, thr)
+		ga, gb := New(uint64(tc.n)^7), New(uint64(tc.n)^7)
+		for i := 0; i < 200; i++ {
+			got, want := pb.Draw(ga), gb.BinomialFixed(tc.n, tc.p, thr)
+			if got != want || ga.s != gb.s {
+				t.Fatalf("n=%d p=%v draw %d: prepared %d (state %v), BinomialFixed %d (state %v)", tc.n, tc.p, i, got, ga.s, want, gb.s)
+			}
+		}
+	}
+}

@@ -210,7 +210,8 @@ func csrSourceOf(src Source) csr.Source {
 // shard's index in the error) or a context cancellation leaves the
 // directory without a manifest.json, so partial output can never be
 // mistaken for a complete stream. Shard files of an earlier run into dir
-// are unlinked before generation starts, never rewritten in place.
+// are moved aside before generation starts and removed while it runs,
+// never rewritten in place; WriteShards returns only once they are gone.
 func WriteShards(ctx context.Context, dir string, src Source, opts ...Option) (*ShardManifest, error) {
 	c := buildConfig(opts)
 	return distgen.WriteShards(ctx, dir, src, c.extra, c.binary, c.stream)
