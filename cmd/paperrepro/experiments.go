@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"log"
 	"sort"
 	"time"
@@ -19,7 +18,7 @@ import (
 // expTable1 reproduces the §VI statistics table with the offline
 // web-graph stand-in (E1) and the sublinear-ground-truth timing claim
 // (E10).
-func expTable1(n int, seed uint64) {
+func expTable1(r *report, n int, seed uint64) {
 	start := time.Now()
 	a := gen.WebGraph(n, 3, 0.75, seed)
 	b := a.WithAllLoops()
@@ -45,24 +44,24 @@ func expTable1(n int, seed uint64) {
 	}
 	sa, sb := stats[0], stats[1]
 
-	fmt.Println("§VI statistics table (web-NotreDame replaced by WebGraph stand-in; see DESIGN.md):")
-	fmt.Printf("%-8s %14s %16s %20s\n", "Matrix", "Vertices", "Edges", "Triangles")
-	fmt.Printf("%-8s %14d %16d %20d\n", "A", int64(a.NumVertices()), a.NumEdgesUndirected(), sa.Total)
-	fmt.Printf("%-8s %14d %16d %20d\n", "B=A+I", int64(b.NumVertices()), b.NumEdgesUndirected(), sb.Total)
-	fmt.Printf("%-8s %14d %16d %20d\n", "A⊗A", pAA.NumVertices(), pAA.NumEdgesUndirected(), tAA)
-	fmt.Printf("%-8s %14d %16d %20d\n", "A⊗B", pAB.NumVertices(), pAB.NumEdgesUndirected(), tAB)
-	fmt.Printf("\nτ(A⊗A) = 6·τ(A)²: %v;  self-loop boost τ(A⊗B)/τ(A⊗A) = %.3f\n",
+	r.println("§VI statistics table (web-NotreDame replaced by WebGraph stand-in; see DESIGN.md):")
+	r.printf("%-8s %14s %16s %20s\n", "Matrix", "Vertices", "Edges", "Triangles")
+	r.printf("%-8s %14d %16d %20d\n", "A", int64(a.NumVertices()), a.NumEdgesUndirected(), sa.Total)
+	r.printf("%-8s %14d %16d %20d\n", "B=A+I", int64(b.NumVertices()), b.NumEdgesUndirected(), sb.Total)
+	r.printf("%-8s %14d %16d %20d\n", "A⊗A", pAA.NumVertices(), pAA.NumEdgesUndirected(), tAA)
+	r.printf("%-8s %14d %16d %20d\n", "A⊗B", pAB.NumVertices(), pAB.NumEdgesUndirected(), tAB)
+	r.printf("\nτ(A⊗A) = 6·τ(A)²: %v;  self-loop boost τ(A⊗B)/τ(A⊗A) = %.3f\n",
 		tAA == 6*sa.Total*sa.Total, float64(tAB)/float64(tAA))
-	fmt.Printf("timing: generation %v, ground truth %v (three factor triangle passes; %d wedge checks on A, %d on B)\n",
+	r.printf("timing: generation %v, ground truth %v (three factor triangle passes; %d wedge checks on A, %d on B)\n",
 		genDur, truthDur, sa.WedgeChecks, sb.WedgeChecks)
-	fmt.Printf("paper analog: 2.38T/2.73T-edge products, 111.4T/141.0T triangles, 10.5 s, 7,734,429 wedge checks\n")
+	r.printf("paper analog: 2.38T/2.73T-edge products, 111.4T/141.0T triangles, 10.5 s, 7,734,429 wedge checks\n")
 }
 
 // expFig7 reproduces the Fig. 7 egonet experiment (E2): three degree-3
 // vertices of A with 1, 2, 3 triangles yield nine product vertices in
 // A⊗A (degree 9) and A⊗B (degree 12) whose triangle counts follow
 // Thm. 1 and Cor. 1.
-func expFig7(n int, seed uint64) {
+func expFig7(r *report, n int, seed uint64) {
 	a := gen.WebGraph(n, 3, 0.75, seed)
 	pAA := kron.MustProduct(a, a)
 	stats, err := pAA.FactorStats()
@@ -84,7 +83,7 @@ func expFig7(n int, seed uint64) {
 			log.Fatalf("factor lacks a degree-3 vertex with %d triangles; change -seed", want)
 		}
 	}
-	fmt.Printf("selected factor vertices (degree 3): t=1 -> %d, t=2 -> %d, t=3 -> %d\n\n",
+	r.printf("selected factor vertices (degree 3): t=1 -> %d, t=2 -> %d, t=3 -> %d\n\n",
 		picks[1], picks[2], picks[3])
 
 	b := a.WithAllLoops()
@@ -99,7 +98,7 @@ func expFig7(n int, seed uint64) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s egonets (paper Fig. 7 %s panel):\n", prod.name, map[string]string{"A⊗A": "top", "A⊗B": "bottom"}[prod.name])
+		r.printf("%s egonets (paper Fig. 7 %s panel):\n", prod.name, map[string]string{"A⊗A": "top", "A⊗B": "bottom"}[prod.name])
 		for _, ta := range []int64{1, 2, 3} {
 			for _, tb := range []int64{1, 2, 3} {
 				v := prod.p.Vertex(picks[ta], picks[tb])
@@ -107,17 +106,17 @@ func expFig7(n int, seed uint64) {
 				if err != nil {
 					log.Fatal(err)
 				}
-				fmt.Printf("  p=%-12d deg=%-3d t_p=%-4d (egonet recount: %d ✓)\n",
+				r.printf("  p=%-12d deg=%-3d t_p=%-4d (egonet recount: %d ✓)\n",
 					v, ego.Degree, tc.At(v), ego.LocalTriangles)
 			}
 		}
-		fmt.Println()
+		r.println()
 	}
 }
 
 // expEx1 prints the Ex. 1(a)-(c) clique closed forms next to the formula
 // outputs (E3).
-func expEx1(_ int, _ uint64) {
+func expEx1(r *report, _ int, _ uint64) {
 	nA, nB := int64(4), int64(5)
 	type rowT struct {
 		name                      string
@@ -133,43 +132,43 @@ func expEx1(_ int, _ uint64) {
 		{"J4⊗J5", kron.MustProduct(gen.CliqueWithLoops(int(nA)), gen.CliqueWithLoops(int(nB))),
 			n - 1, (n - 1) * (n - 2) / 2, n - 2},
 	}
-	fmt.Printf("%-8s %10s %10s %12s %12s %12s %12s\n",
+	r.printf("%-8s %10s %10s %12s %12s %12s %12s\n",
 		"Product", "deg", "deg(fml)", "t/vertex", "t(fml)", "Δ/edge", "Δ(fml)")
-	for _, r := range rows {
-		tc, err := kron.VertexParticipation(r.p)
+	for _, row := range rows {
+		tc, err := kron.VertexParticipation(row.p)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dc, err := kron.EdgeParticipation(r.p)
+		dc, err := kron.EdgeParticipation(row.p)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Find a representative non-loop edge.
 		var eu, ev int64 = -1, -1
-		r.p.EachArc(func(u, v int64) bool {
+		row.p.EachArc(func(u, v int64) bool {
 			if u != v {
 				eu, ev = u, v
 				return false
 			}
 			return true
 		})
-		fmt.Printf("%-8s %10d %10d %12d %12d %12d %12d\n",
-			r.name, r.wantDeg, r.p.Degree(0), r.wantVtx, tc.At(0), r.wantEdg, dc.At(eu, ev))
+		r.printf("%-8s %10d %10d %12d %12d %12d %12d\n",
+			row.name, row.wantDeg, row.p.Degree(0), row.wantVtx, tc.At(0), row.wantEdg, dc.At(eu, ev))
 	}
-	fmt.Println("\n(paper's Ex. 1(b) degree line prints nA·nB - nA; the realized clique degree is (nA-1)·nB — validated against explicit products)")
+	r.println("\n(paper's Ex. 1(b) degree line prints nA·nB - nA; the realized clique degree is (nA-1)·nB — validated against explicit products)")
 }
 
 // expEx2 reproduces Ex. 2 (E4): the hub-cycle product's edge histogram
 // and truss structure, which no plain Kronecker formula captures.
-func expEx2(_ int, _ uint64) {
+func expEx2(r *report, _ int, _ uint64) {
 	a := gen.HubCycle(4)
 	p := kron.MustProduct(a, a)
 	tau, err := kron.TriangleTotal(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("A: 4-cycle + hub (5 vertices, 8 edges, 4 triangles)\n")
-	fmt.Printf("C = A⊗A: %d vertices, %d edges, %d triangles (paper: 25, 128, 96)\n",
+	r.printf("A: 4-cycle + hub (5 vertices, 8 edges, 4 triangles)\n")
+	r.printf("C = A⊗A: %d vertices, %d edges, %d triangles (paper: 25, 128, 96)\n",
 		p.NumVertices(), p.NumEdgesUndirected(), tau)
 
 	dc, err := kron.EdgeParticipation(p)
@@ -192,38 +191,38 @@ func expEx2(_ int, _ uint64) {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	fmt.Println("edge participation histogram (paper: 32 edges @1, 64 @2, 32 @4):")
+	r.println("edge participation histogram (paper: 32 edges @1, 64 @2, 32 @4):")
 	for _, k := range keys {
-		fmt.Printf("  Δ=%d: %d edges\n", k, hist[k])
+		r.printf("  Δ=%d: %d edges\n", k, hist[k])
 	}
 
 	d := truss.Decompose(c)
-	fmt.Println("truss decomposition by direct peeling (paper: 128 in 3-truss, 80 in 4-truss, 0 in 5-truss):")
+	r.println("truss decomposition by direct peeling (paper: 128 in 3-truss, 80 in 4-truss, 0 in 5-truss):")
 	for k := 3; k <= 5; k++ {
-		fmt.Printf("  |T^(%d)| = %d\n", k, len(d.KTrussEdges(k)))
+		r.printf("  |T^(%d)| = %d\n", k, len(d.KTrussEdges(k)))
 	}
 	if _, err := kron.TrussDecomposition(p); err != nil {
-		fmt.Printf("Thm. 3 correctly refuses this product: %v\n", err)
+		r.printf("Thm. 3 correctly refuses this product: %v\n", err)
 	}
 }
 
 // expThm3 generates a product with fully known truss decomposition and
 // verifies it against direct peeling (E5).
-func expThm3(_ int, seed uint64) {
+func expThm3(r *report, _ int, seed uint64) {
 	a := gen.ErdosRenyi(50, 0.25, seed)
 	b := gen.TriangleLimitedPA(40, seed+1)
-	fmt.Printf("A: ER(50, 0.25), max Δ_A = %d; B: §III.D(b) generator, max Δ_B = %d\n",
+	r.printf("A: ER(50, 0.25), max Δ_A = %d; B: §III.D(b) generator, max Δ_B = %d\n",
 		gen.MaxEdgeTriangles(a), gen.MaxEdgeTriangles(b))
 	p := kron.MustProduct(a, b)
 	pt, err := kron.TrussDecomposition(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("C: %d vertices, %d edges; ground-truth trussness for every edge, MaxK = %d\n",
+	r.printf("C: %d vertices, %d edges; ground-truth trussness for every edge, MaxK = %d\n",
 		p.NumVertices(), p.NumEdgesUndirected(), pt.MaxK())
 	sizes := pt.TrussSizes()
 	for k := 3; k <= pt.MaxK(); k++ {
-		fmt.Printf("  |T^(%d)| = %d\n", k, sizes[k])
+		r.printf("  |T^(%d)| = %d\n", k, sizes[k])
 	}
 	c, err := p.Materialize(10000, 4_000_000)
 	if err != nil {
@@ -237,13 +236,13 @@ func expThm3(_ int, seed uint64) {
 		}
 		return true
 	})
-	fmt.Printf("verified against direct peeling of %d edges: %d mismatches\n",
+	r.printf("verified against direct peeling of %d edges: %d mismatches\n",
 		c.NumEdgesUndirected(), mismatch)
 }
 
 // expCensus reproduces the directed and labeled census theorems on a
 // validation-scale product (E6, E7).
-func expCensus(_ int, seed uint64) {
+func expCensus(r *report, _ int, seed uint64) {
 	// Directed factor with mixed reciprocity.
 	base := gen.WebGraph(30, 3, 0.6, seed)
 	var arcs []graph.Edge
@@ -273,8 +272,8 @@ func expCensus(_ int, seed uint64) {
 	}
 	directV := census.DirectedVertexCensus(c)
 	directE := census.DirectedEdgeCensus(c)
-	fmt.Println("directed census of C (Thm. 4/5), Kronecker vs direct:")
-	fmt.Printf("%-6s %14s %14s %8s      %-6s %14s %8s\n",
+	r.println("directed census of C (Thm. 4/5), Kronecker vs direct:")
+	r.printf("%-6s %14s %14s %8s      %-6s %14s %8s\n",
 		"vtype", "kron", "direct", "match", "etype", "kron", "match")
 	vts := census.AllVertexTypes()
 	ets := census.AllEdgeTypes()
@@ -287,7 +286,7 @@ func expCensus(_ int, seed uint64) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-6s %14d %14d %8v      %-6s %14d %8v\n",
+		r.printf("%-6s %14d %14d %8v      %-6s %14d %8v\n",
 			vts[idx], vTotal, sparse.SumVec(dv), sparse.EqualVec(kv, dv),
 			ets[idx], eTotal, ke.EqualOnArcs(c, directE.Delta[ets[idx]]))
 	}
@@ -317,12 +316,12 @@ func expCensus(_ int, seed uint64) {
 		}
 		grand += sparse.SumVec(got)
 	}
-	fmt.Printf("\nlabeled census (Thm. 6): %d types, all matching direct: %v; Σ counts = %d\n",
+	r.printf("\nlabeled census (Thm. 6): %d types, all matching direct: %v; Σ counts = %d\n",
 		len(ls.Vertex), allMatch, grand)
 }
 
 // expDegrees reproduces the §III.A degree-distribution analysis (E8).
-func expDegrees(n int, seed uint64) {
+func expDegrees(r *report, n int, seed uint64) {
 	a := gen.WebGraph(n, 3, 0.75, seed)
 	b := gen.WebGraph(n/2, 3, 0.75, seed+1)
 	hA := stats.NewHistogram(a.Degrees())
@@ -330,24 +329,24 @@ func expDegrees(n int, seed uint64) {
 	hC := stats.KronHistogram(hA, hB)
 	p := kron.MustProduct(a, b)
 
-	fmt.Printf("degree distributions (loop-free factors: d_C = d_A ⊗ d_B):\n")
-	fmt.Printf("  A: n=%d, max deg %d, ratio %.3e, Hill tail %.2f\n",
+	r.printf("degree distributions (loop-free factors: d_C = d_A ⊗ d_B):\n")
+	r.printf("  A: n=%d, max deg %d, ratio %.3e, Hill tail %.2f\n",
 		a.NumVertices(), hA.Max(), stats.MaxDegreeRatio(a.Degrees()),
 		stats.HillEstimator(a.Degrees(), a.NumVertices()/50))
-	fmt.Printf("  B: n=%d, max deg %d, ratio %.3e, Hill tail %.2f\n",
+	r.printf("  B: n=%d, max deg %d, ratio %.3e, Hill tail %.2f\n",
 		b.NumVertices(), hB.Max(), stats.MaxDegreeRatio(b.Degrees()),
 		stats.HillEstimator(b.Degrees(), b.NumVertices()/50))
 	maxC, _ := p.MaxDegree()
 	ratioC := float64(maxC) / float64(p.NumVertices())
-	fmt.Printf("  C: n=%d, max deg %d, ratio %.3e\n", p.NumVertices(), maxC, ratioC)
-	fmt.Printf("  ratio product (‖dA‖∞/nA)(‖dB‖∞/nB) = %.3e — squaring effect of §III.A: %v\n",
+	r.printf("  C: n=%d, max deg %d, ratio %.3e\n", p.NumVertices(), maxC, ratioC)
+	r.printf("  ratio product (‖dA‖∞/nA)(‖dB‖∞/nB) = %.3e — squaring effect of §III.A: %v\n",
 		stats.MaxDegreeRatio(a.Degrees())*stats.MaxDegreeRatio(b.Degrees()),
 		ratioC == stats.MaxDegreeRatio(a.Degrees())*stats.MaxDegreeRatio(b.Degrees()) ||
 			abs(ratioC-stats.MaxDegreeRatio(a.Degrees())*stats.MaxDegreeRatio(b.Degrees())) < 1e-15)
 	xs, ps := hC.CCDF()
-	fmt.Println("  CCDF of d_C (log-spaced sample):")
+	r.println("  CCDF of d_C (log-spaced sample):")
 	for i := 0; i < len(xs); i += maxInt(1, len(xs)/12) {
-		fmt.Printf("    P(d >= %6d) = %.3e\n", xs[i], ps[i])
+		r.printf("    P(d >= %6d) = %.3e\n", xs[i], ps[i])
 	}
 }
 
@@ -356,7 +355,7 @@ func expDegrees(n int, seed uint64) {
 // fewer triangles than the nonstochastic product with the very same
 // degree sequence, and self loops in a factor tune the nonstochastic
 // counts further up (Rem. 3).
-func expRem1(n int, seed uint64) {
+func expRem1(r *report, n int, seed uint64) {
 	a := gen.WebGraph(n/32, 3, 0.75, seed)
 	pAA := kron.MustProduct(a, a)
 	pAB := kron.MustProduct(a, a.WithAllLoops())
@@ -376,39 +375,39 @@ func expRem1(n int, seed uint64) {
 	cl := gen.ChungLu(degs, seed+3)
 	tauCL := triangle.Count(cl).Total
 
-	fmt.Println("Rem. 1: independent-edge (stochastic) models vs nonstochastic products")
-	fmt.Printf("  %-44s %12s %14s\n", "model", "edges", "triangles")
-	fmt.Printf("  %-44s %12d %14d\n", "nonstochastic A⊗A (exact)",
+	r.println("Rem. 1: independent-edge (stochastic) models vs nonstochastic products")
+	r.printf("  %-44s %12s %14s\n", "model", "edges", "triangles")
+	r.printf("  %-44s %12d %14d\n", "nonstochastic A⊗A (exact)",
 		pAA.NumEdgesUndirected(), tauAA)
-	fmt.Printf("  %-44s %12d %14d\n", "nonstochastic A⊗(A+I), self-loop boost (exact)",
+	r.printf("  %-44s %12d %14d\n", "nonstochastic A⊗(A+I), self-loop boost (exact)",
 		pAB.NumEdgesUndirected(), tauAB)
-	fmt.Printf("  %-44s %12s %14.0f\n", "independent edges, same degrees (analytic E)",
+	r.printf("  %-44s %12s %14.0f\n", "independent edges, same degrees (analytic E)",
 		"same", expected)
-	fmt.Printf("  %-44s %12d %14d\n", "independent edges, same degrees (sampled)",
+	r.printf("  %-44s %12d %14d\n", "independent edges, same degrees (sampled)",
 		cl.NumEdgesUndirected(), tauCL)
-	fmt.Printf("\n  nonstochastic keeps %.1fx the null's triangles; with self loops %.1fx\n",
+	r.printf("\n  nonstochastic keeps %.1fx the null's triangles; with self loops %.1fx\n",
 		float64(tauAA)/float64(tauCL), float64(tauAB)/float64(tauCL))
-	fmt.Println("  (local counts are tunable by adding triangles/self-loops to factors — Rem. 1)")
+	r.println("  (local counts are tunable by adding triangles/self-loops to factors — Rem. 1)")
 }
 
 // expPower exercises the repeated-power construction of [3] (the
 // generator the paper's framework plugs into): τ(B^{⊗k}) =
 // 6^{k-1}·τ(B)^k for a loop-free factor, with per-vertex ground truth at
 // any of the Π n_i vertices.
-func expPower(n int, seed uint64) {
+func expPower(r *report, n int, seed uint64) {
 	b := gen.WebGraph(n/32, 3, 0.75, seed)
 	tb := triangle.Count(b).Total
-	fmt.Printf("factor B: %d vertices, %d edges, τ(B) = %d\n", b.NumVertices(), b.NumEdgesUndirected(), tb)
-	fmt.Printf("%-3s %20s %20s %24s %10s\n", "k", "vertices", "arcs", "triangles (exact)", "6^{k-1}τ^k")
+	r.printf("factor B: %d vertices, %d edges, τ(B) = %d\n", b.NumVertices(), b.NumEdgesUndirected(), tb)
+	r.printf("%-3s %20s %20s %24s %10s\n", "k", "vertices", "arcs", "triangles (exact)", "6^{k-1}τ^k")
 	for k := 1; k <= 4; k++ {
 		p, err := kron.KroneckerPower(b, k)
 		if err != nil {
-			fmt.Printf("%-3d overflow: %v\n", k, err)
+			r.printf("%-3d overflow: %v\n", k, err)
 			return
 		}
 		tau, err := kron.TriangleTotal(p)
 		if err != nil {
-			fmt.Printf("%-3d triangles exceed int64: %v\n", k, err)
+			r.printf("%-3d triangles exceed int64: %v\n", k, err)
 			return
 		}
 		want := int64(1)
@@ -418,7 +417,7 @@ func expPower(n int, seed uint64) {
 		for i := 0; i < k-1; i++ {
 			want *= 6
 		}
-		fmt.Printf("%-3d %20d %20d %24d %10v\n", k, p.NumVertices(), p.NumArcs(), tau, tau == want)
+		r.printf("%-3d %20d %20d %24d %10v\n", k, p.NumVertices(), p.NumArcs(), tau, tau == want)
 	}
 }
 

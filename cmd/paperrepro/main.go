@@ -19,19 +19,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("paperrepro: ")
-	exp := flag.String("exp", "all", "experiment id (table1 fig7 ex1 ex2 thm3 census degrees rem1 all)")
-	n := flag.Int("n", 1<<14, "web-factor vertices for the large experiments")
-	seed := flag.Uint64("seed", 2018, "generator seed")
-	flag.Parse()
+// Default flag values; the golden test runs the experiments at these.
+const (
+	defaultN    = 1 << 14
+	defaultSeed = 2018
+)
 
-	run := map[string]func(int, uint64){
+// experiments maps each id to its experiment, and order is the sequence
+// "all" runs them in.
+var (
+	experiments = map[string]func(*report, int, uint64){
 		"table1":  expTable1,
 		"fig7":    expFig7,
 		"ex1":     expEx1,
@@ -42,19 +44,43 @@ func main() {
 		"rem1":    expRem1,
 		"power":   expPower,
 	}
-	order := []string{"table1", "fig7", "ex1", "ex2", "thm3", "census", "degrees", "rem1", "power"}
+	order = []string{"table1", "fig7", "ex1", "ex2", "thm3", "census", "degrees", "rem1", "power"}
+)
+
+// report is where an experiment prints its tables.
+type report struct {
+	w io.Writer
+}
+
+func (r *report) printf(format string, a ...any) { fmt.Fprintf(r.w, format, a...) }
+func (r *report) println(a ...any)               { fmt.Fprintln(r.w, a...) }
+
+// runAll runs every experiment in order, each under a header line.
+func runAll(r *report, n int, seed uint64) {
+	for _, id := range order {
+		r.printf("================ %s ================\n", id)
+		experiments[id](r, n, seed)
+		r.println()
+	}
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("paperrepro: ")
+	exp := flag.String("exp", "all", "experiment id (table1 fig7 ex1 ex2 thm3 census degrees rem1 power all)")
+	n := flag.Int("n", defaultN, "web-factor vertices for the large experiments")
+	seed := flag.Uint64("seed", defaultSeed, "generator seed")
+	flag.Parse()
+
+	r := &report{w: os.Stdout}
 	if *exp == "all" {
-		for _, id := range order {
-			fmt.Printf("================ %s ================\n", id)
-			run[id](*n, *seed)
-			fmt.Println()
-		}
+		runAll(r, *n, *seed)
 		return
 	}
-	f, ok := run[*exp]
+	f, ok := experiments[*exp]
 	if !ok {
 		log.Printf("unknown experiment %q; available: %v all", *exp, order)
 		os.Exit(2)
 	}
-	f(*n, *seed)
+	f(r, *n, *seed)
 }
