@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"time"
 
@@ -9,7 +11,6 @@ import (
 	"kronvalid/internal/gen"
 	"kronvalid/internal/graph"
 	"kronvalid/internal/kron"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/stats"
 	"kronvalid/internal/triangle"
 	"kronvalid/internal/truss"
@@ -51,7 +52,7 @@ func expTable1(r *report, n int, seed uint64) {
 	r.printf("%-8s %14d %16d %20d\n", "A⊗A", pAA.NumVertices(), pAA.NumEdgesUndirected(), tAA)
 	r.printf("%-8s %14d %16d %20d\n", "A⊗B", pAB.NumVertices(), pAB.NumEdgesUndirected(), tAB)
 	r.printf("\nτ(A⊗A) = 6·τ(A)²: %v;  self-loop boost τ(A⊗B)/τ(A⊗A) = %.3f\n",
-		tAA == 6*sa.Total*sa.Total, float64(tAB)/float64(tAA))
+		r.check("table1: τ(A⊗A) = 6·τ(A)²", tAA == 6*sa.Total*sa.Total), float64(tAB)/float64(tAA))
 	r.printf("timing: generation %v, ground truth %v (three factor triangle passes; %d wedge checks on A, %d on B)\n",
 		genDur, truthDur, sa.WedgeChecks, sb.WedgeChecks)
 	r.printf("paper analog: 2.38T/2.73T-edge products, 111.4T/141.0T triangles, 10.5 s, 7,734,429 wedge checks\n")
@@ -102,12 +103,16 @@ func expFig7(r *report, n int, seed uint64) {
 		for _, ta := range []int64{1, 2, 3} {
 			for _, tb := range []int64{1, 2, 3} {
 				v := prod.p.Vertex(picks[ta], picks[tb])
-				ego, err := kron.VerifyEgonet(prod.p, tc, v, 10000)
+				ego, err := kron.ExtractEgonet(prod.p, v, 10000)
 				if err != nil {
 					log.Fatal(err)
 				}
-				r.printf("  p=%-12d deg=%-3d t_p=%-4d (egonet recount: %d ✓)\n",
-					v, ego.Degree, tc.At(v), ego.LocalTriangles)
+				mark := "✓"
+				if !r.check(fmt.Sprintf("fig7: %s egonet of %d", prod.name, v), ego.LocalTriangles == tc.At(v)) {
+					mark = "✗"
+				}
+				r.printf("  p=%-12d deg=%-3d t_p=%-4d (egonet recount: %d %s)\n",
+					v, ego.Degree, tc.At(v), ego.LocalTriangles, mark)
 			}
 		}
 		r.println()
@@ -152,8 +157,10 @@ func expEx1(r *report, _ int, _ uint64) {
 			}
 			return true
 		})
+		deg, vtx, edg := row.p.Degree(0), tc.At(0), dc.At(eu, ev)
+		r.check("ex1: "+row.name+" closed forms", deg == row.wantDeg && vtx == row.wantVtx && edg == row.wantEdg)
 		r.printf("%-8s %10d %10d %12d %12d %12d %12d\n",
-			row.name, row.wantDeg, row.p.Degree(0), row.wantVtx, tc.At(0), row.wantEdg, dc.At(eu, ev))
+			row.name, row.wantDeg, deg, row.wantVtx, vtx, row.wantEdg, edg)
 	}
 	r.println("\n(paper's Ex. 1(b) degree line prints nA·nB - nA; the realized clique degree is (nA-1)·nB — validated against explicit products)")
 }
@@ -170,6 +177,7 @@ func expEx2(r *report, _ int, _ uint64) {
 	r.printf("A: 4-cycle + hub (5 vertices, 8 edges, 4 triangles)\n")
 	r.printf("C = A⊗A: %d vertices, %d edges, %d triangles (paper: 25, 128, 96)\n",
 		p.NumVertices(), p.NumEdgesUndirected(), tau)
+	r.check("ex2: size of C", p.NumVertices() == 25 && p.NumEdgesUndirected() == 128 && tau == 96)
 
 	dc, err := kron.EdgeParticipation(p)
 	if err != nil {
@@ -195,13 +203,18 @@ func expEx2(r *report, _ int, _ uint64) {
 	for _, k := range keys {
 		r.printf("  Δ=%d: %d edges\n", k, hist[k])
 	}
+	r.check("ex2: edge participation histogram", len(hist) == 3 && hist[1] == 32 && hist[2] == 64 && hist[4] == 32)
 
 	d := truss.Decompose(c)
 	r.println("truss decomposition by direct peeling (paper: 128 in 3-truss, 80 in 4-truss, 0 in 5-truss):")
+	paperTruss := map[int]int{3: 128, 4: 80, 5: 0}
 	for k := 3; k <= 5; k++ {
-		r.printf("  |T^(%d)| = %d\n", k, len(d.KTrussEdges(k)))
+		size := len(d.KTrussEdges(k))
+		r.check(fmt.Sprintf("ex2: |T^(%d)|", k), size == paperTruss[k])
+		r.printf("  |T^(%d)| = %d\n", k, size)
 	}
-	if _, err := kron.TrussDecomposition(p); err != nil {
+	_, err = kron.TrussDecomposition(p)
+	if r.check("ex2: Thm. 3 refuses a product with Δ_B > 1", err != nil) {
 		r.printf("Thm. 3 correctly refuses this product: %v\n", err)
 	}
 }
@@ -236,6 +249,7 @@ func expThm3(r *report, _ int, seed uint64) {
 		}
 		return true
 	})
+	r.check("thm3: trussness of every edge", mismatch == 0)
 	r.printf("verified against direct peeling of %d edges: %d mismatches\n",
 		c.NumEdgesUndirected(), mismatch)
 }
@@ -280,15 +294,14 @@ func expCensus(r *report, _ int, seed uint64) {
 	for idx := range vts {
 		kv := ds.Vertex[vts[idx]].Vector()
 		dv := directV.Counts[vts[idx]]
-		vTotal := sparse.SumVec(kv)
 		ke := ds.Edge[ets[idx]]
 		eTotal, err := ke.Total()
 		if err != nil {
 			log.Fatal(err)
 		}
 		r.printf("%-6s %14d %14d %8v      %-6s %14d %8v\n",
-			vts[idx], vTotal, sparse.SumVec(dv), sparse.EqualVec(kv, dv),
-			ets[idx], eTotal, ke.EqualOnArcs(c, directE.Delta[ets[idx]]))
+			vts[idx], sum(kv), sum(dv), r.check("census: vertex type "+vts[idx].String(), slices.Equal(kv, dv)),
+			ets[idx], eTotal, r.check("census: edge type "+ets[idx].String(), ke.EqualOnArcs(c, directE.Delta[ets[idx]])))
 	}
 
 	// Labeled: 3 colors on an undirected factor.
@@ -311,13 +324,19 @@ func expCensus(r *report, _ int, seed uint64) {
 	var grand int64
 	for ty, vec := range ls.Vertex {
 		got := vec.Vector()
-		if !sparse.EqualVec(got, directLV[ty]) {
+		if !slices.Equal(got, directLV[ty]) {
 			allMatch = false
 		}
-		grand += sparse.SumVec(got)
+		grand += sum(got)
 	}
 	r.printf("\nlabeled census (Thm. 6): %d types, all matching direct: %v; Σ counts = %d\n",
-		len(ls.Vertex), allMatch, grand)
+		len(ls.Vertex), r.check("census: labeled vertex census (Thm. 6)", allMatch), grand)
+	directLE := census.LabeledEdgeCensus(lc)
+	edgeMatch := true
+	for ty, mat := range ls.Edge {
+		edgeMatch = edgeMatch && mat.EqualOnArcs(lc, directLE[ty])
+	}
+	r.check("census: labeled edge census (Thm. 7)", edgeMatch)
 }
 
 // expDegrees reproduces the §III.A degree-distribution analysis (E8).
@@ -339,10 +358,9 @@ func expDegrees(r *report, n int, seed uint64) {
 	maxC, _ := p.MaxDegree()
 	ratioC := float64(maxC) / float64(p.NumVertices())
 	r.printf("  C: n=%d, max deg %d, ratio %.3e\n", p.NumVertices(), maxC, ratioC)
+	ratioAB := stats.MaxDegreeRatio(a.Degrees()) * stats.MaxDegreeRatio(b.Degrees())
 	r.printf("  ratio product (‖dA‖∞/nA)(‖dB‖∞/nB) = %.3e — squaring effect of §III.A: %v\n",
-		stats.MaxDegreeRatio(a.Degrees())*stats.MaxDegreeRatio(b.Degrees()),
-		ratioC == stats.MaxDegreeRatio(a.Degrees())*stats.MaxDegreeRatio(b.Degrees()) ||
-			abs(ratioC-stats.MaxDegreeRatio(a.Degrees())*stats.MaxDegreeRatio(b.Degrees())) < 1e-15)
+		ratioAB, r.check("degrees: max-ratio squaring", abs(ratioC-ratioAB) < 1e-15))
 	xs, ps := hC.CCDF()
 	r.println("  CCDF of d_C (log-spaced sample):")
 	for i := 0; i < len(xs); i += maxInt(1, len(xs)/12) {
@@ -417,8 +435,17 @@ func expPower(r *report, n int, seed uint64) {
 		for i := 0; i < k-1; i++ {
 			want *= 6
 		}
-		r.printf("%-3d %20d %20d %24d %10v\n", k, p.NumVertices(), p.NumArcs(), tau, tau == want)
+		r.printf("%-3d %20d %20d %24d %10v\n", k, p.NumVertices(), p.NumArcs(), tau,
+			r.check(fmt.Sprintf("power: τ(B^{⊗%d})", k), tau == want))
 	}
+}
+
+func sum(v []int64) int64 {
+	var s int64
+	for _, x := range v {
+		s += x
+	}
+	return s
 }
 
 func abs(x float64) float64 {

@@ -22,6 +22,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 )
 
 // Default flag values; the golden test runs the experiments at these.
@@ -47,9 +48,21 @@ var (
 	order = []string{"table1", "fig7", "ex1", "ex2", "thm3", "census", "degrees", "rem1", "power"}
 )
 
-// report is where an experiment prints its tables.
+// report is where an experiment prints its tables and records its
+// checks: each comparison of a closed form with a direct count or with
+// the paper's printed value goes through check.
 type report struct {
-	w io.Writer
+	w      io.Writer
+	failed []string
+}
+
+// check records the outcome of the named check and returns ok, for the
+// experiment to print.
+func (r *report) check(name string, ok bool) bool {
+	if !ok {
+		r.failed = append(r.failed, name)
+	}
+	return ok
 }
 
 func (r *report) printf(format string, a ...any) { fmt.Fprintf(r.w, format, a...) }
@@ -75,12 +88,14 @@ func main() {
 	r := &report{w: os.Stdout}
 	if *exp == "all" {
 		runAll(r, *n, *seed)
-		return
-	}
-	f, ok := experiments[*exp]
-	if !ok {
+	} else if f, ok := experiments[*exp]; ok {
+		f(r, *n, *seed)
+	} else {
 		log.Printf("unknown experiment %q; available: %v all", *exp, order)
 		os.Exit(2)
 	}
-	f(r, *n, *seed)
+	if len(r.failed) > 0 {
+		log.Printf("%d checks failed: %s", len(r.failed), strings.Join(r.failed, "; "))
+		os.Exit(1)
+	}
 }
