@@ -12,7 +12,6 @@ import (
 	"kronvalid/internal/kron"
 	"kronvalid/internal/model"
 	"kronvalid/internal/serve"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/stats"
 	"kronvalid/internal/stream"
 	"kronvalid/internal/triangle"
@@ -35,10 +34,6 @@ type Edge = graph.Edge
 func FromEdges(n int, edges []Edge, symmetrize bool) *Graph {
 	return graph.FromEdges(n, edges, symmetrize)
 }
-
-// Matrix is a CSR sparse integer matrix, the language the paper's
-// formulas are stated in. Statistics matrices (Δ_A, censuses) use it.
-type Matrix = sparse.Matrix
 
 // ---- generators ----
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"kronvalid/internal/gen"
 	"kronvalid/internal/graph"
 	"kronvalid/internal/rng"
 	"kronvalid/internal/sparse"
@@ -41,12 +42,52 @@ func randomUndirected(g *rng.Xoshiro256, n int, avgDeg float64) *graph.Graph {
 	return graph.FromEdges(n, edges, true)
 }
 
+// webCases are small web factors (preferential attachment with triadic
+// closure, so hubs and skewed degrees) with each edge oriented at random:
+// reciprocal with probability reciprocity, else one way.
+func webCases(seed uint64) []*graph.Graph {
+	var out []*graph.Graph
+	for i, reciprocity := range []float64{0.4, 0.1} {
+		base := gen.WebGraph(300, 3, 0.75, seed+uint64(i))
+		g := rng.New(seed + uint64(i))
+		var arcs []graph.Edge
+		base.EachEdgeUndirected(func(u, v int32) bool {
+			switch {
+			case g.Float64() < reciprocity:
+				arcs = append(arcs, graph.Edge{U: u, V: v}, graph.Edge{U: v, V: u})
+			case g.Float64() < 0.5:
+				arcs = append(arcs, graph.Edge{U: u, V: v})
+			default:
+				arcs = append(arcs, graph.Edge{U: v, V: u})
+			}
+			return true
+		})
+		out = append(out, graph.FromEdges(base.NumVertices(), arcs, false))
+	}
+	return out
+}
+
+// labeledWebCase is a small undirected web factor with three random labels.
+func labeledWebCase(seed uint64) *graph.Graph {
+	base := gen.WebGraph(300, 3, 0.75, seed)
+	g := rng.New(seed)
+	labels := make([]int32, base.NumVertices())
+	for v := range labels {
+		labels[v] = int32(g.Intn(3))
+	}
+	return base.WithLabels(labels, 3)
+}
+
 func TestVertexCensusAlgebraMatchesEnum(t *testing.T) {
 	g := rng.New(71)
+	var cases []*graph.Graph
 	for trial := 0; trial < 20; trial++ {
-		gr := randomDirected(g, 5+g.Intn(30), 4, 0.4)
-		alg := DirectedVertexCensus(gr)
-		enum := DirectedVertexCensusEnum(gr)
+		cases = append(cases, randomDirected(g, 5+g.Intn(30), 4, 0.4))
+	}
+	cases = append(cases, webCases(71)...)
+	for trial, gr := range cases {
+		alg := directedVertexCensusAlgebra(gr)
+		enum := DirectedVertexCensus(gr)
 		for _, ty := range AllVertexTypes() {
 			if !sparse.EqualVec(alg.Counts[ty], enum.Counts[ty]) {
 				t.Fatalf("trial %d type %v: algebra %v vs enum %v",
@@ -109,8 +150,8 @@ func TestVertexCensusMixedTriangle(t *testing.T) {
 	// the full type multiset.
 	gr := graph.FromEdges(3, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 0}, {U: 1, V: 2}, {U: 0, V: 2}}, false)
-	alg := DirectedVertexCensus(gr)
-	enum := DirectedVertexCensusEnum(gr)
+	alg := directedVertexCensusAlgebra(gr)
+	enum := DirectedVertexCensus(gr)
 	totalTypes := 0
 	for _, ty := range AllVertexTypes() {
 		if !sparse.EqualVec(alg.Counts[ty], enum.Counts[ty]) {
@@ -139,13 +180,19 @@ func arcAligned(g *graph.Graph, d []int64) bool {
 
 func TestEdgeCensusAlgebraMatchesEnum(t *testing.T) {
 	g := rng.New(73)
+	var cases []*graph.Graph
 	for trial := 0; trial < 20; trial++ {
 		gr := randomDirected(g, 5+g.Intn(25), 4, 0.4)
 		if trial%2 == 1 {
 			gr = gr.WithAllLoops()
 		}
-		alg := DirectedEdgeCensus(gr)
-		enum := DirectedEdgeCensusEnum(gr)
+		cases = append(cases, gr)
+	}
+	web := webCases(73)
+	cases = append(cases, web[0], web[1].WithAllLoops())
+	for trial, gr := range cases {
+		alg := directedEdgeCensusAlgebra(gr)
+		enum := DirectedEdgeCensus(gr)
 		for _, ty := range AllEdgeTypes() {
 			if !arcAligned(gr, alg.Delta[ty]) || !slices.Equal(alg.Delta[ty], enum.Delta[ty]) {
 				t.Fatalf("trial %d type %v:\nalgebra\n%v\nenum\n%v",
@@ -190,8 +237,8 @@ func TestEdgeCensusSupportsLieInCorrectParts(t *testing.T) {
 	g := rng.New(75)
 	gr := randomDirected(g, 30, 5, 0.5)
 	work := gr.WithoutLoops()
-	ad := work.DirectedPart().ToSparse()
-	ar := work.ReciprocalPart().ToSparse()
+	ad := sparse.Adjacency(work.DirectedPart())
+	ar := sparse.Adjacency(work.ReciprocalPart())
 	c := DirectedEdgeCensus(gr)
 	for _, ty := range AllEdgeTypes() {
 		central, _, _ := edgeTypeParts(ty)
@@ -278,8 +325,8 @@ func TestQuickCensusAgreement(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := rng.New(seed)
 		gr := randomDirected(g, 4+g.Intn(15), 3, g.Float64())
-		alg := DirectedVertexCensus(gr)
-		enum := DirectedVertexCensusEnum(gr)
+		alg := directedVertexCensusAlgebra(gr)
+		enum := DirectedVertexCensus(gr)
 		for _, ty := range AllVertexTypes() {
 			if !sparse.EqualVec(alg.Counts[ty], enum.Counts[ty]) {
 				return false
@@ -305,10 +352,14 @@ func randomLabeled(g *rng.Xoshiro256, n, L int, avgDeg float64) *graph.Graph {
 
 func TestLabeledVertexCensusMatchesEnum(t *testing.T) {
 	g := rng.New(81)
+	var cases []*graph.Graph
 	for trial := 0; trial < 15; trial++ {
-		gr := randomLabeled(g, 5+g.Intn(25), 1+g.Intn(4), 5)
-		alg := LabeledVertexCensus(gr)
-		enum := LabeledVertexCensusEnum(gr)
+		cases = append(cases, randomLabeled(g, 5+g.Intn(25), 1+g.Intn(4), 5))
+	}
+	cases = append(cases, labeledWebCase(81))
+	for trial, gr := range cases {
+		alg := labeledVertexCensusAlgebra(gr)
+		enum := LabeledVertexCensus(gr)
 		for _, ty := range AllLabelVertexTypes(gr.NumLabels()) {
 			if !sparse.EqualVec(alg[ty], enum[ty]) {
 				t.Fatalf("trial %d type %v: %v vs %v", trial, ty, alg[ty], enum[ty])
@@ -337,13 +388,19 @@ func TestLabeledVertexCensusSumsToUnlabeled(t *testing.T) {
 
 func TestLabeledEdgeCensusMatchesEnum(t *testing.T) {
 	g := rng.New(83)
+	var cases []*graph.Graph
 	for trial := 0; trial < 15; trial++ {
 		gr := randomLabeled(g, 5+g.Intn(20), 1+g.Intn(3), 4)
 		if trial%2 == 1 {
 			gr = gr.WithAllLoops()
 		}
-		alg := LabeledEdgeCensus(gr)
-		enum := LabeledEdgeCensusEnum(gr)
+		cases = append(cases, gr)
+	}
+	web := labeledWebCase(83)
+	cases = append(cases, web, web.WithAllLoops())
+	for trial, gr := range cases {
+		alg := labeledEdgeCensusAlgebra(gr)
+		enum := LabeledEdgeCensus(gr)
 		for _, ty := range AllLabelEdgeTypes(gr.NumLabels()) {
 			if !arcAligned(gr, alg[ty]) || !slices.Equal(alg[ty], enum[ty]) {
 				t.Fatalf("trial %d type %v:\n%v\nvs\n%v", trial, ty, alg[ty], enum[ty])
@@ -383,6 +440,13 @@ func TestLabeledThreeColorTriangle(t *testing.T) {
 	// One triangle with labels 0,1,2: center sees type (own|other two).
 	gr := graph.FromEdges(3, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}, true).WithLabels([]int32{0, 1, 2}, 3)
+	// The oracle's filters are orthogonal diagonal projections summing to I.
+	if !labelFilter(gr, 0).Add(labelFilter(gr, 1)).Add(labelFilter(gr, 2)).Equal(sparse.Identity(3)) {
+		t.Error("sum of label filters != I")
+	}
+	if labelFilter(gr, 0).Mul(labelFilter(gr, 1)).NNZ() != 0 {
+		t.Error("label filters not orthogonal")
+	}
 	alg := LabeledVertexCensus(gr)
 	if alg[NewLabelVertexType(0, 1, 2)][0] != 1 {
 		t.Error("center 0 should see (0|1,2)")

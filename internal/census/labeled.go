@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/triangle"
 )
 
@@ -69,61 +68,15 @@ func AllLabelEdgeTypes(L int) []LabelEdgeType {
 }
 
 // LabeledVertexCensus computes per-vertex counts of every labeled
-// triangle type via the Def. 13 formulas:
-//
-//	t^(q1,q2,q3) = diag(Π_q1 A Π_q3 A Π_q2 A Π_q1)        (q2 != q3)
-//	t^(q1,q2,q2) = ½ diag(Π_q1 A Π_q2 A Π_q2 A Π_q1)
-//
-// The graph must be labeled and undirected; self loops are ignored.
+// triangle type (Def. 13) by enumerating every triangle once and
+// classifying it from each of its three vertices. The graph must be
+// labeled and undirected; self loops are ignored.
 func LabeledVertexCensus(g *graph.Graph) map[LabelVertexType][]int64 {
 	if !g.IsLabeled() {
 		panic("census: LabeledVertexCensus requires a labeled graph")
 	}
 	if !g.IsSymmetric() {
 		panic("census: LabeledVertexCensus requires an undirected graph")
-	}
-	work := g.WithoutLoops()
-	a := work.ToSparse()
-	L := g.NumLabels()
-	pi := make([]*sparse.Matrix, L)
-	filtered := make([]*sparse.Matrix, L) // A·Π_q (columns filtered)
-	for q := 0; q < L; q++ {
-		pi[q] = g.LabelFilter(int32(q))
-		filtered[q] = a.Mul(pi[q])
-	}
-	out := map[LabelVertexType][]int64{}
-	for _, t := range AllLabelVertexTypes(L) {
-		// diag(Π_q1 · (A Π_q3) · (A Π_q2) · (A Π_q1)): the walk leaves a
-		// q1 vertex, visits a q3 vertex, then a q2 vertex, and returns.
-		// Wait — reading right to left, the first step A Π_q1 filters the
-		// *start*; we compose so the intermediate labels are q2 then q3
-		// in walk order, matching the enumeration convention (the two are
-		// equal counts since {q2,q3} is unordered).
-		prod := sparse.Diag3(filtered[t.Q3], filtered[t.Q2], filtered[t.Q1])
-		counts := make([]int64, len(prod))
-		for v := range prod {
-			if g.Label(int32(v)) != t.Q1 {
-				continue // Π_q1 projection on both sides
-			}
-			x := prod[v]
-			if t.Q2 == t.Q3 {
-				if x%2 != 0 {
-					panic("census: odd labeled count for equal pair labels")
-				}
-				x /= 2
-			}
-			counts[v] = x
-		}
-		out[t] = counts
-	}
-	return out
-}
-
-// LabeledVertexCensusEnum is the enumeration-based reference for
-// LabeledVertexCensus.
-func LabeledVertexCensusEnum(g *graph.Graph) map[LabelVertexType][]int64 {
-	if !g.IsLabeled() {
-		panic("census: LabeledVertexCensusEnum requires a labeled graph")
 	}
 	work := g.WithoutLoops()
 	n := work.NumVertices()
@@ -142,36 +95,15 @@ func LabeledVertexCensusEnum(g *graph.Graph) map[LabelVertexType][]int64 {
 }
 
 // LabeledEdgeCensus computes per-edge counts of every labeled triangle
-// type via Def. 14: Δ^(q1,q2,q3) = (Π_q2 A Π_q1) ∘ (A Π_q3 A), each read
-// onto the arcs of g. Self loops are ignored.
+// type (Def. 14) by enumerating every triangle once and classifying it
+// from each of its arcs, each count on the arcs of g. The graph must be
+// labeled and undirected; self loops are ignored.
 func LabeledEdgeCensus(g *graph.Graph) map[LabelEdgeType][]int64 {
 	if !g.IsLabeled() {
 		panic("census: LabeledEdgeCensus requires a labeled graph")
 	}
 	if !g.IsSymmetric() {
 		panic("census: LabeledEdgeCensus requires an undirected graph")
-	}
-	work := g.WithoutLoops()
-	a := work.ToSparse()
-	L := g.NumLabels()
-	pi := make([]*sparse.Matrix, L)
-	for q := 0; q < L; q++ {
-		pi[q] = g.LabelFilter(int32(q))
-	}
-	out := map[LabelEdgeType][]int64{}
-	for _, t := range AllLabelEdgeTypes(L) {
-		edgePart := pi[t.Q2].Mul(a).Mul(pi[t.Q1])
-		wedgePart := a.Mul(pi[t.Q3]).Mul(a)
-		out[t] = onArcs(g, edgePart.Hadamard(wedgePart))
-	}
-	return out
-}
-
-// LabeledEdgeCensusEnum is the enumeration-based reference for
-// LabeledEdgeCensus.
-func LabeledEdgeCensusEnum(g *graph.Graph) map[LabelEdgeType][]int64 {
-	if !g.IsLabeled() {
-		panic("census: LabeledEdgeCensusEnum requires a labeled graph")
 	}
 	out := map[LabelEdgeType][]int64{}
 	for _, t := range AllLabelEdgeTypes(g.NumLabels()) {

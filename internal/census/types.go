@@ -3,15 +3,11 @@
 // Figs. 4 and 5, Defs. 10 and 11) and vertex-labeled graphs (Fig. 6,
 // Defs. 13 and 14).
 //
-// Every census exists in two independent implementations:
-//
-//   - an *algebraic* one, evaluating the paper's matrix formulas
-//     (diag(A_d A_r A_d^t) and friends) with the sparse kernels, and
-//   - an *enumerative* one, walking every triangle once and classifying
-//     it combinatorially.
-//
-// The two are cross-validated in tests, which pins down the orientation
-// conventions once and for all.
+// Every census walks each triangle once and classifies it
+// combinatorially, from each of its vertices or arcs. The package's tests
+// evaluate the paper's matrix formulas (diag(A_d A_r A_d^t) and friends)
+// with the sparse reference kernels and hold the two equal, which pins
+// down the orientation conventions once and for all.
 //
 // Orientation convention: A[i][j] = 1 means arc i → j. The paper's
 // figures use the opposite (column-to-row) convention, so our type NAMES

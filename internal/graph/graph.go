@@ -19,12 +19,10 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-
-	"kronvalid/internal/sparse"
 )
 
 // Graph is an immutable compressed sparse adjacency structure. Build one
-// with a Builder, FromEdges, FromSparse, or a generator in package gen.
+// with FromEdges, FromCSR, or a generator in package gen.
 type Graph struct {
 	n       int
 	offsets []int64 // len n+1
@@ -327,35 +325,4 @@ func FromCSR(offsets []int64, nbrs []int32) *Graph {
 		}
 	}
 	return &Graph{n: n, offsets: offsets, nbrs: nbrs}
-}
-
-// FromSparse converts a square 0/1 sparse matrix to a Graph. Values must
-// be exactly 1.
-func FromSparse(m *sparse.Matrix) *Graph {
-	if !m.IsSquare() {
-		panic("graph: FromSparse needs a square matrix")
-	}
-	if !m.IsBinary() {
-		panic("graph: FromSparse needs a 0/1 matrix")
-	}
-	n := m.Rows()
-	offsets := make([]int64, n+1)
-	nbrs := make([]int32, 0, m.NNZ())
-	for r := 0; r < n; r++ {
-		cols, _ := m.Row(r)
-		nbrs = append(nbrs, cols...)
-		offsets[r+1] = int64(len(nbrs))
-	}
-	return &Graph{n: n, offsets: offsets, nbrs: nbrs}
-}
-
-// ToSparse converts the adjacency to a 0/1 sparse matrix.
-func (g *Graph) ToSparse() *sparse.Matrix {
-	rowPtr := append([]int64(nil), g.offsets...)
-	colIdx := append([]int32(nil), g.nbrs...)
-	val := make([]int64, len(colIdx))
-	for i := range val {
-		val[i] = 1
-	}
-	return sparse.NewCSR(g.n, g.n, rowPtr, colIdx, val)
 }

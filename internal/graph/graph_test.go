@@ -101,8 +101,12 @@ func TestSparseRoundTrip(t *testing.T) {
 			edges = append(edges, Edge{int32(g.Intn(n)), int32(g.Intn(n))})
 		}
 		gr := FromEdges(n, edges, trial%2 == 0)
-		back := FromSparse(gr.ToSparse())
-		if !gr.Equal(back) {
+		var arcs []Edge
+		sparse.Adjacency(gr).Each(func(r, c int, _ int64) bool {
+			arcs = append(arcs, Edge{int32(r), int32(c)})
+			return true
+		})
+		if back := FromEdges(n, arcs, false); !gr.Equal(back) {
 			t.Fatal("sparse round trip failed")
 		}
 	}
@@ -121,7 +125,7 @@ func TestTranspose(t *testing.T) {
 		t.Fatal("double transpose != original")
 	}
 	// Matches sparse transpose.
-	if !gt.ToSparse().Equal(g.ToSparse().T()) {
+	if !sparse.Adjacency(gt).Equal(sparse.Adjacency(g).T()) {
 		t.Fatal("Transpose disagrees with sparse T")
 	}
 }
@@ -141,20 +145,20 @@ func TestReciprocalDirectedDecomposition(t *testing.T) {
 		t.Error("directed part wrong")
 	}
 	// A = A_r + A_d as matrices.
-	sum := ar.ToSparse().Add(ad.ToSparse())
-	if !sum.Equal(g.ToSparse()) {
+	sum := sparse.Adjacency(ar).Add(sparse.Adjacency(ad))
+	if !sum.Equal(sparse.Adjacency(g)) {
 		t.Error("A_r + A_d != A")
 	}
 	// A_r is symmetric; A_d has no reciprocal pair.
 	if !ar.IsSymmetric() {
 		t.Error("A_r not symmetric")
 	}
-	if !ad.ReciprocalPart().ToSparse().IsZero() {
+	if !sparse.Adjacency(ad.ReciprocalPart()).IsZero() {
 		t.Error("A_d contains reciprocal arcs")
 	}
 	// Matches the matrix definition A_r = A^t ∘ A.
-	m := g.ToSparse()
-	if !ar.ToSparse().Equal(m.T().Hadamard(m)) {
+	m := sparse.Adjacency(g)
+	if !sparse.Adjacency(ar).Equal(m.T().Hadamard(m)) {
 		t.Error("A_r != A^t ∘ A")
 	}
 }
@@ -166,9 +170,9 @@ func TestUndirected(t *testing.T) {
 		t.Fatalf("Undirected wrong: %v", u)
 	}
 	// A_u = A + A_d^t (Def. 9).
-	m := g.ToSparse()
-	au := m.Add(g.DirectedPart().ToSparse().T())
-	if !u.ToSparse().Equal(au) {
+	m := sparse.Adjacency(g)
+	au := m.Add(sparse.Adjacency(g.DirectedPart()).T())
+	if !sparse.Adjacency(u).Equal(au) {
 		t.Error("A_u != A + A_d^t")
 	}
 }
@@ -233,14 +237,6 @@ func TestLabels(t *testing.T) {
 	counts := g.LabelCounts()
 	if counts[0] != 1 || counts[1] != 1 || counts[2] != 1 {
 		t.Errorf("LabelCounts = %v", counts)
-	}
-	// Filters are orthogonal diagonal projections summing to I.
-	sum := g.LabelFilter(0).Add(g.LabelFilter(1)).Add(g.LabelFilter(2))
-	if !sum.Equal(sparse.Identity(3)) {
-		t.Error("sum of label filters != I")
-	}
-	if g.LabelFilter(0).Mul(g.LabelFilter(1)).NNZ() != 0 {
-		t.Error("filters not orthogonal")
 	}
 	// Labels survive transforms.
 	if !g.WithAllLoops().IsLabeled() || !g.Transpose().IsLabeled() {

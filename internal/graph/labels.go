@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-
-	"kronvalid/internal/sparse"
-)
+import "fmt"
 
 // IsLabeled reports whether the graph carries vertex labels.
 func (g *Graph) IsLabeled() bool { return g.labels != nil }
@@ -51,21 +47,6 @@ func (g *Graph) Unlabeled() *Graph {
 	out.labels = nil
 	out.nLabels = 0
 	return out
-}
-
-// LabelFilter returns the paper's projection Π_{A,q} (Def. 12): the
-// diagonal 0/1 matrix selecting vertices with label q.
-func (g *Graph) LabelFilter(q int32) *sparse.Matrix {
-	if g.labels == nil {
-		panic("graph: LabelFilter on unlabeled graph")
-	}
-	d := make([]int64, g.n)
-	for v, l := range g.labels {
-		if l == q {
-			d[v] = 1
-		}
-	}
-	return sparse.DiagMatrix(d)
 }
 
 // LabelCounts returns how many vertices carry each label.

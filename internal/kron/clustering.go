@@ -6,10 +6,9 @@ import (
 	"math/bits"
 
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 )
 
-var errWedgeOverflow = fmt.Errorf("kron: wedge count exceeds int64: %w", sparse.ErrOverflow)
+var errWedgeOverflow = fmt.Errorf("kron: wedge count exceeds int64: %w", ErrOverflow)
 
 // WedgeCount returns the exact number of wedges (paths of length two
 // through a center) of C: Σ_p d_C(p)·(d_C(p)-1)/2, computed in O(Σ n_i)
@@ -21,7 +20,7 @@ var errWedgeOverflow = fmt.Errorf("kron: wedge count exceeds int64: %w", sparse.
 //
 // where n_i^loop counts factor i's looped vertices and Σ_loop sums over
 // them. Each product is checked in 128 bits; a count that does not fit
-// int64 is an error wrapping sparse.ErrOverflow. All factors must be
+// int64 is an error wrapping ErrOverflow. All factors must be
 // undirected.
 func WedgeCount(p *Product) (int64, error) {
 	if !p.IsSymmetric() {
@@ -31,7 +30,7 @@ func WedgeCount(p *Product) (int64, error) {
 	for _, f := range p.Factors {
 		s, ok := degreeSums(f)
 		if !ok {
-			return 0, fmt.Errorf("kron: factor degree sums exceed 64 bits: %w", sparse.ErrOverflow)
+			return 0, fmt.Errorf("kron: factor degree sums exceed 64 bits: %w", ErrOverflow)
 		}
 		sums = append(sums, s)
 	}

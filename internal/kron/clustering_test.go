@@ -9,7 +9,6 @@ import (
 	"kronvalid/internal/gen"
 	"kronvalid/internal/graph"
 	"kronvalid/internal/rng"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/triangle"
 )
 
@@ -158,8 +157,8 @@ func TestWedgeCountNearInt64Max(t *testing.T) {
 		if want := bigWedges(c.over...); want.IsInt64() {
 			t.Fatalf("k=%d: %v wedges fit int64; the case no longer tests overflow", len(c.over), want)
 		}
-		if _, err := WedgeCount(MustProduct(c.over...)); !errors.Is(err, sparse.ErrOverflow) {
-			t.Fatalf("k=%d past 2^63: err = %v, want sparse.ErrOverflow", len(c.over), err)
+		if _, err := WedgeCount(MustProduct(c.over...)); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("k=%d past 2^63: err = %v, want ErrOverflow", len(c.over), err)
 		}
 	}
 	looped := []*graph.Graph{gen.Star(40).WithLoopAt(0), gen.CliqueWithLoops(5), gen.HubCycle(6).WithLoopAt(2).WithLoopAt(0)}
@@ -177,10 +176,10 @@ func TestWedgeCountNearInt64Max(t *testing.T) {
 func TestWedgeCountOverflowIsAnError(t *testing.T) {
 	star := gen.Star(1 << 20)
 	p := MustProduct(star, star)
-	if w, err := WedgeCount(p); !errors.Is(err, sparse.ErrOverflow) {
-		t.Fatalf("WedgeCount = %d, %v; want sparse.ErrOverflow", w, err)
+	if w, err := WedgeCount(p); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("WedgeCount = %d, %v; want ErrOverflow", w, err)
 	}
-	if c, err := GlobalClustering(p); !errors.Is(err, sparse.ErrOverflow) {
-		t.Fatalf("GlobalClustering = %v, %v; want sparse.ErrOverflow", c, err)
+	if c, err := GlobalClustering(p); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("GlobalClustering = %v, %v; want ErrOverflow", c, err)
 	}
 }

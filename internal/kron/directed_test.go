@@ -89,9 +89,9 @@ func TestDirectedDegreeFormulas(t *testing.T) {
 	p := MustProduct(a, b)
 	c := materialize(t, p)
 
-	wantRec := c.ReciprocalPart().ToSparse().RowSums()
-	wantOut := c.DirectedPart().ToSparse().RowSums()
-	wantIn := c.DirectedPart().ToSparse().ColSums()
+	wantRec := sparse.Adjacency(c.ReciprocalPart()).RowSums()
+	wantOut := sparse.Adjacency(c.DirectedPart()).RowSums()
+	wantIn := sparse.Adjacency(c.DirectedPart()).ColSums()
 
 	dr, err := ReciprocalDegree(p)
 	if err != nil {

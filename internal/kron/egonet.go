@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 )
 
 // Egonet is the induced subgraph of a product vertex's closed
@@ -110,10 +109,4 @@ func VerifyEgonet(p *Product, t *KronVecSum, v int64, maxDegree int64) (*Egonet,
 			v, ego.LocalTriangles, want)
 	}
 	return ego, nil
-}
-
-// EgonetAdjacency renders the egonet's local adjacency as a sparse matrix
-// (useful for printing small Fig. 7-style figures).
-func (e *Egonet) EgonetAdjacency() *sparse.Matrix {
-	return e.Local.ToSparse()
 }

@@ -157,10 +157,9 @@ func TestEgonetProductIDs(t *testing.T) {
 			t.Fatalf("non-neighbor %d in egonet", pv)
 		}
 	}
-	// Adjacency render has the right shape.
-	adj := ego.EgonetAdjacency()
-	if adj.Rows() != len(ego.ProductIDs) {
-		t.Fatal("adjacency size mismatch")
+	// The local graph has one vertex per listed id.
+	if ego.Local.NumVertices() != len(ego.ProductIDs) {
+		t.Fatal("local graph size mismatch")
 	}
 }
 

@@ -68,9 +68,9 @@ func TestProductAdjacencyMatchesExplicitKron(t *testing.T) {
 		a := randomUndirected(g, 4+g.Intn(8), 3, 0.3)
 		b := randomUndirected(g, 3+g.Intn(8), 3, 0.3)
 		p := MustProduct(a, b)
-		want := sparse.Kron(a.ToSparse(), b.ToSparse())
+		want := sparse.Kron(sparse.Adjacency(a), sparse.Adjacency(b))
 		c := materialize(t, p)
-		if !c.ToSparse().Equal(want) {
+		if !sparse.Adjacency(c).Equal(want) {
 			t.Fatalf("trial %d: materialized product != A ⊗ B", trial)
 		}
 		// Spot-check HasEdge and Degree against the explicit graph.
@@ -175,7 +175,7 @@ func TestOutInDegreesKron(t *testing.T) {
 	b := randomUndirected(g, 6, 3, 0.3)
 	p := MustProduct(a, b)
 	c := materialize(t, p)
-	cs := c.ToSparse()
+	cs := sparse.Adjacency(c)
 	wantOut := cs.RowSums()
 	wantIn := cs.ColSums()
 	dOut := OutDegrees(p)

@@ -1,11 +1,40 @@
 package kron
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 )
+
+// ErrOverflow is returned (or panicked, in contexts where a statistic is
+// guaranteed representable) when an exact integer computation would exceed
+// int64. Triangle totals of Kronecker product graphs grow multiplicatively,
+// so the library checks rather than silently wrapping.
+var ErrOverflow = errors.New("kron: int64 overflow in exact computation")
+
+// CheckedMul returns a*b, or ErrOverflow if the product does not fit int64.
+// Inputs are expected to be nonnegative counts.
+func CheckedMul(a, b int64) (int64, error) {
+	if a < 0 || b < 0 {
+		return 0, errors.New("kron: negative count")
+	}
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > uint64(1<<63-1) {
+		return 0, ErrOverflow
+	}
+	return int64(lo), nil
+}
+
+// vecSum returns Σ v (the paper's 1^t v).
+func vecSum(v []int64) int64 {
+	var s int64
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
 
 // VecTerm is one signed Kronecker term coef·(u₀ ⊗ u₁ ⊗ … ⊗ u_{k−1}) of a
 // vertex-statistic expansion, one vector per factor.
@@ -80,7 +109,7 @@ func (s *KronVecSum) Total() (int64, error) {
 		prod := int64(1)
 		var err error
 		for _, u := range t.Vecs {
-			if prod, err = sparse.CheckedMul(prod, sparse.SumVec(u)); err != nil {
+			if prod, err = CheckedMul(prod, vecSum(u)); err != nil {
 				return 0, err
 			}
 		}
@@ -173,7 +202,7 @@ func (s *KronMatSum) Total() (int64, error) {
 		prod := int64(1)
 		var err error
 		for _, m := range t.Arcs {
-			if prod, err = sparse.CheckedMul(prod, sparse.SumVec(m)); err != nil {
+			if prod, err = CheckedMul(prod, vecSum(m)); err != nil {
 				return 0, err
 			}
 		}
@@ -191,7 +220,7 @@ func addTerm(acc, coef, prod int64) (int64, error) {
 	if mag < 0 {
 		mag = -mag
 	}
-	term, err := sparse.CheckedMul(mag, prod)
+	term, err := CheckedMul(mag, prod)
 	if err != nil {
 		return 0, err
 	}
@@ -200,7 +229,7 @@ func addTerm(acc, coef, prod int64) (int64, error) {
 	}
 	sum := acc + term
 	if (term > 0 && sum < acc) || (term < 0 && sum > acc) {
-		return 0, sparse.ErrOverflow
+		return 0, ErrOverflow
 	}
 	return sum, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 )
 
 func TestKronVecSumAt(t *testing.T) {
@@ -47,13 +46,25 @@ func TestKronVecSumNonIntegralPanics(t *testing.T) {
 	s.At(0)
 }
 
+func TestCheckedArithmetic(t *testing.T) {
+	if v, err := CheckedMul(1<<31, 1<<31); err != nil || v != 1<<62 {
+		t.Errorf("CheckedMul(2^31,2^31) = %d, %v", v, err)
+	}
+	if _, err := CheckedMul(1<<32, 1<<32); !errors.Is(err, ErrOverflow) {
+		t.Error("CheckedMul(2^32,2^32) should overflow")
+	}
+	if _, err := CheckedMul(-1, 2); err == nil {
+		t.Error("CheckedMul should reject negative counts")
+	}
+}
+
 func TestKronVecSumTotalOverflow(t *testing.T) {
 	huge := int64(1) << 62
 	s := &KronVecSum{
 		Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{{huge}, {4}}}},
 		Den:   1,
 	}
-	if _, err := s.Total(); !errors.Is(err, sparse.ErrOverflow) {
+	if _, err := s.Total(); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("expected overflow, got %v", err)
 	}
 	// Accumulation overflow across terms.
@@ -64,7 +75,7 @@ func TestKronVecSumTotalOverflow(t *testing.T) {
 		},
 		Den: 1,
 	}
-	if _, err := s2.Total(); !errors.Is(err, sparse.ErrOverflow) {
+	if _, err := s2.Total(); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("expected accumulation overflow, got %v", err)
 	}
 }

@@ -97,9 +97,9 @@ func TestMultiEachArcMatchesMaterialized(t *testing.T) {
 			if int64(len(arcs)) != p.NumArcs() {
 				t.Fatalf("k=%d: streamed %d arcs, want %d", k, len(arcs), p.NumArcs())
 			}
-			want := factors[0].ToSparse()
+			want := sparse.Adjacency(factors[0])
 			for _, f := range factors[1:k] {
-				want = sparse.Kron(want, f.ToSparse())
+				want = sparse.Kron(want, sparse.Adjacency(f))
 			}
 			if int64(want.NNZ()) != p.NumArcs() {
 				t.Fatalf("k=%d: explicit product has %d arcs, want %d", k, want.NNZ(), p.NumArcs())

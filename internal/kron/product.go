@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"kronvalid/internal/graph"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/stream"
 )
 
@@ -66,10 +65,10 @@ func NewProduct(factors ...*graph.Graph) (*Product, error) {
 			return nil, errors.New("kron: empty factor")
 		}
 		var err error
-		if nv, err = sparse.CheckedMul(nv, int64(f.NumVertices())); err != nil {
+		if nv, err = CheckedMul(nv, int64(f.NumVertices())); err != nil {
 			return nil, fmt.Errorf("kron: vertex count overflow: %w", err)
 		}
-		if na, err = sparse.CheckedMul(na, f.NumArcs()); err != nil {
+		if na, err = CheckedMul(na, f.NumArcs()); err != nil {
 			return nil, fmt.Errorf("kron: arc count overflow: %w", err)
 		}
 	}

@@ -230,7 +230,7 @@ func OutDegrees(p *Product) *KronVecSum {
 func InDegrees(p *Product) *KronVecSum {
 	t := VecTerm{Coef: 1}
 	for _, f := range p.Factors {
-		t.Vecs = append(t.Vecs, f.ToSparse().ColSums())
+		t.Vecs = append(t.Vecs, rawColSums(f))
 	}
 	return &KronVecSum{Terms: []VecTerm{t}, Den: 1}
 }
@@ -240,5 +240,15 @@ func rawRowSums(g *graph.Graph) []int64 {
 	for v := range out {
 		out[v] = g.OutDegreeRaw(int32(v))
 	}
+	return out
+}
+
+// rawColSums returns each vertex's in-degree, self loop included.
+func rawColSums(g *graph.Graph) []int64 {
+	out := make([]int64, g.NumVertices())
+	g.EachArc(func(_, v int32) bool {
+		out[v]++
+		return true
+	})
 	return out
 }

@@ -77,7 +77,7 @@ func TestFactorStatsMatchMatrixDefinitions(t *testing.T) {
 		base := randomUndirected(r, 5+r.Intn(40), 1+4*r.Float64(), 0)
 		for regime, g := range loopRegimes(base) {
 			st := ComputeFactorStats(g)
-			a := g.ToSparse()
+			a := sparse.Adjacency(g)
 			da := a.DiagPart()
 			a2 := a.Mul(a)
 			name := fmt.Sprintf("seed %d, loops %s", seed, regime)
@@ -155,7 +155,7 @@ func TestDirectedCensusNeverCountsDirectedFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm := b.ToSparse()
+	bm := sparse.Adjacency(b)
 	want := sparse.DiagOfProduct(bm.Mul(bm), bm)
 	for ty, vs := range ds.Vertex {
 		if v := vs.Terms[0].Vecs[1]; !sparse.EqualVec(v, want) {
@@ -247,7 +247,7 @@ func TestKronMatSumTotalChecksCoefficient(t *testing.T) {
 			{Coef: 1, Arcs: [][]int64{one, one}},
 		},
 	}
-	if total, err := s.Total(); !errors.Is(err, sparse.ErrOverflow) {
+	if total, err := s.Total(); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("Total = %d, %v; want ErrOverflow", total, err)
 	}
 	s.Terms[0].Coef = 1

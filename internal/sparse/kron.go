@@ -1,19 +1,22 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kron returns the explicit Kronecker product m ⊗ n (Def. 1). The result
 // has m.Rows()*n.Rows() rows; callers materializing products of graph
-// factors should keep the result small (validation-scale). Dimension
-// products are overflow-checked.
+// factors should keep the result small (validation-scale). A side of
+// 2^31 or more panics.
 func Kron(m, n *Matrix) *Matrix {
-	outRows64 := MustMul(int64(m.rows), int64(n.rows))
-	outCols64 := MustMul(int64(m.cols), int64(n.cols))
 	const maxSide = 1 << 31
-	if outRows64 >= maxSide || outCols64 >= maxSide {
-		panic(fmt.Sprintf("sparse: Kron result %dx%d too large to materialize", outRows64, outCols64))
+	rowsHi, rows := bits.Mul64(uint64(m.rows), uint64(n.rows))
+	colsHi, cols := bits.Mul64(uint64(m.cols), uint64(n.cols))
+	if rowsHi != 0 || colsHi != 0 || rows >= maxSide || cols >= maxSide {
+		panic(fmt.Sprintf("sparse: Kron of %dx%d and %dx%d too large to materialize", m.rows, m.cols, n.rows, n.cols))
 	}
-	outRows, outCols := int(outRows64), int(outCols64)
+	outRows, outCols := int(rows), int(cols)
 	nnz := m.NNZ() * n.NNZ()
 	rowPtr := make([]int64, outRows+1)
 	colIdx := make([]int32, 0, nnz)

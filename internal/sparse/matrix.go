@@ -3,14 +3,17 @@
 // sparse matrix-matrix multiplication, Hadamard (elementwise) products,
 // transposition, diagonal operators, and Kronecker products.
 //
+// It is the test-only reference: no production package imports it. Tests
+// evaluate the paper's matrix definitions with it (the Def. 10/11/13/14
+// census algebra, A ⊗ B, G∘G²) and compare them with the combinatorial
+// code that production runs. It imports no package of this module, so the
+// graph package's own tests can use it.
+//
 // Entries are int64 because every quantity in the paper (adjacency bits,
-// path counts, triangle counts) is a nonnegative integer, and triangle
-// counts of Kronecker product graphs reach the hundreds of trillions: exact
-// integer arithmetic is the point of the whole exercise. Arithmetic that
-// could overflow int64 is guarded (see CheckedMul in value.go).
+// path counts, triangle counts) is a nonnegative integer.
 //
 // The zero value of Matrix is not useful; construct with FromTriplets,
-// NewCSR, Identity, or the graph package's conversions.
+// NewCSR, Identity, or Adjacency.
 package sparse
 
 import (
@@ -207,6 +210,24 @@ func FromTriplets(rows, cols int, ts []Triplet) *Matrix {
 		rowPtr[r+1] += rowPtr[r]
 	}
 	return &Matrix{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+}
+
+// Arcs is a graph that lists its arcs, as graph.Graph does.
+type Arcs interface {
+	NumVertices() int
+	EachArc(fn func(u, v int32) bool)
+}
+
+// Adjacency returns the 0/1 adjacency matrix of g: entry (u, v) is 1 for
+// every arc u → v.
+func Adjacency(g Arcs) *Matrix {
+	var ts []Triplet
+	g.EachArc(func(u, v int32) bool {
+		ts = append(ts, Triplet{int(u), int(v), 1})
+		return true
+	})
+	n := g.NumVertices()
+	return FromTriplets(n, n, ts)
 }
 
 // Identity returns the n x n identity matrix.

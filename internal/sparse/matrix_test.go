@@ -139,18 +139,6 @@ func TestNewCSRValidation(t *testing.T) {
 	}
 }
 
-func TestCheckedArithmetic(t *testing.T) {
-	if v, err := CheckedMul(1<<31, 1<<31); err != nil || v != 1<<62 {
-		t.Errorf("CheckedMul(2^31,2^31) = %d, %v", v, err)
-	}
-	if _, err := CheckedMul(1<<32, 1<<32); err == nil {
-		t.Error("CheckedMul(2^32,2^32) should overflow")
-	}
-	if _, err := CheckedMul(-1, 2); err == nil {
-		t.Error("CheckedMul should reject negative counts")
-	}
-}
-
 func TestVecHelpers(t *testing.T) {
 	u := []int64{1, 2, 3}
 	v := []int64{4, 5, 6}

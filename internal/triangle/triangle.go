@@ -26,7 +26,6 @@ import (
 
 	"kronvalid/internal/graph"
 	"kronvalid/internal/par"
-	"kronvalid/internal/sparse"
 )
 
 // Result holds the exact triangle statistics of one graph.
@@ -216,7 +215,7 @@ func EachTriangle(g *graph.Graph, fn func(u, v, w int32)) {
 
 // TotalFromPerVertex recovers τ = (1/3)·Σ t_v, validating divisibility.
 func TotalFromPerVertex(t []int64) int64 {
-	s := sparse.SumVec(t)
+	s := sum(t)
 	if s%3 != 0 {
 		panic("triangle: per-vertex sum not divisible by 3")
 	}
@@ -226,11 +225,19 @@ func TotalFromPerVertex(t []int64) int64 {
 // TotalFromEdgeDelta recovers τ = (1/6)·Σ_{ij} Δ_ij from Δ on the arcs
 // of an undirected graph.
 func TotalFromEdgeDelta(d []int64) int64 {
-	s := sparse.SumVec(d)
+	s := sum(d)
 	if s%6 != 0 {
 		panic("triangle: edge-delta sum not divisible by 6")
 	}
 	return s / 6
+}
+
+func sum(v []int64) int64 {
+	var s int64
+	for _, x := range v {
+		s += x
+	}
+	return s
 }
 
 // LocalClusteringCoefficients returns the per-vertex local clustering

@@ -78,7 +78,7 @@ func onArcs(g *graph.Graph, d []int64, m *sparse.Matrix) bool {
 // algebraic computes t_A = ½ diag(A'^3) and Δ_A = A' ∘ A'^2 with A' the
 // loop-free adjacency — the paper's Def. 5 / Def. 6 written in matrices.
 func algebraic(gr *graph.Graph) (t []int64, delta *sparse.Matrix) {
-	a := gr.WithoutLoops().ToSparse()
+	a := sparse.Adjacency(gr.WithoutLoops())
 	a2 := a.Mul(a)
 	cube := a2.Mul(a).Diag()
 	t = make([]int64, len(cube))

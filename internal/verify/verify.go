@@ -12,12 +12,12 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"kronvalid/internal/census"
 	"kronvalid/internal/graph"
 	"kronvalid/internal/kron"
 	"kronvalid/internal/rng"
-	"kronvalid/internal/sparse"
 	"kronvalid/internal/triangle"
 	"kronvalid/internal/truss"
 )
@@ -100,7 +100,7 @@ func Full(p *kron.Product, maxVertices, maxArcs int64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.add("vertex participation", sparse.EqualVec(tc.Vector(), direct.PerVertex))
+		r.add("vertex participation", slices.Equal(tc.Vector(), direct.PerVertex))
 
 		dc, err := kron.EdgeParticipation(p)
 		if err != nil {
@@ -147,7 +147,7 @@ func Full(p *kron.Product, maxVertices, maxArcs int64) (*Report, error) {
 		directV := census.DirectedVertexCensus(c)
 		vOK := true
 		for _, ty := range census.AllVertexTypes() {
-			if !sparse.EqualVec(ds.Vertex[ty].Vector(), directV.Counts[ty]) {
+			if !slices.Equal(ds.Vertex[ty].Vector(), directV.Counts[ty]) {
 				vOK = false
 				break
 			}
@@ -173,7 +173,7 @@ func Full(p *kron.Product, maxVertices, maxArcs int64) (*Report, error) {
 			directV := census.LabeledVertexCensus(c)
 			vOK := true
 			for ty, vec := range ls.Vertex {
-				if !sparse.EqualVec(vec.Vector(), directV[ty]) {
+				if !slices.Equal(vec.Vector(), directV[ty]) {
 					vOK = false
 					break
 				}
