@@ -159,6 +159,12 @@ func expEx1(r *report, _ int, _ uint64) {
 		})
 		deg, vtx, edg := row.p.Degree(0), tc.At(0), dc.At(eu, ev)
 		r.check("ex1: "+row.name+" closed forms", deg == row.wantDeg && vtx == row.wantVtx && edg == row.wantEdg)
+		// The table reads one arc; the check reads every arc, loops included.
+		c, err := row.p.Materialize(100, 1000)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r.check("ex1: "+row.name+" Δ at every arc", dc.EqualOnArcs(c, triangle.Count(c).EdgeDelta))
 		r.printf("%-8s %10d %10d %12d %12d %12d %12d\n",
 			row.name, row.wantDeg, deg, row.wantVtx, vtx, row.wantEdg, edg)
 	}

@@ -95,7 +95,7 @@ func main() {
 		os.Exit(2)
 	}
 	if len(r.failed) > 0 {
-		log.Printf("%d checks failed: %s", len(r.failed), strings.Join(r.failed, "; "))
+		log.Printf("failed checks (%d): %s", len(r.failed), strings.Join(r.failed, "; "))
 		os.Exit(1)
 	}
 }
