@@ -76,7 +76,7 @@
 // ctx.Err(). These five verbs are the only generation entry points;
 // DESIGN.md §3 describes the Source contract and the drivers under them.
 //
-// See README.md for a package map, the examples directory for runnable
-// programs, and DESIGN.md / EXPERIMENTS.md for the paper-reproduction
-// index and recorded results.
+// See README.md for a package map, the package's Example functions for
+// runnable programs with pinned output, and DESIGN.md / EXPERIMENTS.md
+// for the paper-reproduction index and recorded results.
 package kronvalid

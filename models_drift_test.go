@@ -76,16 +76,19 @@ func TestModelReferenceCoversRegistry(t *testing.T) {
 
 // TestCINamedTestsExist keeps the named test selections from going
 // stale: `go test -run` passes vacuously when a pattern matches nothing,
-// so a renamed or deleted test would silently drop out of its CI job.
-// Every alternative of every -run '…' pattern in the CI workflow, and
-// every Test… identifier MODELS.md cites, must match a test function
-// declared in the repo's _test.go files. The same holds for fuzz
-// targets: `go test -fuzz` with a stale name exits 0 having fuzzed
-// nothing, so every Fuzz… identifier in the workflow must be declared.
-// Commands are held to the same rule: every cmd/<x> and examples/<x>
-// path in the workflow, the README and the verify notes must exist, and
-// a removed command or file may not be mentioned there at all, so a
-// deleted one leaves no dangling CI step or doc line.
+// so a renamed or deleted test would silently drop out of its CI job,
+// and a -skip that matches nothing as silently stops skipping. Every
+// alternative of every -run '…' and -skip '…' pattern in the CI
+// workflow, and every Test… identifier MODELS.md cites, must match a
+// test function declared in the repo's _test.go files. The same holds
+// for fuzz targets: `go test -fuzz` with a stale name exits 0 having
+// fuzzed nothing, so every Fuzz… identifier in the workflow must be
+// declared. Commands are held to the same rule: every cmd/<x> path in
+// the workflow, the README and the verify notes must exist, and a
+// removed command or file may not be mentioned there at all, so a
+// deleted one leaves no dangling CI step or doc line. An examples/<x>
+// path fails too: the runnable examples are the root package's Example
+// functions.
 func TestCINamedTestsExist(t *testing.T) {
 	declared := map[string]bool{}
 	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
@@ -122,25 +125,25 @@ func TestCINamedTestsExist(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CI workflow unreadable: %v", err)
 	}
-	patterns := regexp.MustCompile(`-run '([^']*)'`).FindAllSubmatch(ci, -1)
-	checked := 0
+	patterns := regexp.MustCompile(`-(run|skip) '([^']*)'`).FindAllSubmatch(ci, -1)
+	checked := map[string]int{}
 	for _, m := range patterns {
-		pattern := string(m[1])
+		flag, pattern := string(m[1]), string(m[2])
 		if pattern == "^$" {
 			continue // benchmark and fuzz steps deselect every test on purpose
 		}
 		if strings.ContainsAny(pattern, "()") {
-			t.Errorf("ci.yml -run '%s': keep patterns flat (A|B|C) so each alternative can be checked", pattern)
+			t.Errorf("ci.yml -%s '%s': keep patterns flat (A|B|C) so each alternative can be checked", flag, pattern)
 			continue
 		}
 		for _, alt := range strings.Split(pattern, "|") {
-			checked++
+			checked[flag]++
 			if !matchesSome(alt) {
-				t.Errorf("ci.yml -run alternative %q matches no test function", alt)
+				t.Errorf("ci.yml -%s alternative %q matches no test function", flag, alt)
 			}
 		}
 	}
-	if checked == 0 {
+	if checked["run"] == 0 {
 		t.Fatal("found no -run patterns in ci.yml — the gate is vacuous")
 	}
 	fuzzed := regexp.MustCompile(`\bFuzz[A-Z]\w*`).FindAllString(string(ci), -1)
