@@ -304,13 +304,12 @@ func LabeledCensus(p *Product) (*LabeledStats, error) { return kron.LabeledCensu
 
 // ---- truss ground truth (Thm. 3) ----
 
-// ProductTruss is the implicit truss decomposition of C under Δ_B ≤ 1.
-type ProductTruss = kron.ProductTruss
-
 // ProductTrussDecomposition validates Thm. 3's hypotheses and returns the
-// implicit decomposition.
-func ProductTrussDecomposition(p *Product) (*ProductTruss, error) {
-	return kron.TrussDecomposition(p)
+// trussness of every edge of C as an edge statistic: At(u, v) is the
+// largest κ with (u, v) in a κ-truss of C, 2 for an edge in no triangle
+// and 0 off the edges.
+func ProductTrussDecomposition(p *Product) (*EdgeStat, error) {
+	return kron.Trussness(p)
 }
 
 // ---- egonets (the §VI validation device) ----

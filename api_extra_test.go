@@ -3,6 +3,7 @@ package kronvalid
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -147,8 +148,8 @@ func TestFacadeTruss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.MaxK() != 5 {
-		t.Errorf("MaxK = %d, want 5 (K_5 factor)", pt.MaxK())
+	if maxK := slices.Max(pt.Vector()); maxK != 5 {
+		t.Errorf("MaxK = %d, want 5 (K_5 factor)", maxK)
 	}
 }
 

@@ -109,7 +109,9 @@ func TestFacadeTrussAndPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = pt.MaxK()
+	if _, err := pt.Total(); err != nil {
+		t.Fatal(err)
+	}
 	plan := ProductSource(p, 4)
 	var sum int64
 	for w := 0; w < plan.Shards(); w++ {

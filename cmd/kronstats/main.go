@@ -5,7 +5,7 @@
 // Usage:
 //
 //	kronstats -a 'web:n=4096,m=4,seed=42' -b 'web:n=4096,m=4,seed=42+loops'
-//	kronstats -a ... -b ... -vertex 12345        # stats of one vertex
+//	kronstats -a ... -b ... -vertex 12345        # every vertex statistic at one vertex
 //	kronstats -a ... -b ... -json                # machine-readable summary
 //
 // With -json, stdout holds only the JSON record, whose name is the
@@ -20,12 +20,13 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
 	"kronvalid"
 	"kronvalid/internal/gio"
-	"kronvalid/internal/graph"
 	"kronvalid/internal/kron"
 	"kronvalid/internal/spec"
 	"kronvalid/internal/triangle"
@@ -37,11 +38,14 @@ func main() {
 	aSpec := flag.String("a", "", "left factor specification (required)")
 	bSpec := flag.String("b", "", "right factor specification (required unless -power > 0)")
 	power := flag.Int("power", 0, "compute the k-th Kronecker power of -a instead of a binary product")
-	vertex := flag.Int64("vertex", -1, "also print per-vertex stats for this product vertex")
+	vertex := flag.Int64("vertex", -1, "also print every vertex statistic that applies at this product vertex (-1: none)")
 	jsonOut := flag.Bool("json", false, "emit a JSON summary record")
 	useCSR := flag.Bool("csr", false, "also build the product's CSR adjacency and cross-check it against the formulas")
 	maxArcs := flag.Int64("maxarcs", 1<<28, "refuse to build the CSR beyond this arc count (-csr)")
 	flag.Parse()
+	if *vertex < -1 {
+		log.Fatalf("-vertex %d: want a product vertex, or -1 for none", *vertex)
+	}
 
 	if *power > 0 {
 		if *aSpec == "" {
@@ -72,10 +76,6 @@ func main() {
 		log.Fatal(err)
 	}
 	sa, sb := stats[0], stats[1]
-	tc, err := kron.VertexParticipation(p)
-	if err != nil {
-		log.Fatal(err)
-	}
 	tau, err := kron.TriangleTotal(p)
 	if err != nil {
 		log.Fatal(err)
@@ -117,9 +117,12 @@ func main() {
 			log.Fatalf("vertex %d out of range [0,%d)", *vertex, p.NumVertices())
 		}
 		f := p.FactorsOf(*vertex)
-		i, k := f[0], f[1]
-		fmt.Fprintf(out, "vertex %d = (A:%d, B:%d): degree %d, triangles %d\n",
-			*vertex, i, k, p.Degree(*vertex), tc.At(*vertex))
+		fmt.Fprintf(out, "vertex %d = (A:%d, B:%d):\n", *vertex, f[0], f[1])
+		for _, col := range kron.Columns(p) {
+			if col.Scope == kron.VertexScope && col.Skip == "" {
+				fmt.Fprintf(out, "  %-36s %d\n", strings.TrimSpace(col.Name+" "+col.Type), col.Eval.(*kron.KronVecSum).At(*vertex))
+			}
+		}
 	}
 
 	if *useCSR {
@@ -149,14 +152,14 @@ func runCSR(p *kron.Product, maxArcs int64, out *os.File) {
 		log.Fatalf("-csr: CSR has %d arcs, formula says %d", g.NumArcs(), p.NumArcs())
 	}
 	maxOut, atOut := g.MaxOutDegree()
-	if want := factorProduct(p, maxRaw); maxOut != want {
+	if want := maxOf(kron.OutDegrees(p)); maxOut != want {
 		log.Fatalf("-csr: measured max out-degree %d, formula says %d", maxOut, want)
 	}
 	start = time.Now()
 	tr := g.Transpose()
 	transposeTime := time.Since(start)
 	maxIn, atIn := tr.MaxOutDegree()
-	if want := factorProduct(p, maxRawIn); maxIn != want {
+	if want := maxOf(kron.InDegrees(p)); maxIn != want {
 		log.Fatalf("-csr: measured max in-degree %d, formula says %d", maxIn, want)
 	}
 
@@ -170,37 +173,14 @@ func runCSR(p *kron.Product, maxArcs int64, out *os.File) {
 	fmt.Fprintf(out, "  digest         %s\n", gio.CSRDigest(g))
 }
 
-// factorProduct returns Π f(F_i) over p's factors.
-func factorProduct(p *kron.Product, f func(*graph.Graph) int64) int64 {
+// maxOf returns the largest entry of a one-term statistic ⊗_i u_i of
+// nonnegative factor vectors: Π_i max u_i.
+func maxOf(s *kron.KronVecSum) int64 {
 	prod := int64(1)
-	for _, g := range p.Factors {
-		prod *= f(g)
+	for _, u := range s.Terms[0].Vecs {
+		prod *= slices.Max(u)
 	}
 	return prod
-}
-
-// maxRaw returns the largest raw out-degree of a factor.
-func maxRaw(g *graph.Graph) int64 {
-	var best int64
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegreeRaw(int32(v)); d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// maxRawIn returns the largest raw in-degree of a factor.
-func maxRawIn(g *graph.Graph) int64 {
-	in := make([]int64, g.NumVertices())
-	g.EachArc(func(_, v int32) bool { in[v]++; return true })
-	var best int64
-	for _, d := range in {
-		if d > best {
-			best = d
-		}
-	}
-	return best
 }
 
 // runPower prints the statistics ladder for B, B⊗B, …, B^{⊗k}.

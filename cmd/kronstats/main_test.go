@@ -14,10 +14,7 @@ import (
 // one JSON record, whatever else is asked for, and that its name is a
 // spec that rebuilds the product.
 func TestJSONOutput(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "kronstats")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 
 	cmd := exec.Command(bin, "-json", "-vertex", "5", "-csr", "-a", "clique:n=5", "-b", "clique:n=4+loops")
 	var stderr strings.Builder
@@ -37,7 +34,7 @@ func TestJSONOutput(t *testing.T) {
 	if dec.More() {
 		t.Errorf("stdout holds more than the JSON record:\n%s", stdout)
 	}
-	for _, want := range []string{"vertex 5 = (A:1, B:1)", "CSR adjacency"} {
+	for _, want := range []string{"vertex 5 = (A:1, B:1)", "wedge count", "directed vertex census (Thm. 4) uuo", "CSR adjacency"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
 		}
@@ -53,4 +50,34 @@ func TestJSONOutput(t *testing.T) {
 	if src.Name() != rec.Name || src.TotalArcs() != rec.Edges {
 		t.Errorf("%s rebuilds %s with %d arcs, record says %d", rec.Name, src.Name(), src.TotalArcs(), rec.Edges)
 	}
+}
+
+// TestVertexColumns: -vertex prints the vertex statistics that apply to
+// the product, and a vertex below -1 is refused.
+func TestVertexColumns(t *testing.T) {
+	bin := build(t)
+	out, err := exec.Command(bin, "-vertex", "3", "-a", "path:n=4", "-b", "clique:n=3").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, want := range []string{"degree formula", "vertex participation", "directed vertex census (Thm. 4) tto"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(string(out), "labeled") {
+		t.Errorf("unlabeled product prints a labeled census:\n%s", out)
+	}
+	if out, err := exec.Command(bin, "-vertex", "-5", "-a", "clique:n=3", "-b", "clique:n=3").CombinedOutput(); err == nil {
+		t.Errorf("-vertex -5 exits 0:\n%s", out)
+	}
+}
+
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "kronstats")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }

@@ -3,11 +3,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"slices"
 	"sort"
 	"time"
 
-	"kronvalid/internal/census"
 	"kronvalid/internal/gen"
 	"kronvalid/internal/graph"
 	"kronvalid/internal/kron"
@@ -140,14 +140,10 @@ func expEx1(r *report, _ int, _ uint64) {
 	r.printf("%-8s %10s %10s %12s %12s %12s %12s\n",
 		"Product", "deg", "deg(fml)", "t/vertex", "t(fml)", "Δ/edge", "Δ(fml)")
 	for _, row := range rows {
-		tc, err := kron.VertexParticipation(row.p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		dc, err := kron.EdgeParticipation(row.p)
-		if err != nil {
-			log.Fatal(err)
-		}
+		cols := kron.Columns(row.p)
+		dg := named(cols, "degree formula")[0]
+		tc := named(cols, "vertex participation")[0]
+		dc := named(cols, "edge participation")[0]
 		// Find a representative non-loop edge.
 		var eu, ev int64 = -1, -1
 		row.p.EachArc(func(u, v int64) bool {
@@ -157,14 +153,15 @@ func expEx1(r *report, _ int, _ uint64) {
 			}
 			return true
 		})
-		deg, vtx, edg := row.p.Degree(0), tc.At(0), dc.At(eu, ev)
+		deg, vtx := dg.Eval.(*kron.KronVecSum).At(0), tc.Eval.(*kron.KronVecSum).At(0)
+		edg := dc.Eval.(*kron.KronMatSum).At(eu, ev)
 		r.check("ex1: "+row.name+" closed forms", deg == row.wantDeg && vtx == row.wantVtx && edg == row.wantEdg)
 		// The table reads one arc; the check reads every arc, loops included.
 		c, err := row.p.Materialize(100, 1000)
 		if err != nil {
 			log.Fatal(err)
 		}
-		r.check("ex1: "+row.name+" Δ at every arc", dc.EqualOnArcs(c, triangle.Count(c).EdgeDelta))
+		r.check("ex1: "+row.name+" Δ at every arc", agrees(dc, c))
 		r.printf("%-8s %10d %10d %12d %12d %12d %12d\n",
 			row.name, row.wantDeg, deg, row.wantVtx, vtx, row.wantEdg, edg)
 	}
@@ -185,10 +182,8 @@ func expEx2(r *report, _ int, _ uint64) {
 		p.NumVertices(), p.NumEdgesUndirected(), tau)
 	r.check("ex2: size of C", p.NumVertices() == 25 && p.NumEdgesUndirected() == 128 && tau == 96)
 
-	dc, err := kron.EdgeParticipation(p)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cols := kron.Columns(p)
+	dc := named(cols, "edge participation")[0].Eval.(*kron.KronMatSum)
 	c, err := p.Materialize(1000, 100000)
 	if err != nil {
 		log.Fatal(err)
@@ -219,9 +214,9 @@ func expEx2(r *report, _ int, _ uint64) {
 		r.check(fmt.Sprintf("ex2: |T^(%d)|", k), size == paperTruss[k])
 		r.printf("  |T^(%d)| = %d\n", k, size)
 	}
-	_, err = kron.TrussDecomposition(p)
-	if r.check("ex2: Thm. 3 refuses a product with Δ_B > 1", err != nil) {
-		r.printf("Thm. 3 correctly refuses this product: %v\n", err)
+	skip := named(cols, "truss decomposition (Thm. 3)")[0].Skip
+	if r.check("ex2: Thm. 3 refuses a product with Δ_B > 1", skip != "") {
+		r.printf("Thm. 3 correctly refuses this product: %s\n", skip)
 	}
 }
 
@@ -233,31 +228,37 @@ func expThm3(r *report, _ int, seed uint64) {
 	r.printf("A: ER(50, 0.25), max Δ_A = %d; B: §III.D(b) generator, max Δ_B = %d\n",
 		gen.MaxEdgeTriangles(a), gen.MaxEdgeTriangles(b))
 	p := kron.MustProduct(a, b)
-	pt, err := kron.TrussDecomposition(p)
-	if err != nil {
-		log.Fatal(err)
+	col := named(kron.Columns(p), "truss decomposition (Thm. 3)")[0]
+	if col.Skip != "" {
+		log.Fatal(col.Skip)
 	}
+	// The κ-truss is the edges of trussness ≥ κ, each edge two arcs.
+	got := col.Eval.Vector()
+	maxK := slices.Max(got)
 	r.printf("C: %d vertices, %d edges; ground-truth trussness for every edge, MaxK = %d\n",
-		p.NumVertices(), p.NumEdgesUndirected(), pt.MaxK())
-	sizes := pt.TrussSizes()
-	for k := 3; k <= pt.MaxK(); k++ {
-		r.printf("  |T^(%d)| = %d\n", k, sizes[k])
+		p.NumVertices(), p.NumEdgesUndirected(), maxK)
+	for k := int64(3); k <= maxK; k++ {
+		var arcs int64
+		for _, x := range got {
+			if x >= k {
+				arcs++
+			}
+		}
+		r.printf("  |T^(%d)| = %d\n", k, arcs/2)
 	}
 	c, err := p.Materialize(10000, 4_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	direct := truss.Decompose(c)
-	mismatch := 0
-	c.EachEdgeUndirected(func(u, v int32) bool {
-		if pt.EdgeTruss(int64(u), int64(v)) != direct.EdgeTruss(u, v) {
+	mismatch := 0 // arcs; each edge is two
+	for i, x := range col.Direct(c) {
+		if got[i] != x {
 			mismatch++
 		}
-		return true
-	})
+	}
 	r.check("thm3: trussness of every edge", mismatch == 0)
 	r.printf("verified against direct peeling of %d edges: %d mismatches\n",
-		c.NumEdgesUndirected(), mismatch)
+		c.NumEdgesUndirected(), mismatch/2)
 }
 
 // expCensus reproduces the directed and labeled census theorems on a
@@ -282,32 +283,26 @@ func expCensus(r *report, _ int, seed uint64) {
 	a := graph.FromEdges(base.NumVertices(), arcs, false)
 	b := gen.Clique(5).WithAllLoops()
 	p := kron.MustProduct(a, b)
-	ds, err := kron.DirectedCensus(p)
-	if err != nil {
-		log.Fatal(err)
-	}
 	c, err := p.Materialize(10000, 4_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	directV := census.DirectedVertexCensus(c)
-	directE := census.DirectedEdgeCensus(c)
+	cols := kron.Columns(p)
+	vcols := named(cols, "directed vertex census (Thm. 4)")
+	ecols := named(cols, "directed edge census (Thm. 5)")
 	r.println("directed census of C (Thm. 4/5), Kronecker vs direct:")
 	r.printf("%-6s %14s %14s %8s      %-6s %14s %8s\n",
 		"vtype", "kron", "direct", "match", "etype", "kron", "match")
-	vts := census.AllVertexTypes()
-	ets := census.AllEdgeTypes()
-	for idx := range vts {
-		kv := ds.Vertex[vts[idx]].Vector()
-		dv := directV.Counts[vts[idx]]
-		ke := ds.Edge[ets[idx]]
-		eTotal, err := ke.Total()
+	for idx, vc := range vcols {
+		ec := ecols[idx]
+		kv, dv := vc.Eval.Vector(), vc.Direct(c)
+		eTotal, err := ec.Eval.Total()
 		if err != nil {
 			log.Fatal(err)
 		}
 		r.printf("%-6s %14d %14d %8v      %-6s %14d %8v\n",
-			vts[idx], sum(kv), sum(dv), r.check("census: vertex type "+vts[idx].String(), slices.Equal(kv, dv)),
-			ets[idx], eTotal, r.check("census: edge type "+ets[idx].String(), ke.EqualOnArcs(c, directE.Delta[ets[idx]])))
+			vc.Type, sum(kv), sum(dv), r.check("census: vertex type "+vc.Type, slices.Equal(kv, dv)),
+			ec.Type, eTotal, r.check("census: edge type "+ec.Type, agrees(ec, c)))
 	}
 
 	// Labeled: 3 colors on an undirected factor.
@@ -317,32 +312,42 @@ func expCensus(r *report, _ int, seed uint64) {
 	}
 	la := base.WithLabels(labels, 3)
 	lp := kron.MustProduct(la, gen.Clique(5))
-	ls, err := kron.LabeledCensus(lp)
-	if err != nil {
-		log.Fatal(err)
-	}
 	lc, err := lp.Materialize(10000, 4_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	directLV := census.LabeledVertexCensus(lc)
+	lcols := kron.Columns(lp)
+	lvcols := named(lcols, "labeled vertex census (Thm. 6)")
 	allMatch := true
 	var grand int64
-	for ty, vec := range ls.Vertex {
-		got := vec.Vector()
-		if !slices.Equal(got, directLV[ty]) {
-			allMatch = false
-		}
-		grand += sum(got)
+	for _, col := range lvcols {
+		allMatch = agrees(col, lc) && allMatch
+		grand += sum(col.Eval.Vector())
 	}
 	r.printf("\nlabeled census (Thm. 6): %d types, all matching direct: %v; Σ counts = %d\n",
-		len(ls.Vertex), r.check("census: labeled vertex census (Thm. 6)", allMatch), grand)
-	directLE := census.LabeledEdgeCensus(lc)
+		len(lvcols), r.check("census: labeled vertex census (Thm. 6)", allMatch), grand)
 	edgeMatch := true
-	for ty, mat := range ls.Edge {
-		edgeMatch = edgeMatch && mat.EqualOnArcs(lc, directLE[ty])
+	for _, col := range named(lcols, "labeled edge census (Thm. 7)") {
+		edgeMatch = edgeMatch && agrees(col, lc)
 	}
 	r.check("census: labeled edge census (Thm. 7)", edgeMatch)
+}
+
+// named returns the columns of a product's table with the given name.
+func named(cols []kron.Column, name string) []kron.Column {
+	var out []kron.Column
+	for _, col := range cols {
+		if col.Name == name {
+			out = append(out, col)
+		}
+	}
+	return out
+}
+
+// agrees reports whether a column applies and equals its direct count
+// on c, the materialized product.
+func agrees(col kron.Column, c *graph.Graph) bool {
+	return col.Skip == "" && slices.Equal(col.Eval.Vector(), col.Direct(c))
 }
 
 // expDegrees reproduces the §III.A degree-distribution analysis (E8).
@@ -366,10 +371,10 @@ func expDegrees(r *report, n int, seed uint64) {
 	r.printf("  C: n=%d, max deg %d, ratio %.3e\n", p.NumVertices(), maxC, ratioC)
 	ratioAB := stats.MaxDegreeRatio(a.Degrees()) * stats.MaxDegreeRatio(b.Degrees())
 	r.printf("  ratio product (‖dA‖∞/nA)(‖dB‖∞/nB) = %.3e — squaring effect of §III.A: %v\n",
-		ratioAB, r.check("degrees: max-ratio squaring", abs(ratioC-ratioAB) < 1e-15))
+		ratioAB, r.check("degrees: max-ratio squaring", math.Abs(ratioC-ratioAB) < 1e-15))
 	xs, ps := hC.CCDF()
 	r.println("  CCDF of d_C (log-spaced sample):")
-	for i := 0; i < len(xs); i += maxInt(1, len(xs)/12) {
+	for i := 0; i < len(xs); i += max(1, len(xs)/12) {
 		r.printf("    P(d >= %6d) = %.3e\n", xs[i], ps[i])
 	}
 }
@@ -452,18 +457,4 @@ func sum(v []int64) int64 {
 		s += x
 	}
 	return s
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

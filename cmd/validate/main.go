@@ -27,8 +27,8 @@ func main() {
 	log.SetPrefix("validate: ")
 	aSpec := flag.String("a", "er:n=12,p=0.4,seed=1", "left factor specification")
 	bSpec := flag.String("b", "pa1:n=10,seed=2", "right factor specification")
-	maxVerts := flag.Int64("max-vertices", 4000, "materialization vertex limit (full mode)")
-	maxArcs := flag.Int64("max-arcs", 4_000_000, "materialization arc limit (full mode)")
+	maxVerts := flag.Int64("max-vertices", 1<<20, "materialization vertex limit (full mode)")
+	maxArcs := flag.Int64("max-arcs", 1_500_000, "materialization arc limit (full mode)")
 	sample := flag.Bool("sample", false, "sampled validation (for products too large to materialize)")
 	vertexSamples := flag.Int("vertex-samples", 64, "egonet spot checks in sampled mode")
 	edgeSamples := flag.Int("edge-samples", 64, "edge spot checks in sampled mode")

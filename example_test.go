@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"kronvalid"
 )
@@ -126,12 +127,12 @@ func ExampleProductTrussDecomposition() {
 	direct := kronvalid.DecomposeTruss(c)
 	mismatches := 0
 	c.EachEdgeUndirected(func(u, v int32) bool {
-		if pt.EdgeTruss(int64(u), int64(v)) != direct.EdgeTruss(u, v) {
+		if pt.At(int64(u), int64(v)) != int64(direct.EdgeTruss(u, v)) {
 			mismatches++
 		}
 		return true
 	})
-	fmt.Println(pt.MaxK(), c.NumEdgesUndirected(), mismatches)
+	fmt.Println(slices.Max(pt.Vector()), c.NumEdgesUndirected(), mismatches)
 	// Output: 5 500 0
 }
 

@@ -52,13 +52,13 @@ func DirectedCensus(p *Product) (*DirectedStats, error) {
 
 // pairVec is the one-term statistic u ⊗ v.
 func pairVec(u, v []int64) *KronVecSum {
-	return &KronVecSum{Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{u, v}}}, Den: 1}
+	return &KronVecSum{Terms: []Term{{Coef: 1, Vecs: [][]int64{u, v}}}, Den: 1}
 }
 
 // pairMat is the one-term statistic M ⊗ N of the two-factor product p, M
 // and N on the arcs of its factors.
 func pairMat(p *Product, m, n []int64) *KronMatSum {
-	return &KronMatSum{Factors: p.Factors, Terms: []MatTerm{{Coef: 1, Arcs: [][]int64{m, n}}}}
+	return &KronMatSum{p: p, Terms: []Term{{Coef: 1, Vecs: [][]int64{m, n}}}}
 }
 
 // directedDegree returns part(A)'s raw row sums ⊗ d_B, the §IV.B

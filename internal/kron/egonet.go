@@ -2,6 +2,7 @@ package kron
 
 import (
 	"fmt"
+	"slices"
 
 	"kronvalid/internal/graph"
 )
@@ -25,9 +26,12 @@ type Egonet struct {
 	LocalTriangles int64
 }
 
-// ExtractEgonet builds the egonet of product vertex v. Cost is
-// O(d_C(v)²) edge probes against the factors; d_C(v) must be at most
-// maxDegree (guarding against accidentally expanding a hub).
+// ExtractEgonet builds the egonet of product vertex v. d_C(v) must be at
+// most maxDegree (guarding against accidentally expanding a hub). Each
+// neighbor u finds its later neighbors the cheaper of two ways: probe
+// every later id in the egonet, or walk u's row and binary-search the
+// sorted ids. So the cost is Σ_u min(d_C(v), d_C(u)) probes or
+// searches, each O(k log d).
 func ExtractEgonet(p *Product, v int64, maxDegree int64) (*Egonet, error) {
 	if !p.IsSymmetric() {
 		return nil, fmt.Errorf("kron: egonet extraction requires an undirected product")
@@ -48,49 +52,38 @@ func ExtractEgonet(p *Product, v int64, maxDegree int64) (*Egonet, error) {
 		}
 		return true
 	})
-	// Induced edges: center ↔ neighbors by construction; neighbor pairs
-	// via factor probes. Self loops are omitted — they never affect
-	// triangle counts.
+	// Induced edges: center ↔ neighbors by construction, then each
+	// neighbor pair once, from its lower end. Self loops are omitted —
+	// they never affect triangle counts.
 	var edges []graph.Edge
 	for li := 1; li < len(ids); li++ {
 		edges = append(edges, graph.Edge{U: 0, V: int32(li)})
 	}
 	for a := 1; a < len(ids); a++ {
-		for b := a + 1; b < len(ids); b++ {
-			if p.HasEdge(ids[a], ids[b]) {
-				edges = append(edges, graph.Edge{U: int32(a), V: int32(b)})
+		u, later := ids[a], ids[a+1:]
+		if p.OutDegreeRaw(u) > int64(len(later)) {
+			for b, w := range later {
+				if p.HasEdge(u, w) {
+					edges = append(edges, graph.Edge{U: int32(a), V: int32(a + 1 + b)})
+				}
 			}
+			continue
 		}
-	}
-	local := graph.FromEdges(len(ids), edges, true)
-
-	ego := &Egonet{
-		Center:     v,
-		Local:      local,
-		ProductIDs: ids,
-		Degree:     p.Degree(v),
-	}
-	ego.LocalTriangles = centerTriangles(local)
-	return ego, nil
-}
-
-// centerTriangles counts triangles through local vertex 0.
-func centerTriangles(g *graph.Graph) int64 {
-	u := g
-	if !u.IsSymmetric() {
-		u = u.Undirected()
-	}
-	u = u.WithoutLoops()
-	nb := u.Neighbors(0)
-	var count int64
-	for x := 0; x < len(nb); x++ {
-		for y := x + 1; y < len(nb); y++ {
-			if u.HasEdge(nb[x], nb[y]) {
-				count++
+		p.EachNeighbor(u, func(w int64) bool {
+			if b, ok := slices.BinarySearch(later, w); ok {
+				edges = append(edges, graph.Edge{U: int32(a), V: int32(a + 1 + b)})
 			}
-		}
+			return w < later[len(later)-1]
+		})
 	}
-	return count
+	// Every triangle at the center is one edge between two neighbors.
+	return &Egonet{
+		Center:         v,
+		Local:          graph.FromEdges(len(ids), edges, true),
+		ProductIDs:     ids,
+		Degree:         p.Degree(v),
+		LocalTriangles: int64(len(edges) - (len(ids) - 1)),
+	}, nil
 }
 
 // VerifyEgonet checks one product vertex against the Kronecker formula:

@@ -123,6 +123,32 @@ func TestFig7Procedure(t *testing.T) {
 	}
 }
 
+// TestEgonetAtMaxDegreeIsInduced: at the busiest vertex of a product
+// with loops in B, where some neighbors probe the later ids and others
+// walk their rows, the egonet is the induced subgraph of the explicit
+// product, less loops.
+func TestEgonetAtMaxDegreeIsInduced(t *testing.T) {
+	g := rng.New(43)
+	p := MustProduct(gen.WebGraph(60, 3, 0.7, 7), randomUndirected(g, 12, 4, 0.5))
+	_, v := p.MaxDegree()
+	ego, err := ExtractEgonet(p, v, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := materialize(t, p)
+	ids := make([]int32, len(ego.ProductIDs))
+	for i, id := range ego.ProductIDs {
+		ids[i] = int32(id)
+	}
+	sub, _ := c.InducedSubgraph(ids)
+	if want := sub.WithoutLoops(); !ego.Local.Equal(want) {
+		t.Fatalf("egonet of %d: %d arcs, induced subgraph %d", v, ego.Local.NumArcs(), want.NumArcs())
+	}
+	if want := triangle.Count(c).PerVertex[v]; ego.LocalTriangles != want {
+		t.Fatalf("egonet of %d: %d triangles, direct %d", v, ego.LocalTriangles, want)
+	}
+}
+
 func TestEgonetDegreeLimit(t *testing.T) {
 	a := gen.Clique(10)
 	p := MustProduct(a, a)

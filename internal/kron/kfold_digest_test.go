@@ -77,12 +77,12 @@ func TestThreeFactorValidateFull(t *testing.T) {
 				skipped = append(skipped, c.Name)
 			}
 		}
-		for _, name := range []string{"degree formula", "vertex participation", "edge participation", "triangle total", "wedge count"} {
+		for _, name := range []string{"degree formula", "vertex participation", "edge participation", "wedge count"} {
 			if passed, ok := ran[name]; !ok || !passed {
 				t.Errorf("%v: check %q ran=%v passed=%v", pin.factors, name, ok, passed)
 			}
 		}
-		if got := strings.Join(skipped, "; "); got != "truss decomposition (Thm. 3); directed census (Thm. 4/5); labeled census (Thm. 6/7)" {
+		if got := strings.Join(skipped, "; "); got != "truss decomposition (Thm. 3); directed vertex census (Thm. 4); directed edge census (Thm. 5); labeled vertex census (Thm. 6); labeled edge census (Thm. 7)" {
 			t.Errorf("%v: skipped %q", pin.factors, got)
 		}
 	}

@@ -3,9 +3,9 @@ package kron
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-
-	"kronvalid/internal/graph"
+	"slices"
 )
 
 // ErrOverflow is returned (or panicked, in contexts where a statistic is
@@ -27,18 +27,11 @@ func CheckedMul(a, b int64) (int64, error) {
 	return int64(lo), nil
 }
 
-// vecSum returns Σ v (the paper's 1^t v).
-func vecSum(v []int64) int64 {
-	var s int64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// VecTerm is one signed Kronecker term coef·(u₀ ⊗ u₁ ⊗ … ⊗ u_{k−1}) of a
-// vertex-statistic expansion, one vector per factor.
-type VecTerm struct {
+// Term is one signed Kronecker term coef·(x₀ ⊗ x₁ ⊗ … ⊗ x_{k−1}) of a
+// statistic's expansion, one array per factor: a vector over its
+// vertices in a KronVecSum, a per-edge statistic over its arcs (one
+// value per arc, at the arc's position) in a KronMatSum.
+type Term struct {
 	Coef int64
 	Vecs [][]int64
 }
@@ -49,7 +42,7 @@ type VecTerm struct {
 // (Thm. 1, Cor. 1, the general self-loop expansion, Thm. 4, Thm. 6).
 // Vector i has factor i's vertex count as its length.
 type KronVecSum struct {
-	Terms []VecTerm
+	Terms []Term
 	Den   int64 // divisor applied after summation (1 or 2)
 }
 
@@ -104,23 +97,11 @@ func (s *KronVecSum) Vector() []int64 {
 // Total returns Σ_p At(p) with overflow checking, computed from factor
 // sums: Σ (⊗_i u_i) = Π_i Σu_i.
 func (s *KronVecSum) Total() (int64, error) {
-	var acc int64
-	for _, t := range s.Terms {
-		prod := int64(1)
-		var err error
-		for _, u := range t.Vecs {
-			if prod, err = CheckedMul(prod, vecSum(u)); err != nil {
-				return 0, err
-			}
-		}
-		if acc, err = addTerm(acc, t.Coef, prod); err != nil {
-			return 0, err
-		}
+	var t total
+	for _, term := range s.Terms {
+		t.add(term.Coef, term.Vecs)
 	}
-	if acc%s.Den != 0 {
-		return 0, fmt.Errorf("kron: non-integral total %d/%d", acc, s.Den)
-	}
-	return acc / s.Den, nil
+	return t.result(s.Den)
 }
 
 // MustTotal is Total that panics on overflow.
@@ -132,31 +113,23 @@ func (s *KronVecSum) MustTotal() int64 {
 	return v
 }
 
-// MatTerm is one signed Kronecker term coef·(M₀ ⊗ M₁ ⊗ … ⊗ M_{k−1}) of an
-// edge-statistic expansion, one matrix per factor, each held as a
-// per-edge statistic of its factor: Arcs[i] has one value per arc of
-// factor i, at the arc's position.
-type MatTerm struct {
-	Coef int64
-	Arcs [][]int64
-}
-
 // KronMatSum represents an edge statistic of the product graph as
 // Σ_m coef_m (⊗_i M_{m,i}), evaluated lazily per product arc. This is the
 // shape of every per-edge Kronecker formula (Thm. 2, Cor. 2, the general
-// self-loop expansion, Thm. 5, Thm. 7). Every matrix is supported on its
-// factor's arcs, so the statistic is supported on the product's.
+// self-loop expansion, Thm. 3, Thm. 5, Thm. 7). Every matrix is supported
+// on its factor's arcs, so the statistic is supported on the product's.
 type KronMatSum struct {
-	Factors []*graph.Graph
-	Terms   []MatTerm
+	p     *Product
+	Terms []Term
 }
 
 // At evaluates the statistic at product arc (p, q), 0 if (p, q) is not
-// an arc of the product.
+// an arc of the product. It finds each factor's arc by binary search;
+// Vector reads every arc in order without one.
 func (s *KronMatSum) At(p, q int64) int64 {
 	var acc int64
 	for _, t := range s.Terms {
-		acc += t.Coef * s.termAt(t.Arcs, p, q)
+		acc += t.Coef * s.termAt(t.Vecs, p, q)
 	}
 	return acc
 }
@@ -167,7 +140,7 @@ func (s *KronMatSum) At(p, q int64) int64 {
 func (s *KronMatSum) termAt(ms [][]int64, p, q int64) int64 {
 	prod := int64(1)
 	for i := len(ms) - 1; i >= 0 && prod != 0; i-- {
-		g := s.Factors[i]
+		g := s.p.Factors[i]
 		n := int64(g.NumVertices())
 		a := g.ArcIndex(int32(p%n), int32(q%n))
 		if a < 0 {
@@ -179,57 +152,165 @@ func (s *KronMatSum) termAt(ms [][]int64, p, q int64) int64 {
 	return prod
 }
 
-// EqualOnArcs reports whether the statistic equals want at every arc of
-// c, the explicit product (Product.Materialize), where want is a per-edge
-// statistic of c.
-func (s *KronMatSum) EqualOnArcs(c *graph.Graph, want []int64) bool {
-	for u := int32(0); int(u) < c.NumVertices(); u++ {
-		base := c.ArcOffset(u)
-		for k, v := range c.Neighbors(u) {
-			if s.At(int64(u), int64(v)) != want[base+int64(k)] {
-				return false
+// Vector materializes the statistic at every arc of the product, in
+// EachArc order: a per-edge statistic of Product.Materialize's graph.
+// Only for validation-scale products.
+func (s *KronMatSum) Vector() []int64 {
+	out := make([]int64, 0, s.p.NumArcs())
+	s.eachRow(func(_ int64, vals []int64) {
+		out = append(out, vals...)
+	})
+	return out
+}
+
+// eachRow calls fn with every product vertex u, in order, and the
+// statistic at u's arcs, in EachArc order; vals is reused between calls.
+// It walks the rows the way EachArcBatchRange does, carrying each arc's
+// position in every factor's arc array: a term's factors before the last
+// multiply once per neighbor in L, and each arc then costs one
+// multiply-add per term.
+func (s *KronMatSum) eachRow(fn func(u int64, vals []int64)) {
+	p := s.p
+	k, nt := len(p.Factors), len(s.Terms)
+	last := p.Factors[k-1]
+	nB := int64(last.NumVertices())
+	pos := make([]int64, k)
+	var left, vals []int64 // left[j·nt+t]: term t's coef·Π_{i<k−1} M_{t,i} at row neighbor j
+	for r := int64(0); r < p.LeftRows(); r++ {
+		left = left[:0]
+		nb := 0
+		p.eachNeighbor(r*nB, 0, k-1, 0, pos, func(int64) bool {
+			nb++
+			for _, t := range s.Terms {
+				x := t.Coef
+				for i, m := range t.Vecs[:k-1] {
+					x *= m[pos[i]]
+				}
+				left = append(left, x)
 			}
+			return true
+		})
+		for b := int64(0); b < nB; b++ {
+			off, deg := last.ArcOffset(int32(b)), int(last.OutDegreeRaw(int32(b)))
+			vals = slices.Grow(vals[:0], nb*deg)[:nb*deg]
+			clear(vals)
+			for t, term := range s.Terms {
+				m := term.Vecs[k-1][off : off+int64(deg)]
+				for j := range nb {
+					if x := left[j*nt+t]; x != 0 {
+						row := vals[j*deg : (j+1)*deg][:len(m)]
+						for l, y := range m {
+							row[l] += x * y
+						}
+					}
+				}
+			}
+			fn(r*nB+b, vals)
 		}
 	}
-	return true
 }
 
 // Total returns the sum of all entries, from factor totals, with overflow
 // checking.
 func (s *KronMatSum) Total() (int64, error) {
-	var acc int64
-	for _, t := range s.Terms {
-		prod := int64(1)
-		var err error
-		for _, m := range t.Arcs {
-			if prod, err = CheckedMul(prod, vecSum(m)); err != nil {
-				return 0, err
-			}
-		}
-		if acc, err = addTerm(acc, t.Coef, prod); err != nil {
-			return 0, err
-		}
+	var t total
+	for _, term := range s.Terms {
+		t.add(term.Coef, term.Vecs)
 	}
-	return acc, nil
+	return t.result(1)
 }
 
-// addTerm returns acc + coef·prod for a nonnegative count prod, or
-// ErrOverflow if the multiply or the add leaves int64.
-func addTerm(acc, coef, prod int64) (int64, error) {
-	mag := coef
-	if mag < 0 {
-		mag = -mag
-	}
-	term, err := CheckedMul(mag, prod)
-	if err != nil {
-		return 0, err
-	}
+// total accumulates Σ_m coef_m·Π_i Σx_{m,i}, the sum of the entries of
+// Σ_m coef_m (⊗_i x_{m,i}), for nonnegative x, in 128 bits: a term may
+// leave int64, and terms of opposite sign cancel, as long as the result
+// fits.
+type total struct {
+	pos, neg u128
+	err      error
+}
+
+func (t *total) add(coef int64, xs [][]int64) {
+	term, over := u128{lo: uint64(coef)}, false
 	if coef < 0 {
-		term = -term
+		term.lo = uint64(-coef)
 	}
-	sum := acc + term
-	if (term > 0 && sum < acc) || (term < 0 && sum > acc) {
+	for _, x := range xs {
+		var lo, hi, c uint64
+		var signs int64
+		for _, v := range x {
+			lo, c = bits.Add64(lo, uint64(v), 0)
+			hi += c
+			signs |= v
+		}
+		if signs < 0 {
+			t.err = errors.New("kron: negative count")
+		}
+		if hi == 0 && lo == 0 {
+			return // a zero factor sum: the term is 0, whatever the others
+		}
+		var ok bool
+		term, ok = term.mul(u128{hi, lo})
+		over = over || !ok
+	}
+	acc := &t.pos
+	if coef < 0 {
+		acc = &t.neg
+	}
+	if *acc = acc.add(term); over || acc.less(term) {
+		t.err = ErrOverflow
+	}
+}
+
+// result returns the total divided by den, or an error when it is not
+// a multiple of den or does not fit int64.
+func (t *total) result(den int64) (int64, error) {
+	if t.err != nil {
+		return 0, t.err
+	}
+	mag, neg := t.pos.sub(t.neg), t.pos.less(t.neg)
+	if neg {
+		mag = t.neg.sub(t.pos)
+	}
+	if mag.hi != 0 || mag.lo/uint64(den) > math.MaxInt64 {
 		return 0, ErrOverflow
 	}
-	return sum, nil
+	if mag.lo%uint64(den) != 0 {
+		return 0, fmt.Errorf("kron: non-integral total %d/%d", mag.lo, den)
+	}
+	v := int64(mag.lo / uint64(den))
+	if neg {
+		v = -v
+	}
+	return v, nil
+}
+
+// u128 is an unsigned 128-bit integer; add and sub wrap modulo 2^128.
+type u128 struct{ hi, lo uint64 }
+
+func (x u128) add(y u128) u128 {
+	lo, c := bits.Add64(x.lo, y.lo, 0)
+	hi, _ := bits.Add64(x.hi, y.hi, c)
+	return u128{hi, lo}
+}
+
+func (x u128) sub(y u128) u128 {
+	lo, b := bits.Sub64(x.lo, y.lo, 0)
+	hi, _ := bits.Sub64(x.hi, y.hi, b)
+	return u128{hi, lo}
+}
+
+func (x u128) less(y u128) bool { return x.hi < y.hi || (x.hi == y.hi && x.lo < y.lo) }
+
+// mul returns x·y, and false when it leaves 128 bits.
+func (x u128) mul(y u128) (u128, bool) {
+	if x.hi != 0 && y.hi != 0 {
+		return u128{}, false
+	}
+	if x.hi != 0 {
+		x, y = y, x
+	}
+	hi, lo := bits.Mul64(x.lo, y.lo)
+	over, mid := bits.Mul64(x.lo, y.hi)
+	hi, c := bits.Add64(hi, mid, 0)
+	return u128{hi, lo}, over == 0 && c == 0
 }

@@ -2,14 +2,17 @@ package kron
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"kronvalid/internal/graph"
+	"kronvalid/internal/rng"
+	"kronvalid/internal/stream"
 )
 
 func TestKronVecSumAt(t *testing.T) {
 	s := &KronVecSum{
-		Terms: []VecTerm{
+		Terms: []Term{
 			{Coef: 2, Vecs: [][]int64{{1, 2}, {3, 4, 5}}},
 			{Coef: -1, Vecs: [][]int64{{0, 1}, {2, 2, 2}}},
 		},
@@ -35,7 +38,7 @@ func TestKronVecSumAt(t *testing.T) {
 
 func TestKronVecSumNonIntegralPanics(t *testing.T) {
 	s := &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{{3}, {1}}}},
+		Terms: []Term{{Coef: 1, Vecs: [][]int64{{3}, {1}}}},
 		Den:   2,
 	}
 	defer func() {
@@ -61,7 +64,7 @@ func TestCheckedArithmetic(t *testing.T) {
 func TestKronVecSumTotalOverflow(t *testing.T) {
 	huge := int64(1) << 62
 	s := &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{{huge}, {4}}}},
+		Terms: []Term{{Coef: 1, Vecs: [][]int64{{huge}, {4}}}},
 		Den:   1,
 	}
 	if _, err := s.Total(); !errors.Is(err, ErrOverflow) {
@@ -69,7 +72,7 @@ func TestKronVecSumTotalOverflow(t *testing.T) {
 	}
 	// Accumulation overflow across terms.
 	s2 := &KronVecSum{
-		Terms: []VecTerm{
+		Terms: []Term{
 			{Coef: 1, Vecs: [][]int64{{huge}, {1}}},
 			{Coef: 1, Vecs: [][]int64{{huge}, {1}}},
 		},
@@ -82,7 +85,7 @@ func TestKronVecSumTotalOverflow(t *testing.T) {
 
 func TestKronVecSumTotalNegativeTerms(t *testing.T) {
 	s := &KronVecSum{
-		Terms: []VecTerm{
+		Terms: []Term{
 			{Coef: 1, Vecs: [][]int64{{10}, {6}}},
 			{Coef: -2, Vecs: [][]int64{{5}, {2}}},
 		},
@@ -100,7 +103,7 @@ func TestKronVecSumTotalNegativeTerms(t *testing.T) {
 func TestKronVecSumMustTotalPanics(t *testing.T) {
 	huge := int64(1) << 62
 	s := &KronVecSum{
-		Terms: []VecTerm{{Coef: 1, Vecs: [][]int64{{huge}, {4}}}},
+		Terms: []Term{{Coef: 1, Vecs: [][]int64{{huge}, {4}}}},
 		Den:   1,
 	}
 	defer func() {
@@ -114,11 +117,11 @@ func TestKronVecSumMustTotalPanics(t *testing.T) {
 func TestKronMatSumAtAndTotal(t *testing.T) {
 	// M = 3 at arc (0,1) of its factor, N = 4 at arc (1,0) of its.
 	s := &KronMatSum{
-		Factors: []*graph.Graph{
+		p: MustProduct(
 			graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}}, false),
 			graph.FromEdges(2, []graph.Edge{{U: 1, V: 0}}, false),
-		},
-		Terms: []MatTerm{{Coef: 2, Arcs: [][]int64{{3}, {4}}}},
+		),
+		Terms: []Term{{Coef: 2, Vecs: [][]int64{{3}, {4}}}},
 	}
 	// (p,q) = (0*2+1, 1*2+0) = (1, 2): 2*3*4 = 24.
 	if got := s.At(1, 2); got != 24 {
@@ -142,4 +145,59 @@ func TestKronMatSumAtAndTotal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKronMatSumVectorMatchesAt: the arc walk reads the same values as
+// At's binary searches, on products of one to three factors in every
+// self-loop regime, where Δ has one term or five.
+func TestKronMatSumVectorMatchesAt(t *testing.T) {
+	g := rng.New(17)
+	for k := 1; k <= 3; k++ {
+		for _, loops := range []float64{0, 0.5, 1} {
+			factors := make([]*graph.Graph, k)
+			for i := range factors {
+				factors[i] = randomUndirected(g, 3+g.Intn(5), 3, loops)
+			}
+			p := MustProduct(factors...)
+			dc, err := EdgeParticipation(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := materialize(t, p)
+			if got, want := dc.Vector(), arcValues(dc, c); !slices.Equal(got, want) {
+				t.Fatalf("k=%d loops=%g: Vector %v, At %v", k, loops, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkArcColumn compares Δ at every arc of the kron-tsv product
+// (web:n=1024,m=4 ⊗ web:n=512,m=4, 33.2 M arcs), read by the arc walk,
+// with the arc stream alone.
+func BenchmarkArcColumn(b *testing.B) {
+	p := MustProduct(mustFactor(b, "web:n=1024,m=4,seed=1"), mustFactor(b, "web:n=512,m=4,seed=2"))
+	dc, err := EdgeParticipation(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arcs := float64(p.NumArcs())
+	b.Run("EachArcBatch", func(b *testing.B) {
+		for b.Loop() {
+			var n int64
+			p.EachArcBatch(0, func(batch []stream.Arc) bool {
+				n += int64(len(batch))
+				return true
+			})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/arcs, "ns/arc")
+	})
+	b.Run("DeltaWalk", func(b *testing.B) {
+		for b.Loop() {
+			var n int64
+			dc.eachRow(func(_ int64, vals []int64) {
+				n += int64(len(vals))
+			})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/arcs, "ns/arc")
+	})
 }

@@ -231,7 +231,7 @@ func TestMultiProductValidation(t *testing.T) {
 		t.Error("accepted power 0")
 	}
 	p := MustProduct(gen.Clique(3), gen.Clique(3), gen.Path(2))
-	if _, err := TrussDecomposition(p); err == nil {
+	if _, err := Trussness(p); err == nil {
 		t.Error("Thm. 3 accepted three factors")
 	}
 	if _, err := DirectedCensus(p); err == nil {

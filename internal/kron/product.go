@@ -235,16 +235,7 @@ func (p *Product) HasEdge(u, v int64) bool {
 
 // HasLoop reports whether product vertex v has a self loop: a loop at
 // each of its factor vertices.
-func (p *Product) HasLoop(v int64) bool {
-	for i := len(p.Factors) - 1; i >= 0; i-- {
-		var x int32
-		x, v = p.split(v, i)
-		if !p.Factors[i].LoopAt(x) {
-			return false
-		}
-	}
-	return true
-}
+func (p *Product) HasLoop(v int64) bool { return p.HasEdge(v, v) }
 
 // OutDegreeRaw returns the raw out-degree of product vertex v including a
 // self loop: Π rowsum_i(idx_i).
@@ -273,18 +264,25 @@ func (p *Product) Degree(v int64) int64 {
 // EachNeighbor calls fn for every out-neighbor of product vertex v, in
 // increasing product-vertex order, stopping early if fn returns false.
 func (p *Product) EachNeighbor(v int64, fn func(u int64) bool) {
-	p.eachNeighbor(v, 0, len(p.Factors), 0, fn)
+	p.eachNeighbor(v, 0, len(p.Factors), 0, nil, fn)
 }
 
 // eachNeighbor calls fn, in increasing order, with base plus the id of
 // every neighbor of v on factors depth..end−1 (digits before depth are
-// fixed in base, digits from end on are zero).
-func (p *Product) eachNeighbor(v int64, depth, end int, base int64, fn func(u int64) bool) bool {
+// fixed in base, digits from end on are zero). Unless pos is nil, pos[i]
+// holds, during each call, the position in factor i's arc array of the
+// arc that digit i takes, for i in depth..end−1.
+func (p *Product) eachNeighbor(v int64, depth, end int, base int64, pos []int64, fn func(u int64) bool) bool {
 	if depth == end {
 		return fn(base)
 	}
-	for _, j := range p.Factors[depth].Neighbors(p.digit(v, depth)) {
-		if !p.eachNeighbor(v, depth+1, end, base+int64(j)*p.radix[depth], fn) {
+	f, x := p.Factors[depth], p.digit(v, depth)
+	off := f.ArcOffset(x)
+	for k, j := range f.Neighbors(x) {
+		if pos != nil {
+			pos[depth] = off + int64(k)
+		}
+		if !p.eachNeighbor(v, depth+1, end, base+int64(j)*p.radix[depth], pos, fn) {
 			return false
 		}
 	}
@@ -345,7 +343,7 @@ func (p *Product) EachArcBatchRange(lo, hi int64, buf []stream.Arc, emit func(fu
 	for r := lo; r < hi; r++ {
 		// The sorted ids j·n_last of row r's neighbors j in L.
 		bases = bases[:0]
-		p.eachNeighbor(r*nB, 0, len(p.Factors)-1, 0, func(base int64) bool {
+		p.eachNeighbor(r*nB, 0, len(p.Factors)-1, 0, nil, func(base int64) bool {
 			bases = append(bases, base)
 			return true
 		})
@@ -478,13 +476,7 @@ func (p *Product) Label(v int64) int32 {
 
 // DegreeVector materializes the full degree vector of C (n_C entries);
 // only for validation-scale products.
-func (p *Product) DegreeVector() []int64 {
-	out := make([]int64, p.NumVertices())
-	for v := range out {
-		out[v] = p.Degree(int64(v))
-	}
-	return out
-}
+func (p *Product) DegreeVector() []int64 { return degreeSum(p).Vector() }
 
 // MaxDegree returns the maximum degree of C along with a vertex achieving
 // it, computed from the factors in O(Σ n_i + k²). With x = d + s, the

@@ -56,14 +56,14 @@ func TestClosedFormsShareFactorStats(t *testing.T) {
 		}
 	}
 	for i := range dc1.Terms {
-		if &dc1.Terms[i].Arcs[0][0] != &dc2.Terms[i].Arcs[0][0] || &dc1.Terms[i].Arcs[1][0] != &dc2.Terms[i].Arcs[1][0] {
+		if &dc1.Terms[i].Vecs[0][0] != &dc2.Terms[i].Vecs[0][0] || &dc1.Terms[i].Vecs[1][0] != &dc2.Terms[i].Vecs[1][0] {
 			t.Errorf("edge term %d: two calls returned different storage", i)
 		}
 	}
 	if &tc1.Terms[0].Vecs[0][0] != &sa.DiagCube[0] || &tc1.Terms[0].Vecs[1][0] != &sb.DiagCube[0] {
 		t.Error("vertex term 0 is not the factors' DiagCube")
 	}
-	if &dc1.Terms[0].Arcs[0][0] != &sa.HadSquare[0] || &dc1.Terms[0].Arcs[1][0] != &sb.HadSquare[0] {
+	if &dc1.Terms[0].Vecs[0][0] != &sa.HadSquare[0] || &dc1.Terms[0].Vecs[1][0] != &sb.HadSquare[0] {
 		t.Error("edge term 0 is not the factors' HadSquare")
 	}
 

@@ -122,20 +122,11 @@ func allLoops(stats []*FactorTriangleStats) bool {
 	return true
 }
 
-// vecTerm is the term coef·⊗_i pick(stats_i).
-func vecTerm(coef int64, stats []*FactorTriangleStats, pick func(*FactorTriangleStats) []int64) VecTerm {
-	t := VecTerm{Coef: coef, Vecs: make([][]int64, len(stats))}
+// factorTerm is the term coef·⊗_i pick(stats_i).
+func factorTerm(coef int64, stats []*FactorTriangleStats, pick func(*FactorTriangleStats) []int64) Term {
+	t := Term{Coef: coef, Vecs: make([][]int64, len(stats))}
 	for i, st := range stats {
 		t.Vecs[i] = pick(st)
-	}
-	return t
-}
-
-// matTerm is the term coef·⊗_i pick(stats_i) over the factors' arcs.
-func matTerm(coef int64, stats []*FactorTriangleStats, pick func(*FactorTriangleStats) []int64) MatTerm {
-	t := MatTerm{Coef: coef, Arcs: make([][]int64, len(stats))}
-	for i, st := range stats {
-		t.Arcs[i] = pick(st)
 	}
 	return t
 }
@@ -157,14 +148,14 @@ func VertexParticipation(p *Product) (*KronVecSum, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := &KronVecSum{Den: 2, Terms: []VecTerm{
-		vecTerm(1, stats, func(s *FactorTriangleStats) []int64 { return s.DiagCube }),
+	sum := &KronVecSum{Den: 2, Terms: []Term{
+		factorTerm(1, stats, func(s *FactorTriangleStats) []int64 { return s.DiagCube }),
 	}}
 	if allLoops(stats) {
 		sum.Terms = append(sum.Terms,
-			vecTerm(-2, stats, func(s *FactorTriangleStats) []int64 { return s.diagSqD }),
-			vecTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.diagGDG }),
-			vecTerm(2, stats, func(s *FactorTriangleStats) []int64 { return s.loopDiag }),
+			factorTerm(-2, stats, func(s *FactorTriangleStats) []int64 { return s.diagSqD }),
+			factorTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.diagGDG }),
+			factorTerm(2, stats, func(s *FactorTriangleStats) []int64 { return s.loopDiag }),
 		)
 	}
 	return sum, nil
@@ -184,15 +175,15 @@ func EdgeParticipation(p *Product) (*KronMatSum, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := &KronMatSum{Factors: p.Factors, Terms: []MatTerm{
-		matTerm(1, stats, func(s *FactorTriangleStats) []int64 { return s.HadSquare }),
+	sum := &KronMatSum{p: p, Terms: []Term{
+		factorTerm(1, stats, func(s *FactorTriangleStats) []int64 { return s.HadSquare }),
 	}}
 	if allLoops(stats) {
 		sum.Terms = append(sum.Terms,
-			matTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopRows }),
-			matTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopCols }),
-			matTerm(2, stats, func(s *FactorTriangleStats) []int64 { return s.loopPart }),
-			matTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopHadSq }),
+			factorTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopRows }),
+			factorTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopCols }),
+			factorTerm(2, stats, func(s *FactorTriangleStats) []int64 { return s.loopPart }),
+			factorTerm(-1, stats, func(s *FactorTriangleStats) []int64 { return s.loopHadSq }),
 		)
 	}
 	return sum, nil
@@ -218,21 +209,18 @@ func TriangleTotal(p *Product) (int64, error) {
 
 // OutDegrees returns d^out_C = ⊗ d^out_i as a lazy Kronecker vector (row
 // sums including self loops, §IV.B).
-func OutDegrees(p *Product) *KronVecSum {
-	t := VecTerm{Coef: 1}
-	for _, f := range p.Factors {
-		t.Vecs = append(t.Vecs, rawRowSums(f))
-	}
-	return &KronVecSum{Terms: []VecTerm{t}, Den: 1}
-}
+func OutDegrees(p *Product) *KronVecSum { return perFactor(p, rawRowSums) }
 
 // InDegrees returns d^in_C = ⊗ d^in_i (column sums including self loops).
-func InDegrees(p *Product) *KronVecSum {
-	t := VecTerm{Coef: 1}
-	for _, f := range p.Factors {
-		t.Vecs = append(t.Vecs, rawColSums(f))
+func InDegrees(p *Product) *KronVecSum { return perFactor(p, rawColSums) }
+
+// perFactor is the one-term statistic ⊗_i f(F_i).
+func perFactor(p *Product, f func(*graph.Graph) []int64) *KronVecSum {
+	t := Term{Coef: 1}
+	for _, g := range p.Factors {
+		t.Vecs = append(t.Vecs, f(g))
 	}
-	return &KronVecSum{Terms: []VecTerm{t}, Den: 1}
+	return &KronVecSum{Terms: []Term{t}, Den: 1}
 }
 
 func rawRowSums(g *graph.Graph) []int64 {

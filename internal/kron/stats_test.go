@@ -206,9 +206,9 @@ func TestProductStatsConcurrent(t *testing.T) {
 		func() (int64, error) {
 			// Loops in both factors: Thm. 3 does not apply, but the
 			// hypothesis check must not race either.
-			_, err := TrussDecomposition(p)
+			_, err := Trussness(p)
 			if err == nil {
-				return 0, fmt.Errorf("TrussDecomposition accepted looped factors")
+				return 0, fmt.Errorf("Trussness accepted looped factors")
 			}
 			return want, nil
 		},
@@ -242,9 +242,9 @@ func TestProductStatsConcurrent(t *testing.T) {
 func TestKronMatSumTotalChecksCoefficient(t *testing.T) {
 	big, one := []int64{1 << 31}, []int64{1}
 	s := &KronMatSum{
-		Terms: []MatTerm{
-			{Coef: 2, Arcs: [][]int64{big, big}},
-			{Coef: 1, Arcs: [][]int64{one, one}},
+		Terms: []Term{
+			{Coef: 2, Vecs: [][]int64{big, big}},
+			{Coef: 1, Vecs: [][]int64{one, one}},
 		},
 	}
 	if total, err := s.Total(); !errors.Is(err, ErrOverflow) {

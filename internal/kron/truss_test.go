@@ -1,6 +1,7 @@
 package kron
 
 import (
+	"slices"
 	"testing"
 
 	"kronvalid/internal/gen"
@@ -17,15 +18,15 @@ func TestTrussThm3AgainstDirectPeeling(t *testing.T) {
 		a := gen.ErdosRenyi(7+g.Intn(5), 0.45, g.Uint64())
 		b := gen.TriangleLimitedPA(4+g.Intn(4), g.Uint64())
 		p := MustProduct(a, b)
-		pt, err := TrussDecomposition(p)
+		pt, err := Trussness(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := materialize(t, p)
 		direct := truss.Decompose(c)
 		c.EachEdgeUndirected(func(u, v int32) bool {
-			got := pt.EdgeTruss(int64(u), int64(v))
-			want := direct.EdgeTruss(u, v)
+			got := pt.At(int64(u), int64(v))
+			want := int64(direct.EdgeTruss(u, v))
 			if got != want {
 				fu := p.FactorsOf(int64(u))
 				fv := p.FactorsOf(int64(v))
@@ -34,32 +35,44 @@ func TestTrussThm3AgainstDirectPeeling(t *testing.T) {
 			}
 			return true
 		})
+		if !slices.Equal(pt.Vector(), trussOnArcs(c)) {
+			t.Fatalf("trial %d: the arc walk disagrees with direct peeling", trial)
+		}
 		// Non-edges report 0.
-		if pt.EdgeTruss(0, 0) != 0 && !p.HasEdge(0, 0) {
+		if pt.At(0, 0) != 0 && !p.HasEdge(0, 0) {
 			t.Error("non-edge reported nonzero trussness")
 		}
 	}
 }
 
+// TestTrussSizesMatchDirect reads |T^(κ)_C| and the largest κ off the
+// trussness column: the κ-truss is the edges of trussness ≥ κ.
 func TestTrussSizesMatchDirect(t *testing.T) {
 	g := rng.New(32)
 	a := gen.ErdosRenyi(9, 0.5, g.Uint64())
 	b := gen.TriangleLimitedPA(6, g.Uint64())
 	p := MustProduct(a, b)
-	pt, err := TrussDecomposition(p)
+	pt, err := Trussness(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := materialize(t, p)
 	direct := truss.Decompose(c)
-	sizes := pt.TrussSizes()
-	for k := 3; k <= pt.MaxK(); k++ {
-		if got, want := sizes[k], int64(len(direct.KTrussEdges(k))); got != want {
+	col := pt.Vector()
+	maxK := slices.Max(col)
+	for k := int64(3); k <= maxK; k++ {
+		var arcs int64
+		for _, x := range col {
+			if x >= k {
+				arcs++
+			}
+		}
+		if got, want := arcs/2, int64(len(direct.KTrussEdges(int(k)))); got != want {
 			t.Errorf("|T^(%d)| = %d, direct %d", k, got, want)
 		}
 	}
-	if pt.MaxK() != direct.MaxK && !(pt.MaxK() == 2 && direct.MaxK <= 2) {
-		t.Errorf("MaxK = %d, direct %d", pt.MaxK(), direct.MaxK)
+	if int(maxK) != direct.MaxK {
+		t.Errorf("MaxK = %d, direct %d", maxK, direct.MaxK)
 	}
 }
 
@@ -68,12 +81,12 @@ func TestTrussRejectsOverloadedB(t *testing.T) {
 	// B that violates it (e.g. the hub-cycle, whose hub edges carry 2).
 	a := gen.Clique(4)
 	b := gen.HubCycle(4)
-	if _, err := TrussDecomposition(MustProduct(a, b)); err == nil {
-		t.Fatal("TrussDecomposition accepted Δ_B > 1")
+	if _, err := Trussness(MustProduct(a, b)); err == nil {
+		t.Fatal("Trussness accepted Δ_B > 1")
 	}
 	// And with loops or directedness.
-	if _, err := TrussDecomposition(MustProduct(a.WithAllLoops(), gen.TriangleLimitedPA(5, 1))); err == nil {
-		t.Fatal("TrussDecomposition accepted loops")
+	if _, err := Trussness(MustProduct(a.WithAllLoops(), gen.TriangleLimitedPA(5, 1))); err == nil {
+		t.Fatal("Trussness accepted loops")
 	}
 }
 
@@ -126,7 +139,7 @@ func TestEx2HubCycleStructure(t *testing.T) {
 		t.Errorf("|T^(5)| = %d, want 0", got)
 	}
 	// And Thm. 3 must refuse this product (Δ_A = 2 on hub edges).
-	if _, err := TrussDecomposition(p); err == nil {
+	if _, err := Trussness(p); err == nil {
 		t.Error("Thm. 3 accepted the Ex. 2 product")
 	}
 }

@@ -3,23 +3,23 @@
 // validating graph-analytics implementations. Two regimes:
 //
 //   - Full: materialize C explicitly (validation scale), recompute every
-//     statistic with the direct engines (which never look at the Kronecker
-//     structure), and compare entry-by-entry.
+//     column of kron.Columns with the direct engines (which never look at
+//     the Kronecker structure), and compare entry-by-entry.
 //   - Sampled: for products too large to materialize, spot-check vertices
-//     by egonet extraction and edges by local wedge counting; cost is
-//     O(samples · d²) independent of |E_C|.
+//     by egonet extraction and edges by local wedge counting. An egonet
+//     of a vertex of degree d costs Σ_u min(d, d_u) probes or searches
+//     over its neighbors u, and an edge check d probes; neither depends
+//     on |E_C|.
 package verify
 
 import (
 	"fmt"
 	"slices"
 
-	"kronvalid/internal/census"
 	"kronvalid/internal/graph"
 	"kronvalid/internal/kron"
 	"kronvalid/internal/rng"
 	"kronvalid/internal/triangle"
-	"kronvalid/internal/truss"
 )
 
 // Check is one named validation outcome.
@@ -75,124 +75,45 @@ func (r *Report) Failures() []string {
 	return out
 }
 
-// Full materializes C (subject to the limits) and validates every
-// applicable formula against direct computation.
+// Full materializes C (subject to the limits) and checks every column of
+// kron.Columns against its direct count on the explicit graph.
 func Full(p *kron.Product, maxVertices, maxArcs int64) (*Report, error) {
 	c, err := p.Materialize(maxVertices, maxArcs)
 	if err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
+	return compare(c, kron.Columns(p)), nil
+}
+
+// compare checks each column's values and total against its direct count
+// on c, the explicit product, and skips a column whose theorem does not
+// apply. The columns of one name (a census's types) make one check, which
+// passes when every one of them agrees.
+func compare(c *graph.Graph, cols []kron.Column) *Report {
 	r := &Report{}
-
-	// Degrees (always applicable).
-	degOK := true
-	for v := int64(0); v < p.NumVertices(); v++ {
-		if p.Degree(v) != c.Degree(int32(v)) {
-			degOK = false
-			break
+	for _, col := range cols {
+		if col.Skip != "" {
+			r.skip(col.Name, col.Skip)
+			continue
 		}
+		want := col.Direct(c)
+		total, err := col.Eval.Total()
+		ok := err == nil && total == sum(want) && slices.Equal(col.Eval.Vector(), want)
+		if last := len(r.Checks) - 1; last >= 0 && r.Checks[last].Name == col.Name {
+			r.Checks[last].Passed = r.Checks[last].Passed && ok
+			continue
+		}
+		r.add(col.Name, ok)
 	}
-	r.add("degree formula", degOK)
+	return r
+}
 
-	if p.IsSymmetric() {
-		direct := triangle.Count(c)
-		tc, err := kron.VertexParticipation(p)
-		if err != nil {
-			return nil, err
-		}
-		r.add("vertex participation", slices.Equal(tc.Vector(), direct.PerVertex))
-
-		dc, err := kron.EdgeParticipation(p)
-		if err != nil {
-			return nil, err
-		}
-		r.add("edge participation", dc.EqualOnArcs(c, direct.EdgeDelta))
-
-		tau, err := kron.TriangleTotal(p)
-		if err != nil {
-			return nil, err
-		}
-		r.add("triangle total", tau == direct.Total)
-
-		wedges, err := kron.WedgeCount(p)
-		if err != nil {
-			return nil, err
-		}
-		var directWedges int64
-		for v := 0; v < c.NumVertices(); v++ {
-			d := c.Degree(int32(v))
-			directWedges += d * (d - 1) / 2
-		}
-		r.add("wedge count", wedges == directWedges)
-
-		if pt, err := kron.TrussDecomposition(p); err == nil {
-			directT := truss.Decompose(c)
-			trussOK := true
-			c.EachEdgeUndirected(func(u, v int32) bool {
-				if pt.EdgeTruss(int64(u), int64(v)) != directT.EdgeTruss(u, v) {
-					trussOK = false
-					return false
-				}
-				return true
-			})
-			r.add("truss decomposition (Thm. 3)", trussOK)
-		} else {
-			r.skip("truss decomposition (Thm. 3)", err.Error())
-		}
-	} else {
-		r.skip("undirected statistics", "product is directed")
+func sum(v []int64) int64 {
+	var s int64
+	for _, x := range v {
+		s += x
 	}
-
-	if ds, err := kron.DirectedCensus(p); err == nil {
-		directV := census.DirectedVertexCensus(c)
-		vOK := true
-		for _, ty := range census.AllVertexTypes() {
-			if !slices.Equal(ds.Vertex[ty].Vector(), directV.Counts[ty]) {
-				vOK = false
-				break
-			}
-		}
-		r.add("directed vertex census (Thm. 4)", vOK)
-		directE := census.DirectedEdgeCensus(c)
-		eOK := true
-		for _, ty := range census.AllEdgeTypes() {
-			if !ds.Edge[ty].EqualOnArcs(c, directE.Delta[ty]) {
-				eOK = false
-				break
-			}
-		}
-		r.add("directed edge census (Thm. 5)", eOK)
-	} else {
-		r.skip("directed census (Thm. 4/5)", err.Error())
-	}
-
-	// Thm. 6/7 apply only with a labeled left factor; a product of other
-	// than two factors is reported as skipped whatever its labels.
-	if p.K() != 2 || p.Factors[0].IsLabeled() {
-		if ls, err := kron.LabeledCensus(p); err == nil {
-			directV := census.LabeledVertexCensus(c)
-			vOK := true
-			for ty, vec := range ls.Vertex {
-				if !slices.Equal(vec.Vector(), directV[ty]) {
-					vOK = false
-					break
-				}
-			}
-			r.add("labeled vertex census (Thm. 6)", vOK)
-			directE := census.LabeledEdgeCensus(c)
-			eOK := true
-			for ty, mat := range ls.Edge {
-				if !mat.EqualOnArcs(c, directE[ty]) {
-					eOK = false
-					break
-				}
-			}
-			r.add("labeled edge census (Thm. 7)", eOK)
-		} else {
-			r.skip("labeled census (Thm. 6/7)", err.Error())
-		}
-	}
-	return r, nil
+	return s
 }
 
 // Sampled validates a product too large to materialize by spot checks:

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -237,4 +238,101 @@ func TestSampledReportsNothingValidatedAsSkipped(t *testing.T) {
 	if r, err = Sampled(p, 0, 0, 3, 1); err != nil || !r.Checks[0].Ran || !r.Checks[1].Ran {
 		t.Errorf("no samples asked: %+v, %v", r, err)
 	}
+}
+
+// TestCompareFailsEachPerturbedColumn raises each column's closed form by
+// one at one entry, in turn, and checks that exactly that column's check
+// fails; then again with one entry lowered as well, so that the total is
+// unchanged and only the entrywise comparison sees it. A column the
+// compare loop dropped would pass. The three products between them run
+// every column of the table.
+func TestCompareFailsEachPerturbedColumn(t *testing.T) {
+	g := rng.New(83)
+	labels := make([]int32, 9)
+	for i := range labels {
+		labels[i] = int32(i % 3)
+	}
+	// A directed factor with reciprocal arcs, in which the types of the
+	// directed census all differ.
+	var arcs []graph.Edge
+	randomUndirected(g, 10, 5, 0).EachEdgeUndirected(func(u, v int32) bool {
+		switch g.Intn(3) {
+		case 0:
+			arcs = append(arcs, graph.Edge{U: u, V: v}, graph.Edge{U: v, V: u})
+		case 1:
+			arcs = append(arcs, graph.Edge{U: u, V: v})
+		default:
+			arcs = append(arcs, graph.Edge{U: v, V: u})
+		}
+		return true
+	})
+	directed := graph.FromEdges(10, arcs, false)
+	products := map[string]*kron.Product{
+		"loops in both": kron.MustProduct(randomUndirected(g, 8, 4, 0.5), randomUndirected(g, 7, 3, 0.5)),
+		"directed":      kron.MustProduct(directed, randomUndirected(g, 6, 3, 0.5)),
+		"labeled, Δ_B ≤ 1": kron.MustProduct(randomUndirected(g, 9, 5, 0).WithLabels(labels, 3),
+			gen.TriangleLimitedPA(8, 3)),
+	}
+	ran := map[string]bool{}
+	for name, p := range products {
+		c, err := p.Materialize(10000, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := kron.Columns(p)
+		if r := compare(c, cols); !r.AllPassed() {
+			t.Fatalf("%s: unperturbed failures: %v", name, r.Failures())
+		}
+		for i, col := range cols {
+			if col.Skip != "" {
+				continue
+			}
+			ran[col.Name] = true
+			for _, keepTotal := range []bool{false, true} {
+				bad := slices.Clone(cols)
+				bad[i] = perturbed(col, keepTotal)
+				if got := compare(c, bad).Failures(); !slices.Equal(got, []string{col.Name}) {
+					t.Errorf("%s: %s %s perturbed (total kept: %v): failures %v", name, col.Name, col.Type, keepTotal, got)
+				}
+			}
+		}
+	}
+	for _, col := range kron.Columns(products["labeled, Δ_B ≤ 1"]) {
+		if !ran[col.Name] {
+			t.Errorf("no product runs %q", col.Name)
+		}
+	}
+}
+
+// perturbed returns col with one more term in its closed form: +1 at its
+// first vertex or arc and, when keepTotal, −1 at its last. Each is a
+// unit vector on every factor.
+func perturbed(col kron.Column, keepTotal bool) kron.Column {
+	unit := func(ref [][]int64, at func(n int) int) [][]int64 {
+		out := make([][]int64, len(ref))
+		for i, v := range ref {
+			out[i] = make([]int64, len(v))
+			out[i][at(len(v))] = 1
+		}
+		return out
+	}
+	first := func(int) int { return 0 }
+	last := func(n int) int { return n - 1 }
+	switch e := col.Eval.(type) {
+	case *kron.KronVecSum:
+		s, ref := *e, e.Terms[0].Vecs
+		s.Terms = append(slices.Clip(s.Terms), kron.Term{Coef: s.Den, Vecs: unit(ref, first)})
+		if keepTotal {
+			s.Terms = append(s.Terms, kron.Term{Coef: -s.Den, Vecs: unit(ref, last)})
+		}
+		col.Eval = &s
+	case *kron.KronMatSum:
+		s, ref := *e, e.Terms[0].Vecs
+		s.Terms = append(slices.Clip(s.Terms), kron.Term{Coef: 1, Vecs: unit(ref, first)})
+		if keepTotal {
+			s.Terms = append(s.Terms, kron.Term{Coef: -1, Vecs: unit(ref, last)})
+		}
+		col.Eval = &s
+	}
+	return col
 }
