@@ -12,6 +12,7 @@ import (
 	"kronvalid/internal/kron"
 	"kronvalid/internal/model"
 	"kronvalid/internal/serve"
+	"kronvalid/internal/spec"
 	"kronvalid/internal/stats"
 	"kronvalid/internal/stream"
 	"kronvalid/internal/triangle"
@@ -36,6 +37,15 @@ func FromEdges(n int, edges []Edge, symmetrize bool) *Graph {
 }
 
 // ---- generators ----
+
+// ParseGraph builds the explicit graph one factor spec names: a
+// registered model kind ("gnm:n=150,m=900,seed=5", "rgg2d(n=800;r=0.06)",
+// "rmat:scale=8" with the Graph500 parameters as its defaults; see
+// MODELS.md), collected from the same stream gengen writes, or a
+// factor-only kind (web, clique, pa1, file, …), either one with an
+// optional "+loops" suffix. A model graph over the explicit-graph arc
+// cap is an error, as is any malformed or out-of-range parameter.
+func ParseGraph(s string) (*Graph, error) { return spec.Parse(s) }
 
 // Clique returns K_n (Ex. 1).
 func Clique(n int) *Graph { return gen.Clique(n) }
@@ -62,62 +72,10 @@ func CompleteBipartite(a, b int) *Graph { return gen.CompleteBipartite(a, b) }
 // ErdosRenyi returns G(n, p), deterministic in seed.
 func ErdosRenyi(n int, p float64, seed uint64) *Graph { return gen.ErdosRenyi(n, p, seed) }
 
-// GNM returns G(n, m) — exactly m distinct edges — deterministic in seed.
-func GNM(n int, m int64, seed uint64) *Graph { return gen.GNM(n, m, seed) }
-
-// BarabasiAlbert returns an n-vertex preferential-attachment graph with
-// up to m edges per arrival, built on the communication-free retracing
-// core (model kind "ba") — the explicit-graph adapter of the streamed
-// generator.
-func BarabasiAlbert(n, m int, seed uint64) *Graph { return gen.BarabasiAlbert(n, m, seed) }
-
-// RGG2D returns the random geometric graph on the unit square: n uniform
-// points, an edge for every pair within Euclidean distance r. The
-// explicit-graph adapter of the streamed cell-grid generator (model kind
-// "rgg2d").
-func RGG2D(n int64, r float64, seed uint64) (*Graph, error) {
-	return gen.FromModel(model.NewRGG(n, r, 2, seed, 0))
-}
-
-// RGG3D is RGG2D on the unit cube (model kind "rgg3d").
-func RGG3D(n int64, r float64, seed uint64) (*Graph, error) {
-	return gen.FromModel(model.NewRGG(n, r, 3, seed, 0))
-}
-
-// RHG returns the random hyperbolic graph: n points in a hyperbolic
-// disk whose radius is solved for target average degree deg, with
-// radial density set by the power-law exponent gamma (> 2), and an
-// edge for every pair within hyperbolic distance R. The explicit-graph
-// adapter of the streamed band/cell generator (model kind "rhg").
-func RHG(n int64, deg, gamma float64, seed uint64) (*Graph, error) {
-	return gen.FromModel(model.NewRHG(n, deg, gamma, seed, 0))
-}
-
-// Grid2D returns the x×y lattice with each lattice edge kept
-// independently with probability p; wrap adds the per-axis wraparound
-// (torus) edges. The explicit-graph adapter of the streamed
-// geometric-skip generator (model kind "grid2d").
-func Grid2D(x, y int64, p float64, wrap bool, seed uint64) (*Graph, error) {
-	return gen.FromModel(model.NewGrid(x, y, 1, p, wrap, 2, seed, 0))
-}
-
-// Grid3D is Grid2D for the x×y×z lattice (model kind "grid3d").
-func Grid3D(x, y, z int64, p float64, wrap bool, seed uint64) (*Graph, error) {
-	return gen.FromModel(model.NewGrid(x, y, z, p, wrap, 3, seed, 0))
-}
-
 // WebGraph returns a scale-free graph with triad closure (probability pt
 // per attachment): the offline stand-in for the paper's web-NotreDame
 // factor.
 func WebGraph(n, m int, pt float64, seed uint64) *Graph { return gen.WebGraph(n, m, pt, seed) }
-
-// RMAT returns a stochastic-Kronecker (R-MAT) graph: the Rem. 1 baseline.
-func RMAT(scale int, edges int64, a, b, c, d float64, seed uint64) *Graph {
-	return gen.RMAT(scale, edges, a, b, c, d, seed)
-}
-
-// Graph500RMAT returns an R-MAT graph with Graph500 parameters.
-func Graph500RMAT(scale int, seed uint64) *Graph { return gen.Graph500RMAT(scale, seed) }
 
 // ChungLu samples the edge-independent null model with a prescribed
 // expected degree sequence (the Rem. 1 stochastic baseline).

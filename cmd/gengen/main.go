@@ -1,12 +1,13 @@
 // Gengen streams or shards the edge list of a Kronecker product
-// C = A ⊗ B or of any registered random graph model (Erdős–Rényi,
-// G(n,m), R-MAT, Chung–Lu, random geometric 2D/3D, Barabási–Albert,
-// random hyperbolic, 2D/3D lattices with optional wraparound) through
-// the unified Source pipeline: model randomness lives in cells derived
-// from (seed, cell id) — pair-range chunks, geometric grid cells, or
-// per-edge hash positions — so output is bitwise identical for any
-// worker count, even for the models with cross-chunk dependence (rgg
-// regenerates neighbor cells, ba retraces per-edge dependency chains).
+// C = A ⊗ B (or of more factors) or of any registered random graph
+// model (Erdős–Rényi, G(n,m), R-MAT, Chung–Lu, random geometric 2D/3D,
+// Barabási–Albert, random hyperbolic, 2D/3D lattices with optional
+// wraparound) through the unified Source pipeline: model randomness
+// lives in cells derived from (seed, cell id) — pair-range chunks,
+// geometric grid cells, or per-edge hash positions — so output is
+// bitwise identical for any worker count, even for the models with
+// cross-chunk dependence (rgg regenerates neighbor cells, ba retraces
+// per-edge dependency chains).
 // Interrupting a long generation (SIGINT/SIGTERM) cancels it cleanly:
 // sharded output directories are left without a manifest.json, the
 // marker readers require.
@@ -15,6 +16,7 @@
 //
 //	gengen -model 'kron(a=web:n=4096,m=4,seed=42;b=clique:n=5)' > edges.tsv
 //	gengen -model 'kron(a=ba(n=500;d=2);b=clique:n=5+loops)' -shards 8 -out dir/
+//	gengen -model 'kron(a=kron(a=clique:n=5;b=clique:n=5);b=clique:n=5)' -digest  # K_5 ⊗ K_5 ⊗ K_5
 //	gengen -model 'er:n=100000,p=0.001,seed=42' > edges.tsv
 //	gengen -model 'rmat:scale=16,seed=7' -shards 8 -out dir/       # shard files + manifest.json
 //	gengen -model 'gnm:n=100000,m=1000000' -shards 8 -out dir/ -binary
@@ -29,7 +31,10 @@
 //
 // Spec grammar (kronvalid.ParseSource): kind:key=value,… (or
 // kind(key=value;…)), or kron(a=<factor>;b=<factor>) whose factors add
-// the factor-only kinds (web, clique, file, …) and a "+loops" suffix.
+// the factor-only kinds (web, clique, file, …) and a "+loops" suffix,
+// and may themselves be kron(…) products: nesting on either side is one
+// product of k factors, named by the fold from the left. kronstats and
+// validate take the same product specs.
 // Every model takes seed (default 1) and chunks (the enumeration
 // granularity, default 64; part of the stream identity for er/gnm/
 // rmat/chunglu/grid2d/grid3d, grouping-only for rgg2d/rgg3d/ba/rhg).
@@ -60,7 +65,7 @@ func main() {
 }
 
 func run() (err error) {
-	srcSpec := flag.String("model", "", "source spec: a model (see -kinds) or kron(a=<factor>;b=<factor>) (required)")
+	srcSpec := flag.String("model", "", "source spec: a model (see -kinds) or kron(a=<factor>;b=<factor>), a factor may itself be a kron(…) (required)")
 	shards := flag.Int("shards", 1, "number of workers / shard files (0 = GOMAXPROCS)")
 	csrPath := flag.String("csr", "", "build CSR with the two-pass parallel builder and write it here (KRONCSR1)")
 	countOnly := flag.Bool("count", false, "print sizes and exit without generating")

@@ -1,16 +1,19 @@
 // Kronstats prints exact ground-truth statistics of a Kronecker product
-// C = A ⊗ B, computed from the factors via the paper's formulas — without
-// generating C.
+// C = A ⊗ B (or of any number of factors), computed from the factors via
+// the paper's formulas — without generating C.
 //
 // Usage:
 //
-//	kronstats -a 'web:n=4096,m=4,seed=42' -b 'web:n=4096,m=4,seed=42+loops'
-//	kronstats -a ... -b ... -vertex 12345        # every vertex statistic at one vertex
-//	kronstats -a ... -b ... -json                # machine-readable summary
+//	kronstats -model 'kron(a=web:n=4096,m=4,seed=42;b=web:n=4096,m=4,seed=42+loops)'
+//	kronstats -model 'kron(a=kron(a=clique:n=5;b=clique:n=5);b=clique:n=5)'  # K_5 ⊗ K_5 ⊗ K_5
+//	kronstats -model ... -vertex 12345        # every vertex statistic at one vertex
+//	kronstats -model ... -json                # machine-readable summary
 //
-// With -json, stdout holds only the JSON record, whose name is the
-// product's spec (kron(a=…;b=…)) and rebuilds it; every other line goes
-// to stderr.
+// -model is a product spec as gengen spells it (kronvalid.ParseSource):
+// kron(a=<factor>;b=<factor>), where a factor may itself be a kron(…).
+// The factors are lettered A, B, C, … from left to right. With -json,
+// stdout holds only the JSON record, whose name is the product's spec
+// and rebuilds it; every other line goes to stderr.
 package main
 
 import (
@@ -29,15 +32,12 @@ import (
 	"kronvalid/internal/gio"
 	"kronvalid/internal/kron"
 	"kronvalid/internal/spec"
-	"kronvalid/internal/triangle"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kronstats: ")
-	aSpec := flag.String("a", "", "left factor specification (required)")
-	bSpec := flag.String("b", "", "right factor specification (required unless -power > 0)")
-	power := flag.Int("power", 0, "compute the k-th Kronecker power of -a instead of a binary product")
+	modelSpec := flag.String("model", "", "product spec: kron(a=<factor>;b=<factor>), a factor may itself be a kron(…) (required)")
 	vertex := flag.Int64("vertex", -1, "also print every vertex statistic that applies at this product vertex (-1: none)")
 	jsonOut := flag.Bool("json", false, "emit a JSON summary record")
 	useCSR := flag.Bool("csr", false, "also build the product's CSR adjacency and cross-check it against the formulas")
@@ -46,28 +46,24 @@ func main() {
 	if *vertex < -1 {
 		log.Fatalf("-vertex %d: want a product vertex, or -1 for none", *vertex)
 	}
-
-	if *power > 0 {
-		if *aSpec == "" {
-			log.Fatal("-power needs -a")
+	if *modelSpec == "" {
+		log.Fatal("-model is required")
+	}
+	factors, name, err := spec.ParseKron(*modelSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	p, err := kron.NewProduct(factors...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Factors are lettered A, B, …, Z, then F26, F27, ….
+	letters := make([]string, len(factors))
+	for i := range letters {
+		letters[i] = fmt.Sprintf("F%d", i)
+		if i < 26 {
+			letters[i] = string(rune('A' + i))
 		}
-		runPower(*aSpec, *power)
-		return
-	}
-	if *aSpec == "" || *bSpec == "" {
-		log.Fatal("both -a and -b are required")
-	}
-	a, aName, err := spec.ParseNamed(*aSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, bName, err := spec.ParseNamed(*bSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p, err := kron.NewProduct(a, b)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	start := time.Now()
@@ -75,7 +71,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sa, sb := stats[0], stats[1]
 	tau, err := kron.TriangleTotal(p)
 	if err != nil {
 		log.Fatal(err)
@@ -89,7 +84,7 @@ func main() {
 	if *jsonOut {
 		out = os.Stderr
 		if err := gio.WriteStats(os.Stdout, gio.GraphStats{
-			Name:      spec.KronSpec(aName, bName),
+			Name:      name,
 			Vertices:  p.NumVertices(),
 			Edges:     p.NumArcs(),
 			Loops:     p.NumLoops(),
@@ -99,11 +94,11 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		fmt.Printf("factor A: %d vertices, %d arcs, %d loops, τ=%d (%d wedge checks)\n",
-			a.NumVertices(), a.NumArcs(), a.NumLoops(), sa.Total, sa.WedgeChecks)
-		fmt.Printf("factor B: %d vertices, %d arcs, %d loops, τ=%d (%d wedge checks)\n",
-			b.NumVertices(), b.NumArcs(), b.NumLoops(), sb.Total, sb.WedgeChecks)
-		fmt.Printf("product C = A⊗B:\n")
+		for i, f := range factors {
+			fmt.Printf("factor %s: %d vertices, %d arcs, %d loops, τ=%d (%d wedge checks)\n",
+				letters[i], f.NumVertices(), f.NumArcs(), f.NumLoops(), stats[i].Total, stats[i].WedgeChecks)
+		}
+		fmt.Printf("product C = %s:\n", strings.Join(letters, "⊗"))
 		fmt.Printf("  vertices   %d\n", p.NumVertices())
 		fmt.Printf("  arcs       %d\n", p.NumArcs())
 		fmt.Printf("  loops      %d\n", p.NumLoops())
@@ -116,8 +111,11 @@ func main() {
 		if *vertex >= p.NumVertices() {
 			log.Fatalf("vertex %d out of range [0,%d)", *vertex, p.NumVertices())
 		}
-		f := p.FactorsOf(*vertex)
-		fmt.Fprintf(out, "vertex %d = (A:%d, B:%d):\n", *vertex, f[0], f[1])
+		digits := make([]string, len(factors))
+		for i, d := range p.FactorsOf(*vertex) {
+			digits[i] = fmt.Sprintf("%s:%d", letters[i], d)
+		}
+		fmt.Fprintf(out, "vertex %d = (%s):\n", *vertex, strings.Join(digits, ", "))
 		for _, col := range kron.Columns(p) {
 			if col.Scope == kron.VertexScope && col.Skip == "" {
 				fmt.Fprintf(out, "  %-36s %d\n", strings.TrimSpace(col.Name+" "+col.Type), col.Eval.(*kron.KronVecSum).At(*vertex))
@@ -181,26 +179,4 @@ func maxOf(s *kron.KronVecSum) int64 {
 		prod *= slices.Max(u)
 	}
 	return prod
-}
-
-// runPower prints the statistics ladder for B, B⊗B, …, B^{⊗k}.
-func runPower(aSpec string, k int) {
-	b, err := spec.Parse(aSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tb := triangle.Count(b)
-	fmt.Printf("factor: %d vertices, %d arcs, τ = %d\n", b.NumVertices(), b.NumArcs(), tb.Total)
-	fmt.Printf("%-3s %20s %20s %24s\n", "k", "vertices", "arcs", "triangles (exact)")
-	for j := 1; j <= k; j++ {
-		p, err := kron.KroneckerPower(b, j)
-		if err != nil {
-			log.Fatalf("power %d: %v", j, err)
-		}
-		tau, err := kron.TriangleTotal(p)
-		if err != nil {
-			log.Fatalf("power %d: %v", j, err)
-		}
-		fmt.Printf("%-3d %20d %20d %24d\n", j, p.NumVertices(), p.NumArcs(), tau)
-	}
 }

@@ -16,7 +16,7 @@ import (
 func TestJSONOutput(t *testing.T) {
 	bin := build(t)
 
-	cmd := exec.Command(bin, "-json", "-vertex", "5", "-csr", "-a", "clique:n=5", "-b", "clique:n=4+loops")
+	cmd := exec.Command(bin, "-json", "-vertex", "5", "-csr", "-model", "kron(a=clique:n=5;b=clique:n=4+loops)")
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	stdout, err := cmd.Output()
@@ -56,7 +56,7 @@ func TestJSONOutput(t *testing.T) {
 // the product, and a vertex below -1 is refused.
 func TestVertexColumns(t *testing.T) {
 	bin := build(t)
-	out, err := exec.Command(bin, "-vertex", "3", "-a", "path:n=4", "-b", "clique:n=3").CombinedOutput()
+	out, err := exec.Command(bin, "-vertex", "3", "-model", "kron(a=path:n=4;b=clique:n=3)").CombinedOutput()
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -68,8 +68,30 @@ func TestVertexColumns(t *testing.T) {
 	if strings.Contains(string(out), "labeled") {
 		t.Errorf("unlabeled product prints a labeled census:\n%s", out)
 	}
-	if out, err := exec.Command(bin, "-vertex", "-5", "-a", "clique:n=3", "-b", "clique:n=3").CombinedOutput(); err == nil {
+	if out, err := exec.Command(bin, "-vertex", "-5", "-model", "kron(a=clique:n=3;b=clique:n=3)").CombinedOutput(); err == nil {
 		t.Errorf("-vertex -5 exits 0:\n%s", out)
+	}
+}
+
+// TestNestedProduct: a nested spec is one product of three factors,
+// lettered A, B and C, with a vertex's every digit printed, and a spec
+// that is not a product is refused with the grammar.
+func TestNestedProduct(t *testing.T) {
+	bin := build(t)
+	out, err := exec.Command(bin, "-vertex", "77", "-model", "kron(a=web:n=200,m=3,seed=42;b=kron(a=clique:n=5;b=hubcycle:c=4))").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"factor C: 5 vertices, 16 arcs", "product C = A⊗B⊗C:", "triangles  473760 (exact)", "vertex 77 = (A:3, B:0, C:2):",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	out, err = exec.Command(bin, "-model", "clique:n=3").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "kron(a=<factor>;b=<factor>)") {
+		t.Errorf("a spec that is not a product: %v\n%s", err, out)
 	}
 }
 

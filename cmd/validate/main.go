@@ -7,8 +7,12 @@
 //
 // Usage:
 //
-//	validate -a 'er:n=20,p=0.3,seed=1' -b 'pa1:n=12,seed=2'
-//	validate -a 'web:n=65536,m=3,seed=1' -b 'web:n=65536,m=3,seed=2' -sample
+//	validate -model 'kron(a=er:n=20,p=0.3,seed=1;b=pa1:n=12,seed=2)'
+//	validate -model 'kron(a=web:n=65536,m=3,seed=1;b=web:n=65536,m=3,seed=2)' -sample
+//	validate -model 'kron(a=kron(a=path:n=4;b=clique:n=3);b=cycle:n=5)'
+//
+// -model is a product spec as gengen spells it (kronvalid.ParseSource):
+// kron(a=<factor>;b=<factor>), where a factor may itself be a kron(…).
 package main
 
 import (
@@ -25,8 +29,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("validate: ")
-	aSpec := flag.String("a", "er:n=12,p=0.4,seed=1", "left factor specification")
-	bSpec := flag.String("b", "pa1:n=10,seed=2", "right factor specification")
+	modelSpec := flag.String("model", "kron(a=er:n=12,p=0.4,seed=1;b=pa1:n=10,seed=2)",
+		"product spec: kron(a=<factor>;b=<factor>), a factor may itself be a kron(…)")
 	maxVerts := flag.Int64("max-vertices", 1<<20, "materialization vertex limit (full mode)")
 	maxArcs := flag.Int64("max-arcs", 1_500_000, "materialization arc limit (full mode)")
 	sample := flag.Bool("sample", false, "sampled validation (for products too large to materialize)")
@@ -36,15 +40,11 @@ func main() {
 	seed := flag.Uint64("seed", 1, "sampling seed")
 	flag.Parse()
 
-	a, err := spec.Parse(*aSpec)
+	factors, _, err := spec.ParseKron(*modelSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := spec.Parse(*bSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p, err := kron.NewProduct(a, b)
+	p, err := kron.NewProduct(factors...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func main() {
 		log.Fatalf("%v (hint: use -sample for large products)", err)
 	}
 
-	fmt.Printf("validating C = (%s) ⊗ (%s): %d vertices, %d arcs [%s mode]\n\n",
-		*aSpec, *bSpec, p.NumVertices(), p.NumArcs(), mode)
+	fmt.Printf("validating C = %s: %d vertices, %d arcs [%s mode]\n\n",
+		*modelSpec, p.NumVertices(), p.NumArcs(), mode)
 	if p.IsSymmetric() {
 		tau, err := kron.TriangleTotal(p)
 		if err != nil {

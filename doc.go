@@ -71,6 +71,16 @@
 //	kronvalid.Stream(ctx, kronvalid.ModelSource(er, 0), &n,
 //		kronvalid.WithProgress(func(arcs, shards int64) { /* report */ }))
 //
+// Every graph has one spelling, the spec string of gengen, kronstats
+// and validate. ParseSource builds the Source a spec names and
+// ParseGraph the explicit graph of one factor spec; a product
+// kron(a=<factor>;b=<factor>) may take a product as a factor, so a
+// k-fold product is named too, and its Name() folds from the left:
+//
+//	k3, _ := kronvalid.ParseSource("kron(a=clique:n=5;b=kron(a=clique:n=5;b=clique:n=5))", 0)
+//	_ = k3.Name() // kron(a=kron(a=clique:n=5;b=clique:n=5);b=clique:n=5)
+//	f, _ := kronvalid.ParseGraph("rgg2d:n=1000,r=0.05,seed=1")
+//
 // Long generations are cancellable mid-shard: cancelling the context
 // stops the pipeline within one batch, joins every worker, and returns
 // ctx.Err(). These five verbs are the only generation entry points;

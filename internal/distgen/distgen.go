@@ -86,7 +86,8 @@ func NewPlan(p *kron.Product, workers int) *Plan {
 }
 
 // Named sets the plan's Name() to the spec its factors were parsed
-// from, kron(a=<A>;b=<B>), and returns the plan.
+// from, kron(a=<A>;b=<B>) folded from the left for more than two, and
+// returns the plan.
 func (pl *Plan) Named(spec string) *Plan {
 	pl.name = spec
 	return pl

@@ -39,9 +39,11 @@ func graphFromArcs(n int, arcs []stream.Arc, order []int32) *graph.Graph {
 	return graph.FromEdges(n, edges, true)
 }
 
-// The satellite contract: for every ported model, the legacy constructor
-// must produce a digest-identical graph to the sharded stream at
+// The two models with a Go constructor of their own here (ErdosRenyi
+// clamps p, ChungLu takes a degree sequence no spec can spell) must
+// produce a digest-identical graph to the sharded stream at
 // P ∈ {1, 2, 8} — the explicit and streamed paths are one code path.
+// Every other kind is reached by spec (kronvalid's TestParseGraph).
 
 func TestErdosRenyiLegacyStreamEquivalence(t *testing.T) {
 	const n, p, seed = 900, 0.01, 7
@@ -54,36 +56,6 @@ func TestErdosRenyiLegacyStreamEquivalence(t *testing.T) {
 		got := gio.GraphDigest(graphFromArcs(n, streamArcs(t, mg, workers), nil))
 		if got != want {
 			t.Errorf("P=%d: streamed ER digest %s != legacy %s", workers, got, want)
-		}
-	}
-}
-
-func TestGNMLegacyStreamEquivalence(t *testing.T) {
-	const n, m, seed = 700, 4200, 21
-	want := gio.GraphDigest(GNM(n, m, seed))
-	mg, err := model.NewGnm(n, m, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := gio.GraphDigest(graphFromArcs(n, streamArcs(t, mg, workers), nil))
-		if got != want {
-			t.Errorf("P=%d: streamed G(n,m) digest %s != legacy %s", workers, got, want)
-		}
-	}
-}
-
-func TestRMATLegacyStreamEquivalence(t *testing.T) {
-	const scale, edges, seed = 10, 8192, 17
-	want := gio.GraphDigest(RMAT(scale, edges, 0.57, 0.19, 0.19, 0.05, seed))
-	mg, err := model.NewRMAT(scale, edges, 0.57, 0.19, 0.19, 0.05, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := gio.GraphDigest(graphFromArcs(1<<scale, streamArcs(t, mg, workers), nil))
-		if got != want {
-			t.Errorf("P=%d: streamed RMAT digest %s != legacy %s", workers, got, want)
 		}
 	}
 }
@@ -109,21 +81,6 @@ func TestChungLuLegacyStreamEquivalence(t *testing.T) {
 		got := gio.GraphDigest(graphFromArcs(len(degrees), streamArcs(t, mg, workers), order))
 		if got != want {
 			t.Errorf("P=%d: streamed ChungLu digest %s != legacy %s", workers, got, want)
-		}
-	}
-}
-
-func TestBarabasiAlbertLegacyStreamEquivalence(t *testing.T) {
-	const n, m, seed = 800, 3, 11
-	want := gio.GraphDigest(BarabasiAlbert(n, m, seed))
-	mg, err := model.NewBarabasiAlbert(n, m, 0, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := gio.GraphDigest(graphFromArcs(n, streamArcs(t, mg, workers), nil))
-		if got != want {
-			t.Errorf("P=%d: streamed BA digest %s != legacy %s", workers, got, want)
 		}
 	}
 }
@@ -228,18 +185,28 @@ func (c countingGenerator) NewWorker() stream.ShardGen {
 	}
 }
 
+// fromSpec collects a registered model spec's graph.
+func fromSpec(t *testing.T, spec string) *graph.Graph {
+	t.Helper()
+	g, err := FromModel(model.New(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestGNMProperties(t *testing.T) {
-	g := GNM(200, 1500, 3)
+	g := fromSpec(t, "gnm:n=200,m=1500,seed=3")
 	if !g.IsSymmetric() || g.HasAnyLoop() {
 		t.Fatal("GNM graph malformed")
 	}
 	if got := g.NumEdgesUndirected(); got != 1500 {
 		t.Fatalf("GNM edges = %d, want exactly 1500", got)
 	}
-	if !g.Equal(GNM(200, 1500, 3)) {
+	if !g.Equal(fromSpec(t, "gnm:n=200,m=1500,seed=3")) {
 		t.Error("same-seed GNM graphs differ")
 	}
-	if g.Equal(GNM(200, 1500, 4)) {
+	if g.Equal(fromSpec(t, "gnm:n=200,m=1500,seed=4")) {
 		t.Error("different-seed GNM graphs identical")
 	}
 }

@@ -108,7 +108,7 @@ func TestErdosRenyi(t *testing.T) {
 }
 
 func TestBarabasiAlbert(t *testing.T) {
-	g := BarabasiAlbert(500, 3, 11)
+	g := fromSpec(t, "ba:n=500,d=3,seed=11")
 	if !g.IsSymmetric() || g.HasAnyLoop() {
 		t.Fatal("BA graph malformed")
 	}
@@ -131,7 +131,7 @@ func TestBarabasiAlbert(t *testing.T) {
 	if maxd < 20 {
 		t.Errorf("BA max degree = %d, expected a hub", maxd)
 	}
-	if !g.Equal(BarabasiAlbert(500, 3, 11)) {
+	if !g.Equal(fromSpec(t, "ba:n=500,d=3,seed=11")) {
 		t.Error("same-seed BA graphs differ")
 	}
 }
@@ -151,14 +151,14 @@ func TestWebGraphHasManyTriangles(t *testing.T) {
 		t.Errorf("web graph triangles = %d, expected thousands", res.Total)
 	}
 	// Compare to a same-size BA graph: triad closure must yield more.
-	ba := BarabasiAlbert(2000, 4, 13)
+	ba := fromSpec(t, "ba:n=2000,d=4,seed=13")
 	if baTotal := triangle.Count(ba).Total; res.Total <= baTotal {
 		t.Errorf("web graph (%d) should out-triangle BA (%d)", res.Total, baTotal)
 	}
 }
 
 func TestRMAT(t *testing.T) {
-	g := Graph500RMAT(10, 17)
+	g := fromSpec(t, "rmat:scale=10,seed=17") // the Graph500 parameters
 	if g.NumVertices() != 1024 {
 		t.Fatalf("RMAT vertices = %d", g.NumVertices())
 	}
@@ -168,7 +168,7 @@ func TestRMAT(t *testing.T) {
 	if g.NumEdgesUndirected() == 0 {
 		t.Fatal("RMAT graph empty")
 	}
-	if !g.Equal(Graph500RMAT(10, 17)) {
+	if !g.Equal(fromSpec(t, "rmat:scale=10,seed=17")) {
 		t.Error("same-seed RMAT graphs differ")
 	}
 	// Skew: with Graph500 parameters low-id vertices are much heavier.
@@ -253,10 +253,8 @@ func TestGeneratorPanics(t *testing.T) {
 	cases := []func(){
 		func() { Cycle(2) },
 		func() { HubCycle(2) },
-		func() { BarabasiAlbert(3, 3, 1) },
 		func() { WebGraph(3, 3, 0.5, 1) },
 		func() { TriangleLimitedPA(1, 1) },
-		func() { RMAT(0, 10, 0.25, 0.25, 0.25, 0.25, 1) },
 	}
 	for i, f := range cases {
 		func() {

@@ -18,10 +18,10 @@ import (
 const maxExplicitArcs = int64(1) << 28
 
 // FromModel materializes a streamed model as an explicit undirected
-// factor graph. It is the only model→graph path: the Go constructors
-// below, the root package's RGG/RHG/grid functions and every registry
-// kind named by a factor spec go through it, so the explicit and
-// streamed paths cannot drift apart and one size guard covers them all.
+// factor graph. It is the only model→graph path: ErdosRenyi and ChungLu
+// below and every registry kind named by a factor spec (the root
+// package's ParseGraph) go through it, so the explicit and streamed
+// paths cannot drift apart and one size guard covers them all.
 // It takes a constructor's (generator, error) pair so calls chain.
 func FromModel(g model.Generator, err error) (*graph.Graph, error) {
 	if err != nil {
@@ -78,16 +78,6 @@ func materialize(g model.Generator, limit int64, relabel []int32) (*graph.Graph,
 	return graph.FromEdges(int(n), edges, true), nil
 }
 
-// mustFromModel is FromModel for the Go constructors below, whose
-// documented contract is to panic on invalid arguments.
-func mustFromModel(g model.Generator, err error) *graph.Graph {
-	out, err := FromModel(g, err)
-	if err != nil {
-		panic("gen: " + err.Error())
-	}
-	return out
-}
-
 // ErdosRenyi returns G(n, p): each unordered pair is an edge
 // independently with probability p. It adapts the sharded streaming
 // core, which skips geometrically through the pair index space —
@@ -101,14 +91,11 @@ func ErdosRenyi(n int, p float64, seed uint64) *graph.Graph {
 	if p > 1 {
 		p = 1
 	}
-	return mustFromModel(model.NewErdosRenyi(int64(n), p, seed, 0))
-}
-
-// GNM returns G(n, m): exactly m distinct unordered pairs, uniform up
-// to the deterministic binomial edge-count splitting of the streamed
-// core. It panics on invalid arguments.
-func GNM(n int, m int64, seed uint64) *graph.Graph {
-	return mustFromModel(model.NewGnm(int64(n), m, seed, 0))
+	g, err := FromModel(model.NewErdosRenyi(int64(n), p, seed, 0))
+	if err != nil {
+		panic("gen: " + err.Error())
+	}
+	return g
 }
 
 // smallSet is the reusable membership scratch for per-vertex target
@@ -124,18 +111,6 @@ func (s smallSet) contains(w int32) bool {
 		}
 	}
 	return false
-}
-
-// BarabasiAlbert returns the preferential-attachment graph of [35]:
-// each new vertex attaches up to m edges to existing vertices chosen
-// with probability proportional to degree, over a star seed graph on
-// m+1 vertices. It adapts the communication-free streamed core
-// (model.BarabasiAlbert), which resolves every edge by retracing its
-// per-position hash chain — the same graph the sharded pipeline emits,
-// loop-free with a power-law degree tail. Duplicate draws are merged
-// (not redrawn), so a vertex can carry slightly fewer than m edges.
-func BarabasiAlbert(n, m int, seed uint64) *graph.Graph {
-	return mustFromModel(model.NewBarabasiAlbert(int64(n), int64(m), 0, seed, 0))
 }
 
 // WebGraph is the offline stand-in for the paper's web-NotreDame input: a
@@ -186,21 +161,4 @@ func WebGraph(n, m int, pt float64, seed uint64) *graph.Graph {
 		}
 	}
 	return graph.FromEdges(n, edges, true)
-}
-
-// RMAT returns a stochastic Kronecker (R-MAT [4]) graph: 2^scale
-// vertices, approximately edges undirected edges sampled with quadrant
-// probabilities (a, b, c, d), a+b+c+d = 1. Duplicates are merged and self
-// loops dropped, so the realized edge count can be slightly lower. This is
-// the Rem. 1 baseline: edge independence makes triangles scarce. It
-// adapts the sharded streaming core (per-u-subtree multinomial edge
-// splitting).
-func RMAT(scale int, edges int64, a, b, c, d float64, seed uint64) *graph.Graph {
-	return mustFromModel(model.NewRMAT(scale, edges, a, b, c, d, seed, 0))
-}
-
-// Graph500RMAT returns an R-MAT graph with the Graph500 benchmark
-// parameters (a, b, c, d) = (0.57, 0.19, 0.19, 0.05) and edge factor 16.
-func Graph500RMAT(scale int, seed uint64) *graph.Graph {
-	return RMAT(scale, 16<<uint(scale), 0.57, 0.19, 0.19, 0.05, seed)
 }

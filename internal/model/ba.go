@@ -108,8 +108,8 @@ func buildBA(p *Params, seed uint64, chunks int) (Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The attachment degree is "d" (the paper's notation); "m" (the key
-	// the Go function BarabasiAlbert(n, m, seed) names it by) is an
+	// The attachment degree is "d" (the paper's notation); "m" (the
+	// classic Barabási–Albert name, which written specs use) is an
 	// accepted alias.
 	_, hasD := p.String("d")
 	_, hasM := p.String("m")

@@ -21,7 +21,8 @@
 // Unknown parameter keys are rejected — before any generation work is
 // spent — so a typo cannot silently fall back to a default.
 //
-// A whole product is spelled kron(a=<factor>;b=<factor>) (SplitKron).
+// A whole product is spelled kron(a=<factor>;b=<factor>), and either
+// factor may itself be a product (SplitKron, ParseKron).
 package spec
 
 import (
@@ -89,18 +90,20 @@ func parse(s string) (*graph.Graph, string, error) {
 	return g, name, nil
 }
 
-// SplitKron reads the product form kron(a=<factor>;b=<factor>). ok
-// reports whether s starts with "kron(", and then a and b are the two
-// factor spellings. The split is at the one ';' outside every
-// parenthesis, so KaGen-form factors such as ba(n=50;d=2) and "+loops"
-// suffixes nest unchanged; it must run before params.Parse, whose alias
-// rewrite would turn that ';' into ','. Unbalanced parentheses, a
-// missing or extra key, an empty factor and a product inside a factor
-// are errors. SplitKron builds nothing.
-func SplitKron(s string) (a, b string, ok bool, err error) {
+// SplitKron reads the product form kron(a=<factor>;b=<factor>), in which
+// either factor may itself be a product. ok reports whether s starts
+// with "kron(", and then factors lists the k ≥ 2 leaf factor spellings
+// from left to right: nesting is flattened, which is exact because the
+// Kronecker product is associative, mixed-radix vertex ids included.
+// Each split is at the one ';' outside every parenthesis, so KaGen-form
+// factors such as ba(n=50;d=2) and "+loops" suffixes nest unchanged; it
+// must run before params.Parse, whose alias rewrite would turn that ';'
+// into ','. Unbalanced parentheses, a missing or extra key and an empty
+// factor are errors. SplitKron builds nothing.
+func SplitKron(s string) (factors []string, ok bool, err error) {
 	inner, ok := strings.CutPrefix(s, "kron(")
 	if !ok {
-		return "", "", false, nil
+		return nil, false, nil
 	}
 	inner, closed := strings.CutSuffix(inner, ")")
 	var parts []string
@@ -119,25 +122,63 @@ func SplitKron(s string) (a, b string, ok bool, err error) {
 		}
 	}
 	if !closed || depth != 0 {
-		return "", "", true, fmt.Errorf("spec: %q: unbalanced parentheses", s)
+		return nil, true, fmt.Errorf("spec: %q: unbalanced parentheses", s)
 	}
 	parts = append(parts, inner[start:])
 	if len(parts) == 2 {
 		a, aok := strings.CutPrefix(parts[0], "a=")
 		b, bok := strings.CutPrefix(parts[1], "b=")
 		if aok && bok && a != "" && b != "" {
-			if strings.HasPrefix(a, "kron") || strings.HasPrefix(b, "kron") {
-				return "", "", true, fmt.Errorf("spec: %q: a kron product cannot be a factor", s)
+			for _, f := range []string{a, b} {
+				sub, nested, err := SplitKron(f)
+				if err != nil {
+					return nil, true, err
+				}
+				if !nested {
+					sub = []string{f}
+				}
+				factors = append(factors, sub...)
 			}
-			return a, b, true, nil
+			return factors, true, nil
 		}
 	}
-	return "", "", true, fmt.Errorf("spec: %q: want kron(a=<factor>;b=<factor>)", s)
+	return nil, true, fmt.Errorf("spec: %q: want kron(a=<factor>;b=<factor>)", s)
 }
 
-// KronSpec spells the product of two factor spellings in the form
-// SplitKron reads.
-func KronSpec(a, b string) string { return "kron(a=" + a + ";b=" + b + ")" }
+// KronSpec spells the product of k ≥ 2 factor spellings in the form
+// SplitKron reads, folded from the left: kron(a=kron(a=F₀;b=F₁);b=F₂)
+// for three factors. It is the canonical spelling of every nesting of
+// the same factors.
+func KronSpec(factors ...string) string {
+	s := factors[0]
+	for _, f := range factors[1:] {
+		s = "kron(a=" + s + ";b=" + f + ")"
+	}
+	return s
+}
+
+// ParseKron builds the factors a product spec names, in order, and the
+// product's canonical spelling: KronSpec over each factor's ParseNamed
+// spelling. A spec that is not a product is an error that names the
+// grammar.
+func ParseKron(s string) (factors []*graph.Graph, name string, err error) {
+	parts, ok, err := SplitKron(s)
+	if err != nil {
+		return nil, "", err
+	}
+	if !ok {
+		return nil, "", fmt.Errorf("spec: %q is not a product: want kron(a=<factor>;b=<factor>), where a factor may itself be a kron(…)", s)
+	}
+	names := make([]string, len(parts))
+	for i, part := range parts {
+		g, n, err := ParseNamed(part)
+		if err != nil {
+			return nil, "", err
+		}
+		factors, names[i] = append(factors, g), n
+	}
+	return factors, KronSpec(names...), nil
+}
 
 // maker defers the (possibly expensive) generation until every
 // parameter of the spec has been validated.

@@ -44,14 +44,18 @@ func (r *Report) skip(name, reason string) {
 }
 
 // addSampled records a spot check that drew asked samples and could
-// execute ran of them. Samples were asked for and none ran: the check
-// validated nothing and is recorded as skipped, not as passed.
+// execute ran of them. A check that ran none validated nothing and is
+// recorded as skipped, not as passed, whether or not samples were asked
+// for.
 func (r *Report) addSampled(name string, asked, ran int, passed bool) {
-	if asked > 0 && ran == 0 {
+	switch {
+	case asked == 0:
+		r.skip(name, "no samples asked for")
+	case ran == 0:
 		r.skip(name, "no sampled vertex within max-degree")
-		return
+	default:
+		r.add(name, passed)
 	}
-	r.add(name, passed)
 }
 
 // AllPassed reports whether every executed check passed.
@@ -121,8 +125,12 @@ func sum(v []int64) int64 {
 // recounts, at uniformly random positions (deterministic in seed). Only
 // vertices whose degree is at most maxDegree are egonet-expanded or used
 // as edge endpoints; heavier samples are passed over, and a check none of
-// whose samples could run is reported as skipped.
+// whose samples could run is reported as skipped. A negative sample count
+// is an error.
 func Sampled(p *kron.Product, vertexSamples, edgeSamples int, maxDegree int64, seed uint64) (*Report, error) {
+	if vertexSamples < 0 || edgeSamples < 0 {
+		return nil, fmt.Errorf("verify: negative sample count (%d vertex, %d edge)", vertexSamples, edgeSamples)
+	}
 	if !p.IsSymmetric() {
 		return nil, fmt.Errorf("verify: Sampled requires an undirected product")
 	}

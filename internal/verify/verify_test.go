@@ -217,8 +217,8 @@ func TestReportAccessors(t *testing.T) {
 }
 
 // TestSampledReportsNothingValidatedAsSkipped: with a degree cap no
-// sampled vertex meets, neither check executes a sample, and neither may
-// be reported as run and passed.
+// sampled vertex meets, or with no samples asked for, neither check
+// executes a sample, and neither may be reported as run and passed.
 func TestSampledReportsNothingValidatedAsSkipped(t *testing.T) {
 	p := kron.MustProduct(gen.WebGraph(2000, 4, 0.7, 1), gen.WebGraph(2000, 4, 0.7, 2))
 	r, err := Sampled(p, 64, 64, 3, 1)
@@ -234,9 +234,15 @@ func TestSampledReportsNothingValidatedAsSkipped(t *testing.T) {
 			t.Errorf("check %d = %+v, want %q skipped", i, c, want[i])
 		}
 	}
-	// No samples asked for is not a skipped check.
-	if r, err = Sampled(p, 0, 0, 3, 1); err != nil || !r.Checks[0].Ran || !r.Checks[1].Ran {
+	// No samples asked for validates nothing either, and a negative
+	// count is refused.
+	if r, err = Sampled(p, 0, 0, 1<<20, 1); err != nil || r.Checks[0].Ran || r.Checks[1].Ran {
 		t.Errorf("no samples asked: %+v, %v", r, err)
+	}
+	for _, n := range [][2]int{{-1, 64}, {64, -1}} {
+		if _, err := Sampled(p, n[0], n[1], 1<<20, 1); err == nil {
+			t.Errorf("Sampled(%d, %d) accepted", n[0], n[1])
+		}
 	}
 }
 

@@ -159,80 +159,81 @@ func TestWriteShardedModelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGNMPublicAPI(t *testing.T) {
-	g := GNM(150, 900, 5)
-	if g.NumEdgesUndirected() != 900 {
-		t.Fatalf("GNM edges = %d, want 900", g.NumEdgesUndirected())
+// TestParseGraph is ParseGraph's one test over the model registry: for
+// one spec of every registered kind, the explicit graph is
+// digest-identical to the symmetrized stream ParseSource streams at
+// P ∈ {1, 2, 8}, an exact edge count is pinned where the kind has one,
+// and a KaGen-form alias names the same graph. A kind with no case
+// fails the test. Out-of-range parameters are errors.
+func TestParseGraph(t *testing.T) {
+	cases := map[string]struct {
+		spec, alias string
+		edges       int64
+	}{
+		"er":      {spec: "er:n=900,p=0.01,seed=7"},
+		"gnm":     {spec: "gnm:n=150,m=900,seed=5", edges: 900},
+		"rmat":    {spec: "rmat:scale=8,seed=1"}, // the Graph500 parameters are the defaults
+		"chunglu": {spec: "chunglu:n=800,dmax=40,seed=3"},
+		"rgg2d":   {spec: "rgg2d:n=800,r=0.06,seed=3", alias: "rgg2d(n=800;r=0.06;seed=3)"},
+		"rgg3d":   {spec: "rgg3d:n=500,r=0.15,seed=3"},
+		"ba":      {spec: "ba:n=800,m=3,seed=11", alias: "ba(n=800;d=3;seed=11)"},
+		"rhg":     {spec: "rhg:n=600,d=8,gamma=2.6,seed=4", alias: "rhg(n=600;d=8;gamma=2.6;seed=4)"},
+		"grid2d":  {spec: "grid2d:x=9,y=7,p=1,wrap=true,seed=1", edges: 126},     // 9×7 torus: degree 4
+		"grid3d":  {spec: "grid3d:x=4,y=4,z=4,p=1,wrap=true,seed=1", edges: 192}, // 4³ torus: degree 6
 	}
-}
-
-func TestRGGPublicAPI(t *testing.T) {
-	g, err := RGG2D(800, 0.06, 3)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	for _, kind := range ModelKinds() {
+		c, ok := cases[kind]
+		if !ok {
+			t.Errorf("model kind %q has no ParseGraph case", kind)
+			continue
+		}
+		t.Run(kind, func(t *testing.T) {
+			g, err := ParseGraph(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !g.IsSymmetric() || g.HasAnyLoop() || g.NumEdgesUndirected() == 0 {
+				t.Fatalf("%s: graph malformed or empty", c.spec)
+			}
+			if c.edges != 0 && g.NumEdgesUndirected() != c.edges {
+				t.Errorf("%s: %d edges, want %d", c.spec, g.NumEdgesUndirected(), c.edges)
+			}
+			want := GraphDigest(g)
+			for _, workers := range []int{1, 2, 8} {
+				src, err := ParseSource(c.spec, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var edges []Edge
+				if _, err := Stream(ctx, src, SinkFunc(func(batch []Arc) error {
+					for _, a := range batch {
+						edges = append(edges, Edge{U: int32(a.U), V: int32(a.V)})
+					}
+					return nil
+				}), WithWorkers(workers)); err != nil {
+					t.Fatal(err)
+				}
+				if got := GraphDigest(FromEdges(g.NumVertices(), edges, true)); got != want {
+					t.Errorf("%s at P=%d: streamed digest %s, ParseGraph %s", c.spec, workers, got, want)
+				}
+			}
+			if c.alias != "" {
+				if a, err := ParseGraph(c.alias); err != nil || GraphDigest(a) != want {
+					t.Errorf("alias %s: %v, or a graph other than %s's", c.alias, err, c.spec)
+				}
+			}
+		})
 	}
-	if !g.IsSymmetric() || g.HasAnyLoop() || g.NumEdgesUndirected() == 0 {
-		t.Fatal("RGG2D graph malformed or empty")
-	}
-	g3, err := RGG3D(500, 0.15, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g3.IsSymmetric() || g3.NumEdgesUndirected() == 0 {
-		t.Fatal("RGG3D graph malformed or empty")
-	}
-	if _, err := RGG2D(100, -1, 1); err == nil {
-		t.Error("negative radius accepted")
-	}
-	// The KaGen-style spec alias reaches the same generator.
-	mg, err := NewGenerator("rgg2d(n=800;r=0.06;seed=3)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg.Name() != "rgg2d:n=800,r=0.06,seed=3,chunks=64" {
-		t.Errorf("alias spec resolved to %q", mg.Name())
-	}
-}
-
-func TestRHGPublicAPI(t *testing.T) {
-	g, err := RHG(600, 8, 2.6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsSymmetric() || g.HasAnyLoop() || g.NumEdgesUndirected() == 0 {
-		t.Fatal("RHG graph malformed or empty")
-	}
-	if _, err := RHG(600, 8, 2, 4); err == nil {
-		t.Error("gamma = 2 accepted")
-	}
-	// The KaGen-style spec alias reaches the same generator.
-	mg, err := NewGenerator("rhg(n=600;d=8;gamma=2.6;seed=4)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg.Name() != "rhg:n=600,d=8,gamma=2.6,seed=4,chunks=64" {
-		t.Errorf("alias spec resolved to %q", mg.Name())
-	}
-}
-
-func TestGridPublicAPI(t *testing.T) {
-	g, err := Grid2D(9, 7, 1, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full 9×7 torus: every vertex has degree 4, so 2·63 edges.
-	if got := g.NumEdgesUndirected(); got != 126 {
-		t.Fatalf("Grid2D torus edges = %d, want 126", got)
-	}
-	g3, err := Grid3D(4, 4, 4, 1, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full 4³ torus: degree 6 everywhere, 3·64 edges.
-	if got := g3.NumEdgesUndirected(); got != 192 {
-		t.Fatalf("Grid3D torus edges = %d, want 192", got)
-	}
-	if _, err := Grid2D(0, 5, 1, false, 1); err == nil {
-		t.Error("zero extent accepted")
+	for _, s := range []string{
+		"rgg2d:n=100,r=-1,seed=1",      // negative radius
+		"rhg:n=600,d=8,gamma=2,seed=4", // gamma must exceed 2
+		"grid2d:x=0,y=5,p=1,seed=1",    // zero extent
+		"gnm:n=10,m=46,seed=1",         // more edges than pairs
+		"rmat:scale=8,seed=1,nosuch=1", // unknown key
+	} {
+		if g, err := ParseGraph(s); err == nil {
+			t.Errorf("ParseGraph(%q) accepted: %d vertices", s, g.NumVertices())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package kronvalid
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -10,7 +11,7 @@ import (
 // sequence in non-increasing order (the shape HillEstimator wants).
 func rhgDegrees(t *testing.T, n int64, deg, gamma float64, seed uint64) (*Graph, []int64) {
 	t.Helper()
-	g, err := RHG(n, deg, gamma, seed)
+	g, err := ParseGraph(fmt.Sprintf("rhg:n=%d,d=%g,gamma=%g,seed=%d", n, deg, gamma, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,10 @@ func TestRHGClusteringAboveNull(t *testing.T) {
 		return s / float64(len(x))
 	}
 	rhgC := mean(LocalClusteringCoefficients(g))
-	null := GNM(g.NumVertices(), int64(g.NumEdgesUndirected()), 2)
+	null, err := ParseGraph(fmt.Sprintf("gnm:n=%d,m=%d,seed=2", g.NumVertices(), g.NumEdgesUndirected()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	nullC := mean(LocalClusteringCoefficients(null))
 	if rhgC < 0.2 {
 		t.Errorf("RHG mean local clustering %.4f below 0.2", rhgC)

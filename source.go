@@ -51,36 +51,31 @@ func ModelSource(g ModelGenerator, shards int) Source { return model.NewPlan(g, 
 // `shards` shards (0 = GOMAXPROCS). A registered model spec
 // ("er:n=100000,p=0.001,seed=42", "ba(n=50;d=2)") is the ModelSource of
 // NewGenerator(spec). kron(a=<factor>;b=<factor>) is the ProductSource
-// of two factors in the factor grammar (web, clique, file, any model
-// kind, "+loops"; see MODELS.md). Every Source built here is named by a
-// spec: ParseSource(src.Name(), n) rebuilds the same stream under the
-// same Name(). A product's name keeps each factor as written, except
-// that a model-kind factor is spelled by its generator's Name().
+// of its factors in the factor grammar (web, clique, file, any model
+// kind, "+loops"; see MODELS.md), where a factor may itself be a
+// kron(…): nesting is flattened into one product of k factors. Every
+// Source built here is named by a spec: ParseSource(src.Name(), n)
+// rebuilds the same stream under the same Name(). A product's name folds
+// its factors from the left, kron(a=kron(a=F₀;b=F₁);b=F₂), and keeps
+// each factor as written, except that a model-kind factor is spelled by
+// its generator's Name().
 func ParseSource(s string, shards int) (Source, error) {
-	as, bs, isKron, err := spec.SplitKron(s)
-	if err != nil {
-		return nil, err
-	}
-	if !isKron {
+	if _, isKron, _ := spec.SplitKron(s); !isKron {
 		g, err := NewGenerator(s)
 		if err != nil {
 			return nil, err
 		}
 		return ModelSource(g, shards), nil
 	}
-	a, an, err := spec.ParseNamed(as)
+	factors, name, err := spec.ParseKron(s)
 	if err != nil {
 		return nil, err
 	}
-	b, bn, err := spec.ParseNamed(bs)
+	p, err := NewProduct(factors...)
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewProduct(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return distgen.NewPlan(p, shards).Named(spec.KronSpec(an, bn)), nil
+	return distgen.NewPlan(p, shards).Named(name), nil
 }
 
 // Option tunes a pipeline verb. The zero configuration (no options)
