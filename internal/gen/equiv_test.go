@@ -60,6 +60,24 @@ func TestErdosRenyiLegacyStreamEquivalence(t *testing.T) {
 	}
 }
 
+// G(n,m) has no constructor here any more; its explicit graph is the
+// registry spec collected by FromModel, which must still match the
+// sharded stream at every worker count.
+func TestGNMLegacyStreamEquivalence(t *testing.T) {
+	const n, m, seed = 700, 4200, 21
+	want := gio.GraphDigest(fromSpec(t, "gnm:n=700,m=4200,seed=21"))
+	mg, err := model.NewGnm(n, m, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got := gio.GraphDigest(graphFromArcs(n, streamArcs(t, mg, workers), nil))
+		if got != want {
+			t.Errorf("P=%d: streamed G(n,m) digest %s != explicit %s", workers, got, want)
+		}
+	}
+}
+
 func TestChungLuLegacyStreamEquivalence(t *testing.T) {
 	degrees := make([]int64, 800)
 	for i := range degrees {

@@ -165,6 +165,16 @@ func TestWriteShardedModelRoundTrip(t *testing.T) {
 // P ∈ {1, 2, 8}, an exact edge count is pinned where the kind has one,
 // and a KaGen-form alias names the same graph. A kind with no case
 // fails the test. Out-of-range parameters are errors.
+func TestGNMPublicAPI(t *testing.T) {
+	g, err := ParseGraph("gnm:n=150,m=900,seed=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdgesUndirected() != 900 {
+		t.Fatalf("GNM edges = %d, want 900", g.NumEdgesUndirected())
+	}
+}
+
 func TestParseGraph(t *testing.T) {
 	cases := map[string]struct {
 		spec, alias string
