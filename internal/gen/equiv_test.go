@@ -193,13 +193,16 @@ type countingGenerator struct {
 	emitted *int
 }
 
-func (c countingGenerator) NewWorker() stream.ShardGen {
-	w := c.Generator.NewWorker()
-	return func(chunk int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
-		w(chunk, buf, func(full []stream.Arc) []stream.Arc {
-			*c.emitted += len(full)
-			return emit(full)
-		})
+func (c countingGenerator) NewRun() stream.GenFactory {
+	newWorker := c.Generator.NewRun()
+	return func() stream.ShardGen {
+		w := newWorker()
+		return func(chunk int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+			w(chunk, buf, func(full []stream.Arc) []stream.Arc {
+				*c.emitted += len(full)
+				return emit(full)
+			})
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func materialize(g model.Generator, limit int64, relabel []int32) (*graph.Graph,
 	}
 	edges := make([]graph.Edge, 0, max(exact, 0))
 	buf := make([]stream.Arc, 0, stream.DefaultBatchSize)
-	worker := g.NewWorker() // one worker across every chunk
+	worker := g.NewRun()() // one worker across every chunk
 	over := false
 	for c := 0; c < g.Chunks() && !over; c++ {
 		worker(c, buf, func(full []stream.Arc) []stream.Arc {

@@ -215,9 +215,13 @@ type baState struct {
 	chain   [maxBAChainRecord]int64
 }
 
-// NewWorker returns the chunk generator bound to fresh retracing
+// NewRun returns the worker factory of one run: each worker gets fresh
+// retracing scratch, and the run shares nothing.
+func (g *BarabasiAlbert) NewRun() stream.GenFactory { return g.newWorker }
+
+// newWorker returns the chunk generator bound to fresh retracing
 // scratch for one worker.
-func (g *BarabasiAlbert) NewWorker() stream.ShardGen {
+func (g *BarabasiAlbert) newWorker() stream.ShardGen {
 	win := baMemoWindow
 	if tot := 2 * (g.seedEdges() + (g.n-g.s0)*g.d); tot < win {
 		win = tot // never allocate past the slot space

@@ -28,8 +28,8 @@ const maxWorkerMemoNodes = 1 << 22
 const maxFreeSamples = 256
 
 // cellTable materializes a splitTree's full prefix table once per
-// generator, on the first NewWorker call, shared read-only by every
-// worker state. The build runs on par.MaxWorkers() goroutines whatever
+// generator, when the first run or worker needs it, shared read-only by
+// every worker state. The build runs on par.MaxWorkers() goroutines whatever
 // the caller's worker count — a one-worker run on a multi-core host
 // also builds its table in parallel — and workers that arrive while it
 // runs wait on the Once. get returns nil when the tree is too large to

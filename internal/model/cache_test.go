@@ -1,9 +1,11 @@
 package model
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -11,9 +13,9 @@ import (
 	"kronvalid/internal/stream"
 )
 
-// collectFresh concatenates every chunk generated by a fresh worker —
-// the cache-off reference: each chunk builds and discards its own
-// worker state.
+// collectFresh concatenates every chunk generated by a fresh run's
+// worker — the cache-off reference: each chunk builds and discards its
+// own run and worker state.
 func collectFresh(g Generator) []stream.Arc {
 	var out []stream.Arc
 	emit := func(b []stream.Arc) []stream.Arc {
@@ -21,20 +23,22 @@ func collectFresh(g Generator) []stream.Arc {
 		return b[:0]
 	}
 	for c := 0; c < g.Chunks(); c++ {
-		g.NewWorker()(c, nil, emit)
+		g.NewRun()()(c, nil, emit)
 	}
 	return out
 }
 
 // collectCached runs the chunks the way the ordered driver does with
-// `workers` goroutines: worker w executes chunks w, w+workers, … each
-// through ONE NewWorker function, and the per-chunk outputs are
-// concatenated in global chunk order. (Sequential execution here —
-// interleaving never matters, states are per worker by contract.)
+// `workers` goroutines of one run: worker w executes chunks w,
+// w+workers, … each through ONE worker of the run, and the per-chunk
+// outputs are concatenated in global chunk order. (Sequential execution
+// here — interleaving never changes a value; TestRHGSharedStripWorkers
+// runs the workers concurrently.)
 func collectCached(g Generator, workers int) []stream.Arc {
 	chunks := make([][]stream.Arc, g.Chunks())
+	newWorker := g.NewRun()
 	for w := 0; w < workers; w++ {
-		gen := g.NewWorker()
+		gen := newWorker()
 		for c := w; c < g.Chunks(); c += workers {
 			cur := c
 			gen(cur, nil, func(b []stream.Arc) []stream.Arc {
@@ -189,7 +193,7 @@ func TestRGGStripCarryOver(t *testing.T) {
 				for _, g := range rggStripGens(t, chunks) {
 					want := collectFresh(g)
 					for _, order := range rggStripOrders(g.Chunks()) {
-						gen := g.NewWorker()
+						gen := g.NewRun()()
 						got := make([][]stream.Arc, g.Chunks())
 						for _, c := range order {
 							got[c] = chunkArcs(gen, c)
@@ -270,6 +274,70 @@ func TestRHGStripMatchesFallback(t *testing.T) {
 	}
 }
 
+// TestRHGSharedStripWorkers pins that one run holds one sample strip
+// whatever its worker count. An rhg spec in strip mode is streamed
+// through NewPlan at W ∈ {1, 2, 4} with as many chunks as the widest
+// run has workers, so every worker's forward windows reach into the same
+// inner-band cells at once and the workers race to fill them. The
+// stream must be the same at every W, the bytes one run allocates at
+// W = 4 must stay within 1.25× of W = 1 (one strip, not four), and once
+// the run returns, the heap must not keep the strip: the generator
+// holds none.
+func TestRHGSharedStripWorkers(t *testing.T) {
+	const chunks = 4
+	g, err := NewRHG(1<<18, 2, 2.6, 31, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.stripMode() { // also builds the cell table outside the counts
+		t.Fatalf("n=%d should select the strip state", g.n)
+	}
+	stripBytes := uint64(g.n) * 4 * 8
+	run := func(workers int) (digest uint64, arcs int64, alloc, kept uint64) {
+		var before, after, settled runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		digest = 14695981039346656037
+		sink := stream.FuncSink(func(batch []stream.Arc) error {
+			for _, a := range batch {
+				digest = (digest ^ uint64(a.U)) * 1099511628211
+				digest = (digest ^ uint64(a.V)) * 1099511628211
+			}
+			return nil
+		})
+		arcs, err := stream.RunSource(context.Background(), NewPlan(g, workers), sink, stream.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.GC()
+		runtime.ReadMemStats(&settled)
+		return digest, arcs, after.TotalAlloc - before.TotalAlloc, max(settled.HeapAlloc, before.HeapAlloc) - before.HeapAlloc
+	}
+	var want, alloc1 uint64
+	var wantArcs int64
+	for _, workers := range []int{1, 2, 4} {
+		got, arcs, alloc, kept := run(workers)
+		t.Logf("W=%d: %d arcs, %d bytes allocated, %d bytes kept after the run", workers, arcs, alloc, kept)
+		if kept > stripBytes/2 {
+			t.Errorf("W=%d: heap grew by %d bytes over the run and stayed; the strip is %d bytes", workers, kept, stripBytes)
+		}
+		if workers == 1 {
+			want, wantArcs, alloc1 = got, arcs, alloc
+			if arcs == 0 || alloc < stripBytes {
+				t.Fatalf("W=1: %d arcs, %d bytes allocated for a %d-byte strip", arcs, alloc, stripBytes)
+			}
+			continue
+		}
+		if got != want || arcs != wantArcs {
+			t.Errorf("W=%d: digest %x over %d arcs, W=1 gave %x over %d", workers, got, arcs, want, wantArcs)
+		}
+		if limit := alloc1 + alloc1/4; alloc > limit {
+			t.Errorf("W=%d: one run allocated %d bytes, more than 1.25× W=1's %d: a strip per worker?", workers, alloc, alloc1)
+		}
+	}
+}
+
 // forwardPartnersOracle is the former per-index forward-partner
 // enumeration, retained as the oracle of appendForwardRuns: cell by
 // cell, each band's wrapped window {j mod cells : jLo <= j <= jHi}
@@ -285,9 +353,9 @@ func forwardPartnersOracle(g *RHG, c int) []int {
 	nb := len(g.bands)
 	for b2 := b1; b2 < nb; b2++ {
 		bd := &g.bands[b2]
-		ang := g.maxAng[b1*nb+b2]
-		jLo := int(math.Floor((th0-ang)/bd.width)) - 1
-		jHi := int(math.Floor((th1+ang)/bd.width)) + 1
+		reach := g.maxAng[b1*nb+b2] + rhgWindowMargin*bd.width
+		jLo := int(math.Floor((th0 - reach) / bd.width))
+		jHi := int(math.Floor((th1 + reach) / bd.width))
 		if jHi-jLo+1 >= bd.cells {
 			start := bd.cellStart
 			if b2 == b1 {
@@ -408,11 +476,12 @@ func TestSpatialMemoFallbackMatchesTable(t *testing.T) {
 }
 
 // TestCellTableConcurrentWorkers drives the cellTable's sync.Once the
-// way the drivers do: W goroutines call NewWorker on one fresh
-// generator at the same moment — one builds the table (itself on
-// several goroutines), the rest wait — and then generate disjoint
-// chunks. Run under -race, it is the check that late arrivals see a
-// finished table and bitmap.
+// way concurrent runs over one generator do: W goroutines each start a
+// run on one fresh generator at the same moment — one builds the table
+// (itself on several goroutines), the rest wait — and then generate
+// disjoint chunks. (rgg takes the table when a worker starts, rhg when
+// its run starts.) Run under -race, it is the check that late arrivals
+// see a finished table.
 func TestCellTableConcurrentWorkers(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		for spec, g := range tableTestGens(t) {
@@ -424,7 +493,7 @@ func TestCellTableConcurrentWorkers(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					<-start
-					gen := g.NewWorker()
+					gen := g.NewRun()()
 					for c := w; c < len(chunks); c += workers {
 						cur := c
 						gen(cur, nil, func(b []stream.Arc) []stream.Arc {

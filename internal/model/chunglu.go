@@ -309,9 +309,13 @@ type chungLuState struct {
 	inv []int64 // complement-inversion scratch (dense segments)
 }
 
-// NewWorker returns the chunk generator bound to fresh blockwise-core
+// NewRun returns the worker factory of one run: each worker gets fresh
+// blockwise-core scratch, and the run shares nothing.
+func (g *ChungLu) NewRun() stream.GenFactory { return g.newWorker }
+
+// newWorker returns the chunk generator bound to fresh blockwise-core
 // scratch for one worker.
-func (g *ChungLu) NewWorker() stream.ShardGen {
+func (g *ChungLu) newWorker() stream.ShardGen {
 	st := &chungLuState{}
 	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 		g.generateChunk(st, c, buf, emit)

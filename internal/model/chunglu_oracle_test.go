@@ -192,8 +192,8 @@ func TestChungLuBlockwiseMatchesBucketedDistribution(t *testing.T) {
 
 // TestChungLuWorkerStateReuseRace drives the scratch-reusing cores
 // (chunglu, ba) from several goroutines at once, each goroutine reusing
-// one NewWorker function across every chunk, and checks each sees the
-// serial stream. Run under -race in CI, it proves worker states share
+// one worker of a shared run across every chunk, and checks each sees
+// the serial stream. Run under -race in CI, it proves worker states share
 // no hidden mutable state through their generator.
 func TestChungLuWorkerStateReuseRace(t *testing.T) {
 	for _, spec := range []string{
@@ -205,12 +205,13 @@ func TestChungLuWorkerStateReuseRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Collect(g)
+		newWorker := g.NewRun()
 		var wg sync.WaitGroup
 		for worker := 0; worker < 4; worker++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				gen := g.NewWorker()
+				gen := newWorker()
 				var out []stream.Arc
 				buf := make([]stream.Arc, 0, 256)
 				for c := 0; c < g.Chunks(); c++ {

@@ -88,9 +88,11 @@ func (g *ErdosRenyi) ChunkWeight(c int) int64 {
 // ChunkArcs returns -1: per-chunk counts are random.
 func (g *ErdosRenyi) ChunkArcs(c int) int64 { return -1 }
 
-// NewWorker returns the chunk generator: Erdős–Rényi chunks keep no
-// worker-lifetime scratch.
-func (g *ErdosRenyi) NewWorker() stream.ShardGen { return g.generateChunk }
+// NewRun returns the worker factory of one run: Erdős–Rényi chunks
+// keep no state, so every worker is the chunk method itself.
+func (g *ErdosRenyi) NewRun() stream.GenFactory {
+	return func() stream.ShardGen { return g.generateChunk }
+}
 
 // generateChunk streams chunk c: geometric skips across the chunk's pair
 // index range, each surviving index unpacked to its (u, v) arc.

@@ -124,9 +124,13 @@ func (g *Gnm) ChunkArcs(c int) int64 {
 	return g.counts[c]
 }
 
-// NewWorker returns the chunk generator bound to one worker's distinct
+// NewRun returns the worker factory of one run: each worker gets its
+// own distinct sampler, and the run shares nothing.
+func (g *Gnm) NewRun() stream.GenFactory { return g.newWorker }
+
+// newWorker returns the chunk generator bound to one worker's distinct
 // sampler.
-func (g *Gnm) NewWorker() stream.ShardGen {
+func (g *Gnm) newWorker() stream.ShardGen {
 	d := &distinctSampler{}
 	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 		g.generateChunk(d, c, buf, emit)

@@ -244,9 +244,11 @@ func (g *Grid) candidates(u int64, dst []int64) []int64 {
 // holds two or three candidates.
 const gridWalkSpan = 24
 
-// NewWorker returns the chunk generator: lattice chunks keep no
-// worker-lifetime scratch.
-func (g *Grid) NewWorker() stream.ShardGen { return g.generateChunk }
+// NewRun returns the worker factory of one run: lattice chunks keep no
+// state, so every worker is the chunk method itself.
+func (g *Grid) NewRun() stream.GenFactory {
+	return func() stream.ShardGen { return g.generateChunk }
+}
 
 // generateChunk streams chunk c by walking its flattened candidate
 // index space with geometric skips (er's sparse-sampling loop): the

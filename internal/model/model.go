@@ -127,20 +127,24 @@ type Generator interface {
 	// pointwise through per-element hash streams rather than whole-cell
 	// regeneration (BA retracing) also return nil.
 	Dependencies(c int) []int64
-	// NewWorker returns the chunk-generation function for one worker
-	// goroutine: called with a chunk index c, it streams chunk c under
-	// the stream.ShardGen emit contract — fill buf, hand every full
-	// batch and the final partial one to emit, stop early when emit
-	// returns nil. The function may close over worker-lifetime scratch
-	// (dependency-cell samples, memo tables, hit buffers) that it reuses
-	// across the chunks it is called for, so it must only be used by one
-	// goroutine at a time; NewWorker itself is safe for concurrent
-	// calls. Scratch is the *cost* side of generation only — the Sample
-	// phase is pure, so regenerating a cell and reading it back from a
-	// cache yield identical values, and a fresh worker per chunk emits
-	// the same bytes as one worker across all of them. Kinds without
-	// such scratch return their chunk method directly.
-	NewWorker() stream.ShardGen
+	// NewRun returns the worker factory of one generation run. A driver
+	// calls NewRun once per run and the factory once per worker
+	// goroutine; each ShardGen the factory returns, called with a chunk
+	// index c, streams chunk c under the stream.ShardGen emit contract —
+	// fill buf, hand every full batch and the final partial one to emit,
+	// stop early when emit returns nil. A worker may close over scratch
+	// of its own (memo tables, hit buffers) that it reuses across the
+	// chunks it is called for, so it must only be used by one goroutine
+	// at a time; the factory itself is safe for concurrent calls. A run
+	// may also hold state that every one of its workers shares (rhg's
+	// point strip), which lives exactly as long as the factory is
+	// reachable: the generator itself keeps none of it. State is the
+	// *cost* side of generation only — the Sample phase is pure, so
+	// regenerating a cell and reading it back yield identical values,
+	// and one worker per chunk emits the same bytes as one worker
+	// across all of them. Kinds without such state return
+	// func() stream.ShardGen { return g.generateChunk }.
+	NewRun() stream.GenFactory
 }
 
 // noDeps is embedded by models whose chunks read no foreign sample
@@ -461,7 +465,7 @@ func Collect(g Generator) []stream.Arc {
 		out = make([]stream.Arc, 0, n)
 	}
 	buf := make([]stream.Arc, 0, stream.DefaultBatchSize)
-	gen := g.NewWorker() // one worker across every chunk
+	gen := g.NewRun()() // one worker across every chunk
 	for c := 0; c < g.Chunks(); c++ {
 		gen(c, buf, func(full []stream.Arc) []stream.Arc {
 			out = append(out, full...)

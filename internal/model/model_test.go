@@ -101,7 +101,7 @@ func TestStreamsAreCanonical(t *testing.T) {
 		}
 		n := g.NumVertices()
 		buf := make([]stream.Arc, 0, 512)
-		gen := g.NewWorker()
+		gen := g.NewRun()()
 		for c := 0; c < g.Chunks(); c++ {
 			lo, hi := g.ChunkRange(c)
 			gen(c, buf, func(full []stream.Arc) []stream.Arc {
@@ -131,7 +131,7 @@ func TestGeneratorsStopWhenEmitRefuses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := g.NewWorker()
+		gen := g.NewRun()()
 		refused := 0
 		for c := 0; c < g.Chunks(); c++ {
 			calls := 0

@@ -88,11 +88,11 @@ func (pl *Plan) ShardSize(w int) int64 {
 
 // EachShardBatch streams shard w — its chunks replayed in index order —
 // under the stream.ShardGen emit contract. Any worker can regenerate
-// any shard at any time. Each call runs on a fresh worker; drivers that
-// execute many shards per goroutine should prefer ShardGenFactory so the
-// worker's scratch survives across them.
+// any shard at any time. Each call is a run of one worker; drivers that
+// execute many shards should prefer ShardGenFactory, whose workers
+// share one run and keep their scratch across shards.
 func (pl *Plan) EachShardBatch(w int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc)) {
-	pl.genShard(pl.g.NewWorker(), w, buf, emit)
+	pl.genShard(pl.g.NewRun()(), w, buf, emit)
 }
 
 // genShard replays shard w's chunks through gen under the emit
@@ -118,13 +118,17 @@ func (pl *Plan) genShard(gen stream.ShardGen, w int, buf []stream.Arc, emit func
 	}
 }
 
-// ShardGenFactory implements stream.FactorySource: every ShardGen it
-// returns wraps ONE Generator.NewWorker for its whole lifetime, so when
-// the driver hands a worker goroutine many shards, the generator's cell
-// cache and splitting-tree lookups persist across all of them.
+// ShardGenFactory implements stream.FactorySource. Drivers call it once
+// per run, so it starts one Generator.NewRun: every ShardGen it returns
+// wraps ONE worker of that run for its whole lifetime, so when the
+// driver hands a worker goroutine many shards, the worker's cell cache
+// and splitting-tree lookups persist across all of them, and state the
+// run shares (rhg's point strip) is built once for all workers and
+// released with the factory.
 func (pl *Plan) ShardGenFactory() stream.GenFactory {
+	newWorker := pl.g.NewRun()
 	return func() stream.ShardGen {
-		gen := pl.g.NewWorker()
+		gen := newWorker()
 		return func(w int, buf []stream.Arc, emit func(full []stream.Arc) (next []stream.Arc)) {
 			pl.genShard(gen, w, buf, emit)
 		}

@@ -443,9 +443,13 @@ func (g *RGG) step(xyz *[3]int) {
 	}
 }
 
-// NewWorker returns the chunk generator bound to one worker-lifetime
+// NewRun returns the worker factory of one run: each worker gets its
+// own strip, and the run shares nothing but the generator's cell table.
+func (g *RGG) NewRun() stream.GenFactory { return g.newWorker }
+
+// newWorker returns the chunk generator bound to one worker-lifetime
 // strip.
-func (g *RGG) NewWorker() stream.ShardGen {
+func (g *RGG) newWorker() stream.ShardGen {
 	s := &rggState{lk: newTreeLookup(&g.tree, &g.ctab)}
 	return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 		g.generateChunk(s, c, buf, emit)

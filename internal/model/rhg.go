@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"kronvalid/internal/par"
 	"kronvalid/internal/rng"
@@ -40,9 +42,10 @@ import (
 // everyone's dependency rather than owning an unbounded halo
 // themselves. The angular reach between two bands is bounded by the
 // distance-threshold angle at the bands' minimum radii (the reach is
-// monotonically decreasing in both radii), widened by one cell for
-// rounding; the exact pairwise predicate decides every edge, so the
-// windows only gate candidate enumeration, never correctness. Each
+// monotonically decreasing in both radii), widened by a written-out
+// rounding bound (see rhgCosSlack and rhgWindowMargin); the pairwise
+// predicate decides every edge, so the windows only gate candidate
+// enumeration and never exclude a pair the predicate accepts. Each
 // chunk owns a contiguous run of cells, regenerates foreign partner
 // cells on demand (the declared Dependencies), and emits each pair
 // once from the smaller endpoint's cell — ascending per-u segments, so
@@ -106,6 +109,32 @@ const rhgTargetOccupancy = 4.0
 // weights the splitting tree divides by; 2^40 keeps three extra decimal
 // digits beyond the largest admitted n.
 const rhgWeightScale = float64(int64(1) << 40)
+
+// rhgCosSlack scales the rounding slack subtracted from a band pair's
+// threshold cosine before its reach angle is taken. Let k be the larger
+// of coth(rLo) over the two bands and ε = 2^-53 the unit roundoff. The
+// predicate ch·z − sh·w·(c0·x + s0·y) <= cosh R, evaluated in float64
+// on stored cosh/sinh/cos/sin values (each within 3ε), is off from its
+// exact value by at most 29ε·cosh r1·cosh r2, so an accepted pair has
+// cos Δθ at least its exact threshold cosine minus 29ε·k². The
+// threshold cosine is computed at the bands' minimum radii from stored
+// cosh/sinh values (≤ 30ε·k²), and a drawn radius can sit below rLo by
+// a few ulps of R, which lowers the threshold by ≤ 8ε·R·k³. Their sum
+// is under 64ε·(1+R)·k³; the slack 2^-44·(1+R)·k³ = 512ε·(1+R)·k³
+// covers it eightfold. Near a reach of 0 the acos turns this into
+// ≈ √(2·slack), the resolution of cos Δθ in float64, which a margin in
+// angle units alone would miss.
+const rhgCosSlack = 0x1p-44
+
+// rhgWindowMargin is the angular margin, in partner cells, that widens
+// each side of a forward window past the slackened reach. It covers the
+// rest of the rounding: a drawn angle th0 + u·width and the cell
+// boundaries j·width are within a few ulps of 2π (≈ 10^-15 rad), the
+// acos result within one ulp of π, and the window's index arithmetic
+// within a few ulps of the cell count (≤ 2^22 cells, < 10^-8 cells).
+// A cell is at least 2π/2^22 ≈ 1.5·10^-6 rad wide, so 10^-3 of it
+// (≥ 1.5·10^-9 rad) exceeds all of them.
+const rhgWindowMargin = 1e-3
 
 // maxRHGResidentPoints caps the regenerated foreign halo a generating
 // chunk keeps cached. Crossing it drops the cache: foreign cells are
@@ -214,8 +243,9 @@ func NewRHG(n int64, deg, gamma float64, seed uint64, chunks int) (*RHG, error) 
 
 	// Pairwise angular reach bound: the threshold angle at the two
 	// bands' minimum radii — reach decreases in both radii, so this
-	// dominates every pair drawn from the two bands. π when the inner
-	// radii alone connect (r1+r2 <= R; also absorbs sinh(0) = 0).
+	// dominates every pair drawn from the two bands — with the threshold
+	// cosine lowered by the rounding slack (rhgCosSlack). π when the
+	// inner radii alone connect (r1+r2 <= R; also absorbs sinh(0) = 0).
 	nb := len(g.bands)
 	g.maxAng = make([]float64, nb*nb)
 	for b1 := 0; b1 < nb; b1++ {
@@ -223,7 +253,8 @@ func NewRHG(n int64, deg, gamma float64, seed uint64, chunks int) (*RHG, error) 
 			r1, r2 := &g.bands[b1], &g.bands[b2]
 			ang := math.Pi
 			if r1.rLo+r2.rLo > g.R {
-				cv := (r1.coshLo*r2.coshLo - g.coshR) / (r1.sinhLo * r2.sinhLo)
+				k := max(r1.coshLo/r1.sinhLo, r2.coshLo/r2.sinhLo)
+				cv := (r1.coshLo*r2.coshLo-g.coshR)/(r1.sinhLo*r2.sinhLo) - rhgCosSlack*(1+g.R)*k*k*k
 				if cv > 1 {
 					cv = 1
 				}
@@ -364,9 +395,11 @@ type rhgRun struct{ lo, hi int }
 // index > c whose angular window can hold a neighbor of a point in c —
 // as ascending contiguous cell ranges: the same-band window plus a
 // window into each inner band (bands are outermost first, so inner
-// bands have larger indices). Windows are widened by one cell per side
-// for floating-point safety; the exact distance predicate decides every
-// pair, so over-wide windows cost comparisons, not correctness. A
+// bands have larger indices). Each window spans the slackened reach
+// plus rhgWindowMargin of a partner cell per side, which bounds every
+// rounding error of the predicate and the index arithmetic (see the two
+// constants): the predicate decides every pair, and no pair it accepts
+// falls outside the window. A
 // band's wrapped window {j mod cells : jLo <= j <= jHi} covers fewer
 // than cells indices (the full-range branch catches the rest), so it is
 // one range — or two when it straddles the wrap, the low one first.
@@ -388,9 +421,9 @@ func (g *RHG) appendForwardRuns(c int, out []rhgRun) []rhgRun {
 	}
 	for b2 := b1; b2 < nb; b2++ {
 		bd := &g.bands[b2]
-		ang := g.maxAng[b1*nb+b2]
-		jLo := int(math.Floor((th0-ang)/bd.width)) - 1
-		jHi := int(math.Floor((th1+ang)/bd.width)) + 1
+		reach := g.maxAng[b1*nb+b2] + rhgWindowMargin*bd.width
+		jLo := int(math.Floor((th0 - reach) / bd.width))
+		jHi := int(math.Floor((th1 + reach) / bd.width))
 		end := bd.cellStart + bd.cells
 		if jHi-jLo+1 >= bd.cells {
 			push(bd.cellStart, end)
@@ -568,38 +601,67 @@ const maxRHGRingCells = 1 << 20
 // tests can force the fallback path.
 var rhgPanelMaxPoints = maxRHGResidentPoints
 
-// rhgState is the strip-mode worker state: the whole cell space
-// flattened in cell order into one worker-lifetime SoA strip, filled
-// lazily cell by cell. Vertex ids are cell-major over the whole graph,
-// so the point at strip offset p has global id exactly p — a forward
-// window of cells (empty ones included) is a contiguous strip range
-// whose kernel hit indices feed addRun directly, with no per-cell
+// rhgStrip is one run's sample strip, shared by every worker of the
+// run: the whole cell space flattened in cell order into one SoA strip,
+// filled lazily cell by cell. Vertex ids are cell-major over the whole
+// graph, so the point at strip offset p has global id exactly p — a
+// forward window of cells (empty ones included) is a contiguous strip
+// range whose kernel hit indices feed addRun directly, with no per-cell
 // staging, copying, or id column. Every strip value is the same pure
-// (seed, cell) draw the cellSample path makes. Each point is
-// materialized at most once, so residency is bounded by the graph
-// size, which the strip gate keeps under the eviction cap — no
-// eviction is ever needed.
-type rhgState struct {
-	st             *spatialState
+// (seed, cell) draw the cellSample path makes. Each cell is filled once
+// per run, by whichever worker reaches it first, so residency is the
+// graph's points whatever the worker count, which the strip gate keeps
+// under the eviction cap — no eviction is ever needed.
+//
+// fill[cell] moves empty → filling → ready exactly once. The worker
+// whose compare-and-swap wins writes the cell's range and then stores
+// ready; the atomic store publishes the writes, so a worker that loads
+// ready reads finished values, and one that finds the cell filling
+// waits for it. Ranges of distinct cells are disjoint, and a ready
+// range is never written again.
+type rhgStrip struct {
 	xs, ys, zs, ws []float64
-	filled         []bool // per cell
-	runs           []rhgRun
-	prs            [][2]int              // forward point ranges of the current own cell
-	lane           [rhgTileLanes][]int32 // per-lane forward hits, strip offsets
+	fill           []atomic.Uint32 // per cell: cellEmpty, cellFilling, cellReady
 }
 
-// ensure fills cell's strip range [tab[cell], tab[cell+1]) if it is not
-// resident yet.
+// Fill states of a strip cell.
+const (
+	cellEmpty uint32 = iota
+	cellFilling
+	cellReady
+)
+
+// rhgState is one strip-mode worker: the run's shared strip, plus the
+// worker's own tree lookups, draw scratch, window and hit buffers.
+type rhgState struct {
+	st    *spatialState
+	strip *rhgStrip
+	runs  []rhgRun
+	prs   [][2]int              // forward point ranges of the current own cell
+	lane  [rhgTileLanes][]int32 // per-lane forward hits, strip offsets
+}
+
+// ensure returns once cell's strip range [tab[cell], tab[cell+1]) holds
+// its points: at once when it is ready, after filling it when this
+// worker claims it, and after waiting when another worker is filling it.
 func (ps *rhgState) ensure(g *RHG, cell int) {
-	if ps.filled[cell] {
+	f := &ps.strip.fill[cell]
+	if f.Load() == cellReady {
 		return
 	}
-	ps.filled[cell] = true
+	if !f.CompareAndSwap(cellEmpty, cellFilling) {
+		for f.Load() != cellReady {
+			runtime.Gosched()
+		}
+		return
+	}
 	tab := ps.st.tab
 	lo, hi := int(tab[cell]), int(tab[cell+1])
 	if hi > lo {
-		g.samplePointsInto(cell, ps.st, ps.xs[lo:hi], ps.ys[lo:hi], ps.zs[lo:hi], ps.ws[lo:hi])
+		sp := ps.strip
+		g.samplePointsInto(cell, ps.st, sp.xs[lo:hi], sp.ys[lo:hi], sp.zs[lo:hi], sp.ws[lo:hi])
 	}
+	f.Store(cellReady)
 }
 
 // stripMode reports whether workers use the flattened sample strip: the
@@ -609,25 +671,38 @@ func (g *RHG) stripMode() bool {
 	return g.ctab.get(&g.tree) != nil && g.n <= rhgPanelMaxPoints
 }
 
-// NewWorker returns the chunk generator bound to one worker-lifetime
-// state: the flattened sample strip in strip mode, else the generic
-// bounded cell cache (ring when the cell space is small enough to
-// direct-index, map beyond).
-func (g *RHG) NewWorker() stream.ShardGen {
-	if g.stripMode() {
-		n := int(g.n)
+// NewRun returns the worker factory of one run. In strip mode the run
+// allocates one sample strip, shared by all of its workers; it is
+// garbage once the driver drops the factory, so a generator kept after
+// its runs holds no points. Outside strip mode each worker gets the
+// generic bounded cell cache, and the run shares nothing.
+func (g *RHG) NewRun() stream.GenFactory {
+	if !g.stripMode() {
+		return g.newCellWorker
+	}
+	n := int(g.n)
+	strip := &rhgStrip{
+		xs:   make([]float64, n),
+		ys:   make([]float64, n),
+		zs:   make([]float64, n),
+		ws:   make([]float64, n),
+		fill: make([]atomic.Uint32, g.cells),
+	}
+	return func() stream.ShardGen {
 		ps := &rhgState{
-			st:     newSpatialState(&g.tree, &g.ctab, maxRHGResidentPoints, 0),
-			xs:     make([]float64, n),
-			ys:     make([]float64, n),
-			zs:     make([]float64, n),
-			ws:     make([]float64, n),
-			filled: make([]bool, g.cells),
+			st:    newSpatialState(&g.tree, &g.ctab, maxRHGResidentPoints, 0),
+			strip: strip,
 		}
 		return func(c int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 			g.generatePanels(ps, c, buf, emit)
 		}
 	}
+}
+
+// newCellWorker returns a chunk generator over its own bounded cell
+// cache: a ring when the cell space is small enough to direct-index, a
+// map beyond.
+func (g *RHG) newCellWorker() stream.ShardGen {
 	window := g.cells
 	if window > maxRHGRingCells {
 		window = 0 // map fallback
@@ -778,6 +853,7 @@ func (g *RHG) generatePanels(ps *rhgState, c int, buf []stream.Arc, emit func([]
 	}
 	b := newBatcher(buf, emit)
 	tab := st.tab
+	xs, ys, zs, ws := ps.strip.xs, ps.strip.ys, ps.strip.zs, ps.strip.ws
 	var p rhgLanes
 	for cell := lo; cell < hi; cell++ {
 		ownLo, ownHi := int(tab[cell]), int(tab[cell+1])
@@ -807,17 +883,17 @@ func (g *RHG) generatePanels(ps *rhgState, c int, buf []stream.Arc, emit func([]
 			for k := 0; k < rhgTileLanes; k++ {
 				// Spare lanes repeat the group's last point.
 				pi := g0 + min(k, lanes-1)
-				p.c0[k], p.s0[k], p.ch[k], p.sh[k] = ps.xs[pi], ps.ys[pi], ps.zs[pi], ps.ws[pi]
+				p.c0[k], p.s0[k], p.ch[k], p.sh[k] = xs[pi], ys[pi], zs[pi], ws[pi]
 				ps.lane[k] = ps.lane[k][:0]
 			}
 			for _, pr := range prs {
-				rhgTile(&p, lanes, g.coshR, ps.xs[pr[0]:pr[1]], ps.ys[pr[0]:pr[1]], ps.zs[pr[0]:pr[1]], ps.ws[pr[0]:pr[1]], pr[0], &ps.lane)
+				rhgTile(&p, lanes, g.coshR, xs[pr[0]:pr[1]], ys[pr[0]:pr[1]], zs[pr[0]:pr[1]], ws[pr[0]:pr[1]], pr[0], &ps.lane)
 			}
 			for k := 0; k < lanes; k++ {
 				pi := g0 + k
 				u := int64(pi)
 				st.hits = rhgHits(p.c0[k], p.s0[k], p.ch[k], p.sh[k], g.coshR,
-					ps.xs[pi+1:ownHi], ps.ys[pi+1:ownHi], ps.zs[pi+1:ownHi], ps.ws[pi+1:ownHi], st.hits[:0])
+					xs[pi+1:ownHi], ys[pi+1:ownHi], zs[pi+1:ownHi], ws[pi+1:ownHi], st.hits[:0])
 				if !b.addRun(u, u+1, st.hits) || !b.addRun(u, 0, ps.lane[k]) {
 					return
 				}

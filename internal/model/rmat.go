@@ -340,15 +340,18 @@ func (t *rmatTables) build(g *RMAT) {
 	}
 }
 
-// NewWorker returns the chunk generator; its state (tables, chunk
-// stream, one node's pattern draws) is reused across the worker's
-// chunks. The tables are built here, not in NewRMAT: they are 8.5 KB
-// and take microseconds, while a service builds a generator for every
-// request it answers from cache and keeps it in its job history.
-func (g *RMAT) NewWorker() stream.ShardGen {
-	d := &blockDescent{g: g}
-	d.tab.build(g)
-	return d.generateChunk
+// NewRun returns the worker factory of one run. Each worker's state
+// (tables, chunk stream, one node's pattern draws) is reused across its
+// chunks, and the run shares nothing. The tables are built per worker,
+// not in NewRMAT: they are 8.5 KB and take microseconds, while a service
+// builds a generator for every request it answers from cache and keeps
+// it in its job history.
+func (g *RMAT) NewRun() stream.GenFactory {
+	return func() stream.ShardGen {
+		d := &blockDescent{g: g}
+		d.tab.build(g)
+		return d.generateChunk
+	}
 }
 
 // blockDescent is one worker's chunk-descent state: the alias tables,

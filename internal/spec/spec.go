@@ -98,21 +98,24 @@ func parse(s string) (*graph.Graph, string, error) {
 // Each split is at the one ';' outside every parenthesis, so KaGen-form
 // factors such as ba(n=50;d=2) and "+loops" suffixes nest unchanged; it
 // must run before params.Parse, whose alias rewrite would turn that ';'
-// into ','. Unbalanced parentheses, a missing or extra key and an empty
+// into ','. Unbalanced parentheses, text after the closing parenthesis
+// (a product takes no "+loops"), a missing or extra key and an empty
 // factor are errors. SplitKron builds nothing.
 func SplitKron(s string) (factors []string, ok bool, err error) {
 	inner, ok := strings.CutPrefix(s, "kron(")
 	if !ok {
 		return nil, false, nil
 	}
-	inner, closed := strings.CutSuffix(inner, ")")
 	var parts []string
-	depth, start := 0, 0
-	for i := 0; i < len(inner) && depth >= 0; i++ {
+	depth, start, end := 0, 0, -1
+	for i := 0; i < len(inner) && end < 0; i++ {
 		switch inner[i] {
 		case '(':
 			depth++
 		case ')':
+			if depth == 0 {
+				end = i
+			}
 			depth--
 		case ';':
 			if depth == 0 {
@@ -121,10 +124,16 @@ func SplitKron(s string) (factors []string, ok bool, err error) {
 			}
 		}
 	}
-	if !closed || depth != 0 {
+	tail := inner[end+1:]
+	switch {
+	case end < 0 || strings.ContainsAny(tail, "()"):
 		return nil, true, fmt.Errorf("spec: %q: unbalanced parentheses", s)
+	case tail == "+loops":
+		return nil, true, fmt.Errorf("spec: %q: a product takes no +loops suffix; put +loops on its factors", s)
+	case tail != "":
+		return nil, true, fmt.Errorf("spec: %q: %q follows the product's closing parenthesis", s, tail)
 	}
-	parts = append(parts, inner[start:])
+	parts = append(parts, inner[start:end])
 	if len(parts) == 2 {
 		a, aok := strings.CutPrefix(parts[0], "a=")
 		b, bok := strings.CutPrefix(parts[1], "b=")

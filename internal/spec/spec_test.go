@@ -71,6 +71,37 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestSplitKronErrors pins the message each malformed product gets: a
+// product's own "+loops" is named as such, not as a parenthesis fault.
+func TestSplitKronErrors(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{"kron(a=kron(a=clique:n=2;b=clique:n=2)+loops;b=path:n=3)", "a product takes no +loops suffix"},
+		{"kron(a=clique:n=2;b=clique:n=2)+loops", "a product takes no +loops suffix"},
+		{"kron(a=clique:n=2;b=clique:n=2)x", `"x" follows the product's closing parenthesis`},
+		{"kron(a=ba(n=50;d=2;b=clique:n=3)", "unbalanced parentheses"},
+		{"kron(a=clique:n=3);b=(clique:n=4)", "unbalanced parentheses"},
+		{"kron(a=clique:n=3;b=clique:n=4", "unbalanced parentheses"},
+		{"kron(a=clique:n=3;b=clique:n=4))", "unbalanced parentheses"},
+		{"kron(", "unbalanced parentheses"},
+		{"kron(a=clique:n=3)", "want kron(a=<factor>;b=<factor>)"},
+		{"kron(a=;b=clique:n=3)", "want kron(a=<factor>;b=<factor>)"},
+		{"kron(a=kron(a=clique:n=2);b=cycle:n=3)", "want kron(a=<factor>;b=<factor>)"},
+	} {
+		_, ok, err := SplitKron(c.spec)
+		if !ok || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("SplitKron(%q) = ok %v, err %v; want an error containing %q", c.spec, ok, err, c.want)
+		}
+	}
+	for _, s := range []string{
+		"kron(a=kron(a=clique:n=2+loops;b=clique:n=2);b=path:n=3+loops)",
+		"kron(a=ba(n=50;d=2)+loops;b=clique:n=3)",
+	} {
+		if _, ok, err := SplitKron(s); !ok || err != nil {
+			t.Errorf("SplitKron(%q) = ok %v, err %v; want factors", s, ok, err)
+		}
+	}
+}
+
 func TestParseFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "edges.tsv")

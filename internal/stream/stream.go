@@ -108,16 +108,18 @@ type ShardGen func(w int, buf []Arc, emit func(full []Arc) (next []Arc))
 // executes every shard that worker claims, so state it closes over —
 // dependency-cell caches, memo tables, kernel scratch — lives for the
 // worker's lifetime instead of being rebuilt per shard. The factory
-// must be safe for concurrent calls; each returned ShardGen is used by
-// one goroutine at a time. Worker state may only change the cost of
-// generation, never its bytes: the canonical stream stays identical
-// whether a driver uses the factory or a single shared ShardGen.
+// itself may hold state that all of its workers share, which lives as
+// long as the factory does. The factory must be safe for concurrent
+// calls; each returned ShardGen is used by one goroutine at a time.
+// Worker state may only change the cost of generation, never its
+// bytes: the canonical stream stays identical whether a driver uses the
+// factory or a single shared ShardGen.
 type GenFactory func() ShardGen
 
 // FactorySource is the optional Source extension for generators with
 // reusable worker-lifetime state: drivers that see it call
-// ShardGenFactory once per worker instead of sharing one stateless
-// ShardGen across all of them.
+// ShardGenFactory once per run and the factory once per worker,
+// instead of sharing one stateless ShardGen across all of them.
 type FactorySource interface {
 	Source
 	// ShardGenFactory returns the source's per-worker generator factory.
