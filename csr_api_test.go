@@ -3,6 +3,7 @@ package kronvalid
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -159,5 +160,39 @@ func TestCSRSinkIngestsWrittenStream(t *testing.T) {
 	}
 	if !back.Equal(g) {
 		t.Fatal("re-ingested stream differs from the directly built CSR")
+	}
+}
+
+// TestToCSRTwoPassSharesOneRun checks that the two-pass build starts one
+// run of a model source for both passes and every shard: rhg in strip
+// mode allocates its n-point strip once per run, so the bytes one
+// ToCSR allocates at 8 shards must stay within 1.25× of 2 shards (a
+// run per shard per pass allocates 16 strips against 4), and the graph
+// must not depend on the shard count.
+func TestToCSRTwoPassSharesOneRun(t *testing.T) {
+	g, err := NewGenerator("rhg:n=262144,d=2,gamma=2.6,seed=31")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(shards int) (digest string, alloc uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := ToCSR(context.Background(), ModelSource(g, shards), WithWorkers(2), WithTwoPass(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return CSRDigest(c), after.TotalAlloc - before.TotalAlloc
+	}
+	build(2) // builds the cell table outside the counts
+	want, alloc2 := build(2)
+	got, alloc8 := build(8)
+	t.Logf("bytes allocated: %d at 2 shards, %d at 8 shards", alloc2, alloc8)
+	if got != want {
+		t.Errorf("ToCSR digest %s at 8 shards, %s at 2", got, want)
+	}
+	if limit := alloc2 + alloc2/4; alloc8 > limit {
+		t.Errorf("ToCSR allocated %d bytes at 8 shards, more than 1.25× the %d at 2: a run per shard?", alloc8, alloc2)
 	}
 }

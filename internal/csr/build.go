@@ -27,8 +27,12 @@ type Source struct {
 	// VertexRange returns the half-open source-vertex range owned by
 	// shard w.
 	VertexRange func(w int) (lo, hi int64)
-	// Generate streams shard w under the stream.ShardGen emit contract.
-	Generate stream.ShardGen
+	// NewGen is the generator factory of one run of the stream, called
+	// once per worker goroutine of each pass; the ShardGen it returns
+	// streams every shard that worker claims under the stream.ShardGen
+	// emit contract. Both passes share the one factory, so state it
+	// holds for its run (rhg's point strip) is built once per build.
+	NewGen stream.GenFactory
 }
 
 // BuildContext materializes the source as a CSR graph with the parallel
@@ -181,6 +185,7 @@ func forShards(ctx context.Context, src Source, workers, batchSize int, consume 
 	var nextShard atomic.Int64
 	var failed atomic.Bool
 	par.MapWorkers(workers, func(_, _ int) {
+		gen := src.NewGen()
 		buf := make([]stream.Arc, 0, batchSize)
 		for {
 			w := int(nextShard.Add(1) - 1)
@@ -193,7 +198,7 @@ func forShards(ctx context.Context, src Source, workers, batchSize int, consume 
 				return
 			}
 			lo, hi := src.VertexRange(w)
-			src.Generate(w, buf, func(full []stream.Arc) []stream.Arc {
+			gen(w, buf, func(full []stream.Arc) []stream.Arc {
 				if err := ctx.Err(); err != nil {
 					errs[w] = err
 					failed.Store(true)

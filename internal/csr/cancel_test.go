@@ -10,6 +10,12 @@ import (
 	"kronvalid/internal/stream"
 )
 
+// oneGen is the factory of a stateless generator: every worker shares
+// gen.
+func oneGen(gen stream.ShardGen) stream.GenFactory {
+	return func() stream.ShardGen { return gen }
+}
+
 // synthSource is a replayable sharded source: shard w owns vertices
 // [w*rows, (w+1)*rows) and emits `deg` arcs per vertex.
 func synthSource(shards, rows, deg int) Source {
@@ -20,7 +26,7 @@ func synthSource(shards, rows, deg int) Source {
 		VertexRange: func(w int) (int64, int64) {
 			return int64(w * rows), int64((w + 1) * rows)
 		},
-		Generate: func(w int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+		NewGen: oneGen(func(w int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 			for r := 0; r < rows; r++ {
 				u := int64(w*rows + r)
 				for d := 0; d < deg; d++ {
@@ -36,7 +42,7 @@ func synthSource(shards, rows, deg int) Source {
 			if len(buf) > 0 {
 				emit(buf)
 			}
-		},
+		}),
 	}
 }
 

@@ -41,7 +41,7 @@ func arcsSource(n int64, arcs []stream.Arc, shards int) Source {
 		NumArcs:     int64(len(sorted)),
 		Shards:      shards,
 		VertexRange: func(w int) (int64, int64) { return bounds[w][0], bounds[w][1] },
-		Generate: func(w int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+		NewGen: oneGen(func(w int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 			lo, hi := bounds[w][0], bounds[w][1]
 			for _, a := range sorted {
 				if a.U < lo || a.U >= hi {
@@ -58,7 +58,7 @@ func arcsSource(n int64, arcs []stream.Arc, shards int) Source {
 			if len(buf) > 0 {
 				emit(buf)
 			}
-		},
+		}),
 	}
 }
 
@@ -120,14 +120,14 @@ func TestBuildDeterministicAcrossShardCounts(t *testing.T) {
 func TestBuildRejectsOutOfRangeShard(t *testing.T) {
 	src := arcsSource(4, []stream.Arc{{U: 0, V: 1}}, 2)
 	// Shard 1 claims range [2,4) but emits a source-0 arc.
-	gen := src.Generate
-	src.Generate = func(w int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
+	gen := src.NewGen()
+	src.NewGen = oneGen(func(w int, buf []stream.Arc, emit func([]stream.Arc) []stream.Arc) {
 		if w == 1 {
 			emit(append(buf, stream.Arc{U: 0, V: 2}))
 			return
 		}
 		gen(w, buf, emit)
-	}
+	})
 	if _, err := BuildContext(context.Background(), src, stream.Options{Workers: 1}); err == nil {
 		t.Fatal("Build accepted a shard emitting outside its vertex range")
 	}

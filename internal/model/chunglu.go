@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"kronvalid/internal/rng"
@@ -19,16 +20,32 @@ import (
 // head, binomial-count realization over the constant-weight tail — see
 // DESIGN.md §2f) with its own (seed, chunk)-derived stream, so expected
 // cost stays O(n + m) in total and chunks never communicate.
+//
+// The weights are held as a run: the varying head w[:tail0] and the one
+// value of the constant suffix w[tail0:n], so memory is O(head + chunks)
+// however long the dmin-floored tail is. partition and the name digest
+// read w through weight; the blockwise core reads the head below tail0
+// and tailW beyond it.
 type ChungLu struct {
 	noDeps
 	name     string
 	nameOnce sync.Once
-	w        []float64
+	head     []float64 // w[:tail0], owned by the generator
+	tailW    float64   // w[i] for tail0 <= i < n
+	n        int64
 	sum      float64
 	seed     uint64
 	rows     [][2]int64
 	work     []int64 // per-chunk expected work (for shard balancing)
 	tail0    int64   // start of the maximal constant-weight suffix run
+}
+
+// weight returns w[i], 0 <= i < n.
+func (g *ChungLu) weight(i int64) float64 {
+	if i < g.tail0 {
+		return g.head[i]
+	}
+	return g.tailW
 }
 
 // NewChungLu returns the sharded Chung–Lu generator over the given
@@ -71,19 +88,27 @@ func NewChungLu(weights []float64, seed uint64, chunks int) (*ChungLu, error) {
 		// generator built from a partial sum.
 		return nil, fmt.Errorf("model: chunglu weights failed validation")
 	}
-	return newChungLuTrusted(weights, sum, tail0, seed, chunks), nil
+	// The head is copied so the generator never keeps the caller's
+	// n-float slice alive.
+	n := int64(len(weights))
+	var tailW float64
+	if n > 0 {
+		tailW = weights[n-1]
+	}
+	return newChungLuTrusted(slices.Clone(weights[:tail0]), tailW, n, sum, tail0, seed, chunks), nil
 }
 
-// newChungLuTrusted builds the generator from weights the caller
-// guarantees are finite, non-negative, and non-increasing, with their
-// left-to-right sum and constant-suffix start precomputed — the
-// registry builder derives all three during weight construction, so it
-// skips NewChungLu's validation pass. tail0 is the last index whose
-// weight differs from its predecessor: the start of the dmin-floored
-// tail, the region the blockwise core realizes with binomial counts
-// instead of per-candidate sweeping.
-func newChungLuTrusted(weights []float64, sum float64, tail0 int64, seed uint64, chunks int) *ChungLu {
-	g := &ChungLu{w: weights, sum: sum, seed: seed, tail0: tail0}
+// newChungLuTrusted builds the generator from the run form of a weight
+// sequence the caller guarantees is finite, non-negative, and
+// non-increasing: head = w[:tail0], whose slice the generator takes
+// over, tailW = w[tail0:n]'s one value, and the left-to-right sum over
+// all n weights — the registry builder derives them during weight
+// construction, so it skips NewChungLu's validation pass. tail0 is the
+// last index whose weight differs from its predecessor: the start of
+// the dmin-floored tail, the region the blockwise core realizes with
+// binomial counts instead of per-candidate sweeping.
+func newChungLuTrusted(head []float64, tailW float64, n int64, sum float64, tail0 int64, seed uint64, chunks int) *ChungLu {
+	g := &ChungLu{head: head, tailW: tailW, n: n, sum: sum, seed: seed, tail0: tail0}
 	g.partition(chunks)
 	return g
 }
@@ -106,7 +131,7 @@ const clPartitionBlock = 64
 // floats instead of n.
 func (g *ChungLu) partition(chunks int) {
 	const B = clPartitionBlock
-	n := int64(len(g.w))
+	n := g.n
 	nRows := max(n-1, 0)
 	chunks = normalizeChunks(chunks, max(nRows, 1))
 	invSum := 0.0
@@ -120,7 +145,7 @@ func (g *ChungLu) partition(chunks int) {
 		if i < nRows && (i%B == B-1 || i == nRows-1) {
 			sufEnd[i/B] = suffix
 		}
-		suffix += g.w[i]
+		suffix += g.weight(i)
 	}
 	var buf [B]float64
 	works := func(b int64) []float64 { // block b's row works
@@ -129,8 +154,9 @@ func (g *ChungLu) partition(chunks int) {
 		for i := hi - 1; i >= lo; i-- {
 			// One multiply by the reciprocal instead of a divide per
 			// row; the rounding difference only moves shard balancing.
-			buf[i-lo] = 1 + g.w[i]*s*invSum
-			s += g.w[i]
+			w := g.weight(i)
+			buf[i-lo] = 1 + w*s*invSum
+			s += w
 		}
 		return buf[:hi-lo]
 	}
@@ -171,9 +197,9 @@ func maxInt64(a, b int64) int64 {
 	return b
 }
 
-// weightDigest fingerprints a weight sequence (FNV-1a over the IEEE
-// bits).
-func weightDigest(w []float64) uint64 {
+// weightDigest fingerprints the weight sequence (FNV-1a over the
+// length, then each weight's IEEE bits in index order).
+func (g *ChungLu) weightDigest() uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -181,16 +207,17 @@ func weightDigest(w []float64) uint64 {
 			h *= 1099511628211
 		}
 	}
-	mix(uint64(len(w)))
-	for _, x := range w {
-		mix(math.Float64bits(x))
+	mix(uint64(g.n))
+	for i := range g.n {
+		mix(math.Float64bits(g.weight(i)))
 	}
 	return h
 }
 
-// maxChungLuVertices bounds the registry-built weight sequence (8 bytes
-// per vertex are materialized); larger n must construct NewChungLu with
-// caller-owned weights.
+// maxChungLuVertices bounds the registry-built weight sequence. Only the
+// head is stored, but building the Σw sum and partition's chunk cuts
+// still walk every vertex, so set-up time is O(n); larger n must
+// construct NewChungLu with caller-owned weights.
 const maxChungLuVertices = int64(1) << 28
 
 func buildChungLu(p *Params, seed uint64, chunks int) (Generator, error) {
@@ -223,39 +250,45 @@ func buildChungLu(p *Params, seed uint64, chunks int) (Generator, error) {
 	// non-increasing: w_i = dmax·(i+1)^(-1/(gamma-1)), floored at dmin.
 	// Once a value lands on the floor every later one does too (the raw
 	// sequence is decreasing), so the pow calls stop at the crossing and
-	// the dmin tail — the bulk of the sequence — is a plain fill. The
-	// sum accumulates element by element in the same left-to-right
+	// only the head above the floor is stored; the dmin tail — the bulk
+	// of the sequence — is the run's constant value. The sum still adds
+	// every tail dmin element by element, in the same left-to-right
 	// order as NewChungLu's validation pass, so the trusted constructor
 	// yields the bit-identical generator.
-	weights := make([]float64, n)
 	exp := -1 / (gamma - 1)
+	var head []float64
 	var sum float64
 	var tail0 int64
-	floored := int(n)
+	floored := n
 	prev := math.Inf(1)
-	for i := range weights {
+	for i := range n {
 		w := dmax * math.Pow(float64(i+1), exp)
 		if w <= dmin {
 			floored = i
 			break
 		}
-		weights[i] = w
+		head = append(head, w)
 		if i > 0 && w != prev {
-			tail0 = int64(i)
+			tail0 = i
 		}
 		prev = w
 		sum += w
 	}
-	for i := floored; i < len(weights); i++ {
-		weights[i] = dmin
+	for i := floored; i < n; i++ {
 		sum += dmin
 	}
-	if floored > 0 && floored < len(weights) {
+	tailW := dmin
+	if floored == n && n > 0 {
+		// No floor was reached: the constant suffix is the head's own
+		// last run, w[tail0:n], which head[:tail0] drops.
+		tailW = prev
+	}
+	if floored > 0 && floored < n {
 		// Head values are strictly above dmin, so the floor boundary is
 		// always a weight change.
-		tail0 = int64(floored)
+		tail0 = floored
 	}
-	g := newChungLuTrusted(weights, sum, tail0, seed, chunks)
+	g := newChungLuTrusted(head[:tail0:tail0], tailW, n, sum, tail0, seed, chunks)
 	g.name = fmt.Sprintf("chunglu:n=%d,dmax=%s,dmin=%s,gamma=%s,seed=%d,chunks=%d",
 		n, formatFloat(dmax), formatFloat(dmin), formatFloat(gamma), seed, len(g.rows))
 	return g, nil
@@ -272,14 +305,14 @@ func (g *ChungLu) Name() string {
 	g.nameOnce.Do(func() {
 		if g.name == "" {
 			g.name = fmt.Sprintf("chunglu-weights:n=%d,wdigest=%x,seed=%d,chunks=%d",
-				len(g.w), weightDigest(g.w), g.seed, len(g.rows))
+				g.n, g.weightDigest(), g.seed, len(g.rows))
 		}
 	})
 	return g.name
 }
 
 // NumVertices returns the weight sequence length.
-func (g *ChungLu) NumVertices() int64 { return int64(len(g.w)) }
+func (g *ChungLu) NumVertices() int64 { return g.n }
 
 // NumArcs returns -1: the edge count is random.
 func (g *ChungLu) NumArcs() int64 { return -1 }
@@ -427,8 +460,7 @@ func (g *ChungLu) emitConstRect(st *chungLuState, b *batcher, u, colBase, size i
 // by an incremental row walk. Ascending pair index is row-major order,
 // so emission is canonical. Returns false when the consumer stopped.
 func (g *ChungLu) emitTailTriangle(st *chungLuState, b *batcher, i0, i1 int64) bool {
-	n := int64(len(g.w))
-	wt := g.w[n-1]
+	n, wt := g.n, g.tailW
 	p := wt * wt / g.sum
 	if p > 1 {
 		p = 1
@@ -522,12 +554,14 @@ func (g *ChungLu) generateChunk(st *chungLuState, c int, buf []stream.Arc, emit 
 	}
 	st.s.ReseedStream2(g.seed, nsCLBlock, uint64(c))
 	b := newBatcher(buf, emit)
-	ws, sum := g.w, g.sum
-	n := int64(len(ws))
+	// ws is the head: the sweep reads it only below t0, and the tail's
+	// one weight is wt.
+	ws, sum := g.head, g.sum
+	n := g.n
 	t0 := g.tail0
 	var wt float64
 	if t0 < n {
-		wt = ws[n-1]
+		wt = g.tailW
 	}
 	// Head rows: sweep the varying-weight head columns, then fill the
 	// constant tail rectangle. Float-expression caches as in the oracle

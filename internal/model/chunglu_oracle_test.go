@@ -3,10 +3,12 @@ package model
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"weak"
 
 	"kronvalid/internal/rng"
 	"kronvalid/internal/stream"
@@ -31,7 +33,7 @@ func (g *ChungLu) generateChunkBucketed(c int, buf []stream.Arc, emit func([]str
 	}
 	s := rng.NewStream2(g.seed, nsCLChunk, uint64(c))
 	b := newBatcher(buf, emit)
-	ws, sum := g.w, g.sum
+	ws, sum := g.materialize(), g.sum
 	n := int64(len(ws))
 	// Both per-candidate float expressions repeat bit-for-bit whenever
 	// the column weight repeats (the whole dmin-floored tail is one
@@ -229,25 +231,35 @@ func TestChungLuWorkerStateReuseRace(t *testing.T) {
 	}
 }
 
-// partitionArray is the former ChungLu.partition, retained as the oracle
-// of TestChungLuPartitionMatchesPrefixArray: the same row works and the
-// same forward prefix sum, held as one full array and cut with
-// sort.SearchFloat64s.
-func (g *ChungLu) partitionArray(chunks int) (rows [][2]int64, work []int64) {
-	n := int64(len(g.w))
+// materialize returns the generator's weight sequence as n floats.
+func (g *ChungLu) materialize() []float64 {
+	w := make([]float64, g.n)
+	for i := range w {
+		w[i] = g.weight(int64(i))
+	}
+	return w
+}
+
+// partitionArray is the former ChungLu.partition over a materialized
+// weight sequence w with sum Σw, retained as the oracle of
+// TestChungLuPartitionMatchesPrefixArray and TestChungLuRunMatches
+// MaterializedWeights: the same row works and the same forward prefix
+// sum, held as one full array and cut with sort.SearchFloat64s.
+func partitionArray(w []float64, sum float64, chunks int) (rows [][2]int64, work []int64) {
+	n := int64(len(w))
 	nRows := max(n-1, 0)
 	chunks = normalizeChunks(chunks, max(nRows, 1))
 	prefix := make([]float64, nRows+1)
 	suffix := 0.0
 	invSum := 0.0
-	if g.sum > 0 {
-		invSum = 1 / g.sum
+	if sum > 0 {
+		invSum = 1 / sum
 	}
 	for i := n - 1; i >= 0; i-- {
 		if i < nRows {
-			prefix[i+1] = 1 + g.w[i]*suffix*invSum
+			prefix[i+1] = 1 + w[i]*suffix*invSum
 		}
-		suffix += g.w[i]
+		suffix += w[i]
 	}
 	for i := int64(0); i < nRows; i++ {
 		prefix[i+1] += prefix[i]
@@ -290,10 +302,150 @@ func TestChungLuPartitionMatchesPrefixArray(t *testing.T) {
 				t.Fatalf("%s: %v", spec, err)
 			}
 			g := gen.(*ChungLu)
-			rows, work := g.partitionArray(chunks)
+			rows, work := partitionArray(g.materialize(), g.sum, chunks)
 			if !slices.Equal(g.rows, rows) || !slices.Equal(g.work, work) {
 				t.Fatalf("%s, chunks=%d: partition differs from the prefix-array cuts", spec, chunks)
 			}
 		}
+	}
+}
+
+// chungLuWeightsOracle is the former registry weight loop, retained as
+// the oracle of the run form: it materializes all n weights and derives
+// Σw (left to right) and tail0 exactly as the builder did.
+func chungLuWeightsOracle(n int64, dmax, dmin, gamma float64) (weights []float64, sum float64, tail0 int64) {
+	weights = make([]float64, n)
+	exp := -1 / (gamma - 1)
+	floored := int(n)
+	prev := math.Inf(1)
+	for i := range weights {
+		w := dmax * math.Pow(float64(i+1), exp)
+		if w <= dmin {
+			floored = i
+			break
+		}
+		weights[i] = w
+		if i > 0 && w != prev {
+			tail0 = int64(i)
+		}
+		prev = w
+		sum += w
+	}
+	for i := floored; i < len(weights); i++ {
+		weights[i] = dmin
+		sum += dmin
+	}
+	if floored > 0 && floored < len(weights) {
+		tail0 = int64(floored)
+	}
+	return weights, sum, tail0
+}
+
+// weightDigestOracle is the former slice form of weightDigest.
+func weightDigestOracle(w []float64) uint64 {
+	h := uint64(1469598103934665603)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v >> (8 * i) & 0xff
+			h *= 1099511628211
+		}
+	}
+	mix(uint64(len(w)))
+	for _, x := range w {
+		mix(math.Float64bits(x))
+	}
+	return h
+}
+
+// chungLuRunCases spans the run form's edge cases: n ∈ {0, 1, 2}, the
+// benchmark spec, no floor (dmin = 0, all head), dmin = dmax (all
+// tail), a large γ whose head never reaches the floor, and a γ so large
+// that the last weights tie, so the constant run is the head's own
+// suffix rather than dmin.
+var chungLuRunCases = []struct {
+	n                 int64
+	dmax, dmin, gamma float64
+}{
+	{0, 0, 0, 2.5},
+	{1, 5, 1, 2.5},
+	{2, 5, 1, 2.5},
+	{4000000, 2000, 8, 2.1},
+	{100000, 2000, 0, 2.1},
+	{100000, 8, 8, 2.5},
+	{200000, 300, 1, 40},
+	{200000, 300, 0, 1e12},
+}
+
+// TestChungLuRunMatchesMaterializedWeights checks that the run form
+// changes nothing: for every case, the registry generator and
+// NewChungLu over the oracle's n floats both read every weight, Σw and
+// tail0 bit for bit as the oracle, cut the same chunks with the same
+// work as partitionArray over the full slice, and NewChungLu's Name
+// carries the slice digest.
+func TestChungLuRunMatchesMaterializedWeights(t *testing.T) {
+	sawTie := false
+	for _, c := range chungLuRunCases {
+		w, sum, tail0 := chungLuWeightsOracle(c.n, c.dmax, c.dmin, c.gamma)
+		if c.n > 1 && tail0 < c.n-1 && w[c.n-1] > c.dmin {
+			sawTie = true
+		}
+		for _, chunks := range []int{7, 64} {
+			spec := fmt.Sprintf("chunglu:n=%d,dmax=%s,dmin=%s,gamma=%s,seed=3,chunks=%d",
+				c.n, formatFloat(c.dmax), formatFloat(c.dmin), formatFloat(c.gamma), chunks)
+			built, err := New(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			direct, err := NewChungLu(w, 3, chunks)
+			if err != nil {
+				t.Fatalf("%s: NewChungLu: %v", spec, err)
+			}
+			rows, work := partitionArray(w, sum, chunks)
+			for form, g := range map[string]*ChungLu{"registry": built.(*ChungLu), "NewChungLu": direct} {
+				if g.n != c.n || math.Float64bits(g.sum) != math.Float64bits(sum) || g.tail0 != tail0 {
+					t.Fatalf("%s (%s): n=%d Σw=%v tail0=%d, oracle n=%d Σw=%v tail0=%d",
+						spec, form, g.n, g.sum, g.tail0, c.n, sum, tail0)
+				}
+				if int64(len(g.head)) != tail0 {
+					t.Errorf("%s (%s): %d head weights stored, tail0 = %d", spec, form, len(g.head), tail0)
+				}
+				for i, x := range w {
+					if math.Float64bits(g.weight(int64(i))) != math.Float64bits(x) {
+						t.Fatalf("%s (%s): weight(%d) = %v, oracle %v", spec, form, i, g.weight(int64(i)), x)
+					}
+				}
+				if !slices.Equal(g.rows, rows) || !slices.Equal(g.work, work) {
+					t.Errorf("%s (%s): chunk rows or work differ from the materialized partition", spec, form)
+				}
+			}
+			want := fmt.Sprintf("chunglu-weights:n=%d,wdigest=%x,seed=3,chunks=%d", c.n, weightDigestOracle(w), len(rows))
+			if got := direct.Name(); got != want {
+				t.Errorf("%s: NewChungLu Name %q, want %q", spec, got, want)
+			}
+		}
+	}
+	if !sawTie {
+		t.Error("no case ends in a run of tied head weights above dmin; the large-γ case is vacuous")
+	}
+}
+
+// TestNewChungLuKeepsOnlyHead checks that NewChungLu copies the head
+// and keeps no reference to the caller's slice: once the caller drops
+// its n floats, a collection frees them while the generator lives — for
+// a floored tail, an all-tail sequence (empty head) and an all-head one.
+func TestNewChungLuKeepsOnlyHead(t *testing.T) {
+	for _, c := range []struct{ dmax, dmin float64 }{{2000, 8}, {8, 8}, {2000, 0}} {
+		w, _, _ := chungLuWeightsOracle(1<<16, c.dmax, c.dmin, 2.1)
+		g, err := NewChungLu(w, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caller := weak.Make(&w[0])
+		w = nil
+		runtime.GC()
+		if caller.Value() != nil {
+			t.Errorf("dmax=%v, dmin=%v: the caller's weight slice is still reachable through the generator", c.dmax, c.dmin)
+		}
+		runtime.KeepAlive(g)
 	}
 }

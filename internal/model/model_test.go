@@ -407,7 +407,7 @@ func TestCSRPathsAgree(t *testing.T) {
 				NumArcs:     pl.TotalArcs(),
 				Shards:      pl.Shards(),
 				VertexRange: pl.VertexRange,
-				Generate:    pl.EachShardBatch,
+				NewGen:      stream.GenFactoryOf(pl),
 			}, stream.Options{Workers: shards})
 			if err != nil {
 				t.Fatalf("%s: two-pass build shards=%d: %v", spec, shards, err)

@@ -45,13 +45,16 @@ func RunContext(ctx context.Context, shards int, gen ShardGen, sink Sink, opts O
 // cancellation, and error semantics are exactly RunContext's — worker
 // state may only change the cost of generation, never its bytes.
 func RunSource(ctx context.Context, src Source, sink Sink, opts Options) (int64, error) {
-	return runFactory(ctx, src.Shards(), genFactoryOf(src), sink, opts)
+	return runFactory(ctx, src.Shards(), GenFactoryOf(src), sink, opts)
 }
 
-// genFactoryOf returns the per-worker generator factory of src: its own
-// when it is a FactorySource, else one that hands every worker the
-// stateless EachShardBatch.
-func genFactoryOf(src Source) GenFactory {
+// GenFactoryOf starts one run of src and returns its per-worker
+// generator factory: the FactorySource's own, from one ShardGenFactory
+// call, else one that hands every worker the stateless EachShardBatch.
+// A driver that makes several passes over src (the two-pass CSR
+// builder) keeps one factory for all of them, so run-scoped state is
+// built once.
+func GenFactoryOf(src Source) GenFactory {
 	if fs, ok := src.(FactorySource); ok {
 		return fs.ShardGenFactory()
 	}
@@ -276,7 +279,7 @@ func RunPerShardContext(ctx context.Context, shards int, gen ShardGen, sinkFor f
 // RunSourcePerShard is RunPerShardContext over every shard of src; a
 // FactorySource gets one ShardGen per worker goroutine, as in RunSource.
 func RunSourcePerShard(ctx context.Context, src Source, sinkFor func(w int) (Sink, error), opts Options) ([]int64, error) {
-	counts, _, err := runShards(ctx, src.Shards(), genFactoryOf(src), sinkFor, opts.withDefaults())
+	counts, _, err := runShards(ctx, src.Shards(), GenFactoryOf(src), sinkFor, opts.withDefaults())
 	return counts, err
 }
 

@@ -3,6 +3,7 @@ package kronvalid
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -67,6 +68,67 @@ func TestModelStreamAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocs per pass (recorded %d, limit %.0f), %d arcs", kind, got, row.allocs, limit, arcs)
 		if got > limit {
 			t.Errorf("%s: %.0f allocs per pass, more than %.0f (recorded %d + 20 %%)", row.spec, got, limit, row.allocs)
+		}
+	}
+}
+
+// modelBuildRows holds one mid-size spec per registered model kind — the
+// hash-bin and geo-bin benchmark specs — and the bytes NewGenerator plus
+// ModelSource allocated building it when the row was recorded.
+// TestModelBuildBytes fails when a build allocates more than 20 % above
+// that; TestModelReferenceCoversRegistry fails when a kind has no row.
+// Set-up a kind defers to its first run (the spatial kinds' cell
+// tables) is not counted here.
+var modelBuildRows = map[string]struct {
+	spec  string
+	bytes uint64
+}{
+	"ba":      {"ba:n=2000000,d=4,seed=1000", 4464},
+	"chunglu": {"chunglu:n=4000000,dmin=8,dmax=2000,gamma=2.1,seed=1003", 1028800},
+	"er":      {"er:n=250000,p=0.0004,seed=1002", 3456},
+	"gnm":     {"gnm:n=1000000,m=8000000,seed=1001", 8968},
+	"grid2d":  {"grid2d:x=2000,y=2000,wrap=true,p=0.8,seed=1004", 2496},
+	"grid3d":  {"grid3d:x=128,y=128,z=128,wrap=true,p=0.8,seed=1005", 2512},
+	"rgg2d":   {"rgg2d:n=3000000,r=0.001,seed=1001", 75000},
+	"rgg3d":   {"rgg3d:n=1000000,r=0.0097,seed=1002", 75000},
+	"rhg":     {"rhg:n=700000,d=16,gamma=2.9,seed=1003", 42360},
+	"rmat":    {"rmat:scale=19,seed=1000", 2496},
+}
+
+// TestModelBuildBytes is the construction-memory gate: the bytes
+// allocated (runtime.MemStats.TotalAlloc) by NewGenerator and
+// ModelSource over every kind's row, the least of three builds. A
+// generator's state must not grow with the graph where the model does
+// not need it to — chunglu keeps its weight head, not n floats.
+func TestModelBuildBytes(t *testing.T) {
+	for _, kind := range ModelKinds() {
+		row, ok := modelBuildRows[kind]
+		if !ok {
+			t.Errorf("registered kind %q has no modelBuildRows entry", kind)
+			continue
+		}
+		if !strings.HasPrefix(row.spec, kind+":") {
+			t.Errorf("modelBuildRows[%q] spec %q is not a %s spec", kind, row.spec, kind)
+			continue
+		}
+		got := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			g, err := NewGenerator(row.spec)
+			if err != nil {
+				t.Fatalf("NewGenerator(%q): %v", row.spec, err)
+			}
+			src := ModelSource(g, 8)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(src)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		limit := row.bytes + row.bytes/5
+		t.Logf("%s: %d bytes to build (recorded %d, limit %d)", kind, got, row.bytes, limit)
+		if got > limit {
+			t.Errorf("%s: %d bytes to build, more than %d (recorded %d + 20 %%)", row.spec, got, limit, row.bytes)
 		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 // as a named CI job): every kind returned by ModelKinds must have a
 // "## `kind`" section in MODELS.md, appear among the specs of some
 // workload in bench/baseline.json, and have a modelAllocRows entry for
-// TestModelStreamAllocs. Registering a model without documenting,
+// TestModelStreamAllocs and a modelBuildRows entry for
+// TestModelBuildBytes. Registering a model without documenting,
 // benchmarking and allocation-gating it fails the build, so the model
 // reference can never silently fall behind the registry.
 func TestModelReferenceCoversRegistry(t *testing.T) {
@@ -55,6 +56,9 @@ func TestModelReferenceCoversRegistry(t *testing.T) {
 		}
 		if _, ok := modelAllocRows[kind]; !ok {
 			t.Errorf("registered kind %q has no TestModelStreamAllocs row", kind)
+		}
+		if _, ok := modelBuildRows[kind]; !ok {
+			t.Errorf("registered kind %q has no TestModelBuildBytes row", kind)
 		}
 	}
 	// The reference must not document ghosts either: every "## `x`"

@@ -184,13 +184,14 @@ func ToCSR(ctx context.Context, src Source, opts ...Option) (*CSRGraph, error) {
 // csrSourceOf adapts a pipeline Source to the two-pass builder's
 // contract — the Source guarantees (disjoint shard-owned vertex ranges,
 // canonical order, replayability) are exactly what the builder needs.
+// It starts one run of src, which both passes share.
 func csrSourceOf(src Source) csr.Source {
 	return csr.Source{
 		NumVertices: src.NumVertices(),
 		NumArcs:     src.TotalArcs(),
 		Shards:      src.Shards(),
 		VertexRange: src.VertexRange,
-		Generate:    src.EachShardBatch,
+		NewGen:      stream.GenFactoryOf(src),
 	}
 }
 
