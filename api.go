@@ -155,14 +155,17 @@ type EdgeStat = kron.KronMatSum
 
 // FactorStats holds one factor's t, Δ, diag(B³), B∘B² and loop terms; Δ
 // and B∘B² are aligned with the factor's arcs, one entry per arc at the
-// position Graph.ArcIndex returns. A Product computes its factors'
-// statistics itself, once each, on the first formula that needs them;
-// they are shared and must not be modified.
+// position Graph.ArcIndex returns. They are memoized on the graph, once
+// per graph however many products and calls read them, so they are
+// shared and must not be modified.
 type FactorStats = kron.FactorTriangleStats
 
-// ComputeFactorStats runs the triangle engine once on an undirected factor
-// and reads every other quantity off its result and the factor's arcs; B²
-// is never formed. Needed only for a factor that is not in a Product.
+// ComputeFactorStats returns an undirected graph's factor statistics. The
+// first call for g runs the triangle engine once and reads every other
+// quantity off its result and g's arcs (B² is never formed); every later
+// call, and every closed form of every Product over g, returns that same
+// object. The memo lives as long as g; a clone or transform of g is
+// counted afresh.
 func ComputeFactorStats(g *Graph) *FactorStats { return kron.ComputeFactorStats(g) }
 
 // VertexParticipation returns the exact t_C for any undirected factors

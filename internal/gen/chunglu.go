@@ -30,7 +30,7 @@ func ChungLu(degrees []int64, seed uint64) *graph.Graph {
 	if err != nil {
 		panic("gen: " + err.Error())
 	}
-	g, err := materialize(mg, maxExplicitArcs, order)
+	g, err := materialize(mg, MaxExplicitArcs, order)
 	if err != nil {
 		panic("gen: " + err.Error())
 	}

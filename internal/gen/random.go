@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kronvalid/internal/graph"
 	"kronvalid/internal/model"
@@ -10,12 +11,12 @@ import (
 	"kronvalid/internal/stream"
 )
 
-// maxExplicitArcs bounds the arcs of an explicit factor graph built from
-// a streamed model. The models hold O(chunk) state however large the
-// spec, but a factor is collected into an in-memory adjacency, so a
-// size reachable from a spec string must be an error, not an allocation
-// blow-up.
-const maxExplicitArcs = int64(1) << 28
+// MaxExplicitArcs bounds the arcs of an explicit factor graph built from
+// a streamed model, and of every factor-only spec kind (package spec).
+// The models hold O(chunk) state however large the spec, but a factor is
+// collected into an in-memory adjacency, so a size reachable from a spec
+// string must be an error, not an allocation blow-up.
+const MaxExplicitArcs = int64(1) << 28
 
 // FromModel materializes a streamed model as an explicit undirected
 // factor graph. It is the only model→graph path: ErdosRenyi and ChungLu
@@ -27,7 +28,7 @@ func FromModel(g model.Generator, err error) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return materialize(g, maxExplicitArcs, nil)
+	return materialize(g, MaxExplicitArcs, nil)
 }
 
 // materialize collects g's canonical stream into a graph of at most
@@ -125,11 +126,17 @@ func WebGraph(n, m int, pt float64, seed uint64) *graph.Graph {
 		panic("gen: WebGraph needs n > m >= 1")
 	}
 	g := rng.New(seed)
-	var targets []int32
+	// targets lists both ends of every edge, in order: one slot per arc,
+	// sized exactly. Each row grows in insertion order, which the triad
+	// closure draws index into, inside one pooled array of 2m slots per
+	// vertex (the mean degree); a hub's row spills to the heap.
+	targets := make([]int32, 0, 2*(m+(n-m-1)*m))
+	pool := make([]int32, n*2*m)
 	adj := make([][]int32, n)
-	var edges []graph.Edge
+	for v := range adj {
+		adj[v] = pool[v*2*m : v*2*m : (v+1)*2*m]
+	}
 	addEdge := func(u, v int32) {
-		edges = append(edges, graph.Edge{U: u, V: v})
 		targets = append(targets, u, v)
 		adj[u] = append(adj[u], v)
 		adj[v] = append(adj[v], u)
@@ -160,5 +167,14 @@ func WebGraph(n, m int, pt float64, seed uint64) *graph.Graph {
 			addEdge(int32(v), w)
 		}
 	}
-	return graph.FromEdges(n, edges, true)
+	// Every edge joins two distinct vertices and is drawn once, so each
+	// row, sorted, is a CSR row. targets is spent and has exactly one slot
+	// per arc: it becomes the arc array.
+	offsets := make([]int64, n+1)
+	nbrs := targets
+	for v, row := range adj {
+		offsets[v+1] = offsets[v] + int64(copy(nbrs[offsets[v]:], row))
+		slices.Sort(nbrs[offsets[v]:offsets[v+1]])
+	}
+	return graph.FromSymmetricCSR(offsets, nbrs)
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -33,8 +34,16 @@ type Graph struct {
 	// sym memoizes IsSymmetric: symUnknown until the first call, then the
 	// verdict. The adjacency never changes, so it cannot go stale; every
 	// constructor and transform builds a new Graph, which starts unknown
-	// and answers for its own arcs.
+	// and answers for its own arcs. loops and derived are memos of the
+	// same kind.
 	sym atomic.Int32
+
+	// loops memoizes NumLoops plus one: 0 until the first call.
+	loops atomic.Int64
+
+	// derived is the slot Derived fills once, behind derivedOnce.
+	derivedOnce sync.Once
+	derived     any
 }
 
 const (
@@ -56,15 +65,33 @@ func (g *Graph) NumVertices() int { return g.n }
 // two arcs; a self loop contributes one.
 func (g *Graph) NumArcs() int64 { return int64(len(g.nbrs)) }
 
-// NumLoops returns the number of self loops.
+// NumLoops returns the number of self loops. The vertices are scanned on
+// the first call only (concurrent first calls may each scan; they store
+// the same count).
 func (g *Graph) NumLoops() int64 {
+	if c := g.loops.Load(); c > 0 {
+		return c - 1
+	}
 	var loops int64
 	for v := 0; v < g.n; v++ {
 		if g.LoopAt(int32(v)) {
 			loops++
 		}
 	}
+	g.loops.Store(loops + 1)
 	return loops
+}
+
+// Derived returns the value in g's one memo slot, calling compute to fill
+// it on the first call; concurrent first callers wait for that one call.
+// The slot lives exactly as long as g, and a clone or transform starts
+// with an empty one. It has one owner, package kron's factor statistics,
+// so compute always builds the same type, and the value is read-only to
+// every caller. Derived is a function, not a method, so the slot stays
+// out of the exported Graph type's method set.
+func Derived(g *Graph, compute func() any) any {
+	g.derivedOnce.Do(func() { g.derived = compute() })
+	return g.derived
 }
 
 // NumEdgesUndirected returns the number of undirected edges, counting each
@@ -95,10 +122,10 @@ func (g *Graph) OutDegreeRaw(v int32) int64 {
 }
 
 // Degree returns the paper's degree d_A(v): out-degree excluding the self
-// loop.
+// loop. On a loop-free graph that is the raw out-degree, with no search.
 func (g *Graph) Degree(v int32) int64 {
 	d := g.OutDegreeRaw(v)
-	if g.LoopAt(v) {
+	if g.NumLoops() > 0 && g.LoopAt(v) {
 		d--
 	}
 	return d
@@ -135,14 +162,7 @@ func (g *Graph) ArcIndex(u, v int32) int64 {
 func (g *Graph) LoopAt(v int32) bool { return g.HasEdge(v, v) }
 
 // HasAnyLoop reports whether any vertex has a self loop.
-func (g *Graph) HasAnyLoop() bool {
-	for v := 0; v < g.n; v++ {
-		if g.LoopAt(int32(v)) {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) HasAnyLoop() bool { return g.NumLoops() > 0 }
 
 // IsSymmetric reports whether every arc (u,v) has a reverse arc (v,u),
 // i.e. the graph is undirected. The arcs are scanned on the first call
@@ -325,4 +345,15 @@ func FromCSR(offsets []int64, nbrs []int32) *Graph {
 		}
 	}
 	return &Graph{n: n, offsets: offsets, nbrs: nbrs}
+}
+
+// FromSymmetricCSR is FromCSR for arrays the caller knows to be
+// symmetric, every arc (u,v) matched by (v,u): it records that verdict,
+// as FromEdges(…, true) does, instead of leaving IsSymmetric a search
+// per arc. The rows are checked as FromCSR checks them; the symmetry is
+// not.
+func FromSymmetricCSR(offsets []int64, nbrs []int32) *Graph {
+	g := FromCSR(offsets, nbrs)
+	g.sym.Store(symYes)
+	return g
 }

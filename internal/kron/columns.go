@@ -196,7 +196,7 @@ func Trussness(p *Product) (*KronMatSum, error) {
 	if a.HasAnyLoop() || b.HasAnyLoop() {
 		return nil, errors.New("kron: Thm. 3 requires loop-free factors")
 	}
-	deltaB := p.memos[1].get().Delta
+	deltaB := ComputeFactorStats(b).Delta
 	for _, d := range deltaB {
 		if d > 1 {
 			return nil, errors.New("kron: Thm. 3 requires Δ_B ≤ 1 (every edge of B in at most one triangle)")

@@ -34,7 +34,7 @@ func DirectedCensus(p *Product) (*DirectedStats, error) {
 	censusA := census.DirectedVertexCensus(a)
 	edgeA := census.DirectedEdgeCensus(a)
 
-	sb := p.memos[1].get()
+	sb := ComputeFactorStats(b)
 	diagB3, hadB := sb.DiagCube, sb.HadSquare
 
 	out := &DirectedStats{

@@ -34,7 +34,7 @@ func LabeledCensus(p *Product) (*LabeledStats, error) {
 	vertexA := census.LabeledVertexCensus(a)
 	edgeA := census.LabeledEdgeCensus(a)
 
-	sb := p.memos[1].get()
+	sb := ComputeFactorStats(b)
 	diagB3, hadB := sb.DiagCube, sb.HadSquare
 
 	out := &LabeledStats{

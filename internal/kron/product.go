@@ -13,7 +13,6 @@ package kron
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"kronvalid/internal/graph"
 	"kronvalid/internal/stream"
@@ -26,35 +25,19 @@ var ErrTooLarge = errors.New("kron: product too large to materialize")
 // Product is the implicit Kronecker product C = F₀ ⊗ … ⊗ F_{k−1} of
 // k ≥ 1 factors; the paper's C = A ⊗ B is k = 2.
 //
-// Its factor statistics are computed once per distinct factor, on first
-// use, and read by every closed form. That memo cannot go stale:
-// graph.Graph has no mutating method, and Factors must not be modified
-// after NewProduct.
+// Its closed forms read each factor's statistics from ComputeFactorStats,
+// which memoizes them on the factor graph itself: every product over a
+// graph, and every caller of ComputeFactorStats, shares one count, and a
+// factor used twice (A ⊗ A, Kronecker powers) is counted once. The memo
+// cannot go stale: graph.Graph has no mutating method, and Factors must
+// not be modified after NewProduct.
 type Product struct {
 	Factors []*graph.Graph
 	radix   []int64 // radix[i] = Π_{j>i} n_j: p = Σ idx_i·radix[i]
-	memos   []*factorMemo
-}
-
-// factorMemo computes one factor's statistics on first use. It is per
-// factor, not per product, because a formula may need only one side
-// (DirectedCensus reads B's while A is directed and has none).
-type factorMemo struct {
-	g     *graph.Graph
-	once  sync.Once
-	stats *FactorTriangleStats
-}
-
-// get returns the factor's statistics. The factor must be undirected.
-func (m *factorMemo) get() *FactorTriangleStats {
-	m.once.Do(func() { m.stats = ComputeFactorStats(m.g) })
-	return m.stats
 }
 
 // NewProduct validates the factors (at least one, none empty, vertex and
 // arc counts multiplying within int64) and returns the implicit product.
-// Factors that are the same *graph.Graph (A ⊗ A, Kronecker powers) share
-// one statistics memo.
 func NewProduct(factors ...*graph.Graph) (*Product, error) {
 	if len(factors) == 0 {
 		return nil, errors.New("kron: a product needs at least one factor")
@@ -72,20 +55,11 @@ func NewProduct(factors ...*graph.Graph) (*Product, error) {
 			return nil, fmt.Errorf("kron: arc count overflow: %w", err)
 		}
 	}
-	p := &Product{
-		Factors: factors,
-		radix:   make([]int64, len(factors)),
-		memos:   make([]*factorMemo, len(factors)),
-	}
-	byGraph := map[*graph.Graph]*factorMemo{}
+	p := &Product{Factors: factors, radix: make([]int64, len(factors))}
 	acc := int64(1)
 	for i := len(factors) - 1; i >= 0; i-- {
 		p.radix[i] = acc
 		acc *= int64(factors[i].NumVertices())
-		if byGraph[factors[i]] == nil {
-			byGraph[factors[i]] = &factorMemo{g: factors[i]}
-		}
-		p.memos[i] = byGraph[factors[i]]
 	}
 	return p, nil
 }
@@ -116,15 +90,16 @@ func KroneckerPower(b *graph.Graph, k int) (*Product, error) {
 func (p *Product) K() int { return len(p.Factors) }
 
 // FactorStats returns the statistics of every factor, in factor order,
-// that every closed form of p reads, computing each distinct factor's on
-// its first use. All factors must be undirected.
+// that every closed form of p reads: each factor's ComputeFactorStats,
+// counted on the first use of that graph anywhere. All factors must be
+// undirected.
 func (p *Product) FactorStats() ([]*FactorTriangleStats, error) {
 	if !p.IsSymmetric() {
 		return nil, errors.New("kron: formula requires undirected factors")
 	}
-	stats := make([]*FactorTriangleStats, len(p.memos))
-	for i, m := range p.memos {
-		stats[i] = m.get()
+	stats := make([]*FactorTriangleStats, len(p.Factors))
+	for i, f := range p.Factors {
+		stats[i] = ComputeFactorStats(f)
 	}
 	return stats, nil
 }

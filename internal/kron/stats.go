@@ -8,14 +8,15 @@ import (
 )
 
 // FactorTriangleStats holds every per-factor quantity the Kronecker
-// formulas consume. ComputeFactorStats is the only place they are derived;
-// a Product computes one per factor on first use and every closed form
-// reads it, which is the "inline with generation" workflow of the paper:
-// ground truth for C costs one triangle count on each factor.
+// formulas consume. ComputeFactorStats is the only place they are derived,
+// and it memoizes them on the graph: one object per graph, shared by every
+// caller and every closed form of every Product over it, which is the
+// "inline with generation" workflow of the paper: ground truth for C
+// costs one triangle count on each factor.
 //
 // Each per-edge quantity is a per-edge statistic of G (package triangle):
-// one value per arc of G, at the arc's position. The vectors are shared by
-// every statistic built from them and must not be modified.
+// one value per arc of G, at the arc's position. The object, its vectors
+// and every statistic built from them are shared, so all are read-only.
 type FactorTriangleStats struct {
 	G *graph.Graph
 	// T is t_G: triangle participation per vertex of the loop-free
@@ -48,7 +49,19 @@ type FactorTriangleStats struct {
 	loopHadSq []int64 // D ∘ G²
 }
 
-// ComputeFactorStats runs the triangle engine once on g and reads every
+// ComputeFactorStats returns g's statistics, computing them on the first
+// call for g and returning the same object on every later one (from any
+// goroutine; concurrent first calls wait for one count). The memo lives
+// as long as g; a clone or transform of g is counted afresh. It panics if
+// g is not symmetric.
+func ComputeFactorStats(g *graph.Graph) *FactorTriangleStats {
+	if !g.IsSymmetric() {
+		panic("kron: ComputeFactorStats requires an undirected (symmetric) graph")
+	}
+	return graph.Derived(g, func() any { return computeFactorStats(g) }).(*FactorTriangleStats)
+}
+
+// computeFactorStats runs the triangle engine once on g and reads every
 // other quantity off its result and g's loop indicator s in one pass over
 // the arcs. G² is never formed: for symmetric 0/1 G with raw degree r
 // (row sum, loop included),
@@ -60,15 +73,14 @@ type FactorTriangleStats struct {
 //
 // because a length-two walk i→k→j along an arc (i,j) either passes a
 // common neighbor k ∉ {i,j} (counted by Δ) or waits on a loop at i or j.
-// It panics if g is not symmetric.
-func ComputeFactorStats(g *graph.Graph) *FactorTriangleStats {
+func computeFactorStats(g *graph.Graph) *FactorTriangleStats {
 	res := triangle.Count(g)
 	n, m := g.NumVertices(), g.NumArcs()
 	s, sr := make([]int64, n), make([]int64, n) // s_i and s_i·r_i
-	loops := false
+	loops := g.HasAnyLoop()
 	for v := range s {
-		if g.LoopAt(int32(v)) {
-			s[v], sr[v], loops = 1, g.OutDegreeRaw(int32(v)), true
+		if loops && g.LoopAt(int32(v)) {
+			s[v], sr[v] = 1, g.OutDegreeRaw(int32(v))
 		}
 	}
 	st := &FactorTriangleStats{

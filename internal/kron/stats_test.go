@@ -172,7 +172,8 @@ func TestDirectedCensusNeverCountsDirectedFactor(t *testing.T) {
 func TestProductStatsConcurrent(t *testing.T) {
 	a := randomUndirected(rng.New(11), 30, 4, 0.3)
 	b := randomUndirected(rng.New(12), 25, 4, 0.3)
-	want, err := TriangleTotal(MustProduct(a, b))
+	// Clones, so p's factors are first counted by the goroutines.
+	want, err := TriangleTotal(MustProduct(a.Clone(), b.Clone()))
 	if err != nil {
 		t.Fatal(err)
 	}

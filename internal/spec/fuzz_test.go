@@ -1,9 +1,13 @@
 package spec
 
 import (
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"kronvalid/internal/params"
 )
 
 // FuzzParseSource drives the product grammar's split on its own (it
@@ -41,6 +45,51 @@ func FuzzParseSource(f *testing.F) {
 		again, ok2, err2 := SplitKron(KronSpec(factors...))
 		if !ok2 || err2 != nil || !slices.Equal(again, factors) {
 			t.Fatalf("%q split into %q; its re-spelling into %q, %v, %v", s, factors, again, ok2, err2)
+		}
+	})
+}
+
+// fuzzIntCap bounds every integer FuzzParseFactor builds with, so a
+// valid size never costs more than a small graph.
+const fuzzIntCap = 64
+
+// digits is a run of decimal digits, the integers FuzzParseFactor caps.
+var digits = regexp.MustCompile(`[0-9]+`)
+
+// FuzzParseFactor builds what a factor-only spec names, with every digit
+// run in the input reduced below fuzzIntCap by the harness (so floats
+// change too, and stay floats): no input panics, and an accepted spec
+// builds a nonempty symmetric graph that its spelling rebuilds. file is
+// left out, as it reads the file system.
+func FuzzParseFactor(f *testing.F) {
+	for _, seed := range []string{
+		"web:n=5,m=5", "path:n=-1", "jclique:n=-1", "clique:n=-3", "star:n=-2",
+		"cycle:n=2", "hubcycle:c=0", "pa1:n=1",
+		"web:n=50,m=3,pt=1.5", "web:n=50,pt=-1", "web:n=50,pt=NaN",
+		"web:n=60,m=3,pt=0.6,seed=7", "web:n=2,m=1+loops", "clique:n=5", "jclique:n=4",
+		"hubcycle", "cycle:n=9", "path:n=1", "star:n=9+loops", "pa1:n=40,seed=3",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		s = digits.ReplaceAllStringFunc(s, func(d string) string {
+			v, _ := strconv.ParseUint(d[max(0, len(d)-4):], 10, 64)
+			return strconv.FormatUint(v%fuzzIntCap, 10)
+		})
+		kind, _, err := params.Parse(strings.TrimSuffix(s, "+loops"))
+		if err != nil || kind == "file" || !slices.Contains(strings.Split(factorOnly, ", "), kind) {
+			return
+		}
+		g, name, err := ParseNamed(s)
+		if err != nil {
+			return
+		}
+		if g.NumVertices() == 0 || !g.IsSymmetric() {
+			t.Fatalf("%q: %v", s, g)
+		}
+		again, err := Parse(name)
+		if err != nil || !again.Equal(g) {
+			t.Fatalf("%q: its spelling %q rebuilds %v, %v", s, name, again, err)
 		}
 	})
 }

@@ -19,7 +19,11 @@
 //
 // A trailing "+loops" adds a self loop at every vertex (B = A + I).
 // Unknown parameter keys are rejected — before any generation work is
-// spent — so a typo cannot silently fall back to a default.
+// spent — so a typo cannot silently fall back to a default. So is a
+// factor-only parameter out of its range: below the kind's least value
+// (n ≥ 1; cycle n ≥ 3; hubcycle c ≥ 3; pa1 n ≥ 2; web m ≥ 1, n > m),
+// a web pt outside [0, 1], or a size over the explicit-graph arc cap
+// that registry kinds meet too (gen.MaxExplicitArcs).
 //
 // A whole product is spelled kron(a=<factor>;b=<factor>), and either
 // factor may itself be a product (SplitKron, ParseKron).
@@ -194,23 +198,44 @@ func ParseKron(s string) (factors []*graph.Graph, name string, err error) {
 type maker func() (*graph.Graph, error)
 
 // oneInt lists the deterministic families fixed by a single integer
-// (def < 0 marks it required).
+// (def < 0 marks it required), each with its least value and its arc
+// count, which bound the parameter.
 var oneInt = map[string]struct {
 	key   string
 	def   int
+	min   int64
+	arcs  func(int64) int64
 	build func(int) *graph.Graph
 }{
-	"clique":   {"n", -1, gen.Clique},
-	"jclique":  {"n", -1, gen.CliqueWithLoops},
-	"hubcycle": {"c", 4, gen.HubCycle},
-	"cycle":    {"n", -1, gen.Cycle},
-	"path":     {"n", -1, gen.Path},
-	"star":     {"n", -1, gen.Star},
+	"clique":   {"n", -1, 1, func(n int64) int64 { return n * (n - 1) }, gen.Clique},
+	"jclique":  {"n", -1, 1, func(n int64) int64 { return n * n }, gen.CliqueWithLoops},
+	"hubcycle": {"c", 4, 3, func(c int64) int64 { return 4 * c }, gen.HubCycle},
+	"cycle":    {"n", -1, 3, func(n int64) int64 { return 2 * n }, gen.Cycle},
+	"path":     {"n", -1, 1, func(n int64) int64 { return 2 * (n - 1) }, gen.Path},
+	"star":     {"n", -1, 1, func(n int64) int64 { return 2 * (n - 1) }, gen.Star},
 }
 
 // factorOnly names the kinds this package builds itself, for the
 // unknown-kind message.
 const factorOnly = "clique, cycle, file, hubcycle, jclique, pa1, path, star, web"
+
+// sized reads the integer parameter key of kind and checks it: at least
+// min, and a graph of at most gen.MaxExplicitArcs arcs, where arcs gives
+// the (upper bound of the) arc count at a value no larger than that cap.
+// Each error names the parameter.
+func sized(p *params.Params, kind, key string, def int, min int64, arcs func(int64) int64) (int, error) {
+	v, err := p.Int64(key, int64(def))
+	if err != nil {
+		return 0, err
+	}
+	if v < min {
+		return 0, fmt.Errorf("%s: parameter %q = %d, want at least %d", kind, key, v, min)
+	}
+	if v > gen.MaxExplicitArcs || arcs(v) > gen.MaxExplicitArcs {
+		return 0, fmt.Errorf("%s: parameter %q = %d makes a graph over the %d-arc cap of an explicit factor", kind, key, v, gen.MaxExplicitArcs)
+	}
+	return int(v), nil
+}
 
 // builder returns the maker of a factor-only kind.
 func builder(kind string, p *params.Params) (maker, error) {
@@ -219,7 +244,7 @@ func builder(kind string, p *params.Params) (maker, error) {
 		return nil, err
 	}
 	if f, ok := oneInt[kind]; ok {
-		v, err := p.Int(f.key, f.def)
+		v, err := sized(p, kind, f.key, f.def, f.min, f.arcs)
 		if err != nil {
 			return nil, err
 		}
@@ -227,11 +252,12 @@ func builder(kind string, p *params.Params) (maker, error) {
 	}
 	switch kind {
 	case "web":
-		n, err := p.Int("n", -1)
+		m, err := sized(p, kind, "m", 3, 1, func(m int64) int64 { return 2 * m })
 		if err != nil {
 			return nil, err
 		}
-		m, err := p.Int("m", 3)
+		// Each vertex past the first m+1 adds m edges.
+		n, err := sized(p, kind, "n", -1, int64(m)+1, func(n int64) int64 { return 2 * (int64(m) + (n-int64(m)-1)*int64(m)) })
 		if err != nil {
 			return nil, err
 		}
@@ -239,9 +265,13 @@ func builder(kind string, p *params.Params) (maker, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !(pt >= 0 && pt <= 1) {
+			return nil, fmt.Errorf("%s: parameter %q = %v, want a probability in [0, 1]", kind, "pt", pt)
+		}
 		return func() (*graph.Graph, error) { return gen.WebGraph(n, m, pt, seed), nil }, nil
 	case "pa1":
-		n, err := p.Int("n", -1)
+		// Each vertex past the first two adds at most two edges.
+		n, err := sized(p, kind, "n", -1, 2, func(n int64) int64 { return 4 * n })
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +281,8 @@ func builder(kind string, p *params.Params) (maker, error) {
 		if !ok {
 			return nil, fmt.Errorf("file requires path=")
 		}
-		n, err := p.Int("n", -1)
+		// The file bounds the arcs; n bounds the vertices.
+		n, err := sized(p, kind, "n", -1, 1, func(int64) int64 { return 0 })
 		if err != nil {
 			return nil, err
 		}

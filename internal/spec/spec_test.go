@@ -232,6 +232,53 @@ func TestParseCapacityErrorsNotPanics(t *testing.T) {
 	}
 }
 
+// TestParseRejectsOutOfRangeFactorParams: every factor-only kind refuses
+// a parameter outside its range with an error that names it, where each
+// of these once panicked (an index out of range, a negative makeslice,
+// a generator's own guard) or, for pt, named the same graph as pt = 0
+// or 1. Each bound's edge is accepted.
+func TestParseRejectsOutOfRangeFactorParams(t *testing.T) {
+	for _, c := range []struct{ spec, param string }{
+		{"web:n=5,m=5", `"n"`},
+		{"web:n=3,m=0", `"m"`},
+		{"web:n=10,pt=1.5", `"pt"`},
+		{"web:n=10,pt=-1", `"pt"`},
+		{"web:n=10,pt=NaN", `"pt"`},
+		{"web:n=10,pt=Inf", `"pt"`},
+		{"web:n=100000000,m=3", `"n"`},
+		{"path:n=-1", `"n"`},
+		{"path:n=0", `"n"`},
+		{"jclique:n=-1", `"n"`},
+		{"jclique:n=16385", `"n"`},
+		{"clique:n=-3", `"n"`},
+		{"clique:n=16385", `"n"`},
+		{"star:n=-2", `"n"`},
+		{"cycle:n=2", `"n"`},
+		{"cycle:n=9223372036854775807", `"n"`},
+		{"hubcycle:c=0", `"c"`},
+		{"hubcycle:c=2", `"c"`},
+		{"pa1:n=1", `"n"`},
+		{"file:path=x.tsv,n=-3", `"n"`},
+	} {
+		g, err := Parse(c.spec)
+		if err == nil {
+			t.Errorf("%q: accepted, a %d-vertex graph", c.spec, g.NumVertices())
+			continue
+		}
+		if !strings.Contains(err.Error(), "parameter "+c.param) {
+			t.Errorf("%q: error %q does not name parameter %s", c.spec, err, c.param)
+		}
+	}
+	for _, s := range []string{
+		"web:n=2,m=1", "web:n=10,pt=0", "web:n=10,pt=1", "path:n=1", "jclique:n=1",
+		"clique:n=1", "star:n=1", "cycle:n=3", "hubcycle:c=3", "pa1:n=2",
+	} {
+		if _, err := Parse(s); err != nil {
+			t.Errorf("%q: %v", s, err)
+		}
+	}
+}
+
 func TestParseRGGFactors(t *testing.T) {
 	g, err := Parse("rgg2d:n=400,r=0.08,seed=5")
 	if err != nil {
