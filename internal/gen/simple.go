@@ -14,7 +14,7 @@ import "kronvalid/internal/graph"
 // Clique returns K_n: the complete loop-free graph on n vertices
 // (Ex. 1's first building block).
 func Clique(n int) *graph.Graph {
-	var edges []graph.Edge
+	edges := make([]graph.Edge, 0, max(n, 0)*max(n-1, 0)/2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
@@ -31,7 +31,7 @@ func CliqueWithLoops(n int) *graph.Graph {
 
 // Path returns the path 0-1-…-(n-1).
 func Path(n int) *graph.Graph {
-	var edges []graph.Edge
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for v := 0; v+1 < n; v++ {
 		edges = append(edges, graph.Edge{U: int32(v), V: int32(v + 1)})
 	}
@@ -43,7 +43,7 @@ func Cycle(n int) *graph.Graph {
 	if n < 3 {
 		panic("gen: Cycle needs n >= 3")
 	}
-	var edges []graph.Edge
+	edges := make([]graph.Edge, 0, n)
 	for v := 0; v < n; v++ {
 		edges = append(edges, graph.Edge{U: int32(v), V: int32((v + 1) % n)})
 	}
@@ -52,7 +52,7 @@ func Cycle(n int) *graph.Graph {
 
 // Star returns the star with center 0 and n-1 leaves.
 func Star(n int) *graph.Graph {
-	var edges []graph.Edge
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for v := 1; v < n; v++ {
 		edges = append(edges, graph.Edge{U: 0, V: int32(v)})
 	}
@@ -61,7 +61,7 @@ func Star(n int) *graph.Graph {
 
 // CompleteBipartite returns K_{a,b} with parts {0..a-1} and {a..a+b-1}.
 func CompleteBipartite(a, b int) *graph.Graph {
-	var edges []graph.Edge
+	edges := make([]graph.Edge, 0, max(a, 0)*max(b, 0))
 	for u := 0; u < a; u++ {
 		for v := 0; v < b; v++ {
 			edges = append(edges, graph.Edge{U: int32(u), V: int32(a + v)})
@@ -78,7 +78,7 @@ func HubCycle(c int) *graph.Graph {
 	if c < 3 {
 		panic("gen: HubCycle needs cycle length >= 3")
 	}
-	var edges []graph.Edge
+	edges := make([]graph.Edge, 0, 2*c)
 	for v := 1; v <= c; v++ {
 		edges = append(edges, graph.Edge{U: 0, V: int32(v)})
 		next := v + 1

@@ -29,6 +29,17 @@
 //     Count and Digest fast paths, cache introspection, Prometheus
 //     text /metrics, and /healthz.
 //
+// A result download reaches the socket by sendfile(2). Each shard's
+// *os.File goes to the response writer's ReadFrom; net/http copies its
+// 512-byte sniff prefix and hands the rest to the TCP connection, which
+// sendfiles a bare *os.File from its current offset. io.Copy(w, f)
+// does not get there: since Go 1.22 it calls f.WriteTo, which on a
+// writer that is not itself a socket re-wraps f in a type without
+// WriteTo, so the connection sees no *os.File and every byte crosses a
+// 32 KiB user buffer, a read and a write per chunk. The Content-Length
+// of a download is the shard payload the entry recorded when it was
+// committed or recovered, so a download costs no stat.
+//
 // The package deliberately imports only internal packages (model,
 // distgen, stream, gio) and not the public kronvalid root, so the root
 // package can re-export the service without an import cycle.

@@ -313,6 +313,7 @@ func (m *Manager) Submit(spec, format string) (JobView, error) {
 	}
 	if e, ok := m.store.Contains(key); ok {
 		j := m.newJobLocked(pl, format, key)
+		j.cancel() // nothing runs under a hit's context: release it now
 		j.cached = true
 		j.state.Store(int32(StateDone))
 		j.bytes = e.bytes

@@ -755,3 +755,26 @@ func TestManagerCloseCancelsInFlight(t *testing.T) {
 		t.Errorf("cancelled-on-close job left %d cache entries", n)
 	}
 }
+
+// TestServeCachedJobContextDone: a cache hit runs nothing, so its job
+// context is released at once instead of staying registered with the
+// manager's base context for the manager's lifetime.
+func TestServeCachedJobContextDone(t *testing.T) {
+	s, base := newTestService(t, Config{ShardsPerJob: 2})
+	const spec = "gnm:n=2000,m=6000,seed=4"
+	v, _ := submit(t, base, spec, "binary")
+	waitDone(t, base, v.ID, StateDone)
+	v2, code := submit(t, base, spec, "binary")
+	if code != http.StatusOK || !v2.Cached {
+		t.Fatalf("resubmit: HTTP %d, cached %v, want a cache hit", code, v2.Cached)
+	}
+	for _, id := range []string{v.ID, v2.ID} {
+		j, err := s.m.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.ctx.Err() == nil {
+			t.Errorf("job %s (cached %v): context still live after the job finished", id, j.cached)
+		}
+	}
+}

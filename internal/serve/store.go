@@ -48,6 +48,7 @@ type Entry struct {
 	name     string // canonical spec
 	format   string // "tsv" or "binary"
 	bytes    int64  // total size of manifest + shard files
+	payload  int64  // total size of the shard files: a download's length
 	arcs     int64
 	vertices int64
 	files    []string // shard file names in index order
@@ -228,12 +229,13 @@ func (s *Store) readEntry(key, dir string) (*Entry, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		e.bytes += fi.Size()
+		e.payload += fi.Size()
 		e.files = append(e.files, sh.File)
 		if t := fi.ModTime().UnixNano(); t > mod {
 			mod = t
 		}
 	}
+	e.bytes = e.payload
 	if fi, err := os.Stat(filepath.Join(dir, distgen.ManifestName)); err == nil {
 		e.bytes += fi.Size()
 		if t := fi.ModTime().UnixNano(); t > mod {
