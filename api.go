@@ -155,9 +155,10 @@ type EdgeStat = kron.KronMatSum
 
 // FactorStats holds one factor's t, Δ, diag(B³), B∘B² and loop terms; Δ
 // and B∘B² are aligned with the factor's arcs, one entry per arc at the
-// position Graph.ArcIndex returns. They are memoized on the graph, once
-// per graph however many products and calls read them, so they are
-// shared and must not be modified.
+// position Graph.ArcIndex returns. For a loop-free factor B∘B² = Δ, so
+// HadSquare is Delta, the same slice, and the loop terms are nil. They
+// are memoized on the graph, once per graph however many products and
+// calls read them, so they are shared and all of them are read-only.
 type FactorStats = kron.FactorTriangleStats
 
 // ComputeFactorStats returns an undirected graph's factor statistics. The

@@ -53,7 +53,7 @@ func Columns(p *Product) []Column {
 		col.Name, col.Theorem, col.Type, col.Scope = name, theorem, typ, scope
 		cols = append(cols, col)
 	}
-	tri := onGraph(triangle.Count)
+	tri := onGraph(2, triangle.Count)
 	add("degree formula", "§III.A", "", VertexScope, Column{Eval: degreeSum(p), Direct: (*graph.Graph).Degrees}, nil)
 	tc, err := VertexParticipation(p)
 	add("vertex participation", "§III.B", "", VertexScope, Column{Eval: tc, Direct: func(c *graph.Graph) []int64 { return tri(c).PerVertex }}, err)
@@ -69,11 +69,12 @@ func Columns(p *Product) []Column {
 		add(dvName, "Thm. 4", "", VertexScope, Column{}, err)
 		add(deName, "Thm. 5", "", ArcScope, Column{}, err)
 	} else {
-		dv, de := onGraph(census.DirectedVertexCensus), onGraph(census.DirectedEdgeCensus)
-		for _, ty := range census.AllVertexTypes() {
+		vts, ets := census.AllVertexTypes(), census.AllEdgeTypes()
+		dv, de := onGraph(len(vts), census.DirectedVertexCensus), onGraph(len(ets), census.DirectedEdgeCensus)
+		for _, ty := range vts {
 			add(dvName, "Thm. 4", ty.String(), VertexScope, Column{Eval: ds.Vertex[ty], Direct: func(c *graph.Graph) []int64 { return dv(c).Counts[ty] }}, nil)
 		}
-		for _, ty := range census.AllEdgeTypes() {
+		for _, ty := range ets {
 			add(deName, "Thm. 5", ty.String(), ArcScope, Column{Eval: ds.Edge[ty], Direct: func(c *graph.Graph) []int64 { return de(c).Delta[ty] }}, nil)
 		}
 	}
@@ -82,12 +83,13 @@ func Columns(p *Product) []Column {
 		add(lvName, "Thm. 6", "", VertexScope, Column{}, err)
 		add(leName, "Thm. 7", "", ArcScope, Column{}, err)
 	} else {
-		lv, le := onGraph(census.LabeledVertexCensus), onGraph(census.LabeledEdgeCensus)
 		labels := p.Factors[0].NumLabels()
-		for _, ty := range census.AllLabelVertexTypes(labels) {
+		vts, ets := census.AllLabelVertexTypes(labels), census.AllLabelEdgeTypes(labels)
+		lv, le := onGraph(len(vts), census.LabeledVertexCensus), onGraph(len(ets), census.LabeledEdgeCensus)
+		for _, ty := range vts {
 			add(lvName, "Thm. 6", ty.String(), VertexScope, Column{Eval: ls.Vertex[ty], Direct: func(c *graph.Graph) []int64 { return lv(c)[ty] }}, nil)
 		}
-		for _, ty := range census.AllLabelEdgeTypes(labels) {
+		for _, ty := range ets {
 			add(leName, "Thm. 7", ty.String(), ArcScope, Column{Eval: ls.Edge[ty], Direct: func(c *graph.Graph) []int64 { return le(c)[ty] }}, nil)
 		}
 	}
@@ -95,18 +97,28 @@ func Columns(p *Product) []Column {
 }
 
 // onGraph memoizes count on the last graph it was called with, so the
-// columns of one census share one count of an explicit graph.
-func onGraph[T any](count func(*graph.Graph) T) func(*graph.Graph) T {
+// uses columns that share it (a census's types; t and Δ) share one count
+// of an explicit graph. The memo drops the count after its uses-th call
+// on that graph, when every column has read it: verify.Full, comparing
+// the columns in turn, holds one census of C at a time. A call after
+// that counts again.
+func onGraph[T any](uses int, count func(*graph.Graph) T) func(*graph.Graph) T {
 	var mu sync.Mutex
 	var last *graph.Graph
 	var v T
+	left := 0
 	return func(c *graph.Graph) T {
 		mu.Lock()
 		defer mu.Unlock()
 		if c != last {
-			last, v = c, count(c)
+			last, v, left = c, count(c), uses
 		}
-		return v
+		out := v
+		if left--; left == 0 {
+			var zero T
+			last, v = nil, zero
+		}
+		return out
 	}
 }
 
@@ -149,14 +161,16 @@ func degreeTerms(p *Product) (x, x2, xs, s Term, loops bool) {
 	for _, f := range p.Factors {
 		n := f.NumVertices()
 		fx, fx2 := rawRowSums(f), make([]int64, n)
-		var fxs, fs []int64 // allocated at the factor's first loop
 		for v := range fx {
 			fx2[v] = fx[v] * fx[v]
-			if f.LoopAt(int32(v)) {
-				if fs == nil {
-					fxs, fs = make([]int64, n), make([]int64, n)
+		}
+		var fxs, fs []int64 // nil for a loop-free factor
+		if f.HasAnyLoop() {
+			fxs, fs = make([]int64, n), make([]int64, n)
+			for v := range fx {
+				if f.LoopAt(int32(v)) {
+					fs[v], fxs[v] = 1, fx[v]
 				}
-				fs[v], fxs[v] = 1, fx[v]
 			}
 		}
 		x.Vecs, x2.Vecs, xs.Vecs, s.Vecs = append(x.Vecs, fx), append(x2.Vecs, fx2), append(xs.Vecs, fxs), append(s.Vecs, fs)

@@ -17,6 +17,8 @@ import (
 // Each per-edge quantity is a per-edge statistic of G (package triangle):
 // one value per arc of G, at the arc's position. The object, its vectors
 // and every statistic built from them are shared, so all are read-only.
+// Each statistic is kept once: for a loop-free G, HadSquare is Delta (the
+// same slice) and the loop terms are nil.
 type FactorTriangleStats struct {
 	G *graph.Graph
 	// T is t_G: triangle participation per vertex of the loop-free
@@ -28,7 +30,7 @@ type FactorTriangleStats struct {
 	// appearing in Cor. 1, Thm. 4, and Thm. 6: the row sums of HadSquare.
 	DiagCube []int64
 	// HadSquare is G ∘ G² on G's arcs, the edge-side analog (Cor. 2,
-	// Thm. 5, Thm. 7).
+	// Thm. 5, Thm. 7). For a loop-free G it is Delta, the same slice.
 	HadSquare []int64
 	// Total is τ(G) of the loop-free version.
 	Total int64
@@ -37,9 +39,8 @@ type FactorTriangleStats struct {
 	WedgeChecks int64
 
 	// The loop terms of the general §III.B and §III.C expansions. D = I∘G
-	// is the self-loop part of G. The vertex terms are zero and the
-	// per-edge terms nil for a loop-free factor, whose loop terms enter
-	// no expansion.
+	// is the self-loop part of G. All are nil for a loop-free factor,
+	// whose loop terms are zero and enter no expansion.
 	loopDiag  []int64 // diag(D), the loop indicator s
 	diagSqD   []int64 // diag(G²D)
 	diagGDG   []int64 // diag(G D G)
@@ -61,10 +62,12 @@ func ComputeFactorStats(g *graph.Graph) *FactorTriangleStats {
 	return graph.Derived(g, func() any { return computeFactorStats(g) }).(*FactorTriangleStats)
 }
 
-// computeFactorStats runs the triangle engine once on g and reads every
-// other quantity off its result and g's loop indicator s in one pass over
-// the arcs. G² is never formed: for symmetric 0/1 G with raw degree r
-// (row sum, loop included),
+// computeFactorStats runs the triangle engine once on g. A loop-free g
+// (D = 0) has G∘G² = Δ and diag(G³) = rowsums(Δ) = 2t, so HadSquare is
+// Delta itself, DiagCube is read off T, and the loop terms stay nil.
+// Otherwise every other quantity is read off the count and g's loop
+// indicator s in one pass over the arcs. G² is never formed: for
+// symmetric 0/1 G with raw degree r (row sum, loop included),
 //
 //	(G∘G²)_ij  = Δ_ij + s_i + s_j  (i ≠ j),   (G∘G²)_ii = s_i·r_i,
 //	diag(G³)   = rowsums(G∘G²),
@@ -76,29 +79,31 @@ func ComputeFactorStats(g *graph.Graph) *FactorTriangleStats {
 func computeFactorStats(g *graph.Graph) *FactorTriangleStats {
 	res := triangle.Count(g)
 	n, m := g.NumVertices(), g.NumArcs()
-	s, sr := make([]int64, n), make([]int64, n) // s_i and s_i·r_i
-	loops := g.HasAnyLoop()
-	for v := range s {
-		if loops && g.LoopAt(int32(v)) {
-			s[v], sr[v] = 1, g.OutDegreeRaw(int32(v))
-		}
-	}
 	st := &FactorTriangleStats{
 		G:           g,
 		T:           res.PerVertex,
 		Delta:       res.EdgeDelta,
 		DiagCube:    make([]int64, n),
-		HadSquare:   make([]int64, m),
 		Total:       res.Total,
 		WedgeChecks: res.WedgeChecks,
-		loopDiag:    s,
-		diagSqD:     sr,
-		diagGDG:     make([]int64, n),
 	}
-	if loops {
-		st.loopPart, st.loopRows, st.loopCols, st.loopHadSq =
-			make([]int64, m), make([]int64, m), make([]int64, m), make([]int64, m)
+	if !g.HasAnyLoop() {
+		st.HadSquare = res.EdgeDelta
+		for v, t := range res.PerVertex {
+			st.DiagCube[v] = 2 * t
+		}
+		return st
 	}
+	s, sr := make([]int64, n), make([]int64, n) // s_i and s_i·r_i
+	for v := range s {
+		if g.LoopAt(int32(v)) {
+			s[v], sr[v] = 1, g.OutDegreeRaw(int32(v))
+		}
+	}
+	st.HadSquare = make([]int64, m)
+	st.loopDiag, st.diagSqD, st.diagGDG = s, sr, make([]int64, n)
+	st.loopPart, st.loopRows, st.loopCols, st.loopHadSq =
+		make([]int64, m), make([]int64, m), make([]int64, m), make([]int64, m)
 	for i := int32(0); int(i) < n; i++ {
 		base := g.ArcOffset(i)
 		for k, j := range g.Neighbors(i) {
@@ -106,16 +111,12 @@ func computeFactorStats(g *graph.Graph) *FactorTriangleStats {
 			h := res.EdgeDelta[a] + s[i] + s[j]
 			if i == j {
 				h = sr[i]
+				st.loopPart[a], st.loopHadSq[a] = 1, sr[i]
 			}
 			st.HadSquare[a] = h
 			st.DiagCube[i] += h
-			if loops {
-				st.loopRows[a], st.loopCols[a] = s[i], s[j]
-				st.diagGDG[i] += s[j]
-				if i == j {
-					st.loopPart[a], st.loopHadSq[a] = 1, sr[i]
-				}
-			}
+			st.loopRows[a], st.loopCols[a] = s[i], s[j]
+			st.diagGDG[i] += s[j]
 		}
 	}
 	return st

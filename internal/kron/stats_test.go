@@ -68,9 +68,20 @@ func nnz(d []int64) int64 {
 	return k
 }
 
+// orZero is v, or the zero vector of length n when v is absent: a
+// loop-free factor keeps no loop terms.
+func orZero(v []int64, n int) []int64 {
+	if v == nil {
+		return make([]int64, n)
+	}
+	return v
+}
+
 // TestFactorStatsMatchMatrixDefinitions holds ComputeFactorStats to the
 // matrix expressions it replaces: each quantity, G² formed explicitly,
-// the per-edge ones read at every arc.
+// the per-edge ones read at every arc, an absent loop term read as zero.
+// A loop-free factor keeps each statistic once: no loop terms, and
+// HadSquare is Delta's storage.
 func TestFactorStatsMatchMatrixDefinitions(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		r := rng.New(seed)
@@ -86,9 +97,9 @@ func TestFactorStatsMatchMatrixDefinitions(t *testing.T) {
 				got, want []int64
 			}{
 				{"diag(G³)", st.DiagCube, sparse.DiagOfProduct(a2, a)},
-				{"diag(G²D)", st.diagSqD, sparse.DiagOfProduct(a2, da)},
-				{"diag(GDG)", st.diagGDG, sparse.Diag3(a, da, a)},
-				{"diag(D)", st.loopDiag, da.Diag()},
+				{"diag(G²D)", orZero(st.diagSqD, g.NumVertices()), sparse.DiagOfProduct(a2, da)},
+				{"diag(GDG)", orZero(st.diagGDG, g.NumVertices()), sparse.Diag3(a, da, a)},
+				{"diag(D)", orZero(st.loopDiag, g.NumVertices()), da.Diag()},
 			} {
 				if !sparse.EqualVec(c.got, c.want) {
 					t.Errorf("%s: %s = %v, want %v", name, c.what, c.got, c.want)
@@ -111,6 +122,18 @@ func TestFactorStatsMatchMatrixDefinitions(t *testing.T) {
 			}
 			if st.hasLoops() != g.HasAnyLoop() {
 				t.Errorf("%s: hasLoops = %v", name, st.hasLoops())
+			}
+			if g.HasAnyLoop() {
+				continue
+			}
+			for what, v := range map[string][]int64{"diag(G²D)": st.diagSqD, "diag(GDG)": st.diagGDG, "diag(D)": st.loopDiag,
+				"D": st.loopPart, "DG": st.loopRows, "GD": st.loopCols, "D∘G²": st.loopHadSq} {
+				if v != nil {
+					t.Errorf("%s: loop-free factor keeps %s (%d entries)", name, what, len(v))
+				}
+			}
+			if len(st.HadSquare) != len(st.Delta) || len(st.Delta) > 0 && &st.HadSquare[0] != &st.Delta[0] {
+				t.Errorf("%s: loop-free factor's HadSquare is not Delta's storage", name)
 			}
 		}
 	}
